@@ -14,7 +14,8 @@ pub mod runner;
 
 pub use runner::{
     cy_cfg, cy_ctrl_with, ev_cfg, ev_ctrl_with, gen_for_job, job_fingerprint, job_metrics, run_job,
-    run_job_observed, run_job_resumable, run_job_slice, std_tester, JobArtifacts, SliceOutcome,
+    run_job_observed, run_job_resumable, run_job_slice, std_tester, JobArtifacts, JobRun,
+    SliceOutcome,
 };
 
 use std::time::Instant;

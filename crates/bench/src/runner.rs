@@ -18,9 +18,7 @@ use dramctrl_mem::{presets, AddrMapping, Controller, MemSpec};
 use dramctrl_obs::{ChromeTracer, EpochRecorder};
 use dramctrl_stats::Report;
 use dramctrl_system::MultiChannel;
-use dramctrl_traffic::{
-    DramAwareGen, LinearGen, RandomGen, SnapGen, TestRun, TestSummary, Tester, TrafficGen,
-};
+use dramctrl_traffic::{DramAwareGen, LinearGen, RandomGen, SnapGen, TestRun, TestSummary, Tester};
 use std::cell::RefCell;
 use std::path::Path;
 
@@ -30,24 +28,25 @@ thread_local! {
     /// configuration — the common case in a campaign sweeping traffic
     /// axes over a fixed device. Keyed by config equality, so any config
     /// change falls back to a fresh build.
-    static EV_CTRL_CACHE: RefCell<Option<DramCtrl>> = const { RefCell::new(None) };
+    static EV_CTRL_CACHE: RefCell<Option<Box<DramCtrl>>> = const { RefCell::new(None) };
 }
 
 /// A controller for `cfg`: the worker's cached one, reset, when its
-/// configuration matches; a freshly built one otherwise.
-fn cached_ev_ctrl(cfg: CtrlConfig) -> DramCtrl {
+/// configuration matches; a freshly built one otherwise. Boxed, so that
+/// handing it to a run and back moves a pointer, not the controller.
+fn cached_ev_ctrl(cfg: CtrlConfig) -> Box<DramCtrl> {
     match EV_CTRL_CACHE.with(|c| c.borrow_mut().take()) {
         Some(mut ctrl) if *ctrl.config() == cfg => {
             ctrl.reset();
             ctrl
         }
-        _ => DramCtrl::new(cfg).expect("valid config"),
+        _ => Box::new(DramCtrl::new(cfg).expect("valid config")),
     }
 }
 
 /// Retires a finished controller into the worker's cache for the next
 /// job. Its queues, event heap and group arena keep their allocations.
-fn retire_ev_ctrl(ctrl: DramCtrl) {
+fn retire_ev_ctrl(ctrl: Box<DramCtrl>) {
     EV_CTRL_CACHE.with(|c| *c.borrow_mut() = Some(ctrl));
 }
 
@@ -265,221 +264,266 @@ pub fn run_job_resumable(
     every: u64,
     pause_after: Option<u64>,
 ) -> Option<JobMetrics> {
-    match run_job_slice_inner(job, checkpoint, every, pause_after) {
+    match run_checkpointed(job, checkpoint, every, pause_after) {
         SliceOutcome::Done(m) => Some(m),
         SliceOutcome::Paused { .. } => None,
     }
 }
 
-/// What one bounded slice of a job produced.
-///
-/// Returned by [`run_job_slice`]; `Paused` carries the injection count at
-/// the pause point so a preemptive scheduler can set the *next* slice's
-/// pause target relative to actual progress (`injected + quantum`)
-/// instead of guessing.
+/// What one bounded slice of a job ([`JobRun::advance`]) produced.
+/// `Paused` carries the injection count at the pause point so a
+/// preemptive scheduler can set the *next* slice's pause target relative
+/// to actual progress (`injected + quantum`) instead of guessing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SliceOutcome {
     /// The job ran to completion; here are its metrics.
     Done(JobMetrics),
-    /// The job paused at a request boundary and checkpointed.
+    /// The job paused at a request boundary.
     Paused {
         /// Requests injected so far (monotonic across slices).
         injected: u64,
     },
 }
 
-/// Runs one preemptible slice of `job`: resume from `checkpoint` if it
-/// exists, simulate until either the job completes or the first request
-/// boundary at or past `pause_after` injections, and checkpoint on pause.
-///
-/// This is [`run_job_resumable`] shaped for a scheduler: the quantum is
-/// expressed as an absolute injection target, the pause point reports how
-/// far the job actually got, and chaining slices to completion yields
-/// metrics byte-identical to an uninterrupted [`run_job`] — preemption is
-/// invisible in the results. `pause_after: None` runs to completion
-/// (returning `Done`) while still resuming any checkpoint left by an
-/// earlier slice.
+/// One preemptible slice of `job` *through a file*: resume from
+/// `checkpoint` if it exists, simulate until the job completes or the
+/// first request boundary at or past `pause_after` injections, and
+/// checkpoint on pause (`None` runs to completion). Chained slices yield
+/// metrics byte-identical to an uninterrupted [`run_job`]. This form is
+/// for pause points that must survive the process; a scheduler that
+/// stays in one process keeps the [`JobRun`] and pays no I/O per slice.
 ///
 /// # Panics
 /// Panics like [`run_job_resumable`].
 pub fn run_job_slice(job: &JobSpec, checkpoint: &Path, pause_after: Option<u64>) -> SliceOutcome {
-    run_job_slice_inner(job, Some(checkpoint), 0, pause_after)
+    run_checkpointed(job, Some(checkpoint), 0, pause_after)
 }
 
-fn run_job_slice_inner(
+fn run_checkpointed(
     job: &JobSpec,
     checkpoint: Option<&Path>,
     every: u64,
     pause_after: Option<u64>,
 ) -> SliceOutcome {
-    let spec = presets::by_name(&job.device)
-        .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
-    let mut gen = gen_for_job(job, &spec);
-    let ras = ras_for_job(job);
-    let ck = Ckpt {
-        // The fingerprint guards checkpoint compatibility; without a
-        // checkpoint path nothing ever reads it, so the plain fast path
-        // skips the Debug-format hash.
-        fp: checkpoint.map_or(0, |_| job_fingerprint(job)),
-        path: checkpoint,
-        every,
-        pause_after,
+    let mut run = JobRun::start(job);
+    if let Some(path) = checkpoint.filter(|p| p.exists()) {
+        run.restore(path);
+    }
+    loop {
+        // Stop at the pause point or the next periodic checkpoint,
+        // whichever comes first.
+        let periodic = checkpoint
+            .filter(|_| every > 0)
+            .map(|_| (run.injected() / every + 1) * every);
+        let stop = pause_after.into_iter().chain(periodic).min();
+        match run.advance(stop) {
+            SliceOutcome::Paused { injected } => {
+                run.save(checkpoint.expect("pausing a run requires a checkpoint path"));
+                if pause_after.is_some_and(|n| injected >= n) {
+                    return SliceOutcome::Paused { injected };
+                }
+            }
+            done => return done,
+        }
+    }
+}
+
+/// A zero-latency crossbar over `ctrls`, interleaved by `mapping`.
+fn xbar<C: Controller>(ctrls: Vec<C>, mapping: AddrMapping) -> MultiChannel<C> {
+    MultiChannel::new(ctrls, 0)
+        .expect("valid crossbar")
+        .with_mapping(mapping)
+}
+
+/// The controllers behind a crossbar, in channel order.
+fn channels_of<C: Controller>(x: &MultiChannel<C>) -> impl Iterator<Item = &C> {
+    (0..x.channels() as usize).map(|i| x.channel(i))
+}
+
+/// The concrete simulator behind a [`JobRun`]: one variant per
+/// (model × single/multi-channel), so the step loop stays monomorphic.
+enum Sim {
+    Ev(Box<DramCtrl>),
+    EvX(Box<MultiChannel<DramCtrl>>),
+    Cy(Box<CycleCtrl>),
+    CyX(Box<MultiChannel<CycleCtrl>>),
+}
+
+/// Evaluates `$body` with `$c` bound to the boxed controller in `$sim`.
+macro_rules! with_ctrl {
+    ($sim:expr, $c:ident => $body:expr) => {
+        match $sim {
+            Sim::Ev($c) => $body,
+            Sim::EvX($c) => $body,
+            Sim::Cy($c) => $body,
+            Sim::CyX($c) => $body,
+        }
     };
-    match job.model {
-        Model::Event => {
-            let mk_cfg = |ch_total| {
-                let mut cfg = ev_cfg(spec.clone(), job.policy, job.sched, job.mapping, ch_total);
-                cfg.ras = ras.clone();
-                cfg
-            };
-            let mk = |ch_total| {
-                let mut ctrl = DramCtrl::new(mk_cfg(ch_total)).expect("valid config");
-                ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
-                ctrl
-            };
-            if job.channels <= 1 {
-                // The single-channel short job is the campaign hot path:
-                // take the worker's cached controller instead of
-                // rebuilding queues and arenas per job.
-                let mut ctrl = cached_ev_ctrl(mk_cfg(1));
-                ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
-                let s = match ck.drive(&mut gen, &mut ctrl) {
-                    Driven::Done(s) => *s,
-                    Driven::Paused { injected } => return SliceOutcome::Paused { injected },
-                };
-                assert_no_stall(std::iter::once(&ctrl));
-                let mut m = job_metrics(&s);
-                add_ras_metrics(&mut m, ctrl.fault_model().into_iter());
-                retire_ev_ctrl(ctrl);
-                SliceOutcome::Done(m)
-            } else {
-                let ctrls = (0..job.channels).map(|_| mk(job.channels)).collect();
-                let mut xbar = MultiChannel::new(ctrls, 0)
-                    .expect("valid crossbar")
-                    .with_mapping(job.mapping);
-                let s = match ck.drive(&mut gen, &mut xbar) {
-                    Driven::Done(s) => *s,
-                    Driven::Paused { injected } => return SliceOutcome::Paused { injected },
-                };
-                let (ctrls, _) = xbar.into_parts();
-                assert_no_stall(ctrls.iter());
-                let mut m = job_metrics(&s);
-                add_ras_metrics(&mut m, ctrls.iter().filter_map(DramCtrl::fault_model));
-                SliceOutcome::Done(m)
-            }
-        }
-        Model::Cycle => {
-            let mk = |ch_total| {
-                let mut cfg = cy_cfg(spec.clone(), job.policy, job.sched, job.mapping, ch_total);
-                cfg.ras = ras.clone();
-                CycleCtrl::new(cfg).expect("valid config")
-            };
-            if job.channels <= 1 {
-                let mut ctrl = mk(1);
-                let s = match ck.drive(&mut gen, &mut ctrl) {
-                    Driven::Done(s) => *s,
-                    Driven::Paused { injected } => return SliceOutcome::Paused { injected },
-                };
-                let mut m = job_metrics(&s);
-                add_ras_metrics(&mut m, ctrl.fault_model().into_iter());
-                SliceOutcome::Done(m)
-            } else {
-                let ctrls = (0..job.channels).map(|_| mk(job.channels)).collect();
-                let mut xbar = MultiChannel::new(ctrls, 0)
-                    .expect("valid crossbar")
-                    .with_mapping(job.mapping);
-                let s = match ck.drive(&mut gen, &mut xbar) {
-                    Driven::Done(s) => *s,
-                    Driven::Paused { injected } => return SliceOutcome::Paused { injected },
-                };
-                let (ctrls, _) = xbar.into_parts();
-                let mut m = job_metrics(&s);
-                add_ras_metrics(&mut m, ctrls.iter().filter_map(CycleCtrl::fault_model));
-                SliceOutcome::Done(m)
-            }
-        }
-    }
 }
 
-/// Checkpoint policy for one job run.
-struct Ckpt<'a> {
-    fp: u64,
-    path: Option<&'a Path>,
-    every: u64,
-    pause_after: Option<u64>,
+/// One job, live: the tester run, its traffic generator and the
+/// controller it drives, steppable a slice at a time. The one place a
+/// [`JobSpec`] is wired to a simulator — [`run_job`],
+/// [`run_job_resumable`] and [`run_job_slice`] wrap it. A scheduler
+/// preempts a job by keeping its `JobRun` and calling
+/// [`advance`](Self::advance) again later; [`save`](Self::save) and
+/// [`restore`](Self::restore) are for pauses that must outlive the process.
+pub struct JobRun {
+    job: JobSpec,
+    gen: Box<dyn SnapGen>,
+    /// `None` once the run has finished and handed back its metrics.
+    live: Option<(TestRun, Sim)>,
 }
 
-/// Internal result of [`Ckpt::drive`]: the run's summary, or the pause
-/// point it checkpointed at.
-enum Driven {
-    Done(Box<TestSummary>),
-    Paused { injected: u64 },
-}
-
-impl Ckpt<'_> {
-    /// Drives the tester loop with restore-on-entry, periodic snapshots
-    /// and an optional pause point.
-    fn drive<G, C>(&self, gen: &mut G, ctrl: &mut C) -> Driven
-    where
-        G: TrafficGen + SnapState,
-        C: Controller + SnapState,
-    {
-        let mut run = std_tester().begin();
-        if let Some(path) = self.path.filter(|p| p.exists()) {
-            let bytes = std::fs::read(path)
-                .unwrap_or_else(|e| panic!("reading checkpoint {}: {e}", path.display()));
-            restore_all(&bytes, self.fp, &mut run, gen, ctrl)
-                .unwrap_or_else(|e| panic!("restoring checkpoint {}: {e}", path.display()));
-        }
-        while run.step(gen, ctrl, Tick::MAX) {
-            if let Some(n) = self.pause_after {
-                if run.injected() >= n {
-                    let path = self.path.expect("pausing a run requires a checkpoint path");
-                    self.save(path, &run, gen, ctrl);
-                    return Driven::Paused {
-                        injected: run.injected(),
+impl JobRun {
+    /// Builds the generator and controller(s) `job` describes, ready for
+    /// its first request.
+    ///
+    /// # Panics
+    /// Panics on an unknown device preset or an invalid configuration.
+    #[must_use]
+    pub fn start(job: &JobSpec) -> Self {
+        let spec = presets::by_name(&job.device)
+            .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
+        let gen = gen_for_job(job, &spec);
+        let chans = job.channels.max(1);
+        let sim = match job.model {
+            Model::Event => {
+                let mut cfg = ev_cfg(spec, job.policy, job.sched, job.mapping, chans);
+                cfg.ras = ras_for_job(job);
+                if chans == 1 {
+                    // The single-channel short job is the campaign hot
+                    // path: take the worker's cached controller instead
+                    // of rebuilding queues and arenas per job.
+                    let mut ctrl = cached_ev_ctrl(cfg);
+                    ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
+                    Sim::Ev(ctrl)
+                } else {
+                    let mk = |_| {
+                        let mut ctrl = DramCtrl::new(cfg.clone()).expect("valid config");
+                        ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
+                        ctrl
                     };
+                    Sim::EvX(Box::new(xbar((0..chans).map(mk).collect(), job.mapping)))
                 }
             }
-            if self.every > 0 && run.injected() % self.every == 0 {
-                if let Some(path) = self.path {
-                    self.save(path, &run, gen, ctrl);
+            Model::Cycle => {
+                let mut cfg = cy_cfg(spec, job.policy, job.sched, job.mapping, chans);
+                cfg.ras = ras_for_job(job);
+                let mk = |_| CycleCtrl::new(cfg.clone()).expect("valid config");
+                if chans == 1 {
+                    Sim::Cy(Box::new(mk(0)))
+                } else {
+                    Sim::CyX(Box::new(xbar((0..chans).map(mk).collect(), job.mapping)))
                 }
             }
+        };
+        Self {
+            job: job.clone(),
+            gen,
+            live: Some((std_tester().begin(), sim)),
         }
-        Driven::Done(Box::new(run.finish(ctrl)))
     }
 
-    fn save<G: SnapState, C: SnapState>(&self, path: &Path, run: &TestRun, gen: &G, ctrl: &C) {
-        let mut w = SnapWriter::new(self.fp);
+    /// Requests injected so far.
+    ///
+    /// # Panics
+    /// Panics on a run that has already returned `Done`.
+    #[must_use]
+    pub fn injected(&self) -> u64 {
+        self.live.as_ref().expect(SPENT).0.injected()
+    }
+
+    /// Simulates until the job completes or — with `pause_after:
+    /// Some(n)` — the first request boundary at or past `n` injections.
+    /// The next call picks up exactly there: chained slices yield
+    /// metrics byte-identical to one `advance(None)`.
+    ///
+    /// # Panics
+    /// Panics if a controller trips its stall watchdog, or on a run that
+    /// has already returned `Done`.
+    pub fn advance(&mut self, pause_after: Option<u64>) -> SliceOutcome {
+        let (run, sim) = self.live.as_mut().expect(SPENT);
+        let gen = &mut self.gen;
+        let paused = with_ctrl!(sim, c => {
+            loop {
+                if !run.step(gen, &mut **c, Tick::MAX) {
+                    break false;
+                }
+                if pause_after.is_some_and(|n| run.injected() >= n) {
+                    break true;
+                }
+            }
+        });
+        if paused {
+            return SliceOutcome::Paused {
+                injected: run.injected(),
+            };
+        }
+        let (run, mut sim) = self.live.take().expect(SPENT);
+        let mut m = job_metrics(&with_ctrl!(&mut sim, c => run.finish(&mut **c)));
+        match &sim {
+            Sim::Ev(c) => {
+                assert_no_stall(std::iter::once(&**c));
+                add_ras_metrics(&mut m, c.fault_model().into_iter());
+            }
+            Sim::EvX(x) => {
+                assert_no_stall(channels_of(x));
+                add_ras_metrics(&mut m, channels_of(x).filter_map(DramCtrl::fault_model));
+            }
+            Sim::Cy(c) => add_ras_metrics(&mut m, c.fault_model().into_iter()),
+            Sim::CyX(x) => {
+                add_ras_metrics(&mut m, channels_of(x).filter_map(CycleCtrl::fault_model));
+            }
+        }
+        if let Sim::Ev(c) = sim {
+            retire_ev_ctrl(c);
+        }
+        SliceOutcome::Done(m)
+    }
+
+    /// Writes the run's state — tester, generator, controller, in that
+    /// order, stamped with [`job_fingerprint`] — atomically to `path`.
+    ///
+    /// # Panics
+    /// Panics on I/O errors, or on a run that has already returned `Done`.
+    pub fn save(&self, path: &Path) {
+        let (run, sim) = self.live.as_ref().expect(SPENT);
+        let mut w = SnapWriter::new(job_fingerprint(&self.job));
         run.save_state(&mut w);
-        gen.save_state(&mut w);
-        ctrl.save_state(&mut w);
+        self.gen.save_state(&mut w);
+        with_ctrl!(sim, c => c.save_state(&mut w));
         write_atomic(path, w.into_bytes())
             .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
     }
+
+    /// Replaces the run's state with the checkpoint at `path`.
+    ///
+    /// # Panics
+    /// Panics on I/O errors or a checkpoint that does not match the job
+    /// (wrong fingerprint, torn or corrupt state).
+    pub fn restore(&mut self, path: &Path) {
+        let bytes = std::fs::read(path)
+            .unwrap_or_else(|e| panic!("reading checkpoint {}: {e}", path.display()));
+        let (run, sim) = self.live.as_mut().expect(SPENT);
+        let (gen, fp) = (&mut self.gen, job_fingerprint(&self.job));
+        let restored = (|| {
+            let mut r = SnapReader::new(&bytes, fp)?;
+            run.restore_state(&mut r)?;
+            gen.restore_state(&mut r)?;
+            with_ctrl!(sim, c => c.restore_state(&mut r))?;
+            if r.is_exhausted() {
+                return Ok(());
+            }
+            let why = "checkpoint has trailing bytes after the controller state";
+            Err(SnapError::Corrupt(why.into()))
+        })();
+        restored.unwrap_or_else(|e| panic!("restoring checkpoint {}: {e}", path.display()));
+    }
 }
 
-/// Restores `(run, gen, ctrl)` — the fixed snapshot component order —
-/// from checkpoint bytes.
-fn restore_all<G: SnapState, C: SnapState>(
-    bytes: &[u8],
-    fp: u64,
-    run: &mut TestRun,
-    gen: &mut G,
-    ctrl: &mut C,
-) -> Result<(), SnapError> {
-    let mut r = SnapReader::new(bytes, fp)?;
-    run.restore_state(&mut r)?;
-    gen.restore_state(&mut r)?;
-    ctrl.restore_state(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(SnapError::Corrupt(
-            "checkpoint has trailing bytes after the controller state".into(),
-        ));
-    }
-    Ok(())
-}
+/// Panic message for driving a [`JobRun`] past its `Done`.
+const SPENT: &str = "this JobRun has already finished";
 
 /// Observability artifacts produced by [`run_job_observed`], ready to be
 /// written next to the campaign report.
@@ -524,6 +568,37 @@ fn collect_artifacts(
     }
 }
 
+/// Runs `job` whole over the channels `mk` builds (one, or a crossbar
+/// of `job.channels`) and collects metrics and artifacts; the two
+/// accessors name the concrete controller's inherent methods.
+fn observe<C: Controller>(
+    job: &JobSpec,
+    gen: &mut Box<dyn SnapGen>,
+    epoch_interval: Tick,
+    mk: impl Fn(u32) -> C,
+    fault_model: fn(&C) -> Option<&FaultModel>,
+    into_probe: fn(C) -> ObsProbe,
+) -> (JobMetrics, JobArtifacts) {
+    let (s, report, ctrls) = if job.channels <= 1 {
+        let mut ctrl = mk(0);
+        let s = std_tester().run(gen, &mut ctrl);
+        let report = ctrl.report("ctrl", s.duration);
+        (s, report, vec![ctrl])
+    } else {
+        let mut xbar = xbar((0..job.channels).map(mk).collect(), job.mapping);
+        let s = std_tester().run(gen, &mut xbar);
+        let report = xbar.report("system", s.duration);
+        (s, report, xbar.into_parts().0)
+    };
+    let mut m = job_metrics(&s);
+    add_ras_metrics(&mut m, ctrls.iter().filter_map(fault_model));
+    let probes = ctrls.into_iter().map(into_probe).collect();
+    (
+        m,
+        collect_artifacts(probes, &report, s.duration, epoch_interval),
+    )
+}
+
 /// [`run_job`] with live instrumentation: every channel carries a
 /// [`ChromeTracer`] and an [`EpochRecorder`] binning at `epoch_interval`
 /// ticks, and the returned metrics come with the rendered artifacts.
@@ -535,88 +610,28 @@ pub fn run_job_observed(job: &JobSpec, epoch_interval: Tick) -> (JobMetrics, Job
     let spec = presets::by_name(&job.device)
         .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
     let mut gen = gen_for_job(job, &spec);
-    let tester = std_tester();
-    let ras = ras_for_job(job);
     let probe = |ch: u32| {
         (
             ChromeTracer::for_channel(ch),
             EpochRecorder::new(epoch_interval),
         )
     };
-    let (m, report, probes, end) = match job.model {
+    match job.model {
         Model::Event => {
-            let cfg = || {
-                let mut cfg = ev_cfg(
-                    spec.clone(),
-                    job.policy,
-                    job.sched,
-                    job.mapping,
-                    job.channels,
-                );
-                cfg.ras = ras.clone();
-                cfg
-            };
-            if job.channels <= 1 {
-                let mut ctrl = DramCtrl::with_probe(cfg(), probe(0)).expect("valid config");
-                let s = tester.run(&mut gen, &mut ctrl);
-                let report = ctrl.report("ctrl", s.duration);
-                let mut m = job_metrics(&s);
-                add_ras_metrics(&mut m, ctrl.fault_model().into_iter());
-                (m, report, vec![ctrl.into_probe()], s.duration)
-            } else {
-                let ctrls = (0..job.channels)
-                    .map(|ch| DramCtrl::with_probe(cfg(), probe(ch)).expect("valid config"))
-                    .collect();
-                let mut xbar = MultiChannel::new(ctrls, 0)
-                    .expect("valid crossbar")
-                    .with_mapping(job.mapping);
-                let s = tester.run(&mut gen, &mut xbar);
-                let report = xbar.report("system", s.duration);
-                let (ctrls, _) = xbar.into_parts();
-                let mut m = job_metrics(&s);
-                add_ras_metrics(&mut m, ctrls.iter().filter_map(DramCtrl::fault_model));
-                let probes = ctrls.into_iter().map(DramCtrl::into_probe).collect();
-                (m, report, probes, s.duration)
-            }
+            let mut cfg = ev_cfg(spec, job.policy, job.sched, job.mapping, job.channels);
+            cfg.ras = ras_for_job(job);
+            let mk = |ch| DramCtrl::with_probe(cfg.clone(), probe(ch)).expect("valid config");
+            let (fm, ip) = (DramCtrl::fault_model, DramCtrl::into_probe);
+            observe(job, &mut gen, epoch_interval, mk, fm, ip)
         }
         Model::Cycle => {
-            let cfg = || {
-                let mut cfg = cy_cfg(
-                    spec.clone(),
-                    job.policy,
-                    job.sched,
-                    job.mapping,
-                    job.channels,
-                );
-                cfg.ras = ras.clone();
-                cfg
-            };
-            if job.channels <= 1 {
-                let mut ctrl = CycleCtrl::with_probe(cfg(), probe(0)).expect("valid config");
-                let s = tester.run(&mut gen, &mut ctrl);
-                let report = ctrl.report("ctrl", s.duration);
-                let mut m = job_metrics(&s);
-                add_ras_metrics(&mut m, ctrl.fault_model().into_iter());
-                (m, report, vec![ctrl.into_probe()], s.duration)
-            } else {
-                let ctrls = (0..job.channels)
-                    .map(|ch| CycleCtrl::with_probe(cfg(), probe(ch)).expect("valid config"))
-                    .collect();
-                let mut xbar = MultiChannel::new(ctrls, 0)
-                    .expect("valid crossbar")
-                    .with_mapping(job.mapping);
-                let s = tester.run(&mut gen, &mut xbar);
-                let report = xbar.report("system", s.duration);
-                let (ctrls, _) = xbar.into_parts();
-                let mut m = job_metrics(&s);
-                add_ras_metrics(&mut m, ctrls.iter().filter_map(CycleCtrl::fault_model));
-                let probes = ctrls.into_iter().map(CycleCtrl::into_probe).collect();
-                (m, report, probes, s.duration)
-            }
+            let mut cfg = cy_cfg(spec, job.policy, job.sched, job.mapping, job.channels);
+            cfg.ras = ras_for_job(job);
+            let mk = |ch| CycleCtrl::with_probe(cfg.clone(), probe(ch)).expect("valid config");
+            let (fm, ip) = (CycleCtrl::fault_model, CycleCtrl::into_probe);
+            observe(job, &mut gen, epoch_interval, mk, fm, ip)
         }
-    };
-    let artifacts = collect_artifacts(probes, &report, end, epoch_interval);
-    (m, artifacts)
+    }
 }
 
 #[cfg(test)]

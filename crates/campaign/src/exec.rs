@@ -547,8 +547,10 @@ fn retry_backoff_ms(base_ms: u64, job_seed: u64, attempt: u32) -> u64 {
     deterministic_ms(base_ms, job_seed, attempt)
 }
 
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts a human-readable message from a panic payload — the text a
+/// [`JobOutcome::Failed`] record carries, shared with every executor of
+/// campaign units so failure records read the same everywhere.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

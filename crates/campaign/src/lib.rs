@@ -61,8 +61,8 @@ mod report;
 mod spec;
 
 pub use exec::{
-    run_campaign, run_campaign_journaled, run_campaign_shard, ExecMetrics, ExecutorConfig,
-    JobOutcome, Progress,
+    panic_message, run_campaign, run_campaign_journaled, run_campaign_shard, ExecMetrics,
+    ExecutorConfig, JobOutcome, Progress,
 };
 pub use journal::{
     campaign_hash, merge_journals, parse_record_line, CampaignJournal, JournalError,

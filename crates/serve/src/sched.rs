@@ -57,6 +57,13 @@ impl FairQueue {
             .collect()
     }
 
+    /// `tenant`'s queue depth; 0 when it is not in rotation.
+    #[must_use]
+    pub fn depth(&self, tenant: &str) -> usize {
+        let slot = self.tenants.iter().position(|t| t == tenant);
+        slot.map_or(0, |i| self.jobs[i].len())
+    }
+
     /// Queues `job` for `tenant`. A tenant not currently in rotation
     /// joins at the back; an existing tenant keeps its turn position
     /// (late arrivals don't jump the line).
@@ -164,6 +171,7 @@ mod tests {
         let depths: std::collections::BTreeMap<_, _> = q.tenant_depths().into_iter().collect();
         assert_eq!(depths["a"], 1);
         assert_eq!(depths["b"], 1);
+        assert_eq!((q.depth("a"), q.depth("b"), q.depth("nobody")), (1, 1, 0));
     }
 
     /// splitmix64: deterministic pseudo-randomness for the churn test.

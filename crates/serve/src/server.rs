@@ -6,29 +6,36 @@
 //! One **scheduler thread** runs all simulation work, one quantum at a
 //! time: it pops the next job from the [`FairQueue`], picks the job's
 //! first uncommitted work unit, and runs one slice of it *outside* the
-//! state lock (via [`run_job_slice`], which checkpoints and pauses at the
-//! first request boundary past the quantum target). **Connection
-//! threads** (one per client) only touch state briefly — submit, watch,
-//! status — so a 10-million-request unit in flight never blocks a
-//! submit, and a competing tenant waits at most one quantum.
+//! state lock ([`JobRun::advance`] pauses at the first request boundary
+//! past the quantum target). A paused unit stays **resident in memory**
+//! as a live [`JobRun`], at most one per unfinished job, and its next
+//! slice keeps stepping it: preemption is a scheduling event, not a
+//! durability event. **Connection threads** (one per client) only touch
+//! state briefly — submit, watch, status — so a 10-million-request unit
+//! in flight never blocks a submit, and a competing tenant waits at most
+//! one quantum.
 //!
 //! ## Durability
 //!
-//! Every state transition commits before it is acknowledged or
-//! broadcast:
+//! Durable means **accept and commit**, nothing else, and both land
+//! before they are acknowledged or broadcast:
 //!
 //! - submit: accept-log fsync → journal created → `accepted` sent;
 //! - unit done: artifacts written atomically → journal commit (fsync) →
 //!   events broadcast;
-//! - preemption: checkpoint written atomically; the journal is untouched.
+//! - preemption: nothing is written; the store's op count does not
+//!   depend on the quantum.
 //!
 //! Kill the daemon at any instant and [`Server::open`] rebuilds
 //! everything from the store: accepted jobs re-queue, committed units
-//! are never re-run, the unit in flight resumes from its checkpoint (or
-//! restarts from the last one — re-execution is deterministic, and the
-//! journal's keep-first dedup makes the first commit canonical either
-//! way). Results are byte-identical to a never-killed run, which is
-//! byte-identical to a standalone `dramctrl sweep` of the same campaign.
+//! are never re-run, and the unit in flight restarts from its first
+//! request — a crash costs at most one unit of re-execution per job.
+//! Re-execution is deterministic and the journal's keep-first dedup
+//! makes the first commit canonical, so results are byte-identical to a
+//! never-killed run, which is byte-identical to a standalone `dramctrl
+//! sweep` of the same campaign. A finished job keeps its accept record
+//! and three counters; its units, outcomes and journal handle are
+//! released, and a late `watch` replays it from the journal file.
 //!
 //! ## Degraded mode
 //!
@@ -66,8 +73,8 @@ use crate::proto::{
 use crate::sched::FairQueue;
 use crate::store::{JobStore, StoredJob};
 use crate::wire::{escape, Value};
-use dramctrl_bench::{run_job_observed, run_job_slice, JobArtifacts, SliceOutcome};
-use dramctrl_campaign::{CampaignJournal, JobMetrics, JobOutcome, JobRecord, JobSpec};
+use dramctrl_bench::{run_job_observed, JobArtifacts, JobRun, SliceOutcome};
+use dramctrl_campaign::{panic_message, CampaignJournal, JobOutcome, JobRecord, JobSpec};
 use dramctrl_kernel::backoff::Backoff;
 use dramctrl_kernel::fsio::write_atomic;
 use dramctrl_obs::metrics::Gauge;
@@ -124,10 +131,28 @@ impl ServeConfig {
 /// Everything the daemon knows about one job.
 struct JobState {
     stored: StoredJob,
+    /// Units this job will actually run: the shard size for sharded
+    /// jobs, the full campaign otherwise. This is the `total` clients
+    /// see in `accepted`/`progress` events.
+    total: usize,
+    /// In-shard units committed so far, and how many of them failed.
+    done: usize,
+    failed: usize,
+    /// The working set, dropped with the last commit: a finished job
+    /// holds no units, no outcomes and no open journal.
+    live: Option<LiveJob>,
+}
+
+/// What only an unfinished job needs.
+struct LiveJob {
     /// The campaign's expanded work units.
     units: Vec<JobSpec>,
     /// The job's durable commit log.
     journal: CampaignJournal,
+    /// The first uncommitted in-shard unit — the one to run next. Only
+    /// ever moves forward, `stride` (the shard count, or 1) at a time.
+    next: usize,
+    stride: usize,
     /// Panicked attempts of the unit currently in flight.
     failures: u32,
     /// Absolute injection target for the current unit's next slice.
@@ -138,49 +163,53 @@ struct JobState {
 }
 
 impl JobState {
-    /// Whether unit `i` belongs to this job's residue-class shard.
-    /// Unsharded jobs own every unit.
-    fn in_shard(&self, i: usize) -> bool {
-        match self.stored.shard {
-            Some((idx, n)) => i % n as usize == idx as usize,
-            None => true,
+    /// The job as its journal describes it: counters tallied once,
+    /// working set only if units remain.
+    fn new(stored: StoredJob, journal: CampaignJournal, quantum: u64) -> Self {
+        // A shard is a residue class; unsharded jobs own every unit.
+        let (first, stride) = stored
+            .shard
+            .map_or((0, 1), |(i, n)| (i as usize, n as usize));
+        let total = stored.campaign.len().saturating_sub(first).div_ceil(stride);
+        let mut js = Self {
+            total,
+            done: 0,
+            failed: 0,
+            live: None,
+            stored,
+        };
+        let mine = journal.completed().iter();
+        for (_, outcome) in mine.filter(|(i, _)| *i % stride == first) {
+            js.done += 1;
+            js.failed += usize::from(outcome.is_failed());
         }
-    }
-
-    /// Units this job will actually run: the shard size for sharded
-    /// jobs, the full campaign otherwise. This is the `total` clients
-    /// see in `accepted`/`progress` events.
-    fn total(&self) -> usize {
-        match self.stored.shard {
-            Some(_) => (0..self.units.len()).filter(|&i| self.in_shard(i)).count(),
-            None => self.units.len(),
+        if !js.finished() {
+            let mut live = LiveJob {
+                units: js.stored.campaign.expand(),
+                journal,
+                next: first,
+                stride,
+                failures: 0,
+                pause_target: quantum,
+                subscribers: Vec::new(),
+            };
+            live.skip_committed();
+            js.live = Some(live);
         }
-    }
-
-    fn done(&self) -> usize {
-        self.journal
-            .completed()
-            .keys()
-            .filter(|&&i| self.in_shard(i))
-            .count()
+        js
     }
 
     fn finished(&self) -> bool {
-        self.done() == self.total()
+        self.done == self.total
     }
+}
 
-    fn failed(&self) -> usize {
-        self.journal
-            .completed()
-            .iter()
-            .filter(|(i, o)| self.in_shard(**i) && o.is_failed())
-            .count()
-    }
-
-    /// The first uncommitted in-shard unit — the one to run next.
-    fn next_unit(&self) -> Option<usize> {
-        (0..self.units.len())
-            .find(|&i| self.in_shard(i) && !self.journal.completed().contains_key(&i))
+impl LiveJob {
+    /// Moves `next` past every already-committed unit of the shard.
+    fn skip_committed(&mut self) {
+        while self.journal.completed().contains_key(&self.next) {
+            self.next += self.stride;
+        }
     }
 
     /// Sends `line` to every subscriber, evicting any whose bounded
@@ -269,8 +298,9 @@ const MAX_ATTEMPTS: u32 = 2;
 
 impl Server {
     /// Opens the store at `cfg.store`, recovers every journaled job, and
-    /// re-queues all unfinished work. Committed units never re-run;
-    /// their leftover checkpoints are deleted.
+    /// re-queues all unfinished work. Committed units never re-run; a
+    /// unit that was in flight restarts from its first request, and
+    /// checkpoint files left by older daemons are deleted unread.
     ///
     /// # Errors
     /// Store or journal I/O and corruption errors.
@@ -292,17 +322,8 @@ impl Server {
                     format!("recovering journal for {}: {e}", stored.id),
                 )
             })?;
-            for &i in journal.completed().keys() {
-                let _ = std::fs::remove_file(JobStore::unit_snap(&dir, i));
-            }
-            let js = JobState {
-                units: stored.campaign.expand(),
-                journal,
-                failures: 0,
-                pause_target: cfg.quantum,
-                subscribers: Vec::new(),
-                stored,
-            };
+            JobStore::remove_stale_snaps(&dir);
+            let js = JobState::new(stored, journal, cfg.quantum);
             if !js.finished() {
                 queue.push(&js.stored.tenant, js.stored.id.clone());
             }
@@ -314,6 +335,9 @@ impl Server {
         let mut gc_evicted = 0;
         if let Some(retain) = cfg.retain {
             gc_evicted = gc_finished(&mut store, &mut jobs, retain, &metrics);
+        }
+        for (tenant, depth) in queue.tenant_depths() {
+            metrics.tenant_queue_depth(&tenant).set(depth as f64);
         }
         let now = Instant::now();
         let queued_at = jobs
@@ -380,9 +404,14 @@ impl Server {
     // ----- scheduler ---------------------------------------------------
 
     fn scheduler_loop(&self) {
+        // Preempted units, live, between their slices: at most one per
+        // unfinished job, touched by this thread only. Nothing here is
+        // durable — after a crash the unit in flight re-runs from its
+        // first request and commits the same bytes.
+        let mut suspended: BTreeMap<String, JobRun> = BTreeMap::new();
         loop {
             // Pick the next (job, unit, quantum target) under the lock.
-            let (id, unit, spec, epochs, snap, target) = {
+            let (id, unit, spec, epochs, target) = {
                 let mut st = self.lock();
                 loop {
                     // Degraded: the store owes us a commit (or at least a
@@ -407,9 +436,8 @@ impl Server {
                         let Some(id) = st.queue.pop() else {
                             break None;
                         };
-                        let Some(js) = st.jobs.get(&id) else { continue };
-                        if let Some(unit) = js.next_unit() {
-                            break Some((id, unit));
+                        if let Some(live) = st.jobs.get(&id).and_then(|js| js.live.as_ref()) {
+                            break Some((id, live.next));
                         }
                     };
                     if let Some((id, unit)) = picked {
@@ -420,17 +448,11 @@ impl Server {
                                 .observe(since.elapsed().as_secs_f64());
                         }
                         st.running = Some((id.clone(), unit));
-                        sync_queue_gauges(&self.inner.metrics, &st);
                         let js = &st.jobs[&id];
-                        let dir = st.store.job_dir(&id);
-                        break (
-                            id.clone(),
-                            unit,
-                            js.units[unit].clone(),
-                            js.stored.epochs,
-                            JobStore::unit_snap(&dir, unit),
-                            js.pause_target,
-                        );
+                        sync_queue_gauge(&self.inner.metrics, &st.queue, &js.stored.tenant);
+                        let live = js.live.as_ref().expect("picked from a live job");
+                        let spec = live.units[unit].clone();
+                        break (id, unit, spec, js.stored.epochs, live.pause_target);
                     }
                     st = self
                         .inner
@@ -442,18 +464,16 @@ impl Server {
 
             // Run the slice outside the lock: submits, watches and other
             // tenants' turns are never blocked by simulation work.
+            let mut run = suspended.remove(&id);
             let sliced = catch_unwind(AssertUnwindSafe(|| {
                 if epochs > 0 {
-                    // Observed units carry probes (not snapshot state), so
-                    // they run whole; artifacts ride along.
+                    // Observed units carry probes, which a resumable run
+                    // does not hold yet: they run whole, artifacts ride along.
                     let (m, artifacts) = run_job_observed(&spec, epochs);
-                    Unit::Done(m, Some(artifacts))
-                } else {
-                    match run_job_slice(&spec, &snap, Some(target)) {
-                        SliceOutcome::Done(m) => Unit::Done(m, None),
-                        SliceOutcome::Paused { injected } => Unit::Paused { injected },
-                    }
+                    return (SliceOutcome::Done(m), Some(artifacts));
                 }
+                let run = run.get_or_insert_with(|| JobRun::start(&spec));
+                (run.advance(Some(target)), None)
             }));
 
             let mut st = self.lock();
@@ -461,67 +481,58 @@ impl Server {
             let m = &self.inner.metrics;
             let quantum = self.inner.cfg.quantum;
             st.running = None;
-            if !st.jobs.contains_key(&id) {
+            let Some(live) = st.jobs.get_mut(&id).and_then(|js| js.live.as_mut()) else {
                 continue;
-            }
-            match sliced {
-                Ok(Unit::Paused { injected }) => {
+            };
+            // Only a pause keeps `run`: a finished, panicked or evicted
+            // unit's run is dropped with this iteration, so a retry
+            // starts from the unit's first request.
+            let finished = match sliced {
+                Ok((SliceOutcome::Paused { injected }, _)) => {
                     m.preemptions.inc();
-                    let js = st.jobs.get_mut(&id).expect("checked above");
-                    js.pause_target = injected + quantum;
-                    requeue(st, &id);
+                    live.pause_target = injected + quantum;
+                    suspended.insert(id.clone(), run.take().expect("a paused slice has a run"));
+                    None
                 }
-                Ok(Unit::Done(metrics, artifacts)) => {
-                    let attempts = st.jobs[&id].failures + 1;
-                    let pending = PendingCommit {
-                        id: id.clone(),
-                        unit,
-                        outcome: JobOutcome::Completed { metrics, attempts },
-                        artifacts,
-                    };
-                    self.finish_or_degrade(st, pending);
+                Ok((SliceOutcome::Done(metrics), artifacts)) => {
+                    let attempts = live.failures + 1;
+                    Some((JobOutcome::Completed { metrics, attempts }, artifacts))
                 }
                 Err(payload) => {
-                    // A panicked slice restarts its unit from scratch:
-                    // the checkpoint may be mid-flight state of the very
-                    // attempt that died.
-                    let _ = std::fs::remove_file(&snap);
-                    let js = st.jobs.get_mut(&id).expect("checked above");
-                    js.failures += 1;
-                    js.pause_target = quantum;
-                    if js.failures >= MAX_ATTEMPTS {
-                        let outcome = JobOutcome::Failed {
-                            panic_msg: panic_message(payload.as_ref()),
-                            attempts: js.failures,
-                        };
-                        let pending = PendingCommit {
-                            id: id.clone(),
-                            unit,
-                            outcome,
-                            artifacts: None,
-                        };
-                        self.finish_or_degrade(st, pending);
-                    } else {
-                        requeue(st, &id);
+                    live.failures += 1;
+                    live.pause_target = quantum;
+                    let failed = JobOutcome::Failed {
+                        panic_msg: panic_message(payload.as_ref()),
+                        attempts: live.failures,
+                    };
+                    (live.failures >= MAX_ATTEMPTS).then_some((failed, None))
+                }
+            };
+            match finished {
+                Some((outcome, artifacts)) => {
+                    let pending = PendingCommit {
+                        id,
+                        unit,
+                        outcome,
+                        artifacts,
+                    };
+                    // A store that refuses parks the outcome: it is never
+                    // lost and the simulation never re-runs.
+                    if let Err(e) = self.complete_unit(st, &pending, false) {
+                        self.enter_degraded(st, &e.to_string(), Some(pending));
                     }
                 }
+                None => requeue(st, &id, m),
             }
-            sync_queue_gauges(m, st);
-        }
-    }
-
-    /// Durably finishes a unit, or parks it and enters degraded mode if
-    /// the store refuses — either way the computed outcome is never
-    /// lost and the simulation never re-runs.
-    fn finish_or_degrade(&self, st: &mut State, pending: PendingCommit) {
-        if let Err(e) = self.complete_unit(st, &pending, false) {
-            self.enter_degraded(st, &e.to_string(), Some(pending));
         }
     }
 
     /// The durable half of finishing a unit: artifacts → journal commit
-    /// → broadcast, then the bookkeeping (checkpoint cleanup, failure
-    /// reset, metrics, re-queue). With `repair_journal` the job's
+    /// (the commit point, its fsync timed into the store-fsync histogram)
+    /// → broadcast, then the bookkeeping (failure reset, metrics,
+    /// re-queue, releasing a finished job's working set). Broadcast
+    /// happens only after the commit lands, so nothing a watcher sees
+    /// can be lost to a store failure. With `repair_journal` the job's
     /// journal is first re-resumed from disk, truncating any torn bytes
     /// the failed append left behind; keep-first dedup then makes the
     /// re-commit idempotent if the record actually survived.
@@ -536,8 +547,11 @@ impl Server {
         let Some(js) = st.jobs.get_mut(&p.id) else {
             return Ok(());
         };
+        let Some(live) = js.live.as_mut() else {
+            return Ok(());
+        };
         if repair_journal {
-            js.journal = CampaignJournal::resume(dir.join("journal.jsonl"), &js.stored.campaign)
+            live.journal = CampaignJournal::resume(dir.join("journal.jsonl"), &js.stored.campaign)
                 .map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -550,10 +564,36 @@ impl Server {
         if let Some(a) = &p.artifacts {
             write_unit_artifacts(&dir, p.unit, a)?;
         }
-        commit_unit(js, p.unit, p.outcome.clone(), p.artifacts.as_ref(), m)?;
-        let _ = std::fs::remove_file(JobStore::unit_snap(&dir, p.unit));
-        js.failures = 0;
-        js.pause_target = self.inner.cfg.quantum;
+        let rec = JobRecord {
+            job: live.units[p.unit].clone(),
+            outcome: p.outcome.clone(),
+        };
+        let fsync_started = Instant::now();
+        live.journal.commit(&rec)?;
+        m.store_fsync("commit")
+            .observe(fsync_started.elapsed().as_secs_f64());
+        // Counted here and not by the commit's "newly appended" flag: a
+        // repaired journal may already hold the record whose append
+        // reported failure, and each unit completes exactly once.
+        js.done += 1;
+        js.failed += usize::from(p.outcome.is_failed());
+        live.skip_committed();
+        live.failures = 0;
+        live.pause_target = self.inner.cfg.quantum;
+
+        let line = rec.render(&js.stored.campaign.name);
+        live.broadcast(&record_event(&p.id, p.unit, &line), m);
+        if let Some(a) = &p.artifacts {
+            live.broadcast(&text_event("stats", &p.id, p.unit, &a.stats_json), m);
+            live.broadcast(&text_event("epochs", &p.id, p.unit, &a.epochs_jsonl), m);
+        }
+        live.broadcast(&progress_event(&p.id, js.done, js.total), m);
+        if js.done == js.total {
+            live.broadcast(&done_event(&p.id, js.done - js.failed, js.failed), m);
+            // Last commit: release the units, the outcomes, the
+            // subscriber list and the journal's file handle.
+            js.live = None;
+        }
         m.tenant_served(&js.stored.tenant).inc();
         if p.outcome.is_failed() {
             m.units_failed.inc();
@@ -565,7 +605,7 @@ impl Server {
                 m.units_per_second.set(done as f64 / elapsed);
             }
         }
-        requeue(st, &p.id);
+        requeue(st, &p.id, m);
         // A completion may push the finished-job count past the
         // retention limit; trim eagerly so disk use stays bounded
         // without a periodic sweep.
@@ -807,20 +847,15 @@ impl Server {
                 return self.reject(&mut st, tenant, "store_unavailable", &msg);
             }
         };
-        let js = JobState {
-            units: campaign.expand(),
-            journal,
-            failures: 0,
-            pause_target: self.inner.cfg.quantum,
-            subscribers: Vec::new(),
-            stored,
-        };
-        let (id, total) = (js.stored.id.clone(), js.total());
-        st.queue.push(&js.stored.tenant, id.clone());
-        st.queued_at.insert(id.clone(), Instant::now());
+        let js = JobState::new(stored, journal, self.inner.cfg.quantum);
+        let (id, total) = (js.stored.id.clone(), js.total);
+        if !js.finished() {
+            st.queue.push(&js.stored.tenant, id.clone());
+            st.queued_at.insert(id.clone(), Instant::now());
+        }
+        sync_queue_gauge(&self.inner.metrics, &st.queue, &js.stored.tenant);
         st.jobs.insert(id.clone(), js);
         self.inner.metrics.admission_accepted.inc();
-        sync_queue_gauges(&self.inner.metrics, &st);
         drop(st);
         self.inner.work.notify_all();
         accepted_event(&id, total)
@@ -836,36 +871,35 @@ impl Server {
                 writeln!(writer, "{}", error_event(&format!("no such job '{id}'")))?;
                 return Ok(());
             };
-            let mut replay = Vec::new();
-            let name = js.stored.campaign.name.clone();
-            for (&i, outcome) in js.journal.completed() {
-                let rec = JobRecord {
-                    job: js.units[i].clone(),
-                    outcome: outcome.clone(),
-                };
-                replay.push(record_event(id, i, &rec.render(&name)));
-                if js.stored.epochs > 0 {
-                    for (event, ext) in [("stats", "stats.json"), ("epochs", "epochs.jsonl")] {
-                        if let Ok(text) =
-                            std::fs::read_to_string(JobStore::unit_artifact(&dir, i, ext))
-                        {
-                            replay.push(text_event(event, id, i, &text));
-                        }
-                    }
-                }
-            }
-            replay.push(progress_event(id, js.done(), js.total()));
-            if js.finished() {
-                replay.push(done_event(id, js.done() - js.failed(), js.failed()));
-                (replay, None)
-            } else {
+            let progress = progress_event(id, js.done, js.total);
+            if let Some(live) = js.live.as_mut() {
+                let done = live.journal.completed();
+                let mut replay = replay_events(&js.stored, &dir, &live.units, done);
+                replay.push(progress);
                 // Subscribe under the same lock that replayed: commits
                 // broadcast under this lock too, so the stream has no
                 // gap and no duplicate. The buffer is bounded — fall
                 // this far behind and the broadcaster evicts you.
                 let (tx, rx) = mpsc::sync_channel(self.inner.cfg.subscriber_buffer);
-                js.subscribers.push(tx);
+                live.subscribers.push(tx);
                 (replay, Some(rx))
+            } else {
+                // Finished jobs are immutable and hold nothing in
+                // memory: read the journal back, outside the lock.
+                let (stored, ok, failed) = (js.stored.clone(), js.done - js.failed, js.failed);
+                drop(st);
+                let done =
+                    match CampaignJournal::replay(dir.join("journal.jsonl"), &stored.campaign) {
+                        Ok(done) => done,
+                        Err(e) => {
+                            writeln!(writer, "{}", error_event(&format!("job '{id}': {e}")))?;
+                            return Ok(());
+                        }
+                    };
+                let mut replay = replay_events(&stored, &dir, &stored.campaign.expand(), &done);
+                replay.push(progress);
+                replay.push(done_event(id, ok, failed));
+                (replay, None)
             }
         };
         let streamed = &self.inner.metrics.streamed_bytes;
@@ -995,8 +1029,6 @@ impl Drop for ConnGuard {
 /// the journals (so the view survives restarts); the tenant rollup adds
 /// queue depth, the unit in flight, and this process's rejection tally.
 fn jobs_tenants_json(st: &State) -> String {
-    let depth_vec = st.queue.tenant_depths();
-    let depths: BTreeMap<&str, usize> = depth_vec.iter().map(|(t, d)| (t.as_str(), *d)).collect();
     let mut jobs = String::new();
     struct Roll {
         queued: usize,
@@ -1018,9 +1050,9 @@ fn jobs_tenants_json(st: &State) -> String {
             "{{\"id\":{},\"tenant\":{},\"done\":{},\"failed\":{},\"total\":{},\"state\":{}{}{}}}",
             escape(id),
             escape(&js.stored.tenant),
-            js.done(),
-            js.failed(),
-            js.total(),
+            js.done,
+            js.failed,
+            js.total,
             escape(if js.finished() { "done" } else { "active" }),
             match js.stored.shard {
                 Some((i, n)) => format!(",\"shard\":\"{i}/{n}\""),
@@ -1031,23 +1063,18 @@ fn jobs_tenants_json(st: &State) -> String {
                 None => String::new(),
             },
         ));
-        let roll = tenants.entry(&js.stored.tenant).or_insert(Roll {
-            queued: 0,
+        let roll = tenants.entry(&js.stored.tenant).or_insert_with(|| Roll {
+            queued: st.queue.depth(&js.stored.tenant),
             active: 0,
             served: 0,
             failed: 0,
             running: None,
         });
         roll.active += usize::from(!js.finished());
-        roll.served += js.done();
-        roll.failed += js.failed();
+        roll.served += js.done;
+        roll.failed += js.failed;
         if let Some(u) = running_unit {
             roll.running = Some((id.clone(), u));
-        }
-    }
-    for (tenant, depth) in &depths {
-        if let Some(roll) = tenants.get_mut(tenant) {
-            roll.queued = *depth;
         }
     }
     let mut out = String::new();
@@ -1138,24 +1165,37 @@ fn gc_finished(
     evicted
 }
 
-/// Sets every known tenant's queue-depth gauge (0 when not in
-/// rotation), so gauges never go stale when a tenant drains.
-fn sync_queue_gauges(m: &ServeMetrics, st: &State) {
-    let depths: BTreeMap<String, usize> = st.queue.tenant_depths().into_iter().collect();
-    let mut seen = std::collections::BTreeSet::new();
-    for js in st.jobs.values() {
-        let tenant = js.stored.tenant.as_str();
-        if seen.insert(tenant) {
-            let depth = depths.get(tenant).copied().unwrap_or(0);
-            m.tenant_queue_depth(tenant).set(depth as f64);
-        }
-    }
+/// Sets `tenant`'s queue-depth gauge (0 once out of rotation); called
+/// wherever the tenant's ring changes, so a drained tenant's never goes stale.
+fn sync_queue_gauge(m: &ServeMetrics, queue: &FairQueue, tenant: &str) {
+    m.tenant_queue_depth(tenant).set(queue.depth(tenant) as f64);
 }
 
-/// Result of one scheduler slice.
-enum Unit {
-    Done(JobMetrics, Option<JobArtifacts>),
-    Paused { injected: u64 },
+/// The events a `watch` opens with: every committed unit's record (and,
+/// for observed jobs, its stored artifacts) in index order.
+fn replay_events(
+    stored: &StoredJob,
+    dir: &std::path::Path,
+    units: &[JobSpec],
+    done: &BTreeMap<usize, JobOutcome>,
+) -> Vec<String> {
+    let id = &stored.id;
+    let mut replay = Vec::new();
+    for (&i, outcome) in done {
+        let rec = JobRecord {
+            job: units[i].clone(),
+            outcome: outcome.clone(),
+        };
+        replay.push(record_event(id, i, &rec.render(&stored.campaign.name)));
+        if stored.epochs > 0 {
+            for (event, ext) in [("stats", "stats.json"), ("epochs", "epochs.jsonl")] {
+                if let Ok(text) = std::fs::read_to_string(JobStore::unit_artifact(dir, i, ext)) {
+                    replay.push(text_event(event, id, i, &text));
+                }
+            }
+        }
+    }
+    replay
 }
 
 /// Writes an observed unit's artifacts atomically next to the journal.
@@ -1176,66 +1216,16 @@ fn write_unit_artifacts(dir: &std::path::Path, unit: usize, a: &JobArtifacts) ->
     Ok(())
 }
 
-/// Commits one unit's outcome (the durable commit point) and broadcasts
-/// the resulting events to subscribers. The commit fsync is timed into
-/// the store-fsync histogram; the journal bytes themselves are rendered
-/// exactly as before — metrics only watch the clock. Broadcast happens
-/// only after the commit lands, so nothing a watcher sees can be lost
-/// to a store failure.
-///
-/// # Errors
-/// Journal I/O — the caller parks the outcome and enters degraded mode.
-fn commit_unit(
-    js: &mut JobState,
-    unit: usize,
-    outcome: JobOutcome,
-    artifacts: Option<&JobArtifacts>,
-    m: &ServeMetrics,
-) -> io::Result<()> {
-    let rec = JobRecord {
-        job: js.units[unit].clone(),
-        outcome,
-    };
-    let fsync_started = Instant::now();
-    js.journal.commit(&rec)?;
-    m.store_fsync("commit")
-        .observe(fsync_started.elapsed().as_secs_f64());
-    let id = js.stored.id.clone();
-    let line = rec.render(&js.stored.campaign.name);
-    js.broadcast(&record_event(&id, unit, &line), m);
-    if let Some(a) = artifacts {
-        js.broadcast(&text_event("stats", &id, unit, &a.stats_json), m);
-        js.broadcast(&text_event("epochs", &id, unit, &a.epochs_jsonl), m);
-    }
-    js.broadcast(&progress_event(&id, js.done(), js.total()), m);
-    if js.finished() {
-        js.broadcast(&done_event(&id, js.done() - js.failed(), js.failed()), m);
-        js.subscribers.clear();
-    }
-    Ok(())
-}
-
 /// Puts an unfinished job back in rotation after its turn.
-fn requeue(st: &mut State, id: &str) {
-    let Some(js) = st.jobs.get(id) else { return };
-    if !js.finished() {
-        let tenant = js.stored.tenant.clone();
-        st.queue.push(&tenant, id.to_owned());
-        st.queued_at
-            .entry(id.to_owned())
-            .or_insert_with(Instant::now);
-    }
-}
-
-/// Extracts a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
+fn requeue(st: &mut State, id: &str, m: &ServeMetrics) {
+    let Some(js) = st.jobs.get(id).filter(|js| !js.finished()) else {
+        return;
+    };
+    st.queue.push(&js.stored.tenant, id.to_owned());
+    sync_queue_gauge(m, &st.queue, &js.stored.tenant);
+    st.queued_at
+        .entry(id.to_owned())
+        .or_insert_with(Instant::now);
 }
 
 #[cfg(test)]
@@ -1250,20 +1240,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let c = Campaign::new("b", 1).read_pcts([50]).requests([10]);
         let journal = CampaignJournal::create(dir.join("j.jsonl"), &c).unwrap();
-        let mut js = JobState {
-            stored: StoredJob {
-                id: "job-0001".into(),
-                tenant: "t".into(),
-                epochs: 0,
-                campaign: c.clone(),
-                shard: None,
-            },
-            units: c.expand(),
-            journal,
-            failures: 0,
-            pause_target: 0,
-            subscribers: Vec::new(),
+        let stored = StoredJob {
+            id: "job-0001".into(),
+            tenant: "t".into(),
+            epochs: 0,
+            campaign: c,
+            shard: None,
         };
+        let mut js = JobState::new(stored, journal, 0).live.unwrap();
         let m = ServeMetrics::new();
         let (tx_full, _rx_never_drained) = mpsc::sync_channel(1);
         let (tx_gone, rx_gone) = mpsc::sync_channel(1);

@@ -9,7 +9,6 @@
 //!   evicted.jsonl           GC tombstones: jobs whose dirs are deleted
 //!   job-0001/
 //!     journal.jsonl         the job's CampaignJournal (unit commit log)
-//!     unit-000003.snap      preemption checkpoint of the unit in flight
 //!     unit-000002.stats.json   observed-job artifacts (epochs > 0)
 //!     unit-000002.epochs.jsonl
 //!     unit-000002.trace.json
@@ -29,10 +28,14 @@
 //!    then subscribers are notified. A crash between artifacts and
 //!    commit re-runs the unit; artifacts are overwritten bit-identically.
 //!
+//! Accept and commit are the *only* durable transitions. Preemption
+//! writes nothing: a paused unit lives in the daemon's memory, and a
+//! crash re-runs at most the one unit each job had in flight.
+//!
 //! Recovery replays the accept log, resumes every job journal (torn
-//! tails truncated, keep-first dedup), deletes checkpoints of already
-//! committed units, and re-queues every job with uncommitted units. No
-//! accepted job is lost; no committed unit re-runs.
+//! tails truncated, keep-first dedup), deletes `unit-*.snap` preemption
+//! checkpoints left by older daemons, and re-queues every job with
+//! uncommitted units. No accepted job is lost; no committed unit re-runs.
 //!
 //! Garbage collection never rewrites the accept log. Evicting a job
 //! appends a tombstone to `evicted.jsonl` (fsync'd) *before* deleting
@@ -157,7 +160,7 @@ impl JobStore {
         &self.root
     }
 
-    /// A job's directory (journal, checkpoints, artifacts).
+    /// A job's directory (journal, artifacts).
     #[must_use]
     pub fn job_dir(&self, id: &str) -> PathBuf {
         self.root.join(id)
@@ -216,7 +219,7 @@ impl JobStore {
 
     /// Durably evicts a finished job: appends a tombstone to
     /// `evicted.jsonl` (fsync'd) and then deletes the job directory —
-    /// journal, checkpoints, artifacts. Tombstone-first ordering means
+    /// journal and artifacts. Tombstone-first ordering means
     /// a crash in between is repaired at the next [`open`](Self::open),
     /// never resurrected. Idempotent for already evicted ids.
     ///
@@ -279,10 +282,15 @@ impl JobStore {
         Ok(())
     }
 
-    /// Path of a unit's preemption checkpoint inside a job dir.
-    #[must_use]
-    pub fn unit_snap(job_dir: &Path, index: usize) -> PathBuf {
-        job_dir.join(format!("unit-{index:06}.snap"))
+    /// Deletes the `*.snap` preemption checkpoints a pre-resident-run
+    /// daemon left in `job_dir`. Nothing reads them any more: a unit
+    /// that was in flight at a crash restarts from its first request.
+    pub(crate) fn remove_stale_snaps(job_dir: &Path) {
+        for entry in std::fs::read_dir(job_dir).into_iter().flatten().flatten() {
+            if entry.path().extension().is_some_and(|ext| ext == "snap") {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
     }
 
     /// Path of a unit's artifact with the given extension
@@ -556,10 +564,6 @@ mod tests {
     #[test]
     fn unit_paths_are_stable() {
         let dir = Path::new("/store/job-0001");
-        assert_eq!(
-            JobStore::unit_snap(dir, 3),
-            Path::new("/store/job-0001/unit-000003.snap")
-        );
         assert_eq!(
             JobStore::unit_artifact(dir, 12, "stats.json"),
             Path::new("/store/job-0001/unit-000012.stats.json")

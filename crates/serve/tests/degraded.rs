@@ -40,9 +40,9 @@ fn reference(c: &Campaign, dir: &PathBuf) -> (String, String) {
     (report, std::fs::read_to_string(&jpath).unwrap())
 }
 
-/// Daemon on an ephemeral TCP port with a quantum so large no unit ever
-/// pauses — no checkpoint writes, so a store-wide fault filter only ever
-/// hits the accept log, the journals and the recovery probe.
+/// Daemon on an ephemeral TCP port. Preemption writes nothing, so a
+/// store-wide fault filter only ever hits the accept log, the journals
+/// and the recovery probe, whatever the quantum.
 fn spawn(cfg: ServeConfig) -> (String, Server) {
     let server = Server::open(cfg).expect("open store");
     server.start_scheduler();
@@ -124,7 +124,8 @@ fn faulting_store_sheds_submits_and_daemon_recovers_without_restart() {
     }
 
     // Degraded is visible: health 503 body, gauge at 1 — while reads
-    // (status, completed-job watch) keep working from memory.
+    // (status from memory, completed-job watch from the journal file)
+    // keep working.
     let body = server.health().unwrap_err();
     assert!(body.contains("\"status\":\"degraded\""), "{body}");
     assert!(server
@@ -188,6 +189,34 @@ fn torn_commit_parks_the_outcome_and_recovery_lands_it_byte_identically() {
     });
     let text = server.metrics_exposition();
     assert!(text.contains("dramctrl_store_degraded 0"), "{text}");
+}
+
+#[test]
+fn a_store_fault_at_a_preemption_never_fails_a_healthy_unit() {
+    let root = tmp("preempt-fault");
+    let store = root.join("store");
+    let mut cfg = ServeConfig::new(&store);
+    cfg.quantum = 200; // 25 preemptions per 5 000-request unit
+    let (addr, server) = spawn(cfg);
+    let c = campaign("sweep");
+    let (want, want_journal) = reference(&c, &root.join("ref"));
+
+    // Fail every store op on the job's per-unit files — everything that
+    // is neither the accept log nor the journal — for the whole run. A
+    // preemption must not depend on any of them: when it checkpointed
+    // through the store, this turned healthy units into `Failed` records.
+    let _guard = fault::arm_str(&format!("eio,path={}/job-0001/unit-", store.display())).unwrap();
+
+    let mut client = Client::connect(&addr).unwrap();
+    let (id, _) = client.submit("alice", 0, &c).unwrap();
+    assert_eq!(id, "job-0001");
+    assert_eq!(collect_records(&mut client, &id), want);
+    let journal = std::fs::read_to_string(store.join(&id).join("journal.jsonl")).unwrap();
+    assert_eq!(journal, want_journal);
+    let m = server.metrics();
+    assert!(m.preemptions.get() >= 25, "the units never paused");
+    assert_eq!((m.units_completed.get(), m.units_failed.get()), (3, 0));
+    assert!(server.health().is_ok(), "a preemption touched the store");
 }
 
 #[test]

@@ -119,18 +119,18 @@ fn two_tenants_interleave_and_both_match_standalone() {
     assert_eq!(got_b, want_b, "tenant B sees a byte-exact sweep");
 }
 
-#[test]
-fn restart_resumes_committed_work_without_rerunning() {
-    let root = tmp("restart");
+/// Hand-crafts the store a daemon leaves behind when SIGKILL'd after
+/// committing exactly one unit, with unit 1 in flight — an accepted job
+/// and a journal with one record, plus whatever `strays` names — then
+/// opens a daemon on it and checks that the job finishes byte-identical
+/// to an uninterrupted run. (The process-level kill of a live daemon is
+/// exercised in the CLI e2e test.)
+fn finishes_from_a_committed_prefix(name: &str, strays: &[&str]) {
+    let root = tmp(name);
     let store = root.join("store");
     let c = campaign("sweep");
     let want = reference_jsonl(&c, &root.join("ref"));
 
-    // Phase 1: hand-craft the store a daemon would leave behind if
-    // SIGKILL'd after committing exactly one unit — an accepted job, a
-    // journal with one record, and a stale checkpoint for the unit that
-    // was in flight. (The process-level kill of a live daemon is
-    // exercised in the CLI e2e test.)
     let id = {
         let (mut js, _) = dramctrl_serve::JobStore::open(&store).unwrap();
         let stored = js.accept("alice", 0, &c).unwrap();
@@ -146,17 +146,17 @@ fn restart_resumes_committed_work_without_rerunning() {
                 },
             })
             .unwrap();
-        // A checkpoint left behind for the already-committed unit: the
-        // kind of junk a SIGKILL strands. Recovery must delete it.
-        std::fs::write(dir.join("unit-000000.snap"), b"stale").unwrap();
+        for stray in strays {
+            std::fs::write(dir.join(stray), b"stale").unwrap();
+        }
         stored.id
     };
     let journal = store.join(&id).join("journal.jsonl");
     let committed_before = std::fs::read_to_string(&journal).unwrap();
 
-    // Phase 2: a daemon opened on that store recovers, re-queues the
-    // job, and finishes the remaining units — committed lines untouched,
-    // nothing duplicated, nothing lost.
+    // A daemon opened on that store recovers, re-queues the job, and
+    // finishes the remaining units — committed lines untouched, nothing
+    // duplicated, nothing lost.
     let addr2 = spawn_daemon(store.clone(), 1_000);
     let mut client2 = Client::connect(&addr2).unwrap();
     let mut records = std::collections::BTreeMap::new();
@@ -168,7 +168,7 @@ fn restart_resumes_committed_work_without_rerunning() {
             }
         })
         .unwrap();
-    assert_eq!(summary.ok + summary.failed, 3);
+    assert_eq!((summary.ok, summary.failed), (3, 0));
 
     let after = std::fs::read_to_string(&journal).unwrap();
     assert!(
@@ -177,10 +177,28 @@ fn restart_resumes_committed_work_without_rerunning() {
     );
     let got: String = records.into_values().map(|l| l + "\n").collect();
     assert_eq!(got, want, "resumed results == uninterrupted standalone run");
-    assert!(
-        !store.join(&id).join("unit-000000.snap").exists(),
-        "recovery deletes checkpoints of committed units"
-    );
+    for stray in strays {
+        assert!(
+            !store.join(&id).join(stray).exists(),
+            "recovery deletes {stray} unread"
+        );
+    }
+}
+
+#[test]
+fn restart_resumes_committed_work_without_rerunning() {
+    // Checkpoints stranded by a daemon from before preemption moved into
+    // memory — one for the committed unit, one (garbage, as far as any
+    // reader is concerned) for the unit that was in flight. Neither may
+    // be read: the in-flight unit restarts from its first request.
+    finishes_from_a_committed_prefix("restart", &["unit-000000.snap", "unit-000001.snap"]);
+}
+
+#[test]
+fn killed_mid_unit_with_no_snapshot_finishes_byte_identically() {
+    // What this daemon leaves when killed mid-unit: a committed prefix
+    // and nothing else. Preemptions wrote no file to resume from.
+    finishes_from_a_committed_prefix("killed-mid-unit", &[]);
 }
 
 #[test]
