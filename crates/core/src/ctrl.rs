@@ -4,7 +4,7 @@ use std::fmt;
 
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{EventQueue, SimStall, Tick};
-use dramctrl_mem::{snapio, ActivityStats, MemCmd, MemRequest, MemResponse};
+use dramctrl_mem::{snapio, ActivityStats, Decoder, MemCmd, MemRequest, MemResponse};
 use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, PowerState, Probe, RasMark};
 use dramctrl_ras::{BurstOutcome, FaultModel, RasGeometry};
 
@@ -64,9 +64,16 @@ enum Ev {
     /// Powered down long enough? Consider descending into self-refresh.
     SelfRefreshCheck,
     /// Re-enqueue a burst whose transfer hit a link error (RAS retry,
-    /// carrying the packet through its backoff delay).
-    Retry(DramPacket),
+    /// carrying the packet through its backoff delay). Boxed: retries are
+    /// rare, and an inline 80-byte packet would set the size of *every*
+    /// event the heap sifts.
+    Retry(Box<DramPacket>),
 }
+
+// Every pop and push in every controller's event heap moves an
+// `Entry<Ev>`; the largest common variant (`Ack`) is 32 bytes and nothing
+// rarer may grow the enum past it.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
 impl Ev {
     fn save(&self, w: &mut SnapWriter) {
@@ -96,7 +103,7 @@ impl Ev {
             2 => Ev::Refresh(r.u32()?),
             3 => Ev::PowerDownCheck,
             4 => Ev::SelfRefreshCheck,
-            5 => Ev::Retry(crate::queue::read_packet(r)?),
+            5 => Ev::Retry(Box::new(crate::queue::read_packet(r)?)),
             t => return Err(SnapError::Corrupt(format!("controller event tag {t}"))),
         })
     }
@@ -152,6 +159,9 @@ enum BusState {
 #[derive(Debug)]
 pub struct DramCtrl<P: Probe = NoProbe> {
     cfg: CtrlConfig,
+    /// `cfg.mapping` bound to the organisation and channel count: the
+    /// per-burst address decode, with every divisor worked out once.
+    decoder: Decoder,
     probe: P,
     events: EventQueue<Ev>,
     read_q: SchedQueue,
@@ -294,6 +304,7 @@ impl<P: Probe> DramCtrl<P> {
         let groups = GroupArena::with_capacity(cfg.read_buffer_size);
         let fault = fault_for(&cfg);
         Ok(Self {
+            decoder: Decoder::new(cfg.mapping, org, cfg.channels),
             cfg,
             probe,
             events,
@@ -509,7 +520,7 @@ impl<P: Probe> DramCtrl<P> {
                 self.stats.forwarded_reads += 1;
                 continue;
             }
-            let mut da = self.cfg.mapping.decode(burst_addr, org, self.cfg.channels);
+            let mut da = self.decoder.decode(burst_addr);
             if let Some(fm) = &self.fault {
                 if fm.offline_mask() != 0 {
                     da.rank = dramctrl_mem::remap_rank(da.rank, fm.offline_mask(), org.ranks);
@@ -559,7 +570,7 @@ impl<P: Probe> DramCtrl<P> {
                 self.stats.merged_writes += 1;
                 continue;
             }
-            let mut da = self.cfg.mapping.decode(burst_addr, org, self.cfg.channels);
+            let mut da = self.decoder.decode(burst_addr);
             if let Some(fm) = &self.fault {
                 if fm.offline_mask() != 0 {
                     da.rank = dramctrl_mem::remap_rank(da.rank, fm.offline_mask(), org.ranks);
@@ -636,7 +647,7 @@ impl<P: Probe> DramCtrl<P> {
                     self.process_pd_check(t);
                 }
                 Ev::SelfRefreshCheck => self.process_sr_check(t),
-                Ev::Retry(pkt) => self.process_retry(pkt, t),
+                Ev::Retry(pkt) => self.process_retry(*pkt, t),
             }
         }
     }
@@ -768,8 +779,10 @@ impl<P: Probe> DramCtrl<P> {
                     self.bus_state = BusState::Read;
                 }
             }
-            self.events
-                .schedule((data_end + delay).max(self.events.now()), Ev::Retry(pkt));
+            self.events.schedule(
+                (data_end + delay).max(self.events.now()),
+                Ev::Retry(Box::new(pkt)),
+            );
             if !self.read_q.is_empty() || !self.write_q.is_empty() {
                 self.schedule_next_req(now);
             }

@@ -86,15 +86,29 @@ struct Bucket {
 }
 
 impl Bucket {
+    /// Sequence numbers are stamped monotonically, so within one priority
+    /// class a new entry sorts after everything queued: the common insert
+    /// is a tail append, and the binary search is only for a packet that
+    /// outranks (or, restored from a snapshot, predates) the tail.
     fn insert(&mut self, key: (u8, u64), slot: u32) {
         let probe = (key.0, key.1, slot);
+        if self.entries.last().map_or(true, |&last| last < probe) {
+            self.entries.push(probe);
+            return;
+        }
         let at = self.entries.partition_point(|&e| e < probe);
         self.entries.insert(at, probe);
     }
 
+    /// FCFS and row-hit service take the oldest entry, which is the head;
+    /// anything else is found by binary search.
     fn remove(&mut self, key: (u8, u64), slot: u32) {
         let probe = (key.0, key.1, slot);
-        let at = self.entries.partition_point(|&e| e < probe);
+        let at = if self.entries.first() == Some(&probe) {
+            0
+        } else {
+            self.entries.partition_point(|&e| e < probe)
+        };
         debug_assert_eq!(self.entries.get(at), Some(&probe), "bucket out of sync");
         self.entries.remove(at);
     }
@@ -605,6 +619,48 @@ mod tests {
 
     fn q() -> SchedQueue {
         SchedQueue::new(2, 8, 32)
+    }
+
+    /// The tail-append and head-removal fast paths leave a bucket exactly
+    /// as the binary-search paths alone would: sorted, whatever mix of
+    /// in-order, out-of-order (higher class, older seq) and mid-bucket
+    /// operations it sees.
+    #[test]
+    fn bucket_fast_paths_keep_the_sorted_order() {
+        use dramctrl_kernel::rng::Rng;
+        let mut rng = Rng::seed_from_u64(0xB0C);
+        let mut bucket = Bucket::default();
+        let mut model: Vec<(u8, u64, u32)> = Vec::new();
+        for seq in 0..2_000u64 {
+            // Mostly one class in arrival order (appends); now and then a
+            // packet that outranks the tail, or an old seq as a restore
+            // would replay it.
+            let inv_prio = if rng.gen_range(0..8) == 0 { 250 } else { 255 };
+            let seq = if rng.gen_range(0..16) == 0 {
+                seq / 2
+            } else {
+                seq + 2_000
+            };
+            let slot = rng.gen_range(0..64) as u32;
+            if model.contains(&(inv_prio, seq, slot)) {
+                continue;
+            }
+            bucket.insert((inv_prio, seq), slot);
+            model.push((inv_prio, seq, slot));
+            model.sort_unstable();
+            assert_eq!(bucket.entries, model);
+            while model.len() > rng.gen_range(0..12) as usize {
+                // Mostly the head (FCFS / row-hit service), else anywhere.
+                let at = if rng.gen_range(0..4) == 0 {
+                    rng.gen_range(0..model.len() as u64) as usize
+                } else {
+                    0
+                };
+                let (p, s, slot) = model.remove(at);
+                bucket.remove((p, s), slot);
+                assert_eq!(bucket.entries, model);
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ use std::collections::VecDeque;
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{Clock, EventQueue, Tick};
 use dramctrl_mem::{
-    snapio, ActivityStats, CommonStats, Controller, DramAddr, MemCmd, MemRequest, MemResponse,
-    MemSpec, Rejected, WriteCoverage,
+    snapio, ActivityStats, CommonStats, Controller, Decoder, DramAddr, MemCmd, MemRequest,
+    MemResponse, MemSpec, Rejected, WriteCoverage,
 };
 use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, Probe, RasMark};
 use dramctrl_ras::{BurstOutcome, FaultModel, RasGeometry};
@@ -234,6 +234,8 @@ pub struct CycleStats {
 #[derive(Debug)]
 pub struct CycleCtrl<P: Probe = NoProbe> {
     cfg: CycleConfig,
+    /// `cfg.mapping` bound to the organisation and channel count.
+    decoder: Decoder,
     probe: P,
     clk: Clock,
     t: CycTiming,
@@ -293,6 +295,7 @@ impl<P: Probe> CycleCtrl<P> {
             )
         });
         Ok(Self {
+            decoder: Decoder::new(cfg.mapping, org, cfg.channels),
             cfg,
             probe,
             clk,
@@ -893,10 +896,7 @@ impl<P: Probe> Controller for CycleCtrl<P> {
             if self.cfg.write_snooping && !is_read {
                 self.coverage.insert(b, lo, hi);
             }
-            let mut da = self
-                .cfg
-                .mapping
-                .decode(b, &self.cfg.spec.org, self.cfg.channels);
+            let mut da = self.decoder.decode(b);
             if let Some(fm) = &self.fault {
                 // Degraded mode: traffic to offlined ranks lands on the
                 // remaining live ones (capacity loss, not an abort).

@@ -329,6 +329,42 @@ mod tests {
         }
     }
 
+    /// The controllers' events are 32-byte payloads (48-byte heap
+    /// entries); whatever their size, delivery order is the `(tick, seq)`
+    /// key alone — FIFO at equal ticks, through interleaved pops and a
+    /// heap deep enough to sift.
+    #[test]
+    fn fifo_within_same_tick_for_32_byte_payloads() {
+        type Payload = [u64; 4];
+        assert_eq!(std::mem::size_of::<Payload>(), 32);
+        assert_eq!(std::mem::size_of::<Entry<Payload>>(), 48);
+        let mut q = EventQueue::new();
+        let mut rng = Rng::seed_from_u64(0x32B);
+        let mut expect: Vec<(Tick, u64)> = Vec::new();
+        let mut got = Vec::new();
+        let mut n = 0u64;
+        for round in 0..200u64 {
+            // A handful of distinct ticks per round, so ties are common.
+            for _ in 0..rng.gen_range(1..12) {
+                let t = round * 10 + rng.gen_range(0..3) * 5;
+                q.schedule(t.max(q.now()), [n, !n, t, 0xEE]);
+                expect.push((t.max(q.now()), n));
+                n += 1;
+            }
+            for _ in 0..rng.gen_range(0..8) {
+                if let Some((t, p)) = q.pop() {
+                    assert_eq!(p, [p[0], !p[0], p[2], 0xEE], "payload intact");
+                    got.push((t, p[0]));
+                }
+            }
+        }
+        got.extend(std::iter::from_fn(|| q.pop()).map(|(t, p)| (t, p[0])));
+        // Insertion order is ascending `n`, so a stable sort by tick is
+        // exactly "by tick, FIFO within a tick".
+        expect.sort_by_key(|&(t, _)| t);
+        assert_eq!(got, expect);
+    }
+
     #[test]
     #[should_panic(expected = "scheduling in the past")]
     fn scheduling_in_past_panics() {

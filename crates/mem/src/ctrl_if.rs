@@ -123,6 +123,27 @@ impl CommonStats {
 /// event time with [`next_event`](Controller::next_event), and execute up
 /// to a tick with [`advance_to`](Controller::advance_to), which yields
 /// responses. All `now` arguments must be non-decreasing.
+///
+/// # The event contract
+///
+/// A controller executes only at its events, and whoever holds one may
+/// rely on that (the crossbar does: it caches each channel's
+/// `next_event()` and calls into a channel only when the cached tick is
+/// due):
+///
+/// * [`advance_to(limit)`](Controller::advance_to) changes nothing and
+///   emits nothing when [`next_event()`](Controller::next_event) is `None`
+///   or `> limit` — skipping such a call is indistinguishable from making
+///   it;
+/// * `next_event()` changes only through `&mut self` calls. It need not
+///   be monotone across them: an arrival may schedule work earlier than
+///   anything pending, and [`activity`](Controller::activity) or a state
+///   restore may move it too, so a holder re-reads it after *every*
+///   `&mut` call, including a rejected `try_send`.
+///
+/// `system/tests/controller_contract.rs` asserts both, at every step of
+/// seeded runs, for the event model (refresh and power-down on) and the
+/// cycle model.
 pub trait Controller {
     /// Offers a request at time `now`.
     ///
@@ -138,7 +159,8 @@ pub trait Controller {
     fn next_event(&self) -> Option<Tick>;
 
     /// Executes all internal events up to and including `limit`, appending
-    /// responses that became ready to `out`.
+    /// responses that became ready to `out`. A no-op when nothing is due
+    /// (see the event contract above).
     fn advance_to(&mut self, limit: Tick, out: &mut Vec<MemResponse>);
 
     /// Runs until all queued requests have been serviced, returning the

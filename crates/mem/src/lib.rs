@@ -32,6 +32,6 @@ pub mod spec;
 pub use activity::ActivityStats;
 pub use coverage::WriteCoverage;
 pub use ctrl_if::{CommonStats, Controller, Rejected};
-pub use map::{degraded_capacity_bytes, remap_rank, AddrMapping, DramAddr};
+pub use map::{degraded_capacity_bytes, remap_rank, AddrMapping, Decoder, DramAddr};
 pub use packet::{MemCmd, MemRequest, MemResponse, ReqId};
 pub use spec::{IddCurrents, MemSpec, Organisation, Timing};

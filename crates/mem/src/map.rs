@@ -96,79 +96,25 @@ impl AddrMapping {
         }
     }
 
-    /// The channel an address routes to.
+    /// The channel an address routes to (one-off form of
+    /// [`Decoder::channel_of`]).
     pub fn channel_of(self, addr: u64, org: &Organisation, channels: u32) -> u32 {
-        ((addr / self.interleave_granularity(org)) % u64::from(channels)) as u32
-    }
-
-    /// Removes the channel bits from `addr`, producing the address as seen
-    /// inside one channel.
-    fn strip_channel(self, addr: u64, org: &Organisation, channels: u32) -> u64 {
-        let g = self.interleave_granularity(org);
-        let ch = u64::from(channels);
-        (addr / (g * ch)) * g + addr % g
+        Decoder::new(self, org, channels).channel_of(addr)
     }
 
     /// Inserts channel bits into a channel-local address — the inverse of
-    /// [`strip_channel`](Self::strip_channel).
+    /// the channel stripping [`Decoder::decode`] performs.
     fn insert_channel(self, local: u64, channel: u32, org: &Organisation, channels: u32) -> u64 {
         let g = self.interleave_granularity(org);
         let ch = u64::from(channels);
         (local / g) * g * ch + u64::from(channel) * g + local % g
     }
 
-    /// Decodes a physical byte address into rank/bank/row/column.
-    ///
-    /// `channels` is the number of interleaved channels; the channel bits
-    /// (at [`interleave_granularity`](Self::interleave_granularity)) are
-    /// skipped during decode — the crossbar routed the packet here.
-    /// Addresses beyond the channel capacity wrap in the row field.
+    /// Decodes a physical byte address into rank/bank/row/column — the
+    /// one-off form of [`Decoder::decode`]; anything decoding per burst
+    /// builds the [`Decoder`] once instead.
     pub fn decode(self, addr: u64, org: &Organisation, channels: u32) -> DramAddr {
-        let local = self.strip_channel(addr, org, channels);
-        let burst = org.burst_bytes();
-        let cols = org.bursts_per_row();
-        let banks = u64::from(org.banks);
-        let ranks = u64::from(org.ranks);
-        let rows = org.rows_per_bank();
-
-        let mut a = local / burst;
-        match self {
-            AddrMapping::RoRaBaCoCh | AddrMapping::RoRaBaChCo => {
-                // With the channel bits stripped, both row-hit-friendly
-                // mappings order the fields identically: Co lowest.
-                let col = a % cols;
-                a /= cols;
-                let bank = (a % banks) as u32;
-                a /= banks;
-                let rank = (a % ranks) as u32;
-                a /= ranks;
-                DramAddr {
-                    rank,
-                    bank,
-                    row: a % rows,
-                    col,
-                }
-            }
-            AddrMapping::RoCoRaBaCh => {
-                // Bank bits lowest (above any intra-granule columns), so
-                // sequential granules sweep banks.
-                let sub = a % (self.interleave_granularity(org) / burst).max(1);
-                a /= (self.interleave_granularity(org) / burst).max(1);
-                let bank = (a % banks) as u32;
-                a /= banks;
-                let rank = (a % ranks) as u32;
-                a /= ranks;
-                let stripes = cols / (self.interleave_granularity(org) / burst).max(1);
-                let col_hi = a % stripes;
-                a /= stripes;
-                DramAddr {
-                    rank,
-                    bank,
-                    row: a % rows,
-                    col: col_hi * (self.interleave_granularity(org) / burst).max(1) + sub,
-                }
-            }
-        }
+        Decoder::new(self, org, channels).decode(addr)
     }
 
     /// Encodes rank/bank/row/column (and a channel) back into a physical
@@ -204,6 +150,146 @@ impl AddrMapping {
             }
         };
         self.insert_channel(a * burst, channel, org, channels)
+    }
+}
+
+/// One positional field of the address: splits a value into (quotient,
+/// remainder) by the field's radix — a shift and a mask when the radix is
+/// a power of two, a division otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Radix {
+    n: u64,
+    /// `log2(n)`, or [`Radix::DIVIDE`] when `n` is not a power of two.
+    shift: u32,
+}
+
+impl Radix {
+    const DIVIDE: u32 = u32::MAX;
+
+    fn new(n: u64) -> Self {
+        let shift = if n.is_power_of_two() {
+            n.trailing_zeros()
+        } else {
+            Self::DIVIDE
+        };
+        Self { n, shift }
+    }
+
+    #[inline]
+    fn split(self, a: u64) -> (u64, u64) {
+        if self.shift == Self::DIVIDE {
+            (a / self.n, a % self.n)
+        } else {
+            (a >> self.shift, a & (self.n - 1))
+        }
+    }
+}
+
+/// An [`AddrMapping`] bound to one organisation and channel count, with
+/// every field width worked out once: the per-burst decode and the
+/// crossbar's per-request routing are then shifts and masks (all shipped
+/// presets have power-of-two geometry; any field that does not — three
+/// channels, say — falls back to a division by its hoisted radix).
+///
+/// # Example
+/// ```
+/// use dramctrl_mem::{presets, AddrMapping, Decoder};
+///
+/// let org = presets::ddr3_1333_x64().org;
+/// let dec = Decoder::new(AddrMapping::RoRaBaCoCh, &org, 4);
+/// // Burst-interleaved: consecutive bursts round-robin the channels and
+/// // land in consecutive columns of the same row.
+/// assert_eq!(dec.channel_of(5 * 64), 1);
+/// assert_eq!(dec.decode(5 * 64).col, 1);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoder {
+    mapping: AddrMapping,
+    /// Channel-interleaving granule, in bytes.
+    granule: Radix,
+    channels: Radix,
+    burst: Radix,
+    /// Bursts per interleaving granule (`RoCoRaBaCh` keeps these low
+    /// column bits below the bank bits).
+    granule_bursts: Radix,
+    /// Columns above the granule: all of them for the `Ro..Co..` mappings,
+    /// the per-row stripe count for `RoCoRaBaCh`.
+    cols: Radix,
+    banks: Radix,
+    ranks: Radix,
+    rows: Radix,
+}
+
+impl Decoder {
+    /// Binds `mapping` to a channel organisation interleaved over
+    /// `channels` channels.
+    pub fn new(mapping: AddrMapping, org: &Organisation, channels: u32) -> Self {
+        let granule = mapping.interleave_granularity(org);
+        let burst = org.burst_bytes();
+        let cols = org.bursts_per_row();
+        let granule_bursts = match mapping {
+            // With the channel bits stripped, both row-hit-friendly
+            // mappings order the fields identically: Co lowest.
+            AddrMapping::RoRaBaCoCh | AddrMapping::RoRaBaChCo => 1,
+            // Bank bits lowest (above any intra-granule columns), so
+            // sequential granules sweep banks.
+            AddrMapping::RoCoRaBaCh => (granule / burst).max(1),
+        };
+        Self {
+            mapping,
+            granule: Radix::new(granule),
+            channels: Radix::new(u64::from(channels)),
+            burst: Radix::new(burst),
+            granule_bursts: Radix::new(granule_bursts),
+            cols: Radix::new(cols / granule_bursts),
+            banks: Radix::new(u64::from(org.banks)),
+            ranks: Radix::new(u64::from(org.ranks)),
+            rows: Radix::new(org.rows_per_bank()),
+        }
+    }
+
+    /// The channel an address routes to.
+    #[inline]
+    pub fn channel_of(&self, addr: u64) -> u32 {
+        let (granules, _) = self.granule.split(addr);
+        self.channels.split(granules).1 as u32
+    }
+
+    /// Decodes a physical byte address into rank/bank/row/column.
+    ///
+    /// The channel bits (at the mapping's
+    /// [`interleave_granularity`](AddrMapping::interleave_granularity))
+    /// are skipped — the crossbar routed the packet here. Addresses beyond
+    /// the channel capacity wrap in the row field.
+    #[inline]
+    pub fn decode(&self, addr: u64) -> DramAddr {
+        // Strip the channel bits: the address as seen inside one channel.
+        let (granules, offset) = self.granule.split(addr);
+        let (local_granules, _) = self.channels.split(granules);
+        let local = local_granules * self.granule.n + offset;
+
+        let (a, _) = self.burst.split(local);
+        let (a, sub) = self.granule_bursts.split(a);
+        let (a, col, bank, rank) = match self.mapping {
+            AddrMapping::RoRaBaCoCh | AddrMapping::RoRaBaChCo => {
+                let (a, col) = self.cols.split(a);
+                let (a, bank) = self.banks.split(a);
+                let (a, rank) = self.ranks.split(a);
+                (a, col, bank, rank)
+            }
+            AddrMapping::RoCoRaBaCh => {
+                let (a, bank) = self.banks.split(a);
+                let (a, rank) = self.ranks.split(a);
+                let (a, col_hi) = self.cols.split(a);
+                (a, col_hi * self.granule_bursts.n + sub, bank, rank)
+            }
+        };
+        DramAddr {
+            rank: rank as u32,
+            bank: bank as u32,
+            row: self.rows.split(a).1,
+            col,
+        }
     }
 }
 

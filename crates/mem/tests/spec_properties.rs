@@ -2,7 +2,9 @@
 //! must be internally consistent and survive the derived-geometry maths.
 
 use dramctrl_kernel::rng::Rng;
-use dramctrl_mem::{presets, AddrMapping, MemCmd, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{
+    presets, AddrMapping, Decoder, DramAddr, MemCmd, MemRequest, MemResponse, Organisation, ReqId,
+};
 
 #[test]
 fn presets_have_power_of_two_geometry() {
@@ -65,6 +67,104 @@ fn routing_and_decode_consistent() {
         let da = m.decode(addr, &spec.org, channels);
         let back = m.encode(&da, ch, &spec.org, channels);
         assert_eq!(back, addr, "{} {}", spec.name, m);
+    }
+}
+
+/// The address arithmetic as it stood before [`Decoder`] existed — a
+/// division or modulo per field, every divisor recomputed per call — kept
+/// here as the oracle the precomputed decoder must agree with.
+fn oracle(m: AddrMapping, addr: u64, org: &Organisation, channels: u32) -> (u32, DramAddr) {
+    let g = m.interleave_granularity(org);
+    let ch = u64::from(channels);
+    let channel = ((addr / g) % ch) as u32;
+    let local = (addr / (g * ch)) * g + addr % g;
+    let burst = org.burst_bytes();
+    let cols = org.bursts_per_row();
+    let banks = u64::from(org.banks);
+    let ranks = u64::from(org.ranks);
+    let rows = org.rows_per_bank();
+    let mut a = local / burst;
+    let da = match m {
+        AddrMapping::RoRaBaCoCh | AddrMapping::RoRaBaChCo => {
+            let col = a % cols;
+            a /= cols;
+            let bank = (a % banks) as u32;
+            a /= banks;
+            let rank = (a % ranks) as u32;
+            a /= ranks;
+            DramAddr {
+                rank,
+                bank,
+                row: a % rows,
+                col,
+            }
+        }
+        AddrMapping::RoCoRaBaCh => {
+            let gb = (g / burst).max(1);
+            let sub = a % gb;
+            a /= gb;
+            let bank = (a % banks) as u32;
+            a /= banks;
+            let rank = (a % ranks) as u32;
+            a /= ranks;
+            let stripes = cols / gb;
+            let col_hi = a % stripes;
+            a /= stripes;
+            DramAddr {
+                rank,
+                bank,
+                row: a % rows,
+                col: col_hi * gb + sub,
+            }
+        }
+    };
+    (channel, da)
+}
+
+/// The precomputed decoder is the old arithmetic, bit for bit: every
+/// preset x mapping x channel count (powers of two and not) x 10 000
+/// seeded addresses, plus a three-rank organisation so a non-power-of-two
+/// field *inside* the channel takes the division path too. `encode` still
+/// inverts it.
+#[test]
+fn decoder_matches_the_division_arithmetic() {
+    let mut rng = Rng::seed_from_u64(0x57EC_0003);
+    let mut orgs: Vec<(&str, Organisation)> =
+        presets::all().iter().map(|s| (s.name, s.org)).collect();
+    let mut three_ranks = presets::ddr3_1333_x64().org;
+    three_ranks.ranks = 3;
+    orgs.push(("three-rank DDR3", three_ranks));
+    for (name, org) in &orgs {
+        for m in [
+            AddrMapping::RoRaBaCoCh,
+            AddrMapping::RoRaBaChCo,
+            AddrMapping::RoCoRaBaCh,
+        ] {
+            for channels in [1u32, 2, 3, 4, 16] {
+                let dec = Decoder::new(m, org, channels);
+                let span = org.capacity_bytes() * u64::from(channels);
+                for i in 0..10_000 {
+                    // Mostly in range; every eighth address anywhere in
+                    // the 64-bit space (rows wrap there).
+                    let addr = if i % 8 == 0 {
+                        rng.next_u64()
+                    } else {
+                        rng.gen_range(0..span)
+                    };
+                    let (ch, da) = oracle(m, addr, org, channels);
+                    assert_eq!(dec.channel_of(addr), ch, "{name} {m} x{channels} {addr:#x}");
+                    assert_eq!(dec.decode(addr), da, "{name} {m} x{channels} {addr:#x}");
+                    assert_eq!(m.channel_of(addr, org, channels), ch);
+                    assert_eq!(m.decode(addr, org, channels), da);
+                    if addr < span {
+                        let aligned = addr / org.burst_bytes() * org.burst_bytes();
+                        let da = dec.decode(aligned);
+                        let back = m.encode(&da, dec.channel_of(aligned), org, channels);
+                        assert_eq!(back, aligned, "{name} {m} x{channels}");
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -9,12 +9,23 @@
 //! channel count — this is how the WideIO (4 channels), LPDDR3 (2
 //! channels) and HMC-like (16 channels) configurations of Sections III-D
 //! and IV-B are built.
+//!
+//! The crossbar obeys the controllers' own rule — execute only at events
+//! (paper Section II-D). It caches every channel's
+//! [`next_event`](Controller::next_event) tick in one contiguous vector,
+//! refreshed after each `&mut` call into that channel (the only way the
+//! tick can change, see the [`Controller`] contract), and
+//! [`advance_to`](Controller::advance_to) calls into a channel only when
+//! its cached tick is due. Due channels are still visited in index order,
+//! so the stable merge of their responses by `ready_at` is byte-identical
+//! to polling every channel: a channel with nothing due would have
+//! appended nothing.
 
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{
-    ActivityStats, AddrMapping, CommonStats, Controller, MemCmd, MemRequest, MemResponse, MemSpec,
-    Rejected,
+    ActivityStats, AddrMapping, CommonStats, Controller, Decoder, MemCmd, MemRequest, MemResponse,
+    MemSpec, Rejected,
 };
 use dramctrl_obs::{NoProbe, Probe};
 use dramctrl_stats::Report;
@@ -58,10 +69,18 @@ use dramctrl_stats::Report;
 #[derive(Debug)]
 pub struct MultiChannel<C: Controller, P: Probe = NoProbe> {
     channels: Vec<C>,
-    mapping: AddrMapping,
+    /// `next_due[i]` is `channels[i].next_event()`, [`IDLE`] for `None`.
+    /// Never assumed monotone — re-read after every `&mut` call into the
+    /// channel (see [`with_channel`](Self::with_channel)).
+    next_due: Vec<Tick>,
+    /// The routing half of the controllers' address mapping.
+    router: Decoder,
     latency: Tick,
     probe: P,
 }
+
+/// Cached next-event tick of a channel with no event pending.
+const IDLE: Tick = Tick::MAX;
 
 /// Error constructing a [`MultiChannel`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,9 +124,12 @@ impl<C: Controller, P: Probe> MultiChannel<C, P> {
         // The interleaving must match what the controllers decode. The
         // mapping is a controller-private parameter; we standardise on the
         // row-hit-friendly default unless told otherwise via `with_mapping`.
+        let router = Decoder::new(AddrMapping::default(), &spec.org, channels.len() as u32);
+        let next_due = channels.iter().map(due).collect();
         Ok(Self {
             channels,
-            mapping: AddrMapping::RoRaBaCoCh,
+            next_due,
+            router,
             latency,
             probe,
         })
@@ -116,7 +138,7 @@ impl<C: Controller, P: Probe> MultiChannel<C, P> {
     /// Uses `mapping` for channel selection (must match the controllers'
     /// address mapping).
     pub fn with_mapping(mut self, mapping: AddrMapping) -> Self {
-        self.mapping = mapping;
+        self.router = Decoder::new(mapping, &self.channels[0].spec().org, self.channels());
         self
     }
 
@@ -142,21 +164,42 @@ impl<C: Controller, P: Probe> MultiChannel<C, P> {
         &self.channels[idx]
     }
 
-    /// Mutable access to an individual channel controller.
-    pub fn channel_mut(&mut self, idx: usize) -> &mut C {
-        &mut self.channels[idx]
+    #[inline]
+    fn route(&self, addr: u64) -> usize {
+        self.router.channel_of(addr) as usize
     }
 
-    fn route(&self, addr: u64) -> usize {
-        self.mapping
-            .channel_of(addr, &self.channels[0].spec().org, self.channels()) as usize
+    /// The one way to a `&mut` channel: runs `f` on channel `ch`, then
+    /// re-reads its next-event tick, so no call can move a channel's next
+    /// event behind the cache. (Hence no `channel_mut` either.)
+    #[inline]
+    fn with_channel<T>(&mut self, ch: usize, f: impl FnOnce(&mut C) -> T) -> T {
+        let result = f(&mut self.channels[ch]);
+        self.next_due[ch] = due(&self.channels[ch]);
+        result
     }
+
+    /// Adds the return-path latency to the newly appended responses and
+    /// merges the channels' streams in ready order (stable, so equal
+    /// ticks keep channel-index order) for deterministic delivery.
+    fn merge_responses(&self, out: &mut [MemResponse]) {
+        for resp in out.iter_mut() {
+            resp.ready_at += self.latency;
+        }
+        out.sort_by_key(|r| r.ready_at);
+    }
+}
+
+/// A channel's next-event tick as the cache holds it.
+#[inline]
+fn due<C: Controller>(channel: &C) -> Tick {
+    channel.next_event().unwrap_or(IDLE)
 }
 
 impl<C: Controller, P: Probe> Controller for MultiChannel<C, P> {
     fn try_send(&mut self, req: MemRequest, now: Tick) -> Result<(), Rejected> {
         let ch = self.route(req.addr);
-        self.channels[ch].try_send(req, now)?;
+        self.with_channel(ch, |c| c.try_send(req, now))?;
         if P::ENABLED {
             self.probe.xbar_route(req.id.0, ch as u32, now);
         }
@@ -167,35 +210,32 @@ impl<C: Controller, P: Probe> Controller for MultiChannel<C, P> {
         self.channels[self.route(addr)].can_accept(cmd, addr, size)
     }
 
+    /// Answered from the cached ticks; touches no channel.
     fn next_event(&self) -> Option<Tick> {
-        self.channels.iter().filter_map(|c| c.next_event()).min()
+        self.next_due.iter().copied().min().filter(|&t| t != IDLE)
     }
 
+    /// Advances the channels with an event due at or before `limit`, in
+    /// index order; the rest would do nothing and are not called.
     fn advance_to(&mut self, limit: Tick, out: &mut Vec<MemResponse>) {
         let before = out.len();
-        for c in &mut self.channels {
-            c.advance_to(limit, out);
+        for ch in 0..self.channels.len() {
+            if self.next_due[ch] <= limit {
+                self.with_channel(ch, |c| c.advance_to(limit, out));
+            }
         }
-        // The crossbar return path adds latency; merge the streams in
-        // ready order for deterministic delivery.
-        for resp in &mut out[before..] {
-            resp.ready_at += self.latency;
+        if out.len() > before {
+            self.merge_responses(&mut out[before..]);
         }
-        out[before..].sort_by_key(|r| r.ready_at);
     }
 
     fn drain(&mut self, out: &mut Vec<MemResponse>) -> Tick {
         let before = out.len();
-        let end = self
-            .channels
-            .iter_mut()
-            .map(|c| c.drain(out))
-            .max()
-            .unwrap_or(0);
-        for resp in &mut out[before..] {
-            resp.ready_at += self.latency;
+        let mut end = 0;
+        for ch in 0..self.channels.len() {
+            end = end.max(self.with_channel(ch, |c| c.drain(out)));
         }
-        out[before..].sort_by_key(|r| r.ready_at);
+        self.merge_responses(&mut out[before..]);
         end + self.latency
     }
 
@@ -231,8 +271,8 @@ impl<C: Controller, P: Probe> Controller for MultiChannel<C, P> {
 
     fn activity(&mut self, now: Tick) -> ActivityStats {
         let mut total = ActivityStats::default();
-        for c in &mut self.channels {
-            let a = c.activity(now);
+        for ch in 0..self.channels.len() {
+            let a = self.with_channel(ch, |c| c.activity(now));
             total.activates += a.activates;
             total.precharges += a.precharges;
             total.rd_bursts += a.rd_bursts;
@@ -266,10 +306,11 @@ impl<C: Controller, P: Probe> Controller for MultiChannel<C, P> {
 }
 
 impl<C: Controller + SnapState, P: Probe> SnapState for MultiChannel<C, P> {
-    /// Delegates to each channel controller in routing order. The crossbar
-    /// itself is stateless between calls (mapping and latency are
-    /// configuration), so a channel-count header plus the per-channel
-    /// states captures everything.
+    /// Delegates to each channel controller in routing order. Mapping and
+    /// latency are configuration, and the cached next-event ticks are
+    /// derived from the channels — never written, re-read from each
+    /// channel as it is restored — so a channel-count header plus the
+    /// per-channel states captures everything.
     fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.channels.len());
         for c in &self.channels {
@@ -285,8 +326,8 @@ impl<C: Controller + SnapState, P: Probe> SnapState for MultiChannel<C, P> {
                 self.channels.len()
             )));
         }
-        for c in &mut self.channels {
-            c.restore_state(r)?;
+        for ch in 0..self.channels.len() {
+            self.with_channel(ch, |c| c.restore_state(r))?;
         }
         Ok(())
     }

@@ -1,8 +1,7 @@
 //! The measurement harness that drives a generator into a controller.
 
-use std::collections::BTreeMap;
-
 use crate::TrafficGen;
+use dramctrl_kernel::hash::DetMap;
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{tick, Tick};
 use dramctrl_mem::{CommonStats, Controller, MemResponse, Rejected, ReqId};
@@ -89,7 +88,7 @@ impl Tester {
         TestRun {
             read_lat: Histogram::new(0, self.max_lat_ns, self.buckets),
             write_lat: Histogram::new(0, self.max_lat_ns, self.buckets),
-            sent: BTreeMap::new(),
+            sent: DetMap::default(),
             out: Vec::new(),
             reads: 0,
             writes: 0,
@@ -138,7 +137,10 @@ impl Default for Tester {
 pub struct TestRun {
     read_lat: Histogram,
     write_lat: Histogram,
-    sent: BTreeMap<ReqId, Tick>,
+    /// Injection tick of every outstanding request. Only ever probed by
+    /// id, so a hash table; [`save_state`](SnapState::save_state) sorts,
+    /// and nothing else iterates it.
+    sent: DetMap<ReqId, Tick>,
     /// Scratch response buffer; always drained within a step, so it is
     /// empty at every checkpoint boundary and never serialised.
     out: Vec<MemResponse>,
@@ -189,6 +191,11 @@ impl TestRun {
     /// under backpressure. Returns `false` when the generator is exhausted
     /// or proposes an injection past `until` — the run is then ready for
     /// [`finish`](Self::finish).
+    ///
+    /// # Panics
+    /// Panics if the controller rejects a request as full with no event
+    /// pending, or if the generator reuses the id of a request that is
+    /// still outstanding (the response could not be attributed).
     pub fn step<C: Controller>(
         &mut self,
         gen: &mut impl TrafficGen,
@@ -213,7 +220,13 @@ impl TestRun {
         loop {
             match ctrl.try_send(req, self.now) {
                 Ok(()) => {
-                    self.sent.insert(req.id, self.now);
+                    if self.sent.insert(req.id, self.now).is_some() {
+                        panic!(
+                            "generator reused request id {} at tick {} while the \
+                             earlier request with that id is still outstanding",
+                            req.id.0, self.now
+                        );
+                    }
                     return true;
                 }
                 Err(Rejected::TooLarge) => {
@@ -314,8 +327,12 @@ impl SnapState for TestRun {
         debug_assert!(self.out.is_empty(), "responses pending mid-step");
         save_histogram(w, &self.read_lat);
         save_histogram(w, &self.write_lat);
-        w.usize(self.sent.len());
-        for (&id, &at) in &self.sent {
+        // Ascending id order: the bytes a sorted map would write, whatever
+        // order the table holds them in.
+        let mut sent: Vec<(ReqId, Tick)> = self.sent.iter().map(|(&id, &at)| (id, at)).collect();
+        sent.sort_unstable();
+        w.usize(sent.len());
+        for (id, at) in sent {
             w.u64(id.0);
             w.u64(at);
         }
@@ -352,5 +369,159 @@ impl SnapState for TestRun {
         self.injected = r.u64()?;
         self.done = r.bool()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::LinearGen;
+    use dramctrl_mem::{presets, ActivityStats, MemCmd, MemRequest, MemSpec};
+    use dramctrl_stats::Report;
+    use std::collections::{BTreeMap, VecDeque};
+
+    /// Accepts everything and answers `latency` ticks later, so a paced
+    /// stream keeps `latency / period` requests outstanding — the ~1 000
+    /// ids a tester holds in front of sixteen channels.
+    struct SlowMemory {
+        spec: MemSpec,
+        latency: Tick,
+        pending: VecDeque<MemResponse>,
+    }
+
+    impl SlowMemory {
+        fn new(latency: Tick) -> Self {
+            Self {
+                spec: presets::ddr3_1600_x64(),
+                latency,
+                pending: VecDeque::new(),
+            }
+        }
+    }
+
+    impl Controller for SlowMemory {
+        fn try_send(&mut self, req: MemRequest, now: Tick) -> Result<(), Rejected> {
+            self.pending
+                .push_back(MemResponse::to(&req, now + self.latency));
+            Ok(())
+        }
+        fn can_accept(&self, _: MemCmd, _: u64, _: u32) -> bool {
+            true
+        }
+        fn next_event(&self) -> Option<Tick> {
+            self.pending.front().map(|r| r.ready_at)
+        }
+        fn advance_to(&mut self, limit: Tick, out: &mut Vec<MemResponse>) {
+            while self.pending.front().is_some_and(|r| r.ready_at <= limit) {
+                out.extend(self.pending.pop_front());
+            }
+        }
+        fn drain(&mut self, out: &mut Vec<MemResponse>) -> Tick {
+            let end = self.pending.back().map_or(0, |r| r.ready_at);
+            out.extend(self.pending.drain(..));
+            end
+        }
+        fn is_idle(&self) -> bool {
+            self.pending.is_empty()
+        }
+        fn spec(&self) -> &MemSpec {
+            &self.spec
+        }
+        fn common_stats(&self) -> CommonStats {
+            CommonStats::default()
+        }
+        fn activity(&mut self, _: Tick) -> ActivityStats {
+            ActivityStats::default()
+        }
+        fn report(&self, prefix: &str, _: Tick) -> Report {
+            Report::new(prefix)
+        }
+    }
+
+    fn snapshot(run: &TestRun) -> Vec<u8> {
+        let mut w = SnapWriter::new(0);
+        run.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// `save_state` as it was while `sent` was a `BTreeMap`: the map
+    /// written in its own iteration order.
+    fn snapshot_via_btreemap(run: &TestRun) -> Vec<u8> {
+        let sent: BTreeMap<ReqId, Tick> = run.sent.iter().map(|(&id, &at)| (id, at)).collect();
+        let mut w = SnapWriter::new(0);
+        save_histogram(&mut w, &run.read_lat);
+        save_histogram(&mut w, &run.write_lat);
+        w.usize(sent.len());
+        for (&id, &at) in &sent {
+            w.u64(id.0);
+            w.u64(at);
+        }
+        w.u64(run.reads);
+        w.u64(run.writes);
+        w.u64(run.dropped);
+        w.u64(run.stalls);
+        w.u64(run.now);
+        w.u64(run.injected);
+        w.bool(run.done);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn outstanding_ids_serialise_ascending_whatever_the_insertion_order() {
+        let mut run = Tester::default().begin();
+        for id in (0..300u64).rev() {
+            run.sent.insert(ReqId(id * 7), id);
+        }
+        let bytes = snapshot(&run);
+        assert_eq!(bytes, snapshot_via_btreemap(&run));
+        // Skip both histograms, then read the table back in file order.
+        let mut r = SnapReader::new(&bytes, 0).unwrap();
+        read_histogram(&mut r).unwrap();
+        read_histogram(&mut r).unwrap();
+        let n = r.usize().unwrap();
+        let ids: Vec<u64> = (0..n)
+            .map(|_| {
+                let id = r.u64().unwrap();
+                r.u64().unwrap();
+                id
+            })
+            .collect();
+        assert_eq!(ids, (0..300u64).map(|id| id * 7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn mid_stream_snapshot_is_byte_identical_to_the_btreemap_encoding() {
+        // The hmc_16ch stream (linear, 67 % reads), paced so that about a
+        // thousand requests are in flight at the checkpoint.
+        let mut gen = LinearGen::new(0, 1 << 30, 64, 67, 1_000, 5_000, 3);
+        let mut mem = SlowMemory::new(1_000_000);
+        let mut run = Tester::default().begin();
+        while run.injected() < 3_000 && run.step(&mut gen, &mut mem, Tick::MAX) {}
+        assert!(run.sent.len() >= 900, "only {} outstanding", run.sent.len());
+        let bytes = snapshot(&run);
+        assert_eq!(bytes, snapshot_via_btreemap(&run));
+
+        // And it restores: a fresh run loaded from it finishes the stream
+        // exactly as the original does.
+        let mut restored = Tester::default().begin();
+        let mut r = SnapReader::new(&bytes, 0).unwrap();
+        restored.restore_state(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(snapshot(&restored), bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "reused request id 7 at tick 2000")]
+    fn reusing_an_outstanding_id_panics_at_injection() {
+        struct Repeats(u64);
+        impl TrafficGen for Repeats {
+            fn next_request(&mut self) -> Option<(Tick, MemRequest)> {
+                self.0 += 1;
+                // Ids 6, 7, then 7 again while the first is in flight.
+                let id = (5 + self.0).min(7);
+                Some((self.0 * 1_000 - 1_000, MemRequest::read(ReqId(id), 0, 64)))
+            }
+        }
+        Tester::default().run(&mut Repeats(0), &mut SlowMemory::new(1_000_000));
     }
 }

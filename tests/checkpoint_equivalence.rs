@@ -93,3 +93,37 @@ fn checkpoint_of_one_job_refuses_to_restore_another() {
     assert!(err.is_err(), "fingerprint mismatch was not rejected");
     std::fs::remove_file(&p).unwrap();
 }
+
+/// Snapshot formats did not change when the crossbar became event-driven,
+/// the tester's outstanding-request table a hash map and the controller's
+/// retry event boxed: a checkpoint written by the commit before all
+/// three (PR 12, `18e2c35`) restores here and finishes byte-identically.
+///
+/// The fixture is `run_job_resumable(job, path, 0, Some(125))` on that
+/// commit for matrix job 7 (event model, FR-FCFS, two channels behind the
+/// crossbar, RAS at 2e11) — a pause point chosen, by instrumenting
+/// `Ev::save` there, so that a link-error `Retry` event is pending in a
+/// channel's event queue, next to ~50 outstanding ids in the tester.
+#[test]
+fn a_checkpoint_written_by_the_previous_commit_resumes_byte_identically() {
+    const FIXTURE: &[u8] = include_bytes!("fixtures/pr12_event_2ch_ras_retry_pending.snap");
+    let job = matrix().into_iter().nth(7).expect("matrix has 16 jobs");
+    assert_eq!(
+        job.label(),
+        "DDR3-1333-x64/event/open/frfcfs/RoRaBaCoCh/ch2/linear(range=268435456,block=64)/r100/n300/e200000000000",
+        "the fixture belongs to this job"
+    );
+    let p = tmp("cross-version.snap");
+    std::fs::write(&p, FIXTURE).unwrap();
+    let resumed = run_job_resumable(&job, Some(&p), 0, None).expect("resumed run completes");
+    assert_eq!(exact(&run_job(&job)), exact(&resumed));
+
+    // And this commit writes the very same bytes at the same pause point.
+    let _ = std::fs::remove_file(&p);
+    assert!(run_job_resumable(&job, Some(&p), 0, Some(125)).is_none());
+    assert!(
+        std::fs::read(&p).unwrap() == FIXTURE,
+        "snapshot bytes changed"
+    );
+    std::fs::remove_file(&p).unwrap();
+}
