@@ -10,12 +10,9 @@
 
 #![warn(missing_docs)]
 
-pub mod runner;
-
-pub use runner::{
+pub use dramctrl_runner::{
     cy_cfg, cy_ctrl_with, ev_cfg, ev_ctrl_with, gen_for_job, job_fingerprint, job_metrics, run_job,
-    run_job_observed, run_job_resumable, run_job_slice, std_tester, JobArtifacts, JobRun,
-    SliceOutcome,
+    run_job_observed, run_job_resumable, std_tester, JobArtifacts, JobRun, SliceOutcome,
 };
 
 use std::time::Instant;

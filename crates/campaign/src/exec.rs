@@ -457,17 +457,6 @@ where
                     eprint!("\r{}", pad_progress(&mut line_width, &line));
                 }
             }
-            // The channel is closed: force any batch the group-commit
-            // window is still holding open onto disk before the report is
-            // built from these outcomes.
-            if let Some(j) = journal {
-                j.sync().unwrap_or_else(|e| {
-                    panic!(
-                        "cannot sync the campaign journal at {}: {e}",
-                        j.path().display()
-                    )
-                });
-            }
             // The terminal line is unconditional — never throttled — so a
             // campaign that finishes inside the 100ms window still prints
             // its final count; padding covers any longer ETA line that a

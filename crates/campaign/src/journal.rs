@@ -21,9 +21,10 @@ use crate::exec::JobOutcome;
 use crate::report::{render_parts, render_record, JobMetrics, JobRecord};
 use crate::spec::{Campaign, JobSpec};
 use dramctrl_kernel::fsio::{self, DurableAppender};
+use dramctrl_kernel::json::{escape_into, Value};
 use dramctrl_kernel::snap::fingerprint;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -140,15 +141,7 @@ impl CampaignJournal {
     pub fn create(path: impl Into<PathBuf>, campaign: &Campaign) -> Result<Self, JournalError> {
         let path = path.into();
         let mut appender = DurableAppender::create(&path)?;
-        let header = format!(
-            "{{\"journal\":\"dramctrl-campaign\",\"version\":{},\"name\":{},\
-             \"spec_hash\":\"{:#018x}\",\"total\":{}}}",
-            JOURNAL_VERSION,
-            json_escape(&campaign.name),
-            campaign_hash(campaign),
-            campaign.len(),
-        );
-        appender.append_line(&header)?;
+        appender.append_line(&render_header(campaign))?;
         Ok(Self {
             path,
             appender,
@@ -172,7 +165,7 @@ impl CampaignJournal {
     /// line that is not the torn tail.
     pub fn resume(path: impl Into<PathBuf>, campaign: &Campaign) -> Result<Self, JournalError> {
         let path = path.into();
-        let scan = scan_journal(&path, campaign)?;
+        let scan = scan_journal(&path, campaign, &campaign.expand())?;
         if scan.dropped_torn_tail {
             // Truncate the torn bytes so the next append starts a clean line.
             let f = std::fs::OpenOptions::new().write(true).open(&path)?;
@@ -185,7 +178,7 @@ impl CampaignJournal {
             appender,
             campaign_name: campaign.name.clone(),
             completed: scan.completed,
-            total: scan.total,
+            total: campaign.len(),
             dropped_torn_tail: scan.dropped_torn_tail,
         })
     }
@@ -229,7 +222,7 @@ impl CampaignJournal {
         path: impl AsRef<Path>,
         campaign: &Campaign,
     ) -> Result<BTreeMap<usize, JobOutcome>, JournalError> {
-        Ok(scan_journal(path.as_ref(), campaign)?.completed)
+        Ok(scan_journal(path.as_ref(), campaign, &campaign.expand())?.completed)
     }
 
     /// The journal file's path.
@@ -287,13 +280,6 @@ impl CampaignJournal {
     /// [`commit`](Self::commit)); the journal's bytes are exactly what the
     /// same records committed one-by-one would have written.
     ///
-    /// With group commit enabled ([`set_group_commit`](Self::set_group_commit))
-    /// the *window* supersedes per-batch syncing: the batch's lines are
-    /// written immediately but only fsync'd when the window closes (or on
-    /// [`sync`](Self::sync)). Both paths share the appender's single dirty
-    /// flag, so there is no double buffering — one fsync always covers
-    /// everything written since the last one.
-    ///
     /// A process killed mid-batch (after some appends, before the sync)
     /// leaves complete record lines plus at most one torn tail —
     /// [`resume`](Self::resume) replays the prefix and re-runs the rest.
@@ -324,43 +310,43 @@ impl CampaignJournal {
         }
         Ok(appended)
     }
-
-    /// Switches the journal to group commit: appends within `window` of
-    /// the last fsync skip their own fsync and ride the next one (see
-    /// [`DurableAppender::set_group_commit`]). `None` restores
-    /// sync-every-append.
-    ///
-    /// Safe for the journal's crash contract: a record lost from an
-    /// unsynced tail simply re-runs on resume, and keep-first dedup means
-    /// the re-run's record is the one that counts.
-    pub fn set_group_commit(&mut self, window: Option<std::time::Duration>) {
-        self.appender.set_group_commit(window);
-    }
-
-    /// Forces any batched (group-commit) appends to disk now.
-    ///
-    /// # Errors
-    /// Any I/O error from syncing.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.appender.sync()
-    }
 }
 
 /// What a validating read of a journal file yields.
 struct JournalScan {
     completed: BTreeMap<usize, JobOutcome>,
-    total: usize,
     /// Bytes up to and including the last complete record line.
     valid_len: usize,
     dropped_torn_tail: bool,
 }
 
-/// Reads and validates a journal file against `campaign` without
-/// modifying it: header checks, keep-first record replay, torn-tail
-/// detection. Shared by [`CampaignJournal::resume`] (which then
-/// truncates and reopens for append) and the read-only paths
-/// ([`CampaignJournal::replay`], [`merge_journals`]).
-fn scan_journal(path: &Path, campaign: &Campaign) -> Result<JournalScan, JournalError> {
+/// The header line [`CampaignJournal::create`] writes for `campaign`.
+fn render_header(campaign: &Campaign) -> String {
+    let mut h =
+        format!("{{\"journal\":\"dramctrl-campaign\",\"version\":{JOURNAL_VERSION},\"name\":");
+    escape_into(&campaign.name, &mut h);
+    write!(
+        h,
+        ",\"spec_hash\":\"{:#018x}\",\"total\":{}}}",
+        campaign_hash(campaign),
+        campaign.len()
+    )
+    .expect("writing to a String cannot fail");
+    h
+}
+
+/// Reads and validates a journal file against `campaign` (whose
+/// expansion is `jobs`) without modifying it: header checks, keep-first
+/// record replay, torn-tail detection. Every complete line must be
+/// byte-for-byte what this campaign's writer would have written. Shared
+/// by [`CampaignJournal::resume`] (which then truncates and reopens for
+/// append) and the read-only paths ([`CampaignJournal::replay`],
+/// [`merge_journals`]).
+fn scan_journal(
+    path: &Path,
+    campaign: &Campaign,
+    jobs: &[JobSpec],
+) -> Result<JournalScan, JournalError> {
     let text = std::fs::read_to_string(path)?;
     let mut lines = text.split_inclusive('\n');
 
@@ -369,7 +355,7 @@ fn scan_journal(path: &Path, campaign: &Campaign) -> Result<JournalScan, Journal
         // Even the header never made it to disk whole.
         return Err(JournalError::NotAJournal);
     }
-    let (version, spec_hash, total) =
+    let (version, spec_hash) =
         parse_header(header.trim_end_matches('\n')).ok_or(JournalError::NotAJournal)?;
     if version != JOURNAL_VERSION {
         return Err(JournalError::Version(version));
@@ -381,13 +367,12 @@ fn scan_journal(path: &Path, campaign: &Campaign) -> Result<JournalScan, Journal
             found: spec_hash,
         });
     }
-    if total != campaign.len() {
+    if header.trim_end_matches('\n') != render_header(campaign) {
         return Err(JournalError::Corrupt {
             line: 1,
             why: format!(
-                "header total {} does not match the campaign's {} jobs",
-                total,
-                campaign.len()
+                "header is not the one this campaign of {} jobs writes",
+                jobs.len()
             ),
         });
     }
@@ -396,27 +381,20 @@ fn scan_journal(path: &Path, campaign: &Campaign) -> Result<JournalScan, Journal
     let mut valid_len = header.len();
     let mut dropped_torn_tail = false;
     for (i, line) in lines.enumerate() {
-        let line_no = i + 2;
         if !line.ends_with('\n') {
             // Torn tail: the process died mid-append. Drop it.
             dropped_torn_tail = true;
             break;
         }
-        let (index, outcome) = parse_record(line.trim_end_matches('\n'))
-            .map_err(|why| JournalError::Corrupt { line: line_no, why })?;
-        if index >= total {
-            return Err(JournalError::Corrupt {
-                line: line_no,
-                why: format!("job index {index} is outside the campaign's {total} jobs"),
-            });
-        }
+        let (index, outcome) =
+            verify_record_line(line.trim_end_matches('\n'), &campaign.name, jobs)
+                .map_err(|why| JournalError::Corrupt { line: i + 2, why })?;
         // Keep-first: the earliest durable record for an index wins.
         completed.entry(index).or_insert(outcome);
         valid_len = valid_len.saturating_add(line.len());
     }
     Ok(JournalScan {
         completed,
-        total,
         valid_len,
         dropped_torn_tail,
     })
@@ -441,13 +419,13 @@ pub fn merge_journals(
     campaign: &Campaign,
     paths: &[impl AsRef<Path>],
 ) -> Result<crate::CampaignReport, JournalError> {
+    let jobs = campaign.expand();
     let mut merged: BTreeMap<usize, JobOutcome> = BTreeMap::new();
     for path in paths {
-        for (index, outcome) in scan_journal(path.as_ref(), campaign)?.completed {
+        for (index, outcome) in scan_journal(path.as_ref(), campaign, &jobs)?.completed {
             merged.entry(index).or_insert(outcome);
         }
     }
-    let jobs = campaign.expand();
     let missing: Vec<usize> = (0..jobs.len())
         .filter(|i| !merged.contains_key(i))
         .collect();
@@ -503,247 +481,91 @@ fn test_kill_hook() {
     }
 }
 
-/// Parses the header line, returning `(version, spec_hash, total)`.
-fn parse_header(line: &str) -> Option<(u32, u64, usize)> {
-    let mut c = Cursor::new(line);
-    c.lit("{\"journal\":\"dramctrl-campaign\",\"version\":")
-        .ok()?;
-    let version = c.raw_num().ok()?.parse().ok()?;
-    c.lit(",\"name\":").ok()?;
-    let _name = c.string().ok()?;
-    c.lit(",\"spec_hash\":\"").ok()?;
-    let hex = c.until('"').ok()?;
-    let spec_hash = u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?;
-    c.lit("\",\"total\":").ok()?;
-    let total = c.raw_num().ok()?.parse().ok()?;
-    c.lit("}").ok()?;
-    c.end().ok()?;
-    Some((version, spec_hash, total))
+/// Parses the header line, returning `(version, spec_hash)`.
+fn parse_header(line: &str) -> Option<(u32, u64)> {
+    let v = Value::parse(line).ok()?;
+    if v.get("journal")?.as_str()? != "dramctrl-campaign" {
+        return None;
+    }
+    let version = u32::try_from(v.get("version")?.as_u64()?).ok()?;
+    let hex = v.get("spec_hash")?.as_str()?.strip_prefix("0x")?;
+    Some((version, u64::from_str_radix(hex, 16).ok()?))
 }
 
-/// Parses one record line back into `(job index, outcome)` with no
-/// journal context.
+/// Parses one record line and proves it is exactly what the campaign
+/// writes for that job: the index is in range, and re-rendering the
+/// parsed outcome against `jobs[index]` reproduces `line` byte for byte
+/// — which checks every spec field (seed, axes, campaign name), exactly
+/// as a spec-hash check would, at record granularity.
 ///
-/// This is the validation primitive for consumers of *untrusted* record
-/// lines — the dispatch coordinator runs every record a peer streams
-/// through it, then re-renders the outcome against its own campaign and
-/// compares bytes, so a lying peer (wrong spec, foreign campaign,
-/// out-of-range index) is caught before anything reaches a journal.
+/// This is the validation primitive for record lines from anywhere — a
+/// journal on disk, or a peer's stream in the dispatch coordinator, so a
+/// lying peer (wrong spec, foreign campaign, out-of-range index) is
+/// caught before anything reaches a journal.
 ///
 /// # Errors
-/// A description of the first grammar violation.
-pub fn parse_record_line(line: &str) -> Result<(usize, JobOutcome), String> {
-    parse_record(line)
-}
-
-/// Parses one record line back into `(job index, outcome)`.
-///
-/// The parser walks the fixed field order [`render_record`] emits, so it
-/// needs no general JSON machinery; metric values round-trip exactly
-/// because the renderer uses Rust's shortest-round-trip float formatting.
-fn parse_record(line: &str) -> Result<(usize, JobOutcome), String> {
-    let mut c = Cursor::new(line);
-    c.lit("{\"campaign\":")?;
-    let _ = c.string()?;
-    c.lit(",\"job\":")?;
-    let index: usize = c
-        .raw_num()?
-        .parse()
-        .map_err(|_| "bad job index".to_owned())?;
-    c.lit(",\"seed\":")?;
-    let _ = c.raw_num()?;
-    for key in ["device", "model", "policy", "sched", "mapping"] {
-        c.lit(&format!(",\"{key}\":"))?;
-        let _ = c.string()?;
+/// A description of the first violation.
+pub fn verify_record_line(
+    line: &str,
+    campaign_name: &str,
+    jobs: &[JobSpec],
+) -> Result<(usize, JobOutcome), String> {
+    let (index, outcome) = parse_record_line(line)?;
+    let job = jobs.get(index).ok_or_else(|| {
+        format!(
+            "job index {index} out of range (the campaign has {} jobs)",
+            jobs.len()
+        )
+    })?;
+    if render_parts(campaign_name, job, &outcome) != line {
+        return Err(format!(
+            "record bytes diverge from the campaign's own rendering of job {index}"
+        ));
     }
-    c.lit(",\"channels\":")?;
-    let _ = c.raw_num()?;
-    c.lit(",\"traffic\":")?;
-    let _ = c.string()?;
-    for key in ["read_pct", "requests", "error_rate"] {
-        c.lit(&format!(",\"{key}\":"))?;
-        let _ = c.raw_num()?;
-    }
-    c.lit(",\"outcome\":\"")?;
-    let outcome = if c.lit("ok\"").is_ok() {
-        c.lit(",\"attempts\":")?;
-        let attempts = c
-            .raw_num()?
-            .parse()
-            .map_err(|_| "bad attempts".to_owned())?;
-        c.lit(",\"metrics\":{")?;
-        let mut metrics = JobMetrics::new();
-        if c.lit("}").is_err() {
-            loop {
-                let key = c.string()?;
-                c.lit(":")?;
-                metrics.set(key, parse_f64(c.raw_num()?)?);
-                if c.lit(",").is_err() {
-                    c.lit("}")?;
-                    break;
-                }
-            }
-        }
-        c.lit("}")?;
-        JobOutcome::Completed { metrics, attempts }
-    } else {
-        c.lit("failed\"")?;
-        c.lit(",\"attempts\":")?;
-        let attempts = c
-            .raw_num()?
-            .parse()
-            .map_err(|_| "bad attempts".to_owned())?;
-        c.lit(",\"panic_msg\":")?;
-        let panic_msg = c.string()?;
-        c.lit("}")?;
-        JobOutcome::Failed {
-            panic_msg,
-            attempts,
-        }
-    };
-    c.end()?;
     Ok((index, outcome))
 }
 
-/// A JSON metric value: a finite number, or `null` for the non-finite
-/// values the renderer cannot represent.
-fn parse_f64(raw: &str) -> Result<f64, String> {
-    if raw == "null" {
-        return Ok(f64::NAN);
-    }
-    raw.parse().map_err(|_| format!("bad metric value {raw:?}"))
-}
-
-/// A cursor over one journal line, consuming the exact grammar
-/// [`render_record`] writes.
-struct Cursor<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Self { s, pos: 0 }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.s[self.pos..]
-    }
-
-    /// Consumes the literal `l`, or fails without consuming anything.
-    fn lit(&mut self, l: &str) -> Result<(), String> {
-        if self.rest().starts_with(l) {
-            self.pos += l.len();
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                l,
-                self.pos,
-                &self.rest()[..self.rest().len().min(24)]
-            ))
-        }
-    }
-
-    /// Consumes up to (not including) the next `stop` character.
-    fn until(&mut self, stop: char) -> Result<&'a str, String> {
-        let end = self
-            .rest()
-            .find(stop)
-            .ok_or_else(|| format!("unterminated field at byte {}", self.pos))?;
-        let s = &self.rest()[..end];
-        self.pos += end;
-        Ok(s)
-    }
-
-    /// Consumes a bare JSON number (or `null`) up to the next delimiter.
-    fn raw_num(&mut self) -> Result<&'a str, String> {
-        let end = self
-            .rest()
-            .find([',', '}', ':'])
-            .unwrap_or(self.rest().len());
-        if end == 0 {
-            return Err(format!("expected a number at byte {}", self.pos));
-        }
-        let s = &self.rest()[..end];
-        self.pos += end;
-        Ok(s)
-    }
-
-    /// Consumes a quoted JSON string, decoding the escapes the renderer
-    /// emits.
-    fn string(&mut self) -> Result<String, String> {
-        self.lit("\"")?;
-        let mut out = String::new();
-        let mut chars = self.rest().char_indices();
-        loop {
-            let (i, ch) = chars
-                .next()
-                .ok_or_else(|| "unterminated string".to_owned())?;
-            match ch {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next().ok_or_else(|| "truncated escape".to_owned())?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars
-                                    .next()
-                                    .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                                code = code * 16
-                                    + h.to_digit(16)
-                                        .ok_or_else(|| format!("bad hex digit {h:?}"))?;
-                            }
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad code point {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape \\{other}")),
-                    }
-                }
-                c => out.push(c),
+/// Extracts `(job index, outcome)` from one record line. Metric values
+/// round-trip exactly because the renderer uses Rust's shortest
+/// round-trip float formatting; `null` reads back as NaN.
+fn parse_record_line(line: &str) -> Result<(usize, JobOutcome), String> {
+    let v = Value::parse(line).map_err(|e| e.to_string())?;
+    let field = |key: &str| v.get(key).ok_or_else(|| format!("no {key:?} field"));
+    let index = field("job")?
+        .as_u64()
+        .and_then(|i| usize::try_from(i).ok())
+        .ok_or("bad job index")?;
+    let attempts = field("attempts")?
+        .as_u64()
+        .and_then(|a| u32::try_from(a).ok())
+        .ok_or("bad attempts")?;
+    let outcome = match field("outcome")?.as_str() {
+        Some("ok") => {
+            let Value::Obj(fields) = field("metrics")? else {
+                return Err("metrics is not an object".to_owned());
+            };
+            let mut metrics = JobMetrics::new();
+            for (name, value) in fields {
+                let value = match value {
+                    Value::Null => f64::NAN,
+                    v => v
+                        .as_f64()
+                        .ok_or_else(|| format!("bad metric value for {name:?}"))?,
+                };
+                metrics.set(name.as_str(), value);
             }
+            JobOutcome::Completed { metrics, attempts }
         }
-    }
-
-    /// Asserts the whole line was consumed.
-    fn end(&self) -> Result<(), String> {
-        if self.rest().is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing bytes {:?}", self.rest()))
-        }
-    }
-}
-
-/// Minimal JSON string escaping for the header's campaign name (matches
-/// the report renderer's escaping).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+        Some("failed") => JobOutcome::Failed {
+            panic_msg: field("panic_msg")?
+                .as_str()
+                .ok_or("panic_msg is not a string")?
+                .to_owned(),
+            attempts,
+        },
+        _ => return Err("outcome is neither \"ok\" nor \"failed\"".to_owned()),
+    };
+    Ok((index, outcome))
 }
 
 #[cfg(test)]
@@ -1033,6 +855,16 @@ mod tests {
             outcome,
         };
         assert_eq!(rebuilt.render(&c.name), line);
+        assert_eq!(
+            verify_record_line(&line, &c.name, &c.expand()).unwrap().0,
+            1
+        );
+        // Spec fields that lie (another seed) still parse, but the line
+        // is not the one this campaign writes.
+        let forged = line.replacen("\"seed\":", "\"seed\":1", 1);
+        assert!(parse_record_line(&forged).is_ok());
+        let err = verify_record_line(&forged, &c.name, &c.expand()).unwrap_err();
+        assert!(err.contains("diverge"), "{err}");
         assert!(parse_record_line("{\"event\":\"record\"}").is_err());
         assert!(parse_record_line("").is_err());
     }

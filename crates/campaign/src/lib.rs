@@ -26,7 +26,7 @@
 //! The engine is generic over the runner (`Fn(&JobSpec) -> JobMetrics`),
 //! so it has no dependency on the controller crates beyond the axis
 //! types; the canonical runner wiring specs to real controllers lives in
-//! `dramctrl-bench` (`run_job`).
+//! `dramctrl-runner` (`run_job`).
 //!
 //! # Determinism
 //!
@@ -46,7 +46,7 @@
 //!     .policies([PagePolicy::Open, PagePolicy::Closed])
 //!     .read_pcts([0, 50, 100]);
 //! let report = run_campaign(&campaign, &ExecutorConfig::default(), |job| {
-//!     // A real runner simulates `job`; see dramctrl-bench::run_job.
+//!     // A real runner simulates `job`; see dramctrl-runner::run_job.
 //!     JobMetrics::new().with("seed_low", (job.seed & 0xFF) as f64)
 //! });
 //! assert_eq!(report.completed(), 6);
@@ -65,7 +65,7 @@ pub use exec::{
     ExecutorConfig, JobOutcome, Progress,
 };
 pub use journal::{
-    campaign_hash, merge_journals, parse_record_line, CampaignJournal, JournalError,
+    campaign_hash, merge_journals, verify_record_line, CampaignJournal, JournalError,
     JOURNAL_VERSION,
 };
 pub use report::{CampaignReport, JobMetrics, JobRecord};

@@ -9,9 +9,10 @@
 
 use crate::exec::JobOutcome;
 use crate::spec::JobSpec;
+use dramctrl_kernel::json::{escape_into, json_f64};
 use dramctrl_stats::Table;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Named scalar results of one job, with stable (sorted) key order.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -223,39 +224,48 @@ pub(crate) fn render_record(campaign_name: &str, r: &JobRecord) -> String {
 /// path renders straight from the executor's job table and outcome
 /// channel without cloning either into a [`JobRecord`].
 pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcome) -> String {
-    let mut out = String::new();
+    const INFALLIBLE: &str = "writing to a String cannot fail";
+    let mut out = String::with_capacity(512);
+    // One string member from a `Display` axis value, escaped like any
+    // other string; the scratch buffer is reused across members.
+    let mut scratch = String::new();
+    let mut text = |out: &mut String, key: &str, v: &dyn fmt::Display| {
+        out.push_str(key);
+        scratch.clear();
+        write!(scratch, "{v}").expect(INFALLIBLE);
+        escape_into(&scratch, out);
+    };
+    out.push_str("{\"campaign\":");
+    escape_into(campaign_name, &mut out);
+    write!(out, ",\"job\":{},\"seed\":{},\"device\":", j.index, j.seed).expect(INFALLIBLE);
+    escape_into(&j.device, &mut out);
+    text(&mut out, ",\"model\":", &j.model);
+    text(&mut out, ",\"policy\":", &j.policy);
+    text(&mut out, ",\"sched\":", &j.sched);
+    text(&mut out, ",\"mapping\":", &j.mapping);
+    write!(out, ",\"channels\":{}", j.channels).expect(INFALLIBLE);
+    text(&mut out, ",\"traffic\":", &j.traffic);
     write!(
         out,
-        "{{\"campaign\":{},\"job\":{},\"seed\":{},\"device\":{},\"model\":{},\
-         \"policy\":{},\"sched\":{},\"mapping\":{},\"channels\":{},\"traffic\":{},\
-         \"read_pct\":{},\"requests\":{},\"error_rate\":{}",
-        json_str(campaign_name),
-        j.index,
-        j.seed,
-        json_str(&j.device),
-        json_str(&j.model.to_string()),
-        json_str(&j.policy.to_string()),
-        json_str(&j.sched.to_string()),
-        json_str(&j.mapping.to_string()),
-        j.channels,
-        json_str(&j.traffic.to_string()),
+        ",\"read_pct\":{},\"requests\":{},\"error_rate\":{}",
         j.read_pct,
         j.requests,
         json_f64(j.error_rate),
     )
-    .expect("writing to String cannot fail");
+    .expect(INFALLIBLE);
     match outcome {
         JobOutcome::Completed { metrics, attempts } => {
             write!(
                 out,
                 ",\"outcome\":\"ok\",\"attempts\":{attempts},\"metrics\":{{"
             )
-            .unwrap();
+            .expect(INFALLIBLE);
             for (i, (k, v)) in metrics.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write!(out, "{}:{}", json_str(k), json_f64(v)).unwrap();
+                escape_into(k, &mut out);
+                write!(out, ":{}", json_f64(v)).expect(INFALLIBLE);
             }
             out.push_str("}}");
         }
@@ -265,44 +275,14 @@ pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcom
         } => {
             write!(
                 out,
-                ",\"outcome\":\"failed\",\"attempts\":{attempts},\"panic_msg\":{}}}",
-                json_str(panic_msg)
+                ",\"outcome\":\"failed\",\"attempts\":{attempts},\"panic_msg\":"
             )
-            .unwrap();
+            .expect(INFALLIBLE);
+            escape_into(panic_msg, &mut out);
+            out.push('}');
         }
     }
     out
-}
-
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number for an f64: shortest round-trip form; non-finite values
-/// (not representable in JSON) become null.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -396,9 +376,20 @@ mod tests {
 
     #[test]
     fn json_helpers() {
-        assert_eq!(json_str("a\"b\\c\u{1}"), "\"a\\\"b\\\\c\\u0001\"");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(3.0), "3");
-        assert_eq!(json_f64(f64::NAN), "null");
+        // Metric names are escaped like any string; values use the
+        // shortest round-trip form, non-finite ones become null.
+        let mut r = toy_report().records.remove(0);
+        r.outcome = JobOutcome::Completed {
+            metrics: JobMetrics::new()
+                .with("a\"b\\c\u{1}", 1.5)
+                .with("nan", f64::NAN)
+                .with("three", 3.0),
+            attempts: 1,
+        };
+        let line = r.render("helpers");
+        assert!(
+            line.ends_with("\"metrics\":{\"a\\\"b\\\\c\\u0001\":1.5,\"nan\":null,\"three\":3}}"),
+            "{line}"
+        );
     }
 }

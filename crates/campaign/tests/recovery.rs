@@ -1,4 +1,4 @@
-//! Journal recovery under damage, shard merging, and group commit:
+//! Journal recovery under damage, and shard merging:
 //!
 //! - a torn tail (the partial line a crash mid-append leaves) is dropped
 //!   and truncated at *every* possible cut point, and the resumed run is
@@ -7,15 +7,13 @@
 //! - trailing garbage that *looks* like a durable line (newline present)
 //!   is a loud error, never silently skipped;
 //! - shard journals merge into the unsharded report byte for byte, and a
-//!   missing shard is a loud `Incomplete` error;
-//! - group commit changes fsync cadence, never bytes.
+//!   missing shard is a loud `Incomplete` error.
 
 use dramctrl_campaign::{
     merge_journals, run_campaign, run_campaign_journaled, run_campaign_shard, Campaign,
     CampaignJournal, ExecutorConfig, JobMetrics, JobSpec, JournalError,
 };
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("dramctrl-recovery-{}", std::process::id()));
@@ -204,30 +202,4 @@ fn merging_with_a_missing_shard_is_incomplete() {
         }
         other => panic!("expected Incomplete, got {other}"),
     }
-}
-
-#[test]
-fn group_commit_changes_fsync_cadence_never_bytes() {
-    let c = campaign();
-    let (_, plain_text, plain_jsonl) = full_run("gc-off.jsonl");
-
-    let p = tmp("gc-on.jsonl");
-    let _ = std::fs::remove_file(&p);
-    let mut j = CampaignJournal::create(&p, &c).unwrap();
-    // A window far longer than the run: everything rides one batch.
-    j.set_group_commit(Some(Duration::from_secs(3_600)));
-    let report = run_campaign_journaled(&c, &ExecutorConfig::serial(), &mut j, toy_runner);
-    j.sync().unwrap();
-    drop(j);
-
-    assert_eq!(report.to_jsonl(), plain_jsonl);
-    assert_eq!(
-        std::fs::read_to_string(&p).unwrap(),
-        plain_text,
-        "group commit is invisible in the journal bytes"
-    );
-
-    // And a resume of a group-committed journal behaves identically.
-    let j2 = CampaignJournal::resume(&p, &c).unwrap();
-    assert_eq!(j2.completed().len(), c.len());
 }

@@ -138,11 +138,6 @@ Cartesian product runs in parallel with per-job deterministic seeds):
                          the same axis flags the shards ran); no
                          simulation happens, and the merged --jsonl/--md
                          are byte-identical to an unsharded run's
-    --group-commit-ms N  batch journal fsyncs in an N ms window instead
-                         of one per record (higher throughput, same
-                         crash-safety: a lost batch tail re-runs
-                         deterministically on resume; default 0 = every
-                         record)
     --metrics-json FILE  write executor operational metrics (units/s,
                          worker busy/idle, journal batch sizes, retries)
                          as JSON when the sweep finishes
@@ -730,7 +725,6 @@ const SWEEP_OPTS: &[&str] = &[
     "checkpoint-every",
     "shard",
     "merge",
-    "group-commit-ms",
     "metrics-json",
 ];
 
@@ -855,11 +849,11 @@ fn parse_shard(s: &str) -> Result<(u32, u32), ArgError> {
 }
 
 fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
-    use dramctrl_bench::{run_job, run_job_resumable};
     use dramctrl_campaign::{
         merge_journals, run_campaign, run_campaign_journaled, run_campaign_shard, CampaignJournal,
         ExecutorConfig, JobMetrics, JobSpec, Progress,
     };
+    use dramctrl_runner::{run_job, run_job_resumable};
 
     let a = Args::parse(argv, &["csv", "quiet"])?;
     a.ensure_known(SWEEP_OPTS)?;
@@ -950,19 +944,6 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
                 .into(),
         ));
     }
-    // Opt-in group commit: batch journal fsyncs in a window. Crash-safe
-    // because a lost unsynced tail re-runs deterministically on resume
-    // and keep-first dedup keeps the first committed record canonical.
-    let group_ms: u64 = a.parse_or("group-commit-ms", 0u64)?;
-    if group_ms > 0 {
-        let Some(j) = journal.as_mut() else {
-            return Err(ArgError(
-                "--group-commit-ms tunes the journal; add --journal or --resume".into(),
-            ));
-        };
-        j.set_group_commit(Some(std::time::Duration::from_millis(group_ms)));
-    }
-
     let every: u64 = a.parse_or("checkpoint-every", 0u64)?;
     if every > 0 {
         if journal.is_none() {
@@ -997,7 +978,7 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
     }
     let runner: Box<dyn Fn(&JobSpec) -> JobMetrics + Sync> = match a.get("obs-dir") {
         Some(dir) => {
-            use dramctrl_bench::run_job_observed;
+            use dramctrl_runner::run_job_observed;
             std::fs::create_dir_all(dir).map_err(|e| ArgError(format!("creating {dir:?}: {e}")))?;
             let dir = PathBuf::from(dir);
             Box::new(move |job| {
@@ -1032,11 +1013,6 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
         (Some(j), None) => run_campaign_journaled(&campaign, &cfg, j, runner),
         (None, _) => run_campaign(&campaign, &cfg, runner),
     };
-    if let Some(j) = journal.as_mut() {
-        // With group commit on, the last batch may still be unsynced.
-        j.sync()
-            .map_err(|e| ArgError(format!("syncing the journal: {e}")))?;
-    }
     // A finished sweep no longer needs its per-job snapshots. (Shards
     // only tried to remove their own jobs' snapshots plus already-absent
     // paths, so cross-shard cleanup is a harmless no-op.)

@@ -10,7 +10,7 @@ use dramctrl_ras::{BurstOutcome, FaultModel, RasGeometry};
 
 use crate::bank::Rank;
 use crate::config::{ConfigError, CtrlConfig, PagePolicy, SchedPolicy};
-#[cfg(any(test, feature = "ref-model"))]
+#[cfg(test)]
 use crate::queue::covers;
 use crate::queue::{burst_count, chop, BurstGroup, DramPacket, GroupArena};
 use crate::sched::SchedQueue;
@@ -169,7 +169,7 @@ pub struct DramCtrl<P: Probe = NoProbe> {
     groups: GroupArena,
     /// Answer scheduling questions with the original linear queue scans
     /// instead of the indices (see [`Self::new_reference`]).
-    #[cfg(any(test, feature = "ref-model"))]
+    #[cfg(test)]
     use_reference: bool,
     ranks: Vec<Rank>,
     bus_state: BusState,
@@ -262,12 +262,11 @@ impl DramCtrl {
     /// Behaviourally identical to [`new`](Self::new) — the differential
     /// harness in [`diff`](crate::diff) asserts byte-identical responses
     /// and reports — but O(queue depth) per decision. Kept as the
-    /// reference model for equivalence tests and before/after
-    /// benchmarking; only available with the `ref-model` feature.
+    /// reference model for equivalence tests; test-only code.
     ///
     /// # Errors
     /// Returns a [`ConfigError`] if the configuration is inconsistent.
-    #[cfg(any(test, feature = "ref-model"))]
+    #[cfg(test)]
     pub fn new_reference(cfg: CtrlConfig) -> Result<Self, ConfigError> {
         let mut ctrl = Self::new(cfg)?;
         ctrl.use_reference = true;
@@ -311,7 +310,7 @@ impl<P: Probe> DramCtrl<P> {
             read_q,
             write_q,
             groups,
-            #[cfg(any(test, feature = "ref-model"))]
+            #[cfg(test)]
             use_reference: false,
             ranks,
             bus_state: BusState::Read,
@@ -496,7 +495,7 @@ impl<P: Probe> DramCtrl<P> {
     /// Section II-A). Answered in O(1) from the coverage index; the
     /// reference model keeps the original O(queue depth) scan.
     fn write_queue_covers(&self, burst_addr: u64, lo: u32, hi: u32) -> bool {
-        #[cfg(any(test, feature = "ref-model"))]
+        #[cfg(test)]
         if self.use_reference {
             return self
                 .write_q
@@ -1066,7 +1065,7 @@ impl<P: Probe> DramCtrl<P> {
     /// Selection cost is O(log hits + occupied banks), independent of
     /// queue depth and of the device's total bank count.
     fn choose_next(&self, is_read: bool, now: Tick) -> u32 {
-        #[cfg(any(test, feature = "ref-model"))]
+        #[cfg(test)]
         if self.use_reference {
             return self.choose_next_reference(is_read, now);
         }
@@ -1111,7 +1110,7 @@ impl<P: Probe> DramCtrl<P> {
     /// view of the queue. The differential harness ([`diff`](crate::diff))
     /// asserts it agrees with [`choose_next`](Self::choose_next) down to
     /// byte-identical simulation outputs.
-    #[cfg(any(test, feature = "ref-model"))]
+    #[cfg(test)]
     fn choose_next_reference(&self, is_read: bool, now: Tick) -> u32 {
         let queue = if is_read { &self.read_q } else { &self.write_q };
         let fifo = queue.fifo_packets();
@@ -1196,7 +1195,7 @@ impl<P: Probe> DramCtrl<P> {
     /// non-zero, and an other-row packet exists iff the bank count exceeds
     /// the row count.
     fn queued_to_row(&self, pkt: &DramPacket, same_row: bool) -> bool {
-        #[cfg(any(test, feature = "ref-model"))]
+        #[cfg(test)]
         if self.use_reference {
             return self.queued_to_row_reference(pkt, same_row);
         }
@@ -1211,7 +1210,7 @@ impl<P: Probe> DramCtrl<P> {
 
     /// The original both-queue scan for [`queued_to_row`](Self::queued_to_row)
     /// (an existence test, so iteration order is irrelevant).
-    #[cfg(any(test, feature = "ref-model"))]
+    #[cfg(test)]
     fn queued_to_row_reference(&self, pkt: &DramPacket, same_row: bool) -> bool {
         self.read_q
             .iter_packets()

@@ -9,9 +9,7 @@
 //! streams (every field of every [`MemResponse`]), equal drain ticks and
 //! equal rendered statistics reports.
 //!
-//! The module is compiled for tests and under the `ref-model` feature so
-//! the benches can reuse the same harness (`cargo bench` runs the check
-//! before timing anything).
+//! The module is compiled for tests only.
 //!
 //! The same lockstep driver also proves the *zero-perturbation guarantee*
 //! of the instrumentation layer ([`assert_probe_transparent`]): a

@@ -52,7 +52,7 @@
 mod bank;
 mod config;
 mod ctrl;
-#[cfg(any(test, feature = "ref-model"))]
+#[cfg(test)]
 pub mod diff;
 mod queue;
 mod sched;

@@ -226,7 +226,7 @@ pub(crate) fn burst_count(addr: u64, size: u32, burst_bytes: u64) -> usize {
 /// Only the reference model scans packets for coverage; the indexed
 /// controller asks the [`WriteCoverage`](dramctrl_mem::WriteCoverage)
 /// multiset instead.
-#[cfg(any(test, feature = "ref-model"))]
+#[cfg(test)]
 pub(crate) fn covers(pkt: &DramPacket, burst_addr: u64, lo: u32, hi: u32) -> bool {
     !pkt.is_read && pkt.burst_addr == burst_addr && pkt.lo <= lo && pkt.hi >= hi
 }

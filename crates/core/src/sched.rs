@@ -43,9 +43,9 @@
 //! `(priority, seq)`; the hash maps use the fixed-seed hasher from
 //! [`dramctrl_kernel::hash`] and are only probed point-wise. No iteration
 //! order can differ between runs or leak into scheduling. The scan
-//! implementations survive behind `#[cfg(any(test, feature =
-//! "ref-model"))]` in `ctrl.rs`, and the differential harness (`diff.rs`)
-//! proves both produce byte-identical results.
+//! implementations survive as test-only code (`#[cfg(test)]` in
+//! `ctrl.rs`), and the differential harness (`diff.rs`) proves both
+//! produce byte-identical results.
 
 use std::collections::BTreeSet;
 
@@ -572,14 +572,14 @@ impl SchedQueue {
     }
 
     /// Live packets in unspecified order (for order-independent scans).
-    #[cfg(any(test, feature = "ref-model"))]
+    #[cfg(test)]
     pub fn iter_packets(&self) -> impl Iterator<Item = &DramPacket> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
     /// Live `(slot, packet)` pairs in FIFO (sequence) order — the queue
     /// order the reference scheduler scans. O(n log n); reference only.
-    #[cfg(any(test, feature = "ref-model"))]
+    #[cfg(test)]
     pub fn fifo_packets(&self) -> Vec<(u32, &DramPacket)> {
         let mut v: Vec<(u32, &DramPacket)> = self
             .slots

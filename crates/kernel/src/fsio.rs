@@ -20,7 +20,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 use fault::DurOp;
 
@@ -93,29 +92,16 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 }
 
 /// An append-only file whose every appended record is durable before the
-/// append returns: written, flushed and fsync'd.
-///
-/// # Group commit
-///
-/// [`set_group_commit`](Self::set_group_commit) trades the
-/// every-append fsync for one fsync per time window: appends landing
-/// within the window after the last sync only `write(2)` their bytes and
-/// mark the appender dirty; the first append past the window (or an
-/// explicit [`sync`](Self::sync), or drop) flushes the whole batch with
-/// a single fsync. A crash can then lose up to one window of *tail*
-/// records — never reorder or tear earlier ones — which is exactly the
-/// failure the campaign journal's resume already handles: lost tail jobs
-/// simply re-run. Default is off (sync every append).
+/// append returns: written, flushed and fsync'd — or, for a caller that
+/// batches ([`append_line_deferred`](Self::append_line_deferred) then
+/// [`commit_batch`](Self::commit_batch)), before the batch's commit returns.
 #[derive(Debug)]
 pub struct DurableAppender {
     file: File,
     /// Where the file lives — kept for fault-injection path filters.
     path: std::path::PathBuf,
-    /// `None`: fsync on every append. `Some(w)`: fsync at most once per
-    /// `w`, batching intervening appends.
-    group_window: Option<Duration>,
-    /// When the batch being accumulated started (first unsynced append).
-    batch_start: Option<Instant>,
+    /// Whether bytes have been written since the last fsync.
+    dirty: bool,
 }
 
 impl DurableAppender {
@@ -134,8 +120,7 @@ impl DurableAppender {
         Ok(Self {
             file,
             path: path.to_path_buf(),
-            group_window: None,
-            batch_start: None,
+            dirty: false,
         })
     }
 
@@ -150,40 +135,18 @@ impl DurableAppender {
         Ok(Self {
             file,
             path: path.to_path_buf(),
-            group_window: None,
-            batch_start: None,
+            dirty: false,
         })
     }
 
-    /// Enables (`Some(window)`) or disables (`None`) group commit.
-    /// Disabling flushes nothing by itself — call [`sync`](Self::sync)
-    /// first if a batch may be pending and you need it durable *now*;
-    /// otherwise the next append syncs it.
-    pub fn set_group_commit(&mut self, window: Option<Duration>) {
-        self.group_window = window;
-    }
-
-    /// Appends `line` plus a newline. Without group commit (the default)
-    /// the record is fsync'd before this returns; with it, the record is
-    /// on disk no later than the first append after the current window
-    /// closes, or the next explicit [`sync`](Self::sync).
+    /// Appends `line` plus a newline; the record is fsync'd before this
+    /// returns.
     ///
     /// # Errors
     /// Any I/O error from writing or syncing.
     pub fn append_line(&mut self, line: &str) -> io::Result<()> {
-        fault::checked_write(&mut self.file, line.as_bytes(), &self.path)?;
-        self.file.write_all(b"\n")?;
-        match self.group_window {
-            None => self.sync(),
-            Some(window) => {
-                let start = *self.batch_start.get_or_insert_with(Instant::now);
-                if start.elapsed() >= window {
-                    self.sync()
-                } else {
-                    Ok(())
-                }
-            }
-        }
+        self.append_line_deferred(line)?;
+        self.sync()
     }
 
     /// Appends `line` plus a newline *without* forcing a sync: the bytes
@@ -197,43 +160,39 @@ impl DurableAppender {
     pub fn append_line_deferred(&mut self, line: &str) -> io::Result<()> {
         fault::checked_write(&mut self.file, line.as_bytes(), &self.path)?;
         self.file.write_all(b"\n")?;
-        self.batch_start.get_or_insert_with(Instant::now);
+        self.dirty = true;
         Ok(())
     }
 
     /// Closes a batch of [`append_line_deferred`](Self::append_line_deferred)
-    /// calls: fsyncs now if the appender is dirty — *unless* a group-commit
-    /// window is set and still open, in which case the batch stays pending
-    /// and rides the window's sync. Batching and group commit share the one
-    /// dirty flag (`batch_start`), so they compose without double
-    /// buffering: the wider interval wins, and a single fsync covers
-    /// everything written since the last one.
+    /// calls: fsyncs if and only if the appender is dirty, so a single
+    /// fsync covers everything written since the last one.
     ///
     /// # Errors
     /// Any I/O error from syncing.
     pub fn commit_batch(&mut self) -> io::Result<()> {
-        match (self.batch_start, self.group_window) {
-            (None, _) => Ok(()),
-            (Some(start), Some(window)) if start.elapsed() < window => Ok(()),
-            _ => self.sync(),
+        if self.dirty {
+            self.sync()
+        } else {
+            Ok(())
         }
     }
 
-    /// Whether appended bytes are still awaiting their fsync — a batch
-    /// opened by [`append_line_deferred`](Self::append_line_deferred) or
-    /// an open group-commit window. On-disk lines are complete either
-    /// way; pending only means a crash could lose the tail.
+    /// Whether appended bytes are still awaiting their fsync (a batch
+    /// opened by [`append_line_deferred`](Self::append_line_deferred)).
+    /// On-disk lines are complete either way; pending only means a crash
+    /// could lose the tail.
     pub fn has_pending_batch(&self) -> bool {
-        self.batch_start.is_some()
+        self.dirty
     }
 
-    /// Fsyncs now, closing any open group-commit batch. A no-op when
-    /// nothing is pending is still just one cheap fsync.
+    /// Fsyncs now, closing any open batch. A no-op when nothing is
+    /// pending is still just one cheap fsync.
     ///
     /// # Errors
     /// Any I/O error from syncing.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.batch_start = None;
+        self.dirty = false;
         fault::check(DurOp::Fsync, &self.path)?;
         self.file.sync_data()
     }
@@ -244,7 +203,7 @@ impl Drop for DurableAppender {
         // Best effort: don't let an open batch die with the handle. Errors
         // are unreportable here; the crash contract already tolerates a
         // lost tail.
-        if self.batch_start.is_some() {
+        if self.dirty {
             let _ = self.file.sync_data();
         }
     }
@@ -679,77 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_then_syncs_on_demand() {
-        let d = tmp_dir("group");
-        let p = d.join("g.jsonl");
-        let mut a = DurableAppender::create(&p).unwrap();
-        // A generous window: none of these appends should sync themselves.
-        a.set_group_commit(Some(Duration::from_secs(3600)));
-        a.append_line("one").unwrap();
-        a.append_line("two").unwrap();
-        // The bytes are written (visible) even before the batch syncs...
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "one\ntwo\n");
-        // ...and an explicit sync closes the batch.
-        a.sync().unwrap();
-        // A zero window degenerates to sync-every-append.
-        a.set_group_commit(Some(Duration::ZERO));
-        a.append_line("three").unwrap();
-        // Turning it off restores the default contract.
-        a.set_group_commit(None);
-        a.append_line("four").unwrap();
-        drop(a);
-        assert_eq!(
-            std::fs::read_to_string(&p).unwrap(),
-            "one\ntwo\nthree\nfour\n"
-        );
-        std::fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
-    fn batched_commit_composes_with_group_commit_wider_interval_wins() {
-        let d = tmp_dir("batch-group");
-        let p = d.join("b.jsonl");
-        let mut a = DurableAppender::create(&p).unwrap();
-
-        // No group window: commit_batch is the batch's commit point.
-        a.append_line_deferred("one").unwrap();
-        a.append_line_deferred("two").unwrap();
-        assert!(a.has_pending_batch());
-        a.commit_batch().unwrap();
-        assert!(!a.has_pending_batch());
-
-        // A window wider than the batch cadence supersedes the per-batch
-        // sync: the batch stays pending and rides the window — one shared
-        // dirty flag, no double buffering.
-        a.set_group_commit(Some(Duration::from_secs(3600)));
-        a.append_line_deferred("three").unwrap();
-        a.commit_batch().unwrap();
-        assert!(
-            a.has_pending_batch(),
-            "an open group window must defer the batch sync"
-        );
-        // The lines are complete and visible even while pending.
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "one\ntwo\nthree\n");
-        // An explicit sync closes the window's batch.
-        a.sync().unwrap();
-        assert!(!a.has_pending_batch());
-
-        // An already-elapsed window: the batch sync wins again.
-        a.set_group_commit(Some(Duration::ZERO));
-        a.append_line_deferred("four").unwrap();
-        a.commit_batch().unwrap();
-        assert!(
-            !a.has_pending_batch(),
-            "a closed window syncs with the batch"
-        );
-        assert_eq!(
-            std::fs::read_to_string(&p).unwrap(),
-            "one\ntwo\nthree\nfour\n"
-        );
-        std::fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
     fn appender_accumulates_lines() {
         let d = tmp_dir("append");
         let p = d.join("j.jsonl");
@@ -759,7 +647,20 @@ mod tests {
         drop(a);
         let mut b = DurableAppender::append_to(&p).unwrap();
         b.append_line("three").unwrap();
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "one\ntwo\nthree\n");
+        assert!(
+            !b.has_pending_batch(),
+            "append_line syncs before it returns"
+        );
+        // Deferred appends are complete, visible lines awaiting one sync.
+        b.append_line_deferred("four").unwrap();
+        b.append_line_deferred("five").unwrap();
+        assert!(b.has_pending_batch());
+        assert_eq!(
+            std::fs::read_to_string(&p).unwrap(),
+            "one\ntwo\nthree\nfour\nfive\n"
+        );
+        b.commit_batch().unwrap();
+        assert!(!b.has_pending_batch());
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -35,6 +35,7 @@ mod clock;
 mod event;
 pub mod fsio;
 pub mod hash;
+pub mod json;
 pub mod rng;
 pub mod snap;
 pub mod tick;

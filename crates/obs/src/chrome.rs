@@ -268,9 +268,8 @@ impl Probe for ChromeTracer {
 }
 
 /// Ticks (picoseconds) → trace timestamp (microseconds), shortest form.
-fn ts(t: Tick) -> String {
-    let micros = t as f64 / 1e6;
-    format!("{micros}")
+fn ts(t: Tick) -> impl std::fmt::Display {
+    crate::json::json_f64(t as f64 / 1e6)
 }
 
 fn meta(pid: u32, tid: u64, name: &str, value: &str) -> String {

@@ -1,306 +1,4 @@
-//! Minimal JSON utilities: a recursive-descent validator (no value tree,
-//! no allocation proportional to input) plus the escaping/formatting
-//! helpers the sinks share.
-//!
-//! The validator exists so tests and CI can assert that emitted traces are
-//! well-formed **without** pulling a JSON dependency into the workspace —
-//! the crate is deliberately dep-free. It checks full RFC 8259 syntax:
-//! nesting, string escapes (including `\uXXXX`), number grammar, and
-//! rejects trailing garbage.
+//! JSON helpers for the sinks and their callers: re-exports of the
+//! workspace's one JSON module, [`dramctrl_kernel::json`].
 
-/// Validates that `input` is exactly one well-formed JSON value (plus
-/// surrounding whitespace). Returns the byte offset of the first error.
-pub fn validate(input: &str) -> Result<(), JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON value"));
-    }
-    Ok(())
-}
-
-/// A syntax error with its byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the error in the input.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: &'static str,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid JSON at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, message: &'static str) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8, message: &'static str) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(message))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal(b"true"),
-            Some(b'f') => self.literal(b"false"),
-            Some(b'n') => self.literal(b"null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &[u8]) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), JsonError> {
-        self.eat(b'{', "expected '{'")?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.eat(b':', "expected ':' after object key")?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), JsonError> {
-        self.eat(b'[', "expected '['")?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), JsonError> {
-        self.eat(b'"', "expected '\"'")?;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(c) if c.is_ascii_hexdigit() => self.pos += 1,
-                                    _ => return Err(self.err("invalid \\u escape")),
-                                }
-                            }
-                        }
-                        _ => return Err(self.err("invalid escape character")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), JsonError> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => self.digits(),
-            _ => return Err(self.err("expected digit")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            match self.peek() {
-                Some(b'0'..=b'9') => self.digits(),
-                _ => return Err(self.err("expected digit after '.'")),
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            match self.peek() {
-                Some(b'0'..=b'9') => self.digits(),
-                _ => return Err(self.err("expected digit in exponent")),
-            }
-        }
-        Ok(())
-    }
-
-    fn digits(&mut self) {
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-    }
-}
-
-/// JSON string literal for `s`, with the required escapes.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number for an f64: shortest round-trip form; non-finite values
-/// (not representable in JSON) become `null`.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accepts_valid_documents() {
-        for doc in [
-            "null",
-            "true",
-            " false ",
-            "0",
-            "-1.5e-3",
-            "123.456",
-            "\"hi \\n \\u00e9\"",
-            "[]",
-            "[1, 2, [3, {\"a\": null}]]",
-            "{}",
-            "{\"a\":{\"b\":[1,\"x\",true]},\"c\":-0.5}",
-        ] {
-            assert!(validate(doc).is_ok(), "should accept: {doc}");
-        }
-    }
-
-    #[test]
-    fn rejects_invalid_documents() {
-        for doc in [
-            "",
-            "nul",
-            "01",
-            "1.",
-            "1e",
-            "[1,]",
-            "{\"a\"}",
-            "{\"a\":1,}",
-            "{a:1}",
-            "\"unterminated",
-            "\"bad \\q escape\"",
-            "\"\\u12g4\"",
-            "[1] extra",
-            "\u{1}",
-        ] {
-            assert!(validate(doc).is_err(), "should reject: {doc}");
-        }
-    }
-
-    #[test]
-    fn error_reports_offset() {
-        let err = validate("[1, x]").unwrap_err();
-        assert_eq!(err.offset, 4);
-        assert!(err.to_string().contains("byte 4"));
-    }
-
-    #[test]
-    fn helpers_escape_and_format() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert!(validate(&json_str("any\tthing")).is_ok());
-    }
-}
+pub use dramctrl_kernel::json::{escape_into, json_f64, json_str, validate, ParseError};

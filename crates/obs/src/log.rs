@@ -15,6 +15,7 @@
 //! // stderr: ts=1754650000.123 level=info target=serve msg="listening" addr="127.0.0.1:8080"
 //! ```
 
+use crate::json::escape_into;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -106,20 +107,6 @@ pub fn enabled(level: Level) -> bool {
     (level as u8) <= LEVEL.load(Ordering::Relaxed)
 }
 
-/// Escapes a field value for a double-quoted logfmt token.
-fn escape_into(out: &mut String, v: &str) {
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Formats one record as a logfmt line (no trailing newline):
 /// `ts=<epoch.millis> level=<l> target=<t> msg="..." k="v" ...`.
 pub fn format_record(level: Level, target: &str, msg: &str, fields: &[(&str, String)]) -> String {
@@ -129,18 +116,16 @@ pub fn format_record(level: Level, target: &str, msg: &str, fields: &[(&str, Str
     let mut line = String::with_capacity(64 + msg.len());
     let _ = write!(
         line,
-        "ts={}.{:03} level={} target={} msg=\"",
+        "ts={}.{:03} level={} target={} msg=",
         now.as_secs(),
         now.subsec_millis(),
         level.as_str(),
         target
     );
-    escape_into(&mut line, msg);
-    line.push('"');
+    escape_into(msg, &mut line);
     for (k, v) in fields {
-        let _ = write!(line, " {k}=\"");
-        escape_into(&mut line, v);
-        line.push('"');
+        let _ = write!(line, " {k}=");
+        escape_into(v, &mut line);
     }
     line
 }
@@ -155,22 +140,25 @@ pub fn format_record_json(
     msg: &str,
     fields: &[(&str, String)],
 ) -> String {
-    use crate::json::json_str;
     let now = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .unwrap_or_default();
     let mut line = String::with_capacity(96 + msg.len());
     let _ = write!(
         line,
-        "{{\"ts\":{}.{:03},\"level\":\"{}\",\"target\":{},\"msg\":{}",
+        "{{\"ts\":{}.{:03},\"level\":\"{}\"",
         now.as_secs(),
         now.subsec_millis(),
         level.as_str(),
-        json_str(target),
-        json_str(msg)
     );
-    for (k, v) in fields {
-        let _ = write!(line, ",{}:{}", json_str(k), json_str(v));
+    for (k, v) in [("target", target), ("msg", msg)]
+        .into_iter()
+        .chain(fields.iter().map(|(k, v)| (*k, v.as_str())))
+    {
+        line.push(',');
+        escape_into(k, &mut line);
+        line.push(':');
+        escape_into(v, &mut line);
     }
     line.push('}');
     line
@@ -250,7 +238,11 @@ mod tests {
             Level::Warn,
             "serve",
             "odd \"thing\"",
-            &[("tenant", "a\nb".to_string()), ("n", "3".to_string())],
+            &[
+                ("esc", "\u{1b}[2J".to_string()),
+                ("tenant", "a\nb".to_string()),
+                ("n", "3".to_string()),
+            ],
         );
         assert!(line.starts_with("ts="), "{line}");
         assert!(
@@ -258,8 +250,10 @@ mod tests {
             "{line}"
         );
         assert!(line.ends_with("tenant=\"a\\nb\" n=\"3\""), "{line}");
-        // Exactly one line: field newlines were escaped.
-        assert!(!line.contains('\n') && !line.contains('\r'));
+        // Exactly one line, and nothing a terminal would act on: newlines
+        // and other control characters were escaped.
+        assert!(line.contains("esc=\"\\u001b[2J\""), "{line}");
+        assert!(!line.chars().any(char::is_control), "{line}");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! dramctrl_obs::metrics::validate_exposition(&text).unwrap();
 //! ```
 
+use crate::json::{escape_into, json_f64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -456,7 +457,9 @@ impl Registry {
                 if ci > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{{\"labels\":\"{}\",", escape_label(ls));
+                out.push_str("{\"labels\":");
+                escape_into(ls, &mut out);
+                out.push(',');
                 match child {
                     Child::Counter(c) => {
                         let _ = write!(out, "\"value\":{}}}", c.get());
@@ -487,12 +490,11 @@ impl Registry {
                             if bi > 0 {
                                 out.push(',');
                             }
-                            let le = if bound == f64::INFINITY {
-                                "\"+Inf\"".to_string()
+                            let _ = if bound == f64::INFINITY {
+                                write!(out, "{{\"le\":\"+Inf\",\"count\":{cum}}}")
                             } else {
-                                json_f64(bound)
+                                write!(out, "{{\"le\":{},\"count\":{cum}}}", json_f64(bound))
                             };
-                            let _ = write!(out, "{{\"le\":{le},\"count\":{cum}}}");
                         }
                         out.push_str("]}");
                     }
@@ -502,14 +504,6 @@ impl Registry {
         }
         out.push_str("]}");
         out
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 

@@ -94,7 +94,7 @@ pub fn cy_cfg(
 }
 
 /// Builds an event-based controller with an explicit scheduler (the
-/// general form of [`ev_ctrl`](crate::ev_ctrl)).
+/// general form of `dramctrl_bench::ev_ctrl`).
 pub fn ev_ctrl_with(
     spec: MemSpec,
     policy: PagePolicy,
@@ -106,7 +106,7 @@ pub fn ev_ctrl_with(
 }
 
 /// Builds the matching cycle-based baseline with an explicit scheduler
-/// (the general form of [`cy_ctrl`](crate::cy_ctrl)).
+/// (the general form of `dramctrl_bench::cy_ctrl`).
 pub fn cy_ctrl_with(
     spec: MemSpec,
     policy: PagePolicy,
@@ -264,9 +264,26 @@ pub fn run_job_resumable(
     every: u64,
     pause_after: Option<u64>,
 ) -> Option<JobMetrics> {
-    match run_checkpointed(job, checkpoint, every, pause_after) {
-        SliceOutcome::Done(m) => Some(m),
-        SliceOutcome::Paused { .. } => None,
+    let mut run = JobRun::start(job);
+    if let Some(path) = checkpoint.filter(|p| p.exists()) {
+        run.restore(path);
+    }
+    loop {
+        // Stop at the pause point or the next periodic checkpoint,
+        // whichever comes first.
+        let periodic = checkpoint
+            .filter(|_| every > 0)
+            .map(|_| (run.injected() / every + 1) * every);
+        let stop = pause_after.into_iter().chain(periodic).min();
+        match run.advance(stop) {
+            SliceOutcome::Paused { injected } => {
+                run.save(checkpoint.expect("pausing a run requires a checkpoint path"));
+                if pause_after.is_some_and(|n| injected >= n) {
+                    return None;
+                }
+            }
+            SliceOutcome::Done(m) => return Some(m),
+        }
     }
 }
 
@@ -283,49 +300,6 @@ pub enum SliceOutcome {
         /// Requests injected so far (monotonic across slices).
         injected: u64,
     },
-}
-
-/// One preemptible slice of `job` *through a file*: resume from
-/// `checkpoint` if it exists, simulate until the job completes or the
-/// first request boundary at or past `pause_after` injections, and
-/// checkpoint on pause (`None` runs to completion). Chained slices yield
-/// metrics byte-identical to an uninterrupted [`run_job`]. This form is
-/// for pause points that must survive the process; a scheduler that
-/// stays in one process keeps the [`JobRun`] and pays no I/O per slice.
-///
-/// # Panics
-/// Panics like [`run_job_resumable`].
-pub fn run_job_slice(job: &JobSpec, checkpoint: &Path, pause_after: Option<u64>) -> SliceOutcome {
-    run_checkpointed(job, Some(checkpoint), 0, pause_after)
-}
-
-fn run_checkpointed(
-    job: &JobSpec,
-    checkpoint: Option<&Path>,
-    every: u64,
-    pause_after: Option<u64>,
-) -> SliceOutcome {
-    let mut run = JobRun::start(job);
-    if let Some(path) = checkpoint.filter(|p| p.exists()) {
-        run.restore(path);
-    }
-    loop {
-        // Stop at the pause point or the next periodic checkpoint,
-        // whichever comes first.
-        let periodic = checkpoint
-            .filter(|_| every > 0)
-            .map(|_| (run.injected() / every + 1) * every);
-        let stop = pause_after.into_iter().chain(periodic).min();
-        match run.advance(stop) {
-            SliceOutcome::Paused { injected } => {
-                run.save(checkpoint.expect("pausing a run requires a checkpoint path"));
-                if pause_after.is_some_and(|n| injected >= n) {
-                    return SliceOutcome::Paused { injected };
-                }
-            }
-            done => return done,
-        }
-    }
 }
 
 /// A zero-latency crossbar over `ctrls`, interleaved by `mapping`.
@@ -363,8 +337,8 @@ macro_rules! with_ctrl {
 
 /// One job, live: the tester run, its traffic generator and the
 /// controller it drives, steppable a slice at a time. The one place a
-/// [`JobSpec`] is wired to a simulator — [`run_job`],
-/// [`run_job_resumable`] and [`run_job_slice`] wrap it. A scheduler
+/// [`JobSpec`] is wired to a simulator — [`run_job`] and
+/// [`run_job_resumable`] wrap it. A scheduler
 /// preempts a job by keeping its `JobRun` and calling
 /// [`advance`](Self::advance) again later; [`save`](Self::save) and
 /// [`restore`](Self::restore) are for pauses that must outlive the process.

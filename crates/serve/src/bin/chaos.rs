@@ -34,9 +34,9 @@
 //! Exit code: 0 when every crash point recovers byte-identically, 1
 //! otherwise. `--report` appends one JSON line per crash point.
 
-use dramctrl_bench::run_job;
 use dramctrl_campaign::{merge_journals, Campaign, CampaignJournal, JobOutcome, JobRecord};
 use dramctrl_kernel::fsio::{fault, write_atomic};
+use dramctrl_runner::run_job;
 use dramctrl_serve::JobStore;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};

@@ -39,7 +39,7 @@
 use crate::client::{Client, WatchSummary};
 use crate::proto::record_data;
 use dramctrl_campaign::{
-    merge_journals, parse_record_line, CampaignJournal, CampaignReport, JobRecord, JobSpec,
+    merge_journals, verify_record_line, CampaignJournal, CampaignReport, JobRecord, JobSpec,
     JournalError,
 };
 use dramctrl_kernel::backoff::Backoff;
@@ -466,7 +466,6 @@ fn run_assignment(
         .map_err(|e| fail(PeerVerdict::Dead, format!("local journal: {e}"), 0))?;
     let mut delivered = 0usize;
     let mut poison: Option<String> = None;
-    let total = units.len();
     let watched = Client::watch_with_reconnect_deadline(addr, &id, cfg.io_timeout, |v, line| {
         if poison.is_some() {
             return;
@@ -474,7 +473,7 @@ fn run_assignment(
         if v.get("event").and_then(crate::wire::Value::as_str) != Some("record") {
             return;
         }
-        match validate_record(campaign, units, line, shard, n, total) {
+        match validate_record(campaign, units, line, shard, n) {
             Ok(rec) => {
                 // Commit before publishing: `done` only ever names
                 // durably journaled indices.
@@ -503,39 +502,26 @@ fn run_assignment(
 }
 
 /// The lying-peer gate: a streamed `record` event is accepted only if
-/// its payload parses under the record grammar, its index is in range
-/// and in this shard's residue class, and re-rendering the outcome from
-/// the coordinator's *own* spec reproduces the payload byte-for-byte —
-/// which simultaneously proves the spec fields (seed, axes, campaign
-/// name) match, exactly as a spec-hash check would, at record
-/// granularity.
+/// its payload is byte for byte the record the coordinator's *own* spec
+/// renders for that index ([`verify_record_line`], the check the journal
+/// reader applies to every line on disk) and the index is in this
+/// shard's residue class.
 fn validate_record(
     campaign: &dramctrl_campaign::Campaign,
     units: &[JobSpec],
     line: &str,
     shard: u32,
     n: u32,
-    total: usize,
 ) -> Result<JobRecord, String> {
     let data = record_data(line).ok_or_else(|| "record event carries no payload".to_owned())?;
-    let (index, outcome) = parse_record_line(data)?;
-    if index >= total {
-        return Err(format!("index {index} out of range (total {total})"));
-    }
+    let (index, outcome) = verify_record_line(data, &campaign.name, units)?;
     if index as u64 % u64::from(n) != u64::from(shard) {
         return Err(format!("index {index} outside shard {shard}/{n}"));
     }
-    let rec = JobRecord {
+    Ok(JobRecord {
         job: units[index].clone(),
         outcome,
-    };
-    let expected = rec.render(&campaign.name);
-    if expected != data {
-        return Err(format!(
-            "record bytes diverge from the local spec at index {index}"
-        ));
-    }
-    Ok(rec)
+    })
 }
 
 #[cfg(test)]
@@ -565,24 +551,24 @@ mod tests {
         let data = record_line(&c, 1);
         let event = crate::proto::record_event("job-0001", 1, &data);
         // Honest: index 1 is in shard 1 of 3.
-        assert!(validate_record(&c, &units, &event, 1, 3, 3).is_ok());
+        assert!(validate_record(&c, &units, &event, 1, 3).is_ok());
         // Wrong residue class.
-        let err = validate_record(&c, &units, &event, 0, 3, 3).unwrap_err();
+        let err = validate_record(&c, &units, &event, 0, 3).unwrap_err();
         assert!(err.contains("outside shard"), "{err}");
         // Out of range index.
         let far =
             crate::proto::record_event("job-0001", 7, &data.replace("\"job\":1", "\"job\":7"));
-        let err = validate_record(&c, &units, &far, 1, 3, 3).unwrap_err();
+        let err = validate_record(&c, &units, &far, 1, 3).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
         // Foreign campaign: same shape, different seed → different
         // per-job seed bytes → byte divergence.
         let foreign = Campaign::new("dispatch-test", 10).read_pcts([0, 50, 100]);
         let forged = crate::proto::record_event("job-0001", 1, &record_line(&foreign, 1));
-        let err = validate_record(&c, &units, &forged, 1, 3, 3).unwrap_err();
+        let err = validate_record(&c, &units, &forged, 1, 3).unwrap_err();
         assert!(err.contains("diverge"), "{err}");
         // Garbage payload.
         let junk = "{\"event\":\"record\",\"id\":\"x\",\"index\":1,\"data\":{\"nope\":1}}";
-        assert!(validate_record(&c, &units, junk, 1, 3, 3).is_err());
+        assert!(validate_record(&c, &units, junk, 1, 3).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! and numeric tokens are kept raw end to end, so a `u64` campaign seed
 //! is never coerced through a float.
 
-use crate::wire::{escape, Value};
+use crate::wire::{escape_into, Value};
 use dramctrl::{PagePolicy, SchedPolicy};
 use dramctrl_campaign::{Campaign, Model, TrafficPattern, JOURNAL_VERSION};
 use dramctrl_kernel::snap::SNAP_VERSION;
@@ -56,18 +56,20 @@ impl VersionInfo {
     /// Renders the `hello` event line (no trailing newline).
     #[must_use]
     pub fn hello_line(&self) -> String {
-        format!(
-            "{{\"event\":\"hello\",\"proto\":{},\"crate\":{},\"snap\":{},\"journal\":{}}}",
-            self.proto,
-            escape(&self.crate_version),
-            self.snap,
-            self.journal
+        let mut out = format!("{{\"event\":\"hello\",\"proto\":{},\"crate\":", self.proto);
+        escape_into(&self.crate_version, &mut out);
+        write!(
+            out,
+            ",\"snap\":{},\"journal\":{}}}",
+            self.snap, self.journal
         )
+        .expect(INFALLIBLE);
+        out
     }
 
     /// Parses a `hello` event line back into the daemon's versions.
     pub fn from_hello(line: &str) -> Result<Self, String> {
-        let v = Value::parse(line)?;
+        let v = Value::parse(line).map_err(|e| e.to_string())?;
         if v.get("event").and_then(Value::as_str) != Some("hello") {
             return Err(format!("expected a hello event, got: {line}"));
         }
@@ -227,16 +229,31 @@ pub fn campaign_from_wire(v: &Value) -> Result<Campaign, String> {
         })?))
 }
 
+const INFALLIBLE: &str = "writing to a String cannot fail";
+
+/// Opens an event object, `{"event":<event>,<key>:<value>` — every event
+/// starts with its name and one string member (`id` or `reason`); the
+/// caller appends the rest and the closing brace.
+fn open_event(event: &str, key: &str, value: &str) -> String {
+    let mut out = String::with_capacity(64 + value.len());
+    out.push_str("{\"event\":");
+    escape_into(event, &mut out);
+    out.push(',');
+    escape_into(key, &mut out);
+    out.push(':');
+    escape_into(value, &mut out);
+    out
+}
+
 /// Renders a `record` event. `data` must be a rendered
 /// [`JobRecord`](dramctrl_campaign::JobRecord) line; it is embedded as
 /// raw JSON in the *last* field, so [`record_data`] can slice the exact
 /// original bytes back out on the client side.
 #[must_use]
 pub fn record_event(id: &str, index: usize, data: &str) -> String {
-    format!(
-        "{{\"event\":\"record\",\"id\":{},\"index\":{index},\"data\":{data}}}",
-        escape(id)
-    )
+    let mut out = open_event("record", "id", id);
+    write!(out, ",\"index\":{index},\"data\":{data}}}").expect(INFALLIBLE);
+    out
 }
 
 /// Recovers the embedded record line from a `record` event, byte for
@@ -253,15 +270,10 @@ pub fn record_data(line: &str) -> Option<&str> {
 /// multi-line) fit the one-line-per-message framing.
 #[must_use]
 pub fn text_event(event: &str, id: &str, index: usize, text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 64);
-    write!(
-        out,
-        "{{\"event\":{},\"id\":{},\"index\":{index},\"text\":",
-        escape(event),
-        escape(id)
-    )
-    .expect("writing to String cannot fail");
-    crate::wire::escape_into(text, &mut out);
+    let mut out = open_event(event, "id", id);
+    out.reserve(text.len() + 32);
+    write!(out, ",\"index\":{index},\"text\":").expect(INFALLIBLE);
+    escape_into(text, &mut out);
     out.push('}');
     out
 }
@@ -269,42 +281,39 @@ pub fn text_event(event: &str, id: &str, index: usize, text: &str) -> String {
 /// Renders a `progress` event: `done` of `total` units committed.
 #[must_use]
 pub fn progress_event(id: &str, done: usize, total: usize) -> String {
-    format!(
-        "{{\"event\":\"progress\",\"id\":{},\"done\":{done},\"total\":{total}}}",
-        escape(id)
-    )
+    let mut out = open_event("progress", "id", id);
+    write!(out, ",\"done\":{done},\"total\":{total}}}").expect(INFALLIBLE);
+    out
 }
 
 /// Renders the terminal `done` event with outcome counts.
 #[must_use]
 pub fn done_event(id: &str, ok: usize, failed: usize) -> String {
-    format!(
-        "{{\"event\":\"done\",\"id\":{},\"ok\":{ok},\"failed\":{failed}}}",
-        escape(id)
-    )
+    let mut out = open_event("done", "id", id);
+    write!(out, ",\"ok\":{ok},\"failed\":{failed}}}").expect(INFALLIBLE);
+    out
 }
 
 /// Renders an `error` event (command-level failure; the connection
 /// stays usable).
 #[must_use]
 pub fn error_event(reason: &str) -> String {
-    format!("{{\"event\":\"error\",\"reason\":{}}}", escape(reason))
+    open_event("error", "reason", reason) + "}"
 }
 
 /// Renders a `rejected` event (admission control refused a submit).
 #[must_use]
 pub fn rejected_event(reason: &str) -> String {
-    format!("{{\"event\":\"rejected\",\"reason\":{}}}", escape(reason))
+    open_event("rejected", "reason", reason) + "}"
 }
 
 /// Renders an `accepted` event: the job is durably journaled and will
 /// run.
 #[must_use]
 pub fn accepted_event(id: &str, total: usize) -> String {
-    format!(
-        "{{\"event\":\"accepted\",\"id\":{},\"total\":{total}}}",
-        escape(id)
-    )
+    let mut out = open_event("accepted", "id", id);
+    write!(out, ",\"total\":{total}}}").expect(INFALLIBLE);
+    out
 }
 
 #[cfg(test)]
@@ -400,5 +409,51 @@ mod tests {
         assert!(!line.contains('\n'), "framing stays one line");
         let v = Value::parse(&line).unwrap();
         assert_eq!(v.get("text").unwrap().as_str(), Some(stats));
+    }
+
+    #[test]
+    fn every_event_is_compact_json_that_round_trips_through_the_one_reader() {
+        // The bytes are the protocol: pinned for a plain id...
+        assert_eq!(
+            record_event("job-0001", 3, "{\"a\":0.5}"),
+            r#"{"event":"record","id":"job-0001","index":3,"data":{"a":0.5}}"#
+        );
+        assert_eq!(
+            text_event("epochs", "job-0001", 2, "a\nb"),
+            r#"{"event":"epochs","id":"job-0001","index":2,"text":"a\nb"}"#
+        );
+        assert_eq!(
+            progress_event("job-0001", 1, 2),
+            r#"{"event":"progress","id":"job-0001","done":1,"total":2}"#
+        );
+        assert_eq!(
+            done_event("job-0001", 1, 1),
+            r#"{"event":"done","id":"job-0001","ok":1,"failed":1}"#
+        );
+        assert_eq!(
+            accepted_event("job-0001", 9),
+            r#"{"event":"accepted","id":"job-0001","total":9}"#
+        );
+        assert_eq!(error_event("no"), r#"{"event":"error","reason":"no"}"#);
+        assert_eq!(
+            rejected_event("no"),
+            r#"{"event":"rejected","reason":"no"}"#
+        );
+        // ...and for a hostile one, still one line the reader re-encodes
+        // verbatim.
+        let nasty = "id \"q\" \\ \n \u{1} é😀";
+        for line in [
+            VersionInfo::current().hello_line(),
+            record_event(nasty, 3, "{\"a\":0.5}"),
+            text_event("stats", nasty, 0, "{\n\"a\":1}\n"),
+            progress_event(nasty, 1, 2),
+            done_event(nasty, 1, 1),
+            accepted_event(nasty, 9),
+            error_event(nasty),
+            rejected_event(nasty),
+        ] {
+            let v = Value::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(v.encode(), line);
+        }
     }
 }

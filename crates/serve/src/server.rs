@@ -72,12 +72,12 @@ use crate::proto::{
 };
 use crate::sched::FairQueue;
 use crate::store::{JobStore, StoredJob};
-use crate::wire::{escape, Value};
-use dramctrl_bench::{run_job_observed, JobArtifacts, JobRun, SliceOutcome};
+use crate::wire::{json_str, Value};
 use dramctrl_campaign::{panic_message, CampaignJournal, JobOutcome, JobRecord, JobSpec};
 use dramctrl_kernel::backoff::Backoff;
 use dramctrl_kernel::fsio::write_atomic;
 use dramctrl_obs::metrics::Gauge;
+use dramctrl_runner::{run_job_observed, JobArtifacts, JobRun, SliceOutcome};
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -974,8 +974,8 @@ impl Server {
                 return Err(format!(
                     "{{\"status\":\"degraded\",\"store\":{},\"reason\":{},\
                      \"degraded_seconds\":{:.3},\"retries\":{}}}",
-                    escape(&st.store.root().display().to_string()),
-                    escape(&d.reason),
+                    json_str(&st.store.root().display().to_string()),
+                    json_str(&d.reason),
                     d.since.elapsed().as_secs_f64(),
                     self.inner.metrics.store_retries.get(),
                 ));
@@ -988,14 +988,14 @@ impl Server {
         match outcome {
             Ok(()) => Ok(format!(
                 "{{\"status\":\"ok\",\"store\":{},\"active_jobs\":{},\"uptime_seconds\":{:.3}}}",
-                escape(&root.display().to_string()),
+                json_str(&root.display().to_string()),
                 active,
                 self.inner.started.elapsed().as_secs_f64(),
             )),
             Err(e) => Err(format!(
                 "{{\"status\":\"unwritable\",\"store\":{},\"error\":{}}}",
-                escape(&root.display().to_string()),
-                escape(&e.to_string()),
+                json_str(&root.display().to_string()),
+                json_str(&e.to_string()),
             )),
         }
     }
@@ -1048,12 +1048,12 @@ fn jobs_tenants_json(st: &State) -> String {
         };
         jobs.push_str(&format!(
             "{{\"id\":{},\"tenant\":{},\"done\":{},\"failed\":{},\"total\":{},\"state\":{}{}{}}}",
-            escape(id),
-            escape(&js.stored.tenant),
+            json_str(id),
+            json_str(&js.stored.tenant),
             js.done,
             js.failed,
             js.total,
-            escape(if js.finished() { "done" } else { "active" }),
+            json_str(if js.finished() { "done" } else { "active" }),
             match js.stored.shard {
                 Some((i, n)) => format!(",\"shard\":\"{i}/{n}\""),
                 None => String::new(),
@@ -1085,14 +1085,14 @@ fn jobs_tenants_json(st: &State) -> String {
         out.push_str(&format!(
             "{{\"tenant\":{},\"queued\":{},\"active_jobs\":{},\"served\":{},\"failed\":{},\
              \"rejected\":{},\"running\":{}}}",
-            escape(tenant),
+            json_str(tenant),
             roll.queued,
             roll.active,
             roll.served,
             roll.failed,
             st.rejects.get(*tenant).copied().unwrap_or(0),
             match &roll.running {
-                Some((id, u)) => format!("{{\"job\":{},\"unit\":{u}}}", escape(id)),
+                Some((id, u)) => format!("{{\"job\":{},\"unit\":{u}}}", json_str(id)),
                 None => "null".to_owned(),
             },
         ));

@@ -44,7 +44,7 @@
 //! job can never be resurrected and re-run on restart.
 
 use crate::proto::{campaign_from_wire, campaign_to_wire};
-use crate::wire::{escape, Value};
+use crate::wire::{json_str, Value};
 use dramctrl_campaign::Campaign;
 use dramctrl_kernel::fsio::DurableAppender;
 use std::collections::BTreeSet;
@@ -199,8 +199,8 @@ impl JobStore {
         let shard_field = shard.map_or(String::new(), |(i, n)| format!("\"shard\":[{i},{n}],"));
         let line = format!(
             "{{\"id\":{},\"tenant\":{},\"epochs\":{},{}\"campaign\":{}}}",
-            escape(&id),
-            escape(tenant),
+            json_str(&id),
+            json_str(tenant),
             epochs,
             shard_field,
             campaign_to_wire(campaign).encode()
@@ -233,7 +233,7 @@ impl JobStore {
             } else {
                 DurableAppender::create(&log)?
             };
-            appender.append_line(&format!("{{\"id\":{}}}", escape(id)))?;
+            appender.append_line(&format!("{{\"id\":{}}}", json_str(id)))?;
             self.evicted.insert(id.to_owned());
         }
         let dir = self.job_dir(id);
@@ -302,7 +302,7 @@ impl JobStore {
 }
 
 fn parse_accept_line(line: &str) -> Result<StoredJob, String> {
-    let v = Value::parse(line)?;
+    let v = Value::parse(line).map_err(|e| e.to_string())?;
     let id = v
         .get("id")
         .and_then(Value::as_str)

@@ -81,6 +81,7 @@ fn line_acked(line: &str) -> u64 {
 #[test]
 fn corrupted_checkpoints_are_refused_loudly_not_misread() {
     use dramctrl_campaign::Campaign;
+    use dramctrl_runner::run_job_resumable;
     let dir = tmp("torn-snap");
     let c = Campaign::new("snap", 3).read_pcts([50]).requests([5_000]);
     let unit = &c.expand()[0];
@@ -89,7 +90,7 @@ fn corrupted_checkpoints_are_refused_loudly_not_misread() {
     // A checkpoint that is garbage from byte 0.
     std::fs::write(&snap, b"not a snapshot at all").unwrap();
     let garbage = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dramctrl_bench::run_job_slice(unit, &snap, Some(1_000));
+        run_job_resumable(unit, Some(&snap), 0, Some(1_000));
     }));
     let msg = panic_text(garbage.expect_err("garbage checkpoint must be refused"));
     assert!(msg.contains("checkpoint"), "unhelpful refusal: {msg}");
@@ -97,14 +98,14 @@ fn corrupted_checkpoints_are_refused_loudly_not_misread() {
     // A real checkpoint torn in half (as if a non-atomic writer died):
     // must also be refused loudly, never half-restored.
     let _ = std::fs::remove_file(&snap);
-    match dramctrl_bench::run_job_slice(unit, &snap, Some(1_000)) {
-        dramctrl_bench::SliceOutcome::Paused { .. } => {}
-        dramctrl_bench::SliceOutcome::Done(_) => panic!("quantum too large: never paused"),
-    }
+    assert!(
+        run_job_resumable(unit, Some(&snap), 0, Some(1_000)).is_none(),
+        "quantum too large: never paused"
+    );
     let whole = std::fs::read(&snap).unwrap();
     std::fs::write(&snap, &whole[..whole.len() / 2]).unwrap();
     let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dramctrl_bench::run_job_slice(unit, &snap, None);
+        run_job_resumable(unit, Some(&snap), 0, None);
     }));
     let msg = panic_text(torn.expect_err("torn checkpoint must be refused"));
     assert!(msg.contains("checkpoint"), "unhelpful refusal: {msg}");

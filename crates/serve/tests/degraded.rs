@@ -8,9 +8,9 @@
 //! parallel tests (and the reference runs) never see each other's
 //! faults.
 
-use dramctrl_bench::run_job;
 use dramctrl_campaign::{run_campaign_journaled, Campaign, CampaignJournal, ExecutorConfig};
 use dramctrl_kernel::fsio::fault;
+use dramctrl_runner::run_job;
 use dramctrl_serve::proto;
 use dramctrl_serve::wire::Value;
 use dramctrl_serve::{Client, Listener, ServeConfig, Server};

@@ -2,9 +2,9 @@
 //! descriptors — which any other test's daemon would disturb. Hence
 //! their own test binary, and one lock so the two never overlap.
 
-use dramctrl_bench::run_job;
 use dramctrl_campaign::{run_campaign, Campaign, ExecutorConfig};
 use dramctrl_kernel::fsio::fault::op_count;
+use dramctrl_runner::run_job;
 use dramctrl_serve::wire::Value;
 use dramctrl_serve::{proto, Client, Listener, ServeConfig, Server};
 use std::path::PathBuf;

@@ -3,10 +3,10 @@
 //! standalone campaign run, and restart-on-the-same-store resuming
 //! without re-running or losing committed work.
 
-use dramctrl_bench::run_job;
 use dramctrl_campaign::{
     run_campaign_journaled, Campaign, CampaignJournal, ExecutorConfig, JobRecord,
 };
+use dramctrl_runner::run_job;
 use dramctrl_serve::proto;
 use dramctrl_serve::wire::Value;
 use dramctrl_serve::{Client, Listener, ServeConfig, Server};
@@ -471,7 +471,7 @@ fn concurrent_scrapes_never_perturb_streamed_records() {
 
 #[test]
 fn preemption_counter_matches_independent_slice_replay() {
-    use dramctrl_bench::{run_job_slice, SliceOutcome};
+    use dramctrl_runner::{JobRun, SliceOutcome};
     let root = tmp("preempt");
     let quantum = 700;
     let (addr, _http, server) = spawn_daemon_http(root.join("store"), quantum);
@@ -488,22 +488,16 @@ fn preemption_counter_matches_independent_slice_replay() {
         .expect("preemption counter present");
 
     // Replay each unit through the same slicing rule the scheduler uses
-    // (first target = quantum, then injected + quantum) and count pauses.
-    // Slicing is simulation-deterministic, so the counts must agree.
-    let replay = root.join("replay");
-    std::fs::create_dir_all(&replay).unwrap();
+    // (first target = quantum, then injected + quantum) — and the same
+    // call, `JobRun::advance` — and count pauses. Slicing is
+    // simulation-deterministic, so the counts must agree.
     let mut want = 0u64;
-    for (i, unit) in c.expand().iter().enumerate() {
-        let ckpt = replay.join(format!("u{i}.snap"));
+    for unit in &c.expand() {
+        let mut run = JobRun::start(unit);
         let mut target = quantum;
-        loop {
-            match run_job_slice(unit, &ckpt, Some(target)) {
-                SliceOutcome::Done(_) => break,
-                SliceOutcome::Paused { injected } => {
-                    want += 1;
-                    target = injected + quantum;
-                }
-            }
+        while let SliceOutcome::Paused { injected } = run.advance(Some(target)) {
+            want += 1;
+            target = injected + quantum;
         }
     }
     assert!(want >= 1, "quantum too large to preempt at all");

@@ -94,8 +94,8 @@ impl Average {
     /// The raw accumulator state `(sum, count, min, max)` for
     /// checkpointing. The floats must be persisted bit-exactly (via
     /// `f64::to_bits`) so a restored accumulator renders byte-identical
-    /// reports; this crate stays dependency-free, so serialisation itself
-    /// lives with the caller.
+    /// reports; this crate knows no snapshot format, so serialisation
+    /// itself lives with the caller.
     pub fn to_parts(&self) -> (f64, u64, f64, f64) {
         (self.sum, self.count, self.min, self.max)
     }

@@ -241,8 +241,8 @@ impl Histogram {
     }
 
     /// The complete raw state for checkpointing. The float fields must be
-    /// persisted bit-exactly (`f64::to_bits`); this crate stays
-    /// dependency-free, so serialisation lives with the caller.
+    /// persisted bit-exactly (`f64::to_bits`); this crate knows no
+    /// snapshot format, so serialisation lives with the caller.
     pub fn to_parts(&self) -> HistogramParts {
         HistogramParts {
             min: self.min,
@@ -324,8 +324,8 @@ pub struct HistogramParts {
 mod tests {
     use super::*;
 
-    /// Minimal seeded LCG (Knuth MMIX constants) so this dependency-free
-    /// crate can run randomised tests deterministically.
+    /// Minimal seeded LCG (Knuth MMIX constants) so the randomised tests
+    /// run deterministically.
     struct Lcg(u64);
 
     impl Lcg {

@@ -1,6 +1,7 @@
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::{Average, Histogram};
+use dramctrl_kernel::json::{escape_into, json_f64};
 
 /// An ordered collection of named statistic values, in the spirit of gem5's
 /// `stats.txt` dump.
@@ -148,62 +149,30 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.entries.len() * 32);
         out.push_str("{\"prefix\":");
-        out.push_str(&json_str(&self.prefix));
+        escape_into(&self.prefix, &mut out);
         out.push_str(",\"entries\":[");
         for (i, (name, value)) in self.entries.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n{\"name\":");
-            out.push_str(&json_str(name));
+            escape_into(name, &mut out);
             match value {
                 Value::Counter(v) => {
-                    out.push_str(&format!(",\"type\":\"counter\",\"value\":{v}"));
+                    let _ = write!(out, ",\"type\":\"counter\",\"value\":{v}");
                 }
                 Value::Scalar(v) => {
-                    out.push_str(",\"type\":\"scalar\",\"value\":");
-                    out.push_str(&json_f64(*v));
+                    let _ = write!(out, ",\"type\":\"scalar\",\"value\":{}", json_f64(*v));
                 }
                 Value::Text(v) => {
                     out.push_str(",\"type\":\"text\",\"value\":");
-                    out.push_str(&json_str(v));
+                    escape_into(v, &mut out);
                 }
             }
             out.push('}');
         }
         out.push_str("]}\n");
         out
-    }
-}
-
-/// JSON string literal with the required escapes (kept local so the stats
-/// crate stays dependency-free).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Shortest round-trip JSON number; non-finite becomes `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
     }
 }
 
@@ -282,7 +251,7 @@ mod tests {
         r.scalar("bad", f64::NAN);
         r.text("device", "DDR3 \"x64\"");
         let json = r.to_json();
-        dramctrl_obs::json::validate(&json).expect("valid JSON");
+        dramctrl_kernel::json::validate(&json).expect("valid JSON");
         assert!(json.starts_with("{\"prefix\":\"ctrl\",\"entries\":["));
         assert!(json.contains("{\"name\":\"reads\",\"type\":\"counter\",\"value\":1024}"));
         assert!(json.contains("{\"name\":\"util\",\"type\":\"scalar\",\"value\":0.5}"));
@@ -293,7 +262,7 @@ mod tests {
         // Equal reports serialise byte-identically.
         assert_eq!(json, r.clone().to_json());
         // Empty reports are still valid documents.
-        dramctrl_obs::json::validate(&Report::new("empty").to_json()).unwrap();
+        dramctrl_kernel::json::validate(&Report::new("empty").to_json()).unwrap();
     }
 
     #[test]
