@@ -1,11 +1,12 @@
 //! The campaign executor: a work-stealing thread pool with panic
-//! isolation and a dedicated progress/collection thread.
+//! isolation, collected and reported on by the calling thread.
 //!
 //! Workers pull job indices from a shared atomic counter (the cheapest
 //! possible work-stealing deque for identical-cost jobs), run the
 //! caller's runner under [`std::panic::catch_unwind`], retry panicked
 //! jobs up to a bound, and stream `(index, outcome)` pairs over a
-//! channel to a collector thread that also reports progress. Results are
+//! channel to the collector — the thread that called in, which would
+//! otherwise only wait — which also reports progress. Results are
 //! stored by job index, so the final report is independent of scheduling
 //! order and worker count.
 
@@ -390,11 +391,18 @@ where
         }
         drop(tx);
 
-        let name = campaign.name.clone();
+        let name = &campaign.name;
         let progress = cfg.progress;
-        let exec_metrics = cfg.metrics.clone();
+        let exec_metrics = &cfg.metrics;
         let to_run = pending.len();
-        let collector = s.spawn(move || {
+        // The caller collects. Its journal copies of the outcomes then
+        // live in the one allocator arena that outlasts the campaign,
+        // not in whichever arena a fresh collector thread is handed, so
+        // a process running campaign after campaign has a steady
+        // resident set. A failed commit unwinds through `rx`, and the
+        // workers stop at their next send.
+        {
+            let rx = rx;
             let mut journal = journal;
             let mut outcomes = prefilled;
             let mut done = 0usize;
@@ -426,7 +434,7 @@ where
                                 j.path().display()
                             )
                         });
-                    if let Some(m) = &exec_metrics {
+                    if let Some(m) = exec_metrics {
                         m.commit_seconds
                             .observe(commit_started.elapsed().as_secs_f64());
                         m.batch_records.observe(batch.len() as f64);
@@ -440,7 +448,7 @@ where
                     outcomes[i] = Some(outcome);
                 }
                 let elapsed = start.elapsed().as_secs_f64();
-                if let Some(m) = &exec_metrics {
+                if let Some(m) = exec_metrics {
                     if elapsed > 0.0 {
                         m.units_per_second.set(done as f64 / elapsed);
                     }
@@ -466,8 +474,7 @@ where
                 eprintln!("\r{}", pad_progress(&mut line_width, &line));
             }
             outcomes
-        });
-        collector.join().expect("collector thread panicked")
+        }
     });
 
     // Unsharded, every index must have an outcome; a shard only has

@@ -17,11 +17,12 @@ use args::{
 use dramctrl::{CtrlConfig, DramCtrl, FaultModel, RasConfig};
 use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
 use dramctrl_kernel::fsio::write_atomic;
-use dramctrl_kernel::snap::{fingerprint, SnapError, SnapReader, SnapState, SnapWriter};
+use dramctrl_kernel::snap::{fingerprint, SnapState};
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{presets, Controller, MemSpec};
 use dramctrl_obs::{ChromeTracer, EpochRecorder};
 use dramctrl_power::{drampower_energy, micron_power};
+use dramctrl_runner::{restore_checkpoint, save_checkpoint};
 use dramctrl_stats::Report;
 use dramctrl_traffic::{
     DramAwareGen, LinearGen, RandomGen, SnapGen, TestSummary, Tester, TraceEntry, TraceGen,
@@ -529,7 +530,7 @@ fn drive_run<C: Controller + SnapState>(
     if let Some(path) = &ck.restore {
         let bytes = std::fs::read(path)
             .map_err(|e| ArgError(format!("reading checkpoint {path:?}: {e}")))?;
-        restore_state_of(&bytes, fp, &mut run, gen, ctrl)
+        restore_checkpoint(&bytes, fp, &mut run, gen, ctrl)
             .map_err(|e| ArgError(format!("cannot restore checkpoint {path:?}: {e}")))?;
         eprintln!(
             "restored checkpoint {path} ({} requests already injected)",
@@ -539,11 +540,7 @@ fn drive_run<C: Controller + SnapState>(
     while run.step(gen, ctrl, Tick::MAX) {
         if let (Some(path), Some(n)) = (&ck.checkpoint, ck.at) {
             if run.injected() >= n {
-                let mut w = SnapWriter::new(fp);
-                run.save_state(&mut w);
-                gen.save_state(&mut w);
-                ctrl.save_state(&mut w);
-                write_atomic(path, w.into_bytes())
+                save_checkpoint(Path::new(path), fp, &run, gen, ctrl)
                     .map_err(|e| ArgError(format!("writing checkpoint {path:?}: {e}")))?;
                 eprintln!(
                     "checkpoint written to {path} at {} injected requests; \
@@ -555,28 +552,6 @@ fn drive_run<C: Controller + SnapState>(
         }
     }
     Ok(Some(run.finish(ctrl)))
-}
-
-/// Restores `(run, gen, ctrl)` — the fixed component order — from
-/// snapshot bytes, rejecting wrong-fingerprint and trailing-garbage
-/// states.
-fn restore_state_of(
-    bytes: &[u8],
-    fp: u64,
-    run: &mut dramctrl_traffic::TestRun,
-    gen: &mut impl SnapState,
-    ctrl: &mut impl SnapState,
-) -> Result<(), SnapError> {
-    let mut r = SnapReader::new(bytes, fp)?;
-    run.restore_state(&mut r)?;
-    gen.restore_state(&mut r)?;
-    ctrl.restore_state(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(SnapError::Corrupt(
-            "snapshot has trailing bytes after the controller state".into(),
-        ));
-    }
-    Ok(())
 }
 
 fn print_summary(s: &TestSummary, spec: &MemSpec) {
@@ -851,9 +826,9 @@ fn parse_shard(s: &str) -> Result<(u32, u32), ArgError> {
 fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
     use dramctrl_campaign::{
         merge_journals, run_campaign, run_campaign_journaled, run_campaign_shard, CampaignJournal,
-        ExecutorConfig, JobMetrics, JobSpec, Progress,
+        ExecutorConfig, JobSpec, Progress,
     };
-    use dramctrl_runner::{run_job, run_job_resumable};
+    use dramctrl_runner::JobRun;
 
     let a = Args::parse(argv, &["csv", "quiet"])?;
     a.ensure_known(SWEEP_OPTS)?;
@@ -976,37 +951,35 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
         ),
         None => eprintln!("sweep: {} jobs, seed {}", campaign.len(), seed),
     }
-    let runner: Box<dyn Fn(&JobSpec) -> JobMetrics + Sync> = match a.get("obs-dir") {
-        Some(dir) => {
-            use dramctrl_runner::run_job_observed;
-            std::fs::create_dir_all(dir).map_err(|e| ArgError(format!("creating {dir:?}: {e}")))?;
-            let dir = PathBuf::from(dir);
-            Box::new(move |job| {
-                let (metrics, art) = run_job_observed(job, 1_000_000);
-                let base = dir.join(format!("job-{:04}", job.index));
-                // A failed write panics so the executor records the job as
-                // failed instead of silently dropping the artifact.
-                let write = |ext: &str, text: &str| {
-                    let path = base.with_extension(ext);
-                    write_atomic(&path, text)
-                        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-                };
-                write("trace.json", &art.perfetto_json);
-                write("epochs.csv", &art.epochs_csv);
-                write("stats.json", &art.stats_json);
-                metrics
-            })
-        }
-        None => match &ckpt_dir {
-            Some(dir) => {
-                let dir = dir.clone();
-                Box::new(move |job| {
-                    run_job_resumable(job, Some(&job_ckpt(&dir, job)), every, None)
-                        .expect("an unpaused job run always completes")
-                })
+    // One runner: a `JobRun`, observed when --obs-dir asks for artifacts
+    // (a checkpoint does not hold probe state, so those runs never
+    // restore one) and checkpointed beside the journal otherwise.
+    let obs_dir = a.get("obs-dir").map(PathBuf::from);
+    if let Some(dir) = &obs_dir {
+        std::fs::create_dir_all(dir).map_err(|e| ArgError(format!("creating {dir:?}: {e}")))?;
+    }
+    let epochs: Tick = if obs_dir.is_some() { 1_000_000 } else { 0 };
+    let runner = |job: &JobSpec| {
+        let ckpt = ckpt_dir.as_ref().filter(|_| epochs == 0);
+        let ckpt = ckpt.map(|dir| job_ckpt(dir, job));
+        let (metrics, artifacts) = JobRun::start(job, epochs)
+            .run_resumable(ckpt.as_deref(), every, None)
+            .expect("an unpaused job run always completes");
+        if let (Some(dir), Some(art)) = (&obs_dir, artifacts) {
+            let base = dir.join(format!("job-{:04}", job.index));
+            for (ext, text) in [
+                ("trace.json", &art.perfetto_json),
+                ("epochs.csv", &art.epochs_csv),
+                ("stats.json", &art.stats_json),
+            ] {
+                // A failed write panics so the executor records the job
+                // as failed instead of silently dropping the artifact.
+                let path = base.with_extension(ext);
+                write_atomic(&path, text)
+                    .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
             }
-            None => Box::new(run_job),
-        },
+        }
+        metrics
     };
     let report = match (&mut journal, shard) {
         (Some(j), Some(s)) => run_campaign_shard(&campaign, &cfg, j, s, runner),

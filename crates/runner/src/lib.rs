@@ -5,8 +5,10 @@
 
 #![warn(missing_docs)]
 
+mod checkpoint;
 mod runner;
 
+pub use checkpoint::{restore_checkpoint, save_checkpoint};
 pub use runner::{
     cy_cfg, cy_ctrl_with, ev_cfg, ev_ctrl_with, gen_for_job, job_fingerprint, job_metrics,
     ras_for_job, run_job, run_job_observed, run_job_resumable, std_tester, JobArtifacts, JobRun,

@@ -8,14 +8,14 @@
 //! the tester, read the summary — extracted once so that both the
 //! binaries and the `dramctrl-campaign` executor share it.
 
+use crate::checkpoint::{restore_checkpoint, save_checkpoint};
 use dramctrl::{CtrlConfig, DramCtrl, EccMode, FaultModel, PagePolicy, RasConfig, SchedPolicy};
 use dramctrl_campaign::{JobMetrics, JobSpec, Model, TrafficPattern};
 use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
-use dramctrl_kernel::fsio::write_atomic;
-use dramctrl_kernel::snap::{fingerprint, SnapError, SnapReader, SnapState, SnapWriter};
+use dramctrl_kernel::snap::fingerprint;
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{presets, AddrMapping, Controller, MemSpec};
-use dramctrl_obs::{ChromeTracer, EpochRecorder};
+use dramctrl_obs::{ChromeTracer, EpochRecorder, NoProbe, Probe};
 use dramctrl_stats::Report;
 use dramctrl_system::MultiChannel;
 use dramctrl_traffic::{DramAwareGen, LinearGen, RandomGen, SnapGen, TestRun, TestSummary, Tester};
@@ -31,17 +31,16 @@ thread_local! {
     static EV_CTRL_CACHE: RefCell<Option<Box<DramCtrl>>> = const { RefCell::new(None) };
 }
 
-/// A controller for `cfg`: the worker's cached one, reset, when its
-/// configuration matches; a freshly built one otherwise. Boxed, so that
-/// handing it to a run and back moves a pointer, not the controller.
-fn cached_ev_ctrl(cfg: CtrlConfig) -> Box<DramCtrl> {
-    match EV_CTRL_CACHE.with(|c| c.borrow_mut().take()) {
-        Some(mut ctrl) if *ctrl.config() == cfg => {
-            ctrl.reset();
-            ctrl
-        }
-        _ => Box::new(DramCtrl::new(cfg).expect("valid config")),
-    }
+/// The worker's cached controller, reset and re-armed, when its
+/// configuration is `cfg` (any other cached controller is dropped).
+/// Boxed, so that handing it to a run and back moves a pointer, not the
+/// controller.
+fn cached_ev_ctrl(cfg: &CtrlConfig) -> Option<Box<DramCtrl>> {
+    let cached = EV_CTRL_CACHE.with(|c| c.borrow_mut().take());
+    let mut ctrl = cached.filter(|c| c.config() == cfg)?;
+    ctrl.reset();
+    ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
+    Some(ctrl)
 }
 
 /// Retires a finished controller into the worker's cache for the next
@@ -185,13 +184,11 @@ fn add_ras_metrics<'a>(m: &mut JobMetrics, fms: impl Iterator<Item = &'a FaultMo
     }
 }
 
-/// Panics with the stall diagnostic if any event controller tripped its
-/// watchdog (the campaign executor records the panic as a failed job).
-fn assert_no_stall<'a>(ctrls: impl Iterator<Item = &'a DramCtrl>) {
-    for c in ctrls {
-        if let Err(stall) = c.check_stall() {
-            panic!("{stall}");
-        }
+/// Panics with the stall diagnostic if `ctrl` tripped its watchdog (the
+/// campaign executor records the panic as a failed job).
+fn assert_no_stall<P: Probe>(ctrl: &DramCtrl<P>) {
+    if let Err(stall) = ctrl.check_stall() {
+        panic!("{stall}");
     }
 }
 
@@ -237,16 +234,9 @@ pub fn job_fingerprint(job: &JobSpec) -> u64 {
     fingerprint(format!("{job:?}").as_bytes())
 }
 
-/// [`run_job`] with deterministic checkpoint/restore.
-///
-/// When `checkpoint` names a file that exists, the run *resumes* from it
-/// (the snapshot must carry [`job_fingerprint`]`(job)` — anything else
-/// panics loudly). While running, a snapshot of the tester run, the
-/// traffic generator and the controller is written atomically to
-/// `checkpoint` every `every` injected requests (`0` disables periodic
-/// checkpointing), and — when `pause_after` is `Some(n)` — the run stops
-/// at the first request boundary at or past `n` injections, writes a
-/// final checkpoint and returns `None`.
+/// [`run_job`] with deterministic checkpoint/restore: an unobserved
+/// [`JobRun::run_resumable`], which documents `checkpoint`, `every` and
+/// `pause_after`.
 ///
 /// Restoring a checkpoint into a fresh process and running to completion
 /// yields metrics byte-identical to an uninterrupted [`run_job`]: request
@@ -264,26 +254,22 @@ pub fn run_job_resumable(
     every: u64,
     pause_after: Option<u64>,
 ) -> Option<JobMetrics> {
-    let mut run = JobRun::start(job);
-    if let Some(path) = checkpoint.filter(|p| p.exists()) {
-        run.restore(path);
-    }
-    loop {
-        // Stop at the pause point or the next periodic checkpoint,
-        // whichever comes first.
-        let periodic = checkpoint
-            .filter(|_| every > 0)
-            .map(|_| (run.injected() / every + 1) * every);
-        let stop = pause_after.into_iter().chain(periodic).min();
-        match run.advance(stop) {
-            SliceOutcome::Paused { injected } => {
-                run.save(checkpoint.expect("pausing a run requires a checkpoint path"));
-                if pause_after.is_some_and(|n| injected >= n) {
-                    return None;
-                }
-            }
-            SliceOutcome::Done(m) => return Some(m),
-        }
+    let done = JobRun::start(job, 0).run_resumable(checkpoint, every, pause_after);
+    done.map(|(metrics, _)| metrics)
+}
+
+/// [`run_job`] with live instrumentation: a [`JobRun`] started with
+/// `epoch_interval > 0` and run whole, so every channel carries a
+/// [`ChromeTracer`] and an [`EpochRecorder`] binning at `epoch_interval`
+/// ticks, and the returned metrics come with the rendered artifacts.
+///
+/// The probes are pure observers, so the metrics are identical to an
+/// unobserved [`run_job`] of the same spec — the zero-perturbation
+/// property the differential harness asserts controller-by-controller.
+pub fn run_job_observed(job: &JobSpec, epoch_interval: Tick) -> (JobMetrics, JobArtifacts) {
+    match JobRun::start(job, epoch_interval).advance(None) {
+        SliceOutcome::Done(metrics, Some(artifacts)) => (metrics, artifacts),
+        _ => panic!("an observed run needs a positive epoch interval"),
     }
 }
 
@@ -293,8 +279,9 @@ pub fn run_job_resumable(
 /// to actual progress (`injected + quantum`) instead of guessing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SliceOutcome {
-    /// The job ran to completion; here are its metrics.
-    Done(JobMetrics),
+    /// The job ran to completion; here are its metrics and, for an
+    /// observed run, its rendered artifacts.
+    Done(JobMetrics, Option<JobArtifacts>),
     /// The job paused at a request boundary.
     Paused {
         /// Requests injected so far (monotonic across slices).
@@ -314,88 +301,172 @@ fn channels_of<C: Controller>(x: &MultiChannel<C>) -> impl Iterator<Item = &C> {
     (0..x.channels() as usize).map(|i| x.channel(i))
 }
 
-/// The concrete simulator behind a [`JobRun`]: one variant per
-/// (model × single/multi-channel), so the step loop stays monomorphic.
-enum Sim {
-    Ev(Box<DramCtrl>),
-    EvX(Box<MultiChannel<DramCtrl>>),
-    Cy(Box<CycleCtrl>),
-    CyX(Box<MultiChannel<CycleCtrl>>),
+/// The per-channel probe pair of an observed run.
+type ObsProbe = (ChromeTracer, EpochRecorder);
+
+/// The concrete simulator behind a [`JobRun`], every channel carrying a
+/// probe `P`: one variant per (model × single/multi-channel), so the
+/// step loop stays monomorphic.
+enum Sim<P: Probe> {
+    Ev(Box<DramCtrl<P>>),
+    EvX(Box<MultiChannel<DramCtrl<P>>>),
+    Cy(Box<CycleCtrl<P>>),
+    CyX(Box<MultiChannel<CycleCtrl<P>>>),
 }
 
-/// Evaluates `$body` with `$c` bound to the boxed controller in `$sim`.
+/// A [`Sim`] with or without probes — chosen once, by
+/// [`JobRun::start`]'s epoch interval, never per step.
+enum Wired {
+    Plain(Sim<NoProbe>),
+    Observed(Sim<ObsProbe>),
+}
+
+/// Evaluates `$body` with `$c` bound to the boxed controller in `$wired`.
 macro_rules! with_ctrl {
-    ($sim:expr, $c:ident => $body:expr) => {
-        match $sim {
-            Sim::Ev($c) => $body,
-            Sim::EvX($c) => $body,
-            Sim::Cy($c) => $body,
-            Sim::CyX($c) => $body,
+    ($wired:expr, $c:ident => $body:expr) => {
+        match $wired {
+            Wired::Plain(Sim::Ev($c)) => $body,
+            Wired::Plain(Sim::EvX($c)) => $body,
+            Wired::Plain(Sim::Cy($c)) => $body,
+            Wired::Plain(Sim::CyX($c)) => $body,
+            Wired::Observed(Sim::Ev($c)) => $body,
+            Wired::Observed(Sim::EvX($c)) => $body,
+            Wired::Observed(Sim::Cy($c)) => $body,
+            Wired::Observed(Sim::CyX($c)) => $body,
         }
     };
 }
 
-/// One job, live: the tester run, its traffic generator and the
-/// controller it drives, steppable a slice at a time. The one place a
-/// [`JobSpec`] is wired to a simulator — [`run_job`] and
-/// [`run_job_resumable`] wrap it. A scheduler
-/// preempts a job by keeping its `JobRun` and calling
-/// [`advance`](Self::advance) again later; [`save`](Self::save) and
-/// [`restore`](Self::restore) are for pauses that must outlive the process.
-pub struct JobRun {
-    job: JobSpec,
-    gen: Box<dyn SnapGen>,
-    /// `None` once the run has finished and handed back its metrics.
-    live: Option<(TestRun, Sim)>,
-}
-
-impl JobRun {
-    /// Builds the generator and controller(s) `job` describes, ready for
-    /// its first request.
-    ///
-    /// # Panics
-    /// Panics on an unknown device preset or an invalid configuration.
-    #[must_use]
-    pub fn start(job: &JobSpec) -> Self {
-        let spec = presets::by_name(&job.device)
-            .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
-        let gen = gen_for_job(job, &spec);
+impl<P: Probe> Sim<P> {
+    /// The one place a [`JobSpec`] becomes controllers: `job.channels`
+    /// (at least one) of `job.model`, channel `ch` carrying `probe(ch)`,
+    /// every event controller with [`JOB_TICK_BUDGET`] armed. `reuse` may
+    /// supply a retired (and re-armed) controller for the single-channel
+    /// event case — the campaign hot path of short jobs, where rebuilding
+    /// queues and arenas per job would dominate.
+    fn build(
+        job: &JobSpec,
+        spec: MemSpec,
+        probe: impl Fn(u32) -> P,
+        reuse: impl FnOnce(&CtrlConfig) -> Option<Box<DramCtrl<P>>>,
+    ) -> Self {
         let chans = job.channels.max(1);
-        let sim = match job.model {
+        match job.model {
             Model::Event => {
                 let mut cfg = ev_cfg(spec, job.policy, job.sched, job.mapping, chans);
                 cfg.ras = ras_for_job(job);
-                if chans == 1 {
-                    // The single-channel short job is the campaign hot
-                    // path: take the worker's cached controller instead
-                    // of rebuilding queues and arenas per job.
-                    let mut ctrl = cached_ev_ctrl(cfg);
+                let mk = |cfg, ch| {
+                    let mut ctrl = DramCtrl::with_probe(cfg, probe(ch)).expect("valid config");
                     ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
-                    Sim::Ev(ctrl)
+                    ctrl
+                };
+                if chans == 1 {
+                    let reused = reuse(&cfg);
+                    Sim::Ev(reused.unwrap_or_else(|| Box::new(mk(cfg, 0))))
                 } else {
-                    let mk = |_| {
-                        let mut ctrl = DramCtrl::new(cfg.clone()).expect("valid config");
-                        ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
-                        ctrl
-                    };
-                    Sim::EvX(Box::new(xbar((0..chans).map(mk).collect(), job.mapping)))
+                    let ctrls = (0..chans).map(|ch| mk(cfg.clone(), ch)).collect();
+                    Sim::EvX(Box::new(xbar(ctrls, job.mapping)))
                 }
             }
             Model::Cycle => {
                 let mut cfg = cy_cfg(spec, job.policy, job.sched, job.mapping, chans);
                 cfg.ras = ras_for_job(job);
-                let mk = |_| CycleCtrl::new(cfg.clone()).expect("valid config");
+                let mk = |ch| CycleCtrl::with_probe(cfg.clone(), probe(ch)).expect("valid config");
                 if chans == 1 {
                     Sim::Cy(Box::new(mk(0)))
                 } else {
                     Sim::CyX(Box::new(xbar((0..chans).map(mk).collect(), job.mapping)))
                 }
             }
+        }
+    }
+
+    /// What every finished run owes its record: no tripped stall
+    /// watchdog on any event controller, and the channels' RAS counters
+    /// summed into `m`.
+    fn close(&self, m: &mut JobMetrics) {
+        match self {
+            Sim::Ev(c) => {
+                assert_no_stall(c);
+                add_ras_metrics(m, c.fault_model().into_iter());
+            }
+            Sim::EvX(x) => {
+                channels_of(x).for_each(assert_no_stall);
+                add_ras_metrics(m, channels_of(x).filter_map(DramCtrl::fault_model));
+            }
+            Sim::Cy(c) => add_ras_metrics(m, c.fault_model().into_iter()),
+            Sim::CyX(x) => add_ras_metrics(m, channels_of(x).filter_map(CycleCtrl::fault_model)),
+        }
+    }
+}
+
+impl Sim<ObsProbe> {
+    /// Renders a finished observed run: the final report at `end`, and
+    /// every channel's probes binned at `interval`.
+    fn into_artifacts(self, end: Tick, interval: Tick) -> JobArtifacts {
+        let (report, probes) = match self {
+            Sim::Ev(c) => (c.report("ctrl", end), vec![c.into_probe()]),
+            Sim::Cy(c) => (c.report("ctrl", end), vec![c.into_probe()]),
+            Sim::EvX(x) => {
+                let report = x.report("system", end);
+                let ctrls = x.into_parts().0.into_iter();
+                (report, ctrls.map(DramCtrl::into_probe).collect())
+            }
+            Sim::CyX(x) => {
+                let report = x.report("system", end);
+                let ctrls = x.into_parts().0.into_iter();
+                (report, ctrls.map(CycleCtrl::into_probe).collect())
+            }
+        };
+        collect_artifacts(probes, &report, end, interval)
+    }
+}
+
+/// One job, live: the tester run, its traffic generator and the
+/// controller it drives — with or without probes — steppable a slice at
+/// a time. The one place a [`JobSpec`] is wired to a simulator:
+/// [`run_job`], [`run_job_resumable`] and [`run_job_observed`] wrap it.
+/// A scheduler preempts a job, observed or not, by keeping its `JobRun`
+/// and calling [`advance`](Self::advance) again later;
+/// [`save`](Self::save) and [`restore`](Self::restore) are for pauses
+/// that must outlive the process, and cover the simulation only: probe
+/// recordings are not part of a checkpoint, so a restored observed run
+/// renders only the suffix of each track.
+pub struct JobRun {
+    job: JobSpec,
+    /// Epoch interval of the probes; `0` for an unobserved run.
+    epochs: Tick,
+    gen: Box<dyn SnapGen>,
+    /// `None` once the run has finished and handed back its metrics.
+    live: Option<(TestRun, Wired)>,
+}
+
+impl JobRun {
+    /// Builds the generator and controller(s) `job` describes, ready for
+    /// its first request. With `epochs > 0` the run is *observed*: every
+    /// channel carries a [`ChromeTracer`] and an [`EpochRecorder`] binning
+    /// at `epochs` ticks, and `Done` comes with [`JobArtifacts`]. The
+    /// probes are pure observers — metrics, pause points and checkpoint
+    /// bytes are those of the unobserved run.
+    ///
+    /// # Panics
+    /// Panics on an unknown device preset or an invalid configuration.
+    #[must_use]
+    pub fn start(job: &JobSpec, epochs: Tick) -> Self {
+        let spec = presets::by_name(&job.device)
+            .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
+        let gen = gen_for_job(job, &spec);
+        let wired = if epochs == 0 {
+            Wired::Plain(Sim::build(job, spec, |_| NoProbe, cached_ev_ctrl))
+        } else {
+            let probe = |ch| (ChromeTracer::for_channel(ch), EpochRecorder::new(epochs));
+            Wired::Observed(Sim::build(job, spec, probe, |_| None))
         };
         Self {
             job: job.clone(),
+            epochs,
             gen,
-            live: Some((std_tester().begin(), sim)),
+            live: Some((std_tester().begin(), wired)),
         }
     }
 
@@ -411,15 +482,15 @@ impl JobRun {
     /// Simulates until the job completes or — with `pause_after:
     /// Some(n)` — the first request boundary at or past `n` injections.
     /// The next call picks up exactly there: chained slices yield
-    /// metrics byte-identical to one `advance(None)`.
+    /// metrics and artifacts byte-identical to one `advance(None)`.
     ///
     /// # Panics
     /// Panics if a controller trips its stall watchdog, or on a run that
     /// has already returned `Done`.
     pub fn advance(&mut self, pause_after: Option<u64>) -> SliceOutcome {
-        let (run, sim) = self.live.as_mut().expect(SPENT);
+        let (run, wired) = self.live.as_mut().expect(SPENT);
         let gen = &mut self.gen;
-        let paused = with_ctrl!(sim, c => {
+        let paused = with_ctrl!(wired, c => {
             loop {
                 if !run.step(gen, &mut **c, Tick::MAX) {
                     break false;
@@ -434,44 +505,81 @@ impl JobRun {
                 injected: run.injected(),
             };
         }
-        let (run, mut sim) = self.live.take().expect(SPENT);
-        let mut m = job_metrics(&with_ctrl!(&mut sim, c => run.finish(&mut **c)));
-        match &sim {
-            Sim::Ev(c) => {
-                assert_no_stall(std::iter::once(&**c));
-                add_ras_metrics(&mut m, c.fault_model().into_iter());
+        let (run, mut wired) = self.live.take().expect(SPENT);
+        let s = with_ctrl!(&mut wired, c => run.finish(&mut **c));
+        let mut m = job_metrics(&s);
+        let artifacts = match wired {
+            Wired::Plain(sim) => {
+                sim.close(&mut m);
+                if let Sim::Ev(c) = sim {
+                    retire_ev_ctrl(c);
+                }
+                None
             }
-            Sim::EvX(x) => {
-                assert_no_stall(channels_of(x));
-                add_ras_metrics(&mut m, channels_of(x).filter_map(DramCtrl::fault_model));
+            Wired::Observed(sim) => {
+                sim.close(&mut m);
+                Some(sim.into_artifacts(s.duration, self.epochs))
             }
-            Sim::Cy(c) => add_ras_metrics(&mut m, c.fault_model().into_iter()),
-            Sim::CyX(x) => {
-                add_ras_metrics(&mut m, channels_of(x).filter_map(CycleCtrl::fault_model));
-            }
-        }
-        if let Sim::Ev(c) = sim {
-            retire_ev_ctrl(c);
-        }
-        SliceOutcome::Done(m)
+        };
+        SliceOutcome::Done(m, artifacts)
     }
 
-    /// Writes the run's state — tester, generator, controller, in that
-    /// order, stamped with [`job_fingerprint`] — atomically to `path`.
+    /// Runs to completion with deterministic checkpoint/restore.
+    ///
+    /// When `checkpoint` names a file that exists, the run first
+    /// *resumes* from it ([`restore`](Self::restore)). While running, the
+    /// run is [`save`](Self::save)d to `checkpoint` every `every`
+    /// injected requests (`0` disables periodic checkpointing), and —
+    /// when `pause_after` is `Some(n)` — it stops at the first request
+    /// boundary at or past `n` injections, writes a final checkpoint and
+    /// returns `None`.
+    ///
+    /// # Panics
+    /// Panics like [`advance`](Self::advance), [`save`](Self::save) and
+    /// [`restore`](Self::restore), and when asked to pause without a
+    /// checkpoint path.
+    pub fn run_resumable(
+        mut self,
+        checkpoint: Option<&Path>,
+        every: u64,
+        pause_after: Option<u64>,
+    ) -> Option<(JobMetrics, Option<JobArtifacts>)> {
+        if let Some(path) = checkpoint.filter(|p| p.exists()) {
+            self.restore(path);
+        }
+        loop {
+            // Stop at the pause point or the next periodic checkpoint,
+            // whichever comes first.
+            let periodic = checkpoint
+                .filter(|_| every > 0)
+                .map(|_| (self.injected() / every + 1) * every);
+            let stop = pause_after.into_iter().chain(periodic).min();
+            match self.advance(stop) {
+                SliceOutcome::Paused { injected } => {
+                    self.save(checkpoint.expect("pausing a run requires a checkpoint path"));
+                    if pause_after.is_some_and(|n| injected >= n) {
+                        return None;
+                    }
+                }
+                SliceOutcome::Done(metrics, artifacts) => return Some((metrics, artifacts)),
+            }
+        }
+    }
+
+    /// Writes the run's simulation state, stamped with
+    /// [`job_fingerprint`], atomically to `path` ([`save_checkpoint`]).
     ///
     /// # Panics
     /// Panics on I/O errors, or on a run that has already returned `Done`.
     pub fn save(&self, path: &Path) {
-        let (run, sim) = self.live.as_ref().expect(SPENT);
-        let mut w = SnapWriter::new(job_fingerprint(&self.job));
-        run.save_state(&mut w);
-        self.gen.save_state(&mut w);
-        with_ctrl!(sim, c => c.save_state(&mut w));
-        write_atomic(path, w.into_bytes())
+        let (run, wired) = self.live.as_ref().expect(SPENT);
+        let fp = job_fingerprint(&self.job);
+        with_ctrl!(wired, c => save_checkpoint(path, fp, run, &self.gen, &**c))
             .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
     }
 
-    /// Replaces the run's state with the checkpoint at `path`.
+    /// Replaces the run's simulation state with the checkpoint at `path`
+    /// ([`restore_checkpoint`]).
     ///
     /// # Panics
     /// Panics on I/O errors or a checkpoint that does not match the job
@@ -479,29 +587,19 @@ impl JobRun {
     pub fn restore(&mut self, path: &Path) {
         let bytes = std::fs::read(path)
             .unwrap_or_else(|e| panic!("reading checkpoint {}: {e}", path.display()));
-        let (run, sim) = self.live.as_mut().expect(SPENT);
+        let (run, wired) = self.live.as_mut().expect(SPENT);
         let (gen, fp) = (&mut self.gen, job_fingerprint(&self.job));
-        let restored = (|| {
-            let mut r = SnapReader::new(&bytes, fp)?;
-            run.restore_state(&mut r)?;
-            gen.restore_state(&mut r)?;
-            with_ctrl!(sim, c => c.restore_state(&mut r))?;
-            if r.is_exhausted() {
-                return Ok(());
-            }
-            let why = "checkpoint has trailing bytes after the controller state";
-            Err(SnapError::Corrupt(why.into()))
-        })();
-        restored.unwrap_or_else(|e| panic!("restoring checkpoint {}: {e}", path.display()));
+        with_ctrl!(wired, c => restore_checkpoint(&bytes, fp, run, gen, &mut **c))
+            .unwrap_or_else(|e| panic!("restoring checkpoint {}: {e}", path.display()));
     }
 }
 
 /// Panic message for driving a [`JobRun`] past its `Done`.
 const SPENT: &str = "this JobRun has already finished";
 
-/// Observability artifacts produced by [`run_job_observed`], ready to be
-/// written next to the campaign report.
-#[derive(Debug, Clone)]
+/// Observability artifacts of a finished observed [`JobRun`], ready to
+/// be written next to the campaign report.
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobArtifacts {
     /// Chrome trace-event JSON of every DRAM command, request flow and
     /// power-state residency (all channels merged; load at
@@ -516,9 +614,6 @@ pub struct JobArtifacts {
     /// ([`Report::to_json`]).
     pub stats_json: String,
 }
-
-/// The per-channel probe pair used by [`run_job_observed`].
-type ObsProbe = (ChromeTracer, EpochRecorder);
 
 /// Merges per-channel probes and the final report into [`JobArtifacts`].
 fn collect_artifacts(
@@ -539,72 +634,6 @@ fn collect_artifacts(
         epochs_csv: merged.to_csv(),
         epochs_jsonl: merged.to_jsonl(),
         stats_json: report.to_json(),
-    }
-}
-
-/// Runs `job` whole over the channels `mk` builds (one, or a crossbar
-/// of `job.channels`) and collects metrics and artifacts; the two
-/// accessors name the concrete controller's inherent methods.
-fn observe<C: Controller>(
-    job: &JobSpec,
-    gen: &mut Box<dyn SnapGen>,
-    epoch_interval: Tick,
-    mk: impl Fn(u32) -> C,
-    fault_model: fn(&C) -> Option<&FaultModel>,
-    into_probe: fn(C) -> ObsProbe,
-) -> (JobMetrics, JobArtifacts) {
-    let (s, report, ctrls) = if job.channels <= 1 {
-        let mut ctrl = mk(0);
-        let s = std_tester().run(gen, &mut ctrl);
-        let report = ctrl.report("ctrl", s.duration);
-        (s, report, vec![ctrl])
-    } else {
-        let mut xbar = xbar((0..job.channels).map(mk).collect(), job.mapping);
-        let s = std_tester().run(gen, &mut xbar);
-        let report = xbar.report("system", s.duration);
-        (s, report, xbar.into_parts().0)
-    };
-    let mut m = job_metrics(&s);
-    add_ras_metrics(&mut m, ctrls.iter().filter_map(fault_model));
-    let probes = ctrls.into_iter().map(into_probe).collect();
-    (
-        m,
-        collect_artifacts(probes, &report, s.duration, epoch_interval),
-    )
-}
-
-/// [`run_job`] with live instrumentation: every channel carries a
-/// [`ChromeTracer`] and an [`EpochRecorder`] binning at `epoch_interval`
-/// ticks, and the returned metrics come with the rendered artifacts.
-///
-/// The probes are pure observers, so the metrics are identical to an
-/// unobserved [`run_job`] of the same spec — the zero-perturbation
-/// property the differential harness asserts controller-by-controller.
-pub fn run_job_observed(job: &JobSpec, epoch_interval: Tick) -> (JobMetrics, JobArtifacts) {
-    let spec = presets::by_name(&job.device)
-        .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
-    let mut gen = gen_for_job(job, &spec);
-    let probe = |ch: u32| {
-        (
-            ChromeTracer::for_channel(ch),
-            EpochRecorder::new(epoch_interval),
-        )
-    };
-    match job.model {
-        Model::Event => {
-            let mut cfg = ev_cfg(spec, job.policy, job.sched, job.mapping, job.channels);
-            cfg.ras = ras_for_job(job);
-            let mk = |ch| DramCtrl::with_probe(cfg.clone(), probe(ch)).expect("valid config");
-            let (fm, ip) = (DramCtrl::fault_model, DramCtrl::into_probe);
-            observe(job, &mut gen, epoch_interval, mk, fm, ip)
-        }
-        Model::Cycle => {
-            let mut cfg = cy_cfg(spec, job.policy, job.sched, job.mapping, job.channels);
-            cfg.ras = ras_for_job(job);
-            let mk = |ch| CycleCtrl::with_probe(cfg.clone(), probe(ch)).expect("valid config");
-            let (fm, ip) = (CycleCtrl::fault_model, CycleCtrl::into_probe);
-            observe(job, &mut gen, epoch_interval, mk, fm, ip)
-        }
     }
 }
 
@@ -642,9 +671,10 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_run_and_renders_artifacts() {
+        // `channels = 0` means one channel, observed or not.
         let jobs = Campaign::new("obs", 9)
             .models([Model::Event, Model::Cycle])
-            .channels([1, 2])
+            .channels([0, 1, 2])
             .requests([300])
             .expand();
         for job in &jobs {
@@ -656,6 +686,36 @@ mod tests {
             assert!(art.perfetto_json.contains("\"ACT\""), "{}", job.label());
             assert!(art.epochs_csv.lines().count() > 1, "{}", job.label());
             dramctrl_obs::json::validate(&art.stats_json).expect("valid stats JSON");
+        }
+    }
+
+    #[test]
+    fn sliced_observed_run_matches_the_whole_run_byte_for_byte() {
+        let jobs = Campaign::new("obs-sliced", 9)
+            .models([Model::Event, Model::Cycle])
+            .channels([1, 2])
+            .read_pcts([70])
+            .requests([1_500])
+            .expand();
+        for job in &jobs {
+            let whole = JobRun::start(job, 100_000).advance(None);
+            assert!(matches!(whole, SliceOutcome::Done(_, Some(_))));
+            for step in [1, 7, 1_000] {
+                let mut run = JobRun::start(job, 100_000);
+                let (mut target, mut pauses) = (step, 0);
+                let sliced = loop {
+                    match run.advance(Some(target)) {
+                        SliceOutcome::Paused { injected } => {
+                            pauses += 1;
+                            target = injected + step;
+                        }
+                        done => break done,
+                    }
+                };
+                assert!(pauses >= 1, "{} never paused at step {step}", job.label());
+                // Metrics and all four artifacts, in one comparison.
+                assert_eq!(sliced, whole, "{} at step {step}", job.label());
+            }
         }
     }
 

@@ -10,7 +10,10 @@
 //! past the quantum target). A paused unit stays **resident in memory**
 //! as a live [`JobRun`], at most one per unfinished job, and its next
 //! slice keeps stepping it: preemption is a scheduling event, not a
-//! durability event. **Connection threads** (one per client) only touch
+//! durability event. An observed unit (`epochs > 0`) is the same
+//! [`JobRun`] with probes attached, preempted at the same quantum; its
+//! artifacts come back with the metrics of its last slice.
+//! **Connection threads** (one per client) only touch
 //! state briefly — submit, watch, status — so a 10-million-request unit
 //! in flight never blocks a submit, and a competing tenant waits at most
 //! one quantum.
@@ -73,11 +76,13 @@ use crate::proto::{
 use crate::sched::FairQueue;
 use crate::store::{JobStore, StoredJob};
 use crate::wire::{json_str, Value};
-use dramctrl_campaign::{panic_message, CampaignJournal, JobOutcome, JobRecord, JobSpec};
+use dramctrl_campaign::{
+    panic_message, CampaignJournal, ExecutorConfig, JobOutcome, JobRecord, JobSpec,
+};
 use dramctrl_kernel::backoff::Backoff;
 use dramctrl_kernel::fsio::write_atomic;
 use dramctrl_obs::metrics::Gauge;
-use dramctrl_runner::{run_job_observed, JobArtifacts, JobRun, SliceOutcome};
+use dramctrl_runner::{JobArtifacts, JobRun, SliceOutcome};
 use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -291,11 +296,6 @@ pub struct Server {
     inner: Arc<Inner>,
 }
 
-/// How many attempts a panicking work unit gets before it is recorded as
-/// failed — matches the campaign executor's default, so failure records
-/// carry identical `attempts` counts either way.
-const MAX_ATTEMPTS: u32 = 2;
-
 impl Server {
     /// Opens the store at `cfg.store`, recovers every journaled job, and
     /// re-queues all unfinished work. Committed units never re-run; a
@@ -466,14 +466,8 @@ impl Server {
             // tenants' turns are never blocked by simulation work.
             let mut run = suspended.remove(&id);
             let sliced = catch_unwind(AssertUnwindSafe(|| {
-                if epochs > 0 {
-                    // Observed units carry probes, which a resumable run
-                    // does not hold yet: they run whole, artifacts ride along.
-                    let (m, artifacts) = run_job_observed(&spec, epochs);
-                    return (SliceOutcome::Done(m), Some(artifacts));
-                }
-                let run = run.get_or_insert_with(|| JobRun::start(&spec));
-                (run.advance(Some(target)), None)
+                let run = run.get_or_insert_with(|| JobRun::start(&spec, epochs));
+                run.advance(Some(target))
             }));
 
             let mut st = self.lock();
@@ -488,13 +482,13 @@ impl Server {
             // unit's run is dropped with this iteration, so a retry
             // starts from the unit's first request.
             let finished = match sliced {
-                Ok((SliceOutcome::Paused { injected }, _)) => {
+                Ok(SliceOutcome::Paused { injected }) => {
                     m.preemptions.inc();
                     live.pause_target = injected + quantum;
                     suspended.insert(id.clone(), run.take().expect("a paused slice has a run"));
                     None
                 }
-                Ok((SliceOutcome::Done(metrics), artifacts)) => {
+                Ok(SliceOutcome::Done(metrics, artifacts)) => {
                     let attempts = live.failures + 1;
                     Some((JobOutcome::Completed { metrics, attempts }, artifacts))
                 }
@@ -505,7 +499,10 @@ impl Server {
                         panic_msg: panic_message(payload.as_ref()),
                         attempts: live.failures,
                     };
-                    (live.failures >= MAX_ATTEMPTS).then_some((failed, None))
+                    // The campaign executor's bound, so failure records
+                    // carry identical `attempts` counts either way.
+                    let max_attempts = ExecutorConfig::default().max_attempts;
+                    (live.failures >= max_attempts).then_some((failed, None))
                 }
             };
             match finished {

@@ -194,10 +194,6 @@ fn torn_commit_parks_the_outcome_and_recovery_lands_it_byte_identically() {
 #[test]
 fn a_store_fault_at_a_preemption_never_fails_a_healthy_unit() {
     let root = tmp("preempt-fault");
-    let store = root.join("store");
-    let mut cfg = ServeConfig::new(&store);
-    cfg.quantum = 200; // 25 preemptions per 5 000-request unit
-    let (addr, server) = spawn(cfg);
     let c = campaign("sweep");
     let (want, want_journal) = reference(&c, &root.join("ref"));
 
@@ -205,18 +201,39 @@ fn a_store_fault_at_a_preemption_never_fails_a_healthy_unit() {
     // is neither the accept log nor the journal — for the whole run. A
     // preemption must not depend on any of them: when it checkpointed
     // through the store, this turned healthy units into `Failed` records.
-    let _guard = fault::arm_str(&format!("eio,path={}/job-0001/unit-", store.display())).unwrap();
+    // An observed unit's artifacts are per-unit files too, so its case
+    // fails only the snapshot a preemption used to write.
+    for (case, epochs) in [("plain", 0), ("observed", 1_000_000)] {
+        let store = root.join(case);
+        let mut cfg = ServeConfig::new(&store);
+        cfg.quantum = 200; // 25 preemptions per 5 000-request unit
+        let (addr, server) = spawn(cfg);
+        let unit = format!("eio,path={}/job-0001/unit-", store.display());
+        let plan = match epochs {
+            0 => unit,
+            _ => [0, 1, 2].map(|u| format!("{unit}00000{u}.snap")).join(";"),
+        };
+        let _guard = fault::arm_str(&plan).unwrap();
 
-    let mut client = Client::connect(&addr).unwrap();
-    let (id, _) = client.submit("alice", 0, &c).unwrap();
-    assert_eq!(id, "job-0001");
-    assert_eq!(collect_records(&mut client, &id), want);
-    let journal = std::fs::read_to_string(store.join(&id).join("journal.jsonl")).unwrap();
-    assert_eq!(journal, want_journal);
-    let m = server.metrics();
-    assert!(m.preemptions.get() >= 25, "the units never paused");
-    assert_eq!((m.units_completed.get(), m.units_failed.get()), (3, 0));
-    assert!(server.health().is_ok(), "a preemption touched the store");
+        let mut client = Client::connect(&addr).unwrap();
+        let (id, _) = client.submit("alice", epochs, &c).unwrap();
+        assert_eq!(id, "job-0001");
+        assert_eq!(collect_records(&mut client, &id), want, "{case}");
+        let journal = std::fs::read_to_string(store.join(&id).join("journal.jsonl")).unwrap();
+        assert_eq!(journal, want_journal, "{case}");
+        let m = server.metrics();
+        assert!(m.preemptions.get() >= 25, "{case}: the units never paused");
+        // The counters move just after the `done` broadcast the watch saw.
+        wait_until("the last unit's counter", Duration::from_secs(10), || {
+            m.units_completed.get() + m.units_failed.get() == 3
+        });
+        assert_eq!(
+            (m.units_completed.get(), m.units_failed.get()),
+            (3, 0),
+            "{case}"
+        );
+        assert!(server.health().is_ok(), "a preemption touched the store");
+    }
 }
 
 #[test]

@@ -34,8 +34,8 @@ fn spawn_daemon(store: PathBuf, quantum: u64) -> (String, Server) {
 
 /// Submits `c`, watches it to `done` and returns the streamed records in
 /// index order, one per line.
-fn run_to_done(client: &mut Client, c: &Campaign) -> (String, String) {
-    let (id, _) = client.submit("alice", 0, c).unwrap();
+fn run_to_done(client: &mut Client, epochs: u64, c: &Campaign) -> (String, String) {
+    let (id, _) = client.submit("alice", epochs, c).unwrap();
     let records = watch_records(client, &id);
     (id, records)
 }
@@ -61,20 +61,24 @@ fn durability_ops_do_not_depend_on_the_quantum() {
     let c = Campaign::new("ops", 42)
         .read_pcts([0, 50, 100])
         .requests([5_000]);
-    let ops_at = |name: &str, quantum: u64| {
+    let ops_at = |name: &str, quantum: u64, epochs: u64| {
         let (addr, server) = spawn_daemon(tmp(name).join("store"), quantum);
         let mut client = Client::connect(&addr).unwrap();
         let before = op_count();
-        run_to_done(&mut client, &c);
+        run_to_done(&mut client, epochs, &c);
         (op_count() - before, server.metrics().preemptions.get())
     };
-    let (sliced_ops, sliced_pauses) = ops_at("ops-sliced", 200);
-    let (whole_ops, whole_pauses) = ops_at("ops-whole", u64::MAX);
-    assert!(sliced_pauses >= 25 && whole_pauses == 0);
-    assert_eq!(
-        sliced_ops, whole_ops,
-        "{sliced_pauses} preemptions cost durability ops"
-    );
+    // Unobserved, then observed: a preempted observed unit keeps its
+    // probes in memory too, and its artifacts are written once, at commit.
+    for epochs in [0, 1_000_000] {
+        let (sliced_ops, sliced_pauses) = ops_at("ops-sliced", 200, epochs);
+        let (whole_ops, whole_pauses) = ops_at("ops-whole", u64::MAX, epochs);
+        assert!(sliced_pauses >= 25 && whole_pauses == 0, "epochs {epochs}");
+        assert_eq!(
+            sliced_ops, whole_ops,
+            "epochs {epochs}: {sliced_pauses} preemptions cost durability ops"
+        );
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -93,12 +97,12 @@ fn finished_jobs_hold_no_file_handle_and_replay_from_the_journal() {
 
     // `status` takes the state lock, so once it answers, the scheduler
     // has finished releasing the job whose `done` the watch just saw.
-    let (first, got) = run_to_done(&mut client, &c);
+    let (first, got) = run_to_done(&mut client, 0, &c);
     assert_eq!(got, want);
     client.status().unwrap();
     let baseline = open_fds();
     for _ in 0..12 {
-        assert_eq!(run_to_done(&mut client, &c).1, want);
+        assert_eq!(run_to_done(&mut client, 0, &c).1, want);
     }
     client.status().unwrap();
     assert_eq!(open_fds(), baseline, "finished jobs leak file descriptors");

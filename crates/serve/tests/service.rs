@@ -475,10 +475,14 @@ fn preemption_counter_matches_independent_slice_replay() {
     let root = tmp("preempt");
     let quantum = 700;
     let (addr, _http, server) = spawn_daemon_http(root.join("store"), quantum);
-    let c = campaign("sweep");
+    // An unobserved job and an observed one: probes ride along in the
+    // resident run, so both are sliced by the same rule.
+    let inputs = [(0, campaign("sweep")), (1_000_000, campaign("observed"))];
     let mut client = Client::connect(&addr).unwrap();
-    let (id, _) = client.submit("alice", 0, &c).unwrap();
-    client.watch(&id, |_, _| {}).unwrap();
+    for (epochs, c) in &inputs {
+        let (id, _) = client.submit("alice", *epochs, c).unwrap();
+        client.watch(&id, |_, _| {}).unwrap();
+    }
 
     let text = server.metrics_exposition();
     let got: u64 = text
@@ -492,16 +496,74 @@ fn preemption_counter_matches_independent_slice_replay() {
     // call, `JobRun::advance` — and count pauses. Slicing is
     // simulation-deterministic, so the counts must agree.
     let mut want = 0u64;
-    for unit in &c.expand() {
-        let mut run = JobRun::start(unit);
-        let mut target = quantum;
-        while let SliceOutcome::Paused { injected } = run.advance(Some(target)) {
-            want += 1;
-            target = injected + quantum;
+    for (epochs, c) in &inputs {
+        for unit in &c.expand() {
+            let mut run = JobRun::start(unit, *epochs);
+            let mut target = quantum;
+            while let SliceOutcome::Paused { injected } = run.advance(Some(target)) {
+                want += 1;
+                target = injected + quantum;
+            }
         }
     }
     assert!(want >= 1, "quantum too large to preempt at all");
     assert_eq!(got, want, "daemon preemptions == slice-replay preemptions");
+}
+
+#[test]
+fn a_long_observed_unit_does_not_stall_another_tenant() {
+    let root = tmp("observed-fair");
+    let addr = spawn_daemon(root.join("store"), 200);
+    let big = Campaign::new("big", 3).read_pcts([100]).requests([200_000]);
+    let small = Campaign::new("small", 4).read_pcts([50]).requests([2_000]);
+    let want_big = reference_jsonl(&big, &root.join("ref-big"));
+    let want_small = reference_jsonl(&small, &root.join("ref-small"));
+
+    let records = |client: &mut Client, id: &str| {
+        let mut out = String::new();
+        client
+            .watch(id, |v, line| {
+                if v.get("event").and_then(Value::as_str) == Some("record") {
+                    out += proto::record_data(line).unwrap();
+                    out.push('\n');
+                }
+            })
+            .unwrap();
+        out
+    };
+    let mut ka = Client::connect(&addr).unwrap();
+    let mut kb = Client::connect(&addr).unwrap();
+    let (ia, _) = ka.submit("a", 100_000_000, &big).unwrap();
+    let (ib, _) = kb.submit("b", 0, &small).unwrap();
+
+    // B's whole job fits between slices of A's single observed unit.
+    assert_eq!(records(&mut kb, &ib), want_small);
+    let status = kb.status().unwrap();
+    let jobs = status.get("jobs").and_then(Value::as_arr).unwrap();
+    let a = jobs
+        .iter()
+        .find(|j| j.get("id").and_then(Value::as_str) == Some(ia.as_str()))
+        .expect("job a in status");
+    assert_eq!(
+        a.get("done").and_then(Value::as_u64),
+        Some(0),
+        "b finished only after a's observed unit: {}",
+        status.encode()
+    );
+    assert_eq!(records(&mut ka, &ia), want_big);
+}
+
+#[test]
+fn dispatch_of_observed_units_merges_a_byte_identical_report() {
+    use dramctrl_serve::{dispatch, DispatchConfig};
+    let root = tmp("dispatch-observed");
+    let addr = spawn_daemon(root.join("store"), 500);
+    let c = campaign("sweep");
+    let want = reference_jsonl(&c, &root.join("ref"));
+    let mut cfg = DispatchConfig::new(root.join("work"));
+    cfg.epochs = 1_000_000;
+    let (report, _) = dispatch(&c, &[addr], &cfg).unwrap();
+    assert_eq!(report.to_jsonl(), want);
 }
 
 #[test]
