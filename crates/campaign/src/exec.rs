@@ -219,7 +219,11 @@ impl ExecutorConfig {
         self
     }
 
-    fn effective_workers(&self, total: usize) -> usize {
+    /// The worker count this configuration yields for `total` units of
+    /// work: [`workers`](Self::workers), or the host's available
+    /// parallelism when that is `0`; at least 1, at most `total`.
+    #[must_use]
+    pub fn effective_workers(&self, total: usize) -> usize {
         let hw = || {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)

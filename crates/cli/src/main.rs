@@ -155,6 +155,9 @@ SERVICE OPTIONS:
       --quantum N        preemption quantum in injected requests: long
                          jobs checkpoint-pause at request boundaries so
                          tenants share the simulator fairly (default 1000)
+      --workers N        jobs run at once, one scheduler worker each;
+                         0 = all cores (default 0). A job has one unit
+                         in flight, so this is parallelism across jobs
       --http ADDR        also serve read-only HTTP observability
                          endpoints on ADDR (path or host:port):
                          /metrics (Prometheus), /metrics.json, /healthz
@@ -1055,6 +1058,7 @@ const SERVE_OPTS: &[&str] = &[
     "store",
     "max-jobs",
     "quantum",
+    "workers",
     "http",
     "log-level",
     "client-timeout",
@@ -1081,6 +1085,7 @@ fn serve(argv: Vec<String>) -> Result<(), ArgError> {
     if cfg.quantum == 0 {
         return Err(ArgError("--quantum must be at least 1".into()));
     }
+    cfg.workers = a.parse_or("workers", cfg.workers)?;
     if let Some(t) = a.get("client-timeout") {
         // `parse_duration` yields picoseconds; the deadline is wall
         // clock, so convert. `0` disables the deadline entirely.
@@ -1399,14 +1404,21 @@ fn status(argv: Vec<String>) -> Result<(), ArgError> {
         for t in tenants {
             let s = |k: &str| t.get(k).and_then(Value::as_str).unwrap_or("?").to_owned();
             let n = |k: &str| t.get(k).and_then(Value::as_u64).unwrap_or(0);
-            let running = t
-                .get("running")
-                .and_then(|r| {
+            // Every unit in flight, `job#unit`, comma-separated.
+            let running = t.get("running").and_then(Value::as_arr).unwrap_or(&[]);
+            let running: Vec<String> = running
+                .iter()
+                .filter_map(|r| {
                     let job = r.get("job").and_then(Value::as_str)?;
                     let unit = r.get("unit").and_then(Value::as_u64)?;
                     Some(format!("{job}#{unit}"))
                 })
-                .unwrap_or_else(|| "-".into());
+                .collect();
+            let running = if running.is_empty() {
+                "-".to_owned()
+            } else {
+                running.join(",")
+            };
             println!(
                 "{:<12} {:>6} {:>6} {:>7} {:>7} {:>8}  {}",
                 s("tenant"),

@@ -11,6 +11,6 @@ mod runner;
 pub use checkpoint::{restore_checkpoint, save_checkpoint};
 pub use runner::{
     cy_cfg, cy_ctrl_with, ev_cfg, ev_ctrl_with, gen_for_job, job_fingerprint, job_metrics,
-    ras_for_job, run_job, run_job_observed, run_job_resumable, std_tester, JobArtifacts, JobRun,
-    SliceOutcome, JOB_TICK_BUDGET,
+    ras_for_job, release_idle_cache, run_job, run_job_observed, run_job_resumable, std_tester,
+    JobArtifacts, JobRun, SliceOutcome, JOB_TICK_BUDGET,
 };

@@ -49,6 +49,14 @@ fn retire_ev_ctrl(ctrl: Box<DramCtrl>) {
     EV_CTRL_CACHE.with(|c| *c.borrow_mut() = Some(ctrl));
 }
 
+/// Drops the calling thread's retired controller. For a long-lived
+/// worker about to block with nothing to run: an idle thread should not
+/// pin a controller's queues and arenas, and the next job it starts
+/// builds a fresh one.
+pub fn release_idle_cache() {
+    EV_CTRL_CACHE.with(|c| *c.borrow_mut() = None);
+}
+
 /// The event-model configuration for a (policy, scheduler, mapping,
 /// channels) tuple.
 pub fn ev_cfg(
@@ -641,6 +649,13 @@ fn collect_artifacts(
 mod tests {
     use super::*;
     use dramctrl_campaign::Campaign;
+
+    /// The daemon's workers hand paused runs to one another.
+    #[test]
+    fn a_job_run_may_cross_threads() {
+        fn assert_send<T: Send>() {}
+        assert_send::<JobRun>();
+    }
 
     #[test]
     fn run_job_is_deterministic() {

@@ -12,13 +12,18 @@
 //! - recovery itself exits cleanly (torn tails truncated, header-less
 //!   files recreated, nothing refused that a crash can legally leave).
 //!
-//! Two workloads are explored:
+//! Three workloads are explored:
 //!
 //! - `campaign`: a journaled campaign run (`CampaignJournal` +
 //!   `run_campaign_journaled` + an atomic report write) — the CLI sweep
 //!   path;
 //! - `store`: a serve-store session (`JobStore::accept`, per-job journal,
-//!   unit commits with acks) — the daemon's durable path, minus sockets.
+//!   unit commits with acks) — the daemon's durable path, minus sockets;
+//! - `pool`: the daemon itself with two workers and two tenants' jobs in
+//!   flight at once. Which job's op a crash point lands on varies from
+//!   run to run; the invariants do not, and on top of them the restarted
+//!   daemon must run exactly the units that had not committed — a crash
+//!   costs a job the one unit it had in flight, never a committed one.
 //!
 //! The matrix is sized from [`fault::op_count`]: a fault-free reference
 //! run reports how many durability ops the workload performs, and the
@@ -26,9 +31,10 @@
 //! in a re-exec of this same binary. Usage:
 //!
 //! ```text
-//! chaos explore [--mode campaign|store|all] [--dir DIR] [--report FILE]
+//! chaos explore [--mode campaign|store|pool|all] [--dir DIR] [--report FILE]
 //! chaos campaign --dir DIR     (worker: one campaign session)
 //! chaos store --dir DIR        (worker: one store session)
+//! chaos pool --dir DIR         (worker: one two-worker daemon session)
 //! ```
 //!
 //! Exit code: 0 when every crash point recovers byte-identically, 1
@@ -37,15 +43,16 @@
 use dramctrl_campaign::{merge_journals, Campaign, CampaignJournal, JobOutcome, JobRecord};
 use dramctrl_kernel::fsio::{fault, write_atomic};
 use dramctrl_runner::run_job;
-use dramctrl_serve::JobStore;
+use dramctrl_serve::wire::Value;
+use dramctrl_serve::{Client, JobStore, Listener, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 /// The workload every mode runs: small enough that the crash matrix
 /// stays cheap, wide enough (two units) that crash points fall between
 /// commits, not just around one.
-fn chaos_campaign() -> Campaign {
-    Campaign::new("chaos", 7)
+fn chaos_campaign(seed: u64) -> Campaign {
+    Campaign::new("chaos", seed)
         .read_pcts([0, 100])
         .requests([200])
 }
@@ -63,7 +70,7 @@ fn chaos_campaign() -> Campaign {
 /// unaffected either way (one renderer, keep-first journal).
 fn worker_campaign(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let c = chaos_campaign();
+    let c = chaos_campaign(7);
     let jpath = dir.join("journal.jsonl");
     let mut journal = CampaignJournal::recover(&jpath, &c).map_err(|e| e.to_string())?;
     for (i, unit) in c.expand().iter().enumerate() {
@@ -95,7 +102,7 @@ fn worker_campaign(dir: &Path) -> Result<(), String> {
 /// units are skipped.
 fn worker_store(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let c = chaos_campaign();
+    let c = chaos_campaign(7);
     let (mut store, accepted) = JobStore::open(dir).map_err(|e| e.to_string())?;
     store.repair().map_err(|e| e.to_string())?;
     let stored = match accepted.into_iter().next() {
@@ -130,6 +137,64 @@ fn worker_store(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
+/// The pool session's jobs, in submission order: tenant, job id and
+/// campaign seed (two different journals, so a commit that landed in
+/// the wrong one would show).
+const POOL_JOBS: [(&str, &str, u64); 2] = [("a", "job-0001", 7), ("b", "job-0002", 8)];
+
+/// One daemon session in `dir`: a two-worker [`Server`] on `dir/store`,
+/// one job per tenant accepted (ack each) unless a previous session
+/// already did, and only then the scheduler started — so both jobs are in
+/// flight together, one per worker, their commits interleaving — and
+/// both watched to `done` (ack each streamed record).
+fn worker_pool(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+    let mut cfg = ServeConfig::new(dir.join("store"));
+    cfg.workers = 2;
+    // A quarter of a unit: paused runs change hands between the workers.
+    cfg.quantum = 50;
+    let server = Server::open(cfg).map_err(|e| e.to_string())?;
+    let sock = dir.join("d.sock").display().to_string();
+    let listener = Listener::bind(&sock).map_err(|e| e.to_string())?;
+    let accept = server.clone();
+    std::thread::spawn(move || accept.serve(&listener));
+    let mut client = Client::connect(&sock).map_err(|e| e.to_string())?;
+    let status = client.status().map_err(|e| e.to_string())?;
+    let known = status
+        .get("jobs")
+        .and_then(Value::as_arr)
+        .map_or(0, <[_]>::len);
+    for (tenant, _, seed) in POOL_JOBS.iter().skip(known) {
+        let c = chaos_campaign(*seed);
+        let (id, _) = client.submit(tenant, 0, &c).map_err(|e| e.to_string())?;
+        println!("ack accept {id}");
+    }
+    drop(server.start_scheduler());
+    std::thread::scope(|s| {
+        let watches = POOL_JOBS.map(|(_, id, _)| {
+            let sock = &sock;
+            s.spawn(move || {
+                let mut client = Client::connect(sock)?;
+                client.watch(id, |v, _| {
+                    if v.get("event").and_then(Value::as_str) == Some("record") {
+                        println!("ack commit {id}");
+                    }
+                })
+            })
+        });
+        watches
+            .into_iter()
+            .try_for_each(|w| w.join().expect("watcher panicked").map(|_| ()))
+    })
+    .map_err(|e| e.to_string())?;
+    // `status` takes the state lock: once it answers, the last commit's
+    // counters have moved.
+    client.status().map_err(|e| e.to_string())?;
+    println!("ran={}", server.metrics().units_completed.get());
+    println!("ops={}", fault::op_count());
+    Ok(())
+}
+
 // ----- explorer --------------------------------------------------------
 
 /// The files whose final bytes must match the reference, per mode.
@@ -137,7 +202,28 @@ fn artifact_files(mode: &str) -> Vec<&'static str> {
     match mode {
         "campaign" => vec!["journal.jsonl", "report.jsonl"],
         "store" => vec!["accept.jsonl", "job-0001/journal.jsonl"],
+        "pool" => vec![
+            "store/accept.jsonl",
+            "store/job-0001/journal.jsonl",
+            "store/job-0002/journal.jsonl",
+        ],
         _ => unreachable!(),
+    }
+}
+
+/// Per mode, the accept log and each journal with the prefix its commit
+/// acks carry.
+fn durable_logs(mode: &str, dir: &Path) -> (PathBuf, Vec<(String, PathBuf)>) {
+    let one = |journal: &str| vec![("commit".to_owned(), dir.join(journal))];
+    match mode {
+        "campaign" => (dir.join("accept.jsonl"), one("journal.jsonl")),
+        "store" => (dir.join("accept.jsonl"), one("job-0001/journal.jsonl")),
+        _ => {
+            let store = dir.join("store");
+            let journal = |id: &str| store.join(id).join("journal.jsonl");
+            let journals = POOL_JOBS.map(|(_, id, _)| (format!("commit {id}"), journal(id)));
+            (store.join("accept.jsonl"), journals.to_vec())
+        }
     }
 }
 
@@ -145,6 +231,8 @@ struct RunOutput {
     status: Option<i32>,
     acks: Vec<String>,
     ops: Option<u64>,
+    /// Units a `pool` session simulated and committed.
+    ran: Option<usize>,
     stderr: String,
 }
 
@@ -165,18 +253,21 @@ fn run_worker(mode: &str, dir: &Path, crash_at: Option<u64>) -> RunOutput {
     let out = cmd.output().expect("spawning chaos worker");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let mut acks = Vec::new();
-    let mut ops = None;
+    let (mut ops, mut ran) = (None, None);
     for line in stdout.lines() {
         if let Some(rest) = line.strip_prefix("ack ") {
             acks.push(rest.to_owned());
         } else if let Some(n) = line.strip_prefix("ops=") {
             ops = n.parse().ok();
+        } else if let Some(n) = line.strip_prefix("ran=") {
+            ran = n.parse().ok();
         }
     }
     RunOutput {
         status: out.status.code(),
         acks,
         ops,
+        ran,
         stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
     }
 }
@@ -194,22 +285,30 @@ fn complete_lines(path: &Path) -> usize {
 
 /// Verifies every pre-crash ack against the crashed (un-recovered)
 /// on-disk state. Acks: `accept <id>` needs a complete accept-log line;
-/// `commit <i>` needs a complete journal record past the header.
+/// `commit <i>` (`commit <id>` in `pool`) needs a complete record past
+/// the header of its journal.
 fn acks_survived(mode: &str, dir: &Path, acks: &[String]) -> Result<(), String> {
+    let (accept_log, journals) = durable_logs(mode, dir);
     let accepts = acks.iter().filter(|a| a.starts_with("accept")).count();
-    let commits = acks.iter().filter(|a| a.starts_with("commit")).count();
-    if accepts > 0 && complete_lines(&dir.join("accept.jsonl")) < accepts {
+    if accepts > 0 && complete_lines(&accept_log) < accepts {
         return Err(format!("{accepts} acked accepts not all on disk"));
     }
-    let journal = match mode {
-        "campaign" => dir.join("journal.jsonl"),
-        _ => dir.join("job-0001/journal.jsonl"),
-    };
-    // Header line + one line per acked commit, at minimum.
-    if commits > 0 && complete_lines(&journal) < commits + 1 {
-        return Err(format!("{commits} acked commits not all on disk"));
+    for (ack, journal) in &journals {
+        let commits = acks.iter().filter(|a| a.starts_with(ack)).count();
+        // Header line + one line per acked commit, at minimum.
+        if commits > 0 && complete_lines(journal) < commits + 1 {
+            return Err(format!("{commits} acked '{ack}' not all on disk"));
+        }
     }
     Ok(())
+}
+
+/// Units with a complete journal record in `dir`, over all the mode's
+/// journals.
+fn committed_units(mode: &str, dir: &Path) -> usize {
+    let journals = durable_logs(mode, dir).1;
+    let records = |j: &PathBuf| complete_lines(j).saturating_sub(1);
+    journals.iter().map(|(_, j)| records(j)).sum()
 }
 
 struct CrashPointResult {
@@ -278,11 +377,23 @@ fn explore_mode(mode: &str, base: &Path) -> Vec<CrashPointResult> {
             failure = acks_survived(mode, &dir, &crashed.acks).err();
         }
         if failure.is_none() {
+            // What the restarted daemon simulates is exactly what had not
+            // committed (`pool` only; the other workers report no count):
+            // no committed unit re-runs, and the crash cost each job no
+            // more than the one unit it had in flight.
+            let uncommitted = reference
+                .ran
+                .map(|total| total - committed_units(mode, &dir));
             let recovery = run_worker(mode, &dir, None);
             if recovery.status != Some(0) {
                 failure = Some(format!(
                     "recovery after crash at op {k} failed ({:?}):\n{}",
                     recovery.status, recovery.stderr
+                ));
+            } else if recovery.ran != uncommitted {
+                failure = Some(format!(
+                    "recovery after crash at op {k} ran {:?} units, {uncommitted:?} were uncommitted",
+                    recovery.ran
                 ));
             }
         }
@@ -314,9 +425,10 @@ fn explore_mode(mode: &str, base: &Path) -> Vec<CrashPointResult> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: chaos explore [--mode campaign|store|all] [--dir DIR] [--report FILE]\n\
+        "usage: chaos explore [--mode campaign|store|pool|all] [--dir DIR] [--report FILE]\n\
          \x20      chaos campaign --dir DIR\n\
-         \x20      chaos store --dir DIR"
+         \x20      chaos store --dir DIR\n\
+         \x20      chaos pool --dir DIR"
     );
     std::process::exit(2)
 }
@@ -331,12 +443,12 @@ fn main() -> ExitCode {
             .cloned()
     };
     match cmd {
-        "campaign" | "store" => {
+        "campaign" | "store" | "pool" => {
             let dir = PathBuf::from(flag("--dir").unwrap_or_else(|| usage()));
-            let run = if cmd == "campaign" {
-                worker_campaign(&dir)
-            } else {
-                worker_store(&dir)
+            let run = match cmd {
+                "campaign" => worker_campaign(&dir),
+                "store" => worker_store(&dir),
+                _ => worker_pool(&dir),
             };
             match run {
                 Ok(()) => ExitCode::SUCCESS,
@@ -354,9 +466,10 @@ fn main() -> ExitCode {
             );
             let _ = std::fs::remove_dir_all(&base);
             let modes: Vec<&str> = match mode.as_str() {
-                "all" => vec!["campaign", "store"],
+                "all" => vec!["campaign", "store", "pool"],
                 "campaign" => vec!["campaign"],
                 "store" => vec!["store"],
+                "pool" => vec!["pool"],
                 _ => usage(),
             };
             let mut all = Vec::new();

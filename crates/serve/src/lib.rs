@@ -20,7 +20,7 @@
 //! - [`sched`]: the two-level round-robin [`FairQueue`] (fair across
 //!   tenants, then across one tenant's jobs).
 //! - [`server`]: the daemon itself ([`Server`]) — admission control,
-//!   the scheduler thread, crash recovery, event streaming.
+//!   the scheduler's worker pool, crash recovery, event streaming.
 //! - [`client`]: the version-checked [`Client`] the CLI subcommands
 //!   (`submit`, `watch`, `status`) are built on.
 //! - [`dispatch`]: the fleet coordinator (`dramctrl dispatch`) — shards

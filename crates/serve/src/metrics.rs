@@ -30,6 +30,11 @@ pub struct ServeMetrics {
     /// Seconds a queued job waited between enqueue and its next turn —
     /// the scheduler fairness lag.
     pub sched_wait: Histogram,
+    /// Scheduler workers spawned so far (the pool grows on demand up to
+    /// `serve --workers`, and never shrinks).
+    pub sched_workers: Gauge,
+    /// Scheduler workers running a slice right now — the units in flight.
+    pub sched_workers_busy: Gauge,
     /// Protocol + HTTP connections currently open.
     pub active_connections: Gauge,
     /// Bytes streamed to `watch` subscribers.
@@ -83,6 +88,16 @@ impl ServeMetrics {
             &[],
             LATENCY_BUCKETS,
         );
+        let sched_workers = registry.gauge(
+            "dramctrl_sched_workers",
+            "Scheduler worker threads spawned so far.",
+            &[],
+        );
+        let sched_workers_busy = registry.gauge(
+            "dramctrl_sched_workers_busy",
+            "Scheduler workers running a slice of a work unit right now.",
+            &[],
+        );
         let active_connections = registry.gauge(
             "dramctrl_active_connections",
             "Open client connections (protocol and HTTP).",
@@ -131,6 +146,8 @@ impl ServeMetrics {
             units_completed,
             units_failed,
             sched_wait,
+            sched_workers,
+            sched_workers_busy,
             active_connections,
             streamed_bytes,
             units_per_second,

@@ -95,6 +95,29 @@ pub(crate) fn read_line_bounded(
     Ok(n)
 }
 
+/// Reads and drops the rest of a line: up to and including the next
+/// `\n`, or to EOF, a read error (the deadline included) or `max` bytes,
+/// whichever comes first. For a connection about to be dropped over an
+/// oversized line: closing a socket with unread input sends a reset,
+/// which can overtake the error line just written to the client.
+pub(crate) fn discard_line(reader: &mut impl BufRead, max: usize) {
+    let mut left = max;
+    while left > 0 {
+        let Ok(buf) = reader.fill_buf() else { return };
+        let window = &buf[..buf.len().min(left)];
+        if window.is_empty() {
+            return;
+        }
+        let newline = window.iter().position(|&b| b == b'\n');
+        let used = newline.map_or(window.len(), |i| i + 1);
+        reader.consume(used);
+        left -= used;
+        if newline.is_some() {
+            return;
+        }
+    }
+}
+
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
@@ -179,5 +202,26 @@ impl Listener {
                 .and_then(|a| a.as_pathname().map(|p| p.display().to_string()))
                 .unwrap_or_else(|| "?".into()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn discard_line_stops_at_the_newline_the_bound_or_eof() {
+        let rest = |input: &[u8], max| {
+            // A 4-byte buffer, so lines span several `fill_buf`s.
+            let mut reader = io::BufReader::with_capacity(4, input);
+            discard_line(&mut reader, max);
+            let mut rest = String::new();
+            reader.read_to_string(&mut rest).unwrap();
+            rest
+        };
+        assert_eq!(rest(b"xxxxxxxxx\nnext\n", 64), "next\n");
+        assert_eq!(rest(b"xxxxxxxxx\nnext\n", 6), "xxx\nnext\n");
+        assert_eq!(rest(b"no newline", 64), "");
+        assert_eq!(rest(b"", 64), "");
     }
 }

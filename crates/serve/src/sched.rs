@@ -1,8 +1,9 @@
 //! Fair multi-tenant scheduling.
 //!
-//! The daemon runs one work unit (or one preemption quantum of one) at a
-//! time, so fairness is entirely a question of *which job goes next*.
-//! [`FairQueue`] answers it with two-level round-robin:
+//! Every free scheduler worker runs one preemption quantum of one work
+//! unit and comes back for more, so fairness is entirely a question of
+//! *which job the next free worker takes*. [`FairQueue`] answers it with
+//! two-level round-robin:
 //!
 //! - **Across tenants**: tenants take turns. A tenant that just ran
 //!   rotates to the back, so one tenant's 10,000-job sweep cannot starve

@@ -3,16 +3,26 @@
 //!
 //! ## Anatomy
 //!
-//! One **scheduler thread** runs all simulation work, one quantum at a
-//! time: it pops the next job from the [`FairQueue`], picks the job's
-//! first uncommitted work unit, and runs one slice of it *outside* the
-//! state lock ([`JobRun::advance`] pauses at the first request boundary
-//! past the quantum target). A paused unit stays **resident in memory**
-//! as a live [`JobRun`], at most one per unfinished job, and its next
-//! slice keeps stepping it: preemption is a scheduling event, not a
-//! durability event. An observed unit (`epochs > 0`) is the same
-//! [`JobRun`] with probes attached, preempted at the same quantum; its
-//! artifacts come back with the metrics of its last slice.
+//! A pool of identical **scheduler workers** — up to
+//! [`ServeConfig::workers`], one per core by default — runs all
+//! simulation work, one quantum at a time each: a worker pops the next
+//! job from the [`FairQueue`], picks the job's first uncommitted work
+//! unit, and runs one slice of it *outside* the state lock
+//! ([`JobRun::advance`] pauses at the first request boundary past the
+//! quantum target). A paused unit stays **resident in memory** as a live
+//! [`JobRun`] in the shared state, at most one per unfinished job, and
+//! whichever worker pops the job next keeps stepping it: preemption is a
+//! scheduling event, not a durability event. An observed unit
+//! (`epochs > 0`) is the same [`JobRun`] with probes attached, preempted
+//! at the same quantum; its artifacts come back with the metrics of its
+//! last slice. A job is in the queue at most once and stays out of it
+//! for the whole slice, so it has **one unit in flight**: the pool runs
+//! different jobs side by side, while each job's commits land in index
+//! order and its journal file is byte for byte a serial run's. Workers
+//! are spawned on demand — the first by [`Server::start_scheduler`],
+//! another whenever a pick leaves work queued with every worker busy —
+//! and an idle one gives up its cached controller, so a daemon serving
+//! one job at a time costs one thread's memory.
 //! **Connection threads** (one per client) only touch
 //! state briefly — submit, watch, status — so a 10-million-request unit
 //! in flight never blocks a submit, and a competing tenant waits at most
@@ -44,18 +54,20 @@
 //!
 //! A store that stops taking writes (disk full, failing fsyncs) must not
 //! kill the daemon. On any store I/O error the daemon enters **degraded
-//! mode**: the computed-but-uncommitted unit outcome is parked in
-//! memory, the scheduler stops starting new slices, new submits are shed
+//! mode**: every computed-but-uncommitted unit outcome — one per worker
+//! whose commit was refused — is parked in memory, in arrival order, the
+//! workers stop starting new slices, new submits are shed
 //! with `rejected reason=store_unavailable`, `/healthz` answers 503 and
 //! the `dramctrl_store_degraded` gauge reads 1 — while status, metrics
 //! and in-flight `watch` streams keep serving from memory. The
-//! scheduler retries the store with bounded exponential backoff
+//! workers retry the store with bounded exponential backoff
 //! ([`STORE_BACKOFF_START`]..[`STORE_BACKOFF_MAX`]): each attempt
-//! repairs the accept log (truncating torn bytes), re-resumes the
+//! repairs the accept log (truncating torn bytes), re-resumes each
 //! damaged journal (truncating its torn tail), re-commits the parked
-//! outcome and probes the store root. The first fully successful
-//! attempt exits degraded mode — no restart, no lost unit, and the
-//! journal bytes are exactly what an unfaulted run would have written.
+//! outcomes (those behind a failure stay parked) and probes the store
+//! root. The first fully successful attempt exits degraded mode — no
+//! restart, no lost unit, and the journal bytes are exactly what an
+//! unfaulted run would have written.
 //!
 //! ## Hostile clients
 //!
@@ -65,10 +77,10 @@
 //! Command lines are length-bounded, and each watch subscriber rides a
 //! bounded outbound buffer ([`ServeConfig::subscriber_buffer`]) — a
 //! consumer that falls behind a full buffer is dropped from the
-//! broadcast list rather than wedging the scheduler.
+//! broadcast list rather than wedging a worker.
 
 use crate::metrics::ServeMetrics;
-use crate::net::{read_line_bounded, Listener, Stream};
+use crate::net::{discard_line, read_line_bounded, Listener, Stream};
 use crate::proto::{
     accepted_event, campaign_from_wire, done_event, error_event, progress_event, record_event,
     rejected_event, text_event, VersionInfo,
@@ -83,7 +95,7 @@ use dramctrl_kernel::backoff::Backoff;
 use dramctrl_kernel::fsio::write_atomic;
 use dramctrl_obs::metrics::Gauge;
 use dramctrl_runner::{JobArtifacts, JobRun, SliceOutcome};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -115,11 +127,16 @@ pub struct ServeConfig {
     /// startup and on every job completion. Running and queued jobs are
     /// never touched. `None` retains everything.
     pub retain: Option<usize>,
+    /// Scheduler workers — how many jobs may run at once — with
+    /// [`ExecutorConfig::workers`]' meaning: `0` is the host's available
+    /// parallelism, anything else that many (at least one).
+    pub workers: usize,
 }
 
 impl ServeConfig {
     /// Defaults: 8 active jobs, 1 000-request quantum, 30 s client
-    /// deadline, 1 024-event subscriber buffers, no GC.
+    /// deadline, 1 024-event subscriber buffers, no GC, one worker per
+    /// core.
     #[must_use]
     pub fn new(store: impl Into<PathBuf>) -> Self {
         Self {
@@ -129,6 +146,7 @@ impl ServeConfig {
             client_timeout: Some(Duration::from_secs(30)),
             subscriber_buffer: 1024,
             retain: None,
+            workers: 0,
         }
     }
 }
@@ -247,8 +265,15 @@ struct State {
     /// Finished jobs garbage-collected this process lifetime (the
     /// store's tombstone log holds the all-time count).
     gc_evicted: u64,
-    /// The (job, unit) the scheduler is running right now, if any.
-    running: Option<(String, usize)>,
+    /// The unit in flight of every job a worker is running right now.
+    running: BTreeMap<String, usize>,
+    /// Preempted units, live, between their slices: at most one per
+    /// unfinished job, resumed by whichever worker pops the job next.
+    /// Nothing here is durable — after a crash the unit in flight
+    /// re-runs from its first request and commits the same bytes.
+    parked: BTreeMap<String, JobRun>,
+    /// Workers spawned so far: on demand, never retired.
+    workers: usize,
     /// `Some` while the store is failing writes (degraded mode).
     degraded: Option<Degraded>,
 }
@@ -264,14 +289,14 @@ struct PendingCommit {
 }
 
 /// Degraded-mode bookkeeping: why, since when, the retry schedule, and
-/// the parked commit (if the failure struck mid-commit rather than
-/// mid-accept).
+/// the parked commits in arrival order — one per worker whose commit the
+/// store refused, none if the failure struck mid-accept.
 struct Degraded {
     reason: String,
     since: Instant,
     backoff: Backoff,
     next_retry: Instant,
-    pending: Option<PendingCommit>,
+    pending: VecDeque<PendingCommit>,
 }
 
 /// First retry delay after entering degraded mode.
@@ -284,6 +309,8 @@ const MAX_CMD_LINE: usize = 1 << 20;
 
 struct Inner {
     cfg: ServeConfig,
+    /// [`ServeConfig::workers`] resolved against the host.
+    max_workers: usize,
     state: Mutex<State>,
     work: Condvar,
     metrics: ServeMetrics,
@@ -345,16 +372,22 @@ impl Server {
             .filter(|js| !js.finished())
             .map(|js| (js.stored.id.clone(), now))
             .collect();
+        let max_workers = ExecutorConfig::default()
+            .with_workers(cfg.workers)
+            .effective_workers(usize::MAX);
         Ok(Self {
             inner: Arc::new(Inner {
                 cfg,
+                max_workers,
                 state: Mutex::new(State {
                     store,
                     jobs,
                     queue,
                     queued_at,
                     rejects: BTreeMap::new(),
-                    running: None,
+                    running: BTreeMap::new(),
+                    parked: BTreeMap::new(),
+                    workers: 0,
                     degraded: None,
                     gc_evicted,
                 }),
@@ -378,13 +411,21 @@ impl Server {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Spawns the scheduler thread (runs for the life of the process).
+    /// Starts the scheduler: spawns its first worker and returns that
+    /// thread's handle. The rest of the pool follows on demand; every
+    /// worker runs for the life of the process.
     pub fn start_scheduler(&self) -> std::thread::JoinHandle<()> {
+        self.spawn_worker(&mut self.lock())
+    }
+
+    fn spawn_worker(&self, st: &mut State) -> std::thread::JoinHandle<()> {
+        st.workers += 1;
+        self.inner.metrics.sched_workers.set(st.workers as f64);
         let this = self.clone();
         std::thread::Builder::new()
             .name("dramctrl-sched".into())
             .spawn(move || this.scheduler_loop())
-            .expect("spawning the scheduler thread")
+            .expect("spawning a scheduler worker")
     }
 
     /// Accept loop: one thread per connection, forever.
@@ -403,21 +444,20 @@ impl Server {
 
     // ----- scheduler ---------------------------------------------------
 
+    /// One worker; all of them run this loop over the same state.
     fn scheduler_loop(&self) {
-        // Preempted units, live, between their slices: at most one per
-        // unfinished job, touched by this thread only. Nothing here is
-        // durable — after a crash the unit in flight re-runs from its
-        // first request and commits the same bytes.
-        let mut suspended: BTreeMap<String, JobRun> = BTreeMap::new();
+        let m = &self.inner.metrics;
         loop {
-            // Pick the next (job, unit, quantum target) under the lock.
-            let (id, unit, spec, epochs, target) = {
+            // Pick the next (job, unit, quantum target) under the lock,
+            // and the job's parked run if a slice of the unit already ran.
+            let (id, unit, spec, epochs, target, mut run) = {
                 let mut st = self.lock();
                 loop {
                     // Degraded: the store owes us a commit (or at least a
                     // successful probe) before any new simulation work is
-                    // worth starting. Retry on the backoff schedule; the
-                    // condvar wait keeps the thread cold in between.
+                    // worth starting. Retry on the backoff schedule — every
+                    // worker waits for it, the first one awake past it makes
+                    // the attempt; the condvar wait keeps them cold between.
                     if let Some(next_retry) = st.degraded.as_ref().map(|d| d.next_retry) {
                         let now = Instant::now();
                         if now < next_retry {
@@ -442,18 +482,27 @@ impl Server {
                     };
                     if let Some((id, unit)) = picked {
                         if let Some(since) = st.queued_at.remove(&id) {
-                            self.inner
-                                .metrics
-                                .sched_wait
-                                .observe(since.elapsed().as_secs_f64());
+                            m.sched_wait.observe(since.elapsed().as_secs_f64());
                         }
-                        st.running = Some((id.clone(), unit));
+                        st.running.insert(id.clone(), unit);
+                        m.sched_workers_busy.set(st.running.len() as f64);
+                        // The pool grows only when it is the bottleneck:
+                        // work is waiting and every worker has some.
+                        if !st.queue.is_empty()
+                            && st.running.len() >= st.workers
+                            && st.workers < self.inner.max_workers
+                        {
+                            drop(self.spawn_worker(&mut st));
+                        }
+                        let run = st.parked.remove(&id);
                         let js = &st.jobs[&id];
-                        sync_queue_gauge(&self.inner.metrics, &st.queue, &js.stored.tenant);
+                        sync_queue_gauge(m, &st.queue, &js.stored.tenant);
                         let live = js.live.as_ref().expect("picked from a live job");
                         let spec = live.units[unit].clone();
-                        break (id, unit, spec, js.stored.epochs, live.pause_target);
+                        break (id, unit, spec, js.stored.epochs, live.pause_target, run);
                     }
+                    // Idle threads hold no simulator memory.
+                    dramctrl_runner::release_idle_cache();
                     st = self
                         .inner
                         .work
@@ -464,17 +513,16 @@ impl Server {
 
             // Run the slice outside the lock: submits, watches and other
             // tenants' turns are never blocked by simulation work.
-            let mut run = suspended.remove(&id);
             let sliced = catch_unwind(AssertUnwindSafe(|| {
                 let run = run.get_or_insert_with(|| JobRun::start(&spec, epochs));
                 run.advance(Some(target))
             }));
 
             let mut st = self.lock();
-            let st = &mut *st; // split-borrow jobs and queue below
-            let m = &self.inner.metrics;
+            let st = &mut *st; // split-borrow jobs, parked and queue below
             let quantum = self.inner.cfg.quantum;
-            st.running = None;
+            st.running.remove(&id);
+            m.sched_workers_busy.set(st.running.len() as f64);
             let Some(live) = st.jobs.get_mut(&id).and_then(|js| js.live.as_mut()) else {
                 continue;
             };
@@ -485,7 +533,8 @@ impl Server {
                 Ok(SliceOutcome::Paused { injected }) => {
                     m.preemptions.inc();
                     live.pause_target = injected + quantum;
-                    suspended.insert(id.clone(), run.take().expect("a paused slice has a run"));
+                    st.parked
+                        .insert(id.clone(), run.take().expect("a paused slice has a run"));
                     None
                 }
                 Ok(SliceOutcome::Done(metrics, artifacts)) => {
@@ -519,7 +568,7 @@ impl Server {
                         self.enter_degraded(st, &e.to_string(), Some(pending));
                     }
                 }
-                None => requeue(st, &id, m),
+                None => self.requeue(st, &id),
             }
         }
     }
@@ -602,7 +651,7 @@ impl Server {
                 m.units_per_second.set(done as f64 / elapsed);
             }
         }
-        requeue(st, &p.id, m);
+        self.requeue(st, &p.id);
         // A completion may push the finished-job count past the
         // retention limit; trim eagerly so disk use stays bounded
         // without a periodic sweep.
@@ -615,20 +664,14 @@ impl Server {
     }
 
     /// Flips the daemon into degraded mode (idempotent): records why,
-    /// parks the pending commit if one is not already parked, raises the
-    /// gauge and wakes the scheduler so it switches to the retry loop.
+    /// parks the pending commit behind any already parked, raises the
+    /// gauge and wakes the workers so they switch to the retry loop.
     fn enter_degraded(&self, st: &mut State, reason: &str, pending: Option<PendingCommit>) {
         self.inner.metrics.store_degraded.set(1.0);
         match st.degraded.as_mut() {
-            Some(d) => {
-                // Already degraded (e.g. a submit hit the broken store
-                // while a commit is parked): never displace the parked
-                // commit — the scheduler blocks until it lands, so there
-                // is at most one.
-                if d.pending.is_none() {
-                    d.pending = pending;
-                }
-            }
+            // Already degraded (another worker's commit, or a submit,
+            // hit the broken store first): queue up behind what is parked.
+            Some(d) => d.pending.extend(pending),
             None => {
                 dramctrl_obs::log_warn!(
                     "serve", "store degraded; shedding new admissions";
@@ -642,27 +685,29 @@ impl Server {
                     since: now,
                     backoff,
                     next_retry: now + first,
-                    pending,
+                    pending: pending.into_iter().collect(),
                 });
                 self.inner.work.notify_all();
             }
         }
     }
 
-    /// One recovery attempt: repair the accept log, land the parked
-    /// commit (through a re-resumed journal), probe the store root.
+    /// One recovery attempt: repair the accept log, land every parked
+    /// commit (each through a re-resumed journal), probe the store root.
     /// Full success exits degraded mode; any failure doubles the
-    /// backoff (capped) and leaves the parked commit parked.
+    /// backoff (capped) and leaves the commits not yet landed parked.
     fn try_store_recovery(&self, st: &mut State) {
         let m = &self.inner.metrics;
         m.store_retries.inc();
         let result: io::Result<()> = (|| {
             st.store.repair()?;
-            let pending = st.degraded.as_mut().and_then(|d| d.pending.take());
-            if let Some(p) = pending {
+            let parked = st.degraded.as_mut().map(|d| std::mem::take(&mut d.pending));
+            let mut parked = parked.unwrap_or_default();
+            while let Some(p) = parked.pop_front() {
                 if let Err(e) = self.complete_unit(st, &p, true) {
+                    parked.push_front(p);
                     if let Some(d) = st.degraded.as_mut() {
-                        d.pending = Some(p);
+                        d.pending = parked;
                     }
                     return Err(e);
                 }
@@ -701,6 +746,20 @@ impl Server {
         }
     }
 
+    /// Puts an unfinished job back in rotation after its turn, and wakes
+    /// an idle worker for it.
+    fn requeue(&self, st: &mut State, id: &str) {
+        let Some(js) = st.jobs.get(id).filter(|js| !js.finished()) else {
+            return;
+        };
+        st.queue.push(&js.stored.tenant, id.to_owned());
+        sync_queue_gauge(&self.inner.metrics, &st.queue, &js.stored.tenant);
+        st.queued_at
+            .entry(id.to_owned())
+            .or_insert_with(Instant::now);
+        self.inner.work.notify_one();
+    }
+
     // ----- connections -------------------------------------------------
 
     fn handle_conn(&self, conn: Stream) -> io::Result<()> {
@@ -725,6 +784,8 @@ impl Server {
                     // line-synchronized, so answer and drop it.
                     self.inner.metrics.clients_evicted.inc();
                     let _ = writeln!(writer, "{}", error_event(&format!("bad command: {e}")));
+                    // Closed on a FIN, so the error line above arrives.
+                    discard_line(&mut reader, MAX_CMD_LINE);
                     return Err(e);
                 }
                 Err(e)
@@ -1024,7 +1085,7 @@ impl Drop for ConnGuard {
 /// Renders `"jobs":[...],"tenants":[...]` — shared by the `status`
 /// protocol event and the HTTP `/jobs` body. Jobs come straight from
 /// the journals (so the view survives restarts); the tenant rollup adds
-/// queue depth, the unit in flight, and this process's rejection tally.
+/// queue depth, the units in flight, and this process's rejection tally.
 fn jobs_tenants_json(st: &State) -> String {
     let mut jobs = String::new();
     struct Roll {
@@ -1032,17 +1093,14 @@ fn jobs_tenants_json(st: &State) -> String {
         active: usize,
         served: usize,
         failed: usize,
-        running: Option<(String, usize)>,
+        running: Vec<String>,
     }
     let mut tenants: BTreeMap<&str, Roll> = BTreeMap::new();
     for (id, js) in &st.jobs {
         if !jobs.is_empty() {
             jobs.push(',');
         }
-        let running_unit = match &st.running {
-            Some((rid, unit)) if rid == id => Some(*unit),
-            _ => None,
-        };
+        let running_unit = st.running.get(id);
         jobs.push_str(&format!(
             "{{\"id\":{},\"tenant\":{},\"done\":{},\"failed\":{},\"total\":{},\"state\":{}{}{}}}",
             json_str(id),
@@ -1065,13 +1123,14 @@ fn jobs_tenants_json(st: &State) -> String {
             active: 0,
             served: 0,
             failed: 0,
-            running: None,
+            running: Vec::new(),
         });
         roll.active += usize::from(!js.finished());
         roll.served += js.done;
         roll.failed += js.failed;
         if let Some(u) = running_unit {
-            roll.running = Some((id.clone(), u));
+            let job = json_str(id);
+            roll.running.push(format!("{{\"job\":{job},\"unit\":{u}}}"));
         }
     }
     let mut out = String::new();
@@ -1081,17 +1140,14 @@ fn jobs_tenants_json(st: &State) -> String {
         }
         out.push_str(&format!(
             "{{\"tenant\":{},\"queued\":{},\"active_jobs\":{},\"served\":{},\"failed\":{},\
-             \"rejected\":{},\"running\":{}}}",
+             \"rejected\":{},\"running\":[{}]}}",
             json_str(tenant),
             roll.queued,
             roll.active,
             roll.served,
             roll.failed,
             st.rejects.get(*tenant).copied().unwrap_or(0),
-            match &roll.running {
-                Some((id, u)) => format!("{{\"job\":{},\"unit\":{u}}}", json_str(id)),
-                None => "null".to_owned(),
-            },
+            roll.running.join(","),
         ));
     }
     format!(
@@ -1211,18 +1267,6 @@ fn write_unit_artifacts(dir: &std::path::Path, unit: usize, a: &JobArtifacts) ->
             .map_err(|e| io::Error::new(e.kind(), format!("artifact {}: {e}", path.display())))?;
     }
     Ok(())
-}
-
-/// Puts an unfinished job back in rotation after its turn.
-fn requeue(st: &mut State, id: &str, m: &ServeMetrics) {
-    let Some(js) = st.jobs.get(id).filter(|js| !js.finished()) else {
-        return;
-    };
-    st.queue.push(&js.stored.tenant, id.to_owned());
-    sync_queue_gauge(m, &st.queue, &js.stored.tenant);
-    st.queued_at
-        .entry(id.to_owned())
-        .or_insert_with(Instant::now);
 }
 
 #[cfg(test)]

@@ -192,6 +192,74 @@ fn torn_commit_parks_the_outcome_and_recovery_lands_it_byte_identically() {
 }
 
 #[test]
+fn two_workers_commits_failing_in_one_episode_both_land_exactly_once() {
+    let root = tmp("parked-two");
+    let store = root.join("store");
+    let mut cfg = ServeConfig::new(&store);
+    cfg.workers = 2;
+    cfg.quantum = u64::MAX; // one slice per unit: slices count simulations
+    let server = Server::open(cfg).expect("open store");
+    let listener = Listener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr();
+    let accept = server.clone();
+    std::thread::spawn(move || accept.serve(&listener));
+    let units = |name: &str| {
+        Campaign::new(name, 42)
+            .read_pcts([0, 50, 100])
+            .requests([20_000])
+    };
+    let (ca, cb) = (units("alice-sweep"), units("bob-sweep"));
+    let (want_a, journal_a) = reference(&ca, &root.join("ref-a"));
+    let (want_b, journal_b) = reference(&cb, &root.join("ref-b"));
+
+    // Per journal, write 1 is the header and write 2 the first commit.
+    // Tear both jobs' first commits, and bob's once more on the way back
+    // in, so the first recovery attempt lands part of what is parked and
+    // re-parks the rest.
+    let journal = |id: &str| format!("{}/{id}/journal", store.display());
+    let _guard = fault::arm_str(&format!(
+        "short,op=write,path={},at=2;short,op=write,path={},from=2,to=3",
+        journal("job-0001"),
+        journal("job-0002")
+    ))
+    .unwrap();
+
+    let mut ka = Client::connect(&addr).unwrap();
+    let mut kb = Client::connect(&addr).unwrap();
+    let (ia, _) = ka.submit("alice", 0, &ca).unwrap();
+    let (ib, _) = kb.submit("bob", 0, &cb).unwrap();
+    assert_eq!((ia.as_str(), ib.as_str()), ("job-0001", "job-0002"));
+    // Both queued before the first worker exists: it takes alice's job
+    // and spawns the second for bob's, so the two first units run side by
+    // side and the second to finish finds the daemon already degraded.
+    drop(server.start_scheduler());
+
+    let got_b = std::thread::scope(|s| {
+        let watch_b = s.spawn(|| collect_records(&mut kb, &ib));
+        assert_eq!(collect_records(&mut ka, &ia), want_a);
+        watch_b.join().unwrap()
+    });
+    assert_eq!(got_b, want_b);
+    for (id, want) in [(&ia, &journal_a), (&ib, &journal_b)] {
+        let on_disk = std::fs::read_to_string(store.join(id).join("journal.jsonl")).unwrap();
+        assert_eq!(&on_disk, want, "{id}: torn bytes must not survive");
+    }
+
+    wait_until("degraded exit", Duration::from_secs(10), || {
+        server.health().is_ok()
+    });
+    let m = server.metrics();
+    assert!(m.store_retries.get() >= 2, "bob's commit re-parked once");
+    wait_until("the last unit's counter", Duration::from_secs(10), || {
+        m.units_completed.get() + m.units_failed.get() == 6
+    });
+    assert_eq!((m.units_completed.get(), m.units_failed.get()), (6, 0));
+    // One pick per slice and one slice per unit: a parked outcome was
+    // committed from memory, never simulated again.
+    assert_eq!(m.sched_wait.count(), 6, "a unit ran twice");
+}
+
+#[test]
 fn a_store_fault_at_a_preemption_never_fails_a_healthy_unit() {
     let root = tmp("preempt-fault");
     let c = campaign("sweep");

@@ -378,6 +378,10 @@ fn http_endpoints_expose_metrics_health_and_jobs() {
         "dramctrl_executor_units_per_second",
         "dramctrl_sched_preemptions_total",
         "dramctrl_sched_wait_seconds_count",
+        // One job never needs a second worker, and the one it had went
+        // idle before the `done` the watch waited for was broadcast.
+        "dramctrl_sched_workers 1\n",
+        "dramctrl_sched_workers_busy 0\n",
     ] {
         assert!(body.contains(needle), "missing {needle} in:\n{body}");
     }
@@ -393,6 +397,7 @@ fn http_endpoints_expose_metrics_health_and_jobs() {
         body.contains(&format!("\"id\":\"{id}\"")) && body.contains("\"tenants\":"),
         "{body}"
     );
+    assert!(body.contains("\"running\":[]"), "idle tenant: {body}");
 
     let (code, _, body) = http_request(&http, "GET", "/healthz");
     assert_eq!(code, 200);
@@ -695,4 +700,134 @@ fn retain_gc_evicts_oldest_finished_jobs_and_spares_the_rest() {
     }
     assert!(!store.join(&ids[1]).exists());
     assert!(store.join(&ids[2]).exists(), "newest finished job retained");
+}
+
+/// Like [`spawn_daemon`], with the pool's size pinned and on a Unix
+/// socket next to the store (a status round trip is tens of
+/// microseconds there, so polling can catch a state that lasts
+/// milliseconds); also returns the [`Server`] handle.
+fn spawn_daemon_pool(store: PathBuf, quantum: u64, workers: usize) -> (String, Server) {
+    let sock = store.with_extension("sock");
+    let mut cfg = ServeConfig::new(store);
+    cfg.quantum = quantum;
+    cfg.workers = workers;
+    let server = Server::open(cfg).expect("open store");
+    drop(server.start_scheduler());
+    let listener = Listener::bind(sock.to_str().unwrap()).expect("bind");
+    let addr = listener.local_addr();
+    let accept = server.clone();
+    std::thread::spawn(move || {
+        let _ = accept.serve(&listener);
+    });
+    (addr, server)
+}
+
+/// Watches `id` to `done`; the streamed records in index order.
+fn watch_records(addr: &str, id: &str) -> String {
+    let mut out = std::collections::BTreeMap::new();
+    Client::connect(addr)
+        .unwrap()
+        .watch(id, |v, line| {
+            if v.get("event").and_then(Value::as_str) == Some("record") {
+                let i = v.get("index").and_then(Value::as_u64).unwrap() as usize;
+                out.insert(i, proto::record_data(line).unwrap().to_owned());
+            }
+        })
+        .unwrap();
+    out.into_values().map(|l| l + "\n").collect()
+}
+
+#[test]
+fn every_worker_count_streams_the_same_bytes_and_preempts_the_same() {
+    let root = tmp("pool-bytes");
+    // Three jobs from two tenants at a 200-request quantum: more jobs
+    // than a 2-worker pool has workers, so a run one worker pauses is
+    // routinely resumed by the other, 25 times per unit.
+    let jobs = [("alice", "a1"), ("bob", "b1"), ("alice", "a2")].map(|(tenant, name)| {
+        let c = campaign(name);
+        let dir = root.join(format!("ref-{name}"));
+        let records = reference_jsonl(&c, &dir);
+        let journal = std::fs::read_to_string(dir.join("ref.jsonl")).unwrap();
+        (tenant, c, records, journal)
+    });
+
+    let mut preemptions = Vec::new();
+    for workers in [1, 2, 4] {
+        let store = root.join(format!("store-{workers}"));
+        let (addr, server) = spawn_daemon_pool(store.clone(), 200, workers);
+        let mut client = Client::connect(&addr).unwrap();
+        let ids: Vec<String> = jobs
+            .iter()
+            .map(|(tenant, c, ..)| client.submit(tenant, 0, c).unwrap().0)
+            .collect();
+        // All three watched at once: every job is in flight together.
+        let streams: Vec<String> = std::thread::scope(|s| {
+            let watchers: Vec<_> = ids
+                .iter()
+                .map(|id| s.spawn(|| watch_records(&addr, id)))
+                .collect();
+            watchers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for ((id, got), (_, c, records, journal)) in ids.iter().zip(&streams).zip(&jobs) {
+            assert_eq!(got, records, "{workers} workers, {}: stream", c.name);
+            let on_disk = std::fs::read_to_string(store.join(id).join("journal.jsonl")).unwrap();
+            assert_eq!(&on_disk, journal, "{workers} workers, {}: journal", c.name);
+        }
+        let m = server.metrics();
+        assert!(m.sched_workers.get() <= workers as f64, "{workers} workers");
+        preemptions.push(m.preemptions.get());
+    }
+    // A function of the units and the quantum only: 9 units of 5 000
+    // requests pause 25 times each, whoever runs them.
+    assert_eq!(preemptions, [225, 225, 225]);
+}
+
+#[test]
+fn a_late_guest_finishes_while_two_hogs_hold_both_workers() {
+    let root = tmp("pool-fair");
+    let (addr, server) = spawn_daemon_pool(root.join("store"), 200, 2);
+    let hog = |name: &str| Campaign::new(name, 3).read_pcts([100]).requests([400_000]);
+    let small = Campaign::new("small", 4).read_pcts([50]).requests([2_000]);
+    let want_small = reference_jsonl(&small, &root.join("ref-small"));
+
+    let mut client = Client::connect(&addr).unwrap();
+    let hogs = [("hog-a", hog("a")), ("hog-b", hog("b"))]
+        .map(|(tenant, c)| client.submit(tenant, 0, &c).unwrap().0);
+    // Both hogs in flight, one per worker, before the guest shows up.
+    // The busy gauge dips between a worker's slices, so poll for it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let text = server.metrics_exposition();
+        let both_busy = text.contains("dramctrl_sched_workers 2\n")
+            && text.contains("dramctrl_sched_workers_busy 2\n");
+        let status = client.status().unwrap();
+        let tenants = status.get("tenants").and_then(Value::as_arr).unwrap();
+        let running = |t: &Value| t.get("running").and_then(Value::as_arr).map(<[_]>::len);
+        if both_busy && tenants.iter().all(|t| running(t) == Some(1)) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the hogs never held both workers: {}\n{text}",
+            status.encode()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
+    let (guest, _) = client.submit("guest", 0, &small).unwrap();
+    assert_eq!(watch_records(&addr, &guest), want_small);
+    let status = client.status().unwrap();
+    let jobs = status.get("jobs").and_then(Value::as_arr).unwrap();
+    for id in &hogs {
+        let job = jobs
+            .iter()
+            .find(|j| j.get("id").and_then(Value::as_str) == Some(id.as_str()))
+            .expect("hog in status");
+        assert_eq!(
+            job.get("done").and_then(Value::as_u64),
+            Some(0),
+            "the guest finished only after {id}'s unit: {}",
+            status.encode()
+        );
+    }
 }

@@ -67,6 +67,7 @@ impl<T: TrafficGen + ?Sized> TrafficGen for Box<T> {
 /// Every generator in this crate implements it (blanket impl), and
 /// `Box<dyn SnapGen>` is itself both a generator and snapshottable, so
 /// run-time-selected workloads participate in crash-safe checkpoints.
-pub trait SnapGen: TrafficGen + dramctrl_kernel::snap::SnapState {}
+/// `Send`, so that a paused run may be resumed by another thread.
+pub trait SnapGen: TrafficGen + dramctrl_kernel::snap::SnapState + Send {}
 
-impl<T: TrafficGen + dramctrl_kernel::snap::SnapState> SnapGen for T {}
+impl<T: TrafficGen + dramctrl_kernel::snap::SnapState + Send> SnapGen for T {}
