@@ -72,8 +72,7 @@ fn start_daemon(dir: &Path, name: &str, envs: &[(&str, &str)]) -> Daemon {
     Daemon { child, sock }
 }
 
-/// The shared campaign: 10 jobs, big enough that a mid-campaign kill
-/// lands while work is genuinely in flight.
+/// The shared campaign: 10 jobs.
 const AXES: &[&str] = &[
     "--reads",
     "0,25,50,75,100",
@@ -85,19 +84,33 @@ const AXES: &[&str] = &[
     "7",
 ];
 
-/// The never-faulted local reference report for [`AXES`].
-fn local_reference(dir: &Path) -> Vec<u8> {
+/// [`AXES`] with units three times as long, for the test that must catch
+/// a peer mid-campaign: the victim's shard is four units of ~20 ms
+/// (release), and it is killed at its first commit.
+const LONG_AXES: &[&str] = &[
+    "--reads",
+    "0,25,50,75,100",
+    "--policies",
+    "open,closed",
+    "--requests",
+    "60000",
+    "--seed",
+    "7",
+];
+
+/// The never-faulted local reference report for `axes`.
+fn local_reference(dir: &Path, axes: &[&str]) -> Vec<u8> {
     let jsonl = dir.join("local.jsonl");
     ok(&dramctrl()
         .args(["sweep", "--quiet", "--jsonl"])
         .arg(&jsonl)
-        .args(AXES)
+        .args(axes)
         .output()
         .unwrap());
     std::fs::read(&jsonl).unwrap()
 }
 
-fn dispatch_cmd(dir: &Path, peers: &[&Daemon], merged: &Path) -> Command {
+fn dispatch_cmd(dir: &Path, peers: &[&Daemon], merged: &Path, axes: &[&str]) -> Command {
     let mut cmd = dramctrl();
     cmd.arg("dispatch");
     for p in peers {
@@ -108,7 +121,7 @@ fn dispatch_cmd(dir: &Path, peers: &[&Daemon], merged: &Path) -> Command {
         .arg("--jsonl")
         .arg(merged)
         .args(["--timeout", "10s"])
-        .args(AXES)
+        .args(axes)
         .stdout(Stdio::null());
     cmd
 }
@@ -120,7 +133,7 @@ fn healthy_fleet_matches_local_sweep_byte_for_byte() {
         .map(|i| start_daemon(&dir, &format!("d{i}"), &[]))
         .collect();
     let merged = dir.join("merged.jsonl");
-    let out = dispatch_cmd(&dir, &daemons.iter().collect::<Vec<_>>(), &merged)
+    let out = dispatch_cmd(&dir, &daemons.iter().collect::<Vec<_>>(), &merged, AXES)
         .args(["--json"])
         .output()
         .unwrap();
@@ -135,7 +148,7 @@ fn healthy_fleet_matches_local_sweep_byte_for_byte() {
     assert!(stderr.contains("\"msg\":\"shards merged\""), "{stderr}");
     assert_eq!(
         std::fs::read(&merged).unwrap(),
-        local_reference(&dir),
+        local_reference(&dir, AXES),
         "merged report diverged from the local sweep"
     );
 }
@@ -147,21 +160,33 @@ fn sigkilled_peer_mid_campaign_is_survived_byte_identically() {
         .map(|i| start_daemon(&dir, &format!("d{i}"), &[]))
         .collect();
     let merged = dir.join("merged.jsonl");
-    let mut dispatch = dispatch_cmd(&dir, &daemons.iter().collect::<Vec<_>>(), &merged)
+    let peers: Vec<&Daemon> = daemons.iter().collect();
+    let mut dispatch = dispatch_cmd(&dir, &peers, &merged, LONG_AXES)
         .stderr(Stdio::null())
         .spawn()
         .unwrap();
-    // Let the fleet pick up its shards, then SIGKILL one daemon while
-    // the campaign is in flight. (If the kill happens to land after its
-    // shard finished, dispatch simply never notices — also a pass.)
-    std::thread::sleep(Duration::from_millis(600));
+    // SIGKILL one daemon while the campaign is in flight: as soon as its
+    // store shows its shard's first committed unit (journal header + one
+    // record), with three more of its units queued or running.
+    let store = dir.join("d0.store");
+    let first_commit = || {
+        let jobs = std::fs::read_dir(&store).ok()?;
+        jobs.flatten()
+            .filter_map(|job| std::fs::read_to_string(job.path().join("journal.jsonl")).ok())
+            .find(|journal| journal.lines().count() >= 2)
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while first_commit().is_none() {
+        assert!(Instant::now() < deadline, "the victim never committed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let victim = daemons.remove(0);
     drop(victim); // kill + reap
     let status = dispatch.wait().unwrap();
     assert!(status.success(), "dispatch failed: {status:?}");
     assert_eq!(
         std::fs::read(&merged).unwrap(),
-        local_reference(&dir),
+        local_reference(&dir, LONG_AXES),
         "merged report diverged after a SIGKILLed peer"
     );
 }
@@ -179,7 +204,7 @@ fn poisoned_store_peer_is_routed_around_byte_identically() {
     );
     let healthy = start_daemon(&dir, "d1", &[]);
     let merged = dir.join("merged.jsonl");
-    let out = dispatch_cmd(&dir, &[&poisoned, &healthy], &merged)
+    let out = dispatch_cmd(&dir, &[&poisoned, &healthy], &merged, AXES)
         .output()
         .unwrap();
     ok(&out);
@@ -190,7 +215,7 @@ fn poisoned_store_peer_is_routed_around_byte_identically() {
     );
     assert_eq!(
         std::fs::read(&merged).unwrap(),
-        local_reference(&dir),
+        local_reference(&dir, AXES),
         "merged report diverged with a poisoned peer in the fleet"
     );
 }

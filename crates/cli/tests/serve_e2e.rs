@@ -161,13 +161,15 @@ fn sigkilled_daemon_restarted_on_same_store_resumes_every_job() {
     let p = |n: &str| dir.join(n).to_str().unwrap().to_owned();
     let sock = p("daemon.sock");
     let store = p("store");
+    // Sized like the reconnect test below: six units of ~10 ms each, so
+    // the kill after the first commit finds most of the sweep undone.
     let axes: &[&str] = &[
         "--seed",
         "11",
         "--reads",
         "0,20,40,60,80,100",
         "--requests",
-        "4000",
+        "40000",
     ];
 
     ok(&dramctrl()
@@ -231,13 +233,17 @@ fn watch_reconnect_rides_through_a_daemon_kill_and_restart() {
     let p = |n: &str| dir.join(n).to_str().unwrap().to_owned();
     let sock = p("daemon.sock");
     let store = p("store");
+    // Six units of 40 000 requests: the kill below lands after the second
+    // commit, and at ~10 ms a unit (release; the controller does ~3 M
+    // requests/s) the other four are still queued or running then — at
+    // 4 000 requests the whole job could finish inside one 5 ms poll.
     let axes: &[&str] = &[
         "--seed",
         "13",
         "--reads",
         "0,20,40,60,80,100",
         "--requests",
-        "4000",
+        "40000",
     ];
 
     ok(&dramctrl()
@@ -251,7 +257,7 @@ fn watch_reconnect_rides_through_a_daemon_kill_and_restart() {
     let mut daemon1 = Daemon::spawn(&sock, &store, "400");
     wait_ready(&sock);
     let id = submit(&sock, "alice", axes);
-    let watcher = dramctrl()
+    let mut watcher = dramctrl()
         .args([
             "watch",
             &id,
@@ -262,9 +268,28 @@ fn watch_reconnect_rides_through_a_daemon_kill_and_restart() {
             &p("resumed.jsonl"),
         ])
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .unwrap();
+    // The watcher's stderr is its progress display and, if it fails, the
+    // reason: collect it for the assertion below, and learn from its
+    // first bytes (the progress line every watch opens with) that the
+    // stream is live.
+    let mut stderr = watcher.stderr.take().unwrap();
+    let (live_tx, live_rx) = std::sync::mpsc::channel();
+    let watcher_log = std::thread::spawn(move || {
+        use std::io::Read;
+        let mut log = Vec::new();
+        let mut buf = [0u8; 512];
+        while let Ok(n @ 1..) = stderr.read(&mut buf) {
+            log.extend_from_slice(&buf[..n]);
+            let _ = live_tx.send(());
+        }
+        String::from_utf8_lossy(&log).into_owned()
+    });
+    live_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the watcher never showed progress");
 
     // Let at least one unit commit, then SIGKILL the daemon out from
     // under the live watch.
@@ -288,7 +313,9 @@ fn watch_reconnect_rides_through_a_daemon_kill_and_restart() {
     // Daemon #2 on the same store resumes the job; the watcher should
     // reconnect by itself and run the stream to completion.
     let _daemon2 = Daemon::spawn(&sock, &store, "400");
-    let out = ok(&watcher.wait_with_output().unwrap()).clone();
+    let out = watcher.wait_with_output().unwrap();
+    let log = watcher_log.join().unwrap();
+    assert!(out.status.success(), "{:?}:\n{log}", out.status.code());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("6 ok, 0 failed"), "{stdout}");
 

@@ -8,7 +8,7 @@
 
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-bank state: the open row and the earliest-allowed times for
 /// activate, precharge and column commands.
@@ -193,11 +193,17 @@ impl SnapState for Rank {
 /// model (paper Section II-G).
 ///
 /// Opens and closes are decided with *future* timestamps (the controller
-/// skips ahead); deltas are buffered in a small ordered map and folded into
-/// the running integral once simulated time passes them.
+/// skips ahead); deltas are buffered and folded into the running integral
+/// once simulated time passes them. The buffer is a deque sorted by tick
+/// with one net delta per tick: a handful of entries (one bank-preparation
+/// time of look-ahead), arriving nearly in order, so an insert is a short
+/// scan from the back and a fold a pop from the front — no tree nodes, no
+/// allocation once the deque has grown.
 #[derive(Debug, Clone, Default)]
 pub struct OpenTimeline {
-    pending: BTreeMap<Tick, i64>,
+    /// `(tick, net delta)`, strictly ascending by tick. A net delta of
+    /// zero stays until folded: it is part of the snapshot.
+    pending: VecDeque<(Tick, i64)>,
     open: i64,
     frontier: Tick,
     time_all_closed: Tick,
@@ -212,12 +218,25 @@ impl OpenTimeline {
 
     /// Records that a bank opens at `at`.
     pub fn open_at(&mut self, at: Tick) {
-        *self.pending.entry(at.max(self.frontier)).or_insert(0) += 1;
+        self.add(at, 1);
     }
 
     /// Records that a bank closes at `at`.
     pub fn close_at(&mut self, at: Tick) {
-        *self.pending.entry(at.max(self.frontier)).or_insert(0) -= 1;
+        self.add(at, -1);
+    }
+
+    fn add(&mut self, at: Tick, delta: i64) {
+        let at = at.max(self.frontier);
+        let mut idx = self.pending.len();
+        while idx > 0 && self.pending[idx - 1].0 > at {
+            idx -= 1;
+        }
+        if idx > 0 && self.pending[idx - 1].0 == at {
+            self.pending[idx - 1].1 += delta;
+        } else {
+            self.pending.insert(idx, (at, delta));
+        }
     }
 
     /// Folds all deltas at or before `now` into the running integral.
@@ -225,11 +244,11 @@ impl OpenTimeline {
         if now < self.frontier {
             return;
         }
-        while let Some((&t, _)) = self.pending.first_key_value() {
+        while let Some(&(t, delta)) = self.pending.front() {
             if t > now {
                 break;
             }
-            let (t, delta) = self.pending.pop_first().expect("checked non-empty");
+            self.pending.pop_front();
             self.account(t);
             self.open += delta;
             debug_assert!(self.open >= 0, "more closes than opens");
@@ -262,7 +281,7 @@ impl OpenTimeline {
 impl SnapState for OpenTimeline {
     fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.pending.len());
-        for (&t, &delta) in &self.pending {
+        for &(t, delta) in &self.pending {
             w.u64(t);
             w.u64(delta as u64);
         }
@@ -278,9 +297,12 @@ impl SnapState for OpenTimeline {
         for _ in 0..n {
             let t = r.u64()?;
             let delta = r.u64()? as i64;
-            if self.pending.insert(t, delta).is_some() {
-                return Err(SnapError::Corrupt(format!("duplicate timeline tick {t}")));
+            if self.pending.back().is_some_and(|last| last.0 >= t) {
+                return Err(SnapError::Corrupt(format!(
+                    "timeline tick {t} repeats or is out of order"
+                )));
             }
+            self.pending.push_back((t, delta));
         }
         self.open = r.u64()? as i64;
         if self.open < 0 {
@@ -390,6 +412,137 @@ mod tests {
         tl.sync(200);
         assert_eq!(tl.time_some_open(), 50);
         assert_eq!(tl.time_all_closed(), 150);
+    }
+
+    /// The ordered-map timeline this one replaced, kept as the oracle.
+    #[derive(Default)]
+    struct MapTimeline {
+        pending: std::collections::BTreeMap<Tick, i64>,
+        open: i64,
+        frontier: Tick,
+        time_all_closed: Tick,
+        time_some_open: Tick,
+    }
+
+    impl MapTimeline {
+        fn add(&mut self, at: Tick, delta: i64) {
+            *self.pending.entry(at.max(self.frontier)).or_insert(0) += delta;
+        }
+
+        fn sync(&mut self, now: Tick) {
+            if now < self.frontier {
+                return;
+            }
+            while let Some((&t, _)) = self.pending.first_key_value() {
+                if t > now {
+                    break;
+                }
+                let (t, delta) = self.pending.pop_first().unwrap();
+                self.account(t);
+                self.open += delta;
+            }
+            self.account(now);
+        }
+
+        fn account(&mut self, until: Tick) {
+            let span = until - self.frontier;
+            if self.open == 0 {
+                self.time_all_closed += span;
+            } else {
+                self.time_some_open += span;
+            }
+            self.frontier = until;
+        }
+
+        fn save_state(&self, w: &mut SnapWriter) {
+            w.usize(self.pending.len());
+            for (&t, &delta) in &self.pending {
+                w.u64(t);
+                w.u64(delta as u64);
+            }
+            w.u64(self.open as u64);
+            w.u64(self.frontier);
+            w.u64(self.time_all_closed);
+            w.u64(self.time_some_open);
+        }
+    }
+
+    /// Seeded open/close/sync mixes — deltas out of order, several on one
+    /// tick (a net zero included), deltas behind the frontier, syncs that
+    /// go backwards — leave the deque timeline and the map timeline with
+    /// the same integrals and the same snapshot bytes at every step, and
+    /// a timeline restored from those bytes carries on identically.
+    #[test]
+    fn timeline_matches_the_ordered_map_it_replaced() {
+        use dramctrl_kernel::rng::Rng;
+        let bytes_of = |save: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new(0);
+            save(&mut w);
+            w.into_bytes()
+        };
+        for seed in 0..32u64 {
+            let mut rng = Rng::seed_from_u64(0x71AE ^ seed);
+            let mut tl = OpenTimeline::new();
+            let mut map = MapTimeline::default();
+            let mut now: Tick = 0;
+            let mut open_banks = 0u32;
+            for step in 0..400 {
+                // Few distinct ticks ahead of `now`, so merges are common;
+                // sometimes behind it, which clamps to the frontier.
+                let at =
+                    (now + rng.gen_range(0..6) * 500).saturating_sub(rng.gen_range(0..2) * 700);
+                match rng.gen_range(0..5) {
+                    0 | 1 => {
+                        tl.open_at(at);
+                        map.add(at, 1);
+                        open_banks += 1;
+                    }
+                    2 | 3 if open_banks > 0 => {
+                        // Not before the frontier's opens: place closes
+                        // late enough that the count never goes negative.
+                        let at = at + 3_000;
+                        tl.close_at(at);
+                        map.add(at, -1);
+                        open_banks -= 1;
+                    }
+                    _ => {
+                        now = (now + rng.gen_range(0..4) * 500)
+                            .saturating_sub(rng.gen_range(0..2) * 250);
+                        tl.sync(now);
+                        map.sync(now);
+                    }
+                }
+                assert_eq!(tl.time_all_closed(), map.time_all_closed);
+                assert_eq!(tl.time_some_open(), map.time_some_open);
+                let bytes = bytes_of(&|w| tl.save_state(w));
+                assert_eq!(bytes, bytes_of(&|w| map.save_state(w)), "seed {seed}");
+                if step % 97 == 0 {
+                    let mut restored = OpenTimeline::new();
+                    restored.open_at(5); // stale state is replaced
+                    let mut r = SnapReader::new(&bytes, 0).unwrap();
+                    restored.restore_state(&mut r).unwrap();
+                    assert!(r.is_exhausted());
+                    assert_eq!(bytes, bytes_of(&|w| restored.save_state(w)));
+                    tl = restored;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timeline_restore_rejects_unsorted_ticks() {
+        for ticks in [[10u64, 10], [20, 10]] {
+            let mut w = SnapWriter::new(0);
+            w.usize(2);
+            for t in ticks {
+                w.u64(t);
+                w.u64(1);
+            }
+            let bytes = w.into_bytes();
+            let mut r = SnapReader::new(&bytes, 0).unwrap();
+            let err = OpenTimeline::new().restore_state(&mut r).unwrap_err();
+            assert!(matches!(err, SnapError::Corrupt(_)));
+        }
     }
 
     #[test]

@@ -66,11 +66,11 @@ enum Ev {
     /// Re-enqueue a burst whose transfer hit a link error (RAS retry,
     /// carrying the packet through its backoff delay). Boxed: retries are
     /// rare, and an inline 80-byte packet would set the size of *every*
-    /// event the heap sifts.
+    /// event the queue moves.
     Retry(Box<DramPacket>),
 }
 
-// Every pop and push in every controller's event heap moves an
+// Every pop and push in every controller's event queue moves an
 // `Entry<Ev>`; the largest common variant (`Ack`) is 32 bytes and nothing
 // rarer may grow the enum past it.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
@@ -218,7 +218,7 @@ impl DramCtrl {
     }
 
     /// Returns the controller to its just-constructed state while keeping
-    /// its allocations (event heap, queue arenas, group arena) — the
+    /// its allocations (event queue, queue arenas, group arena) — the
     /// per-worker reuse path for campaigns of short jobs, where rebuilding
     /// these structures would otherwise dominate sub-millisecond runs.
     ///
@@ -288,10 +288,10 @@ impl<P: Probe> DramCtrl<P> {
             .collect::<Vec<_>>();
         // Pending events are bounded by one ack per queued request, one
         // refresh per rank and a few singletons (NextReq, the power-down
-        // checks) — pre-size so the hot path never grows the heap.
-        let mut events = EventQueue::with_capacity(
-            cfg.read_buffer_size + cfg.write_buffer_size + ranks.len() + 4,
-        );
+        // checks), but an ack is pending for one access latency only: a
+        // handful are at any time, mostly in the queue's runs, so nothing
+        // is reserved and the first few hundred events size it.
+        let mut events = EventQueue::new();
         for (i, r) in ranks.iter().enumerate() {
             if r.refresh_due != Tick::MAX {
                 events.schedule(r.refresh_due, Ev::Refresh(i as u32));
@@ -1051,19 +1051,20 @@ impl<P: Probe> DramCtrl<P> {
     ///
     /// * the QoS top class and the FCFS pick come from the per-class
     ///   intrusive lists (O(1));
-    /// * the FR-FCFS first pass reads the oldest entry of the top class
-    ///   from the queue's open-row hit index — maintained incrementally on
-    ///   enqueue/dequeue and on every activate/precharge the controller
-    ///   announces via `set_open_row` — which is exactly the first hit a
-    ///   FIFO scan would find, in O(log hits) with no bank iteration;
-    /// * with no eligible hit, `estimate_col_at` is row-independent for
-    ///   every remaining packet of a bank (they all miss), so pass two
-    ///   evaluates one candidate per *non-empty* bank (bitmask-guided) and
-    ///   minimises by (estimate, age) — reproducing the scan's first-wins
-    ///   minimum.
+    /// * the FR-FCFS first pass reads the oldest top-class head over the
+    ///   queue's hit banks — the banks whose open row has packets queued,
+    ///   a mask and a bucket handle per bank kept on enqueue/dequeue and
+    ///   on every activate/precharge the controller announces via
+    ///   `set_open_row` — which is exactly the first hit a FIFO scan
+    ///   would find;
+    /// * with no eligible hit every top-class packet misses, so the
+    ///   reference's column-time estimate depends only on a packet's
+    ///   bank: pass two evaluates one candidate per *non-empty* bank
+    ///   (bitmask-guided) and minimises by (estimate, age) — reproducing
+    ///   the scan's first-wins minimum.
     ///
-    /// Selection cost is O(log hits + occupied banks), independent of
-    /// queue depth and of the device's total bank count.
+    /// Selection cost is O(hit banks + occupied banks), independent of
+    /// queue depth.
     fn choose_next(&self, is_read: bool, now: Tick) -> u32 {
         #[cfg(test)]
         if self.use_reference {
@@ -1077,16 +1078,32 @@ impl<P: Probe> DramCtrl<P> {
         match self.cfg.scheduling {
             SchedPolicy::Fcfs => queue.first_in_order().expect("non-empty"),
             SchedPolicy::FrFcfs => {
-                // First ready: the oldest row hit in the class, answered by
-                // the queue's incrementally maintained hit index — no bank
-                // iteration, independent of depth and geometry.
+                // First ready: the oldest row hit in the class, over the
+                // queue's hit banks only.
                 if let Some((_, slot)) = queue.best_row_hit(top) {
                     return slot;
                 }
                 // No row hits: the packet whose bank can deliver data
                 // soonest (first available bank), FCFS on ties. Only banks
                 // with queued packets are probed, in ascending flat-bank
-                // order (the order the full scan visited them).
+                // order (the order the full scan visited them). Every
+                // candidate needs an activate, after a precharge if its
+                // bank holds another row, so the reference's estimate is
+                // max(bank ready, rank activate floor) + tRCD: the floor
+                // (tRRD, tXAW window) is worked out once per rank, the
+                // bank term from the flat bank id alone, and the common
+                // tRCD left out of the comparison.
+                let t = &self.cfg.spec.timing;
+                let banks_per_rank = self.cfg.spec.org.banks;
+                // Banks come in ascending flat order, so the rank of the
+                // current bank is found by stepping, not dividing.
+                let act_floor = |rank: &Rank| {
+                    rank.act_constrained(rank.next_act_at, t.t_xaw, t.activation_limit)
+                };
+                let mut ranks = self.ranks.iter();
+                let mut rank = ranks.next().expect("a device has a rank");
+                let mut rank_end = banks_per_rank;
+                let mut floor = act_floor(rank);
                 let mut best = None;
                 let mut best_at = Tick::MAX;
                 let mut best_seq = u64::MAX;
@@ -1094,7 +1111,18 @@ impl<P: Probe> DramCtrl<P> {
                     let Some((seq, slot)) = queue.bank_candidate(b, top) else {
                         return;
                     };
-                    let at = self.estimate_col_at(queue.get(slot), now);
+                    while b >= rank_end {
+                        rank = ranks.next().expect("bank id within the device");
+                        rank_end += banks_per_rank;
+                        floor = act_floor(rank);
+                    }
+                    let bank = &rank.banks[(b + banks_per_rank - rank_end) as usize];
+                    let ready = if bank.open_row.is_some() {
+                        bank.pre_allowed_at.max(now) + t.t_rp
+                    } else {
+                        bank.act_allowed_at.max(now)
+                    };
+                    let at = ready.max(floor);
                     if at < best_at || (at == best_at && seq < best_seq) {
                         best_at = at;
                         best_seq = seq;
@@ -1159,7 +1187,10 @@ impl<P: Probe> DramCtrl<P> {
     }
 
     /// Earliest tick the column command for `pkt` could issue, used by the
-    /// FR-FCFS "first available bank" rule.
+    /// reference FR-FCFS "first available bank" rule
+    /// ([`choose_next`](Self::choose_next) evaluates its two miss cases
+    /// per bank instead of per packet).
+    #[cfg(test)]
     fn estimate_col_at(&self, pkt: &DramPacket, now: Tick) -> Tick {
         let t = &self.cfg.spec.timing;
         let rank = &self.ranks[pkt.da.rank as usize];
@@ -1540,7 +1571,7 @@ impl<P: Probe> SnapState for DramCtrl<P> {
             rank.restore_state(r)?;
         }
         // The queues restore with an all-closed open-row mirror; re-announce
-        // the restored banks' open rows so the FR-FCFS hit index is exact.
+        // the restored banks' open rows so the queues' hit banks are exact.
         for ri in 0..self.ranks.len() {
             for bi in 0..self.ranks[ri].banks.len() {
                 let row = self.ranks[ri].banks[bi].open_row;

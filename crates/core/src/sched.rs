@@ -19,35 +19,39 @@
 //!   O(1) slot recycling instead of `VecDeque::remove`'s memmove);
 //! * a monotonically increasing per-queue *sequence number* stamped on
 //!   every packet, so FCFS age survives arbitrary removal order;
-//! * per-priority-class intrusive FIFO lists threaded through the slot
-//!   arena — sequence numbers are stamped monotonically, so enqueue is a
-//!   tail append and dequeue an O(1) unlink, making the FCFS pick and the
-//!   QoS top class O(1) with no allocation (this replaced an earlier
-//!   `BTreeMap` order index whose node churn dominated deep queues);
-//! * `by_bank` — per-(rank, bank) sorted candidate lists plus a bank
-//!   occupancy bitmask, so FR-FCFS probes only *non-empty* banks instead
-//!   of packets (O(occupied banks) per decision);
-//! * `by_row` — per-(rank, bank, row) sorted candidate lists (backed by a
-//!   recycled-`Vec` pool so row churn never hits the allocator), so
-//!   row-hit detection and the adaptive page policies' `queued_to_row`
-//!   are point lookups;
-//! * `hits` — an incrementally maintained set of the queued packets whose
-//!   target row is *currently open* in their bank, updated on
-//!   enqueue/dequeue and on every activate/precharge the controller
-//!   reports via [`set_open_row`](SchedQueue::set_open_row). The oldest
-//!   row hit of the top QoS class — the FR-FCFS first pass — is one
-//!   ordered-set lookup, independent of queue depth and bank count;
+//! * three intrusive doubly-linked lists threaded through the slot arena
+//!   (one [`Link`] triple per slot, a [`Bucket`] of head, tail and length
+//!   per list), each in `(priority descending, age)` order. Sequence
+//!   numbers are stamped monotonically, so enqueue is a tail append —
+//!   only a packet that outranks queued ones walks back from the tail —
+//!   and dequeue an O(1) unlink from anywhere; no list ever allocates:
+//!   * per priority class, with a 256-bit class mask: the FCFS pick and
+//!     the QoS top class;
+//!   * `by_bank` — per (rank, bank), with a bank occupancy bitmask, so
+//!     FR-FCFS probes only *non-empty* banks instead of packets
+//!     (O(occupied banks) per decision);
+//!   * `by_row` — per (rank, bank, row), the list heads in an arena of
+//!     recycled buckets behind a hash index, so row-hit detection and the
+//!     adaptive page policies' `queued_to_row` are point lookups;
+//! * the hit banks — a bank holds a row hit exactly when the bucket of
+//!   its open row is non-empty, so per bank the queue keeps the handle of
+//!   that bucket (`open_bucket`) and a bitmask of the banks that have
+//!   one (`hit_mask`). A row transition the controller reports via
+//!   [`set_open_row`](SchedQueue::set_open_row) swaps one handle and one
+//!   bit whatever is queued to either row; enqueue/dequeue touch them
+//!   only when a bucket appears or empties. The oldest row hit of the
+//!   top QoS class — the FR-FCFS first pass — is the smallest sequence
+//!   number over the hit banks' bucket heads;
 //! * a [`WriteCoverage`] multiset for O(1) write snooping.
 //!
-//! Determinism: the intrusive lists and sorted vectors order by
-//! `(priority, seq)`; the hash maps use the fixed-seed hasher from
-//! [`dramctrl_kernel::hash`] and are only probed point-wise. No iteration
-//! order can differ between runs or leak into scheduling. The scan
-//! implementations survive as test-only code (`#[cfg(test)]` in
-//! `ctrl.rs`), and the differential harness (`diff.rs`) proves both
-//! produce byte-identical results.
+//! Determinism: the lists order by `(priority, seq)`; the hash maps use
+//! the fixed-seed hasher from [`dramctrl_kernel::hash`] and are only
+//! probed point-wise. No iteration order can differ between runs or leak
+//! into scheduling. The scan implementations survive as test-only code
+//! (`#[cfg(test)]` in `ctrl.rs`), and the differential harness
+//! (`diff.rs`) proves both produce byte-identical results.
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
 
 use dramctrl_kernel::hash::DetMap;
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapWriter};
@@ -57,74 +61,144 @@ use crate::queue::{read_packet, save_packet, DramPacket};
 
 /// Sort key of a queued packet: QoS-descending, then age-ascending.
 ///
-/// `255 - priority` makes the natural ascending order of sorted vectors
-/// and ordered sets yield the highest-priority, oldest packet first.
+/// `255 - priority` makes ascending key order yield the highest-priority,
+/// oldest packet first.
 #[inline]
 fn order_key(pkt: &DramPacket) -> (u8, u64) {
     (255 - pkt.priority, pkt.seq)
 }
 
-/// Sentinel for "no slot" in the intrusive per-class lists.
+/// Sentinel for "no slot" / "no bucket".
 const NIL: u32 = u32::MAX;
 
-/// Intrusive FIFO links of one queued packet within its priority class.
+/// Calls `f` with the index of every set bit of `mask`, ascending.
+#[inline]
+fn for_each_bit(mask: &[u64], mut f: impl FnMut(u32)) {
+    for (w, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f((w as u32) * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// Neighbours of one queued packet within one of its lists.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     prev: u32,
     next: u32,
 }
 
-/// A sorted candidate list for one bank (or one row of one bank):
-/// `(255 - priority, seq, slot)` triples in ascending order.
-///
-/// Per-bucket population is small (queue depth spread over banks × rows),
-/// so a sorted `Vec` beats a tree: inserts are a short memmove, lookups a
-/// binary search, and iteration is cache-friendly.
-#[derive(Debug, Default, Clone)]
+/// A queued packet is on three lists at once; each threads its own link.
+type Links = [Link; 3];
+const CLASS: usize = 0;
+const BANK: usize = 1;
+const ROW: usize = 2;
+const UNLINKED: Links = [Link {
+    prev: NIL,
+    next: NIL,
+}; 3];
+
+/// One intrusive list of queued packets — a priority class, a bank's
+/// candidates or a row's — in ascending [`order_key`] order. The packets
+/// and their links live in the queue's slot arena; the bucket is the
+/// list's ends and length, so it never owns memory.
+#[derive(Debug, Clone, Copy)]
 struct Bucket {
-    entries: Vec<(u8, u64, u32)>,
+    head: u32,
+    tail: u32,
+    len: u32,
 }
 
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+    len: 0,
+};
+
 impl Bucket {
-    /// Sequence numbers are stamped monotonically, so within one priority
-    /// class a new entry sorts after everything queued: the common insert
-    /// is a tail append, and the binary search is only for a packet that
-    /// outranks (or, restored from a snapshot, predates) the tail.
-    fn insert(&mut self, key: (u8, u64), slot: u32) {
-        let probe = (key.0, key.1, slot);
-        if self.entries.last().map_or(true, |&last| last < probe) {
-            self.entries.push(probe);
-            return;
-        }
-        let at = self.entries.partition_point(|&e| e < probe);
-        self.entries.insert(at, probe);
-    }
-
-    /// FCFS and row-hit service take the oldest entry, which is the head;
-    /// anything else is found by binary search.
-    fn remove(&mut self, key: (u8, u64), slot: u32) {
-        let probe = (key.0, key.1, slot);
-        let at = if self.entries.first() == Some(&probe) {
-            0
-        } else {
-            self.entries.partition_point(|&e| e < probe)
+    /// Links `slot` in behind `after` (`NIL`: at the head), threading
+    /// link `via`.
+    #[inline]
+    fn insert_after(&mut self, links: &mut [Links], via: usize, after: u32, slot: u32) {
+        let next = match after {
+            NIL => std::mem::replace(&mut self.head, slot),
+            _ => std::mem::replace(&mut links[after as usize][via].next, slot),
         };
-        debug_assert_eq!(self.entries.get(at), Some(&probe), "bucket out of sync");
-        self.entries.remove(at);
-    }
-
-    /// Oldest entry of exactly the given inverted-priority class.
-    fn first_of(&self, inv_prio: u8) -> Option<(u64, u32)> {
-        let at = self.entries.partition_point(|&e| e.0 < inv_prio);
-        match self.entries.get(at) {
-            Some(&(ip, seq, slot)) if ip == inv_prio => Some((seq, slot)),
-            _ => None,
+        match next {
+            NIL => self.tail = slot,
+            _ => links[next as usize][via].prev = slot,
         }
+        links[slot as usize][via] = Link { prev: after, next };
+        self.len += 1;
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
+    /// Unlinks `slot`, wherever in the list it is.
+    #[inline]
+    fn unlink(&mut self, links: &mut [Links], via: usize, slot: u32) {
+        let Link { prev, next } = links[slot as usize][via];
+        match prev {
+            NIL => self.head = next,
+            _ => links[prev as usize][via].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            _ => links[next as usize][via].prev = prev,
+        }
+        self.len -= 1;
     }
+
+    /// Links `slot`, whose packet sorts by `key`, in at its place.
+    /// Sequence numbers are stamped monotonically, so within one priority
+    /// class a new packet sorts after everything queued and the loop does
+    /// not run; it walks back from the tail past the packets a newcomer
+    /// outranks (a higher QoS class, a RAS retry re-entering at top
+    /// priority).
+    #[inline]
+    fn insert(
+        &mut self,
+        links: &mut [Links],
+        via: usize,
+        slots: &[Option<DramPacket>],
+        key: (u8, u64),
+        slot: u32,
+    ) {
+        let mut after = self.tail;
+        while after != NIL && key_at(slots, after) > key {
+            after = links[after as usize][via].prev;
+        }
+        self.insert_after(links, via, after, slot);
+    }
+
+    /// Oldest `(seq, slot)` of exactly the given inverted-priority class.
+    /// The scheduler only asks for the queue's top class, which nothing
+    /// queued outranks: the head then is of that class or no entry is,
+    /// and the walk past higher classes is for other callers.
+    #[inline]
+    fn first_of(
+        &self,
+        links: &[Links],
+        via: usize,
+        slots: &[Option<DramPacket>],
+        inv_prio: u8,
+    ) -> Option<(u64, u32)> {
+        let mut slot = self.head;
+        while slot != NIL {
+            let (class, seq) = key_at(slots, slot);
+            if class >= inv_prio {
+                return (class == inv_prio).then_some((seq, slot));
+            }
+            slot = links[slot as usize][via].next;
+        }
+        None
+    }
+}
+
+/// Sort key of the packet queued in `slot`.
+#[inline]
+fn key_at(slots: &[Option<DramPacket>], slot: u32) -> (u8, u64) {
+    order_key(slots[slot as usize].as_ref().expect("listed slot is live"))
 }
 
 /// One controller queue (read or write) with incremental scheduling
@@ -132,33 +206,36 @@ impl Bucket {
 #[derive(Debug)]
 pub(crate) struct SchedQueue {
     slots: Vec<Option<DramPacket>>,
-    /// Intrusive per-class FIFO links, parallel to `slots`.
-    links: Vec<Link>,
+    /// List links of each slot's packet, parallel to `slots`.
+    links: Vec<Links>,
     free: Vec<u32>,
     next_seq: u64,
     len: usize,
     banks_per_rank: u32,
-    /// Head/tail slot of each priority class's FIFO list (`NIL` if empty).
-    class_head: Box<[u32; 256]>,
-    class_tail: Box<[u32; 256]>,
+    /// Each priority class's FIFO list.
+    classes: Box<[Bucket; 256]>,
     /// Bit `p` set iff priority class `p` has queued packets.
     class_mask: [u64; 4],
     /// Flat bank id → candidates in that bank.
     by_bank: Vec<Bucket>,
     /// Bit `b` set iff flat bank `b` has queued packets.
     bank_mask: Vec<u64>,
-    /// (flat bank id, row) → candidates for that row.
-    by_row: DetMap<(u32, u64), Bucket>,
-    /// Emptied row buckets kept for reuse, so steady-state row churn does
-    /// not allocate.
-    spare_buckets: Vec<Bucket>,
+    /// (flat bank id, row) → index in `rows` of that row's candidates;
+    /// present exactly while the bucket is non-empty.
+    by_row: DetMap<(u32, u64), u32>,
+    /// Row-bucket arena: `open_bucket` needs a handle that stays put.
+    rows: Vec<Bucket>,
+    /// Indices of `rows` not in use.
+    free_rows: Vec<u32>,
     /// Mirror of each flat bank's open row, driven by
     /// [`set_open_row`](Self::set_open_row).
     open_rows: Vec<Option<u64>>,
-    /// `(255 - priority, seq, slot)` of every queued packet whose target
-    /// row is currently open in its bank — the FR-FCFS first-pass
-    /// candidates, kept consistent on enqueue/dequeue/activate/precharge.
-    hits: BTreeSet<(u8, u64, u32)>,
+    /// Per flat bank, the `rows` index of its open row's bucket — the
+    /// bank's queued row hits — or `NIL` when no row is open or nothing
+    /// is queued to it.
+    open_bucket: Vec<u32>,
+    /// Bit `b` set iff `open_bucket[b] != NIL`.
+    hit_mask: Vec<u64>,
     /// Byte-span coverage of queued writes (empty for the read queue).
     coverage: WriteCoverage,
 }
@@ -175,15 +252,16 @@ impl SchedQueue {
             next_seq: 0,
             len: 0,
             banks_per_rank,
-            class_head: Box::new([NIL; 256]),
-            class_tail: Box::new([NIL; 256]),
+            classes: Box::new([EMPTY; 256]),
             class_mask: [0; 4],
-            by_bank: vec![Bucket::default(); flat],
+            by_bank: vec![EMPTY; flat],
             bank_mask: vec![0; flat.div_ceil(64)],
             by_row: DetMap::default(),
-            spare_buckets: Vec::new(),
+            rows: Vec::new(),
+            free_rows: Vec::new(),
             open_rows: vec![None; flat],
-            hits: BTreeSet::new(),
+            open_bucket: vec![NIL; flat],
+            hit_mask: vec![0; flat.div_ceil(64)],
             coverage: WriteCoverage::default(),
         }
     }
@@ -197,18 +275,16 @@ impl SchedQueue {
         self.links.clear();
         self.free.clear();
         self.len = 0;
-        *self.class_head = [NIL; 256];
-        *self.class_tail = [NIL; 256];
+        self.classes.fill(EMPTY);
         self.class_mask = [0; 4];
-        for bucket in &mut self.by_bank {
-            bucket.entries.clear();
-        }
-        for word in &mut self.bank_mask {
-            *word = 0;
-        }
+        self.by_bank.fill(EMPTY);
+        self.bank_mask.fill(0);
         self.by_row.clear();
+        self.rows.clear();
+        self.free_rows.clear();
         self.open_rows.fill(None);
-        self.hits.clear();
+        self.open_bucket.fill(NIL);
+        self.hit_mask.fill(0);
         self.coverage = WriteCoverage::default();
     }
 
@@ -237,54 +313,47 @@ impl SchedQueue {
         self.len == 0
     }
 
-    /// Appends `slot` to its priority class's FIFO list. Sequence numbers
-    /// are stamped monotonically, so a tail append keeps the list
-    /// age-sorted.
-    #[inline]
-    fn list_push_back(&mut self, prio: u8, slot: u32) {
-        let p = prio as usize;
-        let tail = self.class_tail[p];
-        self.links[slot as usize] = Link {
-            prev: tail,
-            next: NIL,
+    /// Links the packet in `slot` — stored there already, its `seq` the
+    /// youngest in its class unless a restore is replaying — into its
+    /// class, bank and row lists.
+    fn index(&mut self, slot: u32) {
+        let pkt = self.slots[slot as usize].as_ref().expect("stored above");
+        let key = order_key(pkt);
+        let (p, row) = (pkt.priority as usize, pkt.da.row);
+        let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
+        self.classes[p].insert(&mut self.links, CLASS, &self.slots, key, slot);
+        self.class_mask[p >> 6] |= 1 << (p & 63);
+        self.by_bank[b as usize].insert(&mut self.links, BANK, &self.slots, key, slot);
+        self.bank_mask[(b >> 6) as usize] |= 1 << (b & 63);
+        // The bank's hit bucket if the row is open and has one; else the
+        // row's bucket, taken from the arena if this is its first packet —
+        // which, for the open row, makes the bank a hit bank.
+        let open = self.open_rows[b as usize] == Some(row);
+        let mut idx = if open {
+            self.open_bucket[b as usize]
+        } else {
+            NIL
         };
-        if tail == NIL {
-            self.class_head[p] = slot;
-            self.class_mask[p >> 6] |= 1 << (p & 63);
-        } else {
-            self.links[tail as usize].next = slot;
+        if idx == NIL {
+            idx = match self.by_row.entry((b, row)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(v) => *v.insert(self.free_rows.pop().unwrap_or_else(|| {
+                    self.rows.push(EMPTY);
+                    (self.rows.len() - 1) as u32
+                })),
+            };
+            if open {
+                self.open_bucket[b as usize] = idx;
+                self.hit_mask[(b >> 6) as usize] |= 1 << (b & 63);
+            }
         }
-        self.class_tail[p] = slot;
-    }
-
-    /// Unlinks `slot` from its priority class's FIFO list in O(1).
-    #[inline]
-    fn list_unlink(&mut self, prio: u8, slot: u32) {
-        let p = prio as usize;
-        let Link { prev, next } = self.links[slot as usize];
-        if prev == NIL {
-            self.class_head[p] = next;
-        } else {
-            self.links[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.class_tail[p] = prev;
-        } else {
-            self.links[next as usize].prev = prev;
-        }
-        if self.class_head[p] == NIL {
-            self.class_mask[p >> 6] &= !(1 << (p & 63));
-        }
+        self.rows[idx as usize].insert(&mut self.links, ROW, &self.slots, key, slot);
     }
 
     /// Enqueues `pkt`, stamping its sequence number; returns its slot.
     pub fn push(&mut self, mut pkt: DramPacket) -> u32 {
         pkt.seq = self.next_seq;
         self.next_seq += 1;
-        let key = order_key(&pkt);
-        let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
-        let row = pkt.da.row;
-        let prio = pkt.priority;
         if !pkt.is_read {
             self.coverage.insert(pkt.burst_addr, pkt.lo, pkt.hi);
         }
@@ -295,29 +364,11 @@ impl SchedQueue {
             }
             None => {
                 self.slots.push(Some(pkt));
-                self.links.push(Link {
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.links.push(UNLINKED);
                 (self.slots.len() - 1) as u32
             }
         };
-        self.list_push_back(prio, slot);
-        let bank_bucket = &mut self.by_bank[b as usize];
-        if bank_bucket.entries.is_empty() {
-            self.bank_mask[(b >> 6) as usize] |= 1 << (b & 63);
-        }
-        bank_bucket.insert(key, slot);
-        match self.by_row.entry((b, row)) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(self.spare_buckets.pop().unwrap_or_default())
-            }
-        }
-        .insert(key, slot);
-        if self.open_rows[b as usize] == Some(row) {
-            self.hits.insert((key.0, key.1, slot));
-        }
+        self.index(slot);
         self.len += 1;
         slot
     }
@@ -326,6 +377,7 @@ impl SchedQueue {
     ///
     /// # Panics
     /// Panics on a stale slot.
+    #[cfg(test)]
     pub fn get(&self, slot: u32) -> &DramPacket {
         self.slots[slot as usize].as_ref().expect("stale slot")
     }
@@ -334,28 +386,36 @@ impl SchedQueue {
     pub fn take(&mut self, slot: u32) -> DramPacket {
         let pkt = self.slots[slot as usize].take().expect("stale slot");
         self.free.push(slot);
-        let key = order_key(&pkt);
+        let p = pkt.priority as usize;
         let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
-        self.list_unlink(pkt.priority, slot);
+        self.classes[p].unlink(&mut self.links, CLASS, slot);
+        if self.classes[p].len == 0 {
+            self.class_mask[p >> 6] &= !(1 << (p & 63));
+        }
         let bank_bucket = &mut self.by_bank[b as usize];
-        bank_bucket.remove(key, slot);
-        if bank_bucket.entries.is_empty() {
+        bank_bucket.unlink(&mut self.links, BANK, slot);
+        if bank_bucket.len == 0 {
             self.bank_mask[(b >> 6) as usize] &= !(1 << (b & 63));
         }
-        let bucket = self
-            .by_row
-            .get_mut(&(b, pkt.da.row))
-            .expect("row bucket for queued packet");
-        bucket.remove(key, slot);
-        if bucket.len() == 0 {
-            let bucket = self
+        // A packet queued to the open row is in the bank's hit bucket.
+        let open = self.open_rows[b as usize] == Some(pkt.da.row);
+        let idx = if open {
+            self.open_bucket[b as usize]
+        } else {
+            *self
                 .by_row
-                .remove(&(b, pkt.da.row))
-                .expect("bucket looked up above");
-            self.spare_buckets.push(bucket);
-        }
-        if self.open_rows[b as usize] == Some(pkt.da.row) {
-            self.hits.remove(&(key.0, key.1, slot));
+                .get(&(b, pkt.da.row))
+                .expect("row bucket for queued packet")
+        };
+        let bucket = &mut self.rows[idx as usize];
+        bucket.unlink(&mut self.links, ROW, slot);
+        if bucket.len == 0 {
+            self.by_row.remove(&(b, pkt.da.row));
+            self.free_rows.push(idx);
+            if open {
+                self.open_bucket[b as usize] = NIL;
+                self.hit_mask[(b >> 6) as usize] &= !(1 << (b & 63));
+            }
         }
         if !pkt.is_read {
             self.coverage.remove(pkt.burst_addr, pkt.lo, pkt.hi);
@@ -365,6 +425,7 @@ impl SchedQueue {
     }
 
     /// Highest QoS priority present in the queue.
+    #[inline]
     pub fn top_priority(&self) -> Option<u8> {
         for (w, &word) in self.class_mask.iter().enumerate().rev() {
             if word != 0 {
@@ -378,83 +439,86 @@ impl SchedQueue {
     /// pick).
     pub fn first_in_order(&self) -> Option<u32> {
         self.top_priority()
-            .map(|p| self.class_head[p as usize])
+            .map(|p| self.classes[p as usize].head)
             .filter(|&s| s != NIL)
     }
 
     /// Records that flat bank `b`'s open row changed (activate, precharge
-    /// or refresh/power-down closure): packets queued to the previously
-    /// open row leave the hit set, packets queued to the newly open row
-    /// join it. The controller calls this on every row transition, which
-    /// is what keeps [`best_row_hit`](Self::best_row_hit) depth- and
-    /// bank-count-independent.
+    /// or refresh/power-down closure): the bank's hits are now the bucket
+    /// of the new row, if it has one. One handle and one bit, however
+    /// many packets are queued to the old or the new row — a closed-page
+    /// policy makes two of these per burst.
+    #[inline]
     pub fn set_open_row(&mut self, b: u32, row: Option<u64>) {
-        let old = self.open_rows[b as usize];
-        if old == row {
+        if self.open_rows[b as usize] == row {
             return;
         }
-        if let Some(r) = old {
-            if let Some(bucket) = self.by_row.get(&(b, r)) {
-                for e in &bucket.entries {
-                    self.hits.remove(e);
-                }
-            }
-        }
         self.open_rows[b as usize] = row;
-        if let Some(r) = row {
-            if let Some(bucket) = self.by_row.get(&(b, r)) {
-                for e in &bucket.entries {
-                    self.hits.insert(*e);
-                }
+        let idx = match row {
+            Some(r) if self.by_bank[b as usize].len != 0 => {
+                self.by_row.get(&(b, r)).copied().unwrap_or(NIL)
             }
+            _ => NIL,
+        };
+        self.open_bucket[b as usize] = idx;
+        let (word, bit) = ((b >> 6) as usize, 1u64 << (b & 63));
+        if idx == NIL {
+            self.hit_mask[word] &= !bit;
+        } else {
+            self.hit_mask[word] |= bit;
         }
     }
 
     /// Oldest `(seq, slot)` of priority `prio` whose target row is open in
-    /// its bank — the FR-FCFS first pass, answered in O(log hits) without
-    /// touching the banks.
+    /// its bank — the FR-FCFS first pass: the smallest sequence number
+    /// over the heads of the hit banks' buckets, O(banks with a hit).
+    #[inline]
     pub fn best_row_hit(&self, prio: u8) -> Option<(u64, u32)> {
-        let ip = 255 - prio;
-        match self.hits.range((ip, 0, 0)..).next() {
-            Some(&(p, seq, slot)) if p == ip => Some((seq, slot)),
-            _ => None,
-        }
+        let mut best: Option<(u64, u32)> = None;
+        for_each_bit(&self.hit_mask, |b| {
+            let hits = &self.rows[self.open_bucket[b as usize] as usize];
+            if let Some(hit) = hits.first_of(&self.links, ROW, &self.slots, 255 - prio) {
+                if best.map_or(true, |oldest| hit.0 < oldest.0) {
+                    best = Some(hit);
+                }
+            }
+        });
+        best
     }
 
     /// Calls `f` for every flat bank with queued packets, in ascending
     /// bank order (the order the miss-pass scan used).
-    pub fn for_each_nonempty_bank(&self, mut f: impl FnMut(u32)) {
-        for (w, &word) in self.bank_mask.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                f((w as u32) * 64 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
+    #[inline]
+    pub fn for_each_nonempty_bank(&self, f: impl FnMut(u32)) {
+        for_each_bit(&self.bank_mask, f);
     }
 
     /// Oldest `(seq, slot)` of priority `prio` queued to `row` of the flat
-    /// bank `b`, if any. Superseded in the scheduler by the incremental
-    /// hit index ([`best_row_hit`](Self::best_row_hit)); kept for tests.
+    /// bank `b`, if any. Superseded in the scheduler by the hit banks
+    /// ([`best_row_hit`](Self::best_row_hit)); kept for tests.
     #[cfg(test)]
     pub fn row_candidate(&self, b: u32, row: u64, prio: u8) -> Option<(u64, u32)> {
-        self.by_row.get(&(b, row))?.first_of(255 - prio)
+        let bucket = &self.rows[*self.by_row.get(&(b, row))? as usize];
+        bucket.first_of(&self.links, ROW, &self.slots, 255 - prio)
     }
 
     /// Oldest `(seq, slot)` of priority `prio` queued to the flat bank
     /// `b`, if any — the FR-FCFS first-available-bank probe.
+    #[inline]
     pub fn bank_candidate(&self, b: u32, prio: u8) -> Option<(u64, u32)> {
-        self.by_bank[b as usize].first_of(255 - prio)
+        self.by_bank[b as usize].first_of(&self.links, BANK, &self.slots, 255 - prio)
     }
 
     /// Packets queued to the flat bank `b` (any row, any priority).
     pub fn bank_len(&self, b: u32) -> usize {
-        self.by_bank[b as usize].len()
+        self.by_bank[b as usize].len as usize
     }
 
     /// Packets queued to `row` of the flat bank `b`.
     pub fn row_len(&self, b: u32, row: u64) -> usize {
-        self.by_row.get(&(b, row)).map_or(0, Bucket::len)
+        self.by_row
+            .get(&(b, row))
+            .map_or(0, |&idx| self.rows[idx as usize].len as usize)
     }
 
     /// Whether a queued write fully covers `[lo, hi)` of `burst_addr`
@@ -464,8 +528,8 @@ impl SchedQueue {
     }
 
     /// Writes the queue: slot contents, the free list and the sequence
-    /// counter. The derived indices (class lists, `by_bank`, `by_row`,
-    /// `hits`, `coverage`) are pure functions of the live packets and the
+    /// counter. The derived indices (the lists, `by_row`, the hit banks,
+    /// `coverage`) are pure functions of the live packets and the
     /// controller's bank state and are rebuilt on restore rather than
     /// serialised.
     pub fn save_state(&self, w: &mut SnapWriter) {
@@ -495,14 +559,11 @@ impl SchedQueue {
         self.next_seq = r.u64()?;
         let n_slots = r.usize()?;
         self.clear_to_empty();
-        let mut order: Vec<(u64, u8, u32)> = Vec::new();
+        let mut order: Vec<(u64, u32)> = Vec::new();
         for slot in 0..n_slots {
+            self.links.push(UNLINKED);
             if !r.bool()? {
                 self.slots.push(None);
-                self.links.push(Link {
-                    prev: NIL,
-                    next: NIL,
-                });
                 continue;
             }
             let pkt = read_packet(r)?;
@@ -512,35 +573,22 @@ impl SchedQueue {
                     pkt.seq, self.next_seq
                 )));
             }
-            let key = order_key(&pkt);
             let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
             if b as usize >= self.by_bank.len() {
                 return Err(SnapError::Corrupt(format!(
                     "packet bank {b} outside device geometry"
                 )));
             }
-            order.push((pkt.seq, pkt.priority, slot as u32));
-            let bank_bucket = &mut self.by_bank[b as usize];
-            if bank_bucket.entries.is_empty() {
-                self.bank_mask[(b >> 6) as usize] |= 1 << (b & 63);
-            }
-            bank_bucket.insert(key, slot as u32);
-            self.by_row
-                .entry((b, pkt.da.row))
-                .or_default()
-                .insert(key, slot as u32);
+            order.push((pkt.seq, slot as u32));
             if !pkt.is_read {
                 self.coverage.insert(pkt.burst_addr, pkt.lo, pkt.hi);
             }
             self.slots.push(Some(pkt));
-            self.links.push(Link {
-                prev: NIL,
-                next: NIL,
-            });
             self.len += 1;
         }
-        // Rebuild the per-class FIFO lists in age order; duplicate
-        // sequence numbers cannot come from a saved queue.
+        // Rebuild the lists in age order, as the packets were first
+        // linked; duplicate sequence numbers cannot come from a saved
+        // queue.
         order.sort_unstable();
         for pair in order.windows(2) {
             if pair[0].0 == pair[1].0 {
@@ -550,8 +598,8 @@ impl SchedQueue {
                 )));
             }
         }
-        for &(_, prio, slot) in &order {
-            self.list_push_back(prio, slot);
+        for &(_, slot) in &order {
+            self.index(slot);
         }
         let n_free = r.usize()?;
         for _ in 0..n_free {
@@ -621,34 +669,63 @@ mod tests {
         SchedQueue::new(2, 8, 32)
     }
 
-    /// The tail-append and head-removal fast paths leave a bucket exactly
-    /// as the binary-search paths alone would: sorted, whatever mix of
-    /// in-order, out-of-order (higher class, older seq) and mid-bucket
-    /// operations it sees.
+    /// The tail-append fast path and the walk back from the tail leave a
+    /// bucket in sorted order — forwards and backwards, ends and length
+    /// right — whatever mix of in-order, out-of-order (higher class, older
+    /// seq) and mid-bucket operations it sees.
     #[test]
     fn bucket_fast_paths_keep_the_sorted_order() {
         use dramctrl_kernel::rng::Rng;
         let mut rng = Rng::seed_from_u64(0xB0C);
-        let mut bucket = Bucket::default();
+        let mut slots: Vec<Option<DramPacket>> = vec![None; 64];
+        let mut links = vec![UNLINKED; 64];
+        let mut bucket = EMPTY;
         let mut model: Vec<(u8, u64, u32)> = Vec::new();
+        let check = |bucket: &Bucket, links: &[Links], model: &[(u8, u64, u32)]| {
+            let mut forward = Vec::new();
+            let mut slot = bucket.head;
+            while slot != NIL {
+                forward.push(slot);
+                slot = links[slot as usize][BANK].next;
+            }
+            let mut backward = Vec::new();
+            let mut slot = bucket.tail;
+            while slot != NIL {
+                backward.push(slot);
+                slot = links[slot as usize][BANK].prev;
+            }
+            backward.reverse();
+            let expect: Vec<u32> = model.iter().map(|e| e.2).collect();
+            assert_eq!(forward, expect);
+            assert_eq!(backward, expect);
+            assert_eq!(bucket.len as usize, model.len());
+        };
         for seq in 0..2_000u64 {
             // Mostly one class in arrival order (appends); now and then a
             // packet that outranks the tail, or an old seq as a restore
             // would replay it.
-            let inv_prio = if rng.gen_range(0..8) == 0 { 250 } else { 255 };
+            let priority = if rng.gen_range(0..8) == 0 { 5 } else { 0 };
             let seq = if rng.gen_range(0..16) == 0 {
                 seq / 2
             } else {
                 seq + 2_000
             };
             let slot = rng.gen_range(0..64) as u32;
-            if model.contains(&(inv_prio, seq, slot)) {
+            if slots[slot as usize].is_some() || model.iter().any(|e| e.1 == seq) {
                 continue;
             }
-            bucket.insert((inv_prio, seq), slot);
-            model.push((inv_prio, seq, slot));
+            let mut p = pkt(true, 0, 0, 1, priority);
+            p.seq = seq;
+            let key = order_key(&p);
+            slots[slot as usize] = Some(p);
+            bucket.insert(&mut links, BANK, &slots, key, slot);
+            model.push((key.0, key.1, slot));
             model.sort_unstable();
-            assert_eq!(bucket.entries, model);
+            check(&bucket, &links, &model);
+            for class in [250, 255, 7] {
+                let oldest = model.iter().find(|e| e.0 == class).map(|e| (e.1, e.2));
+                assert_eq!(bucket.first_of(&links, BANK, &slots, class), oldest);
+            }
             while model.len() > rng.gen_range(0..12) as usize {
                 // Mostly the head (FCFS / row-hit service), else anywhere.
                 let at = if rng.gen_range(0..4) == 0 {
@@ -656,11 +733,176 @@ mod tests {
                 } else {
                     0
                 };
-                let (p, s, slot) = model.remove(at);
-                bucket.remove((p, s), slot);
-                assert_eq!(bucket.entries, model);
+                let (_, _, slot) = model.remove(at);
+                bucket.unlink(&mut links, BANK, slot);
+                slots[slot as usize] = None;
+                check(&bucket, &links, &model);
             }
         }
+    }
+
+    /// Every scheduling answer, worked out by scanning the live packets.
+    struct Brute<'a> {
+        q: &'a SchedQueue,
+        open: &'a [Option<u64>],
+    }
+
+    impl Brute<'_> {
+        fn oldest(&self, keep: impl Fn(u32, &DramPacket) -> bool) -> Option<(u64, u32)> {
+            let live = self.q.slots.iter().enumerate();
+            live.filter_map(|(slot, p)| Some((slot as u32, p.as_ref()?)))
+                .filter(|(_, p)| keep(self.q.flat_bank(p.da.rank, p.da.bank), p))
+                .map(|(slot, p)| (p.seq, slot))
+                .min()
+        }
+
+        fn row_hit(&self, prio: u8) -> Option<(u64, u32)> {
+            self.oldest(|b, p| p.priority == prio && self.open[b as usize] == Some(p.da.row))
+        }
+
+        fn bank_candidate(&self, bank: u32, prio: u8) -> Option<(u64, u32)> {
+            self.oldest(|b, p| b == bank && p.priority == prio)
+        }
+
+        /// Compares everything the controller asks the queue.
+        fn check(&self, classes: &[u8]) {
+            let q = self.q;
+            for &prio in classes {
+                assert_eq!(q.best_row_hit(prio), self.row_hit(prio), "class {prio}");
+                for b in 0..q.by_bank.len() as u32 {
+                    assert_eq!(q.bank_candidate(b, prio), self.bank_candidate(b, prio));
+                }
+            }
+            let mut occupied = Vec::new();
+            q.for_each_nonempty_bank(|b| occupied.push(b));
+            for b in 0..q.by_bank.len() as u32 {
+                let in_bank = self.oldest(|pb, _| pb == b).is_some();
+                assert_eq!(occupied.contains(&b), in_bank);
+                let count = |keep: &dyn Fn(&DramPacket) -> bool| {
+                    q.iter_packets()
+                        .filter(|p| q.flat_bank(p.da.rank, p.da.bank) == b && keep(p))
+                        .count()
+                };
+                assert_eq!(q.bank_len(b), count(&|_| true));
+                for row in 0..4 {
+                    assert_eq!(q.row_len(b, row), count(&|p| p.da.row == row));
+                }
+            }
+            let first = q
+                .fifo_packets()
+                .into_iter()
+                .min_by_key(|(_, p)| order_key(p));
+            assert_eq!(q.first_in_order(), first.map(|(slot, _)| slot));
+            assert_eq!(q.top_priority(), first.map(|(_, p)| p.priority));
+            assert_eq!(q.len(), q.iter_packets().count());
+        }
+    }
+
+    /// Seeded push / take / row-transition mixes over a small geometry —
+    /// three QoS classes, a packet now and then re-entering at priority
+    /// 255 as a RAS retry does, slots reused constantly, a snapshot
+    /// restored mid-way — answer every scheduling question exactly as a
+    /// scan of the live packets does, after every single operation.
+    #[test]
+    fn hit_banks_and_candidates_match_a_brute_force_scan() {
+        use dramctrl_kernel::rng::Rng;
+        const CLASSES: [u8; 4] = [0, 3, 7, 255];
+        for seed in 0..24u64 {
+            let mut rng = Rng::seed_from_u64(0x5C4ED ^ seed);
+            let mut q = SchedQueue::new(2, 4, 48);
+            let mut open: Vec<Option<u64>> = vec![None; 8];
+            for step in 0..700 {
+                let live: Vec<u32> = q.fifo_packets().iter().map(|&(slot, _)| slot).collect();
+                match rng.gen_range(0..10) {
+                    0..=3 if q.len() < 48 => {
+                        let prio = CLASSES[rng.gen_range(0..3) as usize];
+                        let (rank, bank) = (rng.gen_range(0..2) as u32, rng.gen_range(0..4) as u32);
+                        q.push(pkt(rng.gen_bool(), rank, bank, rng.gen_range(0..4), prio));
+                    }
+                    4 | 5 if !live.is_empty() => {
+                        // What the controller takes: a row hit if there is
+                        // one, else any packet.
+                        let top = q.top_priority().unwrap();
+                        let slot = match q.best_row_hit(top) {
+                            Some((_, slot)) if rng.gen_bool() => slot,
+                            _ => live[rng.gen_range(0..live.len() as u64) as usize],
+                        };
+                        let mut taken = q.take(slot);
+                        if rng.gen_range(0..6) == 0 {
+                            taken.priority = u8::MAX;
+                            taken.retries += 1;
+                            q.push(taken);
+                        }
+                    }
+                    6..=8 => {
+                        let b = rng.gen_range(0..8) as usize;
+                        open[b] = match rng.gen_range(0..3) {
+                            0 => None,
+                            _ => Some(rng.gen_range(0..4)),
+                        };
+                        q.set_open_row(b as u32, open[b]);
+                    }
+                    _ => {}
+                }
+                Brute { q: &q, open: &open }.check(&CLASSES);
+                if step == 350 {
+                    let mut w = SnapWriter::new(0);
+                    q.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut restored = SchedQueue::new(2, 4, 48);
+                    restored.push(pkt(true, 0, 0, 1, 9)); // replaced, not merged
+                    let mut r = SnapReader::new(&bytes, 0).unwrap();
+                    restored.restore_state(&mut r).unwrap();
+                    assert!(r.is_exhausted());
+                    // Restored all-closed; the controller re-announces.
+                    Brute {
+                        q: &restored,
+                        open: &[None; 8],
+                    }
+                    .check(&CLASSES);
+                    for (b, &row) in open.iter().enumerate() {
+                        restored.set_open_row(b as u32, row);
+                    }
+                    q = restored;
+                    Brute { q: &q, open: &open }.check(&CLASSES);
+                }
+            }
+        }
+    }
+
+    /// A closed-page policy on a linear stream: the row is opened for one
+    /// burst and closed again, with a queue 1 024 deep on that very row.
+    /// Each transition flips the whole queue between "all hits" and "no
+    /// hit", and the answers stay the scan's.
+    #[test]
+    fn closed_page_transitions_on_a_deep_same_row_queue() {
+        let mut q = SchedQueue::new(1, 8, 1024);
+        let b = q.flat_bank(0, 5);
+        let mut open = vec![None; 8];
+        for _ in 0..1024 {
+            q.push(pkt(true, 0, 5, 3, 0));
+        }
+        for round in 0..300 {
+            // Activate: every queued packet is a hit, the oldest first.
+            open[b as usize] = Some(3);
+            q.set_open_row(b, Some(3));
+            let brute = Brute { q: &q, open: &open };
+            let hit = q.best_row_hit(0).expect("1 024 hits");
+            assert_eq!(Some(hit), brute.row_hit(0));
+            assert_eq!(Some(hit), q.bank_candidate(b, 0));
+            let taken = q.take(hit.1);
+            assert_eq!(taken.seq, round, "oldest first");
+            // Auto-precharge: nothing hits, the bank still has its queue.
+            open[b as usize] = None;
+            q.set_open_row(b, None);
+            assert_eq!(q.best_row_hit(0), None);
+            let brute = Brute { q: &q, open: &open };
+            assert_eq!(q.bank_candidate(b, 0), brute.bank_candidate(b, 0));
+            assert_eq!(q.row_len(b, 3), 1023);
+            // The stream refills the slot just freed.
+            assert_eq!(q.push(pkt(true, 0, 5, 3, 0)), hit.1);
+        }
+        Brute { q: &q, open: &open }.check(&[0]);
     }
 
     #[test]

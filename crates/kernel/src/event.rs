@@ -1,13 +1,29 @@
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::tick::Tick;
+
+/// Monotone runs in front of the heap: one is captured by a standing
+/// far-future event (a controller's next refresh), which leaves one each
+/// for decisions near `now` and acks one access latency ahead.
+const RUNS: usize = 3;
 
 /// A deterministic discrete-event queue.
 ///
 /// Events are ordered by tick; events scheduled for the same tick are
 /// delivered in insertion order (FIFO). This tie-break makes simulations
-/// reproducible regardless of heap internals.
+/// reproducible regardless of container internals.
+///
+/// Delivery order is the total order on `(tick, seq)`, where `seq` is the
+/// insertion count — and nothing else. Where an entry is *stored* is a
+/// cost decision only: simulators mostly schedule in tick order, so an
+/// entry that is not earlier than the tail of one of a few FIFO runs is
+/// appended there in O(1), and only the out-of-order remainder pays the
+/// binary heap's sift. Each run is sorted by `(tick, seq)` by
+/// construction (ticks non-decreasing on append, `seq` always
+/// increasing), so the global minimum is the smallest of the run fronts
+/// and the heap top, which is what [`pop`](Self::pop) takes: exactly the
+/// order a single heap delivers.
 ///
 /// The queue tracks the current simulated time: popping an event advances
 /// `now()` to the event's tick. Scheduling in the past is a logic error and
@@ -27,7 +43,17 @@ use crate::tick::Tick;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Each sorted by `(tick, seq)`; an entry joins the first run whose
+    /// tail is not later than it.
+    runs: [VecDeque<Entry<E>>; RUNS],
+    /// Entries earlier than every run's tail when they were scheduled.
     heap: BinaryHeap<Entry<E>>,
+    /// Pending entries over the runs and the heap.
+    len: usize,
+    /// The earliest pending entry and where it sits, kept current by
+    /// `place` and `pop_until`: peeking is a field read, and a pop scans
+    /// the run fronts and the heap top once, for its successor.
+    next: Option<Next>,
     seq: u64,
     now: Tick,
     /// Optional watchdog: latest tick the simulation is allowed to reach.
@@ -62,10 +88,25 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    #[inline]
+    fn key(&self) -> (Tick, u64) {
+        (self.tick, self.seq)
+    }
+}
+
+/// Tick and place of the earliest pending entry: `source` is a run's
+/// index, or `RUNS` for the heap.
+#[derive(Debug, Clone, Copy)]
+struct Next {
+    tick: Tick,
+    source: usize,
+}
+
 // Min-heap ordering on (tick, seq): BinaryHeap is a max-heap, so reverse.
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.tick, other.seq).cmp(&(self.tick, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -77,30 +118,31 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.tick == other.tick && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
 impl<E> Eq for Entry<E> {}
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with `now() == 0`.
+    /// Creates an empty queue with `now() == 0`. Runs and heap grow on
+    /// demand; a component's steady state sizes them within its first
+    /// few hundred events.
     pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: 0,
-            budget: None,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `capacity` pending events
-    /// before the heap reallocates. Components with a known bound on
-    /// outstanding events (e.g. a controller's queue depths) should
-    /// pre-size the heap so the hot path never grows it.
+    /// Creates an empty queue whose heap has room for `capacity` events
+    /// before it reallocates — for a component that schedules mostly out
+    /// of tick order and knows how many events it keeps pending. The
+    /// runs always grow on demand: reserving a bound in each would hold
+    /// it several times over.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
+            runs: std::array::from_fn(|_| VecDeque::new()),
             heap: BinaryHeap::with_capacity(capacity),
+            len: 0,
+            next: None,
             seq: 0,
             now: 0,
             budget: None,
@@ -125,7 +167,7 @@ impl<E> EventQueue<E> {
         outstanding: usize,
         detail: impl FnOnce() -> String,
     ) -> Result<(), SimStall> {
-        if outstanding > 0 && self.heap.is_empty() {
+        if outstanding > 0 && self.is_empty() {
             return Err(SimStall {
                 at: self.now,
                 detail: format!(
@@ -163,11 +205,34 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry {
+        self.place(Entry {
             tick: at,
             seq,
             event,
         });
+    }
+
+    /// Stores `entry`, whose `seq` is larger than any stored one: behind
+    /// the first run it is not earlier than the tail of, else in the heap.
+    #[inline]
+    fn place(&mut self, entry: Entry<E>) {
+        self.len += 1;
+        // Earlier than everything pending only by tick: on a tie the
+        // pending entry has the smaller `seq`. (Behind a non-empty run's
+        // tail it never is — the run's front is not later than its tail.)
+        let tick = entry.tick;
+        let source = self
+            .runs
+            .iter()
+            .position(|run| run.back().map_or(true, |tail| tail.tick <= tick))
+            .unwrap_or(RUNS);
+        if self.next.map_or(true, |next| tick < next.tick) {
+            self.next = Some(Next { tick, source });
+        }
+        match self.runs.get_mut(source) {
+            Some(run) => run.push_back(entry),
+            None => self.heap.push(entry),
+        }
     }
 
     /// Schedules `event` `delay` ticks from now.
@@ -175,49 +240,74 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, event);
     }
 
+    /// The smallest `(tick, seq)` over the run fronts and the heap top.
+    #[inline]
+    fn scan(&self) -> Option<Next> {
+        let mut best: Option<((Tick, u64), usize)> = None;
+        let fronts = self.runs.iter().map(VecDeque::front);
+        for (source, front) in fronts.chain([self.heap.peek()]).enumerate() {
+            let Some(front) = front else { continue };
+            if best.map_or(true, |(key, _)| front.key() < key) {
+                best = Some((front.key(), source));
+            }
+        }
+        best.map(|((tick, _), source)| Next { tick, source })
+    }
+
     /// The tick of the earliest pending event, if any.
+    #[inline]
     pub fn peek_tick(&self) -> Option<Tick> {
-        self.heap.peek().map(|e| e.tick)
+        self.next.map(|next| next.tick)
     }
 
     /// Removes and returns the earliest event, advancing `now()` to its tick.
     pub fn pop(&mut self) -> Option<(Tick, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.tick >= self.now);
-        self.now = entry.tick;
-        Some((entry.tick, entry.event))
+        self.pop_until(Tick::MAX)
     }
 
     /// Removes and returns the earliest event only if it is due at or before
     /// `limit`. Leaves `now()` untouched otherwise.
+    #[inline]
     pub fn pop_until(&mut self, limit: Tick) -> Option<(Tick, E)> {
-        if self.peek_tick()? <= limit {
-            self.pop()
-        } else {
-            None
+        let next = self.next.filter(|next| next.tick <= limit)?;
+        let entry = match self.runs.get_mut(next.source) {
+            Some(run) => run.pop_front(),
+            None => self.heap.pop(),
         }
+        .expect("`next` names a non-empty source");
+        debug_assert_eq!(entry.tick, next.tick);
+        debug_assert!(entry.tick >= self.now);
+        self.len -= 1;
+        self.now = entry.tick;
+        self.next = self.scan();
+        Some((entry.tick, entry.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Drops all pending events; `now()` is preserved.
     pub fn clear(&mut self) {
+        for run in &mut self.runs {
+            run.clear();
+        }
         self.heap.clear();
+        self.len = 0;
+        self.next = None;
     }
 
     /// Returns the queue to its just-constructed state — no pending
     /// events, `now() == 0`, sequence counter rewound, watchdog disarmed
-    /// — while keeping the heap's allocation.
+    /// — while keeping the runs' and the heap's allocations.
     pub fn reset(&mut self) {
-        self.heap.clear();
+        self.clear();
         self.seq = 0;
         self.now = 0;
         self.budget = None;
@@ -227,7 +317,8 @@ impl<E> EventQueue<E> {
     /// counter, the watchdog budget and every pending entry — to a
     /// snapshot. Entries are written in pop order, i.e. sorted by
     /// `(tick, seq)`; since that pair totally orders delivery, a queue
-    /// rebuilt from them pops identically to this one. `enc` serialises
+    /// rebuilt from them pops identically to this one, and the bytes do
+    /// not say which run or heap an entry was stored in. `enc` serialises
     /// one event payload.
     pub fn save_state(
         &self,
@@ -237,8 +328,8 @@ impl<E> EventQueue<E> {
         w.u64(self.now);
         w.u64(self.seq);
         w.opt_u64(self.budget);
-        let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
-        entries.sort_by_key(|e| (e.tick, e.seq));
+        let mut entries: Vec<&Entry<E>> = self.runs.iter().flatten().chain(&self.heap).collect();
+        entries.sort_by_key(|e| e.key());
         w.usize(entries.len());
         for e in entries {
             w.u64(e.tick);
@@ -249,7 +340,7 @@ impl<E> EventQueue<E> {
 
     /// Replaces the queue's state with one previously captured by
     /// [`save_state`](Self::save_state). `dec` deserialises one event
-    /// payload.
+    /// payload. The queue is left as it was on an error.
     ///
     /// # Errors
     /// Returns a [`SnapError`](crate::snap::SnapError) on a truncated
@@ -266,7 +357,7 @@ impl<E> EventQueue<E> {
         let seq = r.u64()?;
         let budget = r.opt_u64()?;
         let n = r.usize()?;
-        let mut heap = BinaryHeap::with_capacity(n.max(self.heap.capacity()));
+        let mut entries = Vec::new();
         for _ in 0..n {
             let tick = r.u64()?;
             let entry_seq = r.u64()?;
@@ -281,13 +372,20 @@ impl<E> EventQueue<E> {
                 )));
             }
             let event = dec(r)?;
-            heap.push(Entry {
+            entries.push(Entry {
                 tick,
                 seq: entry_seq,
                 event,
             });
         }
-        self.heap = heap;
+        // A run is sorted by `(tick, seq)` only if appends carry rising
+        // `seq`s; a saved queue's entries are in pop order, so sorting is
+        // a no-op there and a guard against a hand-made stream.
+        entries.sort_by_key(Entry::key);
+        self.clear();
+        for entry in entries {
+            self.place(entry);
+        }
         self.seq = seq;
         self.now = now;
         self.budget = budget;

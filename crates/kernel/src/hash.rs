@@ -10,6 +10,16 @@
 //! [`DetHasher`] is an FxHash-style multiply-rotate hasher (the scheme
 //! rustc itself uses for its interned maps): not DoS-resistant, but fast on
 //! the small integer keys (addresses, bank/row ids) these indices use.
+//! [`finish`](Hasher::finish) rotates the product's high bits down: the
+//! low bits of `key × SEED` depend only on the low bits of `key`, and the
+//! standard table indexes buckets by the hash's low bits, so without the
+//! fold every 64-byte-aligned burst address would start its probe in one
+//! of two buckets of a 128-bucket table.
+//!
+//! Iteration order is a function of the hash and is *not* part of any
+//! output: every `DetMap`/`DetSet` in the workspace is probed point-wise
+//! or sorted before it is written (`mem::coverage`, `traffic::tester`,
+//! `ras::inject` all sort their keys in `save_state`).
 //!
 //! # Example
 //! ```
@@ -43,9 +53,12 @@ impl DetHasher {
 }
 
 impl Hasher for DetHasher {
+    /// The multiply leaves its entropy in the high bits; the table reads
+    /// the low ones (bucket index) and the top seven (control byte), so
+    /// bring the high bits down and leave mixed ones on top.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -114,6 +127,19 @@ mod tests {
         let hs: Vec<u64> = (0u64..64).map(|i| hash_of(&i)).collect();
         let distinct: std::collections::BTreeSet<_> = hs.iter().collect();
         assert_eq!(distinct.len(), hs.len());
+    }
+
+    /// Burst-aligned addresses (six zero low bits) spread over a small
+    /// table's buckets instead of sharing one or two probe starts.
+    #[test]
+    fn burst_aligned_keys_spread_over_the_low_bits() {
+        let starts: std::collections::BTreeSet<u64> =
+            (0u64..64).map(|i| hash_of(&(i * 64)) & 127).collect();
+        assert!(starts.len() >= 32, "only {} probe starts", starts.len());
+        // And the control byte (top seven bits) is not constant either.
+        let tags: std::collections::BTreeSet<u64> =
+            (0u64..64).map(|i| hash_of(&(i * 64)) >> 57).collect();
+        assert!(tags.len() >= 32, "only {} control bytes", tags.len());
     }
 
     #[test]

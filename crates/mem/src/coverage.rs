@@ -13,7 +13,10 @@
 //! write packets for that burst. Lookup, insert and removal are O(1)
 //! expected — the span list of a single burst is almost always one entry,
 //! because a new span subsumed by an existing one is merged away by the
-//! caller rather than inserted.
+//! caller rather than inserted. That one span is stored in the table
+//! itself; only a burst with several partial writes queued has a span
+//! vector, taken from and returned to a spare pool — so a queue in steady
+//! state never calls the allocator.
 //!
 //! A *widest-span-only* summary (as a first cut might try) would not be
 //! equivalent to scanning the queue: two partial writes `[0,10)` and
@@ -26,6 +29,24 @@
 //! order can leak into scheduling decisions.
 
 use dramctrl_kernel::hash::DetMap;
+use std::collections::hash_map::Entry;
+
+/// The spans queued for one burst, in insertion order (`swap_remove` on
+/// removal): one inline, or a vector once there are more.
+#[derive(Debug, Clone)]
+enum Spans {
+    One((u32, u32)),
+    Many(Vec<(u32, u32)>),
+}
+
+impl Spans {
+    fn as_slice(&self) -> &[(u32, u32)] {
+        match self {
+            Spans::One(span) => std::slice::from_ref(span),
+            Spans::Many(spans) => spans,
+        }
+    }
+}
 
 /// Deterministic multiset of queued-write byte spans, keyed by
 /// burst-aligned address.
@@ -43,7 +64,9 @@ use dramctrl_kernel::hash::DetMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WriteCoverage {
-    by_burst: DetMap<u64, Vec<(u32, u32)>>,
+    by_burst: DetMap<u64, Spans>,
+    /// Emptied span vectors awaiting the next multi-span burst.
+    spare: Vec<Vec<(u32, u32)>>,
     len: usize,
 }
 
@@ -52,7 +75,19 @@ impl WriteCoverage {
     /// `burst_addr`.
     pub fn insert(&mut self, burst_addr: u64, lo: u32, hi: u32) {
         debug_assert!(lo < hi, "empty span");
-        self.by_burst.entry(burst_addr).or_default().push((lo, hi));
+        match self.by_burst.entry(burst_addr) {
+            Entry::Vacant(v) => {
+                v.insert(Spans::One((lo, hi)));
+            }
+            Entry::Occupied(mut e) => match e.get_mut() {
+                Spans::Many(spans) => spans.push((lo, hi)),
+                &mut Spans::One(first) => {
+                    let mut spans = self.spare.pop().unwrap_or_default();
+                    spans.extend([first, (lo, hi)]);
+                    e.insert(Spans::Many(spans));
+                }
+            },
+        }
         self.len += 1;
     }
 
@@ -62,17 +97,21 @@ impl WriteCoverage {
     /// Panics if the span was never inserted — the index and the queue
     /// would be out of sync, which is a controller bug.
     pub fn remove(&mut self, burst_addr: u64, lo: u32, hi: u32) {
-        let spans = self
-            .by_burst
-            .get_mut(&burst_addr)
-            .expect("coverage entry for removed write");
-        let at = spans
-            .iter()
-            .position(|&s| s == (lo, hi))
-            .expect("span for removed write");
-        spans.swap_remove(at);
-        if spans.is_empty() {
-            self.by_burst.remove(&burst_addr);
+        let Entry::Occupied(mut e) = self.by_burst.entry(burst_addr) else {
+            panic!("coverage entry for removed write");
+        };
+        let at = e.get().as_slice().iter().position(|&s| s == (lo, hi));
+        let at = at.expect("span for removed write");
+        match e.get_mut() {
+            Spans::Many(spans) if spans.len() > 1 => {
+                spans.swap_remove(at);
+            }
+            _ => {
+                if let Spans::Many(mut spans) = e.remove() {
+                    spans.clear();
+                    self.spare.push(spans);
+                }
+            }
         }
         self.len -= 1;
     }
@@ -82,7 +121,7 @@ impl WriteCoverage {
     pub fn covers(&self, burst_addr: u64, lo: u32, hi: u32) -> bool {
         self.by_burst
             .get(&burst_addr)
-            .is_some_and(|spans| spans.iter().any(|&(l, h)| l <= lo && h >= hi))
+            .is_some_and(|spans| spans.as_slice().iter().any(|&(l, h)| l <= lo && h >= hi))
     }
 
     /// Number of spans currently indexed (equals queued write bursts).
@@ -105,7 +144,7 @@ impl dramctrl_kernel::snap::SnapState for WriteCoverage {
         keys.sort_unstable();
         w.usize(keys.len());
         for k in keys {
-            let spans = &self.by_burst[&k];
+            let spans = self.by_burst[&k].as_slice();
             w.u64(k);
             w.usize(spans.len());
             for &(lo, hi) in spans {
@@ -139,6 +178,10 @@ impl dramctrl_kernel::snap::SnapState for WriteCoverage {
                 spans.push((lo, hi));
             }
             self.len += spans.len();
+            let spans = match spans[..] {
+                [one] => Spans::One(one),
+                _ => Spans::Many(spans),
+            };
             if self.by_burst.insert(k, spans).is_some() {
                 return Err(SnapError::Corrupt(format!("duplicate burst key {k:#x}")));
             }

@@ -41,6 +41,22 @@ pub fn reconnectable(e: &io::Error) -> bool {
     )
 }
 
+/// One line from the daemon, without its terminator. A stream that ends
+/// instead is `UnexpectedEof` — a transport failure ([`reconnectable`]),
+/// not a malformed event — wherever it ends: mid-watch, or before the
+/// hello of a daemon killed with the connection still in its accept
+/// queue.
+fn read_event(reader: &mut impl BufRead) -> io::Result<String> {
+    let mut line = String::new();
+    if reader.read_line(&mut line)? == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "daemon closed the connection",
+        ));
+    }
+    Ok(line.trim_end_matches(['\r', '\n']).to_owned())
+}
+
 /// A connected, version-checked client.
 #[derive(Debug)]
 pub struct Client {
@@ -69,8 +85,7 @@ impl Client {
         let conn = Stream::connect(addr)?;
         let writer = conn.try_clone()?;
         let mut reader = BufReader::new(conn);
-        let mut hello = String::new();
-        reader.read_line(&mut hello)?;
+        let hello = read_event(&mut reader)?;
         let daemon = VersionInfo::from_hello(hello.trim())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         VersionInfo::current()
@@ -108,14 +123,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection",
-            ));
-        }
-        Ok(line.trim_end_matches(['\r', '\n']).to_owned())
+        read_event(&mut self.reader)
     }
 
     /// Submits a campaign; returns `(job id, total units)` on
@@ -341,5 +349,25 @@ impl Client {
         self.send("{\"cmd\":\"shutdown\"}")?;
         let _ = self.recv();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A daemon that dies between accepting a connection and writing its
+    /// hello is down, not speaking a bad protocol: `connect` reports the
+    /// closed stream as the transport failure a `--reconnect` watcher
+    /// retries, where it used to parse the empty hello and give up.
+    #[test]
+    fn a_connection_closed_before_the_hello_is_reconnectable() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let accept_and_drop = std::thread::spawn(move || drop(listener.accept().unwrap()));
+        let err = Client::connect(&addr).expect_err("no hello was sent");
+        accept_and_drop.join().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(reconnectable(&err));
     }
 }

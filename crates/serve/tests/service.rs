@@ -786,7 +786,14 @@ fn every_worker_count_streams_the_same_bytes_and_preempts_the_same() {
 fn a_late_guest_finishes_while_two_hogs_hold_both_workers() {
     let root = tmp("pool-fair");
     let (addr, server) = spawn_daemon_pool(root.join("store"), 200, 2);
-    let hog = |name: &str| Campaign::new(name, 3).read_pcts([100]).requests([400_000]);
+    // One unit each, never watched to its end (the daemon is dropped with
+    // both still running), so its length costs nothing: ~1 s of simulation
+    // against the few milliseconds — mostly fsyncs — the guest needs.
+    let hog = |name: &str| {
+        Campaign::new(name, 3)
+            .read_pcts([100])
+            .requests([4_000_000])
+    };
     let small = Campaign::new("small", 4).read_pcts([50]).requests([2_000]);
     let want_small = reference_jsonl(&small, &root.join("ref-small"));
 
