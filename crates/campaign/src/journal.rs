@@ -166,13 +166,7 @@ impl CampaignJournal {
     pub fn resume(path: impl Into<PathBuf>, campaign: &Campaign) -> Result<Self, JournalError> {
         let path = path.into();
         let scan = scan_journal(&path, campaign, &campaign.expand())?;
-        if scan.dropped_torn_tail {
-            // Truncate the torn bytes so the next append starts a clean line.
-            let f = std::fs::OpenOptions::new().write(true).open(&path)?;
-            f.set_len(scan.valid_len as u64)?;
-            f.sync_data()?;
-        }
-        let appender = DurableAppender::append_to(&path)?;
+        let appender = DurableAppender::reopen(&path, scan.valid_len as u64)?;
         Ok(Self {
             path,
             appender,

@@ -12,6 +12,10 @@ pub struct Args {
     multi: BTreeMap<String, Vec<String>>,
     positional: Vec<String>,
     switches: Vec<String>,
+    /// Every flag name [`Args::get`] was asked for, so a test can hold a
+    /// command's option list against what its parser really reads.
+    #[cfg(test)]
+    pub asked: std::cell::RefCell<std::collections::BTreeSet<String>>,
 }
 
 /// A user-facing argument error.
@@ -80,6 +84,8 @@ impl Args {
 
     /// A flag's raw value.
     pub fn get(&self, name: &str) -> Option<&str> {
+        #[cfg(test)]
+        self.asked.borrow_mut().insert(name.to_owned());
         self.flags.get(name).map(String::as_str)
     }
 

@@ -8,28 +8,50 @@
 //! dramctrl sweep --policies open,closed --reads 0,50,100 --jsonl report.jsonl
 //! ```
 
+/// `print!` to a stdout that may go away: when the reader closes the pipe
+/// (`dramctrl ... | head`) the process ends quietly, as one killed by
+/// SIGPIPE would, where std's macro panics with a backtrace. Shadows
+/// std's macro in every module below.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` over this crate's [`print!`].
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
 mod args;
+mod run;
 
 use args::{
-    parse_device, parse_duration, parse_ecc, parse_mapping, parse_policy, parse_ras_rate,
-    parse_sched, parse_size, ArgError, Args,
+    parse_device, parse_duration, parse_mapping, parse_policy, parse_ras_rate, parse_sched,
+    parse_size, ArgError, Args,
 };
-use dramctrl::{CtrlConfig, DramCtrl, FaultModel, RasConfig};
-use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
 use dramctrl_kernel::fsio::write_atomic;
-use dramctrl_kernel::snap::{fingerprint, SnapState};
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{presets, Controller, MemSpec};
-use dramctrl_obs::{ChromeTracer, EpochRecorder};
-use dramctrl_power::{drampower_energy, micron_power};
-use dramctrl_runner::{restore_checkpoint, save_checkpoint};
-use dramctrl_stats::Report;
-use dramctrl_traffic::{
-    DramAwareGen, LinearGen, RandomGen, SnapGen, TestSummary, Tester, TraceEntry, TraceGen,
-    TrafficGen,
-};
+use dramctrl_mem::presets;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Writes to stdout; ends the process if stdout is gone — silently for a
+/// closed pipe, with an `error:` line for anything else.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing to stdout: {e}");
+        }
+        std::process::exit(1);
+    }
+}
 
 const USAGE: &str = "\
 dramctrl — event-based DRAM controller simulator (ISPASS 2014 reproduction)
@@ -49,9 +71,8 @@ USAGE:
                                               surviving dead/slow/lying peers
     dramctrl version                          print crate/protocol/format versions
 
-RUN / RECORD OPTIONS:
+WORKLOAD OPTIONS (run and record — the request stream):
     --device NAME        device preset (default ddr3-1600-x64)
-    --model event|cycle  controller model (default event)
     --gen linear|random|dram-aware   traffic pattern (default linear)
     --reads PCT          read percentage 0..100 (default 100)
     --requests N         number of requests (default 100000)
@@ -60,22 +81,32 @@ RUN / RECORD OPTIONS:
     --block SIZE         request size in bytes (default 64)
     --stride N           dram-aware: sequential bursts per row (default 8)
     --banks N            dram-aware: banks targeted (default 4)
+    --mapping M          RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh (default RoRaBaCoCh)
+    --seed N             RNG seed (default 1)
+    -o FILE              record only: where to write the trace
+
+CONTROLLER OPTIONS (run and replay — the simulator; anything else is a
+usage error, so `replay --model cycle` or `record --policy closed` exit 2):
+    --device NAME        device preset (default ddr3-1600-x64)
     --policy P           open|open-adaptive|closed|closed-adaptive (default open)
     --sched S            fcfs|frfcfs (default frfcfs)
     --mapping M          RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh (default RoRaBaCoCh)
-    --seed N             RNG seed (default 1)
-    --powerdown DUR      enable power-down after this idle time
-    --energy             also print the DRAMPower-style energy breakdown
+    --model event|cycle  run only: controller model (default event; replay
+                         always uses the event model)
+    --powerdown DUR      run only, event model only: power down after this
+                         idle time
+    --energy             run only, event model only: also print the
+                         DRAMPower-style energy breakdown
 
-RAS OPTIONS (run and replay; faults are seeded and deterministic):
+RAS OPTIONS (run and replay; faults are seeded by --seed and deterministic):
     --ras RATE           inject faults at RATE transient upsets per
                          gigabit-hour (e.g. 2e11); derived stuck-row,
                          rank-failure and link-error rates scale with it
     --ecc MODE           none|secded|chipkill (default secded;
                          requires --ras)
 
-CHECKPOINT OPTIONS (run; snapshots are deterministic — resuming in a
-fresh process is byte-identical to never having stopped):
+CHECKPOINT OPTIONS (run and replay; snapshots are deterministic — resuming
+in a fresh process is byte-identical to never having stopped):
     --checkpoint FILE    write a state snapshot to FILE and stop once
                          --checkpoint-at requests have been injected
     --checkpoint-at N    injection count at which to pause (requires
@@ -227,9 +258,9 @@ fn main() -> ExitCode {
     let cmd = argv.remove(0);
     let result = match cmd.as_str() {
         "devices" => devices(),
-        "run" => run(argv),
-        "record" | "trace-record" => record(argv),
-        "replay" => replay(argv),
+        "run" => run::run(argv),
+        "record" | "trace-record" => run::record(argv),
+        "replay" => run::replay(argv),
         "sweep" => sweep(argv),
         "serve" => serve(argv),
         "submit" => submit(argv),
@@ -289,408 +320,16 @@ fn devices() -> Result<(), ArgError> {
     Ok(())
 }
 
-const RUN_OPTS: &[&str] = &[
-    "device",
-    "model",
-    "gen",
-    "reads",
-    "requests",
-    "period",
-    "range",
-    "block",
-    "stride",
-    "banks",
-    "policy",
-    "sched",
-    "mapping",
-    "seed",
-    "powerdown",
-    "energy",
-    "ras",
-    "ecc",
-    "o",
-    "perfetto",
-    "epochs",
-    "epochs-out",
-    "stats-json",
-    "checkpoint",
-    "checkpoint-at",
-    "restore",
+/// The campaign axis flags — every flag [`campaign_from_args`] reads —
+/// shared by `sweep`, `submit` and `dispatch`.
+const AXIS_OPTS: &[&str] = &[
+    "devices", "models", "policies", "scheds", "mappings", "channels", "gens", "reads", "requests",
+    "range", "block", "stride", "banks", "ras", "seed",
 ];
 
-/// The CLI's run-time-selected probe: each sink is present only when its
-/// flag was given. `(None, None)` observes nothing.
-type CliProbe = (Option<ChromeTracer>, Option<EpochRecorder>);
+const SWEEP_OPTS: &[&[&str]] = &[AXIS_OPTS, SWEEP_ONLY_OPTS];
 
-/// Observability outputs requested on the command line.
-struct ObsOpts {
-    perfetto: Option<String>,
-    epochs_out: Option<String>,
-    interval: Tick,
-    stats_json: Option<String>,
-}
-
-impl ObsOpts {
-    fn parse(a: &Args) -> Result<Self, ArgError> {
-        let interval = parse_duration(a.get("epochs").unwrap_or("1us"))?;
-        if interval == 0 {
-            return Err(ArgError("--epochs interval must be non-zero".into()));
-        }
-        // --epochs alone picks the default output path; --epochs-out alone
-        // uses the default 1 us interval.
-        let epochs_out = match (a.get("epochs-out"), a.get("epochs")) {
-            (Some(path), _) => Some(path.to_owned()),
-            (None, Some(_)) => Some("epochs.csv".to_owned()),
-            (None, None) => None,
-        };
-        Ok(Self {
-            perfetto: a.get("perfetto").map(str::to_owned),
-            epochs_out,
-            interval,
-            stats_json: a.get("stats-json").map(str::to_owned),
-        })
-    }
-
-    /// Builds the probe pair matching the requested sinks.
-    fn probe(&self) -> CliProbe {
-        (
-            self.perfetto.as_ref().map(|_| ChromeTracer::new()),
-            self.epochs_out
-                .as_ref()
-                .map(|_| EpochRecorder::new(self.interval)),
-        )
-    }
-
-    /// Writes the trace and epoch files from a finished run's probe.
-    fn write_probe(&self, probe: CliProbe, end: Tick) -> Result<(), ArgError> {
-        let write = |path: &str, text: String| {
-            write_atomic(path, text).map_err(|e| ArgError(format!("writing {path:?}: {e}")))
-        };
-        if let (Some(path), Some(tracer)) = (&self.perfetto, probe.0) {
-            write(path, tracer.to_json())?;
-            eprintln!(
-                "wrote Perfetto trace ({} events) to {path} — open at https://ui.perfetto.dev",
-                tracer.event_count()
-            );
-        }
-        if let (Some(path), Some(mut epochs)) = (&self.epochs_out, probe.1) {
-            epochs.finish(end);
-            let text = if path.ends_with(".jsonl") {
-                epochs.to_jsonl()
-            } else {
-                epochs.to_csv()
-            };
-            write(path, text)?;
-            eprintln!("wrote {} epochs to {path}", epochs.rows().len());
-        }
-        Ok(())
-    }
-
-    /// Writes the machine-readable statistics report, when requested.
-    fn write_stats(&self, report: &Report) -> Result<(), ArgError> {
-        if let Some(path) = &self.stats_json {
-            write_atomic(path, report.to_json())
-                .map_err(|e| ArgError(format!("writing {path:?}: {e}")))?;
-            eprintln!("wrote {} statistics to {path}", report.len());
-        }
-        Ok(())
-    }
-}
-
-/// Builds the optional fault model config from `--ras` / `--ecc`.
-/// `--ecc` alone is rejected: an ECC mode without a fault rate has no
-/// observable effect, so the contradiction is surfaced instead of
-/// silently ignored.
-fn parse_ras_config(a: &Args) -> Result<Option<RasConfig>, ArgError> {
-    match (a.get("ras"), a.get("ecc")) {
-        (None, None) => Ok(None),
-        (None, Some(_)) => Err(ArgError(
-            "--ecc has no effect without --ras RATE; add --ras or drop --ecc".into(),
-        )),
-        (Some(rate), ecc) => {
-            let seed: u64 = a.parse_or("seed", 1u64)?;
-            let mut ras = RasConfig::from_error_rate(parse_ras_rate(rate)?, seed);
-            if let Some(mode) = ecc {
-                ras = ras.with_ecc(parse_ecc(mode)?);
-            }
-            Ok(Some(ras))
-        }
-    }
-}
-
-/// Prints the RAS summary line for an armed run; no-op when `--ras` was
-/// not given.
-fn print_ras(fm: Option<&FaultModel>) {
-    let Some(fm) = fm else { return };
-    let stats = fm.stats();
-    let get = |name: &str| {
-        stats
-            .entries()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    println!(
-        "RAS                : {} corrected, {} uncorrectable, {} silent, {} retries, {} row remaps, {} rank(s) offlined",
-        get("ras_corrected"),
-        get("ras_uncorrected"),
-        get("ras_silent"),
-        get("ras_retries"),
-        get("ras_row_remaps"),
-        get("ras_ranks_offlined"),
-    );
-}
-
-struct WorkloadSpec {
-    spec: MemSpec,
-    gen: Box<dyn SnapGen>,
-    /// Canonical description of every parameter that shapes the request
-    /// stream — one input to the checkpoint fingerprint.
-    desc: String,
-}
-
-fn build_workload(a: &Args) -> Result<WorkloadSpec, ArgError> {
-    let spec = parse_device(a.get("device").unwrap_or("ddr3-1600-x64"))?;
-    let reads: u8 = a.parse_or("reads", 100u8)?;
-    if reads > 100 {
-        return Err(ArgError("--reads must be 0..=100".into()));
-    }
-    let requests: u64 = a.parse_or("requests", 100_000u64)?;
-    let period = parse_duration(a.get("period").unwrap_or("0"))?;
-    let range = parse_size(a.get("range").unwrap_or("256MiB"))?;
-    let block: u32 = a.parse_or("block", 64u32)?;
-    let seed: u64 = a.parse_or("seed", 1u64)?;
-    let mapping = parse_mapping(a.get("mapping").unwrap_or("rorabacoch"))?;
-    let gen_name = a.get("gen").unwrap_or("linear");
-    let gen: Box<dyn SnapGen> = match gen_name {
-        "linear" => Box::new(LinearGen::new(
-            0, range, block, reads, period, requests, seed,
-        )),
-        "random" => Box::new(RandomGen::new(
-            0, range, block, reads, period, requests, seed,
-        )),
-        "dram-aware" | "dram_aware" => {
-            let stride: u64 = a.parse_or("stride", 8u64)?;
-            let banks: u32 = a.parse_or("banks", 4u32)?;
-            Box::new(DramAwareGen::new(
-                spec.org, mapping, 1, 0, stride, banks, reads, period, requests, seed,
-            ))
-        }
-        other => return Err(ArgError(format!("unknown generator {other:?}"))),
-    };
-    let stride: u64 = a.parse_or("stride", 8u64)?;
-    let banks: u32 = a.parse_or("banks", 4u32)?;
-    let desc = format!(
-        "device={} gen={gen_name} reads={reads} requests={requests} period={period} \
-         range={range} block={block} stride={stride} banks={banks} seed={seed} \
-         mapping={mapping:?}",
-        spec.name
-    );
-    Ok(WorkloadSpec { spec, gen, desc })
-}
-
-/// Checkpoint/restore options for `run`.
-struct RunCkpt {
-    checkpoint: Option<String>,
-    at: Option<u64>,
-    restore: Option<String>,
-}
-
-impl RunCkpt {
-    fn parse(a: &Args) -> Result<Self, ArgError> {
-        let ck = Self {
-            checkpoint: a.get("checkpoint").map(str::to_owned),
-            at: a
-                .get("checkpoint-at")
-                .map(str::parse)
-                .transpose()
-                .map_err(|_| ArgError("--checkpoint-at: cannot parse injection count".into()))?,
-            restore: a.get("restore").map(str::to_owned),
-        };
-        match (&ck.checkpoint, ck.at) {
-            (Some(_), None) => Err(ArgError(
-                "--checkpoint needs --checkpoint-at N (where to pause)".into(),
-            )),
-            (None, Some(_)) => Err(ArgError(
-                "--checkpoint-at needs --checkpoint FILE (where to write)".into(),
-            )),
-            _ => Ok(ck),
-        }
-    }
-}
-
-/// Drives a `run`/`replay` simulation with optional restore-on-entry and
-/// pause-at-checkpoint. Returns `None` when the run paused (the snapshot
-/// was written and the caller should exit without printing a summary).
-fn drive_run<C: Controller + SnapState>(
-    gen: &mut (impl TrafficGen + SnapState),
-    ctrl: &mut C,
-    fp: u64,
-    ck: &RunCkpt,
-    tester: &Tester,
-) -> Result<Option<TestSummary>, ArgError> {
-    let mut run = tester.begin();
-    if let Some(path) = &ck.restore {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ArgError(format!("reading checkpoint {path:?}: {e}")))?;
-        restore_checkpoint(&bytes, fp, &mut run, gen, ctrl)
-            .map_err(|e| ArgError(format!("cannot restore checkpoint {path:?}: {e}")))?;
-        eprintln!(
-            "restored checkpoint {path} ({} requests already injected)",
-            run.injected()
-        );
-    }
-    while run.step(gen, ctrl, Tick::MAX) {
-        if let (Some(path), Some(n)) = (&ck.checkpoint, ck.at) {
-            if run.injected() >= n {
-                save_checkpoint(Path::new(path), fp, &run, gen, ctrl)
-                    .map_err(|e| ArgError(format!("writing checkpoint {path:?}: {e}")))?;
-                eprintln!(
-                    "checkpoint written to {path} at {} injected requests; \
-                     continue with --restore {path}",
-                    run.injected()
-                );
-                return Ok(None);
-            }
-        }
-    }
-    Ok(Some(run.finish(ctrl)))
-}
-
-fn print_summary(s: &TestSummary, spec: &MemSpec) {
-    println!(
-        "requests completed : {}",
-        s.reads_completed + s.writes_completed
-    );
-    println!(
-        "  reads / writes   : {} / {}",
-        s.reads_completed, s.writes_completed
-    );
-    println!("simulated time     : {:.3} us", s.duration as f64 / 1e6);
-    println!(
-        "bandwidth          : {:.2} GB/s of {:.2} GB/s peak ({:.1}% bus)",
-        s.bandwidth_gbps,
-        spec.peak_bandwidth_gbps(),
-        s.bus_util * 100.0
-    );
-    println!(
-        "read latency       : mean {:.1} ns, p50 {} ns, p95 {} ns, p99 {} ns",
-        s.read_lat_ns.mean(),
-        s.read_lat_ns.quantile(0.5).unwrap_or(0),
-        s.read_lat_ns.quantile(0.95).unwrap_or(0),
-        s.read_lat_ns.quantile(0.99).unwrap_or(0),
-    );
-    println!(
-        "row-hit rate       : {:.1}%",
-        s.ctrl.page_hit_rate() * 100.0
-    );
-}
-
-fn run(argv: Vec<String>) -> Result<(), ArgError> {
-    let a = Args::parse(argv, &["energy"])?;
-    a.ensure_known(RUN_OPTS)?;
-    let WorkloadSpec {
-        spec,
-        mut gen,
-        desc,
-    } = build_workload(&a)?;
-    let policy = parse_policy(a.get("policy").unwrap_or("open"))?;
-    let sched = parse_sched(a.get("sched").unwrap_or("frfcfs"))?;
-    let mapping = parse_mapping(a.get("mapping").unwrap_or("rorabacoch"))?;
-    let obs = ObsOpts::parse(&a)?;
-    let ras = parse_ras_config(&a)?;
-    let ck = RunCkpt::parse(&a)?;
-    let model = a.get("model").unwrap_or("event").to_owned();
-    // The fingerprint covers everything that shapes the simulation, so a
-    // snapshot can only be restored by the command line that matches it.
-    let fp = fingerprint(
-        format!(
-            "run model={model} policy={policy:?} sched={sched:?} ras={ras:?} \
-             powerdown={} {desc}",
-            a.get("powerdown").unwrap_or("0")
-        )
-        .as_bytes(),
-    );
-    let tester = Tester::new(1_000_000, 10_000);
-
-    match model.as_str() {
-        "event" => {
-            let mut cfg = CtrlConfig::new(spec.clone());
-            cfg.page_policy = policy;
-            cfg.scheduling = sched;
-            cfg.mapping = mapping;
-            cfg.ras = ras;
-            if let Some(pd) = a.get("powerdown") {
-                cfg.powerdown_idle = parse_duration(pd)?;
-            }
-            let mut ctrl =
-                DramCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))?;
-            let Some(summary) = drive_run(&mut gen, &mut ctrl, fp, &ck, &tester)? else {
-                return Ok(());
-            };
-            println!("== {} (event-based model) ==", spec.name);
-            print_summary(&summary, &spec);
-            print_ras(ctrl.fault_model());
-            let act = Controller::activity(&mut ctrl, summary.duration);
-            let power = micron_power(&spec, &act);
-            println!("DRAM power         : {:.1} mW", power.total_mw());
-            if a.switch("energy") {
-                println!();
-                print!("{}", drampower_energy(&spec, &act).report("energy"));
-            }
-            obs.write_stats(&Controller::report(&ctrl, "ctrl", summary.duration))?;
-            obs.write_probe(ctrl.into_probe(), summary.duration)?;
-        }
-        "cycle" => {
-            let mut cfg = CycleConfig::new(spec.clone());
-            cfg.page_policy = if policy.is_open() {
-                CyclePagePolicy::Open
-            } else {
-                CyclePagePolicy::Closed
-            };
-            cfg.scheduling = match sched {
-                dramctrl::SchedPolicy::Fcfs => CycleSched::Fcfs,
-                dramctrl::SchedPolicy::FrFcfs => CycleSched::FrFcfs,
-            };
-            cfg.mapping = mapping;
-            cfg.ras = ras;
-            let mut ctrl =
-                CycleCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))?;
-            let Some(summary) = drive_run(&mut gen, &mut ctrl, fp, &ck, &tester)? else {
-                return Ok(());
-            };
-            println!("== {} (cycle-based baseline) ==", spec.name);
-            print_summary(&summary, &spec);
-            print_ras(ctrl.fault_model());
-            let act = Controller::activity(&mut ctrl, summary.duration);
-            println!(
-                "DRAM power         : {:.1} mW",
-                micron_power(&spec, &act).total_mw()
-            );
-            obs.write_stats(&Controller::report(&ctrl, "ctrl", summary.duration))?;
-            obs.write_probe(ctrl.into_probe(), summary.duration)?;
-        }
-        other => return Err(ArgError(format!("unknown model {other:?}"))),
-    }
-    Ok(())
-}
-
-const SWEEP_OPTS: &[&str] = &[
-    "devices",
-    "models",
-    "policies",
-    "scheds",
-    "mappings",
-    "channels",
-    "gens",
-    "reads",
-    "requests",
-    "range",
-    "block",
-    "stride",
-    "banks",
-    "ras",
-    "seed",
+const SWEEP_ONLY_OPTS: &[&str] = &[
     "workers",
     "retries",
     "jsonl",
@@ -717,101 +356,59 @@ fn journal_path(p: &str) -> PathBuf {
     }
 }
 
+/// One comma-separated axis flag: its items (or `default`'s), each
+/// through `parse`.
+fn axis<T>(
+    a: &Args,
+    name: &str,
+    default: &str,
+    parse: impl Fn(&str) -> Result<T, ArgError>,
+) -> Result<Vec<T>, ArgError> {
+    let items = a.get(name).unwrap_or(default).split(',').map(str::trim);
+    let items: Vec<&str> = items.filter(|s| !s.is_empty()).collect();
+    if items.is_empty() {
+        return Err(ArgError(format!("--{name}: list must not be empty")));
+    }
+    items.into_iter().map(parse).collect()
+}
+
 /// Builds the campaign the sweep/submit axis flags describe. The name is
 /// fixed (`sweep`) so a campaign submitted to a service produces records
 /// byte-comparable with a local `sweep` run of the same flags.
 fn campaign_from_args(a: &Args) -> Result<dramctrl_campaign::Campaign, ArgError> {
     use dramctrl_campaign::{Campaign, Model, TrafficPattern};
 
-    let list = |name: &str, default: &str| -> Result<Vec<String>, ArgError> {
-        let items: Vec<String> = a
-            .get(name)
-            .unwrap_or(default)
-            .split(',')
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .collect();
-        if items.is_empty() {
-            return Err(ArgError(format!("--{name}: list must not be empty")));
-        }
-        Ok(items)
-    };
-
-    let devices = list("devices", "ddr3-1333-x64")?
-        .iter()
-        .map(|d| parse_device(d).map(|s| s.name.to_owned()))
-        .collect::<Result<Vec<_>, _>>()?;
-    let models = list("models", "event")?
-        .iter()
-        .map(|m| m.parse::<Model>().map_err(ArgError))
-        .collect::<Result<Vec<_>, _>>()?;
-    let policies = list("policies", "open")?
-        .iter()
-        .map(|p| parse_policy(p))
-        .collect::<Result<Vec<_>, _>>()?;
-    let scheds = list("scheds", "frfcfs")?
-        .iter()
-        .map(|s| parse_sched(s))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mappings = list("mappings", "rorabacoch")?
-        .iter()
-        .map(|m| parse_mapping(m))
-        .collect::<Result<Vec<_>, _>>()?;
-    let channels = list("channels", "1")?
-        .iter()
-        .map(|c| {
-            c.parse::<u32>()
-                .map_err(|_| ArgError(format!("--channels: cannot parse {c:?}")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let reads = list("reads", "100")?
-        .iter()
-        .map(|r| {
-            r.parse::<u8>()
-                .ok()
-                .filter(|r| *r <= 100)
-                .ok_or_else(|| ArgError(format!("--reads: {r:?} is not 0..=100")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let requests = list("requests", "10000")?
-        .iter()
-        .map(|n| {
-            n.parse::<u64>()
-                .map_err(|_| ArgError(format!("--requests: cannot parse {n:?}")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
+    fn number<T: std::str::FromStr>(name: &str) -> impl Fn(&str) -> Result<T, ArgError> + '_ {
+        move |n| (n.parse()).map_err(|_| ArgError(format!("--{name}: cannot parse {n:?}")))
+    }
     let range = parse_size(a.get("range").unwrap_or("256MiB"))?;
     let block: u32 = a.parse_or("block", 64u32)?;
     let stride: u64 = a.parse_or("stride", 8u64)?;
     let banks: u32 = a.parse_or("banks", 4u32)?;
-    let traffic = list("gens", "linear")?
-        .iter()
-        .map(|g| match g.as_str() {
+    let seed: u64 = a.parse_or("seed", 1u64)?;
+    Ok(Campaign::new("sweep", seed)
+        .devices(axis(a, "devices", "ddr3-1333-x64", |d| {
+            parse_device(d).map(|s| s.name.to_owned())
+        })?)
+        .models(axis(a, "models", "event", |m| {
+            m.parse::<Model>().map_err(ArgError)
+        })?)
+        .policies(axis(a, "policies", "open", parse_policy)?)
+        .scheds(axis(a, "scheds", "frfcfs", parse_sched)?)
+        .mappings(axis(a, "mappings", "rorabacoch", parse_mapping)?)
+        .channels(axis(a, "channels", "1", number("channels"))?)
+        .traffic(axis(a, "gens", "linear", |g| match g {
             "linear" => Ok(TrafficPattern::Linear { range, block }),
             "random" => Ok(TrafficPattern::Random { range, block }),
             "dram-aware" | "dram_aware" => Ok(TrafficPattern::DramAware { stride, banks }),
             other => Err(ArgError(format!("unknown generator {other:?}"))),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let error_rates = list("ras", "0")?
-        .iter()
-        .map(|r| parse_ras_rate(r))
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let seed: u64 = a.parse_or("seed", 1u64)?;
-    Ok(Campaign::new("sweep", seed)
-        .devices(devices)
-        .models(models)
-        .policies(policies)
-        .scheds(scheds)
-        .mappings(mappings)
-        .channels(channels)
-        .traffic(traffic)
-        .read_pcts(reads)
-        .requests(requests)
-        .error_rates(error_rates))
+        })?)
+        .read_pcts(axis(a, "reads", "100", |r| {
+            let pct = r.parse::<u8>().ok().filter(|r| *r <= 100);
+            pct.ok_or_else(|| ArgError(format!("--reads: {r:?} is not 0..=100")))
+        })?)
+        .requests(axis(a, "requests", "10000", number("requests"))?)
+        .error_rates(axis(a, "ras", "0", parse_ras_rate)?))
 }
 
 /// Parses `--shard I/N` into `(index, count)`.
@@ -834,7 +431,7 @@ fn sweep(argv: Vec<String>) -> Result<(), ArgError> {
     use dramctrl_runner::JobRun;
 
     let a = Args::parse(argv, &["csv", "quiet"])?;
-    a.ensure_known(SWEEP_OPTS)?;
+    a.ensure_known(&SWEEP_OPTS.concat())?;
     let campaign = campaign_from_args(&a)?;
     let seed = campaign.seed;
 
@@ -1032,7 +629,11 @@ fn finish_report(a: &Args, report: &dramctrl_campaign::CampaignReport) -> Result
             .map_err(|e| ArgError(format!("writing {path:?}: {e}")))?;
         eprintln!("wrote result table to {path}");
     }
-    table.print();
+    if a.switch("csv") {
+        print!("{}", table.render_csv());
+    } else {
+        print!("{}", table.render());
+    }
     eprintln!("{}", report.summary());
     if report.failed() > 0 {
         return Err(ArgError(format!("{} job(s) failed", report.failed())));
@@ -1144,15 +745,11 @@ fn serve(argv: Vec<String>) -> Result<(), ArgError> {
         .map_err(|e| ArgError(format!("accept loop failed: {e}")))
 }
 
-/// Axis flags shared with sweep, plus the service-client flags.
-const SUBMIT_OPTS: &[&str] = &[
-    "devices", "models", "policies", "scheds", "mappings", "channels", "gens", "reads", "requests",
-    "range", "block", "stride", "banks", "ras", "seed", "to", "tenant", "epochs",
-];
+const SUBMIT_OPTS: &[&[&str]] = &[AXIS_OPTS, &["to", "tenant", "epochs"]];
 
 fn submit(argv: Vec<String>) -> Result<(), ArgError> {
     let a = Args::parse(argv, &[])?;
-    a.ensure_known(SUBMIT_OPTS)?;
+    a.ensure_known(&SUBMIT_OPTS.concat())?;
     let to = a
         .get("to")
         .ok_or_else(|| ArgError("submit needs --to ADDR (a running `dramctrl serve`)".into()))?;
@@ -1258,23 +855,9 @@ fn watch(argv: Vec<String>) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Axis flags shared with sweep, plus the fleet-coordinator flags.
-const DISPATCH_OPTS: &[&str] = &[
-    "devices",
-    "models",
-    "policies",
-    "scheds",
-    "mappings",
-    "channels",
-    "gens",
-    "reads",
-    "requests",
-    "range",
-    "block",
-    "stride",
-    "banks",
-    "ras",
-    "seed",
+const DISPATCH_OPTS: &[&[&str]] = &[AXIS_OPTS, DISPATCH_ONLY_OPTS];
+
+const DISPATCH_ONLY_OPTS: &[&str] = &[
     "peer",
     "peers-file",
     "workdir",
@@ -1292,7 +875,7 @@ const DISPATCH_OPTS: &[&str] = &[
 fn dispatch(argv: Vec<String>) -> Result<(), ArgError> {
     use dramctrl_serve::dispatch::DispatchConfig;
     let a = Args::parse_with_repeats(argv, &["csv", "json", "no-hedge"], &["peer"])?;
-    a.ensure_known(DISPATCH_OPTS)?;
+    a.ensure_known(&DISPATCH_OPTS.concat())?;
     if a.switch("json") {
         dramctrl_obs::log::set_format(dramctrl_obs::log::Format::Json);
     }
@@ -1512,79 +1095,26 @@ fn fleet_status(a: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn record(argv: Vec<String>) -> Result<(), ArgError> {
-    let a = Args::parse(argv, &[])?;
-    a.ensure_known(RUN_OPTS)?;
-    let out_path = a
-        .get("o")
-        .ok_or_else(|| ArgError("record needs -o/--o FILE".into()))?
-        .to_owned();
-    let WorkloadSpec { mut gen, .. } = build_workload(&a)?;
-    let mut entries = Vec::new();
-    while let Some((tick, req)) = gen.next_request() {
-        entries.push(TraceEntry {
-            tick,
-            cmd: req.cmd,
-            addr: req.addr,
-            size: req.size,
-        });
-    }
-    write_atomic(&out_path, TraceGen::to_text(&entries))
-        .map_err(|e| ArgError(format!("writing {out_path:?}: {e}")))?;
-    println!("wrote {} requests to {}", entries.len(), out_path);
-    Ok(())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn replay(argv: Vec<String>) -> Result<(), ArgError> {
-    let a = Args::parse(argv, &["energy"])?;
-    a.ensure_known(RUN_OPTS)?;
-    let [path] = a.positional() else {
-        return Err(ArgError("replay needs exactly one trace file".into()));
-    };
-    // Validate the flag set before touching the filesystem so a
-    // contradictory invocation is diagnosed as such even when the trace
-    // path is also bad.
-    let ras = parse_ras_config(&a)?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| ArgError(format!("reading {path:?}: {e}")))?;
-    let mut trace: TraceGen = text.parse().map_err(|e| ArgError(format!("{e}")))?;
-    let spec = parse_device(a.get("device").unwrap_or("ddr3-1600-x64"))?;
-    let obs = ObsOpts::parse(&a)?;
-    let mut cfg = CtrlConfig::new(spec.clone());
-    cfg.page_policy = parse_policy(a.get("policy").unwrap_or("open"))?;
-    cfg.scheduling = parse_sched(a.get("sched").unwrap_or("frfcfs"))?;
-    cfg.mapping = parse_mapping(a.get("mapping").unwrap_or("rorabacoch"))?;
-    cfg.ras = ras;
-    let ck = RunCkpt::parse(&a)?;
-    // The trace *contents* (not the file name) are part of the replay
-    // fingerprint: restoring against an edited trace is refused.
-    let fp = fingerprint(
-        format!(
-            "replay trace={:#018x} device={} policy={:?} sched={:?} mapping={:?} ras={:?}",
-            fingerprint(text.as_bytes()),
-            spec.name,
-            cfg.page_policy,
-            cfg.scheduling,
-            cfg.mapping,
-            cfg.ras,
-        )
-        .as_bytes(),
-    );
-    let mut ctrl = DramCtrl::with_probe(cfg, obs.probe()).map_err(|e| ArgError(e.to_string()))?;
-    let Some(summary) = drive_run(
-        &mut trace,
-        &mut ctrl,
-        fp,
-        &ck,
-        &Tester::new(1_000_000, 10_000),
-    )?
-    else {
-        return Ok(());
-    };
-    println!("== replay of {} on {} ==", path, spec.name);
-    print_summary(&summary, &spec);
-    print_ras(ctrl.fault_model());
-    obs.write_stats(&Controller::report(&ctrl, "ctrl", summary.duration))?;
-    obs.write_probe(ctrl.into_probe(), summary.duration)?;
-    Ok(())
+    /// `AXIS_OPTS` is exactly what `campaign_from_args` reads, and every
+    /// command that builds a campaign accepts all of it.
+    #[test]
+    fn every_axis_flag_is_accepted_wherever_a_campaign_is_built() {
+        let a = Args::default();
+        campaign_from_args(&a).unwrap();
+        let asked = a.asked.borrow();
+        let asked: Vec<&str> = asked.iter().map(String::as_str).collect();
+        let mut axes = AXIS_OPTS.to_vec();
+        axes.sort_unstable();
+        assert_eq!(asked, axes);
+        for opts in [SWEEP_OPTS, SUBMIT_OPTS, DISPATCH_OPTS] {
+            let known = opts.concat();
+            for flag in &asked {
+                assert!(known.contains(flag), "--{flag} is not in {known:?}");
+            }
+        }
+    }
 }

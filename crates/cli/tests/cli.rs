@@ -227,3 +227,151 @@ fn sweep_error_rate_axis_runs_fault_free_and_faulty_jobs() {
     );
     assert!(!records.contains("\"outcome\":\"failed\""), "{records}");
 }
+
+/// Flags a command would have to ignore are refused, not dropped: each
+/// of these exited 0 (and simulated something else) before `run`/`replay`
+/// got their own option lists.
+#[test]
+fn flags_a_command_cannot_honour_are_usage_errors_naming_the_flag() {
+    for (args, flag) in [
+        (vec!["replay", "t.trace", "--model", "cycle"], "--model"),
+        (vec!["replay", "t.trace", "--requests", "5"], "--requests"),
+        (vec!["record", "--policy", "closed", "-o", "x"], "--policy"),
+        (
+            vec!["record", "--perfetto", "p.json", "-o", "x"],
+            "--perfetto",
+        ),
+        (
+            vec!["run", "--model", "cycle", "--powerdown", "1us"],
+            "--powerdown",
+        ),
+        (vec!["run", "--model", "cycle", "--energy"], "--energy"),
+    ] {
+        let err = assert_usage_error(&args);
+        assert!(err.contains(flag), "{args:?} should name {flag}: {err}");
+    }
+}
+
+/// One wiring: what `run --seed S` prints is what the campaign runner
+/// measures for the `JobSpec` with `seed = S` — same controllers, same
+/// generator, same burst stream. The last case is the one that differed:
+/// on a 4 KiB range queued writes are re-referenced all the time, and
+/// `run` built the cycle baseline without write snooping.
+#[test]
+fn run_prints_what_run_job_measures_for_the_same_spec() {
+    use dramctrl_campaign::{Campaign, Model, TrafficPattern};
+
+    let (range, block) = (4096, 64);
+    for (model, gen, traffic, reads) in [
+        (
+            "event",
+            "linear",
+            TrafficPattern::Linear { range, block },
+            70,
+        ),
+        (
+            "event",
+            "random",
+            TrafficPattern::Random { range, block },
+            50,
+        ),
+        (
+            "event",
+            "dram-aware",
+            TrafficPattern::DramAware {
+                stride: 8,
+                banks: 4,
+            },
+            70,
+        ),
+        (
+            "cycle",
+            "linear",
+            TrafficPattern::Linear { range, block },
+            70,
+        ),
+        (
+            "cycle",
+            "dram-aware",
+            TrafficPattern::DramAware {
+                stride: 8,
+                banks: 4,
+            },
+            100,
+        ),
+        (
+            "cycle",
+            "random",
+            TrafficPattern::Random { range, block },
+            50,
+        ),
+    ] {
+        let mut job = Campaign::new("one-wiring", 0)
+            .devices(["DDR3-1600-x64"])
+            .models([model.parse::<Model>().unwrap()])
+            .traffic([traffic])
+            .read_pcts([reads])
+            .requests([20_000])
+            .expand()
+            .remove(0);
+        job.seed = 9;
+        let m = dramctrl_runner::run_job(&job);
+        let get = |name: &str| m.get(name).unwrap();
+
+        let reads = reads.to_string();
+        let out = dramctrl()
+            .args(["run", "--model", model, "--gen", gen, "--reads", &reads])
+            .args(["--requests", "20000", "--range", "4KiB", "--seed", "9"])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let text = String::from_utf8(out.stdout).unwrap();
+        for line in [
+            format!("  reads / writes   : {} / {}", get("reads"), get("writes")),
+            format!("simulated time     : {:.3} us", get("duration_ticks") / 1e6),
+            format!("bandwidth          : {:.2} GB/s", get("bandwidth_gbps")),
+            format!("row-hit rate       : {:.1}%", get("row_hit_rate") * 100.0),
+        ] {
+            assert!(
+                text.contains(&line),
+                "{model}/{gen}: no {line:?} in\n{text}"
+            );
+        }
+    }
+}
+
+/// `dramctrl ... | head -1`: the reader goes away after the first line
+/// and the process ends quietly — no panic, no backtrace. The sweep's
+/// table (808 rows, ~100 kB) cannot fit in a pipe buffer, so its writer
+/// is certain to find the pipe closed; `run` merely may.
+#[test]
+fn a_closed_stdout_ends_the_process_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let reads: Vec<String> = (0..=100).map(|r| r.to_string()).collect();
+    let reads = reads.join(",");
+    let policies = "open,closed,open-adaptive,closed-adaptive";
+    let mut sweep = vec!["sweep", "--requests", "10", "--reads", &reads];
+    sweep.extend(["--scheds", "fcfs,frfcfs", "--policies", policies]);
+    sweep.extend(["--csv", "--quiet"]);
+    for args in [&sweep[..], &["run", "--requests", "200"]] {
+        let mut child = dramctrl()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdout = BufReader::with_capacity(64, child.stdout.take().unwrap());
+        let mut first = String::new();
+        stdout.read_line(&mut first).unwrap();
+        assert!(!first.is_empty(), "{args:?} printed nothing");
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            !err.contains("panicked") && !err.contains("Broken pipe"),
+            "{args:?}: {err}"
+        );
+    }
+}

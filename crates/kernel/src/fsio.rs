@@ -124,12 +124,26 @@ impl DurableAppender {
         })
     }
 
-    /// Opens an existing file for appending.
+    /// Reopens an existing append-only line log whose complete, valid
+    /// lines end at byte `valid_len` — the recovery rule of every such log
+    /// here (campaign journals, the store's accept and tombstone logs).
+    /// Whatever follows `valid_len` is the torn tail of an append that
+    /// died partway and was never acknowledged: it is cut off (fsync'd)
+    /// so the next append starts on a line boundary instead of gluing
+    /// itself to the torn bytes. A file that already ends at `valid_len`
+    /// is not touched, and no durability op is counted for it.
     ///
     /// # Errors
-    /// Any I/O error from opening.
-    pub fn append_to(path: impl AsRef<Path>) -> io::Result<Self> {
+    /// Any I/O error from truncating, syncing or opening.
+    pub fn reopen(path: impl AsRef<Path>, valid_len: u64) -> io::Result<Self> {
         let path = path.as_ref();
+        if std::fs::metadata(path)?.len() > valid_len {
+            fault::check(DurOp::Truncate, path)?;
+            let file = OpenOptions::new().write(true).open(path)?;
+            file.set_len(valid_len)?;
+            fault::check(DurOp::Fsync, path)?;
+            file.sync_data()?;
+        }
         fault::check(DurOp::Create, path)?;
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Self {
@@ -268,6 +282,8 @@ pub mod fault {
         Fsync,
         /// Atomic rename over the destination.
         Rename,
+        /// Cutting a torn tail off an append-only log.
+        Truncate,
         /// fsync of a parent directory.
         DirSync,
     }
@@ -280,6 +296,7 @@ pub mod fault {
                 DurOp::Write => "write",
                 DurOp::Fsync => "fsync",
                 DurOp::Rename => "rename",
+                DurOp::Truncate => "truncate",
                 DurOp::DirSync => "dirsync",
             }
         }
@@ -290,6 +307,7 @@ pub mod fault {
                 "write" => DurOp::Write,
                 "fsync" => DurOp::Fsync,
                 "rename" => DurOp::Rename,
+                "truncate" => DurOp::Truncate,
                 "dirsync" => DurOp::DirSync,
                 other => return Err(format!("unknown op {other:?}")),
             })
@@ -645,7 +663,7 @@ mod tests {
         a.append_line("one").unwrap();
         a.append_line("two").unwrap();
         drop(a);
-        let mut b = DurableAppender::append_to(&p).unwrap();
+        let mut b = DurableAppender::reopen(&p, 8).unwrap();
         b.append_line("three").unwrap();
         assert!(
             !b.has_pending_batch(),
@@ -661,6 +679,30 @@ mod tests {
         );
         b.commit_batch().unwrap();
         assert!(!b.has_pending_batch());
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn reopen_cuts_a_torn_tail_and_truncates_only_then() {
+        let d = tmp_dir("reopen");
+        let p = d.join("log.jsonl");
+        // A truncate that is attempted fails: the op is in the stream only
+        // when there are bytes to cut.
+        let spec = format!("eio,op=truncate,path={}", p.display());
+        let guard = fault::arm_str(&spec).unwrap();
+        std::fs::write(&p, "one\ntwo\n").unwrap();
+        DurableAppender::reopen(&p, 8).expect("nothing to cut, nothing truncated");
+        std::fs::write(&p, "one\ntwo\n{\"torn").unwrap();
+        let err = DurableAppender::reopen(&p, 8).unwrap_err();
+        assert!(
+            err.to_string().contains("injected eio at truncate"),
+            "{err}"
+        );
+        drop(guard);
+        // Disarmed, the torn bytes go and the next line starts clean.
+        let mut a = DurableAppender::reopen(&p, 8).unwrap();
+        a.append_line("three").unwrap();
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "one\ntwo\nthree\n");
         std::fs::remove_dir_all(&d).unwrap();
     }
 

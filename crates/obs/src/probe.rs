@@ -284,57 +284,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     }
 }
 
-/// Run-time optional probe: `None` observes nothing, `Some(p)` forwards to
-/// `p`. [`Probe::ENABLED`] stays `P::ENABLED`, so the hot-path guard is
-/// still compile-time — the per-event `Option` check is paid only when the
-/// inner probe type is itself enabled (front ends that decide at run time
-/// whether to trace, like the CLI, use this).
-impl<P: Probe> Probe for Option<P> {
-    const ENABLED: bool = P::ENABLED;
-
-    fn dram_cmd(&mut self, ev: CmdEvent) {
-        if let Some(p) = self {
-            p.dram_cmd(ev);
-        }
-    }
-
-    fn req_accepted(&mut self, id: u64, is_read: bool, addr: u64, size: u32, now: Tick) {
-        if let Some(p) = self {
-            p.req_accepted(id, is_read, addr, size, now);
-        }
-    }
-
-    fn req_completed(&mut self, id: u64, is_read: bool, ready_at: Tick) {
-        if let Some(p) = self {
-            p.req_completed(id, is_read, ready_at);
-        }
-    }
-
-    fn queue_depth(&mut self, read_q: usize, write_q: usize, now: Tick) {
-        if let Some(p) = self {
-            p.queue_depth(read_q, write_q, now);
-        }
-    }
-
-    fn power_state(&mut self, rank: u32, state: PowerState, at: Tick) {
-        if let Some(p) = self {
-            p.power_state(rank, state, at);
-        }
-    }
-
-    fn xbar_route(&mut self, id: u64, channel: u32, now: Tick) {
-        if let Some(p) = self {
-            p.xbar_route(id, channel, now);
-        }
-    }
-
-    fn ras_event(&mut self, rank: u32, bank: u32, row: u64, mark: RasMark, at: Tick) {
-        if let Some(p) = self {
-            p.ras_event(rank, bank, row, mark, at);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,18 +319,6 @@ mod tests {
         pair.req_accepted(1, true, 0x40, 64, 0);
         assert_eq!((pair.0.cmds, pair.1.cmds), (1, 1));
         assert_eq!((pair.0.accepts, pair.1.accepts), (1, 1));
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn option_forwards_only_when_some() {
-        assert!(<Option<Counter>>::ENABLED);
-        assert!(!<Option<NoProbe>>::ENABLED);
-        let mut none: Option<Counter> = None;
-        none.dram_cmd(CmdEvent::pre(0, 0, 10, 20));
-        let mut some = Some(Counter::default());
-        some.dram_cmd(CmdEvent::pre(0, 0, 10, 20));
-        assert_eq!(some.unwrap().cmds, 1);
     }
 
     #[test]

@@ -1,25 +1,27 @@
-//! The canonical campaign runner: wires a declarative
-//! [`JobSpec`](dramctrl_campaign::JobSpec) to real controllers, traffic
-//! generators and the [`Tester`] run loop.
+//! The canonical runner: wires a [`Wiring`] — spelled out by a front end,
+//! or implied by a declarative [`JobSpec`] — to real controllers, a
+//! traffic generator and the [`Tester`] run loop.
 //!
-//! This is the scaffolding every figure/ablation binary used to
-//! duplicate — build a controller for a (policy, scheduler, mapping,
+//! This is the scaffolding every figure/ablation binary and the CLI used
+//! to duplicate — build a controller for a (policy, scheduler, mapping,
 //! channels) tuple, build a seeded generator, push the stream through
-//! the tester, read the summary — extracted once so that both the
-//! binaries and the `dramctrl-campaign` executor share it.
+//! the tester, read the summary — extracted once so that the binaries,
+//! the `dramctrl-campaign` executor, the daemon and `dramctrl run` share
+//! it.
 
-use crate::checkpoint::{restore_checkpoint, save_checkpoint};
 use dramctrl::{CtrlConfig, DramCtrl, EccMode, FaultModel, PagePolicy, RasConfig, SchedPolicy};
 use dramctrl_campaign::{JobMetrics, JobSpec, Model, TrafficPattern};
 use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
-use dramctrl_kernel::snap::fingerprint;
+use dramctrl_kernel::fsio::write_atomic;
+use dramctrl_kernel::snap::{fingerprint, SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{presets, AddrMapping, Controller, MemSpec};
+use dramctrl_mem::{presets, ActivityStats, AddrMapping, Controller, MemSpec};
 use dramctrl_obs::{ChromeTracer, EpochRecorder, NoProbe, Probe};
-use dramctrl_stats::Report;
 use dramctrl_system::MultiChannel;
 use dramctrl_traffic::{DramAwareGen, LinearGen, RandomGen, SnapGen, TestRun, TestSummary, Tester};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::io;
 use std::path::Path;
 
 thread_local! {
@@ -174,32 +176,6 @@ pub fn ras_for_job(job: &JobSpec) -> Option<RasConfig> {
 /// silent never-ending worker.
 pub const JOB_TICK_BUDGET: Tick = 3_600_000_000_000_000;
 
-/// Sums the RAS counters of every channel's fault model into `m`
-/// (no-op when no fault model is armed).
-fn add_ras_metrics<'a>(m: &mut JobMetrics, fms: impl Iterator<Item = &'a FaultModel>) {
-    let mut sums: std::collections::BTreeMap<&'static str, u64> = std::collections::BTreeMap::new();
-    let mut any = false;
-    for fm in fms {
-        any = true;
-        for (name, v) in fm.stats().entries() {
-            *sums.entry(name).or_insert(0) += v;
-        }
-    }
-    if any {
-        for (name, v) in sums {
-            m.set(name, v as f64);
-        }
-    }
-}
-
-/// Panics with the stall diagnostic if `ctrl` tripped its watchdog (the
-/// campaign executor records the panic as a failed job).
-fn assert_no_stall<P: Probe>(ctrl: &DramCtrl<P>) {
-    if let Err(stall) = ctrl.check_stall() {
-        panic!("{stall}");
-    }
-}
-
 /// Converts a run's [`TestSummary`] into campaign metrics.
 pub fn job_metrics(s: &TestSummary) -> JobMetrics {
     let mut m = JobMetrics::new();
@@ -309,10 +285,57 @@ fn channels_of<C: Controller>(x: &MultiChannel<C>) -> impl Iterator<Item = &C> {
     (0..x.channels() as usize).map(|i| x.channel(i))
 }
 
+/// What a simulator is made of — the one description every front end
+/// (campaign jobs, `dramctrl run`/`replay`) hands to [`SimRun::start`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Wiring {
+    /// The DRAM device behind every channel.
+    pub spec: MemSpec,
+    /// Controller model.
+    pub model: Model,
+    /// Row-buffer management policy.
+    pub policy: PagePolicy,
+    /// Request scheduling policy.
+    pub sched: SchedPolicy,
+    /// Address mapping (and, across channels, the interleaving).
+    pub mapping: AddrMapping,
+    /// Number of channels; `0` and `1` both mean a single controller,
+    /// more means that many behind a zero-latency crossbar.
+    pub channels: u32,
+    /// Fault model armed on every channel, if any.
+    pub ras: Option<RasConfig>,
+    /// Idle time after which a rank powers down (`0` = never). Event
+    /// model only: the cycle baseline has no low-power states, and
+    /// [`SimRun::start`] refuses the combination rather than drop it.
+    pub powerdown_idle: Tick,
+}
+
+impl Wiring {
+    /// The simulator a campaign job describes.
+    ///
+    /// # Panics
+    /// Panics on an unknown device preset.
+    #[must_use]
+    pub fn for_job(job: &JobSpec) -> Self {
+        let spec = presets::by_name(&job.device)
+            .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
+        Self {
+            spec,
+            model: job.model,
+            policy: job.policy,
+            sched: job.sched,
+            mapping: job.mapping,
+            channels: job.channels,
+            ras: ras_for_job(job),
+            powerdown_idle: 0,
+        }
+    }
+}
+
 /// The per-channel probe pair of an observed run.
 type ObsProbe = (ChromeTracer, EpochRecorder);
 
-/// The concrete simulator behind a [`JobRun`], every channel carrying a
+/// The concrete simulator behind a [`SimRun`], every channel carrying a
 /// probe `P`: one variant per (model × single/multi-channel), so the
 /// step loop stays monomorphic.
 enum Sim<P: Probe> {
@@ -323,7 +346,7 @@ enum Sim<P: Probe> {
 }
 
 /// A [`Sim`] with or without probes — chosen once, by
-/// [`JobRun::start`]'s epoch interval, never per step.
+/// [`SimRun::start`]'s epoch interval, never per step.
 enum Wired {
     Plain(Sim<NoProbe>),
     Observed(Sim<ObsProbe>),
@@ -346,156 +369,147 @@ macro_rules! with_ctrl {
 }
 
 impl<P: Probe> Sim<P> {
-    /// The one place a [`JobSpec`] becomes controllers: `job.channels`
-    /// (at least one) of `job.model`, channel `ch` carrying `probe(ch)`,
-    /// every event controller with [`JOB_TICK_BUDGET`] armed. `reuse` may
-    /// supply a retired (and re-armed) controller for the single-channel
-    /// event case — the campaign hot path of short jobs, where rebuilding
+    /// The one place a [`Wiring`] becomes controllers: `w.channels` (at
+    /// least one) of `w.model`, channel `ch` carrying `probe(ch)`, every
+    /// event controller with [`JOB_TICK_BUDGET`] armed. `reuse` may supply
+    /// a retired (and re-armed) controller for the single-channel event
+    /// case — the campaign hot path of short jobs, where rebuilding
     /// queues and arenas per job would dominate.
     fn build(
-        job: &JobSpec,
-        spec: MemSpec,
+        w: Wiring,
         probe: impl Fn(u32) -> P,
         reuse: impl FnOnce(&CtrlConfig) -> Option<Box<DramCtrl<P>>>,
-    ) -> Self {
-        let chans = job.channels.max(1);
-        match job.model {
+    ) -> Result<Self, String> {
+        let chans = w.channels.max(1);
+        match w.model {
             Model::Event => {
-                let mut cfg = ev_cfg(spec, job.policy, job.sched, job.mapping, chans);
-                cfg.ras = ras_for_job(job);
-                let mk = |cfg, ch| {
-                    let mut ctrl = DramCtrl::with_probe(cfg, probe(ch)).expect("valid config");
+                let mut cfg = ev_cfg(w.spec, w.policy, w.sched, w.mapping, chans);
+                cfg.ras = w.ras;
+                cfg.powerdown_idle = w.powerdown_idle;
+                let mk = |cfg, ch| -> Result<DramCtrl<P>, String> {
+                    let mut ctrl =
+                        DramCtrl::with_probe(cfg, probe(ch)).map_err(|e| e.to_string())?;
                     ctrl.set_tick_budget(Some(JOB_TICK_BUDGET));
-                    ctrl
+                    Ok(ctrl)
                 };
                 if chans == 1 {
-                    let reused = reuse(&cfg);
-                    Sim::Ev(reused.unwrap_or_else(|| Box::new(mk(cfg, 0))))
+                    let ctrl = match reuse(&cfg) {
+                        Some(reused) => reused,
+                        None => Box::new(mk(cfg, 0)?),
+                    };
+                    Ok(Sim::Ev(ctrl))
                 } else {
-                    let ctrls = (0..chans).map(|ch| mk(cfg.clone(), ch)).collect();
-                    Sim::EvX(Box::new(xbar(ctrls, job.mapping)))
+                    let ctrls = (0..chans).map(|ch| mk(cfg.clone(), ch));
+                    let ctrls = ctrls.collect::<Result<_, _>>()?;
+                    Ok(Sim::EvX(Box::new(xbar(ctrls, w.mapping))))
                 }
             }
             Model::Cycle => {
-                let mut cfg = cy_cfg(spec, job.policy, job.sched, job.mapping, chans);
-                cfg.ras = ras_for_job(job);
-                let mk = |ch| CycleCtrl::with_probe(cfg.clone(), probe(ch)).expect("valid config");
+                if w.powerdown_idle > 0 {
+                    return Err("power-down needs the event model: the cycle baseline \
+                                has no low-power states"
+                        .into());
+                }
+                let mut cfg = cy_cfg(w.spec, w.policy, w.sched, w.mapping, chans);
+                cfg.ras = w.ras;
+                let mk =
+                    |ch| CycleCtrl::with_probe(cfg.clone(), probe(ch)).map_err(|e| e.to_string());
                 if chans == 1 {
-                    Sim::Cy(Box::new(mk(0)))
+                    Ok(Sim::Cy(Box::new(mk(0)?)))
                 } else {
-                    Sim::CyX(Box::new(xbar((0..chans).map(mk).collect(), job.mapping)))
+                    let ctrls = (0..chans).map(mk).collect::<Result<_, _>>()?;
+                    Ok(Sim::CyX(Box::new(xbar(ctrls, w.mapping))))
                 }
             }
         }
     }
 
-    /// What every finished run owes its record: no tripped stall
-    /// watchdog on any event controller, and the channels' RAS counters
-    /// summed into `m`.
-    fn close(&self, m: &mut JobMetrics) {
-        match self {
-            Sim::Ev(c) => {
-                assert_no_stall(c);
-                add_ras_metrics(m, c.fault_model().into_iter());
-            }
-            Sim::EvX(x) => {
-                channels_of(x).for_each(assert_no_stall);
-                add_ras_metrics(m, channels_of(x).filter_map(DramCtrl::fault_model));
-            }
-            Sim::Cy(c) => add_ras_metrics(m, c.fault_model().into_iter()),
-            Sim::CyX(x) => add_ras_metrics(m, channels_of(x).filter_map(CycleCtrl::fault_model)),
-        }
-    }
-}
-
-impl Sim<ObsProbe> {
-    /// Renders a finished observed run: the final report at `end`, and
-    /// every channel's probes binned at `interval`.
-    fn into_artifacts(self, end: Tick, interval: Tick) -> JobArtifacts {
-        let (report, probes) = match self {
-            Sim::Ev(c) => (c.report("ctrl", end), vec![c.into_probe()]),
-            Sim::Cy(c) => (c.report("ctrl", end), vec![c.into_probe()]),
-            Sim::EvX(x) => {
-                let report = x.report("system", end);
-                let ctrls = x.into_parts().0.into_iter();
-                (report, ctrls.map(DramCtrl::into_probe).collect())
-            }
-            Sim::CyX(x) => {
-                let report = x.report("system", end);
-                let ctrls = x.into_parts().0.into_iter();
-                (report, ctrls.map(CycleCtrl::into_probe).collect())
+    /// What every finished run owes its caller: no tripped stall watchdog
+    /// on any event controller (a panic with the diagnostic, which the
+    /// campaign executor records as a failed job), and the channels' RAS
+    /// counters summed by name — `None` when no fault model is armed.
+    fn close(&self) -> Option<BTreeMap<&'static str, u64>> {
+        let mut sums = None;
+        let mut add = |fm: Option<&FaultModel>| {
+            for (name, v) in fm.iter().flat_map(|fm| fm.stats().entries()) {
+                *sums
+                    .get_or_insert_with(BTreeMap::new)
+                    .entry(name)
+                    .or_insert(0) += v;
             }
         };
-        collect_artifacts(probes, &report, end, interval)
+        let mut checked = |c: &DramCtrl<P>| match c.check_stall() {
+            Ok(()) => add(c.fault_model()),
+            Err(stall) => panic!("{stall}"),
+        };
+        match self {
+            Sim::Ev(c) => checked(c),
+            Sim::EvX(x) => channels_of(x).for_each(checked),
+            Sim::Cy(c) => add(c.fault_model()),
+            Sim::CyX(x) => channels_of(x).for_each(|c| add(c.fault_model())),
+        }
+        sums
     }
 }
 
-/// One job, live: the tester run, its traffic generator and the
-/// controller it drives — with or without probes — steppable a slice at
-/// a time. The one place a [`JobSpec`] is wired to a simulator:
-/// [`run_job`], [`run_job_resumable`] and [`run_job_observed`] wrap it.
-/// A scheduler preempts a job, observed or not, by keeping its `JobRun`
-/// and calling [`advance`](Self::advance) again later;
-/// [`save`](Self::save) and [`restore`](Self::restore) are for pauses
-/// that must outlive the process, and cover the simulation only: probe
-/// recordings are not part of a checkpoint, so a restored observed run
-/// renders only the suffix of each track.
-pub struct JobRun {
-    job: JobSpec,
+/// One simulation, live: a tester run, its traffic generator and the
+/// controller(s) a [`Wiring`] describes — with or without probes —
+/// steppable a slice at a time. The one place anything in this
+/// repository is wired to a simulator: [`JobRun`] is its `JobSpec` front,
+/// `dramctrl run`/`replay` are its command-line front.
+pub struct SimRun {
     /// Epoch interval of the probes; `0` for an unobserved run.
     epochs: Tick,
     gen: Box<dyn SnapGen>,
-    /// `None` once the run has finished and handed back its metrics.
+    /// `None` once the run has finished and handed itself back.
     live: Option<(TestRun, Wired)>,
 }
 
-impl JobRun {
-    /// Builds the generator and controller(s) `job` describes, ready for
-    /// its first request. With `epochs > 0` the run is *observed*: every
-    /// channel carries a [`ChromeTracer`] and an [`EpochRecorder`] binning
-    /// at `epochs` ticks, and `Done` comes with [`JobArtifacts`]. The
-    /// probes are pure observers — metrics, pause points and checkpoint
-    /// bytes are those of the unobserved run.
+impl SimRun {
+    /// Builds the controller(s) `wiring` describes, ready for the first
+    /// request of `gen`, measured by `tester`. With `epochs > 0` the run
+    /// is *observed*: every channel carries a [`ChromeTracer`] and an
+    /// [`EpochRecorder`] binning at `epochs` ticks. The probes are pure
+    /// observers — summary, pause points and checkpoint bytes are those
+    /// of the unobserved run.
     ///
-    /// # Panics
-    /// Panics on an unknown device preset or an invalid configuration.
-    #[must_use]
-    pub fn start(job: &JobSpec, epochs: Tick) -> Self {
-        let spec = presets::by_name(&job.device)
-            .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
-        let gen = gen_for_job(job, &spec);
+    /// # Errors
+    /// An inconsistent controller configuration, or a power-down idle
+    /// time on the cycle baseline.
+    pub fn start(
+        wiring: Wiring,
+        gen: Box<dyn SnapGen>,
+        tester: &Tester,
+        epochs: Tick,
+    ) -> Result<Self, String> {
         let wired = if epochs == 0 {
-            Wired::Plain(Sim::build(job, spec, |_| NoProbe, cached_ev_ctrl))
+            Wired::Plain(Sim::build(wiring, |_| NoProbe, cached_ev_ctrl)?)
         } else {
             let probe = |ch| (ChromeTracer::for_channel(ch), EpochRecorder::new(epochs));
-            Wired::Observed(Sim::build(job, spec, probe, |_| None))
+            Wired::Observed(Sim::build(wiring, probe, |_| None)?)
         };
-        Self {
-            job: job.clone(),
-            epochs,
-            gen,
-            live: Some((std_tester().begin(), wired)),
-        }
+        let live = Some((tester.begin(), wired));
+        Ok(Self { epochs, gen, live })
     }
 
     /// Requests injected so far.
     ///
     /// # Panics
-    /// Panics on a run that has already returned `Done`.
+    /// Panics, as every method does, on a run that has already finished.
     #[must_use]
     pub fn injected(&self) -> u64 {
         self.live.as_ref().expect(SPENT).0.injected()
     }
 
-    /// Simulates until the job completes or — with `pause_after:
-    /// Some(n)` — the first request boundary at or past `n` injections.
-    /// The next call picks up exactly there: chained slices yield
-    /// metrics and artifacts byte-identical to one `advance(None)`.
+    /// Simulates until the generator is exhausted and every response is
+    /// in — `Some(finished)` — or, with `pause_after: Some(n)`, until the
+    /// first request boundary at or past `n` injections — `None`. The
+    /// next call picks up exactly there: chained slices finish
+    /// byte-identically to one `advance(None)`.
     ///
     /// # Panics
-    /// Panics if a controller trips its stall watchdog, or on a run that
-    /// has already returned `Done`.
-    pub fn advance(&mut self, pause_after: Option<u64>) -> SliceOutcome {
+    /// Panics if a controller trips its stall watchdog.
+    pub fn advance(&mut self, pause_after: Option<u64>) -> Option<Finished> {
         let (run, wired) = self.live.as_mut().expect(SPENT);
         let gen = &mut self.gen;
         let paused = with_ctrl!(wired, c => {
@@ -509,42 +523,189 @@ impl JobRun {
             }
         });
         if paused {
-            return SliceOutcome::Paused {
-                injected: run.injected(),
-            };
+            return None;
         }
-        let (run, mut wired) = self.live.take().expect(SPENT);
-        let s = with_ctrl!(&mut wired, c => run.finish(&mut **c));
-        let mut m = job_metrics(&s);
-        let artifacts = match wired {
-            Wired::Plain(sim) => {
-                sim.close(&mut m);
-                if let Sim::Ev(c) = sim {
-                    retire_ev_ctrl(c);
-                }
-                None
+        let (run, mut sim) = self.live.take().expect(SPENT);
+        let summary = with_ctrl!(&mut sim, c => run.finish(&mut **c));
+        let ras = match &sim {
+            Wired::Plain(sim) => sim.close(),
+            Wired::Observed(sim) => sim.close(),
+        };
+        let epochs = self.epochs;
+        Some(Finished {
+            summary,
+            ras,
+            sim,
+            epochs,
+        })
+    }
+
+    /// Writes a checkpoint atomically to `path`: a header stamped with
+    /// the caller's configuration fingerprint `fp`, then the tester run,
+    /// the traffic generator and the controller — the layout
+    /// [`restore`](Self::restore) reads, and nobody else knows. It covers
+    /// the simulation only: probe recordings are not part of it, so a
+    /// restored observed run renders only the suffix of each track.
+    ///
+    /// # Errors
+    /// I/O errors from the atomic write.
+    pub fn save(&self, path: &Path, fp: u64) -> io::Result<()> {
+        let (run, wired) = self.live.as_ref().expect(SPENT);
+        let mut w = SnapWriter::new(fp);
+        run.save_state(&mut w);
+        self.gen.save_state(&mut w);
+        with_ctrl!(wired, c => c.save_state(&mut w));
+        write_atomic(path, w.into_bytes())
+    }
+
+    /// Replaces the run's simulation state with the checkpoint `bytes`.
+    ///
+    /// # Errors
+    /// A checkpoint stamped with a fingerprint other than `fp`, torn or
+    /// corrupt component state, or bytes left over after the controller;
+    /// the run must not be advanced after an error.
+    pub fn restore(&mut self, bytes: &[u8], fp: u64) -> Result<(), SnapError> {
+        let (run, wired) = self.live.as_mut().expect(SPENT);
+        let mut r = SnapReader::new(bytes, fp)?;
+        run.restore_state(&mut r)?;
+        self.gen.restore_state(&mut r)?;
+        with_ctrl!(wired, c => c.restore_state(&mut r))?;
+        if r.is_exhausted() {
+            return Ok(());
+        }
+        let why = "snapshot has trailing bytes after the controller state";
+        Err(SnapError::Corrupt(why.into()))
+    }
+}
+
+/// Panic message for driving a run past its end.
+const SPENT: &str = "this run has already finished";
+
+/// A finished [`SimRun`]: what the tester measured and the simulator it
+/// was measured on, from which each front end derives what it reports.
+pub struct Finished {
+    /// What the tester measured.
+    pub summary: TestSummary,
+    /// Every channel's RAS counters, summed by name; `None` when no fault
+    /// model was armed.
+    pub ras: Option<BTreeMap<&'static str, u64>>,
+    sim: Wired,
+    epochs: Tick,
+}
+
+impl Finished {
+    /// Activity summary for the power models over the whole run (all
+    /// channels summed).
+    pub fn activity(&mut self) -> ActivityStats {
+        let end = self.summary.duration;
+        with_ctrl!(&mut self.sim, c => Controller::activity(&mut **c, end))
+    }
+
+    /// Renders an observed run — the final report, and every channel's
+    /// probes merged and binned at the epoch interval; `None` for an
+    /// unobserved one, whose single-channel event controller retires to
+    /// the calling thread's cache for the next run of the same
+    /// configuration.
+    #[must_use]
+    pub fn into_artifacts(self) -> Option<JobArtifacts> {
+        let end = self.summary.duration;
+        let (report, probes) = match self.sim {
+            Wired::Plain(Sim::Ev(c)) => {
+                retire_ev_ctrl(c);
+                return None;
             }
-            Wired::Observed(sim) => {
-                sim.close(&mut m);
-                Some(sim.into_artifacts(s.duration, self.epochs))
+            Wired::Plain(_) => return None,
+            Wired::Observed(Sim::Ev(c)) => (c.report("ctrl", end), vec![c.into_probe()]),
+            Wired::Observed(Sim::Cy(c)) => (c.report("ctrl", end), vec![c.into_probe()]),
+            Wired::Observed(Sim::EvX(x)) => {
+                let report = x.report("system", end);
+                let ctrls = x.into_parts().0.into_iter();
+                (report, ctrls.map(DramCtrl::into_probe).collect())
+            }
+            Wired::Observed(Sim::CyX(x)) => {
+                let report = x.report("system", end);
+                let ctrls = x.into_parts().0.into_iter();
+                (report, ctrls.map(CycleCtrl::into_probe).collect())
             }
         };
-        SliceOutcome::Done(m, artifacts)
+        let mut merged = EpochRecorder::new(self.epochs);
+        let mut tracers = Vec::with_capacity(probes.len());
+        for (tracer, mut epochs) in probes {
+            epochs.finish(end);
+            merged.absorb(&epochs);
+            tracers.push(tracer);
+        }
+        Some(JobArtifacts {
+            perfetto_json: ChromeTracer::combined_json(&tracers),
+            epochs_csv: merged.to_csv(),
+            epochs_jsonl: merged.to_jsonl(),
+            stats_json: report.to_json(),
+        })
+    }
+}
+
+/// One campaign job, live: the [`JobSpec`] front of [`SimRun`], which
+/// [`run_job`], [`run_job_resumable`] and [`run_job_observed`] wrap. A
+/// scheduler preempts a job, observed or not, by keeping its `JobRun`
+/// and calling [`advance`](Self::advance) again later; checkpoints
+/// ([`run_resumable`](Self::run_resumable)) are for pauses that must
+/// outlive the process.
+pub struct JobRun {
+    job: JobSpec,
+    run: SimRun,
+}
+
+impl JobRun {
+    /// Builds the generator and controller(s) `job` describes, ready for
+    /// its first request. With `epochs > 0` the run is *observed*
+    /// ([`SimRun::start`]) and `Done` comes with [`JobArtifacts`].
+    ///
+    /// # Panics
+    /// Panics on an unknown device preset or an invalid configuration.
+    #[must_use]
+    pub fn start(job: &JobSpec, epochs: Tick) -> Self {
+        let wiring = Wiring::for_job(job);
+        let gen = gen_for_job(job, &wiring.spec);
+        let run = SimRun::start(wiring, gen, &std_tester(), epochs)
+            .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
+        let job = job.clone();
+        Self { job, run }
+    }
+
+    /// Simulates until the job completes or — with `pause_after:
+    /// Some(n)` — the first request boundary at or past `n` injections.
+    /// The next call picks up exactly there: chained slices yield
+    /// metrics and artifacts byte-identical to one `advance(None)`.
+    ///
+    /// # Panics
+    /// Panics if a controller trips its stall watchdog, or on a run that
+    /// has already returned `Done`.
+    pub fn advance(&mut self, pause_after: Option<u64>) -> SliceOutcome {
+        let Some(finished) = self.run.advance(pause_after) else {
+            let injected = self.run.injected();
+            return SliceOutcome::Paused { injected };
+        };
+        let mut m = job_metrics(&finished.summary);
+        for (&name, &v) in finished.ras.iter().flatten() {
+            m.set(name, v as f64);
+        }
+        SliceOutcome::Done(m, finished.into_artifacts())
     }
 
     /// Runs to completion with deterministic checkpoint/restore.
     ///
     /// When `checkpoint` names a file that exists, the run first
-    /// *resumes* from it ([`restore`](Self::restore)). While running, the
-    /// run is [`save`](Self::save)d to `checkpoint` every `every`
+    /// *resumes* from it. While running, the run is saved to
+    /// `checkpoint`, stamped with [`job_fingerprint`], every `every`
     /// injected requests (`0` disables periodic checkpointing), and —
     /// when `pause_after` is `Some(n)` — it stops at the first request
     /// boundary at or past `n` injections, writes a final checkpoint and
     /// returns `None`.
     ///
     /// # Panics
-    /// Panics like [`advance`](Self::advance), [`save`](Self::save) and
-    /// [`restore`](Self::restore), and when asked to pause without a
+    /// Panics like [`advance`](Self::advance), on checkpoint I/O errors,
+    /// on a checkpoint that does not match the job (wrong fingerprint,
+    /// torn or corrupt state), and when asked to pause without a
     /// checkpoint path.
     pub fn run_resumable(
         mut self,
@@ -553,18 +714,25 @@ impl JobRun {
         pause_after: Option<u64>,
     ) -> Option<(JobMetrics, Option<JobArtifacts>)> {
         if let Some(path) = checkpoint.filter(|p| p.exists()) {
-            self.restore(path);
+            let bytes = std::fs::read(path)
+                .unwrap_or_else(|e| panic!("reading checkpoint {}: {e}", path.display()));
+            self.run
+                .restore(&bytes, job_fingerprint(&self.job))
+                .unwrap_or_else(|e| panic!("restoring checkpoint {}: {e}", path.display()));
         }
         loop {
             // Stop at the pause point or the next periodic checkpoint,
             // whichever comes first.
             let periodic = checkpoint
                 .filter(|_| every > 0)
-                .map(|_| (self.injected() / every + 1) * every);
+                .map(|_| (self.run.injected() / every + 1) * every);
             let stop = pause_after.into_iter().chain(periodic).min();
             match self.advance(stop) {
                 SliceOutcome::Paused { injected } => {
-                    self.save(checkpoint.expect("pausing a run requires a checkpoint path"));
+                    let path = checkpoint.expect("pausing a run requires a checkpoint path");
+                    self.run
+                        .save(path, job_fingerprint(&self.job))
+                        .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
                     if pause_after.is_some_and(|n| injected >= n) {
                         return None;
                     }
@@ -573,40 +741,10 @@ impl JobRun {
             }
         }
     }
-
-    /// Writes the run's simulation state, stamped with
-    /// [`job_fingerprint`], atomically to `path` ([`save_checkpoint`]).
-    ///
-    /// # Panics
-    /// Panics on I/O errors, or on a run that has already returned `Done`.
-    pub fn save(&self, path: &Path) {
-        let (run, wired) = self.live.as_ref().expect(SPENT);
-        let fp = job_fingerprint(&self.job);
-        with_ctrl!(wired, c => save_checkpoint(path, fp, run, &self.gen, &**c))
-            .unwrap_or_else(|e| panic!("writing checkpoint {}: {e}", path.display()));
-    }
-
-    /// Replaces the run's simulation state with the checkpoint at `path`
-    /// ([`restore_checkpoint`]).
-    ///
-    /// # Panics
-    /// Panics on I/O errors or a checkpoint that does not match the job
-    /// (wrong fingerprint, torn or corrupt state).
-    pub fn restore(&mut self, path: &Path) {
-        let bytes = std::fs::read(path)
-            .unwrap_or_else(|e| panic!("reading checkpoint {}: {e}", path.display()));
-        let (run, wired) = self.live.as_mut().expect(SPENT);
-        let (gen, fp) = (&mut self.gen, job_fingerprint(&self.job));
-        with_ctrl!(wired, c => restore_checkpoint(&bytes, fp, run, gen, &mut **c))
-            .unwrap_or_else(|e| panic!("restoring checkpoint {}: {e}", path.display()));
-    }
 }
 
-/// Panic message for driving a [`JobRun`] past its `Done`.
-const SPENT: &str = "this JobRun has already finished";
-
-/// Observability artifacts of a finished observed [`JobRun`], ready to
-/// be written next to the campaign report.
+/// Observability artifacts of a finished observed run, ready to be
+/// written next to the campaign report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobArtifacts {
     /// Chrome trace-event JSON of every DRAM command, request flow and
@@ -619,30 +757,8 @@ pub struct JobArtifacts {
     /// simulation service forwards to clients record by record.
     pub epochs_jsonl: String,
     /// Stable machine-readable statistics report
-    /// ([`Report::to_json`]).
+    /// ([`dramctrl_stats::Report::to_json`]).
     pub stats_json: String,
-}
-
-/// Merges per-channel probes and the final report into [`JobArtifacts`].
-fn collect_artifacts(
-    probes: Vec<ObsProbe>,
-    report: &Report,
-    end: Tick,
-    interval: Tick,
-) -> JobArtifacts {
-    let mut merged = EpochRecorder::new(interval);
-    let mut tracers = Vec::with_capacity(probes.len());
-    for (tracer, mut epochs) in probes {
-        epochs.finish(end);
-        merged.absorb(&epochs);
-        tracers.push(tracer);
-    }
-    JobArtifacts {
-        perfetto_json: ChromeTracer::combined_json(&tracers),
-        epochs_csv: merged.to_csv(),
-        epochs_jsonl: merged.to_jsonl(),
-        stats_json: report.to_json(),
-    }
 }
 
 #[cfg(test)]
@@ -655,6 +771,22 @@ mod tests {
     fn a_job_run_may_cross_threads() {
         fn assert_send<T: Send>() {}
         assert_send::<JobRun>();
+    }
+
+    /// What `dramctrl run --powerdown` used to do on the cycle arm: drop
+    /// the setting and simulate something else.
+    #[test]
+    fn power_down_on_the_cycle_baseline_is_refused_not_dropped() {
+        let job = Campaign::new("pd", 1).requests([10]).expand().remove(0);
+        let start = |model| {
+            let mut wiring = Wiring::for_job(&job);
+            (wiring.model, wiring.powerdown_idle) = (model, 1_000_000);
+            let gen = gen_for_job(&job, &wiring.spec);
+            SimRun::start(wiring, gen, &std_tester(), 0).map(drop)
+        };
+        assert_eq!(start(Model::Event), Ok(()));
+        let err = start(Model::Cycle).expect_err("no low-power states to honour it with");
+        assert!(err.contains("power-down needs the event model"), "{err}");
     }
 
     #[test]

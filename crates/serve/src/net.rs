@@ -33,7 +33,15 @@ impl Stream {
                 "unix socket paths need a unix platform; use host:port",
             ));
         }
-        Ok(Self::Tcp(TcpStream::connect(addr)?))
+        Self::tcp(TcpStream::connect(addr)?)
+    }
+
+    /// A TCP connection with Nagle's algorithm off. The protocol is short
+    /// request/reply lines: left on, every hello/command/reply exchange
+    /// waits ~40 ms for the peer's delayed ACK.
+    fn tcp(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nodelay(true)?;
+        Ok(Self::Tcp(stream))
     }
 
     /// An independently readable/writable handle to the same connection.
@@ -181,7 +189,7 @@ impl Listener {
     /// Accepts one connection.
     pub fn accept(&self) -> io::Result<Stream> {
         Ok(match self {
-            Self::Tcp(l) => Stream::Tcp(l.accept()?.0),
+            Self::Tcp(l) => Stream::tcp(l.accept()?.0)?,
             #[cfg(unix)]
             Self::Unix(l) => Stream::Unix(l.accept()?.0),
         })

@@ -74,6 +74,22 @@ pub struct JobStore {
     accept: DurableAppender,
     next_id: u64,
     evicted: BTreeSet<String>,
+    /// Where the tombstone log's complete lines end; a failed tombstone
+    /// append leaves torn bytes past it for the next one to cut.
+    evicted_len: u64,
+}
+
+/// The complete lines of an append-only log, each with its 1-based
+/// number. An unterminated final line — an append that died partway and
+/// was never acknowledged — is not one of them.
+fn complete_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let numbered = text.split_inclusive('\n').enumerate();
+    numbered.filter_map(|(i, line)| Some((i + 1, line.strip_suffix('\n')?)))
+}
+
+fn corrupt(log: &str, line: usize, why: &str) -> io::Error {
+    let why = format!("{log} log line {line} is corrupt: {why}");
+    io::Error::new(io::ErrorKind::InvalidData, why)
 }
 
 impl JobStore {
@@ -89,7 +105,7 @@ impl JobStore {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<(Self, Vec<StoredJob>)> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        let evicted = read_evicted(&root)?;
+        let (evicted, evicted_len) = read_evicted(&root)?;
         let log = root.join("accept.jsonl");
         if !log.exists() {
             let accept = DurableAppender::create(&log)?;
@@ -99,6 +115,7 @@ impl JobStore {
                     accept,
                     next_id: 1,
                     evicted,
+                    evicted_len,
                 },
                 Vec::new(),
             ));
@@ -106,24 +123,10 @@ impl JobStore {
 
         let text = std::fs::read_to_string(&log)?;
         let mut jobs = Vec::new();
-        let mut valid_len = 0usize;
-        for (i, line) in text.split_inclusive('\n').enumerate() {
-            if !line.ends_with('\n') {
-                break; // Torn tail: never acked, safe to drop.
-            }
-            let job = parse_accept_line(line.trim_end_matches('\n')).map_err(|why| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("accept log line {} is corrupt: {why}", i + 1),
-                )
-            })?;
-            jobs.push(job);
-            valid_len += line.len();
-        }
-        if valid_len < text.len() {
-            let f = std::fs::OpenOptions::new().write(true).open(&log)?;
-            f.set_len(valid_len as u64)?;
-            f.sync_data()?;
+        let mut valid_len = 0;
+        for (n, line) in complete_lines(&text) {
+            jobs.push(parse_accept_line(line).map_err(|why| corrupt("accept", n, &why))?);
+            valid_len += line.len() as u64 + 1;
         }
         let next_id = jobs
             .iter()
@@ -142,13 +145,15 @@ impl JobStore {
                 true
             }
         });
-        let accept = DurableAppender::append_to(&log)?;
+        // A torn final line was never acked: safe to drop.
+        let accept = DurableAppender::reopen(&log, valid_len)?;
         Ok((
             Self {
                 root,
                 accept,
                 next_id,
                 evicted,
+                evicted_len,
             },
             jobs,
         ))
@@ -229,11 +234,13 @@ impl JobStore {
         if !self.evicted.contains(id) {
             let log = self.root.join("evicted.jsonl");
             let mut appender = if log.exists() {
-                DurableAppender::append_to(&log)?
+                DurableAppender::reopen(&log, self.evicted_len)?
             } else {
                 DurableAppender::create(&log)?
             };
-            appender.append_line(&format!("{{\"id\":{}}}", json_str(id)))?;
+            let line = format!("{{\"id\":{}}}", json_str(id));
+            appender.append_line(&line)?;
+            self.evicted_len += line.len() as u64 + 1;
             self.evicted.insert(id.to_owned());
         }
         let dir = self.job_dir(id);
@@ -266,19 +273,9 @@ impl JobStore {
     pub fn repair(&mut self) -> io::Result<()> {
         let log = self.root.join("accept.jsonl");
         let text = std::fs::read_to_string(&log)?;
-        let mut valid_len = 0usize;
-        for line in text.split_inclusive('\n') {
-            if !line.ends_with('\n') || parse_accept_line(line.trim_end_matches('\n')).is_err() {
-                break;
-            }
-            valid_len += line.len();
-        }
-        if valid_len < text.len() {
-            let f = std::fs::OpenOptions::new().write(true).open(&log)?;
-            f.set_len(valid_len as u64)?;
-            f.sync_data()?;
-        }
-        self.accept = DurableAppender::append_to(&log)?;
+        let valid = complete_lines(&text).take_while(|(_, line)| parse_accept_line(line).is_ok());
+        let valid_len = valid.map(|(_, line)| line.len() as u64 + 1).sum();
+        self.accept = DurableAppender::reopen(&log, valid_len)?;
         Ok(())
     }
 
@@ -351,27 +348,33 @@ fn parse_accept_line(line: &str) -> Result<StoredJob, String> {
     })
 }
 
-/// Reads the eviction tombstone log (if any). Torn tails are ignored:
-/// an unterminated tombstone was never fsync-acknowledged, so its job
-/// directory is still intact and the job simply survives.
-fn read_evicted(root: &Path) -> io::Result<BTreeSet<String>> {
+/// Reads the eviction tombstone log (if any): the evicted ids, and where
+/// the log's complete lines end. A torn tail is not a tombstone — it was
+/// never fsync-acknowledged, so its job directory is still intact and the
+/// job simply survives — and [`JobStore::evict`] cuts it off before the
+/// next append. A complete line that is not a tombstone is a loud error,
+/// as in the accept log: skipping it would resurrect a deleted job.
+///
+/// # Errors
+/// I/O errors, or a corrupt tombstone log.
+fn read_evicted(root: &Path) -> io::Result<(BTreeSet<String>, u64)> {
     let log = root.join("evicted.jsonl");
     if !log.exists() {
-        return Ok(BTreeSet::new());
+        return Ok((BTreeSet::new(), 0));
     }
     let text = std::fs::read_to_string(&log)?;
     let mut out = BTreeSet::new();
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            break;
-        }
-        if let Ok(v) = Value::parse(line.trim_end_matches('\n')) {
-            if let Some(id) = v.get("id").and_then(Value::as_str) {
-                out.insert(id.to_owned());
-            }
-        }
+    let mut valid_len = 0;
+    for (n, line) in complete_lines(&text) {
+        let v = Value::parse(line).map_err(|e| corrupt("tombstone", n, &e.to_string()))?;
+        let id = v.get("id").and_then(Value::as_str);
+        out.insert(
+            id.ok_or_else(|| corrupt("tombstone", n, "missing 'id'"))?
+                .to_owned(),
+        );
+        valid_len += line.len() as u64 + 1;
     }
-    Ok(out)
+    Ok((out, valid_len))
 }
 
 #[cfg(test)]
@@ -559,6 +562,75 @@ mod tests {
         let (_, jobs) = JobStore::open(&root).unwrap();
         assert!(jobs.is_empty(), "tombstone wins");
         assert!(!root.join(&a.id).exists(), "leftover dir removed");
+    }
+
+    #[test]
+    fn a_torn_tombstone_does_not_resurrect_the_next_evicted_job() {
+        let root = tmp("evict-torn");
+        let (mut store, _) = JobStore::open(&root).unwrap();
+        let a = store.accept("alice", 0, &campaign("a")).unwrap();
+        let b = store.accept("bob", 0, &campaign("b")).unwrap();
+        drop(store);
+        // A tombstone append for `a` that died partway (SIGKILL, ENOSPC):
+        // never acknowledged, so `a` survives...
+        let log = root.join("evicted.jsonl");
+        std::fs::write(&log, "{\"id\":\"job-00").unwrap();
+        let (mut store, jobs) = JobStore::open(&root).unwrap();
+        assert_eq!(jobs.len(), 2);
+        // ...but the next tombstone must not be glued to the torn bytes.
+        store.evict(&b.id).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&log).unwrap(),
+            "{\"id\":\"job-0002\"}\n"
+        );
+        drop(store);
+        let (_, jobs) = JobStore::open(&root).unwrap();
+        let ids: Vec<_> = jobs.iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(ids, [a.id.as_str()], "an evicted job stays dead");
+    }
+
+    #[test]
+    fn a_tombstone_append_torn_by_a_fault_is_cut_off_by_the_next_eviction() {
+        let root = tmp("evict-fault");
+        let (mut store, _) = JobStore::open(&root).unwrap();
+        let a = store.accept("alice", 0, &campaign("a")).unwrap();
+        let b = store.accept("bob", 0, &campaign("b")).unwrap();
+        let c = store.accept("carol", 0, &campaign("c")).unwrap();
+        store.evict(&a.id).unwrap();
+        let log = root.join("evicted.jsonl");
+        let spec = format!("short,op=write,path={},at=1", log.display());
+        let guard = dramctrl_kernel::fsio::fault::arm_str(&spec).unwrap();
+        let err = store.evict(&b.id).unwrap_err();
+        assert!(err.to_string().contains("short write"), "{err}");
+        assert!(store.job_dir(&b.id).exists(), "no tombstone, no deletion");
+        // The same process evicts again, over the torn bytes.
+        store.evict(&c.id).unwrap();
+        drop(guard);
+        assert_eq!(
+            std::fs::read_to_string(&log).unwrap(),
+            "{\"id\":\"job-0001\"}\n{\"id\":\"job-0003\"}\n"
+        );
+        drop(store);
+        let (store, jobs) = JobStore::open(&root).unwrap();
+        let ids: Vec<_> = jobs.iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(ids, [b.id.as_str()], "only the failed eviction's job lives");
+        assert_eq!(store.evicted_count(), 2);
+    }
+
+    #[test]
+    fn a_complete_line_that_is_no_tombstone_is_a_loud_error() {
+        let root = tmp("evict-corrupt");
+        let (mut store, _) = JobStore::open(&root).unwrap();
+        let a = store.accept("alice", 0, &campaign("a")).unwrap();
+        store.evict(&a.id).unwrap();
+        drop(store);
+        let log = root.join("evicted.jsonl");
+        for garbage in ["{\"id\":\"job-00{\"id\":\"job-0001\"}\n", "{\"job\":1}\n"] {
+            std::fs::write(&log, garbage).unwrap();
+            let err = JobStore::open(&root).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("tombstone log line 1"), "{err}");
+        }
     }
 
     #[test]

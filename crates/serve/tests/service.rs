@@ -48,6 +48,24 @@ fn reference_jsonl(c: &Campaign, dir: &PathBuf) -> String {
     run_campaign_journaled(c, &ExecutorConfig::serial(), &mut j, run_job).to_jsonl()
 }
 
+/// A TCP round trip is a few socket hops, not a Nagle/delayed-ACK
+/// stand-off: connect + hello + `status` + reply took 45 ms before
+/// `TCP_NODELAY` (2-3 ms over a Unix socket).
+#[test]
+fn a_tcp_status_round_trip_does_not_wait_for_delayed_acks() {
+    let addr = spawn_daemon(tmp("nodelay").join("store"), 1_000);
+    let mut took: Vec<_> = (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            Client::connect(&addr).unwrap().status().unwrap();
+            start.elapsed()
+        })
+        .collect();
+    took.sort();
+    let median = took[2];
+    assert!(median.as_millis() < 20, "status round trips took {took:?}");
+}
+
 #[test]
 fn served_records_are_byte_identical_to_standalone_run() {
     let root = tmp("bytes");
