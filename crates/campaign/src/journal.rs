@@ -267,12 +267,39 @@ impl CampaignJournal {
         Ok(true)
     }
 
-    /// Commits a batch of finished jobs with one fsync: every record's
-    /// line is rendered from borrows (no [`JobRecord`] construction) and
-    /// appended, then a single sync is the whole batch's commit point.
-    /// Already-journaled indices are skipped (keep-first, as
-    /// [`commit`](Self::commit)); the journal's bytes are exactly what the
-    /// same records committed one-by-one would have written.
+    /// Appends one finished job's record line *without* syncing: the
+    /// line (rendered from borrows) is in the file, not yet durable,
+    /// until [`sync`](Self::sync). An already-journaled index is skipped
+    /// (keep-first, as [`commit`](Self::commit)) and reads `Ok(false)`.
+    ///
+    /// # Errors
+    /// Any I/O error from appending; the job must be treated as not done.
+    pub fn append_deferred(&mut self, job: &JobSpec, outcome: &JobOutcome) -> io::Result<bool> {
+        if self.completed.contains_key(&job.index) {
+            return Ok(false);
+        }
+        let line = render_parts(&self.campaign_name, job, outcome);
+        self.appender.append_line_deferred(&line)?;
+        self.completed.insert(job.index, outcome.clone());
+        test_kill_hook();
+        Ok(true)
+    }
+
+    /// Makes every [`append_deferred`](Self::append_deferred) line
+    /// durable with one fsync (none when nothing is pending).
+    ///
+    /// # Errors
+    /// Any I/O error from syncing; the pending lines are then *not*
+    /// committed.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.appender.commit_batch()
+    }
+
+    /// Commits a batch of finished jobs with one fsync: every record is
+    /// [`append_deferred`](Self::append_deferred), then a single
+    /// [`sync`](Self::sync) is the whole batch's commit point; the
+    /// journal's bytes are exactly what the same records committed
+    /// one-by-one would have written.
     ///
     /// A process killed mid-batch (after some appends, before the sync)
     /// leaves complete record lines plus at most one torn tail —
@@ -290,18 +317,9 @@ impl CampaignJournal {
     {
         let mut appended = 0;
         for (job, outcome) in records {
-            if self.completed.contains_key(&job.index) {
-                continue;
-            }
-            let line = render_parts(&self.campaign_name, job, outcome);
-            self.appender.append_line_deferred(&line)?;
-            self.completed.insert(job.index, outcome.clone());
-            test_kill_hook();
-            appended += 1;
+            appended += usize::from(self.append_deferred(job, outcome)?);
         }
-        if appended > 0 {
-            self.appender.commit_batch()?;
-        }
+        self.sync()?;
         Ok(appended)
     }
 }

@@ -243,8 +243,10 @@ SERVICE OPTIONS:
                          `incomplete` error (default 10)
       --no-hedge         don't re-issue slow shards to idle peers
       --json             emit progress events (shard assigned /
-                         re-dispatched / hedged / merged) as JSON lines
-                         on stderr instead of logfmt
+                         re-dispatched / hedged / finished / merged,
+                         with each shard's estimated cost and the
+                         per-peer totals) as JSON lines on stderr
+                         instead of logfmt
       --jsonl/--md/--csv as sweep; the merged report is byte-identical
                          to a local `dramctrl sweep` of the same flags
 ";

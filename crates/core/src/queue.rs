@@ -190,6 +190,20 @@ impl GroupArena {
     }
 }
 
+/// `(addr / burst_bytes, addr % burst_bytes)`. A power-of-two burst
+/// (every preset) is a shift and a mask instead of a hardware divide —
+/// this runs on every `try_send`, accepted or refused.
+fn burst_div_rem(addr: u64, burst_bytes: u64) -> (u64, u64) {
+    if burst_bytes.is_power_of_two() {
+        (
+            addr >> burst_bytes.trailing_zeros(),
+            addr & (burst_bytes - 1),
+        )
+    } else {
+        (addr / burst_bytes, addr % burst_bytes)
+    }
+}
+
 /// Splits `[addr, addr + size)` into per-burst pieces.
 ///
 /// Yields `(burst_addr, lo, hi)` where `burst_addr` is burst-aligned and
@@ -200,7 +214,7 @@ pub(crate) fn chop(
     burst_bytes: u64,
 ) -> impl Iterator<Item = (u64, u32, u32)> {
     let end = addr + u64::from(size);
-    let first = addr / burst_bytes * burst_bytes;
+    let first = addr - burst_div_rem(addr, burst_bytes).1;
     (0..)
         .map(move |i| first + i * burst_bytes)
         .take_while(move |&b| b < end)
@@ -213,10 +227,9 @@ pub(crate) fn chop(
 
 /// Number of bursts `[addr, addr + size)` spans.
 pub(crate) fn burst_count(addr: u64, size: u32, burst_bytes: u64) -> usize {
-    let end = addr + u64::from(size);
-    let first = addr / burst_bytes;
-    let last = end.div_ceil(burst_bytes);
-    (last - first) as usize
+    let (last, partial) = burst_div_rem(addr + u64::from(size), burst_bytes);
+    let first = burst_div_rem(addr, burst_bytes).0;
+    (last + u64::from(partial != 0) - first) as usize
 }
 
 /// Whether an existing write packet fully covers `[lo, hi)` of the same
@@ -277,6 +290,40 @@ mod tests {
         let pieces: Vec<_> = chop(56, 16, 64).collect();
         assert_eq!(pieces, vec![(0, 56, 64), (64, 0, 8)]);
         assert_eq!(burst_count(56, 16, 64), 2);
+    }
+
+    #[test]
+    fn shifted_and_divided_burst_arithmetic_agree() {
+        // 32/64/128 take the shift path, 96 the divide; both must be
+        // the plain quotient, and `chop` must yield that many pieces.
+        for burst in [32u64, 64, 96, 128] {
+            assert_eq!(burst.is_power_of_two(), burst != 96);
+            for addr in (0..4 * burst).chain([(1 << 40) - 1, 1 << 40, (1 << 40) + 95]) {
+                assert_eq!(
+                    burst_div_rem(addr, burst),
+                    (addr / burst, addr % burst),
+                    "{addr} / {burst}"
+                );
+                for size in [1u32, 4, 31, 32, 33, 64, 65, 96, 128, 255, 256] {
+                    let end = addr + u64::from(size);
+                    let want = (end.div_ceil(burst) - addr / burst) as usize;
+                    assert_eq!(
+                        burst_count(addr, size, burst),
+                        want,
+                        "{addr}+{size} / {burst}"
+                    );
+                    assert_eq!(
+                        chop(addr, size, burst).count(),
+                        want,
+                        "{addr}+{size} / {burst}"
+                    );
+                    assert_eq!(
+                        chop(addr, size, burst).next().unwrap().0,
+                        addr / burst * burst
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -168,6 +168,66 @@ fn decoder_matches_the_division_arithmetic() {
     }
 }
 
+/// Independent of the library's own geometry helpers: the channel's
+/// shape worked out from the datasheet fields alone (device width, burst
+/// length, page size, devices per rank, ranks, banks, die capacity).
+/// For every preset x mapping x channel count, the first and last byte
+/// of the address range, a dense run of bursts at either end and 10 000
+/// seeded addresses all decode to a (rank, bank, row, column) that
+/// exists in that shape, and no two distinct bursts share a
+/// (channel, rank, bank, row, column) — an out-of-bounds rank or an
+/// aliased cell is exactly what a wrong decode delivers silently.
+#[test]
+fn decoded_addresses_exist_in_the_datasheet_organisation_and_never_alias() {
+    use std::collections::HashMap;
+    let mut rng = Rng::seed_from_u64(0x57EC_0004);
+    for spec in presets::all() {
+        let o = &spec.org;
+        let burst = u64::from(o.device_bus_width * o.devices_per_rank / 8 * o.burst_length);
+        let cols = o.device_rowbuffer_bytes * u64::from(o.devices_per_rank) / burst;
+        let die_bytes = o.device_capacity_mbit * (1 << 20) / 8;
+        let rows = die_bytes / (o.device_rowbuffer_bytes * u64::from(o.banks));
+        let channel_bytes = die_bytes * u64::from(o.devices_per_rank) * u64::from(o.ranks);
+        assert_eq!(
+            burst * cols * rows * u64::from(o.banks) * u64::from(o.ranks),
+            channel_bytes,
+            "{}: the fields tile the capacity",
+            spec.name
+        );
+        for m in [
+            AddrMapping::RoRaBaCoCh,
+            AddrMapping::RoRaBaChCo,
+            AddrMapping::RoCoRaBaCh,
+        ] {
+            for channels in [1u32, 2, 4, 16] {
+                let what = format!("{} {m} x{channels}", spec.name);
+                let dec = Decoder::new(m, o, channels);
+                let span = channel_bytes * u64::from(channels);
+                let bursts = span / burst;
+                let mut cells: HashMap<(u32, u32, u32, u64, u64), u64> = HashMap::new();
+                let dense = (0..4_096).chain(bursts - 4_096..bursts);
+                let seeded: Vec<u64> = (0..10_000).map(|_| rng.gen_range(0..span)).collect();
+                for addr in dense.map(|b| b * burst).chain(seeded).chain([0, span - 1]) {
+                    let (ch, da) = (dec.channel_of(addr), dec.decode(addr));
+                    assert!(ch < channels, "{what} {addr:#x}: channel {ch}");
+                    assert!(da.rank < o.ranks, "{what} {addr:#x}: rank {}", da.rank);
+                    assert!(da.bank < o.banks, "{what} {addr:#x}: bank {}", da.bank);
+                    assert!(da.row < rows, "{what} {addr:#x}: row {}", da.row);
+                    assert!(da.col < cols, "{what} {addr:#x}: column {}", da.col);
+                    let cell = (ch, da.rank, da.bank, da.row, da.col);
+                    let first = *cells.entry(cell).or_insert(addr / burst);
+                    assert_eq!(
+                        first,
+                        addr / burst,
+                        "{what}: bursts {first:#x} and {:#x} share {cell:?}",
+                        addr / burst
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Burst-granule neighbours within one interleave granule always land
 /// in the same channel (lines never straddle channels).
 #[test]

@@ -23,7 +23,7 @@
 //!   the scheduler's worker pool, crash recovery, event streaming.
 //! - [`client`]: the version-checked [`Client`] the CLI subcommands
 //!   (`submit`, `watch`, `status`) are built on.
-//! - [`dispatch`]: the fleet coordinator (`dramctrl dispatch`) — shards
+//! - [`mod@dispatch`]: the fleet coordinator (`dramctrl dispatch`) — shards
 //!   a campaign across daemons, survives dead/slow/lying peers, and
 //!   merges a report byte-identical to a local sweep.
 //! - [`metrics`]: the daemon's operational metric handles

@@ -1,5 +1,5 @@
 //! The daemon's operational metrics: named handles over a
-//! [`Registry`](dramctrl_obs::metrics::Registry).
+//! [`Registry`].
 //!
 //! Every counter the scheduler, admission path and connection handlers
 //! touch is registered here once, so the rest of the crate records

@@ -176,7 +176,7 @@ impl TestRun {
                 .sent
                 .remove(&resp.id)
                 .expect("response for unknown request");
-            let lat_ns = tick::to_ns(resp.ready_at.saturating_sub(at)).round() as u64;
+            let lat_ns = round_to_ns(resp.ready_at.saturating_sub(at));
             if resp.cmd.is_read() {
                 self.read_lat.record(lat_ns);
                 self.reads += 1;
@@ -282,6 +282,18 @@ impl TestRun {
     }
 }
 
+/// `tick::to_ns(d).round()` without the float divide and libm `round`
+/// per response. Below 2^50 ticks (13 days) the two agree exactly: the
+/// quotient's `f64` error is far smaller than the 0.001 ns between a
+/// tick count and the nearest half, and an exact half is representable.
+fn round_to_ns(d: Tick) -> u64 {
+    if d < 1 << 50 {
+        (d + tick::NS / 2) / tick::NS
+    } else {
+        tick::to_ns(d).round() as u64
+    }
+}
+
 fn save_histogram(w: &mut SnapWriter, h: &Histogram) {
     let p = h.to_parts();
     w.u64(p.min);
@@ -379,6 +391,22 @@ mod tests {
     use dramctrl_mem::{presets, ActivityStats, MemCmd, MemRequest, MemSpec};
     use dramctrl_stats::Report;
     use std::collections::{BTreeMap, VecDeque};
+
+    #[test]
+    fn integer_rounding_is_the_float_rounding() {
+        // Every magnitude below the bound, at and around the half.
+        for exp in 0..50 {
+            for rem in [0, 1, 499, 500, 501, 999] {
+                let d = (1u64 << exp) / 1_000 * 1_000 + rem;
+                let float = tick::to_ns(d).round() as u64;
+                assert_eq!(round_to_ns(d), float, "d = {d}");
+            }
+        }
+        // Past the bound it *is* the float expression.
+        for d in [1 << 50, (1 << 60) + 499, Tick::MAX] {
+            assert_eq!(round_to_ns(d), tick::to_ns(d).round() as u64);
+        }
+    }
 
     /// Accepts everything and answers `latency` ticks later, so a paced
     /// stream keeps `latency / period` requests outstanding — the ~1 000
