@@ -1,21 +1,81 @@
 //! Tiny hand-rolled argument parsing (no external dependencies).
 
 use dramctrl::{EccMode, PagePolicy, SchedPolicy};
+use dramctrl_campaign::TrafficPattern;
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{presets, AddrMapping, MemSpec};
 use std::collections::BTreeMap;
 
-/// A parsed `--flag value` map plus positional arguments.
-#[derive(Debug, Default)]
+/// One flag, declared once: everything the parser, the unknown-flag
+/// check, the default lookup and `help` know about it.
+pub struct Opt {
+    /// Spelled `--name`, or `-n` too when a single letter.
+    pub name: &'static str,
+    /// Placeholder for the value it takes: `""` marks a switch, a trailing
+    /// `...` a flag that may be given any number of times.
+    pub value: &'static str,
+    /// What [`Args::value`] hands back when the flag is absent.
+    pub default: Option<&'static str>,
+    pub help: &'static str,
+}
+
+impl Opt {
+    pub const fn new(name: &'static str, value: &'static str, help: &'static str) -> Opt {
+        Opt {
+            name,
+            value,
+            default: None,
+            help,
+        }
+    }
+
+    pub const fn or(self, default: &'static str) -> Opt {
+        Opt {
+            default: Some(default),
+            ..self
+        }
+    }
+}
+
+/// Flags that belong together, declared once and referenced by every
+/// command that takes them.
+pub struct Group {
+    /// Its title and what holds for the whole group.
+    pub heading: &'static str,
+    pub opts: &'static [Opt],
+}
+
+/// One `dramctrl` command: its row of the command table, the only place
+/// its flags are spelled.
+pub struct Command {
+    pub name: &'static str,
+    /// Its arguments as `help` shows them, e.g. `FILE [OPTIONS]`.
+    pub synopsis: &'static str,
+    /// What its one positional argument is (`trace file`); `None` for a
+    /// command that takes no positional at all.
+    pub positional: Option<&'static str>,
+    pub about: &'static str,
+    pub groups: &'static [&'static Group],
+    pub run: fn(&Args) -> Result<(), ArgError>,
+}
+
+impl Command {
+    pub fn opts(&self) -> impl Iterator<Item = &'static Opt> {
+        self.groups.iter().flat_map(|g| g.opts)
+    }
+}
+
+/// A command line parsed against its [`Command`].
 pub struct Args {
-    flags: BTreeMap<String, String>,
-    multi: BTreeMap<String, Vec<String>>,
-    positional: Vec<String>,
-    switches: Vec<String>,
-    /// Every flag name [`Args::get`] was asked for, so a test can hold a
-    /// command's option list against what its parser really reads.
+    pub cmd: &'static Command,
+    /// Every occurrence of each flag given, by declared name (a switch
+    /// holds an empty string).
+    given: BTreeMap<&'static str, Vec<String>>,
+    positional: Option<String>,
+    /// Every flag the command asked for, so a test can hold what a
+    /// command declares against what it really reads.
     #[cfg(test)]
-    pub asked: std::cell::RefCell<std::collections::BTreeSet<String>>,
+    pub asked: std::cell::RefCell<std::collections::BTreeSet<&'static str>>,
 }
 
 /// A user-facing argument error.
@@ -30,30 +90,23 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-fn err<T>(msg: impl Into<String>) -> Result<T, ArgError> {
+/// A usage error, as the `Err` of any result.
+pub fn err<T>(msg: impl Into<String>) -> Result<T, ArgError> {
     Err(ArgError(msg.into()))
 }
 
 impl Args {
-    /// Parses `--flag value` pairs, `--switch`es (no value; must be listed
-    /// in `switches`) and positional arguments.
+    /// Parses `--flag value` pairs, `--switch`es and the positional
+    /// argument `cmd` declares. A flag it does not declare is refused
+    /// before anything is taken as its value, and so is a token beyond
+    /// the declared positional.
     pub fn parse(
         argv: impl IntoIterator<Item = String>,
-        switches: &[&str],
+        cmd: &'static Command,
     ) -> Result<Args, ArgError> {
-        Self::parse_with_repeats(argv, switches, &[])
-    }
-
-    /// Like [`Args::parse`], but flags listed in `repeatable` may appear
-    /// any number of times and accumulate into [`Args::get_all`] instead
-    /// of the duplicate-flag error (e.g. `--peer A --peer B`).
-    pub fn parse_with_repeats(
-        argv: impl IntoIterator<Item = String>,
-        switches: &[&str],
-        repeatable: &[&str],
-    ) -> Result<Args, ArgError> {
-        let mut args = Args::default();
-        let mut it = argv.into_iter().peekable();
+        let mut given: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
+        let mut positional = Vec::new();
+        let mut it = argv.into_iter();
         while let Some(a) = it.next() {
             // `--name` long options, plus single-letter short options like
             // `-o` (two characters, second alphabetic, so negative numbers
@@ -62,71 +115,110 @@ impl Args {
                 a.strip_prefix('-')
                     .filter(|n| n.len() == 1 && n.chars().all(|c| c.is_ascii_alphabetic()))
             });
-            if let Some(name) = name {
-                if switches.contains(&name) {
-                    args.switches.push(name.to_owned());
-                } else {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| ArgError(format!("--{name} needs a value")))?;
-                    if repeatable.contains(&name) {
-                        args.multi.entry(name.to_owned()).or_default().push(value);
-                    } else if args.flags.insert(name.to_owned(), value).is_some() {
-                        return err(format!("--{name} given twice"));
-                    }
-                }
-            } else {
-                args.positional.push(a);
-            }
-        }
-        Ok(args)
-    }
-
-    /// A flag's raw value.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        #[cfg(test)]
-        self.asked.borrow_mut().insert(name.to_owned());
-        self.flags.get(name).map(String::as_str)
-    }
-
-    /// Every occurrence of a repeatable flag, in command-line order.
-    pub fn get_all(&self, name: &str) -> &[String] {
-        self.multi.get(name).map_or(&[], Vec::as_slice)
-    }
-
-    /// Whether a switch was present.
-    pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
-    }
-
-    /// Positional arguments.
-    pub fn positional(&self) -> &[String] {
-        &self.positional
-    }
-
-    /// A flag parsed with `FromStr`, or `default` when absent.
-    pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError(format!("--{name}: cannot parse {v:?}"))),
-        }
-    }
-
-    /// Rejects unknown flags (everything consumed must be in `known`).
-    pub fn ensure_known(&self, known: &[&str]) -> Result<(), ArgError> {
-        for name in self
-            .flags
-            .keys()
-            .chain(self.multi.keys())
-            .chain(self.switches.iter())
-        {
-            if !known.contains(&name.as_str()) {
+            let Some(name) = name else {
+                positional.push(a);
+                continue;
+            };
+            let Some(opt) = cmd.opts().find(|o| o.name == name) else {
                 return err(format!("unknown option --{name}"));
+            };
+            let seen = given.entry(opt.name).or_default();
+            if opt.value.is_empty() {
+                seen.push(String::new());
+            } else if seen.is_empty() || opt.value.ends_with("...") {
+                seen.push(
+                    it.next()
+                        .ok_or_else(|| ArgError(format!("--{name} needs a value")))?,
+                );
+            } else {
+                return err(format!("--{name} given twice"));
             }
         }
-        Ok(())
+        match (cmd.positional, positional.as_slice()) {
+            (None, []) | (Some(_), [_]) => {}
+            (None, [stray, ..]) => {
+                let name = cmd.name;
+                return err(format!(
+                    "unexpected argument {stray:?}: {name} takes no positional"
+                ));
+            }
+            (Some(what), _) => return err(format!("{} needs exactly one {what}", cmd.name)),
+        }
+        let positional = positional.pop();
+        Ok(Args {
+            cmd,
+            given,
+            positional,
+            #[cfg(test)]
+            asked: Default::default(),
+        })
+    }
+
+    /// The declaration of `name`. Every accessor goes through here, so a
+    /// command that reads a flag it does not declare fails the first
+    /// test that reaches the read.
+    fn opt(&self, name: &str) -> &'static Opt {
+        let opt = self.cmd.opts().find(|o| o.name == name);
+        let opt = opt.unwrap_or_else(|| panic!("{} does not declare --{name}", self.cmd.name));
+        #[cfg(test)]
+        self.asked.borrow_mut().insert(opt.name);
+        opt
+    }
+
+    /// Every occurrence of a flag, in command-line order.
+    pub fn get_all(&self, name: &str) -> &[String] {
+        self.given
+            .get(self.opt(name).name)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Whether a flag (or a switch) was given.
+    pub fn has(&self, name: &str) -> bool {
+        !self.get_all(name).is_empty()
+    }
+
+    /// A flag's value as given, `None` when absent.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.get_all(name).first().map(String::as_str)
+    }
+
+    /// A flag's value, or the default its declaration carries.
+    pub fn value(&self, name: &str) -> &str {
+        let default = || self.opt(name).default.expect("the flag declares a default");
+        self.get(name).unwrap_or_else(default)
+    }
+
+    /// [`Args::value`] parsed with `FromStr`.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<T, ArgError> {
+        let v = self.value(name);
+        v.parse()
+            .map_err(|_| ArgError(format!("--{name}: cannot parse {v:?}")))
+    }
+
+    /// [`Args::parsed`] for a count that cannot be zero.
+    pub fn positive<T: std::str::FromStr + Default + PartialEq>(
+        &self,
+        name: &str,
+    ) -> Result<T, ArgError> {
+        match self.parsed::<T>(name)? {
+            zero if zero == T::default() => err(format!("--{name} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// A flag the command cannot run without; `hint` says what its value
+    /// is.
+    pub fn need(&self, name: &str, hint: &str) -> Result<&str, ArgError> {
+        let (cmd, value) = (self.cmd.name, self.opt(name).value);
+        let missing = || ArgError(format!("{cmd} needs --{name} {value} ({hint})"));
+        self.get(name).ok_or_else(missing)
+    }
+
+    /// The positional argument of a command that declares one.
+    pub fn positional(&self) -> &str {
+        self.positional
+            .as_deref()
+            .expect("the command declares a positional")
     }
 }
 
@@ -152,6 +244,14 @@ pub fn parse_duration(s: &str) -> Result<Tick, ArgError> {
         return err(format!("negative duration {s:?}"));
     }
     Ok((value * scale).round() as Tick)
+}
+
+/// Parses an `--epochs` interval: a duration that is not zero.
+pub fn parse_epochs(s: &str) -> Result<Tick, ArgError> {
+    match parse_duration(s)? {
+        0 => err("--epochs interval must be non-zero"),
+        ticks => Ok(ticks),
+    }
 }
 
 /// Parses a size like `64`, `4KiB`, `2MiB`, `1GiB` into bytes.
@@ -231,6 +331,23 @@ pub fn parse_sched(s: &str) -> Result<SchedPolicy, ArgError> {
     }
 }
 
+/// Parses a traffic generator name (`--gen`, an item of `--gens`) into
+/// the pattern it names, built from the parameters that kind takes.
+pub fn parse_gen(
+    s: &str,
+    range: u64,
+    block: u32,
+    stride: u64,
+    banks: u32,
+) -> Result<TrafficPattern, ArgError> {
+    match s {
+        "linear" => Ok(TrafficPattern::Linear { range, block }),
+        "random" => Ok(TrafficPattern::Random { range, block }),
+        "dram-aware" | "dram_aware" => Ok(TrafficPattern::DramAware { stride, banks }),
+        other => err(format!("unknown generator {other:?}")),
+    }
+}
+
 /// Parses an ECC mode name.
 pub fn parse_ecc(s: &str) -> Result<EccMode, ArgError> {
     match s.to_ascii_lowercase().as_str() {
@@ -271,51 +388,98 @@ pub fn parse_mapping(s: &str) -> Result<AddrMapping, ArgError> {
 mod tests {
     use super::*;
 
+    /// A command with one flag of every kind and one positional.
+    const TOOL: Command = Command {
+        name: "tool",
+        synopsis: "",
+        about: "",
+        positional: Some("input file"),
+        groups: &[&Group {
+            heading: "",
+            opts: &[
+                Opt::new("device", "NAME", "").or("ddr3-1600"),
+                Opt::new("requests", "N", "").or("7"),
+                Opt::new("o", "FILE", ""),
+                Opt::new("csv", "", ""),
+                Opt::new("peer", "ADDR...", ""),
+            ],
+        }],
+        run: |_| Ok(()),
+    };
+    const BARE: Command = Command {
+        positional: None,
+        ..TOOL
+    };
+
+    fn parse(cmd: &'static Command, argv: &[&str]) -> Result<Args, ArgError> {
+        Args::parse(argv.iter().map(|s| s.to_string()), cmd)
+    }
+
     #[test]
     fn flags_switches_positionals() {
-        let argv = ["--device", "ddr3", "trace.txt", "--csv", "--requests", "5"].map(String::from);
-        let a = Args::parse(argv, &["csv"]).unwrap();
+        let a = parse(&TOOL, &["--device", "ddr3", "trace.txt", "--csv"]).unwrap();
         assert_eq!(a.get("device"), Some("ddr3"));
-        assert!(a.switch("csv"));
-        assert_eq!(a.positional(), ["trace.txt"]);
-        assert_eq!(a.parse_or("requests", 0u64).unwrap(), 5);
-        assert_eq!(a.parse_or("missing", 7u64).unwrap(), 7);
+        assert_eq!(a.value("device"), "ddr3");
+        assert!(a.has("csv") && !a.has("o"));
+        assert_eq!(a.positional(), "trace.txt");
+        // An absent flag reads as the default its declaration carries.
+        assert_eq!(a.get("requests"), None);
+        assert_eq!(a.parsed::<u64>("requests").unwrap(), 7);
+        let a = parse(&TOOL, &["t", "--requests", "five"]).unwrap();
+        assert!(a.parsed::<u64>("requests").is_err());
     }
 
     #[test]
     fn short_options_and_negative_positionals() {
-        let a = Args::parse(["-o", "out.txt", "-5"].map(String::from), &[]).unwrap();
+        let a = parse(&TOOL, &["-o", "out.txt", "-5"]).unwrap();
         assert_eq!(a.get("o"), Some("out.txt"));
-        assert_eq!(a.positional(), ["-5"]);
+        assert_eq!(a.positional(), "-5");
+    }
+
+    #[test]
+    fn positionals_beyond_the_declared_arity_are_refused() {
+        for (cmd, argv) in [
+            (&TOOL, &["a", "b"][..]),
+            (&TOOL, &[]),
+            (&BARE, &["stray"]),
+            (&BARE, &["--csv", "yes"]),
+        ] {
+            assert!(parse(cmd, argv).is_err(), "{argv:?}");
+        }
+        let e = parse(&BARE, &["--csv", "yes"]).err().unwrap();
+        assert!(e.0.contains("\"yes\""), "{e}");
+        assert!(parse(&BARE, &[]).is_ok());
     }
 
     #[test]
     fn rejects_missing_value_and_duplicates() {
-        assert!(Args::parse(["--x"].map(String::from), &[]).is_err());
-        assert!(Args::parse(["--x", "1", "--x", "2"].map(String::from), &[]).is_err());
+        let e = parse(&BARE, &["--device"]).err().unwrap();
+        assert_eq!(e.0, "--device needs a value");
+        let e = parse(&BARE, &["--device", "a", "--device", "b"]);
+        assert_eq!(e.err().unwrap().0, "--device given twice");
     }
 
     #[test]
     fn repeatable_flags_accumulate_in_order() {
-        let argv = ["--peer", "a", "--seed", "7", "--peer", "b"].map(String::from);
-        let a = Args::parse_with_repeats(argv, &[], &["peer"]).unwrap();
+        let a = parse(&BARE, &["--peer", "a", "--device", "d", "--peer", "b"]).unwrap();
         assert_eq!(a.get_all("peer"), ["a", "b"]);
-        assert_eq!(a.get("seed"), Some("7"));
-        assert_eq!(a.get_all("seed"), [] as [&str; 0]);
-        // Repeatable names still count as known flags.
-        assert!(a.ensure_known(&["peer", "seed"]).is_ok());
-        assert!(a.ensure_known(&["seed"]).is_err());
-        // Non-repeatable duplicates stay an error even when another flag
-        // is repeatable.
-        let argv = ["--seed", "1", "--seed", "2"].map(String::from);
-        assert!(Args::parse_with_repeats(argv, &[], &["peer"]).is_err());
+        assert_eq!(a.get_all("device"), ["d"]);
+        assert_eq!(a.get_all("o"), [] as [&str; 0]);
     }
 
     #[test]
     fn unknown_flags_rejected() {
-        let a = Args::parse(["--bogus", "1"].map(String::from), &[]).unwrap();
-        assert!(a.ensure_known(&["device"]).is_err());
-        assert!(a.ensure_known(&["bogus"]).is_ok());
+        // Unknown, not "needs a value": nothing is taken as its value.
+        for argv in [&["--bogus", "1"][..], &["--bogus"], &["--help"], &["-x"]] {
+            let e = parse(&BARE, argv).err().unwrap();
+            assert!(e.0.starts_with("unknown option --"), "{argv:?}: {e}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tool does not declare --model")]
+    fn reading_an_undeclared_flag_is_a_bug() {
+        parse(&BARE, &[]).unwrap().get("model");
     }
 
     #[test]

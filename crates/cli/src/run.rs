@@ -3,12 +3,12 @@
 //! rest — these commands build no controller of their own.
 
 use crate::args::{
-    parse_device, parse_duration, parse_ecc, parse_mapping, parse_policy, parse_ras_rate,
-    parse_sched, parse_size, ArgError, Args,
+    err, parse_device, parse_duration, parse_ecc, parse_epochs, parse_gen, parse_mapping,
+    parse_policy, parse_ras_rate, parse_sched, parse_size, ArgError, Args, Group, Opt,
 };
+use crate::write_output;
 use dramctrl::RasConfig;
-use dramctrl_campaign::Model;
-use dramctrl_kernel::fsio::write_atomic;
+use dramctrl_campaign::{Model, TrafficPattern};
 use dramctrl_kernel::snap::fingerprint;
 use dramctrl_kernel::Tick;
 use dramctrl_mem::MemSpec;
@@ -20,88 +20,95 @@ use dramctrl_traffic::{
 };
 use std::path::Path;
 
-/// Flags that shape the request stream (`run`, `record`).
-const WORKLOAD_OPTS: &[&str] = &[
-    "device", "gen", "reads", "requests", "period", "range", "block", "stride", "banks", "mapping",
-    "seed",
-];
+#[rustfmt::skip]
+pub const DEVICE: Group = Group { heading: "DEVICE OPTIONS", opts: &[
+    Opt::new("device", "NAME", "device preset").or("ddr3-1600-x64"),
+    Opt::new("mapping", "M", "RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh").or("RoRaBaCoCh"),
+    Opt::new("seed", "N", "RNG seed").or("1"),
+]};
 
-/// Flags that shape the controller, what is observed of it and where it
-/// pauses (`run`, `replay`; `--seed` also seeds the fault model).
-const SIM_OPTS: &[&str] = &[
-    "device",
-    "policy",
-    "sched",
-    "mapping",
-    "seed",
-    "ras",
-    "ecc",
-    "perfetto",
-    "epochs",
-    "epochs-out",
-    "stats-json",
-    "checkpoint",
-    "checkpoint-at",
-    "restore",
-];
+#[rustfmt::skip]
+pub const WORKLOAD: Group = Group { heading: "WORKLOAD OPTIONS — the request stream", opts: &[
+    Opt::new("gen", "linear|random|dram-aware", "traffic pattern").or("linear"),
+    Opt::new("reads", "PCT", "read percentage 0..100").or("100"),
+    Opt::new("requests", "N", "number of requests").or("100000"),
+    Opt::new("period", "DUR", "inter-transaction time, e.g. 10ns; 0 = saturate").or("0"),
+    Opt::new("range", "SIZE", "address range, e.g. 256MiB").or("256MiB"),
+    Opt::new("block", "SIZE", "request size in bytes").or("64"),
+    Opt::new("stride", "N", "dram-aware: sequential bursts per row").or("8"),
+    Opt::new("banks", "N", "dram-aware: banks targeted").or("4"),
+]};
 
-/// Observability outputs requested on the command line.
-struct ObsOpts {
-    perfetto: Option<String>,
-    epochs_out: Option<String>,
-    stats_json: Option<String>,
-    /// The epoch interval to start the run with: `0` — unobserved, no
-    /// probe compiled into the controller — unless some output was asked
-    /// for.
-    epochs: Tick,
+#[rustfmt::skip]
+pub const CONTROLLER: Group = Group { heading: "CONTROLLER OPTIONS — the simulator; anything else is a usage error, so `replay --model cycle` or `record --policy closed` exit 2", opts: &[
+    Opt::new("policy", "P", "open|open-adaptive|closed|closed-adaptive").or("open"),
+    Opt::new("sched", "S", "fcfs|frfcfs").or("frfcfs"),
+]};
+
+#[rustfmt::skip]
+pub const MODEL: Group = Group { heading: "MODEL OPTIONS — replay always uses the event model", opts: &[
+    Opt::new("model", "event|cycle", "controller model").or("event"),
+    Opt::new("powerdown", "DUR", "event model only: power down after this idle time; 0 = never").or("0"),
+    Opt::new("energy", "", "event model only: also print the DRAMPower-style energy breakdown"),
+]};
+
+#[rustfmt::skip]
+pub const RAS: Group = Group { heading: "RAS OPTIONS — faults are seeded by --seed and deterministic", opts: &[
+    Opt::new("ras", "RATE", "inject faults at RATE transient upsets per gigabit-hour (e.g. 2e11); derived stuck-row, rank-failure and link-error rates scale with it"),
+    Opt::new("ecc", "MODE", "none|secded|chipkill; requires --ras").or("secded"),
+]};
+
+#[rustfmt::skip]
+pub const CHECKPOINT: Group = Group { heading: "CHECKPOINT OPTIONS — snapshots are deterministic: resuming in a fresh process is byte-identical to never having stopped", opts: &[
+    Opt::new("checkpoint", "FILE", "write a state snapshot to FILE and stop once --checkpoint-at requests have been injected"),
+    Opt::new("checkpoint-at", "N", "injection count at which to pause (requires --checkpoint)"),
+    Opt::new("restore", "FILE", "resume a run from a snapshot; the command line must describe the same simulation that wrote it (a mismatch is refused)"),
+]};
+
+#[rustfmt::skip]
+pub const OBS: Group = Group { heading: "OBSERVABILITY OPTIONS", opts: &[
+    Opt::new("perfetto", "FILE", "write a Chrome/Perfetto trace of every DRAM command (open the file at https://ui.perfetto.dev)"),
+    Opt::new("epochs", "DUR", "record an epoch time-series at this interval, e.g. 1us, written to --epochs-out").or("1us"),
+    Opt::new("epochs-out", "FILE", "epoch output path; .jsonl writes JSON lines, anything else CSV").or("epochs.csv"),
+    Opt::new("stats-json", "FILE", "write the full statistics report as JSON"),
+]};
+
+#[rustfmt::skip]
+pub const TRACE_OUT: Group = Group { heading: "OUTPUT OPTIONS", opts: &[
+    Opt::new("o", "FILE", "where to write the trace"),
+]};
+
+/// The observability files asked for — statistics report, Perfetto trace,
+/// epoch series, in the order they are written — and the epoch interval
+/// to start the run with: `0` (unobserved, no probe compiled into the
+/// controller) unless one of them was.
+fn observed(a: &Args) -> Result<([Option<&str>; 3], Tick), ArgError> {
+    let interval = parse_epochs(a.value("epochs"))?;
+    // Either epoch flag alone asks for the series, at the other's default.
+    let series = (a.has("epochs") || a.has("epochs-out")).then(|| a.value("epochs-out"));
+    let files = [a.get("stats-json"), a.get("perfetto"), series];
+    let any = files.iter().any(Option::is_some);
+    Ok((files, if any { interval } else { 0 }))
 }
 
-impl ObsOpts {
-    fn parse(a: &Args) -> Result<Self, ArgError> {
-        let interval = parse_duration(a.get("epochs").unwrap_or("1us"))?;
-        if interval == 0 {
-            return Err(ArgError("--epochs interval must be non-zero".into()));
+/// Writes `files` from a finished observed run.
+fn write_observed(files: [Option<&str>; 3], art: &JobArtifacts) -> Result<(), ArgError> {
+    let series = match files[2] {
+        Some(path) if path.ends_with(".jsonl") => &art.epochs_jsonl,
+        _ => &art.epochs_csv,
+    };
+    let perfetto = "Perfetto trace (open at https://ui.perfetto.dev)";
+    for (what, path, text) in [
+        ("statistics report", files[0], &art.stats_json),
+        (perfetto, files[1], &art.perfetto_json),
+        ("epoch series", files[2], series),
+    ] {
+        if let Some(path) = path {
+            write_output(path, text)?;
+            eprintln!("wrote {what} to {path}");
         }
-        // --epochs alone picks the default output path; --epochs-out alone
-        // uses the default 1 us interval.
-        let epochs_out = match (a.get("epochs-out"), a.get("epochs")) {
-            (Some(path), _) => Some(path.to_owned()),
-            (None, Some(_)) => Some("epochs.csv".to_owned()),
-            (None, None) => None,
-        };
-        let perfetto = a.get("perfetto").map(str::to_owned);
-        let stats_json = a.get("stats-json").map(str::to_owned);
-        let observed = perfetto.is_some() || epochs_out.is_some() || stats_json.is_some();
-        Ok(Self {
-            perfetto,
-            epochs_out,
-            stats_json,
-            epochs: if observed { interval } else { 0 },
-        })
     }
-
-    /// Writes the requested files from a finished observed run.
-    fn write(&self, art: &JobArtifacts) -> Result<(), ArgError> {
-        let epochs = match &self.epochs_out {
-            Some(path) if path.ends_with(".jsonl") => &art.epochs_jsonl,
-            _ => &art.epochs_csv,
-        };
-        for (what, path, text) in [
-            ("statistics report", &self.stats_json, &art.stats_json),
-            (
-                "Perfetto trace (open at https://ui.perfetto.dev)",
-                &self.perfetto,
-                &art.perfetto_json,
-            ),
-            ("epoch series", &self.epochs_out, epochs),
-        ] {
-            if let Some(path) = path {
-                write_atomic(path, text).map_err(|e| ArgError(format!("writing {path:?}: {e}")))?;
-                eprintln!("wrote {what} to {path}");
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Builds the optional fault model config from `--ras` / `--ecc`.
@@ -109,66 +116,59 @@ impl ObsOpts {
 /// observable effect, so the contradiction is surfaced instead of
 /// silently ignored.
 fn parse_ras_config(a: &Args) -> Result<Option<RasConfig>, ArgError> {
-    match (a.get("ras"), a.get("ecc")) {
-        (None, None) => Ok(None),
-        (None, Some(_)) => Err(ArgError(
-            "--ecc has no effect without --ras RATE; add --ras or drop --ecc".into(),
-        )),
-        (Some(rate), ecc) => {
-            let seed: u64 = a.parse_or("seed", 1u64)?;
-            let mut ras = RasConfig::from_error_rate(parse_ras_rate(rate)?, seed);
-            if let Some(mode) = ecc {
-                ras = ras.with_ecc(parse_ecc(mode)?);
-            }
-            Ok(Some(ras))
+    let Some(rate) = a.get("ras") else {
+        if a.has("ecc") {
+            return err("--ecc has no effect without --ras RATE; add --ras or drop --ecc");
         }
-    }
+        return Ok(None);
+    };
+    let ras = RasConfig::from_error_rate(parse_ras_rate(rate)?, a.parsed("seed")?);
+    Ok(Some(ras.with_ecc(parse_ecc(a.value("ecc"))?)))
 }
 
-/// The single-channel simulator the `SIM_OPTS` flags describe, of
-/// `model`, powering down after `powerdown_idle`.
+/// The single-channel simulator the device, controller and RAS flags
+/// describe, of `model`, powering down after `powerdown_idle`.
 fn parse_wiring(a: &Args, model: Model, powerdown_idle: Tick) -> Result<Wiring, ArgError> {
     Ok(Wiring {
-        spec: parse_device(a.get("device").unwrap_or("ddr3-1600-x64"))?,
+        spec: parse_device(a.value("device"))?,
         model,
-        policy: parse_policy(a.get("policy").unwrap_or("open"))?,
-        sched: parse_sched(a.get("sched").unwrap_or("frfcfs"))?,
-        mapping: parse_mapping(a.get("mapping").unwrap_or("rorabacoch"))?,
+        policy: parse_policy(a.value("policy"))?,
+        sched: parse_sched(a.value("sched"))?,
+        mapping: parse_mapping(a.value("mapping"))?,
         channels: 1,
         ras: parse_ras_config(a)?,
         powerdown_idle,
     })
 }
 
-/// The generator the `WORKLOAD_OPTS` flags describe, and a canonical
+/// The generator the device and workload flags describe, and a canonical
 /// description of every parameter that shapes its request stream — one
 /// input to the checkpoint fingerprint.
 fn build_workload(a: &Args) -> Result<(Box<dyn SnapGen>, String), ArgError> {
-    let spec = parse_device(a.get("device").unwrap_or("ddr3-1600-x64"))?;
-    let reads: u8 = a.parse_or("reads", 100u8)?;
+    let spec = parse_device(a.value("device"))?;
+    let reads: u8 = a.parsed("reads")?;
     if reads > 100 {
         return Err(ArgError("--reads must be 0..=100".into()));
     }
-    let requests: u64 = a.parse_or("requests", 100_000u64)?;
-    let period = parse_duration(a.get("period").unwrap_or("0"))?;
-    let range = parse_size(a.get("range").unwrap_or("256MiB"))?;
-    let block: u32 = a.parse_or("block", 64u32)?;
-    let stride: u64 = a.parse_or("stride", 8u64)?;
-    let banks: u32 = a.parse_or("banks", 4u32)?;
-    let seed: u64 = a.parse_or("seed", 1u64)?;
-    let mapping = parse_mapping(a.get("mapping").unwrap_or("rorabacoch"))?;
-    let gen_name = a.get("gen").unwrap_or("linear");
-    let gen: Box<dyn SnapGen> = match gen_name {
-        "linear" => Box::new(LinearGen::new(
+    let requests: u64 = a.parsed("requests")?;
+    let period = parse_duration(a.value("period"))?;
+    let range = parse_size(a.value("range"))?;
+    let block: u32 = a.parsed("block")?;
+    let stride: u64 = a.parsed("stride")?;
+    let banks: u32 = a.parsed("banks")?;
+    let seed: u64 = a.parsed("seed")?;
+    let mapping = parse_mapping(a.value("mapping"))?;
+    let gen_name = a.value("gen");
+    let gen: Box<dyn SnapGen> = match parse_gen(gen_name, range, block, stride, banks)? {
+        TrafficPattern::Linear { .. } => Box::new(LinearGen::new(
             0, range, block, reads, period, requests, seed,
         )),
-        "random" => Box::new(RandomGen::new(
+        TrafficPattern::Random { .. } => Box::new(RandomGen::new(
             0, range, block, reads, period, requests, seed,
         )),
-        "dram-aware" | "dram_aware" => Box::new(DramAwareGen::new(
+        TrafficPattern::DramAware { .. } => Box::new(DramAwareGen::new(
             spec.org, mapping, 1, 0, stride, banks, reads, period, requests, seed,
         )),
-        other => return Err(ArgError(format!("unknown generator {other:?}"))),
     };
     let desc = format!(
         "device={} gen={gen_name} reads={reads} requests={requests} period={period} \
@@ -194,7 +194,7 @@ fn simulate(
     title: &str,
     epilogue: impl FnOnce(&mut Finished, &MemSpec),
 ) -> Result<(), ArgError> {
-    let obs = ObsOpts::parse(a)?;
+    let (files, epochs) = observed(a)?;
     let at = (a.get("checkpoint-at").map(str::parse::<u64>).transpose())
         .map_err(|_| ArgError("--checkpoint-at: cannot parse injection count".into()))?;
     if a.get("checkpoint").is_some() != at.is_some() {
@@ -206,7 +206,7 @@ fn simulate(
     // The tester's latency range and bucket count pin the printed
     // quantiles.
     let tester = Tester::new(1_000_000, 10_000);
-    let mut run = SimRun::start(wiring, gen, &tester, obs.epochs).map_err(ArgError)?;
+    let mut run = SimRun::start(wiring, gen, &tester, epochs).map_err(ArgError)?;
     if let Some(path) = a.get("restore") {
         let bytes = std::fs::read(path)
             .map_err(|e| ArgError(format!("reading checkpoint {path:?}: {e}")))?;
@@ -245,7 +245,7 @@ fn simulate(
     epilogue(&mut finished, &spec);
     finished
         .into_artifacts()
-        .map_or(Ok(()), |art| obs.write(&art))
+        .map_or(Ok(()), |art| write_observed(files, &art))
 }
 
 fn print_summary(s: &TestSummary, spec: &MemSpec) {
@@ -277,22 +277,20 @@ fn print_summary(s: &TestSummary, spec: &MemSpec) {
     );
 }
 
-pub fn run(argv: Vec<String>) -> Result<(), ArgError> {
-    let a = Args::parse(argv, &["energy"])?;
-    a.ensure_known(&[WORKLOAD_OPTS, SIM_OPTS, &["model", "powerdown", "energy"]].concat())?;
-    let (gen, workload) = build_workload(&a)?;
-    let model: Model = (a.get("model").unwrap_or("event").parse()).map_err(ArgError)?;
+pub fn run(a: &Args) -> Result<(), ArgError> {
+    let (gen, workload) = build_workload(a)?;
+    let model: Model = a.value("model").parse().map_err(ArgError)?;
     if model == Model::Cycle {
         for flag in ["powerdown", "energy"] {
-            if a.get(flag).is_some() || a.switch(flag) {
+            if a.has(flag) {
                 return Err(ArgError(format!(
                     "--{flag} needs --model event: the cycle baseline has no low-power states"
                 )));
             }
         }
     }
-    let powerdown = a.get("powerdown").unwrap_or("0");
-    let wiring = parse_wiring(&a, model, parse_duration(powerdown)?)?;
+    let powerdown = a.value("powerdown");
+    let wiring = parse_wiring(a, model, parse_duration(powerdown)?)?;
     let (model, title) = match model {
         Model::Event => ("event", "event-based model"),
         // Write snooping changes the burst stream, so it is part of what a
@@ -307,24 +305,22 @@ pub fn run(argv: Vec<String>) -> Result<(), ArgError> {
         wiring.policy, wiring.sched, wiring.ras
     );
     let title = format!("{} ({title})", wiring.spec.name);
-    simulate(&a, wiring, gen, &config, &title, |finished, spec| {
+    simulate(a, wiring, gen, &config, &title, |finished, spec| {
         let act = finished.activity();
         println!(
             "DRAM power         : {:.1} mW",
             micron_power(spec, &act).total_mw()
         );
-        if a.switch("energy") {
+        if a.has("energy") {
             println!();
             print!("{}", drampower_energy(spec, &act).report("energy"));
         }
     })
 }
 
-pub fn record(argv: Vec<String>) -> Result<(), ArgError> {
-    let a = Args::parse(argv, &[])?;
-    a.ensure_known(&[WORKLOAD_OPTS, &["o"]].concat())?;
+pub fn record(a: &Args) -> Result<(), ArgError> {
     let out_path = (a.get("o")).ok_or_else(|| ArgError("record needs -o/--o FILE".into()))?;
-    let (mut gen, _) = build_workload(&a)?;
+    let (mut gen, _) = build_workload(a)?;
     let mut entries = Vec::new();
     while let Some((tick, req)) = gen.next_request() {
         entries.push(TraceEntry {
@@ -334,22 +330,17 @@ pub fn record(argv: Vec<String>) -> Result<(), ArgError> {
             size: req.size,
         });
     }
-    write_atomic(out_path, TraceGen::to_text(&entries))
-        .map_err(|e| ArgError(format!("writing {out_path:?}: {e}")))?;
+    write_output(out_path, TraceGen::to_text(&entries))?;
     println!("wrote {} requests to {}", entries.len(), out_path);
     Ok(())
 }
 
-pub fn replay(argv: Vec<String>) -> Result<(), ArgError> {
-    let a = Args::parse(argv, &[])?;
-    a.ensure_known(SIM_OPTS)?;
-    let [path] = a.positional() else {
-        return Err(ArgError("replay needs exactly one trace file".into()));
-    };
+pub fn replay(a: &Args) -> Result<(), ArgError> {
+    let path = a.positional();
     // Validate the flag set before touching the filesystem so a
     // contradictory invocation is diagnosed as such even when the trace
     // path is also bad.
-    let wiring = parse_wiring(&a, Model::Event, 0)?;
+    let wiring = parse_wiring(a, Model::Event, 0)?;
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("reading {path:?}: {e}")))?;
     let trace: TraceGen = text.parse().map_err(|e| ArgError(format!("{e}")))?;
@@ -365,5 +356,5 @@ pub fn replay(argv: Vec<String>) -> Result<(), ArgError> {
         wiring.ras,
     );
     let title = format!("replay of {path} on {}", wiring.spec.name);
-    simulate(&a, wiring, Box::new(trace), &config, &title, |_, _| {})
+    simulate(a, wiring, Box::new(trace), &config, &title, |_, _| {})
 }

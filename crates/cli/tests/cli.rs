@@ -246,9 +246,87 @@ fn flags_a_command_cannot_honour_are_usage_errors_naming_the_flag() {
             "--powerdown",
         ),
         (vec!["run", "--model", "cycle", "--energy"], "--energy"),
+        // A token beyond the declared positionals, named in the error.
+        (vec!["run", "stray", "--requests", "100"], "\"stray\""),
+        (vec!["record", "-o", "x", "extra"], "\"extra\""),
+        (
+            vec!["sweep", "--quiet", "yes", "--requests", "10"],
+            "\"yes\"",
+        ),
+        (
+            vec!["sweep", "--requests", "10", "--csv", "true"],
+            "\"true\"",
+        ),
+        (vec!["devices", "ddr3"], "\"ddr3\""),
+        (vec!["replay", "a.trace", "b.trace"], "exactly one"),
+        // Unknown, where it used to be "--bogus needs a value".
+        (vec!["sweep", "--bogus"], "unknown option --bogus"),
+        // `--merge` simulates nothing, so it refuses what only a run
+        // can honour — all nine flags, not the five once listed by hand.
+        (vec!["sweep", "--merge", "j", "--workers", "2"], "--workers"),
+        (vec!["sweep", "--merge", "j", "--retries", "3"], "--retries"),
+        (vec!["sweep", "--merge", "j", "--quiet"], "--quiet"),
+        (
+            vec!["sweep", "--merge", "j", "--metrics-json", "m"],
+            "--metrics-json",
+        ),
+        (vec!["sweep", "--merge", "j", "--shard", "0/2"], "--shard"),
     ] {
         let err = assert_usage_error(&args);
         assert!(err.contains(flag), "{args:?} should name {flag}: {err}");
+    }
+    // The service commands say the same through the structured logger.
+    for (args, token) in [
+        (vec!["serve", "--listen", "l", "--store", "s", "now"], "now"),
+        (vec!["submit", "--to", "a", "job"], "job"),
+        (vec!["status", "--to", "a", "all"], "all"),
+        (vec!["dispatch", "--peer", "a", "go"], "go"),
+        (vec!["dispatch", "--peer", "a", "--quiet"], "--quiet"),
+        (vec!["watch", "job-1", "job-2", "--to", "a"], "exactly one"),
+    ] {
+        let out = dramctrl().args(&args).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("level=error") && err.contains(token),
+            "{args:?} should name {token}: {err}"
+        );
+    }
+}
+
+/// `dramctrl <cmd> --help` (and `-h`) print that command's options,
+/// rendered from the table its parser reads, and exit 0.
+#[test]
+fn every_command_explains_itself() {
+    let top = dramctrl().arg("help").output().unwrap();
+    assert!(top.status.success());
+    let top = String::from_utf8(top.stdout).unwrap();
+    for (cmd, flag) in [
+        ("devices", None),
+        ("run", Some("--powerdown DUR")),
+        ("record", Some("-o FILE")),
+        ("trace-record", Some("-o FILE")),
+        ("replay", Some("--restore FILE")),
+        ("sweep", Some("--merge P1,P2,...")),
+        ("serve", Some("--subscriber-buffer N")),
+        ("submit", Some("--tenant NAME")),
+        ("watch", Some("--reconnect")),
+        ("status", Some("--json")),
+        ("dispatch", Some("--log-level LEVEL")),
+        ("version", None),
+    ] {
+        for help in [&["--help"][..], &["--requests", "5", "-h"]] {
+            let out = dramctrl().arg(cmd).args(help).output().unwrap();
+            assert_eq!(out.status.code(), Some(0), "{cmd} {help:?}");
+            assert!(out.stderr.is_empty(), "{cmd} {help:?}");
+            let text = String::from_utf8(out.stdout).unwrap();
+            let name = cmd.trim_start_matches("trace-");
+            assert!(text.starts_with(&format!("    dramctrl {name} ")), "{text}");
+            if let Some(want) = flag {
+                assert!(text.contains(want), "{cmd}: no {want:?} in\n{text}");
+                assert!(top.contains(want), "help: no {want:?} in\n{top}");
+            }
+        }
     }
 }
 

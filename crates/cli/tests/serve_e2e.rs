@@ -328,6 +328,48 @@ fn watch_reconnect_rides_through_a_daemon_kill_and_restart() {
     );
 }
 
+/// A watcher that cannot write an artifact still reads the stream to its
+/// end — the records land — and then fails with the path and the error,
+/// where it used to panic with a backtrace at the first lost write.
+#[test]
+fn watch_reports_an_artifact_it_could_not_write_and_keeps_the_records() {
+    let dir = tmp_dir("obs-fault");
+    let p = |n: &str| dir.join(n).to_str().unwrap().to_owned();
+    let sock = p("daemon.sock");
+    ok(&dramctrl()
+        .args(["sweep", "--quiet", "--jsonl", &p("base.jsonl")])
+        .args(AXES)
+        .output()
+        .unwrap());
+    let _daemon = Daemon::spawn(&sock, &p("store"), "500");
+    wait_ready(&sock);
+    let mut axes = AXES.to_vec();
+    axes.extend(["--epochs", "1us"]);
+    let id = submit(&sock, "observer", &axes);
+
+    // The plan fails every write under `--obs-dir` and nothing else: the
+    // report's own temp file is named after `watched.jsonl`.
+    let out = dramctrl()
+        .args(["watch", &id, "--to", &sock, "--obs-dir", &p("obs")])
+        .args(["--jsonl", &p("watched.jsonl")])
+        .env("DRAMCTRL_FAULT_PLAN", "enospc,op=write,path=unit-")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("writing") && stderr.contains("unit-000000."),
+        "the first lost artifact should be named: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("3 ok, 0 failed"), "{stdout}");
+    assert_eq!(
+        std::fs::read(p("watched.jsonl")).unwrap(),
+        std::fs::read(p("base.jsonl")).unwrap()
+    );
+}
+
 /// One raw HTTP/1.1 GET; returns (status, body).
 fn http_get(addr: &str, path: &str) -> (u16, String) {
     use std::io::{Read, Write};
