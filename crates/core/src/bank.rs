@@ -81,6 +81,7 @@ impl Rank {
     /// Computes the earliest tick an ACT may issue given the rolling
     /// activation window, without recording it. `earliest` already reflects
     /// the bank's own `act_allowed_at` and the rank's `t_rrd` constraint.
+    #[inline]
     pub fn act_constrained(&self, earliest: Tick, t_xaw: Tick, limit: u32) -> Tick {
         if limit == 0 || (self.act_window.len() as u32) < limit {
             earliest
@@ -92,6 +93,7 @@ impl Rank {
     }
 
     /// Records an ACT at `at` and updates the rank-wide constraints.
+    #[inline]
     pub fn record_act(&mut self, at: Tick, t_rrd: Tick, limit: u32) {
         debug_assert!(
             !self.act_window.back().is_some_and(|&last| at < last),
@@ -217,15 +219,18 @@ impl OpenTimeline {
     }
 
     /// Records that a bank opens at `at`.
+    #[inline]
     pub fn open_at(&mut self, at: Tick) {
         self.add(at, 1);
     }
 
     /// Records that a bank closes at `at`.
+    #[inline]
     pub fn close_at(&mut self, at: Tick) {
         self.add(at, -1);
     }
 
+    #[inline]
     fn add(&mut self, at: Tick, delta: i64) {
         let at = at.max(self.frontier);
         let mut idx = self.pending.len();
@@ -240,6 +245,7 @@ impl OpenTimeline {
     }
 
     /// Folds all deltas at or before `now` into the running integral.
+    #[inline]
     pub fn sync(&mut self, now: Tick) {
         if now < self.frontier {
             return;

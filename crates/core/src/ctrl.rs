@@ -136,8 +136,8 @@ enum BusState {
 /// uninstrumented controller is exactly the controller before
 /// instrumentation existed. [`with_probe`](Self::with_probe) attaches a
 /// live sink; probes observe and never influence, so a traced run is
-/// byte-identical to an untraced one (asserted by
-/// [`diff::assert_probe_transparent`](crate::diff)).
+/// byte-identical to an untraced one (asserted by the test-only
+/// differential harness, `diff::assert_probe_transparent`).
 ///
 /// # Example
 ///

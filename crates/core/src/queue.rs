@@ -98,6 +98,7 @@ impl GroupArena {
         }
     }
 
+    #[inline]
     pub fn insert(&mut self, group: BurstGroup) -> usize {
         if let Some(idx) = self.free.pop() {
             self.slots[idx] = Some(group);
@@ -112,10 +113,12 @@ impl GroupArena {
         self.slots[idx].as_ref().expect("stale group index")
     }
 
+    #[inline]
     pub fn get_mut(&mut self, idx: usize) -> &mut BurstGroup {
         self.slots[idx].as_mut().expect("stale group index")
     }
 
+    #[inline]
     pub fn remove(&mut self, idx: usize) -> BurstGroup {
         let g = self.slots[idx].take().expect("stale group index");
         self.free.push(idx);

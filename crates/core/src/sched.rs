@@ -242,7 +242,11 @@ pub(crate) struct SchedQueue {
 
 impl SchedQueue {
     /// Creates a queue for a device with `ranks` × `banks_per_rank` banks,
-    /// pre-sized for `capacity` packets.
+    /// pre-sized for `capacity` packets — and as many row buckets, the
+    /// most that can be in use: the row index otherwise grows to its
+    /// worst case one rare peak at a time, which a channel that sees a
+    /// sixteenth of the traffic takes hundreds of thousands of requests
+    /// to reach.
     pub fn new(ranks: u32, banks_per_rank: u32, capacity: usize) -> Self {
         let flat = (ranks * banks_per_rank) as usize;
         Self {
@@ -256,9 +260,9 @@ impl SchedQueue {
             class_mask: [0; 4],
             by_bank: vec![EMPTY; flat],
             bank_mask: vec![0; flat.div_ceil(64)],
-            by_row: DetMap::default(),
-            rows: Vec::new(),
-            free_rows: Vec::new(),
+            by_row: DetMap::with_capacity_and_hasher(capacity, Default::default()),
+            rows: Vec::with_capacity(capacity),
+            free_rows: Vec::with_capacity(capacity),
             open_rows: vec![None; flat],
             open_bucket: vec![NIL; flat],
             hit_mask: vec![0; flat.div_ceil(64)],
@@ -316,6 +320,7 @@ impl SchedQueue {
     /// Links the packet in `slot` — stored there already, its `seq` the
     /// youngest in its class unless a restore is replaying — into its
     /// class, bank and row lists.
+    #[inline]
     fn index(&mut self, slot: u32) {
         let pkt = self.slots[slot as usize].as_ref().expect("stored above");
         let key = order_key(pkt);
@@ -351,6 +356,7 @@ impl SchedQueue {
     }
 
     /// Enqueues `pkt`, stamping its sequence number; returns its slot.
+    #[inline]
     pub fn push(&mut self, mut pkt: DramPacket) -> u32 {
         pkt.seq = self.next_seq;
         self.next_seq += 1;
@@ -383,6 +389,7 @@ impl SchedQueue {
     }
 
     /// Removes and returns the packet in `slot`, updating every index.
+    #[inline]
     pub fn take(&mut self, slot: u32) -> DramPacket {
         let pkt = self.slots[slot as usize].take().expect("stale slot");
         self.free.push(slot);
@@ -437,6 +444,7 @@ impl SchedQueue {
 
     /// Slot of the oldest packet of the highest priority class (the FCFS
     /// pick).
+    #[inline]
     pub fn first_in_order(&self) -> Option<u32> {
         self.top_priority()
             .map(|p| self.classes[p as usize].head)
@@ -515,6 +523,7 @@ impl SchedQueue {
     }
 
     /// Packets queued to `row` of the flat bank `b`.
+    #[inline]
     pub fn row_len(&self, b: u32, row: u64) -> usize {
         self.by_row
             .get(&(b, row))
@@ -523,6 +532,7 @@ impl SchedQueue {
 
     /// Whether a queued write fully covers `[lo, hi)` of `burst_addr`
     /// (O(1) write snooping).
+    #[inline]
     pub fn write_covers(&self, burst_addr: u64, lo: u32, hi: u32) -> bool {
         self.coverage.covers(burst_addr, lo, hi)
     }

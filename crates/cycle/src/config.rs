@@ -39,9 +39,9 @@ pub enum CycleSched {
 /// model's: one *unified* transaction queue shared by reads and writes, no
 /// write-drain watermarks and — by default — no write merging and no read
 /// forwarding. These are exactly the architectural differences the paper's
-/// validation discusses (Sections II-A and III). [`write_snooping`]
-/// (CycleConfig::write_snooping) optionally lifts the last difference for
-/// apples-to-apples model comparisons.
+/// validation discusses (Sections II-A and III).
+/// [`write_snooping`](CycleConfig::write_snooping) optionally lifts the
+/// last difference for apples-to-apples model comparisons.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CycleConfig {
     /// The DRAM device behind this controller.

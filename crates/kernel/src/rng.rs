@@ -71,6 +71,7 @@ impl Rng {
     ///
     /// # Panics
     /// Panics when the range is empty.
+    #[inline]
     pub fn gen_range(&mut self, range: std::ops::Range<u64>) -> u64 {
         assert!(range.start < range.end, "gen_range: empty range");
         let span = range.end - range.start;

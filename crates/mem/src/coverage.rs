@@ -73,6 +73,7 @@ pub struct WriteCoverage {
 impl WriteCoverage {
     /// Records a queued write covering `[lo, hi)` of the burst at
     /// `burst_addr`.
+    #[inline]
     pub fn insert(&mut self, burst_addr: u64, lo: u32, hi: u32) {
         debug_assert!(lo < hi, "empty span");
         match self.by_burst.entry(burst_addr) {
@@ -96,6 +97,7 @@ impl WriteCoverage {
     /// # Panics
     /// Panics if the span was never inserted — the index and the queue
     /// would be out of sync, which is a controller bug.
+    #[inline]
     pub fn remove(&mut self, burst_addr: u64, lo: u32, hi: u32) {
         let Entry::Occupied(mut e) = self.by_burst.entry(burst_addr) else {
             panic!("coverage entry for removed write");
@@ -118,6 +120,7 @@ impl WriteCoverage {
 
     /// Whether some queued write fully covers `[lo, hi)` of the burst at
     /// `burst_addr` — exactly the condition the linear queue scan tests.
+    #[inline]
     pub fn covers(&self, burst_addr: u64, lo: u32, hi: u32) -> bool {
         self.by_burst
             .get(&burst_addr)

@@ -1,27 +1,27 @@
-//! Chrome trace-event / Perfetto JSON exporter.
-//!
-//! The output is the classic Chrome trace-event JSON format
-//! (`{"traceEvents":[...]}`), which [ui.perfetto.dev](https://ui.perfetto.dev)
-//! and `chrome://tracing` both load directly. The mapping:
-//!
-//! * **process** = memory channel (`pid` is the channel index),
-//! * **thread 0** = the request-lifecycle track: each request is a nestable
-//!   async span from acceptance to response delivery,
-//! * one **thread per bank** (sorted by `(rank, bank)`): ACT/PRE/RD/WR
-//!   duration slices, with row / bytes / row-hit annotations in `args`,
-//! * one **thread per rank**: REF slices plus power-down / self-refresh
-//!   residency slices (active time is the gap between them).
-//!
-//! Timestamps are microseconds (the format's unit); ticks are picoseconds,
-//! so `ts = ticks / 1e6` with sub-microsecond precision preserved in the
-//! fractional part.
+//! Chrome trace-event / Perfetto JSON exporter ([`ChromeTracer`]).
 
 use crate::probe::{CmdEvent, DramCmd, PowerState, Probe, RasMark};
 use dramctrl_kernel::Tick;
 use std::fmt::Write as _;
 
 /// Records the probe event stream and serialises it as Chrome trace-event
-/// JSON. See the [module docs](self) for the track layout.
+/// JSON.
+///
+/// The output is the classic Chrome trace-event JSON format
+/// (`{"traceEvents":[...]}`), which [ui.perfetto.dev](https://ui.perfetto.dev)
+/// and `chrome://tracing` both load directly. The mapping:
+///
+/// * **process** = memory channel (`pid` is the channel index),
+/// * **thread 0** = the request-lifecycle track: each request is a nestable
+///   async span from acceptance to response delivery,
+/// * one **thread per bank** (sorted by `(rank, bank)`): ACT/PRE/RD/WR
+///   duration slices, with row / bytes / row-hit annotations in `args`,
+/// * one **thread per rank**: REF slices plus power-down / self-refresh
+///   residency slices (active time is the gap between them).
+///
+/// Timestamps are microseconds (the format's unit); ticks are picoseconds,
+/// so `ts = ticks / 1e6` with sub-microsecond precision preserved in the
+/// fractional part.
 ///
 /// One tracer observes one controller (one channel); for multi-channel
 /// systems give each controller its own tracer (constructed with

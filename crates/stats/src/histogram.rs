@@ -64,6 +64,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         if v < self.min {
             self.underflow += 1;

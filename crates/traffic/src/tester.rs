@@ -6,6 +6,7 @@ use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{tick, Tick};
 use dramctrl_mem::{CommonStats, Controller, MemResponse, Rejected, ReqId};
 use dramctrl_stats::{Histogram, HistogramParts};
+use std::collections::VecDeque;
 
 /// Drives a [`TrafficGen`] into a [`Controller`] with flow control and
 /// measures what the paper's validation plots need: end-to-end latency
@@ -88,7 +89,7 @@ impl Tester {
         TestRun {
             read_lat: Histogram::new(0, self.max_lat_ns, self.buckets),
             write_lat: Histogram::new(0, self.max_lat_ns, self.buckets),
-            sent: DetMap::default(),
+            sent: Outstanding::new(),
             out: Vec::new(),
             reads: 0,
             writes: 0,
@@ -137,10 +138,8 @@ impl Default for Tester {
 pub struct TestRun {
     read_lat: Histogram,
     write_lat: Histogram,
-    /// Injection tick of every outstanding request. Only ever probed by
-    /// id, so a hash table; [`save_state`](SnapState::save_state) sorts,
-    /// and nothing else iterates it.
-    sent: DetMap<ReqId, Tick>,
+    /// Injection tick of every outstanding request.
+    sent: Outstanding,
     /// Scratch response buffer; always drained within a step, so it is
     /// empty at every checkpoint boundary and never serialised.
     out: Vec<MemResponse>,
@@ -170,11 +169,12 @@ impl TestRun {
         self.done
     }
 
+    #[inline]
     fn absorb(&mut self) {
         for resp in self.out.drain(..) {
             let at = self
                 .sent
-                .remove(&resp.id)
+                .remove(resp.id)
                 .expect("response for unknown request");
             let lat_ns = round_to_ns(resp.ready_at.saturating_sub(at));
             if resp.cmd.is_read() {
@@ -257,10 +257,20 @@ impl TestRun {
     }
 
     /// Drains outstanding work and produces the summary.
+    ///
+    /// # Panics
+    /// Panics if the drained controller left a request unanswered: a
+    /// lost request fails here rather than as a short completion count.
     pub fn finish<C: Controller>(mut self, ctrl: &mut C) -> TestSummary {
         let end = ctrl.drain(&mut self.out).max(self.now);
         self.absorb();
-        debug_assert!(self.sent.is_empty(), "all requests must be answered");
+        if let Some(oldest) = self.sent.oldest() {
+            panic!(
+                "{} request(s) never answered after the drain (oldest outstanding id {})",
+                self.sent.len(),
+                oldest.0
+            );
+        }
 
         let stats = ctrl.common_stats();
         TestSummary {
@@ -279,6 +289,129 @@ impl TestRun {
             },
             ctrl: stats,
         }
+    }
+}
+
+/// Slots in the id-indexed window of [`Outstanding`] at most: four times
+/// the ~1 000 requests a tester keeps in flight in front of sixteen
+/// channels (whose oldest outstanding request does lag 2 000+ ids behind
+/// the newest now and then), in 64 KiB.
+const WINDOW: u64 = 4096;
+
+/// Slots a window starts with: more than one channel keeps in flight
+/// (under 180 ids from oldest to newest on the benchmark's streams).
+const FIRST: usize = 256;
+
+/// The injection tick of every outstanding request, by id.
+///
+/// Every generator numbers its requests consecutively and they complete
+/// roughly in order, so the ids in flight are a short run from the
+/// oldest: slot `i` of a window belongs to id `base + i`, and an insert
+/// or a remove is an index, not a hash. The window starts at the oldest
+/// outstanding id (it rebases once it drains) and never grows past
+/// [`WINDOW`] slots; ids below its base or beyond its cap live in a hash
+/// table instead, so any id order works and only the cost differs. An id
+/// is in one of the two, never both.
+#[derive(Debug)]
+struct Outstanding {
+    /// Slot `i` is occupied iff it holds id `base + i`; a vacant slot
+    /// holds another id. The front slot is always occupied.
+    window: VecDeque<(ReqId, Tick)>,
+    base: u64,
+    /// Occupied slots of `window`.
+    in_window: usize,
+    spill: DetMap<ReqId, Tick>,
+}
+
+impl Outstanding {
+    fn new() -> Self {
+        Self {
+            window: VecDeque::with_capacity(FIRST),
+            base: 0,
+            in_window: 0,
+            spill: DetMap::default(),
+        }
+    }
+
+    /// Records `id` as sent at `at`; the previous tick if `id` was already
+    /// outstanding (it is overwritten, as a map insert would).
+    #[inline]
+    fn insert(&mut self, id: ReqId, at: Tick) -> Option<Tick> {
+        if self.window.is_empty() {
+            self.base = id.0;
+        }
+        // Below the base `i` wraps past the cap.
+        let i = id.0.wrapping_sub(self.base);
+        if i >= WINDOW || self.spill.contains_key(&id) {
+            return self.spill.insert(id, at);
+        }
+        let i = i as usize;
+        while self.window.len() <= i {
+            if self.window.len() == self.window.capacity() {
+                // Outgrown: take the cap at once rather than double up to
+                // it, so a run's steady state does not wait on the rare
+                // peak that would size the window.
+                self.window
+                    .reserve_exact(WINDOW as usize - self.window.len());
+            }
+            let vacant = self.base + self.window.len() as u64;
+            self.window.push_back((ReqId(!vacant), 0));
+        }
+        let slot = &mut self.window[i];
+        if slot.0 == id {
+            return Some(std::mem::replace(&mut slot.1, at));
+        }
+        *slot = (id, at);
+        self.in_window += 1;
+        None
+    }
+
+    /// Forgets `id`, returning the tick it was sent at.
+    #[inline]
+    fn remove(&mut self, id: ReqId) -> Option<Tick> {
+        let i = id.0.wrapping_sub(self.base);
+        // A huge `i` (an id below the base) truncated on a narrow target
+        // still cannot match: the slot's own id is compared.
+        match self.window.get_mut(i as usize) {
+            Some(slot) if slot.0 == id => {
+                slot.0 = ReqId(!id.0);
+                let at = slot.1;
+                self.in_window -= 1;
+                while self.window.front().is_some_and(|s| s.0 .0 != self.base) {
+                    self.window.pop_front();
+                    self.base += 1;
+                }
+                Some(at)
+            }
+            _ => self.spill.remove(&id),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.in_window + self.spill.len()
+    }
+
+    fn clear(&mut self) {
+        self.window.clear();
+        self.in_window = 0;
+        self.spill.clear();
+    }
+
+    /// Every outstanding `(id, tick)`: the window's in ascending id order,
+    /// then the hash table's in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (&ReqId, &Tick)> {
+        let base = self.base;
+        (0u64..)
+            .zip(&self.window)
+            .filter(move |&(i, (id, _))| id.0 == base + i)
+            .map(|(_, (id, at))| (id, at))
+            .chain(&self.spill)
+    }
+
+    /// The smallest outstanding id, if any.
+    fn oldest(&self) -> Option<ReqId> {
+        let front = self.window.front().map(|&(id, _)| id);
+        front.into_iter().chain(self.spill.keys().copied()).min()
     }
 }
 
@@ -551,5 +684,163 @@ mod tests {
             }
         }
         Tester::default().run(&mut Repeats(0), &mut SlowMemory::new(1_000_000));
+    }
+
+    /// Every outstanding `(id, tick)`, ascending — what a snapshot writes.
+    fn sorted(sent: &Outstanding) -> Vec<(ReqId, Tick)> {
+        let mut all: Vec<_> = sent.iter().map(|(&id, &at)| (id, at)).collect();
+        all.sort_unstable();
+        all
+    }
+
+    #[test]
+    fn outstanding_window_matches_a_btreemap_over_random_completion_orders() {
+        use dramctrl_kernel::rng::Rng;
+        for seed in 0..8 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut sent = Outstanding::new();
+            let mut model = BTreeMap::new();
+            let mut next = rng.gen_range(0..1 << 40);
+            for step in 0..20_000u64 {
+                // Alternate phases that fill (spans past the cap) and that
+                // drain (to empty, so the window rebases).
+                let insert_pct = if step / 2_500 % 2 == 0 { 70 } else { 20 };
+                if model.is_empty() || rng.gen_range(0..100) < insert_pct {
+                    let id = match rng.gen_range(0..40) {
+                        // Below the base: a stale id, or a duplicate.
+                        0 => ReqId(next.saturating_sub(rng.gen_range(1..2 * WINDOW))),
+                        // Far beyond the cap.
+                        1 => {
+                            next += rng.gen_range(WINDOW..3 * WINDOW);
+                            ReqId(next)
+                        }
+                        _ => {
+                            next += 1;
+                            ReqId(next)
+                        }
+                    };
+                    assert_eq!(
+                        sent.insert(id, step),
+                        model.insert(id, step),
+                        "insert {id:?}"
+                    );
+                } else {
+                    // A random outstanding id, or now and then one that
+                    // is not outstanding.
+                    let probe = ReqId(rng.gen_range(next.saturating_sub(3 * WINDOW)..next + 2));
+                    let id = match model.range(probe..).next() {
+                        Some((&id, _)) if rng.gen_range(0..10) != 0 => id,
+                        _ => probe,
+                    };
+                    assert_eq!(sent.remove(id), model.remove(&id), "remove {id:?}");
+                }
+                assert_eq!(sent.len(), model.len());
+                if step % 500 == 0 {
+                    assert_eq!(sent.oldest(), model.keys().next().copied());
+                    let want: Vec<_> = model.iter().map(|(&id, &at)| (id, at)).collect();
+                    assert_eq!(sorted(&sent), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outstanding_ids_below_the_base_and_past_the_cap_spill_and_come_back() {
+        let mut sent = Outstanding::new();
+        assert_eq!(sent.window.capacity(), FIRST);
+        for id in 100..100 + WINDOW {
+            assert_eq!(sent.insert(ReqId(id), id), None);
+        }
+        assert_eq!(sent.in_window, WINDOW as usize);
+        assert_eq!(
+            sent.window.capacity(),
+            WINDOW as usize,
+            "one step to the cap"
+        );
+        // Past the cap and below the base: both spill.
+        assert_eq!(sent.insert(ReqId(100 + WINDOW), 1), None);
+        assert_eq!(sent.insert(ReqId(99), 2), None);
+        assert_eq!(sent.spill.len(), 2);
+        assert_eq!(sent.oldest(), Some(ReqId(99)));
+        // A duplicate is reported wherever the id lives.
+        assert_eq!(sent.insert(ReqId(99), 3), Some(2));
+        assert_eq!(sent.insert(ReqId(150), 4), Some(150));
+        assert_eq!(sent.remove(ReqId(99)), Some(3));
+        assert_eq!(sent.remove(ReqId(99)), None);
+        // Retiring the oldest slides the base; ids keep their ticks.
+        assert_eq!(sent.remove(ReqId(100)), Some(100));
+        assert_eq!(sent.base, 101);
+        assert_eq!(sent.remove(ReqId(100 + WINDOW)), Some(1));
+        assert_eq!(sent.len(), WINDOW as usize - 1);
+    }
+
+    #[test]
+    fn outstanding_window_rebases_once_it_drains() {
+        let mut sent = Outstanding::new();
+        for id in 10..20 {
+            sent.insert(ReqId(id), id);
+        }
+        // Out of order: the front slot stays until id 10 goes.
+        for id in (11..20).rev() {
+            assert_eq!(sent.remove(ReqId(id)), Some(id));
+            assert_eq!(sent.base, 10);
+        }
+        assert_eq!(sent.remove(ReqId(10)), Some(10));
+        assert!(sent.window.is_empty() && sent.len() == 0);
+        // The next id starts a fresh window wherever it is, even far below
+        // the old base or far above its cap.
+        for start in [3, 1 << 50] {
+            assert_eq!(sent.insert(ReqId(start), 7), None);
+            assert_eq!((sent.base, sent.in_window, sent.spill.len()), (start, 1, 0));
+            assert_eq!(sent.remove(ReqId(start)), Some(7));
+        }
+        // A drained window with a spilled id in its new range still finds
+        // the duplicate there.
+        sent.insert(ReqId(0), 1);
+        sent.insert(ReqId(WINDOW + 5), 2);
+        sent.remove(ReqId(0));
+        sent.insert(ReqId(WINDOW), 3);
+        assert_eq!(sent.insert(ReqId(WINDOW + 5), 4), Some(2));
+        assert_eq!(sorted(&sent), [(ReqId(WINDOW), 3), (ReqId(WINDOW + 5), 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 request(s) never answered after the drain \
+                               (oldest outstanding id 0)")]
+    fn a_controller_that_loses_requests_fails_the_run() {
+        /// Accepts everything and answers nothing.
+        struct Lossy(MemSpec);
+        impl Controller for Lossy {
+            fn try_send(&mut self, _: MemRequest, _: Tick) -> Result<(), Rejected> {
+                Ok(())
+            }
+            fn can_accept(&self, _: MemCmd, _: u64, _: u32) -> bool {
+                true
+            }
+            fn next_event(&self) -> Option<Tick> {
+                None
+            }
+            fn advance_to(&mut self, _: Tick, _: &mut Vec<MemResponse>) {}
+            fn drain(&mut self, _: &mut Vec<MemResponse>) -> Tick {
+                0
+            }
+            fn is_idle(&self) -> bool {
+                true
+            }
+            fn spec(&self) -> &MemSpec {
+                &self.0
+            }
+            fn common_stats(&self) -> CommonStats {
+                CommonStats::default()
+            }
+            fn activity(&mut self, _: Tick) -> ActivityStats {
+                ActivityStats::default()
+            }
+            fn report(&self, prefix: &str, _: Tick) -> Report {
+                Report::new(prefix)
+            }
+        }
+        let mut gen = LinearGen::new(0, 1 << 20, 64, 100, 1_000, 3, 1);
+        Tester::default().run(&mut gen, &mut Lossy(presets::ddr3_1600_x64()));
     }
 }

@@ -5,11 +5,13 @@
 //! warm-up that lets every arena, deque, hash table and recycling pool
 //! reach its working size, further requests must be served from what is
 //! already there. A structure on that path that allocates per packet,
-//! per row transition or per queued write fails here by its count.
+//! per row transition, per queued write or per outstanding request (the
+//! tester's id window) fails here by its count.
 
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{presets, MemSpec};
+use dramctrl_mem::{presets, AddrMapping, Controller, MemSpec};
+use dramctrl_system::MultiChannel;
 use dramctrl_traffic::{LinearGen, RandomGen, Tester, TrafficGen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,18 +65,24 @@ fn allocs_in_steady_state(spec: MemSpec, policy: PagePolicy, gen: &mut impl Traf
     let mut cfg = CtrlConfig::new(spec);
     cfg.page_policy = policy;
     let mut ctrl = DramCtrl::new(cfg).expect("preset configurations are valid");
+    allocs_stepping(&mut ctrl, gen, WARM_UP)
+}
+
+/// [`allocs_in_steady_state`] for an already built controller, after
+/// `warm_up` requests.
+fn allocs_stepping(ctrl: &mut impl Controller, gen: &mut impl TrafficGen, warm_up: u64) -> u64 {
     let mut run = Tester::default().begin();
-    for _ in 0..WARM_UP {
-        assert!(run.step(gen, &mut ctrl, Tick::MAX), "stream ended early");
+    for _ in 0..warm_up {
+        assert!(run.step(gen, ctrl, Tick::MAX), "stream ended early");
     }
     let before = ALLOCS.with(Cell::get);
     for _ in 0..MEASURED {
-        assert!(run.step(gen, &mut ctrl, Tick::MAX), "stream ended early");
+        assert!(run.step(gen, ctrl, Tick::MAX), "stream ended early");
     }
     let during = ALLOCS.with(Cell::get) - before;
-    let summary = run.finish(&mut ctrl);
+    let summary = run.finish(ctrl);
     assert_eq!(summary.dropped, 0);
-    assert!(summary.reads_completed + summary.writes_completed >= WARM_UP + MEASURED);
+    assert!(summary.reads_completed + summary.writes_completed >= warm_up + MEASURED);
     during
 }
 
@@ -106,5 +114,31 @@ fn chopped_requests_on_a_narrow_device() {
     assert_eq!(spec.org.burst_bytes(), 32);
     let mut gen = RandomGen::new(0, 256 << 20, 128, 67, 0, TOTAL, 13);
     let n = allocs_in_steady_state(spec, PagePolicy::Open, &mut gen);
+    assert_eq!(n, 0, "{n} allocator calls in {MEASURED} requests");
+}
+
+/// The `hmc_16ch` benchmark stream: sixteen HBM channels behind the
+/// crossbar, linear, 67 % reads, saturating — the crossbar's routing and
+/// sixteen event queues on the path, and the most requests the tester
+/// holds outstanding at once. Each channel sees a sixteenth of the
+/// stream, so each gets the warm-up a lone controller gets.
+#[test]
+fn sixteen_channels_behind_the_crossbar() {
+    const CHANNELS: u32 = 16;
+    let mapping = AddrMapping::RoRaBaCoCh;
+    let channels = (0..CHANNELS)
+        .map(|_| {
+            let mut cfg = CtrlConfig::new(presets::hbm_1000_x128());
+            cfg.mapping = mapping;
+            cfg.channels = CHANNELS;
+            DramCtrl::new(cfg).expect("preset configurations are valid")
+        })
+        .collect();
+    let mut xbar = MultiChannel::new(channels, 0)
+        .expect("identical channels make a valid crossbar")
+        .with_mapping(mapping);
+    let warm_up = WARM_UP * u64::from(CHANNELS);
+    let mut gen = LinearGen::new(0, 1 << 30, 64, 67, 0, warm_up + MEASURED, 14);
+    let n = allocs_stepping(&mut xbar, &mut gen, warm_up);
     assert_eq!(n, 0, "{n} allocator calls in {MEASURED} requests");
 }
