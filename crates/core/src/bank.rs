@@ -190,22 +190,30 @@ impl SnapState for Rank {
     }
 }
 
+/// Folded entries an [`OpenTimeline`] keeps before moving its pending ones
+/// to the front; a few bank-preparation times of look-ahead is far less.
+const COMPACT_AFTER: usize = 64;
+
 /// Integrates the number-of-open-banks signal over time to produce the
 /// "time with all banks precharged" statistic required by the Micron power
 /// model (paper Section II-G).
 ///
 /// Opens and closes are decided with *future* timestamps (the controller
 /// skips ahead); deltas are buffered and folded into the running integral
-/// once simulated time passes them. The buffer is a deque sorted by tick
+/// once simulated time passes them. The buffer is a vector sorted by tick
 /// with one net delta per tick: a handful of entries (one bank-preparation
 /// time of look-ahead), arriving nearly in order, so an insert is a short
-/// scan from the back and a fold a pop from the front — no tree nodes, no
-/// allocation once the deque has grown.
+/// scan from the back and a move of the few later entries, and a fold
+/// moves a head index forward. Folded entries are dropped when the buffer
+/// empties, or `COMPACT_AFTER` at a time, so nothing ever wraps around a
+/// ring and nothing allocates once the vector has grown.
 #[derive(Debug, Clone, Default)]
 pub struct OpenTimeline {
-    /// `(tick, net delta)`, strictly ascending by tick. A net delta of
-    /// zero stays until folded: it is part of the snapshot.
-    pending: VecDeque<(Tick, i64)>,
+    /// `(tick, net delta)`; from `head` on, the pending deltas, strictly
+    /// ascending by tick (before it, folded ones). A net delta of zero
+    /// stays until folded: it is part of the snapshot.
+    pending: Vec<(Tick, i64)>,
+    head: usize,
     open: i64,
     frontier: Tick,
     time_all_closed: Tick,
@@ -234,10 +242,10 @@ impl OpenTimeline {
     fn add(&mut self, at: Tick, delta: i64) {
         let at = at.max(self.frontier);
         let mut idx = self.pending.len();
-        while idx > 0 && self.pending[idx - 1].0 > at {
+        while idx > self.head && self.pending[idx - 1].0 > at {
             idx -= 1;
         }
-        if idx > 0 && self.pending[idx - 1].0 == at {
+        if idx > self.head && self.pending[idx - 1].0 == at {
             self.pending[idx - 1].1 += delta;
         } else {
             self.pending.insert(idx, (at, delta));
@@ -250,14 +258,21 @@ impl OpenTimeline {
         if now < self.frontier {
             return;
         }
-        while let Some(&(t, delta)) = self.pending.front() {
+        while let Some(&(t, delta)) = self.pending.get(self.head) {
             if t > now {
                 break;
             }
-            self.pending.pop_front();
+            self.head += 1;
             self.account(t);
             self.open += delta;
             debug_assert!(self.open >= 0, "more closes than opens");
+        }
+        if self.head == self.pending.len() {
+            self.pending.clear();
+            self.head = 0;
+        } else if self.head >= COMPACT_AFTER {
+            self.pending.drain(..self.head);
+            self.head = 0;
         }
         self.account(now);
     }
@@ -286,8 +301,9 @@ impl OpenTimeline {
 
 impl SnapState for OpenTimeline {
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.pending.len());
-        for &(t, delta) in &self.pending {
+        let pending = &self.pending[self.head..];
+        w.usize(pending.len());
+        for &(t, delta) in pending {
             w.u64(t);
             w.u64(delta as u64);
         }
@@ -300,15 +316,16 @@ impl SnapState for OpenTimeline {
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.usize()?;
         self.pending.clear();
+        self.head = 0;
         for _ in 0..n {
             let t = r.u64()?;
             let delta = r.u64()? as i64;
-            if self.pending.back().is_some_and(|last| last.0 >= t) {
+            if self.pending.last().is_some_and(|last| last.0 >= t) {
                 return Err(SnapError::Corrupt(format!(
                     "timeline tick {t} repeats or is out of order"
                 )));
             }
-            self.pending.push_back((t, delta));
+            self.pending.push((t, delta));
         }
         self.open = r.u64()? as i64;
         if self.open < 0 {
@@ -532,6 +549,38 @@ mod tests {
                     tl = restored;
                 }
             }
+        }
+    }
+
+    /// A steady look-ahead never lets the buffer drain, so folded entries
+    /// are only ever dropped by compaction: the integrals and snapshot
+    /// bytes stay the map's, and the vector stays bounded.
+    #[test]
+    fn timeline_compacts_a_buffer_that_never_drains() {
+        let bytes_of = |save: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new(0);
+            save(&mut w);
+            w.into_bytes()
+        };
+        let mut tl = OpenTimeline::new();
+        let mut map = MapTimeline::default();
+        for step in 0..1_000u64 {
+            let now = step * 10;
+            // Out of order: the close lands before the open above it.
+            for (at, delta) in [(now + 45, 1), (now + 40, 1), (now + 42, -1), (now + 48, -1)] {
+                tl.add(at, delta);
+                map.add(at, delta);
+            }
+            tl.sync(now);
+            map.sync(now);
+            assert!(tl.head < tl.pending.len(), "the buffer never drains");
+            assert!(tl.pending.len() <= COMPACT_AFTER + 24);
+            assert_eq!(tl.time_all_closed(), map.time_all_closed);
+            assert_eq!(tl.time_some_open(), map.time_some_open);
+            assert_eq!(
+                bytes_of(&|w| tl.save_state(w)),
+                bytes_of(&|w| map.save_state(w))
+            );
         }
     }
 

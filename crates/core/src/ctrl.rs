@@ -166,6 +166,10 @@ pub struct DramCtrl<P: Probe = NoProbe> {
     events: EventQueue<Ev>,
     read_q: SchedQueue,
     write_q: SchedQueue,
+    /// `cfg.write_high_entries()` and `cfg.write_low_entries()`, worked
+    /// out once: the bus-direction decision reads them every time.
+    write_high: usize,
+    write_low: usize,
     groups: GroupArena,
     /// Answer scheduling questions with the original linear queue scans
     /// instead of the indices (see [`Self::new_reference`]).
@@ -255,26 +259,26 @@ impl DramCtrl {
         self.stats = CtrlStats::default();
         self.fault = fault_for(&self.cfg);
     }
+}
 
+impl<P: Probe> DramCtrl<P> {
     /// Creates a controller that schedules with the original linear queue
-    /// scans instead of the incremental indices.
+    /// scans instead of the incremental indices, carrying `probe`.
     ///
-    /// Behaviourally identical to [`new`](Self::new) — the differential
-    /// harness in [`diff`](crate::diff) asserts byte-identical responses
-    /// and reports — but O(queue depth) per decision. Kept as the
-    /// reference model for equivalence tests; test-only code.
+    /// Behaviourally identical to [`new`](DramCtrl::new) — the
+    /// differential harness in [`diff`](crate::diff) asserts byte-identical
+    /// responses and reports — but O(queue depth) per decision. Kept as
+    /// the reference model for equivalence tests; test-only code.
     ///
     /// # Errors
     /// Returns a [`ConfigError`] if the configuration is inconsistent.
     #[cfg(test)]
-    pub fn new_reference(cfg: CtrlConfig) -> Result<Self, ConfigError> {
-        let mut ctrl = Self::new(cfg)?;
+    pub fn new_reference(cfg: CtrlConfig, probe: P) -> Result<Self, ConfigError> {
+        let mut ctrl = Self::with_probe(cfg, probe)?;
         ctrl.use_reference = true;
         Ok(ctrl)
     }
-}
 
-impl<P: Probe> DramCtrl<P> {
     /// Creates a controller with an attached instrumentation probe (see
     /// the type-level docs for the zero-perturbation contract).
     ///
@@ -304,6 +308,8 @@ impl<P: Probe> DramCtrl<P> {
         let fault = fault_for(&cfg);
         Ok(Self {
             decoder: Decoder::new(cfg.mapping, org, cfg.channels),
+            write_high: cfg.write_high_entries(),
+            write_low: cfg.write_low_entries(),
             cfg,
             probe,
             events,
@@ -694,7 +700,7 @@ impl<P: Probe> DramCtrl<P> {
                     let threshold = if self.draining || self.pd_drain {
                         1
                     } else {
-                        self.cfg.write_low_entries().max(1)
+                        self.write_low.max(1)
                     };
                     if self.write_q.len() >= threshold {
                         self.bus_state = BusState::Write;
@@ -704,7 +710,7 @@ impl<P: Probe> DramCtrl<P> {
                         self.maybe_schedule_pd_check(now);
                         return;
                     }
-                } else if self.write_q.len() >= self.cfg.write_high_entries() {
+                } else if self.write_q.len() >= self.write_high {
                     // Forced switch at the high watermark.
                     self.bus_state = BusState::Write;
                     self.writes_this_switch = 0;
@@ -773,7 +779,7 @@ impl<P: Probe> DramCtrl<P> {
                     || (self.read_q.is_empty()
                         && !self.draining
                         && !self.pd_drain
-                        && self.write_q.len() < self.cfg.write_low_entries());
+                        && self.write_q.len() < self.write_low);
                 if switch_back {
                     self.bus_state = BusState::Read;
                 }
@@ -819,7 +825,7 @@ impl<P: Probe> DramCtrl<P> {
                 || (self.read_q.is_empty()
                     && !self.draining
                     && !self.pd_drain
-                    && self.write_q.len() < self.cfg.write_low_entries());
+                    && self.write_q.len() < self.write_low);
             if switch_back {
                 self.bus_state = BusState::Read;
             }
@@ -1060,8 +1066,9 @@ impl<P: Probe> DramCtrl<P> {
     /// * with no eligible hit every top-class packet misses, so the
     ///   reference's column-time estimate depends only on a packet's
     ///   bank: pass two evaluates one candidate per *non-empty* bank
-    ///   (bitmask-guided) and minimises by (estimate, age) — reproducing
-    ///   the scan's first-wins minimum.
+    ///   (bitmask-guided) and minimises the packed key (estimate, age) —
+    ///   reproducing the scan's first-wins minimum — without a branch on
+    ///   which candidate wins.
     ///
     /// Selection cost is O(hit banks + occupied banks), independent of
     /// queue depth.
@@ -1104,11 +1111,16 @@ impl<P: Probe> DramCtrl<P> {
                 let mut rank = ranks.next().expect("a device has a rank");
                 let mut rank_end = banks_per_rank;
                 let mut floor = act_floor(rank);
-                let mut best = None;
-                let mut best_at = Tick::MAX;
-                let mut best_seq = u64::MAX;
+                // Each candidate as one key, its estimate above its
+                // sequence number: the scan's "earlier, else older" is a
+                // plain `<`, and the running minimum a compare and two
+                // conditional moves. Selecting the winner's slot as well
+                // would be a third, and three make the compiler branch on
+                // random timing data; the winner's sequence number names
+                // it, so a second walk over the bank heads finds its slot.
+                let mut best_key = u128::MAX;
                 queue.for_each_nonempty_bank(|b| {
-                    let Some((seq, slot)) = queue.bank_candidate(b, top) else {
+                    let Some((seq, _)) = queue.bank_candidate(b, top) else {
                         return;
                     };
                     while b >= rank_end {
@@ -1117,19 +1129,23 @@ impl<P: Probe> DramCtrl<P> {
                         floor = act_floor(rank);
                     }
                     let bank = &rank.banks[(b + banks_per_rank - rank_end) as usize];
+                    // Both estimates computed and one selected: written as
+                    // a branch, the compiler keeps the branch, on a bit
+                    // that adaptive page policies leave unpredictable.
+                    let after_pre = bank.pre_allowed_at.max(now) + t.t_rp;
+                    let closed = bank.act_allowed_at.max(now);
                     let ready = if bank.open_row.is_some() {
-                        bank.pre_allowed_at.max(now) + t.t_rp
+                        after_pre
                     } else {
-                        bank.act_allowed_at.max(now)
+                        closed
                     };
-                    let at = ready.max(floor);
-                    if at < best_at || (at == best_at && seq < best_seq) {
-                        best_at = at;
-                        best_seq = seq;
-                        best = Some(slot);
-                    }
+                    let key = (u128::from(ready.max(floor)) << 64) | u128::from(seq);
+                    best_key = best_key.min(key);
                 });
-                best.expect("some candidate in a non-empty queue")
+                let best_seq = best_key as u64;
+                queue
+                    .find_bank_candidate(top, |seq| seq == best_seq)
+                    .expect("some candidate in a non-empty queue")
             }
         }
     }

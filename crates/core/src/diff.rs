@@ -16,6 +16,7 @@
 //! controller carrying live `dramctrl-obs` sinks must produce byte-identical
 //! responses, drain ticks and statistics reports to an uninstrumented one.
 
+use dramctrl_check::TimingChecker;
 use dramctrl_kernel::rng::Rng;
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{MemRequest, ReqId};
@@ -40,14 +41,18 @@ pub struct DiffSummary {
 
 /// Drives an indexed and a reference controller in lockstep over
 /// `requests` (ticks must be non-decreasing) and asserts byte-identical
-/// behaviour at every step.
+/// behaviour at every step. The reference carries a [`TimingChecker`]
+/// for the device, so the schedule both produce is also held to the DRAM
+/// timing rules; the indexed controller is the uninstrumented one that
+/// ships.
 ///
 /// # Panics
 /// Panics on the first divergence: acceptance decision, response stream,
-/// drain tick or rendered statistics report.
+/// drain tick or rendered statistics report; and on a timing violation.
 pub fn assert_equivalent(cfg: &CtrlConfig, requests: &[(Tick, MemRequest)]) -> DiffSummary {
     let mut indexed = DramCtrl::new(cfg.clone()).expect("valid config");
-    let mut reference = DramCtrl::new_reference(cfg.clone()).expect("valid config");
+    let checker = TimingChecker::new(&cfg.spec);
+    let mut reference = DramCtrl::new_reference(cfg.clone(), checker).expect("valid config");
     let mut iresp = Vec::new();
     let mut rresp = Vec::new();
     let mut accepted = 0;
@@ -84,6 +89,12 @@ pub fn assert_equivalent(cfg: &CtrlConfig, requests: &[(Tick, MemRequest)]) -> D
         reference.report("ctrl", rt).to_string(),
         "rendered statistics reports diverged"
     );
+    let checker = reference.probe();
+    assert!(
+        accepted == 0 || !checker.commands().is_empty(),
+        "the timing checker saw no command"
+    );
+    checker.assert_clean();
     DiffSummary {
         accepted,
         rejected,
@@ -517,6 +528,64 @@ mod tests {
         assert!(json.contains("\"powerdown\""), "no power-down slice traced");
     }
 
+    /// The indices at their edges: 1 024-entry queues, and 8 ranks × 16
+    /// banks so the bank and hit masks span two words and the miss pass
+    /// steps across ranks — under both schedulers, with four QoS classes
+    /// and link errors whose retries re-enter at the top priority. The
+    /// miss pass's packed `(ready, seq)` tie-break and the slot-held row
+    /// bucket handles must answer as the scans do; arrivals are packed
+    /// sixteen times denser than `random_workload`'s so the deep queues
+    /// fill.
+    #[test]
+    fn deep_queues_and_two_word_bank_masks_equivalent() {
+        let mut wide = presets::ddr3_1333_x64();
+        wide.org.ranks = 8;
+        wide.org.banks = 16;
+        let cases = [
+            (presets::ddr3_1333_x64(), 1024),
+            (wide.clone(), 32),
+            (wide, 1024),
+        ];
+        for (i, (spec, depth)) in cases.into_iter().enumerate() {
+            for sp in [SchedPolicy::FrFcfs, SchedPolicy::Fcfs] {
+                let mut cfg = CtrlConfig::new(spec.clone());
+                cfg.scheduling = sp;
+                cfg.read_buffer_size = depth;
+                cfg.write_buffer_size = depth;
+                cfg.qos_priorities = vec![0, 1, 3, 7];
+                let mut ras = dramctrl_ras::RasConfig::new(0xED6E + i as u64);
+                ras.link_error_rate = 0.02;
+                cfg.ras = Some(ras);
+                let wl: Vec<_> = random_workload(0xED6E + i as u64, 1_500, 4)
+                    .into_iter()
+                    .map(|(t, req)| (t / 16, req))
+                    .collect();
+                let summary = assert_equivalent(&cfg, &wl);
+                assert!(summary.responses > 200, "{summary:?}");
+                // The edges were reached: the queues held more than the
+                // default depth, and banks past the first mask word ran.
+                let checker = TimingChecker::new(&cfg.spec);
+                let mut ctrl = DramCtrl::with_probe(cfg, checker).expect("valid config");
+                let (mut out, mut peak) = (Vec::new(), 0);
+                for &(t, req) in &wl {
+                    ctrl.advance_to(t, &mut out);
+                    let _ = ctrl.try_send(req, t);
+                    peak = peak.max(ctrl.read_queue_len().max(ctrl.write_queue_len()));
+                }
+                ctrl.drain(&mut out);
+                assert!(
+                    peak > 64 || depth < 64,
+                    "queues peaked at {peak} of {depth}"
+                );
+                let ranks = spec.org.ranks;
+                let cmds = ctrl.probe().commands();
+                assert!(ranks == 1 || cmds.iter().any(|c| c.rank * 16 + c.bank >= 64));
+                let retries = ctrl.fault_model().expect("RAS armed").stats().retries;
+                assert!(retries > 0, "no retry re-entered the queue");
+            }
+        }
+    }
+
     /// Power-down and self-refresh interact with arrival side effects;
     /// the indexed controller must wake and drain identically.
     #[test]
@@ -645,6 +714,53 @@ mod tests {
         for pause in [1, 40, 149] {
             let (summary, _) = assert_checkpoint_equivalent(&cfg, &wl, pause);
             assert!(summary.responses > 0);
+        }
+    }
+
+    /// The timing checker is not vacuous: shaving one tick off a timing
+    /// field in the controller's copy of the spec only — the checker
+    /// keeps the device's — makes the controller break the rule that
+    /// field defines, and the checker names that rule. Each mutant runs
+    /// the open- and closed-page policies over a workload dense enough to
+    /// keep every constraint binding, refresh included.
+    #[test]
+    fn every_shaved_timing_field_trips_its_rule() {
+        use dramctrl_check::Rule;
+        use dramctrl_mem::Timing;
+        type Field = fn(&mut Timing) -> &mut Tick;
+        let mutants: [(Rule, Field); 9] = [
+            (Rule::Rcd, |t| &mut t.t_rcd),
+            (Rule::Rp, |t| &mut t.t_rp),
+            (Rule::Ras, |t| &mut t.t_ras),
+            (Rule::Rrd, |t| &mut t.t_rrd),
+            (Rule::Xaw, |t| &mut t.t_xaw),
+            (Rule::Rtp, |t| &mut t.t_rtp),
+            (Rule::Wr, |t| &mut t.t_wr),
+            (Rule::Rfc, |t| &mut t.t_rfc),
+            (Rule::DataBus, |t| &mut t.t_burst),
+        ];
+        let wl = random_workload(0x7A1E, 600, 1);
+        for (rule, field) in mutants {
+            let mut tripped = Vec::new();
+            for pp in [PagePolicy::Open, PagePolicy::Closed] {
+                let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());
+                cfg.page_policy = pp;
+                let device = cfg.spec.clone();
+                *field(&mut cfg.spec.timing) -= 1;
+                let checker = TimingChecker::new(&device);
+                let mut ctrl = DramCtrl::with_probe(cfg, checker).expect("valid config");
+                let mut out = Vec::new();
+                for &(t, req) in &wl {
+                    ctrl.advance_to(t, &mut out);
+                    let _ = ctrl.try_send(req, t);
+                }
+                ctrl.drain(&mut out);
+                tripped.extend(ctrl.probe().tally().into_keys());
+            }
+            assert!(
+                tripped.contains(&rule),
+                "{rule}: shaving its field tripped only {tripped:?}"
+            );
         }
     }
 

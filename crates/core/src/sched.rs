@@ -19,12 +19,17 @@
 //!   O(1) slot recycling instead of `VecDeque::remove`'s memmove);
 //! * a monotonically increasing per-queue *sequence number* stamped on
 //!   every packet, so FCFS age survives arbitrary removal order;
-//! * three intrusive doubly-linked lists threaded through the slot arena
-//!   (one [`Link`] triple per slot, a [`Bucket`] of head, tail and length
-//!   per list), each in `(priority descending, age)` order. Sequence
-//!   numbers are stamped monotonically, so enqueue is a tail append —
-//!   only a packet that outranks queued ones walks back from the tail —
-//!   and dequeue an O(1) unlink from anywhere; no list ever allocates:
+//! * a node column parallel to the slots (one [`Node`] per slot: the
+//!   packet's `(priority, seq)` order key packed in one word, the handle
+//!   of its row bucket and its three list links), so list walks and
+//!   unlinks never read a packet;
+//! * three intrusive doubly-linked lists threaded through the nodes (a
+//!   [`Bucket`] of head, tail and length per list), each in
+//!   `(priority descending, age)` order. Sequence numbers are stamped
+//!   monotonically, so enqueue is a tail append — only a packet that
+//!   outranks queued ones walks back from the tail — and dequeue an O(1)
+//!   unlink from anywhere, its row bucket found by the node's handle
+//!   rather than a lookup; no list ever allocates:
 //!   * per priority class, with a 256-bit class mask: the FCFS pick and
 //!     the QoS top class;
 //!   * `by_bank` — per (rank, bank), with a bank occupancy bitmask, so
@@ -40,8 +45,8 @@
 //!   [`set_open_row`](SchedQueue::set_open_row) swaps one handle and one
 //!   bit whatever is queued to either row; enqueue/dequeue touch them
 //!   only when a bucket appears or empties. The oldest row hit of the
-//!   top QoS class — the FR-FCFS first pass — is the smallest sequence
-//!   number over the hit banks' bucket heads;
+//!   top QoS class — the FR-FCFS first pass — is the smallest
+//!   `(seq, slot)` over the hit banks' bucket heads;
 //! * a [`WriteCoverage`] multiset for O(1) write snooping.
 //!
 //! Determinism: the lists order by `(priority, seq)`; the hash maps use
@@ -59,28 +64,54 @@ use dramctrl_mem::WriteCoverage;
 
 use crate::queue::{read_packet, save_packet, DramPacket};
 
-/// Sort key of a queued packet: QoS-descending, then age-ascending.
-///
-/// `255 - priority` makes ascending key order yield the highest-priority,
-/// oldest packet first.
+/// Sequence numbers stay below `2^56`, so a packet's order key fits one
+/// word beside its inverted priority. A queue would need centuries of
+/// bursts to get there; a snapshot claiming more is refused.
+const SEQ_BITS: u32 = 56;
+const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+
+/// Sort key of a queued packet, packed in one word: QoS-descending, then
+/// age-ascending. `255 - priority` in the top byte makes ascending key
+/// order yield the highest-priority, oldest packet first, and the
+/// sequence number below it makes every key distinct.
 #[inline]
-fn order_key(pkt: &DramPacket) -> (u8, u64) {
-    (255 - pkt.priority, pkt.seq)
+fn order_key(priority: u8, seq: u64) -> u64 {
+    debug_assert!(seq <= SEQ_MASK, "sequence number {seq} overflows its key");
+    (u64::from(255 - priority) << SEQ_BITS) | seq
+}
+
+/// The inverted priority class (`255 - priority`) of a packed key.
+#[inline]
+fn class_of(key: u64) -> u8 {
+    (key >> SEQ_BITS) as u8
 }
 
 /// Sentinel for "no slot" / "no bucket".
 const NIL: u32 = u32::MAX;
 
-/// Calls `f` with the index of every set bit of `mask`, ascending.
+/// Calls `f` with the index of every set bit of `mask`, ascending, until
+/// it returns `Some`; returns that.
 #[inline]
-fn for_each_bit(mask: &[u64], mut f: impl FnMut(u32)) {
+fn find_bit<T>(mask: &[u64], mut f: impl FnMut(u32) -> Option<T>) -> Option<T> {
     for (w, &word) in mask.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
-            f((w as u32) * 64 + bits.trailing_zeros());
+            if let Some(found) = f((w as u32) * 64 + bits.trailing_zeros()) {
+                return Some(found);
+            }
             bits &= bits - 1;
         }
     }
+    None
+}
+
+/// Calls `f` with the index of every set bit of `mask`, ascending.
+#[inline]
+fn for_each_bit(mask: &[u64], mut f: impl FnMut(u32)) {
+    find_bit(mask, |b| {
+        f(b);
+        None::<()>
+    });
 }
 
 /// Neighbours of one queued packet within one of its lists.
@@ -90,20 +121,37 @@ struct Link {
     next: u32,
 }
 
-/// A queued packet is on three lists at once; each threads its own link.
-type Links = [Link; 3];
+/// What the indices know of one slot's packet, kept beside the packet
+/// rather than read from it: every list walk compares keys and follows
+/// links, so a walk touches these 40 bytes per step, never the packet.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The packet's [`order_key`].
+    key: u64,
+    /// Index in `rows` of the bucket the packet is listed in: `take`
+    /// unlinks it there without looking the row up.
+    row: u32,
+    /// A queued packet is on three lists at once; each threads its own
+    /// link.
+    links: [Link; 3],
+}
+
 const CLASS: usize = 0;
 const BANK: usize = 1;
 const ROW: usize = 2;
-const UNLINKED: Links = [Link {
-    prev: NIL,
-    next: NIL,
-}; 3];
+const UNLINKED: Node = Node {
+    key: u64::MAX,
+    row: NIL,
+    links: [Link {
+        prev: NIL,
+        next: NIL,
+    }; 3],
+};
 
 /// One intrusive list of queued packets — a priority class, a bank's
-/// candidates or a row's — in ascending [`order_key`] order. The packets
-/// and their links live in the queue's slot arena; the bucket is the
-/// list's ends and length, so it never owns memory.
+/// candidates or a row's — in ascending [`order_key`] order. The links
+/// and keys live in the queue's node column; the bucket is the list's
+/// ends and length, so it never owns memory.
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
     head: u32,
@@ -121,54 +169,48 @@ impl Bucket {
     /// Links `slot` in behind `after` (`NIL`: at the head), threading
     /// link `via`.
     #[inline]
-    fn insert_after(&mut self, links: &mut [Links], via: usize, after: u32, slot: u32) {
+    fn insert_after(&mut self, nodes: &mut [Node], via: usize, after: u32, slot: u32) {
         let next = match after {
             NIL => std::mem::replace(&mut self.head, slot),
-            _ => std::mem::replace(&mut links[after as usize][via].next, slot),
+            _ => std::mem::replace(&mut nodes[after as usize].links[via].next, slot),
         };
         match next {
             NIL => self.tail = slot,
-            _ => links[next as usize][via].prev = slot,
+            _ => nodes[next as usize].links[via].prev = slot,
         }
-        links[slot as usize][via] = Link { prev: after, next };
+        nodes[slot as usize].links[via] = Link { prev: after, next };
         self.len += 1;
     }
 
     /// Unlinks `slot`, wherever in the list it is.
     #[inline]
-    fn unlink(&mut self, links: &mut [Links], via: usize, slot: u32) {
-        let Link { prev, next } = links[slot as usize][via];
+    fn unlink(&mut self, nodes: &mut [Node], via: usize, slot: u32) {
+        let Link { prev, next } = nodes[slot as usize].links[via];
         match prev {
             NIL => self.head = next,
-            _ => links[prev as usize][via].next = next,
+            _ => nodes[prev as usize].links[via].next = next,
         }
         match next {
             NIL => self.tail = prev,
-            _ => links[next as usize][via].prev = prev,
+            _ => nodes[next as usize].links[via].prev = prev,
         }
         self.len -= 1;
     }
 
-    /// Links `slot`, whose packet sorts by `key`, in at its place.
-    /// Sequence numbers are stamped monotonically, so within one priority
-    /// class a new packet sorts after everything queued and the loop does
-    /// not run; it walks back from the tail past the packets a newcomer
-    /// outranks (a higher QoS class, a RAS retry re-entering at top
-    /// priority).
+    /// Links `slot`, whose node carries its key already, in at its
+    /// place. Sequence numbers are stamped monotonically, so within one
+    /// priority class a new packet sorts after everything queued and the
+    /// loop does not run; it walks back from the tail past the packets a
+    /// newcomer outranks (a higher QoS class, a RAS retry re-entering at
+    /// top priority).
     #[inline]
-    fn insert(
-        &mut self,
-        links: &mut [Links],
-        via: usize,
-        slots: &[Option<DramPacket>],
-        key: (u8, u64),
-        slot: u32,
-    ) {
+    fn insert(&mut self, nodes: &mut [Node], via: usize, slot: u32) {
+        let key = nodes[slot as usize].key;
         let mut after = self.tail;
-        while after != NIL && key_at(slots, after) > key {
-            after = links[after as usize][via].prev;
+        while after != NIL && nodes[after as usize].key > key {
+            after = nodes[after as usize].links[via].prev;
         }
-        self.insert_after(links, via, after, slot);
+        self.insert_after(nodes, via, after, slot);
     }
 
     /// Oldest `(seq, slot)` of exactly the given inverted-priority class.
@@ -176,29 +218,18 @@ impl Bucket {
     /// queued outranks: the head then is of that class or no entry is,
     /// and the walk past higher classes is for other callers.
     #[inline]
-    fn first_of(
-        &self,
-        links: &[Links],
-        via: usize,
-        slots: &[Option<DramPacket>],
-        inv_prio: u8,
-    ) -> Option<(u64, u32)> {
+    fn first_of(&self, nodes: &[Node], via: usize, inv_prio: u8) -> Option<(u64, u32)> {
         let mut slot = self.head;
         while slot != NIL {
-            let (class, seq) = key_at(slots, slot);
+            let node = &nodes[slot as usize];
+            let class = class_of(node.key);
             if class >= inv_prio {
-                return (class == inv_prio).then_some((seq, slot));
+                return (class == inv_prio).then_some((node.key & SEQ_MASK, slot));
             }
-            slot = links[slot as usize][via].next;
+            slot = node.links[via].next;
         }
         None
     }
-}
-
-/// Sort key of the packet queued in `slot`.
-#[inline]
-fn key_at(slots: &[Option<DramPacket>], slot: u32) -> (u8, u64) {
-    order_key(slots[slot as usize].as_ref().expect("listed slot is live"))
 }
 
 /// One controller queue (read or write) with incremental scheduling
@@ -206,8 +237,9 @@ fn key_at(slots: &[Option<DramPacket>], slot: u32) -> (u8, u64) {
 #[derive(Debug)]
 pub(crate) struct SchedQueue {
     slots: Vec<Option<DramPacket>>,
-    /// List links of each slot's packet, parallel to `slots`.
-    links: Vec<Links>,
+    /// Each slot's key, row bucket and list links, parallel to
+    /// `slots`: derived from the packet when it is linked, never saved.
+    nodes: Vec<Node>,
     free: Vec<u32>,
     next_seq: u64,
     len: usize,
@@ -251,7 +283,7 @@ impl SchedQueue {
         let flat = (ranks * banks_per_rank) as usize;
         Self {
             slots: Vec::with_capacity(capacity),
-            links: Vec::with_capacity(capacity),
+            nodes: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
             next_seq: 0,
             len: 0,
@@ -271,12 +303,12 @@ impl SchedQueue {
     }
 
     /// Clears every slot and derived index while keeping the allocations
-    /// (slot arena, links, bank buckets, masks). Shared by
+    /// (slot arena, nodes, bank buckets, masks). Shared by
     /// [`reset`](Self::reset) and [`restore_state`](Self::restore_state),
     /// which must agree on what "empty" means.
     fn clear_to_empty(&mut self) {
         self.slots.clear();
-        self.links.clear();
+        self.nodes.clear();
         self.free.clear();
         self.len = 0;
         self.classes.fill(EMPTY);
@@ -317,19 +349,12 @@ impl SchedQueue {
         self.len == 0
     }
 
-    /// Links the packet in `slot` — stored there already, its `seq` the
-    /// youngest in its class unless a restore is replaying — into its
-    /// class, bank and row lists.
+    /// Links `slot`, holding a packet of `priority` (its `seq` the
+    /// youngest in its class unless a restore is replaying) queued to
+    /// `row` of flat bank `b`, into its class, bank and row lists.
     #[inline]
-    fn index(&mut self, slot: u32) {
-        let pkt = self.slots[slot as usize].as_ref().expect("stored above");
-        let key = order_key(pkt);
-        let (p, row) = (pkt.priority as usize, pkt.da.row);
-        let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
-        self.classes[p].insert(&mut self.links, CLASS, &self.slots, key, slot);
-        self.class_mask[p >> 6] |= 1 << (p & 63);
-        self.by_bank[b as usize].insert(&mut self.links, BANK, &self.slots, key, slot);
-        self.bank_mask[(b >> 6) as usize] |= 1 << (b & 63);
+    fn index(&mut self, slot: u32, priority: u8, seq: u64, b: u32, row: u64) {
+        let p = priority as usize;
         // The bank's hit bucket if the row is open and has one; else the
         // row's bucket, taken from the arena if this is its first packet —
         // which, for the open row, makes the bank a hit bank.
@@ -352,7 +377,14 @@ impl SchedQueue {
                 self.hit_mask[(b >> 6) as usize] |= 1 << (b & 63);
             }
         }
-        self.rows[idx as usize].insert(&mut self.links, ROW, &self.slots, key, slot);
+        let node = &mut self.nodes[slot as usize];
+        node.key = order_key(priority, seq);
+        node.row = idx;
+        self.classes[p].insert(&mut self.nodes, CLASS, slot);
+        self.class_mask[p >> 6] |= 1 << (p & 63);
+        self.by_bank[b as usize].insert(&mut self.nodes, BANK, slot);
+        self.bank_mask[(b >> 6) as usize] |= 1 << (b & 63);
+        self.rows[idx as usize].insert(&mut self.nodes, ROW, slot);
     }
 
     /// Enqueues `pkt`, stamping its sequence number; returns its slot.
@@ -363,6 +395,8 @@ impl SchedQueue {
         if !pkt.is_read {
             self.coverage.insert(pkt.burst_addr, pkt.lo, pkt.hi);
         }
+        let (priority, seq, row) = (pkt.priority, pkt.seq, pkt.da.row);
+        let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(pkt);
@@ -370,11 +404,11 @@ impl SchedQueue {
             }
             None => {
                 self.slots.push(Some(pkt));
-                self.links.push(UNLINKED);
+                self.nodes.push(UNLINKED);
                 (self.slots.len() - 1) as u32
             }
         };
-        self.index(slot);
+        self.index(slot, priority, seq, b, row);
         self.len += 1;
         slot
     }
@@ -393,33 +427,26 @@ impl SchedQueue {
     pub fn take(&mut self, slot: u32) -> DramPacket {
         let pkt = self.slots[slot as usize].take().expect("stale slot");
         self.free.push(slot);
-        let p = pkt.priority as usize;
+        let Node { key, row, .. } = self.nodes[slot as usize];
+        let p = usize::from(255 - class_of(key));
         let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
-        self.classes[p].unlink(&mut self.links, CLASS, slot);
+        self.classes[p].unlink(&mut self.nodes, CLASS, slot);
         if self.classes[p].len == 0 {
             self.class_mask[p >> 6] &= !(1 << (p & 63));
         }
         let bank_bucket = &mut self.by_bank[b as usize];
-        bank_bucket.unlink(&mut self.links, BANK, slot);
+        bank_bucket.unlink(&mut self.nodes, BANK, slot);
         if bank_bucket.len == 0 {
             self.bank_mask[(b >> 6) as usize] &= !(1 << (b & 63));
         }
-        // A packet queued to the open row is in the bank's hit bucket.
-        let open = self.open_rows[b as usize] == Some(pkt.da.row);
-        let idx = if open {
-            self.open_bucket[b as usize]
-        } else {
-            *self
-                .by_row
-                .get(&(b, pkt.da.row))
-                .expect("row bucket for queued packet")
-        };
-        let bucket = &mut self.rows[idx as usize];
-        bucket.unlink(&mut self.links, ROW, slot);
+        let bucket = &mut self.rows[row as usize];
+        bucket.unlink(&mut self.nodes, ROW, slot);
         if bucket.len == 0 {
             self.by_row.remove(&(b, pkt.da.row));
-            self.free_rows.push(idx);
-            if open {
+            self.free_rows.push(row);
+            // The open row's bucket is the bank's hit bucket: the bank
+            // has no hit left.
+            if self.open_bucket[b as usize] == row {
                 self.open_bucket[b as usize] = NIL;
                 self.hit_mask[(b >> 6) as usize] &= !(1 << (b & 63));
             }
@@ -482,16 +509,17 @@ impl SchedQueue {
     /// over the heads of the hit banks' buckets, O(banks with a hit).
     #[inline]
     pub fn best_row_hit(&self, prio: u8) -> Option<(u64, u32)> {
-        let mut best: Option<(u64, u32)> = None;
+        // `(seq, slot)` packed in one key: sequence numbers are distinct,
+        // so its minimum is the oldest hit, found without a branch on
+        // which hit is older.
+        let mut best = u128::MAX;
         for_each_bit(&self.hit_mask, |b| {
             let hits = &self.rows[self.open_bucket[b as usize] as usize];
-            if let Some(hit) = hits.first_of(&self.links, ROW, &self.slots, 255 - prio) {
-                if best.map_or(true, |oldest| hit.0 < oldest.0) {
-                    best = Some(hit);
-                }
+            if let Some((seq, slot)) = hits.first_of(&self.nodes, ROW, 255 - prio) {
+                best = best.min((u128::from(seq) << 32) | u128::from(slot));
             }
         });
-        best
+        (best != u128::MAX).then_some(((best >> 32) as u64, best as u32))
     }
 
     /// Calls `f` for every flat bank with queued packets, in ascending
@@ -507,14 +535,24 @@ impl SchedQueue {
     #[cfg(test)]
     pub fn row_candidate(&self, b: u32, row: u64, prio: u8) -> Option<(u64, u32)> {
         let bucket = &self.rows[*self.by_row.get(&(b, row))? as usize];
-        bucket.first_of(&self.links, ROW, &self.slots, 255 - prio)
+        bucket.first_of(&self.nodes, ROW, 255 - prio)
     }
 
     /// Oldest `(seq, slot)` of priority `prio` queued to the flat bank
     /// `b`, if any — the FR-FCFS first-available-bank probe.
     #[inline]
     pub fn bank_candidate(&self, b: u32, prio: u8) -> Option<(u64, u32)> {
-        self.by_bank[b as usize].first_of(&self.links, BANK, &self.slots, 255 - prio)
+        self.by_bank[b as usize].first_of(&self.nodes, BANK, 255 - prio)
+    }
+
+    /// Slot of the first bank candidate of priority `prio`, in ascending
+    /// bank order, whose sequence number passes `pick`.
+    #[inline]
+    pub fn find_bank_candidate(&self, prio: u8, mut pick: impl FnMut(u64) -> bool) -> Option<u32> {
+        find_bit(&self.bank_mask, |b| {
+            let (seq, slot) = self.bank_candidate(b, prio)?;
+            pick(seq).then_some(slot)
+        })
     }
 
     /// Packets queued to the flat bank `b` (any row, any priority).
@@ -538,8 +576,8 @@ impl SchedQueue {
     }
 
     /// Writes the queue: slot contents, the free list and the sequence
-    /// counter. The derived indices (the lists, `by_row`, the hit banks,
-    /// `coverage`) are pure functions of the live packets and the
+    /// counter. The derived indices (the node column, the lists, `by_row`,
+    /// the hit banks, `coverage`) are pure functions of the live packets and the
     /// controller's bank state and are rebuilt on restore rather than
     /// serialised.
     pub fn save_state(&self, w: &mut SnapWriter) {
@@ -567,11 +605,17 @@ impl SchedQueue {
     /// [`set_open_row`](Self::set_open_row) after restoring its banks.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.next_seq = r.u64()?;
+        if self.next_seq > SEQ_MASK {
+            return Err(SnapError::Corrupt(format!(
+                "queue counter {} past the sequence-number range",
+                self.next_seq
+            )));
+        }
         let n_slots = r.usize()?;
         self.clear_to_empty();
         let mut order: Vec<(u64, u32)> = Vec::new();
         for slot in 0..n_slots {
-            self.links.push(UNLINKED);
+            self.nodes.push(UNLINKED);
             if !r.bool()? {
                 self.slots.push(None);
                 continue;
@@ -608,8 +652,11 @@ impl SchedQueue {
                 )));
             }
         }
-        for &(_, slot) in &order {
-            self.index(slot);
+        for &(seq, slot) in &order {
+            let pkt = self.slots[slot as usize].as_ref().expect("stored above");
+            let (priority, row) = (pkt.priority, pkt.da.row);
+            let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
+            self.index(slot, priority, seq, b, row);
         }
         let n_free = r.usize()?;
         for _ in 0..n_free {
@@ -687,22 +734,22 @@ mod tests {
     fn bucket_fast_paths_keep_the_sorted_order() {
         use dramctrl_kernel::rng::Rng;
         let mut rng = Rng::seed_from_u64(0xB0C);
-        let mut slots: Vec<Option<DramPacket>> = vec![None; 64];
-        let mut links = vec![UNLINKED; 64];
+        let mut live = [false; 64];
+        let mut nodes = vec![UNLINKED; 64];
         let mut bucket = EMPTY;
         let mut model: Vec<(u8, u64, u32)> = Vec::new();
-        let check = |bucket: &Bucket, links: &[Links], model: &[(u8, u64, u32)]| {
+        let check = |bucket: &Bucket, nodes: &[Node], model: &[(u8, u64, u32)]| {
             let mut forward = Vec::new();
             let mut slot = bucket.head;
             while slot != NIL {
                 forward.push(slot);
-                slot = links[slot as usize][BANK].next;
+                slot = nodes[slot as usize].links[BANK].next;
             }
             let mut backward = Vec::new();
             let mut slot = bucket.tail;
             while slot != NIL {
                 backward.push(slot);
-                slot = links[slot as usize][BANK].prev;
+                slot = nodes[slot as usize].links[BANK].prev;
             }
             backward.reverse();
             let expect: Vec<u32> = model.iter().map(|e| e.2).collect();
@@ -721,20 +768,18 @@ mod tests {
                 seq + 2_000
             };
             let slot = rng.gen_range(0..64) as u32;
-            if slots[slot as usize].is_some() || model.iter().any(|e| e.1 == seq) {
+            if live[slot as usize] || model.iter().any(|e| e.1 == seq) {
                 continue;
             }
-            let mut p = pkt(true, 0, 0, 1, priority);
-            p.seq = seq;
-            let key = order_key(&p);
-            slots[slot as usize] = Some(p);
-            bucket.insert(&mut links, BANK, &slots, key, slot);
-            model.push((key.0, key.1, slot));
+            live[slot as usize] = true;
+            nodes[slot as usize].key = order_key(priority, seq);
+            bucket.insert(&mut nodes, BANK, slot);
+            model.push((255 - priority, seq, slot));
             model.sort_unstable();
-            check(&bucket, &links, &model);
+            check(&bucket, &nodes, &model);
             for class in [250, 255, 7] {
                 let oldest = model.iter().find(|e| e.0 == class).map(|e| (e.1, e.2));
-                assert_eq!(bucket.first_of(&links, BANK, &slots, class), oldest);
+                assert_eq!(bucket.first_of(&nodes, BANK, class), oldest);
             }
             while model.len() > rng.gen_range(0..12) as usize {
                 // Mostly the head (FCFS / row-hit service), else anywhere.
@@ -744,9 +789,9 @@ mod tests {
                     0
                 };
                 let (_, _, slot) = model.remove(at);
-                bucket.unlink(&mut links, BANK, slot);
-                slots[slot as usize] = None;
-                check(&bucket, &links, &model);
+                bucket.unlink(&mut nodes, BANK, slot);
+                live[slot as usize] = false;
+                check(&bucket, &nodes, &model);
             }
         }
     }
@@ -798,10 +843,18 @@ mod tests {
                     assert_eq!(q.row_len(b, row), count(&|p| p.da.row == row));
                 }
             }
+            // The node column is the packets' own data: the key, and the
+            // handle of the row bucket a lookup would find.
+            for (slot, p) in q.fifo_packets() {
+                let node = q.nodes[slot as usize];
+                let b = q.flat_bank(p.da.rank, p.da.bank);
+                assert_eq!(node.key, order_key(p.priority, p.seq));
+                assert_eq!(Some(&node.row), q.by_row.get(&(b, p.da.row)));
+            }
             let first = q
                 .fifo_packets()
                 .into_iter()
-                .min_by_key(|(_, p)| order_key(p));
+                .min_by_key(|(_, p)| order_key(p.priority, p.seq));
             assert_eq!(q.first_in_order(), first.map(|(slot, _)| slot));
             assert_eq!(q.top_priority(), first.map(|(_, p)| p.priority));
             assert_eq!(q.len(), q.iter_packets().count());
