@@ -29,10 +29,11 @@
 //!
 //! Checked: tRCD, tRP, tRAS, tRRD, the activation window (tXAW with
 //! `activation_limit` activates), tRTP, tWR, tRFC before the next ACT, no
-//! overlap of two bursts on the data bus, and column commands only to the
-//! row an ACT opened (with no second ACT to an open bank). Not checked:
-//! power-state entry and exit, the refresh deadline, and the bus
-//! turnarounds tWTR and tRTW.
+//! overlap of two bursts on the data bus, the bus turnarounds tWTR (write
+//! data end to the rank's next read command) and tRTW (read data end to
+//! the channel's next write data), and column commands only to the row an
+//! ACT opened (with no second ACT to an open bank). Not checked:
+//! power-state entry and exit, and the refresh deadline.
 //!
 //! # Example
 //!
@@ -87,6 +88,12 @@ pub enum Rule {
     Rfc,
     /// tBURST: a burst holds the data bus for tBURST; no two overlap.
     DataBus,
+    /// tWTR: a read command waits tWTR after the end of the last write
+    /// burst of its rank.
+    Wtr,
+    /// tRTW: a write burst's data waits tRTW after the last read burst
+    /// has left the data bus.
+    Rtw,
     /// RD/WR only to the row open in its bank, and ACT only to a closed
     /// bank.
     OpenRow,
@@ -105,6 +112,8 @@ impl Rule {
             Rule::Wr => "tWR",
             Rule::Rfc => "tRFC",
             Rule::DataBus => "data bus",
+            Rule::Wtr => "tWTR",
+            Rule::Rtw => "tRTW",
             Rule::OpenRow => "open row",
         }
     }
@@ -189,6 +198,10 @@ fn rule_table(t: &Timing) -> Vec<Row> {
         // "Data-bus occupancy of one burst": a burst may start once the
         // one before it has left the bus (the DataEnd edge adds t_burst).
         row(Rule::DataBus, COL, DataEnd, COL, DataStart, Channel, 0),
+        // "Write-to-read turnaround (end of write burst to read command)".
+        row(Rule::Wtr, WR, DataEnd, RD, Issue, Rank, t.t_wtr),
+        // "Read-to-write turnaround bubble on the data bus".
+        row(Rule::Rtw, RD, DataEnd, WR, DataStart, Channel, t.t_rtw),
     ];
     if t.activation_limit > 0 {
         // "Rolling activation window": any `activation_limit + 1` ACTs of
@@ -465,34 +478,41 @@ mod tests {
     #[test]
     fn each_rule_holds_at_its_gap_and_trips_one_tick_inside() {
         let t = spec().timing;
-        // Bank 0: ACT, RD at tRCD, PRE at max(tRAS, RD + tRTP), ACT at +tRP.
+        // Bank 0: ACT, RD at tRCD, a row hit right behind it on the data
+        // bus, PRE at max(tRAS, last RD + tRTP), ACT at +tRP.
         let act0 = 0;
         let rd0 = act0 + t.t_rcd;
-        let pre0 = (act0 + t.t_ras).max(rd0 + t.t_rtp);
+        let rd0b = rd0 + t.t_burst;
+        let pre0 = (act0 + t.t_ras).max(rd0b + t.t_rtp);
         let act0b = pre0 + t.t_rp;
-        // Bank 1: ACT at tRRD, WR on the bus right after bank 0's read,
-        // PRE at max(tRAS, end of write + tWR).
+        // Bank 1: ACT at tRRD, WR data tRTW after bank 0's reads left
+        // the bus, PRE at max(tRAS, end of write + tWR).
         let act1 = act0 + t.t_rrd;
-        let wr1 = rd0 + t.t_burst;
-        let pre1 = (act1 + t.t_ras).max(wr1 + t.t_cl + t.t_burst + t.t_wr);
+        let wr1 = rd0b + t.t_burst + t.t_rtw;
+        let wr1_end = wr1 + t.t_cl + t.t_burst;
+        let pre1 = (act1 + t.t_ras).max(wr1_end + t.t_wr);
         // Banks 2 and 3 fill the activation window; the fifth ACT of
-        // the rank (bank 4) comes tXAW after the first.
+        // the rank (bank 4) comes tXAW after the first. Bank 2 reads
+        // tWTR after the write's data ended.
         let act2 = act1 + t.t_rrd;
+        let rd2 = wr1_end + t.t_wtr;
         let act3 = act2 + t.t_rrd;
         let act4 = (act3 + t.t_rrd).max(act0 + t.t_xaw);
         // A refresh after everything closes, then an ACT tRFC later.
-        let pre_rest = act4 + t.t_ras;
+        let pre_rest = (act4 + t.t_ras).max(rd2 + t.t_rtp);
         let refresh = act0b.max(pre1).max(pre_rest) + t.t_ras + t.t_rp;
         let act_after = refresh + t.t_rfc;
         let stream = |shift: Option<usize>| {
             let mut s = vec![
                 act(0, 7, act0),
                 col(DramCmd::Rd, 0, 7, rd0),
+                col(DramCmd::Rd, 0, 7, rd0b),
                 pre(0, pre0),
                 act(1, 9, act1),
                 col(DramCmd::Wr, 1, 9, wr1),
                 pre(1, pre1),
                 act(2, 1, act2),
+                col(DramCmd::Rd, 2, 1, rd2),
                 act(3, 1, act3),
                 act(4, 1, act4),
                 act(0, 8, act0b),
@@ -513,13 +533,15 @@ mod tests {
         assert_eq!(check(&stream(None)), vec![], "the legal stream is clean");
         let expect = [
             (1, Rule::Rcd),
-            (2, Rule::Ras),
-            (4, Rule::DataBus),
-            (5, Rule::Wr),
-            (6, Rule::Rrd),
-            (8, Rule::Xaw),
-            (9, Rule::Rp),
-            (15, Rule::Rfc),
+            (2, Rule::DataBus),
+            (3, Rule::Ras),
+            (5, Rule::Rtw),
+            (6, Rule::Wr),
+            (7, Rule::Rrd),
+            (8, Rule::Wtr),
+            (10, Rule::Xaw),
+            (11, Rule::Rp),
+            (17, Rule::Rfc),
         ];
         for (i, rule) in expect {
             assert!(
@@ -582,6 +604,8 @@ mod tests {
                 (Rule::Wr, t.t_wr, 1),
                 (Rule::Rfc, t.t_rfc, 1),
                 (Rule::DataBus, 0, 1),
+                (Rule::Wtr, t.t_wtr, 1),
+                (Rule::Rtw, t.t_rtw, 1),
                 (Rule::Xaw, t.t_xaw, t.activation_limit as usize),
             ]
         );

@@ -728,7 +728,7 @@ mod tests {
         use dramctrl_check::Rule;
         use dramctrl_mem::Timing;
         type Field = fn(&mut Timing) -> &mut Tick;
-        let mutants: [(Rule, Field); 9] = [
+        let mutants: [(Rule, Field); 11] = [
             (Rule::Rcd, |t| &mut t.t_rcd),
             (Rule::Rp, |t| &mut t.t_rp),
             (Rule::Ras, |t| &mut t.t_ras),
@@ -738,6 +738,8 @@ mod tests {
             (Rule::Wr, |t| &mut t.t_wr),
             (Rule::Rfc, |t| &mut t.t_rfc),
             (Rule::DataBus, |t| &mut t.t_burst),
+            (Rule::Wtr, |t| &mut t.t_wtr),
+            (Rule::Rtw, |t| &mut t.t_rtw),
         ];
         let wl = random_workload(0x7A1E, 600, 1);
         for (rule, field) in mutants {

@@ -229,15 +229,21 @@ pub mod fault {
     //! it: campaign journals, snapshots, the serve store).
     //!
     //! A [`FaultPlan`] is a list of rules. Each rule names an action
-    //! (`enospc`, `eio`, `short`, `crash`), optional filters (`op=`,
-    //! `path=` substring) and an optional window (`at=N`, `from=N`,
-    //! `to=M` over the rule's own 1-based match count, or `gate=FILE`
-    //! which keeps the rule live only while `FILE` exists — the handle
-    //! that lets a test clear a fault on a *running* daemon). Plans are
-    //! armed in-process with [`arm`] (scoped by the returned guard, so
-    //! parallel tests compose as long as they filter by path) or for a
-    //! whole process tree via the `DRAMCTRL_FAULT_PLAN` environment
-    //! variable.
+    //! (`enospc`, `eio`, `short`, `crash`, `stall`), optional filters
+    //! (`op=`, `path=` substring) and an optional window (`at=N`,
+    //! `from=N`, `to=M` over the rule's own 1-based match count, or
+    //! `gate=FILE` which keeps the rule live only while `FILE` exists —
+    //! the handle that lets a test clear a fault on a *running* daemon).
+    //! Plans are armed in-process with [`arm`] (scoped by the returned
+    //! guard, so parallel tests compose as long as they filter by path)
+    //! or for a whole process tree via the `DRAMCTRL_FAULT_PLAN`
+    //! environment variable.
+    //!
+    //! `stall` is the one action that does not fail: it holds each op it
+    //! fires on until its `gate=` file is removed, then lets the op run
+    //! normally — a slow disk on demand. It requires `gate=`, and
+    //! [`stalled`] counts the ops held right now, so a test can wait for
+    //! "this fsync is in flight" instead of sleeping.
     //!
     //! Grammar, rules separated by `;`, fields by `,`:
     //!
@@ -247,6 +253,7 @@ pub mod fault {
     //! eio,op=write,from=2,to=4
     //! enospc,gate=/tmp/gate-file
     //! short,op=write,path=journal,at=5
+    //! stall,op=fsync,path=job-0001/journal,at=2,gate=/tmp/gate-file
     //! ```
     //!
     //! Determinism: rules fire on their own match counters, never on
@@ -327,6 +334,9 @@ pub mod fault {
         Short,
         /// Kill the process with [`CRASH_EXIT_CODE`] before the op runs.
         Crash,
+        /// Hold the op until the rule's gate file is removed, then let it
+        /// run normally.
+        Stall,
     }
 
     impl Action {
@@ -336,6 +346,7 @@ pub mod fault {
                 "eio" => Action::Eio,
                 "short" => Action::Short,
                 "crash" => Action::Crash,
+                "stall" => Action::Stall,
                 other => return Err(format!("unknown action {other:?}")),
             })
         }
@@ -394,6 +405,9 @@ pub mod fault {
             if rule.from == 0 {
                 return Err(format!("match counts are 1-based in {spec:?}"));
             }
+            if rule.action == Action::Stall && rule.gate.is_none() {
+                return Err(format!("stall needs gate=FILE to release it in {spec:?}"));
+            }
             Ok(rule)
         }
     }
@@ -445,6 +459,8 @@ pub mod fault {
     /// the crash-point explorer sizes its matrix from this.
     static OPS: AtomicU64 = AtomicU64::new(0);
     static NEXT_GUARD: AtomicU64 = AtomicU64::new(1);
+    /// Ops a `stall` rule is holding right now.
+    static STALLED: AtomicU64 = AtomicU64::new(0);
 
     fn rules() -> &'static Mutex<Vec<ActiveRule>> {
         static RULES: OnceLock<Mutex<Vec<ActiveRule>>> = OnceLock::new();
@@ -517,6 +533,12 @@ pub mod fault {
         OPS.load(Ordering::Relaxed)
     }
 
+    /// Durability ops a `stall` rule is holding at this instant, across
+    /// the process.
+    pub fn stalled() -> u64 {
+        STALLED.load(Ordering::SeqCst)
+    }
+
     /// Terminates the process the way an injected crash does: exit code
     /// [`CRASH_EXIT_CODE`], stdout flushed so a harness reading our
     /// progress lines sees everything acknowledged before the "power
@@ -543,11 +565,29 @@ pub mod fault {
     #[cfg(not(unix))]
     const EIO: i32 = 1117;
 
-    /// Consults the armed plan for `op` on `path`: returns the action of
-    /// the first rule whose filters, gate and window all match (also
-    /// bumping that rule's match counter), or `None`. An un-windowed
-    /// matching rule keeps firing until disarmed.
+    /// The failure `op` on `path` must report, if any. A `stall` is
+    /// served here — held, with the plan unlocked so other ops go on
+    /// being checked, until its gate file goes — and then reads `None`:
+    /// the op proceeds.
     fn fire(op: DurOp, path: &Path) -> Option<Action> {
+        let (action, gate) = matching_rule(op, path)?;
+        if action != Action::Stall {
+            return Some(action);
+        }
+        let gate = gate.expect("a stall rule parses only with a gate");
+        STALLED.fetch_add(1, Ordering::SeqCst);
+        while gate.exists() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        STALLED.fetch_sub(1, Ordering::SeqCst);
+        None
+    }
+
+    /// Consults the armed plan for `op` on `path`: returns the action and
+    /// gate of the first rule whose filters, gate and window all match
+    /// (also bumping that rule's match counter), or `None`. An
+    /// un-windowed matching rule keeps firing until disarmed.
+    fn matching_rule(op: DurOp, path: &Path) -> Option<(Action, Option<std::path::PathBuf>)> {
         OPS.fetch_add(1, Ordering::Relaxed);
         // The env-var plan loads inside `rules()`, which nothing calls
         // until a plan is armed in-process — so force that one-time load
@@ -575,7 +615,7 @@ pub mod fault {
             }
             active.matches += 1;
             if active.matches >= active.rule.from && active.matches <= active.rule.to {
-                return Some(active.rule.action);
+                return Some((active.rule.action, active.rule.gate.clone()));
             }
         }
         None
@@ -588,7 +628,7 @@ pub mod fault {
     /// The injected `ENOSPC`/`EIO` when a rule fires.
     pub fn check(op: DurOp, path: &Path) -> io::Result<()> {
         match fire(op, path) {
-            None => Ok(()),
+            None | Some(Action::Stall) => Ok(()),
             Some(Action::Crash) => crash_now(),
             Some(Action::Eio) => Err(injected(EIO, "eio", op, path)),
             Some(Action::Enospc | Action::Short) => Err(injected(ENOSPC, "enospc", op, path)),
@@ -604,7 +644,7 @@ pub mod fault {
     /// from the underlying write.
     pub fn checked_write(file: &mut impl Write, bytes: &[u8], path: &Path) -> io::Result<()> {
         match fire(DurOp::Write, path) {
-            None => file.write_all(bytes),
+            None | Some(Action::Stall) => file.write_all(bytes),
             Some(Action::Crash) => crash_now(),
             Some(Action::Eio) => Err(injected(EIO, "eio", DurOp::Write, path)),
             Some(Action::Enospc) => Err(injected(ENOSPC, "enospc", DurOp::Write, path)),
@@ -741,16 +781,63 @@ mod tests {
             "enospc,op=telepathy",
             "crash,at=0",
             "enospc,window",
+            // Nothing would ever release the held op.
+            "stall,op=fsync,path=journal,at=2",
         ] {
             assert!(fault::FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
         }
         assert!(fault::FaultPlan::parse("").unwrap().is_empty());
         assert_eq!(
-            fault::FaultPlan::parse("enospc,op=fsync,at=3; crash,path=x")
+            fault::FaultPlan::parse("enospc,op=fsync,at=3; crash,path=x; stall,at=2,gate=/g")
                 .unwrap()
                 .len(),
-            2
+            3
         );
+    }
+
+    /// The only test here that stalls: `stalled()` is process-wide.
+    #[test]
+    fn stall_holds_the_matching_op_until_its_gate_goes_then_performs_it() {
+        let d = tmp_dir("fault-stall");
+        let gate = d.join("gate");
+        let p = d.join("j.jsonl");
+        std::fs::write(&gate, "").unwrap();
+        let spec = format!(
+            "stall,op=fsync,path=fault-stall/j,at=2,gate={}",
+            gate.display()
+        );
+        let _g = fault::arm_str(&spec).unwrap();
+        let mut a = DurableAppender::create(&p).unwrap();
+        a.append_line("first").unwrap(); // fsync match 1: outside the window
+        assert_eq!(fault::stalled(), 0);
+        let held = std::thread::spawn(move || {
+            a.append_line("second").unwrap(); // match 2: held
+            a
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while fault::stalled() != 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the fsync never stalled"
+            );
+            std::thread::yield_now();
+        }
+        // The write before the held fsync has landed; the append has not
+        // returned.
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "first\nsecond\n");
+        assert!(!held.is_finished());
+        // Other ops are checked (and run) while one is held.
+        write_atomic(d.join("other"), "x").unwrap();
+        std::fs::remove_file(&gate).unwrap();
+        let mut a = held.join().unwrap();
+        assert_eq!(fault::stalled(), 0);
+        // Gate gone, rule dead: later fsyncs are not held.
+        a.append_line("third").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&p).unwrap(),
+            "first\nsecond\nthird\n"
+        );
+        std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]

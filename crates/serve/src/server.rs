@@ -16,17 +16,30 @@
 //! (`epochs > 0`) is the same [`JobRun`] with probes attached, preempted
 //! at the same quantum; its artifacts come back with the metrics of its
 //! last slice. A job is in the queue at most once and stays out of it
-//! for the whole slice, so it has **one unit in flight**: the pool runs
+//! for the whole slice and, when the slice finishes the unit, for the
+//! unit's commit, so it has **one unit in flight**: the pool runs
 //! different jobs side by side, while each job's commits land in index
 //! order and its journal file is byte for byte a serial run's. Workers
 //! are spawned on demand — the first by [`Server::start_scheduler`],
-//! another whenever a pick leaves work queued with every worker busy —
-//! and an idle one gives up its cached controller, so a daemon serving
-//! one job at a time costs one thread's memory.
+//! another whenever a pick or a submit leaves work queued with every
+//! worker busy (in a slice or in a commit) — and an idle one gives up
+//! its cached controller, so a daemon serving one job at a time costs
+//! one thread's memory.
 //! **Connection threads** (one per client) only touch
 //! state briefly — submit, watch, status — so a 10-million-request unit
 //! in flight never blocks a submit, and a competing tenant waits at most
 //! one quantum.
+//!
+//! **The state lock** — one mutex over the job table, the fair queue,
+//! the running set, the parked runs, the subscriber lists and the
+//! degraded-mode bookkeeping — is held for bookkeeping only. Neither
+//! simulation nor a unit's commit runs under it: a worker releases it
+//! for the slice, and again for the commit's artifact writes, journal
+//! append and fsync, so a slow disk stalls the worker whose unit is
+//! committing and nothing else — not the other workers' picks and
+//! returns, not `submit`, `watch`, `status` or `/metrics`. Store I/O
+//! still under the lock: submit's accept-log append and journal
+//! creation, and degraded-mode recovery.
 //!
 //! ## Durability
 //!
@@ -38,6 +51,25 @@
 //!   events broadcast;
 //! - preemption: nothing is written; the store's op count does not
 //!   depend on the quantum.
+//!
+//! A unit's commit is a **journal hand-off**. Under the lock, the worker
+//! takes the job's journal out of its live state; the job is not
+//! requeued, so no other worker can touch it. With the lock released,
+//! the worker writes the artifacts and appends and fsyncs the record.
+//! It re-takes the lock, hands the journal back, and broadcasts in that
+//! same lock hold — or, if the store refused, parks the outcome
+//! (degraded mode, below).
+//!
+//! `watch` replays the journal's committed units and subscribes in one
+//! lock hold, and every broadcast happens under the lock too; that is
+//! why its stream has no gap and no duplicate. The hand-off opens one
+//! window that would break this: from the append to the hand-back, the
+//! record is in the journal but not yet broadcast, so a watch that
+//! replayed the journal then would get the unit twice. A watch of a job
+//! whose journal is out therefore waits — on a condvar, without the
+//! lock — until it is back, by which time the record has been
+//! broadcast to the old subscribers and is in the journal the new one
+//! replays.
 //!
 //! Kill the daemon at any instant and [`Server::open`] rebuilds
 //! everything from the store: accepted jobs re-queue, committed units
@@ -170,8 +202,9 @@ struct JobState {
 struct LiveJob {
     /// The campaign's expanded work units.
     units: Vec<JobSpec>,
-    /// The job's durable commit log.
-    journal: CampaignJournal,
+    /// The job's durable commit log; `None` while it is lent to the
+    /// worker committing the job's unit with the state lock released.
+    journal: Option<CampaignJournal>,
     /// The first uncommitted in-shard unit — the one to run next. Only
     /// ever moves forward, `stride` (the shard count, or 1) at a time.
     next: usize,
@@ -209,7 +242,7 @@ impl JobState {
         if !js.finished() {
             let mut live = LiveJob {
                 units: js.stored.campaign.expand(),
-                journal,
+                journal: Some(journal),
                 next: first,
                 stride,
                 failures: 0,
@@ -228,9 +261,14 @@ impl JobState {
 }
 
 impl LiveJob {
+    /// The journal, for callers that know the job is not mid-commit.
+    fn journal(&self) -> &CampaignJournal {
+        self.journal.as_ref().expect("the journal is not lent out")
+    }
+
     /// Moves `next` past every already-committed unit of the shard.
     fn skip_committed(&mut self) {
-        while self.journal.completed().contains_key(&self.next) {
+        while self.journal().completed().contains_key(&self.next) {
             self.next += self.stride;
         }
     }
@@ -313,6 +351,9 @@ struct Inner {
     max_workers: usize,
     state: Mutex<State>,
     work: Condvar,
+    /// Signalled whenever a worker hands a lent journal back; a `watch`
+    /// of a job mid-commit waits on it.
+    journal_back: Condvar,
     metrics: ServeMetrics,
     started: Instant,
 }
@@ -392,6 +433,7 @@ impl Server {
                     gc_evicted,
                 }),
                 work: Condvar::new(),
+                journal_back: Condvar::new(),
                 metrics,
                 started: now,
             }),
@@ -426,6 +468,21 @@ impl Server {
             .name("dramctrl-sched".into())
             .spawn(move || this.scheduler_loop())
             .expect("spawning a scheduler worker")
+    }
+
+    /// The pool grows only when it is the bottleneck: work is waiting and
+    /// every worker has some — a slice, or a commit's disk round trip.
+    /// Checked at every pick and every submit, so work queued while each
+    /// worker sits in a slow fsync still gets a worker. A daemon whose
+    /// scheduler was never started stays at zero.
+    fn grow_if_saturated(&self, st: &mut State) {
+        if !st.queue.is_empty()
+            && st.workers > 0
+            && st.running.len() >= st.workers
+            && st.workers < self.inner.max_workers
+        {
+            drop(self.spawn_worker(st));
+        }
     }
 
     /// Accept loop: one thread per connection, forever.
@@ -486,14 +543,7 @@ impl Server {
                         }
                         st.running.insert(id.clone(), unit);
                         m.sched_workers_busy.set(st.running.len() as f64);
-                        // The pool grows only when it is the bottleneck:
-                        // work is waiting and every worker has some.
-                        if !st.queue.is_empty()
-                            && st.running.len() >= st.workers
-                            && st.workers < self.inner.max_workers
-                        {
-                            drop(self.spawn_worker(&mut st));
-                        }
+                        self.grow_if_saturated(&mut st);
                         let run = st.parked.remove(&id);
                         let js = &st.jobs[&id];
                         sync_queue_gauge(m, &st.queue, &js.stored.tenant);
@@ -519,11 +569,10 @@ impl Server {
             }));
 
             let mut st = self.lock();
-            let st = &mut *st; // split-borrow jobs, parked and queue below
+            let s = &mut *st; // split-borrow jobs and parked below
             let quantum = self.inner.cfg.quantum;
-            st.running.remove(&id);
-            m.sched_workers_busy.set(st.running.len() as f64);
-            let Some(live) = st.jobs.get_mut(&id).and_then(|js| js.live.as_mut()) else {
+            let Some(live) = s.jobs.get_mut(&id).and_then(|js| js.live.as_mut()) else {
+                self.end_turn(&mut st, &id);
                 continue;
             };
             // Only a pause keeps `run`: a finished, panicked or evicted
@@ -533,7 +582,7 @@ impl Server {
                 Ok(SliceOutcome::Paused { injected }) => {
                     m.preemptions.inc();
                     live.pause_target = injected + quantum;
-                    st.parked
+                    s.parked
                         .insert(id.clone(), run.take().expect("a paused slice has a run"));
                     None
                 }
@@ -562,33 +611,69 @@ impl Server {
                         outcome,
                         artifacts,
                     };
-                    // A store that refuses parks the outcome: it is never
-                    // lost and the simulation never re-runs.
-                    if let Err(e) = self.complete_unit(st, &pending, false) {
-                        self.enter_degraded(st, &e.to_string(), Some(pending));
-                    }
+                    self.commit_unit(st, pending);
                 }
-                None => self.requeue(st, &id),
+                None => {
+                    self.end_turn(&mut st, &id);
+                    self.requeue(&mut st, &id);
+                }
             }
         }
     }
 
-    /// The durable half of finishing a unit: artifacts → journal commit
-    /// (the commit point, its fsync timed into the store-fsync histogram)
-    /// → broadcast, then the bookkeeping (failure reset, metrics,
-    /// re-queue, releasing a finished job's working set). Broadcast
-    /// happens only after the commit lands, so nothing a watcher sees
-    /// can be lost to a store failure. With `repair_journal` the job's
-    /// journal is first re-resumed from disk, truncating any torn bytes
-    /// the failed append left behind; keep-first dedup then makes the
-    /// re-commit idempotent if the record actually survived.
-    fn complete_unit(
-        &self,
-        st: &mut State,
-        p: &PendingCommit,
-        repair_journal: bool,
-    ) -> io::Result<()> {
-        let m = &self.inner.metrics;
+    /// Takes `id` off the running set: its worker is done with it.
+    fn end_turn(&self, st: &mut State, id: &str) {
+        st.running.remove(id);
+        self.inner
+            .metrics
+            .sched_workers_busy
+            .set(st.running.len() as f64);
+    }
+
+    /// Finishes a unit, its commit I/O with the state lock released. The
+    /// job's journal is lent to this worker: the job is out of the queue
+    /// until the commit ends, so it still has exactly one unit in flight
+    /// and its journal gets a serial run's bytes. Artifacts and the
+    /// journal commit land with nothing locked; then the journal goes
+    /// back, and [`Self::finish_unit`] broadcasts under the lock. A store
+    /// that refuses parks the outcome instead: it is never lost and the
+    /// simulation never re-runs.
+    fn commit_unit(&self, mut st: MutexGuard<'_, State>, p: PendingCommit) {
+        let dir = st.store.job_dir(&p.id);
+        let lent = st.jobs.get_mut(&p.id).and_then(|js| {
+            let live = js.live.as_mut()?;
+            let rec = JobRecord {
+                job: live.units[p.unit].clone(),
+                outcome: p.outcome.clone(),
+            };
+            Some((live.journal.take()?, rec, js.stored.campaign.name.clone()))
+        });
+        let Some((mut journal, rec, campaign)) = lent else {
+            self.end_turn(&mut st, &p.id);
+            return;
+        };
+        drop(st);
+
+        let committed = write_commit(&self.inner.metrics, &dir, &mut journal, &p, &rec)
+            .map(|()| rec.render(&campaign));
+
+        let mut st = self.lock();
+        self.end_turn(&mut st, &p.id);
+        if let Some(live) = st.jobs.get_mut(&p.id).and_then(|js| js.live.as_mut()) {
+            live.journal = Some(journal);
+        }
+        self.inner.journal_back.notify_all();
+        match committed {
+            Ok(line) => self.finish_unit(&mut st, &p, &line),
+            Err(e) => self.enter_degraded(&mut st, &e.to_string(), Some(p)),
+        }
+    }
+
+    /// Lands a parked commit during store recovery, under the lock. The
+    /// job's journal is first re-resumed from disk, truncating any torn
+    /// bytes the failed append left behind; keep-first dedup then makes
+    /// the re-commit idempotent if the record actually survived.
+    fn recommit(&self, st: &mut State, p: &PendingCommit) -> io::Result<()> {
         let dir = st.store.job_dir(&p.id);
         let Some(js) = st.jobs.get_mut(&p.id) else {
             return Ok(());
@@ -596,28 +681,37 @@ impl Server {
         let Some(live) = js.live.as_mut() else {
             return Ok(());
         };
-        if repair_journal {
-            live.journal = CampaignJournal::resume(dir.join("journal.jsonl"), &js.stored.campaign)
-                .map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("re-resuming journal for {}: {e}", p.id),
-                    )
-                })?;
-        }
-        // Artifacts land (atomically) before the commit: a crash in
-        // between re-runs the unit and rewrites them bit-identically.
-        if let Some(a) = &p.artifacts {
-            write_unit_artifacts(&dir, p.unit, a)?;
-        }
+        let journal = CampaignJournal::resume(dir.join("journal.jsonl"), &js.stored.campaign)
+            .map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("re-resuming journal for {}: {e}", p.id),
+                )
+            })?;
+        let journal = live.journal.insert(journal);
         let rec = JobRecord {
             job: live.units[p.unit].clone(),
             outcome: p.outcome.clone(),
         };
-        let fsync_started = Instant::now();
-        live.journal.commit(&rec)?;
-        m.store_fsync("commit")
-            .observe(fsync_started.elapsed().as_secs_f64());
+        write_commit(&self.inner.metrics, &dir, journal, p, &rec)?;
+        let line = rec.render(&js.stored.campaign.name);
+        self.finish_unit(st, p, &line);
+        Ok(())
+    }
+
+    /// The bookkeeping half of finishing a unit whose commit landed:
+    /// counters, failure reset, broadcast of `line` (the record) and the
+    /// unit's events, metrics, re-queue, releasing a finished job's
+    /// working set. Broadcast happens only after the commit lands, so
+    /// nothing a watcher sees can be lost to a store failure.
+    fn finish_unit(&self, st: &mut State, p: &PendingCommit, line: &str) {
+        let m = &self.inner.metrics;
+        let Some(js) = st.jobs.get_mut(&p.id) else {
+            return;
+        };
+        let Some(live) = js.live.as_mut() else {
+            return;
+        };
         // Counted here and not by the commit's "newly appended" flag: a
         // repaired journal may already hold the record whose append
         // reported failure, and each unit completes exactly once.
@@ -627,8 +721,7 @@ impl Server {
         live.failures = 0;
         live.pause_target = self.inner.cfg.quantum;
 
-        let line = rec.render(&js.stored.campaign.name);
-        live.broadcast(&record_event(&p.id, p.unit, &line), m);
+        live.broadcast(&record_event(&p.id, p.unit, line), m);
         if let Some(a) = &p.artifacts {
             live.broadcast(&text_event("stats", &p.id, p.unit, &a.stats_json), m);
             live.broadcast(&text_event("epochs", &p.id, p.unit, &a.epochs_jsonl), m);
@@ -660,7 +753,6 @@ impl Server {
                 st.gc_evicted += gc_finished(&mut st.store, &mut st.jobs, retain, m);
             }
         }
-        Ok(())
     }
 
     /// Flips the daemon into degraded mode (idempotent): records why,
@@ -704,7 +796,7 @@ impl Server {
             let parked = st.degraded.as_mut().map(|d| std::mem::take(&mut d.pending));
             let mut parked = parked.unwrap_or_default();
             while let Some(p) = parked.pop_front() {
-                if let Err(e) = self.complete_unit(st, &p, true) {
+                if let Err(e) = self.recommit(st, &p) {
                     parked.push_front(p);
                     if let Some(d) = st.degraded.as_mut() {
                         d.pending = parked;
@@ -913,6 +1005,7 @@ impl Server {
         }
         sync_queue_gauge(&self.inner.metrics, &st.queue, &js.stored.tenant);
         st.jobs.insert(id.clone(), js);
+        self.grow_if_saturated(&mut st);
         self.inner.metrics.admission_accepted.inc();
         drop(st);
         self.inner.work.notify_all();
@@ -924,20 +1017,39 @@ impl Server {
     fn watch(&self, id: &str, writer: &mut Stream) -> io::Result<()> {
         let (replay, live) = {
             let mut st = self.lock();
+            // A job mid-commit has lent its journal out, and the unit
+            // being committed may be in the file but not yet broadcast:
+            // replaying now would send it twice. Wait, unlocked, for the
+            // worker to hand the journal back — it broadcasts in the
+            // same lock hold.
+            while st
+                .jobs
+                .get(id)
+                .and_then(|js| js.live.as_ref())
+                .is_some_and(|live| live.journal.is_none())
+            {
+                st = self
+                    .inner
+                    .journal_back
+                    .wait(st)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
             let dir = st.store.job_dir(id);
             let Some(js) = st.jobs.get_mut(id) else {
+                drop(st);
                 writeln!(writer, "{}", error_event(&format!("no such job '{id}'")))?;
                 return Ok(());
             };
             let progress = progress_event(id, js.done, js.total);
             if let Some(live) = js.live.as_mut() {
-                let done = live.journal.completed();
+                let done = live.journal().completed();
                 let mut replay = replay_events(&js.stored, &dir, &live.units, done);
                 replay.push(progress);
                 // Subscribe under the same lock that replayed: commits
-                // broadcast under this lock too, so the stream has no
-                // gap and no duplicate. The buffer is bounded — fall
-                // this far behind and the broadcaster evicts you.
+                // broadcast under this lock too, right after their
+                // journal comes back, so the stream has no gap and no
+                // duplicate. The buffer is bounded — fall this far
+                // behind and the broadcaster evicts you.
                 let (tx, rx) = mpsc::sync_channel(self.inner.cfg.subscriber_buffer);
                 live.subscribers.push(tx);
                 (replay, Some(rx))
@@ -1249,6 +1361,30 @@ fn replay_events(
         }
     }
     replay
+}
+
+/// The I/O of committing a unit: its artifacts, then the journal commit —
+/// the commit point, its fsync timed into the store-fsync histogram.
+/// Artifacts land (atomically) before the commit: a crash in between
+/// re-runs the unit and rewrites them bit-identically.
+///
+/// # Errors
+/// Store I/O — the caller routes it into degraded mode.
+fn write_commit(
+    m: &ServeMetrics,
+    dir: &std::path::Path,
+    journal: &mut CampaignJournal,
+    p: &PendingCommit,
+    rec: &JobRecord,
+) -> io::Result<()> {
+    if let Some(a) = &p.artifacts {
+        write_unit_artifacts(dir, p.unit, a)?;
+    }
+    let fsync_started = Instant::now();
+    journal.commit(rec)?;
+    m.store_fsync("commit")
+        .observe(fsync_started.elapsed().as_secs_f64());
+    Ok(())
 }
 
 /// Writes an observed unit's artifacts atomically next to the journal.

@@ -6,12 +6,16 @@
 //! for its next event. The two must be indistinguishable from outside —
 //! same responses in the same order, same tester summary, same report,
 //! same snapshot bytes — and a counting mock shows the event-driven one
-//! really does leave idle channels alone.
+//! really does leave idle channels alone. Every event-model channel runs
+//! under its own [`TimingChecker`], so the whole matrix also keeps the
+//! DRAM timing rules, judged by a checker that knows the protocol and
+//! nothing of the controller.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 
 use dramctrl::{CtrlConfig, DramCtrl};
+use dramctrl_check::TimingChecker;
 use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
@@ -213,11 +217,12 @@ const REQUESTS: u64 = 240;
 /// One `Tester` run with two interruptions: `activity(now)` a third of
 /// the way in and a snapshot at two thirds — which, with `restore`, is
 /// loaded into a crossbar fresh from `mk` that then finishes the run.
+/// Also returns the crossbar the run ended in.
 fn observe<X: Controller + SnapState>(
     mk: &dyn Fn() -> X,
     mut gen: Box<dyn TrafficGen>,
     restore: bool,
-) -> Observed {
+) -> (Observed, X) {
     let mut x = Recording {
         inner: mk(),
         delivered: Vec::new(),
@@ -241,13 +246,14 @@ fn observe<X: Controller + SnapState>(
         }
     }
     let summary = run.finish(&mut x);
-    Observed {
+    let observed = Observed {
         delivered: x.delivered,
         report: x.inner.report("xbar", summary.duration).to_json(),
         summary: format!("{summary:?}"),
         mid_activity: mid_activity.expect("run reached a third"),
         mid_snapshot: mid_snapshot.expect("run reached two thirds"),
-    }
+    };
+    (observed, x.inner)
 }
 
 /// 33 seeded workloads: linear, random and a 3:1 linear/random mix, over
@@ -275,9 +281,13 @@ fn workload(i: u64) -> Box<dyn TrafficGen> {
 }
 const WORKLOADS: u64 = 33;
 
+/// Runs the matrix; `check` is called on every channel of every run that
+/// went through without a restore (a restored channel's probe starts
+/// mid-stream, so it has nothing to judge the first commands by).
 fn assert_equivalent<C: Controller + SnapState>(
     model: &str,
     mk_channel: impl Fn(u32, AddrMapping) -> C,
+    check: impl Fn(&C),
 ) {
     for channels in [2u32, 3, 4, 16] {
         for latency in [0, 5_000] {
@@ -302,11 +312,15 @@ fn assert_equivalent<C: Controller + SnapState>(
                         format!("{model} x{channels}, latency {latency}, {mapping}, workload {i}");
                     // The reference runs through; the crossbar under test
                     // is also torn down and restored mid-run.
-                    let want = observe(&polling, workload(i), false);
+                    let (want, polled) = observe(&polling, workload(i), false);
                     assert_eq!(want.delivered.len() as u64, REQUESTS, "{what}");
+                    polled.channels.iter().for_each(&check);
                     for restore in [false, true] {
-                        let got = observe(&event_driven, workload(i), restore);
+                        let (got, xbar) = observe(&event_driven, workload(i), restore);
                         assert!(got == want, "{what}, restore {restore}: diverged");
+                        if !restore {
+                            (0..channels as usize).for_each(|c| check(xbar.channel(c)));
+                        }
                     }
                 }
             }
@@ -314,24 +328,35 @@ fn assert_equivalent<C: Controller + SnapState>(
     }
 }
 
+/// Each event-model channel carries its own timing oracle, and every
+/// channel of every unrestored run keeps the device's timing rules.
 #[test]
 fn event_driven_crossbar_matches_polling_over_event_channels() {
-    assert_equivalent("event", |channels, mapping| {
-        let mut cfg = CtrlConfig::new(presets::hbm_1000_x128());
-        cfg.channels = channels;
-        cfg.mapping = mapping;
-        DramCtrl::new(cfg).unwrap()
-    });
+    assert_equivalent(
+        "event",
+        |channels, mapping| {
+            let spec = presets::hbm_1000_x128();
+            let mut cfg = CtrlConfig::new(spec.clone());
+            cfg.channels = channels;
+            cfg.mapping = mapping;
+            DramCtrl::with_probe(cfg, TimingChecker::new(&spec)).unwrap()
+        },
+        |ch| ch.probe().assert_clean(),
+    );
 }
 
 #[test]
 fn event_driven_crossbar_matches_polling_over_cycle_channels() {
-    assert_equivalent("cycle", |channels, mapping| {
-        let mut cfg = CycleConfig::new(presets::hbm_1000_x128());
-        cfg.channels = channels;
-        cfg.mapping = mapping;
-        CycleCtrl::new(cfg).unwrap()
-    });
+    assert_equivalent(
+        "cycle",
+        |channels, mapping| {
+            let mut cfg = CycleConfig::new(presets::hbm_1000_x128());
+            cfg.channels = channels;
+            cfg.mapping = mapping;
+            CycleCtrl::new(cfg).unwrap()
+        },
+        |_| {},
+    );
 }
 
 /// A scripted channel that counts the calls it receives. Every accepted
