@@ -8,9 +8,10 @@
 //! model never does.
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{cy_ctrl, ev_ctrl, f1, Table};
+use dramctrl_bench::{f1, simulate, wiring, Table};
+use dramctrl_campaign::Model;
 use dramctrl_mem::{presets, AddrMapping};
-use dramctrl_traffic::{LinearGen, RandomGen, Tester, TrafficGen};
+use dramctrl_traffic::{LinearGen, RandomGen, SnapGen, Tester};
 
 fn main() {
     println!("Figure 2 (quantified): events processed vs cycles simulated\n");
@@ -23,7 +24,7 @@ fn main() {
         "cycle-model cycles",
         "work ratio",
     ]);
-    type GenFactory = Box<dyn Fn() -> Box<dyn TrafficGen>>;
+    type GenFactory = Box<dyn Fn() -> Box<dyn SnapGen>>;
     let workloads: Vec<(&str, GenFactory)> = vec![
         (
             "linear, saturating",
@@ -39,26 +40,15 @@ fn main() {
         ),
     ];
     for (name, mk) in &workloads {
-        let mut ev = ev_ctrl(
-            presets::ddr3_1333_x64(),
-            PagePolicy::Open,
-            AddrMapping::RoRaBaCoCh,
-            1,
-        );
-        let mut gen = mk();
-        t.run(&mut gen, &mut ev);
-        let events = ev.stats().events_processed;
-
-        let mut cy = cy_ctrl(
-            presets::ddr3_1333_x64(),
-            PagePolicy::Open,
-            AddrMapping::RoRaBaCoCh,
-            1,
-        );
-        let mut gen = mk();
-        t.run(&mut gen, &mut cy);
-        let cycles = cy.stats().cycles_simulated;
-
+        let work = [
+            (Model::Event, "events_processed"),
+            (Model::Cycle, "cycles_simulated"),
+        ];
+        let [events, cycles] = work.map(|(model, unit)| {
+            let (policy, mapping) = (PagePolicy::Open, AddrMapping::RoRaBaCoCh);
+            let w = wiring(presets::ddr3_1333_x64(), model, policy, mapping, 1);
+            simulate(w, mk(), &t).report().get(unit).expect("counted") as u64
+        });
         table.row([
             name.to_string(),
             n.to_string(),

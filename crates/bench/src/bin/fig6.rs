@@ -6,7 +6,8 @@
 //! including on-chip queueing).
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{cy_ctrl, ev_ctrl, f1, Table};
+use dramctrl_bench::{f1, simulate, wiring, Table};
+use dramctrl_campaign::Model;
 use dramctrl_mem::{presets, AddrMapping};
 use dramctrl_traffic::{LinearGen, Tester};
 
@@ -16,14 +17,10 @@ fn main() {
     let mk_gen = || LinearGen::new(0, 64 << 20, 64, 100, 10_000, 20_000, 3);
     let t = Tester::new(1_000, 50); // 20 ns buckets
 
-    let ev = t.run(
-        &mut mk_gen(),
-        &mut ev_ctrl(spec.clone(), PagePolicy::Open, m, 1),
-    );
-    let cy = t.run(
-        &mut mk_gen(),
-        &mut cy_ctrl(spec.clone(), PagePolicy::Open, m, 1),
-    );
+    let [ev, cy] = [Model::Event, Model::Cycle].map(|model| {
+        let w = wiring(spec.clone(), model, PagePolicy::Open, m, 1);
+        simulate(w, Box::new(mk_gen()), &t).summary
+    });
 
     println!("Figure 6: read latency distribution — linear reads, open page\n");
     let mut table = Table::new(["latency bucket (ns)", "event count", "cycle count"]);

@@ -8,7 +8,8 @@
 //! turnarounds instead (higher mean, different shape).
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{cy_ctrl, ev_ctrl, f1, Table};
+use dramctrl_bench::{f1, simulate, wiring, Table};
+use dramctrl_campaign::Model;
 use dramctrl_mem::{presets, AddrMapping};
 use dramctrl_traffic::{LinearGen, Tester};
 
@@ -18,14 +19,10 @@ fn main() {
     let mk_gen = || LinearGen::new(0, 64 << 20, 64, 50, 10_000, 20_000, 3);
     let t = Tester::new(2_000, 100); // 20 ns buckets
 
-    let ev = t.run(
-        &mut mk_gen(),
-        &mut ev_ctrl(spec.clone(), PagePolicy::Closed, m, 1),
-    );
-    let cy = t.run(
-        &mut mk_gen(),
-        &mut cy_ctrl(spec.clone(), PagePolicy::Closed, m, 1),
-    );
+    let [ev, cy] = [Model::Event, Model::Cycle].map(|model| {
+        let w = wiring(spec.clone(), model, PagePolicy::Closed, m, 1);
+        simulate(w, Box::new(mk_gen()), &t).summary
+    });
 
     println!("Figure 7: read latency distribution — linear 1:1 mix, closed page\n");
     let mut table = Table::new(["latency bucket (ns)", "event count", "cycle count"]);

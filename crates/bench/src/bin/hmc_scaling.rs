@@ -5,9 +5,9 @@
 //! idle channels; a cycle model pays per channel per cycle.
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{cy_ctrl, ev_ctrl, f1, timed, Table};
+use dramctrl_bench::{f1, simulate, timed, wiring, Table};
+use dramctrl_campaign::Model;
 use dramctrl_mem::{presets, AddrMapping};
-use dramctrl_system::MultiChannel;
 use dramctrl_traffic::{LinearGen, Tester};
 
 fn main() {
@@ -21,45 +21,11 @@ fn main() {
     ]);
     let t = Tester::new(100_000, 1_000);
     for n in [1u32, 2, 4, 8, 16] {
-        let mk_ev = || {
-            MultiChannel::new(
-                (0..n)
-                    .map(|_| {
-                        ev_ctrl(
-                            presets::hbm_1000_x128(),
-                            PagePolicy::Open,
-                            AddrMapping::RoRaBaCoCh,
-                            n,
-                        )
-                    })
-                    .collect(),
-                0,
-            )
-            .unwrap()
-        };
-        let mk_cy = || {
-            MultiChannel::new(
-                (0..n)
-                    .map(|_| {
-                        cy_ctrl(
-                            presets::hbm_1000_x128(),
-                            PagePolicy::Open,
-                            AddrMapping::RoRaBaCoCh,
-                            n,
-                        )
-                    })
-                    .collect(),
-                0,
-            )
-            .unwrap()
-        };
-        let (ev, ev_s) = timed(|| {
-            let mut g = LinearGen::new(0, 1 << 30, 64, 67, 0, 100_000, 4);
-            t.run(&mut g, &mut mk_ev())
-        });
-        let (_, cy_s) = timed(|| {
-            let mut g = LinearGen::new(0, 1 << 30, 64, 67, 0, 100_000, 4);
-            t.run(&mut g, &mut mk_cy())
+        let [(ev, ev_s), (_, cy_s)] = [Model::Event, Model::Cycle].map(|model| {
+            let (policy, mapping) = (PagePolicy::Open, AddrMapping::RoRaBaCoCh);
+            let w = wiring(presets::hbm_1000_x128(), model, policy, mapping, n);
+            let gen = LinearGen::new(0, 1 << 30, 64, 67, 0, 100_000, 4);
+            timed(|| simulate(w, Box::new(gen), &t).summary)
         });
         table.row([
             n.to_string(),

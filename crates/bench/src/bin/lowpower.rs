@@ -7,10 +7,11 @@
 //! tiny latency tax (tXP on the first access of each window); at high
 //! duty cycles it never engages and costs nothing.
 
-use dramctrl::{CtrlConfig, DramCtrl};
-use dramctrl_bench::{f1, f3, Table};
+use dramctrl_bench::{f1, f3, simulate, Table};
+use dramctrl_campaign::Model;
 use dramctrl_mem::{presets, MemSpec};
 use dramctrl_power::micron_power;
+use dramctrl_runner::Wiring;
 use dramctrl_traffic::{BurstyGen, LinearGen, Tester};
 
 fn run(spec: &MemSpec, duty_pct: u64, powerdown: bool) -> (f64, f64, f64) {
@@ -20,17 +21,16 @@ fn run(spec: &MemSpec, duty_pct: u64, powerdown: bool) -> (f64, f64, f64) {
     // Inner stream: one 64 B access every 100 ns while "on".
     let n = 2_000;
     let inner = LinearGen::new(0, 64 << 20, 64, 80, 100_000, n, 1);
-    let mut gen = BurstyGen::new(inner, on, off);
+    let gen = BurstyGen::new(inner, on, off);
 
-    let mut cfg = CtrlConfig::new(spec.clone());
-    cfg.powerdown_idle = if powerdown { 500_000 } else { 0 }; // 500 ns
-    let mut ctrl = DramCtrl::new(cfg).unwrap();
-    let s = Tester::new(10_000, 500).run(&mut gen, &mut ctrl);
-    let act = DramCtrl::activity(&mut ctrl, s.duration);
+    let mut w = Wiring::new(spec.clone(), Model::Event);
+    w.ctrl.powerdown_idle = if powerdown { 500_000 } else { 0 }; // 500 ns
+    let mut run = simulate(w, Box::new(gen), &Tester::new(10_000, 500));
+    let act = run.activity();
     let power = micron_power(spec, &act);
     (
         power.total_mw(),
-        s.read_lat_ns.mean(),
+        run.summary.read_lat_ns.mean(),
         act.powered_down_fraction(),
     )
 }

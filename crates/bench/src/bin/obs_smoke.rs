@@ -1,6 +1,7 @@
 //! CI gate for the instrumentation layer: runs the same short workload
-//! once untraced and once with live Chrome-trace + epoch probes, then
-//! asserts
+//! through the runner's `SimRun` once unobserved and once observed (live
+//! Chrome-trace + epoch probes, as `dramctrl run --perfetto` has them),
+//! then asserts
 //!
 //! 1. the rendered statistics reports are **byte-identical** (the
 //!    zero-perturbation guarantee, end to end through the CLI-visible
@@ -12,10 +13,11 @@
 //! Exits non-zero on any violation. `--out FILE` writes the trace for
 //! artifact upload; `--requests N` scales the workload.
 
-use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
+use dramctrl::PagePolicy;
+use dramctrl_campaign::Model;
 use dramctrl_mem::presets;
-use dramctrl_obs::{ChromeTracer, EpochRecorder};
-use dramctrl_traffic::{RandomGen, Tester, TrafficGen};
+use dramctrl_runner::{SimRun, Wiring};
+use dramctrl_traffic::{RandomGen, Tester};
 
 fn main() {
     let mut requests: u64 = 20_000;
@@ -35,28 +37,32 @@ fn main() {
     }
 
     let spec = presets::ddr3_1333_x64();
-    let mut cfg = CtrlConfig::new(spec.clone());
-    cfg.page_policy = PagePolicy::OpenAdaptive;
+    let mut wiring = Wiring::new(spec.clone(), Model::Event);
+    wiring.ctrl.page_policy = PagePolicy::OpenAdaptive;
     // Exercise the power-state tracks too.
-    cfg.powerdown_idle = 500_000;
-    let gen = || -> Box<dyn TrafficGen> {
-        Box::new(RandomGen::new(0, 64 << 20, 64, 70, 0, requests, 42))
-    };
+    wiring.ctrl.powerdown_idle = 500_000;
     let tester = Tester::new(1_000_000, 1_000);
+    // Unobserved (`epochs` 0) or observed with 1 us epochs.
+    let run = |epochs| {
+        let gen = RandomGen::new(0, 64 << 20, 64, 70, 0, requests, 42);
+        let sim = SimRun::start(wiring.clone(), Box::new(gen), &tester, epochs);
+        sim.expect("valid config")
+            .advance(None)
+            .expect("runs to the end")
+    };
 
     // Untraced reference run.
-    let mut plain = DramCtrl::new(cfg.clone()).expect("valid config");
-    let s_plain = tester.run(&mut gen(), &mut plain);
-    let stats_plain = plain.report("ctrl", s_plain.duration).to_json();
+    let plain = run(0);
+    let stats_plain = plain.report().to_json();
 
     // Traced run: Chrome tracer + 1 us epochs.
-    let probe = (ChromeTracer::new(), EpochRecorder::new(1_000_000));
-    let mut traced = DramCtrl::with_probe(cfg, probe).expect("valid config");
-    let s_traced = tester.run(&mut gen(), &mut traced);
-    let stats_traced = traced.report("ctrl", s_traced.duration).to_json();
+    let traced = run(1_000_000);
+    let duration = traced.summary.duration;
+    let art = traced.into_artifacts().expect("an observed run renders");
+    let stats_traced = art.stats_json;
 
     assert_eq!(
-        s_plain.duration, s_traced.duration,
+        plain.summary.duration, duration,
         "tracing changed the simulated duration"
     );
     assert!(
@@ -69,8 +75,7 @@ fn main() {
         requests
     );
 
-    let (tracer, mut epochs) = traced.into_probe();
-    let trace_json = tracer.to_json();
+    let trace_json = art.perfetto_json;
     dramctrl_obs::json::validate(&trace_json)
         .unwrap_or_else(|e| panic!("Perfetto trace is not valid JSON: {e}"));
     for rank in 0..spec.org.ranks {
@@ -96,24 +101,23 @@ fn main() {
     }
     println!(
         "perfetto: OK ({} events, {} bytes, {} banks x {} ranks tracked)",
-        tracer.event_count(),
+        trace_json.matches("\"cat\":").count(),
         trace_json.len(),
         spec.org.banks,
         spec.org.ranks
     );
 
-    epochs.finish(s_traced.duration);
-    let rows = epochs.rows();
+    let rows: Vec<&str> = art.epochs_jsonl.lines().collect();
     assert!(
         rows.len() > 1,
         "expected multiple epochs, got {}",
         rows.len()
     );
     assert!(
-        rows.iter().any(|r| r.bytes_read > 0),
+        rows.iter().any(|r| !r.contains("\"bytes_read\":0,")),
         "no epoch recorded read traffic"
     );
-    for line in epochs.to_jsonl().lines() {
+    for line in &rows {
         dramctrl_obs::json::validate(line).expect("valid epoch JSONL row");
     }
     println!("epochs: OK ({} rows)", rows.len());

@@ -5,8 +5,9 @@
 //! and a maximum of ~8% across all synthetic test cases.
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{cy_ctrl, ev_ctrl, f1, f3, Table};
-use dramctrl_mem::{presets, AddrMapping, Controller};
+use dramctrl_bench::{f1, f3, simulate, wiring, Table};
+use dramctrl_campaign::Model;
+use dramctrl_mem::{presets, AddrMapping};
 use dramctrl_power::micron_power;
 use dramctrl_traffic::{DramAwareGen, Tester};
 
@@ -38,13 +39,12 @@ fn main() {
         } else {
             (PagePolicy::Closed, AddrMapping::RoCoRaBaCh)
         };
-        let mk = || DramAwareGen::new(spec.org, mapping, 1, 0, stride, banks, rd, 0, 10_000, 11);
-        let mut ev = ev_ctrl(spec.clone(), policy, mapping, 1);
-        let es = t.run(&mut mk(), &mut ev);
-        let ep = micron_power(&spec, &Controller::activity(&mut ev, es.duration)).total_mw();
-        let mut cy = cy_ctrl(spec.clone(), policy, mapping, 1);
-        let cs = t.run(&mut mk(), &mut cy);
-        let cp = micron_power(&spec, &cy.activity(cs.duration)).total_mw();
+        let [ep, cp] = [Model::Event, Model::Cycle].map(|model| {
+            let gen = DramAwareGen::new(spec.org, mapping, 1, 0, stride, banks, rd, 0, 10_000, 11);
+            let w = wiring(spec.clone(), model, policy, mapping, 1);
+            let mut run = simulate(w, Box::new(gen), &t);
+            micron_power(&spec, &run.activity()).total_mw()
+        });
         let diff = (ep - cp).abs() / cp;
         max_diff = max_diff.max(diff);
         sum += diff;

@@ -1,5 +1,6 @@
 //! CI gate for the RAS subsystem: exercises fault injection, ECC and
-//! retry on **both** controller models and asserts
+//! retry on **both** controller models, each run through the runner's
+//! `SimRun` as `dramctrl run --ras` has it, and asserts
 //!
 //! 1. a fault-free (`ras: None` vs zero-rate `RasConfig`) run is
 //!    **byte-identical** through the CLI-visible report surface on both
@@ -9,16 +10,18 @@
 //!    multi-symbol syndrome alias (never on a single-symbol fault),
 //!    again on both models,
 //! 3. a run with link errors retries and still completes every request,
-//! 4. seeded faulty runs are byte-for-byte deterministic.
+//! 4. seeded faulty runs are byte-for-byte deterministic: their reports
+//!    and their traces, which mark every fault where it struck.
 //!
 //! Exits non-zero on any violation. `--out FILE` writes the faulty-run
 //! RAS stats JSON for artifact upload; `--requests N` scales the
 //! workload.
 
-use dramctrl::{CtrlConfig, DramCtrl, EccMode, PagePolicy, RasConfig};
-use dramctrl_cycle::{CycleConfig, CycleCtrl};
-use dramctrl_mem::{presets, Controller};
-use dramctrl_traffic::{RandomGen, Tester, TrafficGen};
+use dramctrl::{EccMode, PagePolicy, RasConfig};
+use dramctrl_campaign::Model;
+use dramctrl_mem::presets;
+use dramctrl_runner::{Finished, SimRun, Wiring};
+use dramctrl_traffic::{RandomGen, Tester};
 
 /// Drops ras_* entries and per-line JSON closers so fault-free reports
 /// can be compared against unarmed ones.
@@ -48,82 +51,56 @@ fn main() {
     }
 
     let spec = presets::ddr3_1333_x64();
-    let gen = || -> Box<dyn TrafficGen> {
-        Box::new(RandomGen::new(0, 64 << 20, 64, 70, 0, requests, 42))
-    };
     let tester = Tester::new(1_000_000, 1_000);
+    // The workload on `w`, observed at `epochs` (0 = unobserved).
+    let run = |w: Wiring, epochs| -> Finished {
+        let gen = RandomGen::new(0, 64 << 20, 64, 70, 0, requests, 42);
+        let sim = SimRun::start(w, Box::new(gen), &tester, epochs);
+        sim.expect("valid config")
+            .advance(None)
+            .expect("runs to the end")
+    };
+    // `model`, open-adaptive pages, with `ras` armed.
+    let wiring = |model, ras| {
+        let mut w = Wiring::new(spec.clone(), model);
+        (w.ctrl.page_policy, w.ctrl.ras) = (PagePolicy::OpenAdaptive, ras);
+        w
+    };
+    let models = [("event", Model::Event), ("cycle", Model::Cycle)];
 
     // 1. Fault-free transparency, both models.
-    {
-        let mut cfg = CtrlConfig::new(spec.clone());
-        cfg.page_policy = PagePolicy::OpenAdaptive;
-        let mut armed_cfg = cfg.clone();
-        armed_cfg.ras = Some(RasConfig::new(7)); // all rates zero
-        let mut plain = DramCtrl::new(cfg).expect("valid config");
-        let mut armed = DramCtrl::new(armed_cfg).expect("valid config");
-        let sp = tester.run(&mut gen(), &mut plain);
-        let sa = tester.run(&mut gen(), &mut armed);
-        assert_eq!(sp.duration, sa.duration, "event: RAS changed the duration");
-        let jp = plain.report("ctrl", sp.duration).to_json();
-        let ja = armed.report("ctrl", sa.duration).to_json();
+    for (model, m) in models {
+        let plain = run(wiring(m, None), 0);
+        let armed = run(wiring(m, Some(RasConfig::new(7))), 0); // all rates zero
+        let (sp, sa) = (&plain.summary, &armed.summary);
         assert_eq!(
-            strip_ras(&jp),
-            strip_ras(&ja),
-            "event: zero-rate RAS perturbed the report"
+            sp.duration, sa.duration,
+            "{model}: RAS changed the duration"
         );
-
-        let cy_cfg = CycleConfig::new(spec.clone());
-        let mut cy_armed_cfg = cy_cfg.clone();
-        cy_armed_cfg.ras = Some(RasConfig::new(7));
-        let mut cy_plain = CycleCtrl::new(cy_cfg).expect("valid config");
-        let mut cy_armed = CycleCtrl::new(cy_armed_cfg).expect("valid config");
-        let sp = tester.run(&mut gen(), &mut cy_plain);
-        let sa = tester.run(&mut gen(), &mut cy_armed);
-        assert_eq!(sp.duration, sa.duration, "cycle: RAS changed the duration");
         assert_eq!(
-            strip_ras(&cy_plain.report("ctrl", sp.duration).to_json()),
-            strip_ras(&cy_armed.report("ctrl", sa.duration).to_json()),
-            "cycle: zero-rate RAS perturbed the report"
+            strip_ras(&plain.report().to_json()),
+            strip_ras(&armed.report().to_json()),
+            "{model}: zero-rate RAS perturbed the report"
         );
-        println!("fault-free transparency: OK on both models ({requests} requests)");
     }
+    println!("fault-free transparency: OK on both models ({requests} requests)");
 
     // 2 + 4. Faulty runs at single-bit rates under SEC-DED, both models:
     // corrected > 0, silent == 0, deterministic across repeats.
     let ras = RasConfig::from_error_rate(2e11, 0xBEEF).with_ecc(EccMode::SecDed);
-    let run_ev = || {
-        let mut cfg = CtrlConfig::new(spec.clone());
-        cfg.page_policy = PagePolicy::OpenAdaptive;
-        cfg.ras = Some(ras.clone());
-        let mut ctrl = DramCtrl::new(cfg).expect("valid config");
-        let s = tester.run(&mut gen(), &mut ctrl);
-        let report = ctrl.report("ctrl", s.duration);
-        let log = ctrl.fault_model().expect("armed").log_text();
-        (report, log)
-    };
-    let run_cy = || {
-        let mut cfg = CycleConfig::new(spec.clone());
-        cfg.ras = Some(ras.clone());
-        let mut ctrl = CycleCtrl::new(cfg).expect("valid config");
-        let s = tester.run(&mut gen(), &mut ctrl);
-        let report = ctrl.report("ctrl", s.duration);
-        let log = ctrl.fault_model().expect("armed").log_text();
-        (report, log)
-    };
     let mut stats_artifact = String::new();
-    type FaultyRun<'a> = &'a dyn Fn() -> (dramctrl_stats::Report, String);
-    for (model, run) in [
-        ("event", &run_ev as FaultyRun),
-        ("cycle", &run_cy as FaultyRun),
-    ] {
-        let (r1, log1) = run();
-        let (r2, log2) = run();
+    for (model, m) in models {
+        let faulty = || {
+            let done = run(wiring(m, Some(ras.clone())), 1_000_000);
+            (done.report(), done.into_artifacts().expect("observed"))
+        };
+        let ((r1, art1), (r2, art2)) = (faulty(), faulty());
         assert_eq!(
             r1.to_json(),
             r2.to_json(),
             "{model}: faulty run not deterministic"
         );
-        assert_eq!(log1, log2, "{model}: fault log not deterministic");
+        assert!(art1 == art2, "{model}: fault trace not deterministic");
         let corrected = r1.get("ras_corrected").expect("ras_corrected in report");
         let silent = r1.get("ras_silent").expect("ras_silent in report");
         let rank_failures = r1.get("ras_rank_failures").unwrap_or(0.0);
@@ -138,8 +115,8 @@ fn main() {
         );
         println!(
             "faulty run ({model}): OK ({corrected} corrected, {silent} silent of \
-             {rank_failures} multi-symbol, {} log lines)",
-            log1.lines().count()
+             {rank_failures} multi-symbol, {} RAS marks traced)",
+            art1.perfetto_json.matches("\"cat\":\"ras\"").count()
         );
         stats_artifact.push_str(&r1.to_json());
     }
@@ -148,16 +125,16 @@ fn main() {
     {
         let mut link = RasConfig::new(0x5EED);
         link.link_error_rate = 0.02;
-        let mut cfg = CtrlConfig::new(spec.clone());
-        cfg.ras = Some(link.clone());
-        let mut ctrl = DramCtrl::new(cfg).expect("valid config");
-        let s = tester.run(&mut gen(), &mut ctrl);
+        let mut w = Wiring::new(spec.clone(), Model::Event);
+        w.ctrl.ras = Some(link);
+        let done = run(w, 0);
+        let s = &done.summary;
         assert_eq!(
             s.reads_completed + s.writes_completed + s.dropped,
             requests,
             "event: link-error retries lost requests"
         );
-        let r = ctrl.report("ctrl", s.duration);
+        let r = done.report();
         assert!(
             r.get("ras_retries").expect("ras_retries") > 0.0,
             "event: no retries at a 2% link error rate"

@@ -3,61 +3,70 @@
 //!
 //! The paper reports 7x faster on average and up to 10x across synthetic
 //! traffic, and an order of magnitude for a 16-channel (HMC-like) memory.
-//! Absolute times are host-dependent; the *ratio* is the result. Criterion
-//! benches (`cargo bench -p dramctrl-bench`) measure the same quantity
-//! with statistical rigour.
+//! Absolute times are host-dependent; the *ratio* is the result. The
+//! benchmark harness (`benchmark/run.sh`, `cycle.event_over_cycle`)
+//! tracks the same quantity with its own calibration and bounds.
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{cy_ctrl, ev_ctrl, f1, timed, Table};
+use dramctrl_bench::{f1, simulate, timed, wiring, Table};
+use dramctrl_campaign::Model;
 use dramctrl_mem::{presets, AddrMapping, MemSpec};
-use dramctrl_system::MultiChannel;
-use dramctrl_traffic::{DramAwareGen, LinearGen, RandomGen, Tester, TrafficGen};
+use dramctrl_traffic::{DramAwareGen, LinearGen, RandomGen, SnapGen, Tester};
 
 /// Default request count per workload; override with `--requests <n>`.
 const N: u64 = 200_000;
 
-fn spec() -> MemSpec {
-    presets::ddr3_1333_x64()
-}
+type GenFactory = Box<dyn Fn() -> Box<dyn SnapGen>>;
 
-type GenFactory = Box<dyn Fn() -> Box<dyn TrafficGen>>;
+/// A workload and the device, channel count, page policy and mapping it
+/// runs on.
+type Workload = (
+    &'static str,
+    GenFactory,
+    MemSpec,
+    u32,
+    PagePolicy,
+    AddrMapping,
+);
 
-fn workloads(n: u64) -> Vec<(&'static str, GenFactory, PagePolicy, AddrMapping)> {
+fn workloads(n: u64) -> Vec<Workload> {
+    let ddr3 = presets::ddr3_1333_x64;
     vec![
         (
             "linear reads",
-            Box::new(move || {
-                Box::new(LinearGen::new(0, 256 << 20, 64, 100, 0, n, 1)) as Box<dyn TrafficGen>
-            }),
+            Box::new(move || Box::new(LinearGen::new(0, 256 << 20, 64, 100, 0, n, 1))),
+            ddr3(),
+            1,
             PagePolicy::Open,
             AddrMapping::RoRaBaCoCh,
         ),
         (
             "random mixed",
-            Box::new(move || {
-                Box::new(RandomGen::new(0, 256 << 20, 64, 67, 0, n, 2)) as Box<dyn TrafficGen>
-            }),
+            Box::new(move || Box::new(RandomGen::new(0, 256 << 20, 64, 67, 0, n, 2))),
+            ddr3(),
+            1,
             PagePolicy::Open,
             AddrMapping::RoRaBaCoCh,
         ),
         (
             "dram-aware 8-bank",
             Box::new(move || {
-                Box::new(DramAwareGen::new(
-                    presets::ddr3_1333_x64().org,
-                    AddrMapping::RoCoRaBaCh,
-                    1,
-                    0,
-                    4,
-                    8,
-                    50,
-                    0,
-                    n,
-                    3,
-                )) as Box<dyn TrafficGen>
+                let m = AddrMapping::RoCoRaBaCh;
+                Box::new(DramAwareGen::new(ddr3().org, m, 1, 0, 4, 8, 50, 0, n, 3))
             }),
+            ddr3(),
+            1,
             PagePolicy::Closed,
             AddrMapping::RoCoRaBaCh,
+        ),
+        // 16-channel HMC-like configuration (Section III-D's closing claim).
+        (
+            "16-channel HMC-like",
+            Box::new(move || Box::new(LinearGen::new(0, 1 << 30, 64, 67, 0, n, 4))),
+            presets::hbm_1000_x128(),
+            16,
+            PagePolicy::Open,
+            AddrMapping::RoRaBaCoCh,
         ),
     ]
 }
@@ -81,14 +90,10 @@ fn main() {
     let t = Tester::new(100_000, 1_000);
     let mut table = Table::new(["workload", "event s", "cycle s", "speedup"]);
     let mut speedups = Vec::new();
-    for (name, mk_gen, policy, mapping) in workloads(n) {
-        let (_, ev_s) = timed(|| {
-            let mut g = mk_gen();
-            t.run(&mut g, &mut ev_ctrl(spec(), policy, mapping, 1))
-        });
-        let (_, cy_s) = timed(|| {
-            let mut g = mk_gen();
-            t.run(&mut g, &mut cy_ctrl(spec(), policy, mapping, 1))
+    for (name, mk_gen, spec, channels, policy, mapping) in workloads(n) {
+        let [ev_s, cy_s] = [Model::Event, Model::Cycle].map(|model| {
+            let w = wiring(spec.clone(), model, policy, mapping, channels);
+            timed(|| simulate(w, mk_gen(), &t)).1
         });
         speedups.push(cy_s / ev_s);
         table.row([
@@ -98,56 +103,6 @@ fn main() {
             format!("{:.1}x", cy_s / ev_s),
         ]);
     }
-
-    // 16-channel HMC-like configuration (Section III-D's closing claim).
-    let mk_xbar_ev = || {
-        MultiChannel::new(
-            (0..16)
-                .map(|_| {
-                    ev_ctrl(
-                        presets::hbm_1000_x128(),
-                        PagePolicy::Open,
-                        AddrMapping::RoRaBaCoCh,
-                        16,
-                    )
-                })
-                .collect(),
-            0,
-        )
-        .unwrap()
-    };
-    let mk_xbar_cy = || {
-        MultiChannel::new(
-            (0..16)
-                .map(|_| {
-                    cy_ctrl(
-                        presets::hbm_1000_x128(),
-                        PagePolicy::Open,
-                        AddrMapping::RoRaBaCoCh,
-                        16,
-                    )
-                })
-                .collect(),
-            0,
-        )
-        .unwrap()
-    };
-    let (_, ev_s) = timed(|| {
-        let mut g = LinearGen::new(0, 1 << 30, 64, 67, 0, n, 4);
-        t.run(&mut g, &mut mk_xbar_ev())
-    });
-    let (_, cy_s) = timed(|| {
-        let mut g = LinearGen::new(0, 1 << 30, 64, 67, 0, n, 4);
-        t.run(&mut g, &mut mk_xbar_cy())
-    });
-    speedups.push(cy_s / ev_s);
-    table.row([
-        "16-channel HMC-like".to_string(),
-        format!("{ev_s:.3}"),
-        format!("{cy_s:.3}"),
-        format!("{:.1}x", cy_s / ev_s),
-    ]);
-
     table.print();
     let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
     let max = speedups.iter().cloned().fold(0.0f64, f64::max);

@@ -7,36 +7,70 @@
 //! ```text
 //! cargo run --release -p dramctrl-bench --bin fig3
 //! ```
+//!
+//! An open-loop binary gets its simulator the way every product run does:
+//! a [`Wiring`] handed to `dramctrl_runner::SimRun` ([`simulate`]).
 
 #![warn(missing_docs)]
 
-pub use dramctrl_runner::{
-    cy_cfg, cy_ctrl_with, ev_cfg, ev_ctrl_with, gen_for_job, job_fingerprint, job_metrics, run_job,
-    run_job_observed, run_job_resumable, std_tester, JobArtifacts, JobRun, SliceOutcome,
-};
+/// Re-exported because the frozen `benchmark/` harness imports it from here.
+pub use dramctrl_runner::run_job;
+/// Re-exported because the frozen `benchmark/` harness imports it from here.
+pub use dramctrl_runner::std_tester;
+/// Re-exported for the root checkpoint and golden-byte tests.
+pub use dramctrl_runner::{job_fingerprint, run_job_observed, run_job_resumable, JobArtifacts};
 
 use std::time::Instant;
 
-use dramctrl::{DramCtrl, PagePolicy, SchedPolicy};
+use dramctrl::{DramCtrl, PagePolicy};
+use dramctrl_campaign::Model;
 use dramctrl_cycle::CycleCtrl;
 use dramctrl_mem::{AddrMapping, MemSpec};
+use dramctrl_runner::{cy_cfg, Finished, SimRun, Wiring};
+use dramctrl_traffic::{SnapGen, Tester};
 
-/// Builds an event-based controller with the validation defaults
-/// (FR-FCFS scheduling; see [`ev_ctrl_with`] for the general form).
-pub fn ev_ctrl(spec: MemSpec, policy: PagePolicy, mapping: AddrMapping, channels: u32) -> DramCtrl {
-    ev_ctrl_with(spec, policy, SchedPolicy::FrFcfs, mapping, channels)
+/// The figures' simulator: `channels` of `spec` on `model`, with `policy`
+/// and `mapping` and every other setting at the paper's defaults.
+pub fn wiring(
+    spec: MemSpec,
+    model: Model,
+    policy: PagePolicy,
+    mapping: AddrMapping,
+    channels: u32,
+) -> Wiring {
+    let mut w = Wiring::new(spec, model);
+    (w.ctrl.page_policy, w.ctrl.mapping, w.ctrl.channels) = (policy, mapping, channels);
+    w
 }
 
-/// Builds the matching cycle-based baseline (paper Section III: matched
-/// timing, matched policies, unified queue architecture; see
-/// [`cy_ctrl_with`] for the general form).
+/// Runs `gen` to completion on the simulator `wiring` describes, measured
+/// by `tester`: an unobserved `SimRun`.
+///
+/// # Panics
+/// On a configuration the runner refuses.
+pub fn simulate(wiring: Wiring, gen: Box<dyn SnapGen>, tester: &Tester) -> Finished {
+    let mut run = SimRun::start(wiring, gen, tester, 0).unwrap_or_else(|e| panic!("{e}"));
+    run.advance(None).expect("an unpaused run finishes")
+}
+
+/// A bare event-based controller of [`wiring`]'s configuration. Kept
+/// because the frozen `benchmark/` harness builds its controllers by hand.
+pub fn ev_ctrl(spec: MemSpec, policy: PagePolicy, mapping: AddrMapping, channels: u32) -> DramCtrl {
+    let w = wiring(spec, Model::Event, policy, mapping, channels);
+    DramCtrl::new(w.ctrl).expect("valid config")
+}
+
+/// The matching bare cycle-based baseline (paper Section III: matched
+/// timing, matched policies, unified queue architecture). Kept because
+/// the frozen `benchmark/` harness builds its controllers by hand.
 pub fn cy_ctrl(
     spec: MemSpec,
     policy: PagePolicy,
     mapping: AddrMapping,
     channels: u32,
 ) -> CycleCtrl {
-    cy_ctrl_with(spec, policy, SchedPolicy::FrFcfs, mapping, channels)
+    let cfg = cy_cfg(&wiring(spec, Model::Cycle, policy, mapping, channels).ctrl);
+    CycleCtrl::new(cfg.expect("shared settings only")).expect("valid config")
 }
 
 /// Runs `f`, returning its result and the host wall-clock seconds spent.
@@ -51,7 +85,7 @@ pub use dramctrl_stats::Table;
 /// The bus-utilisation sweeps behind paper Figures 3–5.
 pub mod sweep {
     use super::*;
-    use dramctrl_traffic::{DramAwareGen, Tester};
+    use dramctrl_traffic::DramAwareGen;
 
     /// One point of a bandwidth sweep.
     #[derive(Debug, Clone, Copy)]
@@ -80,15 +114,17 @@ pub mod sweep {
         let tester = Tester::new(100_000, 1_000);
         for &b in banks {
             for &s in strides {
-                let gen =
-                    || DramAwareGen::new(spec.org, mapping, 1, 0, s, b, read_pct, 0, requests, 7);
-                let ev = tester.run(&mut gen(), &mut ev_ctrl(spec.clone(), policy, mapping, 1));
-                let cy = tester.run(&mut gen(), &mut cy_ctrl(spec.clone(), policy, mapping, 1));
+                let [ev_util, cy_util] = [Model::Event, Model::Cycle].map(|model| {
+                    let gen =
+                        DramAwareGen::new(spec.org, mapping, 1, 0, s, b, read_pct, 0, requests, 7);
+                    let w = wiring(spec.clone(), model, policy, mapping, 1);
+                    simulate(w, Box::new(gen), &tester).summary.bus_util
+                });
                 points.push(BwPoint {
                     stride: s,
                     banks: b,
-                    ev_util: ev.bus_util,
-                    cy_util: cy.bus_util,
+                    ev_util,
+                    cy_util,
                 });
             }
         }

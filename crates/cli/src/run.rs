@@ -129,16 +129,13 @@ fn parse_ras_config(a: &Args) -> Result<Option<RasConfig>, ArgError> {
 /// The single-channel simulator the device, controller and RAS flags
 /// describe, of `model`, powering down after `powerdown_idle`.
 fn parse_wiring(a: &Args, model: Model, powerdown_idle: Tick) -> Result<Wiring, ArgError> {
-    Ok(Wiring {
-        spec: parse_device(a.value("device"))?,
-        model,
-        policy: parse_policy(a.value("policy"))?,
-        sched: parse_sched(a.value("sched"))?,
-        mapping: parse_mapping(a.value("mapping"))?,
-        channels: 1,
-        ras: parse_ras_config(a)?,
-        powerdown_idle,
-    })
+    let mut w = Wiring::new(parse_device(a.value("device"))?, model);
+    let c = &mut w.ctrl;
+    c.page_policy = parse_policy(a.value("policy"))?;
+    c.scheduling = parse_sched(a.value("sched"))?;
+    c.mapping = parse_mapping(a.value("mapping"))?;
+    (c.ras, c.powerdown_idle) = (parse_ras_config(a)?, powerdown_idle);
+    Ok(w)
 }
 
 /// The generator the device and workload flags describe, and a canonical
@@ -202,7 +199,7 @@ fn simulate(
                    need each other";
         return Err(ArgError(why.into()));
     }
-    let (fp, spec) = (fingerprint(config.as_bytes()), wiring.spec.clone());
+    let (fp, spec) = (fingerprint(config.as_bytes()), wiring.ctrl.spec.clone());
     // The tester's latency range and bucket count pin the printed
     // quantiles.
     let tester = Tester::new(1_000_000, 10_000);
@@ -300,11 +297,12 @@ pub fn run(a: &Args) -> Result<(), ArgError> {
     };
     // Everything that shapes the simulation, so a snapshot can only be
     // restored by the command line that matches it.
+    let c = &wiring.ctrl;
     let config = format!(
         "run model={model} policy={:?} sched={:?} ras={:?} powerdown={powerdown} {workload}",
-        wiring.policy, wiring.sched, wiring.ras
+        c.page_policy, c.scheduling, c.ras
     );
-    let title = format!("{} ({title})", wiring.spec.name);
+    let title = format!("{} ({title})", c.spec.name);
     simulate(a, wiring, gen, &config, &title, |finished, spec| {
         let act = finished.activity();
         println!(
@@ -346,15 +344,16 @@ pub fn replay(a: &Args) -> Result<(), ArgError> {
     let trace: TraceGen = text.parse().map_err(|e| ArgError(format!("{e}")))?;
     // The trace *contents* (not the file name) are part of what a
     // snapshot must match: restoring against an edited trace is refused.
+    let c = &wiring.ctrl;
     let config = format!(
         "replay trace={:#018x} device={} policy={:?} sched={:?} mapping={:?} ras={:?}",
         fingerprint(text.as_bytes()),
-        wiring.spec.name,
-        wiring.policy,
-        wiring.sched,
-        wiring.mapping,
-        wiring.ras,
+        c.spec.name,
+        c.page_policy,
+        c.scheduling,
+        c.mapping,
+        c.ras,
     );
-    let title = format!("replay of {path} on {}", wiring.spec.name);
+    let title = format!("replay of {path} on {}", c.spec.name);
     simulate(a, wiring, Box::new(trace), &config, &title, |_, _| {})
 }

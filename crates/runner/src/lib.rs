@@ -8,7 +8,7 @@
 mod runner;
 
 pub use runner::{
-    cy_cfg, cy_ctrl_with, ev_cfg, ev_ctrl_with, gen_for_job, job_fingerprint, job_metrics,
-    ras_for_job, release_idle_cache, run_job, run_job_observed, run_job_resumable, std_tester,
-    Finished, JobArtifacts, JobRun, SimRun, SliceOutcome, Wiring, JOB_TICK_BUDGET,
+    cy_cfg, gen_for_job, job_fingerprint, job_metrics, ras_for_job, release_idle_cache, run_job,
+    run_job_observed, run_job_resumable, std_tester, Finished, JobArtifacts, JobRun, SimRun,
+    SliceOutcome, Wiring, JOB_TICK_BUDGET,
 };

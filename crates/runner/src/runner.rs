@@ -9,7 +9,7 @@
 //! the `dramctrl-campaign` executor, the daemon and `dramctrl run` share
 //! it.
 
-use dramctrl::{CtrlConfig, DramCtrl, EccMode, FaultModel, PagePolicy, RasConfig, SchedPolicy};
+use dramctrl::{CtrlConfig, DramCtrl, EccMode, FaultModel, RasConfig, SchedPolicy};
 use dramctrl_campaign::{JobMetrics, JobSpec, Model, TrafficPattern};
 use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
 use dramctrl_kernel::fsio::write_atomic;
@@ -17,6 +17,7 @@ use dramctrl_kernel::snap::{fingerprint, SnapError, SnapReader, SnapState, SnapW
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{presets, ActivityStats, AddrMapping, Controller, MemSpec};
 use dramctrl_obs::{ChromeTracer, EpochRecorder, NoProbe, Probe};
+use dramctrl_stats::Report;
 use dramctrl_system::MultiChannel;
 use dramctrl_traffic::{DramAwareGen, LinearGen, RandomGen, SnapGen, TestRun, TestSummary, Tester};
 use std::cell::RefCell;
@@ -59,71 +60,55 @@ pub fn release_idle_cache() {
     EV_CTRL_CACHE.with(|c| *c.borrow_mut() = None);
 }
 
-/// The event-model configuration for a (policy, scheduler, mapping,
-/// channels) tuple.
-pub fn ev_cfg(
-    spec: MemSpec,
-    policy: PagePolicy,
-    sched: SchedPolicy,
-    mapping: AddrMapping,
-    channels: u32,
-) -> CtrlConfig {
-    let mut cfg = CtrlConfig::new(spec);
-    cfg.page_policy = policy;
-    cfg.mapping = mapping;
-    cfg.channels = channels;
-    cfg.scheduling = sched;
-    cfg
-}
-
-/// The matching cycle-baseline configuration.
-pub fn cy_cfg(
-    spec: MemSpec,
-    policy: PagePolicy,
-    sched: SchedPolicy,
-    mapping: AddrMapping,
-    channels: u32,
-) -> CycleConfig {
-    let mut cfg = CycleConfig::new(spec);
-    cfg.page_policy = if policy.is_open() {
+/// The cycle baseline matching the event-model configuration `ctrl`: the
+/// device, page policy (an adaptive one as its plain form), scheduler,
+/// mapping, channel count and fault model carried over, and the event
+/// model's write snooping switched on, so that model comparisons service
+/// the same burst stream on both sides.
+///
+/// # Errors
+/// An event-only setting — one the baseline has no counterpart for —
+/// that differs from [`CtrlConfig::new`]'s value, named; the baseline
+/// refuses it rather than simulate something else.
+pub fn cy_cfg(ctrl: &CtrlConfig) -> Result<CycleConfig, String> {
+    let d = CtrlConfig::new(ctrl.spec.clone());
+    macro_rules! first_changed {
+        ($($field:ident),*) => {
+            [$((stringify!($field), ctrl.$field != d.$field)),*].into_iter().find(|f| f.1)
+        };
+    }
+    let changed = first_changed!(
+        powerdown_idle,
+        selfrefresh_after,
+        qos_priorities,
+        write_high_thresh,
+        write_low_thresh,
+        min_writes_per_switch,
+        read_buffer_size,
+        write_buffer_size,
+        frontend_latency,
+        backend_latency,
+        max_accesses_per_row
+    );
+    if let Some((field, _)) = changed {
+        return Err(format!(
+            "{field} needs the event model: the cycle baseline has no such setting"
+        ));
+    }
+    let mut cfg = CycleConfig::new(ctrl.spec.clone());
+    cfg.page_policy = if ctrl.page_policy.is_open() {
         CyclePagePolicy::Open
     } else {
         CyclePagePolicy::Closed
     };
-    cfg.mapping = mapping;
-    cfg.channels = channels;
-    cfg.scheduling = match sched {
+    cfg.scheduling = match ctrl.scheduling {
         SchedPolicy::Fcfs => CycleSched::Fcfs,
         SchedPolicy::FrFcfs => CycleSched::FrFcfs,
     };
-    // Model comparisons must service the same burst stream on both sides,
-    // so give the baseline the event model's write snooping too.
+    (cfg.mapping, cfg.channels) = (ctrl.mapping, ctrl.channels);
     cfg.write_snooping = true;
-    cfg
-}
-
-/// Builds an event-based controller with an explicit scheduler (the
-/// general form of `dramctrl_bench::ev_ctrl`).
-pub fn ev_ctrl_with(
-    spec: MemSpec,
-    policy: PagePolicy,
-    sched: SchedPolicy,
-    mapping: AddrMapping,
-    channels: u32,
-) -> DramCtrl {
-    DramCtrl::new(ev_cfg(spec, policy, sched, mapping, channels)).expect("valid config")
-}
-
-/// Builds the matching cycle-based baseline with an explicit scheduler
-/// (the general form of `dramctrl_bench::cy_ctrl`).
-pub fn cy_ctrl_with(
-    spec: MemSpec,
-    policy: PagePolicy,
-    sched: SchedPolicy,
-    mapping: AddrMapping,
-    channels: u32,
-) -> CycleCtrl {
-    CycleCtrl::new(cy_cfg(spec, policy, sched, mapping, channels)).expect("valid config")
+    cfg.ras = ctrl.ras.clone();
+    Ok(cfg)
 }
 
 /// The tester configuration shared by the campaign runner and the
@@ -286,31 +271,29 @@ fn channels_of<C: Controller>(x: &MultiChannel<C>) -> impl Iterator<Item = &C> {
 }
 
 /// What a simulator is made of — the one description every front end
-/// (campaign jobs, `dramctrl run`/`replay`) hands to [`SimRun::start`].
+/// (campaign jobs, `dramctrl run`/`replay`, the figure binaries) hands to
+/// [`SimRun::start`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Wiring {
-    /// The DRAM device behind every channel.
-    pub spec: MemSpec,
     /// Controller model.
     pub model: Model,
-    /// Row-buffer management policy.
-    pub policy: PagePolicy,
-    /// Request scheduling policy.
-    pub sched: SchedPolicy,
-    /// Address mapping (and, across channels, the interleaving).
-    pub mapping: AddrMapping,
-    /// Number of channels; `0` and `1` both mean a single controller,
-    /// more means that many behind a zero-latency crossbar.
-    pub channels: u32,
-    /// Fault model armed on every channel, if any.
-    pub ras: Option<RasConfig>,
-    /// Idle time after which a rank powers down (`0` = never). Event
-    /// model only: the cycle baseline has no low-power states, and
-    /// [`SimRun::start`] refuses the combination rather than drop it.
-    pub powerdown_idle: Tick,
+    /// Every channel's configuration. `channels` `0` and `1` both mean a
+    /// single controller, more means that many behind a zero-latency
+    /// crossbar interleaved by `mapping`. The cycle baseline takes the
+    /// fields [`cy_cfg`] carries over and refuses any other that differs
+    /// from [`CtrlConfig::new`]'s value.
+    pub ctrl: CtrlConfig,
 }
 
 impl Wiring {
+    /// One channel of `spec` on `model`, every setting at the paper's
+    /// defaults ([`CtrlConfig::new`]).
+    #[must_use]
+    pub fn new(spec: MemSpec, model: Model) -> Self {
+        let ctrl = CtrlConfig::new(spec);
+        Self { model, ctrl }
+    }
+
     /// The simulator a campaign job describes.
     ///
     /// # Panics
@@ -319,16 +302,11 @@ impl Wiring {
     pub fn for_job(job: &JobSpec) -> Self {
         let spec = presets::by_name(&job.device)
             .unwrap_or_else(|| panic!("unknown device preset '{}'", job.device));
-        Self {
-            spec,
-            model: job.model,
-            policy: job.policy,
-            sched: job.sched,
-            mapping: job.mapping,
-            channels: job.channels,
-            ras: ras_for_job(job),
-            powerdown_idle: 0,
-        }
+        let mut w = Self::new(spec, job.model);
+        let c = &mut w.ctrl;
+        (c.page_policy, c.scheduling, c.mapping) = (job.policy, job.sched, job.mapping);
+        (c.channels, c.ras) = (job.channels, ras_for_job(job));
+        w
     }
 }
 
@@ -369,7 +347,7 @@ macro_rules! with_ctrl {
 }
 
 impl<P: Probe> Sim<P> {
-    /// The one place a [`Wiring`] becomes controllers: `w.channels` (at
+    /// The one place a [`Wiring`] becomes controllers: `channels` (at
     /// least one) of `w.model`, channel `ch` carrying `probe(ch)`, every
     /// event controller with [`JOB_TICK_BUDGET`] armed. `reuse` may supply
     /// a retired (and re-armed) controller for the single-channel event
@@ -380,12 +358,11 @@ impl<P: Probe> Sim<P> {
         probe: impl Fn(u32) -> P,
         reuse: impl FnOnce(&CtrlConfig) -> Option<Box<DramCtrl<P>>>,
     ) -> Result<Self, String> {
-        let chans = w.channels.max(1);
+        let mut cfg = w.ctrl;
+        cfg.channels = cfg.channels.max(1);
+        let (chans, mapping) = (cfg.channels, cfg.mapping);
         match w.model {
             Model::Event => {
-                let mut cfg = ev_cfg(w.spec, w.policy, w.sched, w.mapping, chans);
-                cfg.ras = w.ras;
-                cfg.powerdown_idle = w.powerdown_idle;
                 let mk = |cfg, ch| -> Result<DramCtrl<P>, String> {
                     let mut ctrl =
                         DramCtrl::with_probe(cfg, probe(ch)).map_err(|e| e.to_string())?;
@@ -401,24 +378,18 @@ impl<P: Probe> Sim<P> {
                 } else {
                     let ctrls = (0..chans).map(|ch| mk(cfg.clone(), ch));
                     let ctrls = ctrls.collect::<Result<_, _>>()?;
-                    Ok(Sim::EvX(Box::new(xbar(ctrls, w.mapping))))
+                    Ok(Sim::EvX(Box::new(xbar(ctrls, mapping))))
                 }
             }
             Model::Cycle => {
-                if w.powerdown_idle > 0 {
-                    return Err("power-down needs the event model: the cycle baseline \
-                                has no low-power states"
-                        .into());
-                }
-                let mut cfg = cy_cfg(w.spec, w.policy, w.sched, w.mapping, chans);
-                cfg.ras = w.ras;
+                let cfg = cy_cfg(&cfg)?;
                 let mk =
                     |ch| CycleCtrl::with_probe(cfg.clone(), probe(ch)).map_err(|e| e.to_string());
                 if chans == 1 {
                     Ok(Sim::Cy(Box::new(mk(0)?)))
                 } else {
                     let ctrls = (0..chans).map(mk).collect::<Result<_, _>>()?;
-                    Ok(Sim::CyX(Box::new(xbar(ctrls, w.mapping))))
+                    Ok(Sim::CyX(Box::new(xbar(ctrls, mapping))))
                 }
             }
         }
@@ -455,8 +426,9 @@ impl<P: Probe> Sim<P> {
 /// One simulation, live: a tester run, its traffic generator and the
 /// controller(s) a [`Wiring`] describes — with or without probes —
 /// steppable a slice at a time. The one place anything in this
-/// repository is wired to a simulator: [`JobRun`] is its `JobSpec` front,
-/// `dramctrl run`/`replay` are its command-line front.
+/// repository is wired to an open-loop simulator: [`JobRun`] is its
+/// `JobSpec` front, `dramctrl run`/`replay` are its command-line front,
+/// and the figure binaries call it through `dramctrl_bench::simulate`.
 pub struct SimRun {
     /// Epoch interval of the probes; `0` for an unobserved run.
     epochs: Tick,
@@ -474,8 +446,8 @@ impl SimRun {
     /// of the unobserved run.
     ///
     /// # Errors
-    /// An inconsistent controller configuration, or a power-down idle
-    /// time on the cycle baseline.
+    /// An inconsistent controller configuration, or an event-only
+    /// setting on the cycle baseline ([`cy_cfg`]).
     pub fn start(
         wiring: Wiring,
         gen: Box<dyn SnapGen>,
@@ -601,32 +573,46 @@ impl Finished {
         with_ctrl!(&mut self.sim, c => Controller::activity(&mut **c, end))
     }
 
-    /// Renders an observed run — the final report, and every channel's
-    /// probes merged and binned at the epoch interval; `None` for an
-    /// unobserved one, whose single-channel event controller retires to
-    /// the calling thread's cache for the next run of the same
-    /// configuration.
+    /// The statistics report over the whole run: the controller's
+    /// (prefix `ctrl`), or across a crossbar the system's (`system`).
+    #[must_use]
+    pub fn report(&self) -> Report {
+        let prefix = match &self.sim {
+            Wired::Plain(Sim::Ev(_) | Sim::Cy(_)) | Wired::Observed(Sim::Ev(_) | Sim::Cy(_)) => {
+                "ctrl"
+            }
+            _ => "system",
+        };
+        with_ctrl!(&self.sim, c => c.report(prefix, self.summary.duration))
+    }
+
+    /// Renders an observed run — the final [`report`](Self::report), and
+    /// every channel's probes merged and binned at the epoch interval;
+    /// `None` for an unobserved one, whose single-channel event
+    /// controller retires to the calling thread's cache for the next run
+    /// of the same configuration.
     #[must_use]
     pub fn into_artifacts(self) -> Option<JobArtifacts> {
-        let end = self.summary.duration;
-        let (report, probes) = match self.sim {
+        let (end, report) = match self.sim {
             Wired::Plain(Sim::Ev(c)) => {
                 retire_ev_ctrl(c);
                 return None;
             }
             Wired::Plain(_) => return None,
-            Wired::Observed(Sim::Ev(c)) => (c.report("ctrl", end), vec![c.into_probe()]),
-            Wired::Observed(Sim::Cy(c)) => (c.report("ctrl", end), vec![c.into_probe()]),
+            Wired::Observed(_) => (self.summary.duration, self.report()),
+        };
+        let probes = match self.sim {
+            Wired::Observed(Sim::Ev(c)) => vec![c.into_probe()],
+            Wired::Observed(Sim::Cy(c)) => vec![c.into_probe()],
             Wired::Observed(Sim::EvX(x)) => {
-                let report = x.report("system", end);
                 let ctrls = x.into_parts().0.into_iter();
-                (report, ctrls.map(DramCtrl::into_probe).collect())
+                ctrls.map(DramCtrl::into_probe).collect()
             }
             Wired::Observed(Sim::CyX(x)) => {
-                let report = x.report("system", end);
                 let ctrls = x.into_parts().0.into_iter();
-                (report, ctrls.map(CycleCtrl::into_probe).collect())
+                ctrls.map(CycleCtrl::into_probe).collect()
             }
+            Wired::Plain(_) => unreachable!("returned above"),
         };
         let mut merged = EpochRecorder::new(self.epochs);
         let mut tracers = Vec::with_capacity(probes.len());
@@ -665,7 +651,7 @@ impl JobRun {
     #[must_use]
     pub fn start(job: &JobSpec, epochs: Tick) -> Self {
         let wiring = Wiring::for_job(job);
-        let gen = gen_for_job(job, &wiring.spec);
+        let gen = gen_for_job(job, &wiring.ctrl.spec);
         let run = SimRun::start(wiring, gen, &std_tester(), epochs)
             .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
         let job = job.clone();
@@ -774,19 +760,39 @@ mod tests {
     }
 
     /// What `dramctrl run --powerdown` used to do on the cycle arm: drop
-    /// the setting and simulate something else.
+    /// the setting and simulate something else. Every event-only setting
+    /// is refused by name; the defaults start on both models.
     #[test]
     fn power_down_on_the_cycle_baseline_is_refused_not_dropped() {
         let job = Campaign::new("pd", 1).requests([10]).expand().remove(0);
-        let start = |model| {
+        let start = |model, set: &dyn Fn(&mut CtrlConfig)| {
             let mut wiring = Wiring::for_job(&job);
-            (wiring.model, wiring.powerdown_idle) = (model, 1_000_000);
-            let gen = gen_for_job(&job, &wiring.spec);
+            wiring.model = model;
+            set(&mut wiring.ctrl);
+            let gen = gen_for_job(&job, &wiring.ctrl.spec);
             SimRun::start(wiring, gen, &std_tester(), 0).map(drop)
         };
-        assert_eq!(start(Model::Event), Ok(()));
-        let err = start(Model::Cycle).expect_err("no low-power states to honour it with");
-        assert!(err.contains("power-down needs the event model"), "{err}");
+        type Set = fn(&mut CtrlConfig);
+        let rows: [(&str, Set); 11] = [
+            ("powerdown_idle", |c| c.powerdown_idle = 1_000_000),
+            ("selfrefresh_after", |c| c.selfrefresh_after = 1_000_000),
+            ("qos_priorities", |c| c.qos_priorities = vec![0, 7]),
+            ("write_high_thresh", |c| c.write_high_thresh = 0.9),
+            ("write_low_thresh", |c| c.write_low_thresh = 0.3),
+            ("min_writes_per_switch", |c| c.min_writes_per_switch = 4),
+            ("read_buffer_size", |c| c.read_buffer_size = 20),
+            ("write_buffer_size", |c| c.write_buffer_size = 20),
+            ("frontend_latency", |c| c.frontend_latency = 10_000),
+            ("backend_latency", |c| c.backend_latency = 10_000),
+            ("max_accesses_per_row", |c| c.max_accesses_per_row = 16),
+        ];
+        assert_eq!(start(Model::Event, &|_| {}), Ok(()));
+        assert_eq!(start(Model::Cycle, &|_| {}), Ok(()));
+        for (field, set) in rows {
+            let err = start(Model::Cycle, &set).expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+            assert!(err.contains("needs the event model"), "{field}: {err}");
+        }
     }
 
     #[test]

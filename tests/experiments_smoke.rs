@@ -4,8 +4,9 @@
 //! claims from silently regressing.
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{cy_ctrl, ev_ctrl, sweep, timed};
-use dramctrl_mem::{presets, AddrMapping, Controller};
+use dramctrl_bench::{simulate, sweep, timed, wiring};
+use dramctrl_campaign::Model;
+use dramctrl_mem::{presets, AddrMapping};
 use dramctrl_power::micron_power;
 use dramctrl_system::{workload, System, SystemConfig};
 use dramctrl_traffic::{DramAwareGen, LinearGen, Tester};
@@ -99,27 +100,20 @@ fn fig5_shape() {
 fn fig6_fig7_latency_shapes() {
     let spec = presets::ddr3_1333_x64();
     let t = Tester::new(4_000, 100);
-    let mk = |rd| LinearGen::new(0, 1 << 22, 64, rd, 10_000, 2_000, 3);
+    // Linear traffic with `rd` % reads on both models, event first.
+    let run = |policy, mapping, rd| {
+        [Model::Event, Model::Cycle].map(|model| {
+            let gen = LinearGen::new(0, 1 << 22, 64, rd, 10_000, 2_000, 3);
+            let w = wiring(spec.clone(), model, policy, mapping, 1);
+            simulate(w, Box::new(gen), &t).summary
+        })
+    };
 
-    let ev6 = t.run(
-        &mut mk(100),
-        &mut ev_ctrl(spec.clone(), PagePolicy::Open, AddrMapping::RoRaBaCoCh, 1),
-    );
-    let cy6 = t.run(
-        &mut mk(100),
-        &mut cy_ctrl(spec.clone(), PagePolicy::Open, AddrMapping::RoRaBaCoCh, 1),
-    );
+    let [ev6, cy6] = run(PagePolicy::Open, AddrMapping::RoRaBaCoCh, 100);
     let ratio = ev6.read_lat_ns.mean() / cy6.read_lat_ns.mean();
     assert!((0.9..1.1).contains(&ratio), "fig6 mean ratio {ratio:.3}");
 
-    let ev7 = t.run(
-        &mut mk(50),
-        &mut ev_ctrl(spec.clone(), PagePolicy::Closed, AddrMapping::RoCoRaBaCh, 1),
-    );
-    let cy7 = t.run(
-        &mut mk(50),
-        &mut cy_ctrl(spec.clone(), PagePolicy::Closed, AddrMapping::RoCoRaBaCh, 1),
-    );
+    let [ev7, cy7] = run(PagePolicy::Closed, AddrMapping::RoCoRaBaCh, 50);
     let p10 = ev7.read_lat_ns.quantile(0.1).unwrap();
     let p90 = ev7.read_lat_ns.quantile(0.9).unwrap();
     assert!(p90 > 2 * p10, "fig7 spread p10={p10} p90={p90}");
@@ -132,13 +126,11 @@ fn power_correlation() {
     let spec = presets::ddr3_1333_x64();
     let m = AddrMapping::RoRaBaCoCh;
     let t = Tester::new(100_000, 1_000);
-    let mk = || DramAwareGen::new(spec.org, m, 1, 0, 16, 4, 70, 0, 3_000, 11);
-    let mut ev = ev_ctrl(spec.clone(), PagePolicy::Open, m, 1);
-    let es = t.run(&mut mk(), &mut ev);
-    let ep = micron_power(&spec, &Controller::activity(&mut ev, es.duration)).total_mw();
-    let mut cy = cy_ctrl(spec.clone(), PagePolicy::Open, m, 1);
-    let cs = t.run(&mut mk(), &mut cy);
-    let cp = micron_power(&spec, &cy.activity(cs.duration)).total_mw();
+    let [ep, cp] = [Model::Event, Model::Cycle].map(|model| {
+        let gen = DramAwareGen::new(spec.org, m, 1, 0, 16, 4, 70, 0, 3_000, 11);
+        let w = wiring(spec.clone(), model, PagePolicy::Open, m, 1);
+        micron_power(&spec, &simulate(w, Box::new(gen), &t).activity()).total_mw()
+    });
     let diff = (ep - cp).abs() / cp;
     assert!(diff < 0.1, "power diff {diff:.3} ({ep:.0} vs {cp:.0} mW)");
 }
@@ -151,13 +143,10 @@ fn speedup_holds() {
     let m = AddrMapping::RoRaBaCoCh;
     let t = Tester::new(100_000, 1_000);
     let n = 40_000;
-    let (_, ev_s) = timed(|| {
-        let mut g = LinearGen::new(0, 256 << 20, 64, 100, 0, n, 1);
-        t.run(&mut g, &mut ev_ctrl(spec.clone(), PagePolicy::Open, m, 1))
-    });
-    let (_, cy_s) = timed(|| {
-        let mut g = LinearGen::new(0, 256 << 20, 64, 100, 0, n, 1);
-        t.run(&mut g, &mut cy_ctrl(spec.clone(), PagePolicy::Open, m, 1))
+    let [ev_s, cy_s] = [Model::Event, Model::Cycle].map(|model| {
+        let w = wiring(spec.clone(), model, PagePolicy::Open, m, 1);
+        let gen = LinearGen::new(0, 256 << 20, 64, 100, 0, n, 1);
+        timed(|| simulate(w, Box::new(gen), &t)).1
     });
     let speedup = cy_s / ev_s;
     // The paper reports ~7x on average; debug builds and small runs blur

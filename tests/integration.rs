@@ -2,7 +2,8 @@
 //! controllers → traffic → crossbar → system → power, end to end.
 
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
-use dramctrl_bench::{cy_ctrl, ev_ctrl};
+use dramctrl_bench::{simulate, wiring};
+use dramctrl_campaign::Model;
 use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_mem::{presets, AddrMapping, Controller, MemRequest, ReqId};
 use dramctrl_power::micron_power;
@@ -22,22 +23,17 @@ fn every_preset_round_trips_both_models() {
             };
             let n = 500;
             let t = Tester::new(200_000, 1_000);
-            let mut gen = LinearGen::new(0, 16 << 20, 64, 70, 0, n, 1);
-            let ev = t.run(&mut gen, &mut ev_ctrl(spec.clone(), policy, mapping, 1));
-            assert_eq!(
-                ev.reads_completed + ev.writes_completed,
-                n,
-                "{} event {policy}",
-                spec.name
-            );
-            let mut gen = LinearGen::new(0, 16 << 20, 64, 70, 0, n, 1);
-            let cy = t.run(&mut gen, &mut cy_ctrl(spec.clone(), policy, mapping, 1));
-            assert_eq!(
-                cy.reads_completed + cy.writes_completed,
-                n,
-                "{} cycle {policy}",
-                spec.name
-            );
+            for model in [Model::Event, Model::Cycle] {
+                let gen = LinearGen::new(0, 16 << 20, 64, 70, 0, n, 1);
+                let w = wiring(spec.clone(), model, policy, mapping, 1);
+                let s = simulate(w, Box::new(gen), &t).summary;
+                assert_eq!(
+                    s.reads_completed + s.writes_completed,
+                    n,
+                    "{} {model:?} {policy}",
+                    spec.name
+                );
+            }
         }
     }
 }
@@ -103,16 +99,17 @@ fn trace_bridges_models() {
     let text = TraceGen::to_text(&entries);
     let t = Tester::new(50_000, 500);
 
-    let mut trace: TraceGen = text.parse().unwrap();
-    let ev = t.run(
-        &mut trace,
-        &mut ev_ctrl(spec.clone(), PagePolicy::Open, AddrMapping::RoRaBaCoCh, 1),
-    );
-    let mut trace: TraceGen = text.parse().unwrap();
-    let cy = t.run(
-        &mut trace,
-        &mut cy_ctrl(spec.clone(), PagePolicy::Open, AddrMapping::RoRaBaCoCh, 1),
-    );
+    let [ev, cy] = [Model::Event, Model::Cycle].map(|model| {
+        let trace: TraceGen = text.parse().unwrap();
+        let w = wiring(
+            spec.clone(),
+            model,
+            PagePolicy::Open,
+            AddrMapping::RoRaBaCoCh,
+            1,
+        );
+        simulate(w, Box::new(trace), &t).summary
+    });
     assert_eq!(ev.reads_completed, cy.reads_completed);
     assert_eq!(ev.writes_completed, cy.writes_completed);
     // First-order latency agreement on identical traces.
