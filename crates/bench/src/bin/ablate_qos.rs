@@ -7,9 +7,11 @@
 //! probe queues behind the whole backlog. With a higher priority it is
 //! served first at near-unloaded latency.
 
-use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
+use dramctrl::PagePolicy;
 use dramctrl_bench::{f1, Table};
-use dramctrl_mem::{presets, AddrMapping, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_campaign::Model;
+use dramctrl_mem::{presets, AddrMapping, Controller, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_runner::Wiring;
 use dramctrl_stats::Average;
 
 fn addr(bank: u32, row: u64) -> u64 {
@@ -29,13 +31,13 @@ fn addr(bank: u32, row: u64) -> u64 {
 /// Average probe latency (ns) over many trials, each with a
 /// `backlog`-deep same-bank conflict flood queued alongside the probe.
 fn probe_latency(qos: bool, backlog: u64) -> f64 {
-    let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());
-    cfg.spec.timing.t_refi = 0;
-    cfg.page_policy = PagePolicy::Open;
+    let mut w = Wiring::new(presets::ddr3_1333_x64(), Model::Event);
+    w.ctrl.spec.timing.t_refi = 0;
+    w.ctrl.page_policy = PagePolicy::Open;
     if qos {
-        cfg.qos_priorities = vec![0, 7];
+        w.ctrl.qos_priorities = vec![0, 7];
     }
-    let mut ctrl = DramCtrl::new(cfg).unwrap();
+    let mut mem = w.build().expect("valid wiring");
     let mut lat = Average::new();
     let mut out: Vec<MemResponse> = Vec::new();
     let mut t0 = 0u64;
@@ -45,13 +47,13 @@ fn probe_latency(qos: bool, backlog: u64) -> f64 {
             let row = trial * backlog + i + 1_000;
             let req = MemRequest::read(ReqId(id), addr(0, row), 64).with_source(0);
             id += 1;
-            DramCtrl::try_send(&mut ctrl, req, t0).unwrap();
+            mem.try_send(req, t0).unwrap();
         }
         let probe = MemRequest::read(ReqId(id), addr(0, trial), 64).with_source(1);
         let probe_id = probe.id;
         id += 1;
-        DramCtrl::try_send(&mut ctrl, probe, t0).unwrap();
-        let end = DramCtrl::drain(&mut ctrl, &mut out);
+        mem.try_send(probe, t0).unwrap();
+        let end = mem.drain(&mut out);
         let resp = out
             .iter()
             .find(|r| r.id == probe_id)

@@ -8,7 +8,8 @@
 //! near-perfect correlation with a 13% average simulation-time reduction.
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{cy_ctrl, ev_ctrl, timed, Table};
+use dramctrl_bench::{timed, wiring, Table};
+use dramctrl_campaign::Model;
 use dramctrl_mem::{presets, AddrMapping};
 use dramctrl_system::{workload, System, SystemConfig};
 
@@ -32,15 +33,13 @@ fn main() {
     for p in &profiles {
         let mut cfg = SystemConfig::table2(cores, insts);
         cfg.warmup_insts = warmup;
-        let (ev, ev_s) = timed(|| {
-            let ctrl = ev_ctrl(presets::ddr3_1333_x64(), policy, mapping, 1);
-            let mut sys = System::new(cfg.clone(), ctrl, &vec![*p; cores], 42).unwrap();
-            sys.run()
-        });
-        let (cy, cy_s) = timed(|| {
-            let ctrl = cy_ctrl(presets::ddr3_1333_x64(), policy, mapping, 1);
-            let mut sys = System::new(cfg.clone(), ctrl, &vec![*p; cores], 42).unwrap();
-            sys.run()
+        let [(ev, ev_s), (cy, cy_s)] = [Model::Event, Model::Cycle].map(|model| {
+            timed(|| {
+                let w = wiring(presets::ddr3_1333_x64(), model, policy, mapping, 1);
+                let mem = w.build().expect("valid wiring");
+                let mut sys = System::new(cfg.clone(), mem, &vec![*p; cores], 42).unwrap();
+                sys.run()
+            })
         });
         let ratios = [
             cy_s / ev_s,

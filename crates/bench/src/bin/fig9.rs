@@ -8,27 +8,13 @@
 //! average read latency inside the controller into queueing, bank access,
 //! data-bus and static components.
 
-use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
-use dramctrl_bench::{f1, f3, Table};
+use dramctrl::PagePolicy;
+use dramctrl_bench::{f1, f3, wiring, Table};
+use dramctrl_campaign::Model;
 use dramctrl_kernel::tick;
 use dramctrl_mem::{presets, AddrMapping, Controller, MemSpec};
 use dramctrl_power::micron_power;
-use dramctrl_system::{workload, MultiChannel, System, SystemConfig};
-
-fn ctrl_for(spec: MemSpec, channels: u32) -> MultiChannel<DramCtrl> {
-    let ctrls = (0..channels)
-        .map(|_| {
-            let mut cfg = CtrlConfig::new(spec.clone());
-            cfg.channels = channels;
-            cfg.page_policy = PagePolicy::Open; // Table III
-            cfg.mapping = AddrMapping::RoRaBaCoCh;
-            cfg.read_buffer_size = 20; // Table III: 20-entry buffers
-            cfg.write_buffer_size = 20;
-            DramCtrl::new(cfg).expect("valid")
-        })
-        .collect();
-    MultiChannel::new(ctrls, 0).expect("uniform channels")
-}
+use dramctrl_system::{workload, System, SystemConfig};
 
 fn main() {
     let cores = 16;
@@ -58,9 +44,13 @@ fn main() {
     let mut cfg = SystemConfig::table2(cores, insts);
     cfg.llc.size = 8 << 20;
 
+    // Table III: open page, 20-entry buffers.
+    let (policy, mapping) = (PagePolicy::Open, AddrMapping::RoRaBaCoCh);
     for (name, spec, channels) in memories {
-        let xbar = ctrl_for(spec.clone(), channels);
-        let mut sys = System::new(cfg.clone(), xbar, &vec![workload::canneal(); cores], 42)
+        let mut w = wiring(spec.clone(), Model::Event, policy, mapping, channels);
+        (w.ctrl.read_buffer_size, w.ctrl.write_buffer_size) = (20, 20);
+        let mem = w.build().expect("valid wiring");
+        let mut sys = System::new(cfg.clone(), mem, &vec![workload::canneal(); cores], 42)
             .expect("valid system");
         let r = sys.run();
         let power = {
@@ -77,8 +67,7 @@ fn main() {
 
         // Latency breakdown, averaged over channels (weighted by bursts).
         let (mut q, mut b, mut total_bursts) = (0.0, 0.0, 0u64);
-        for ch in 0..channels as usize {
-            let s = sys.controller().channel(ch).stats();
+        for s in sys.controller().event_channels().map(|c| c.stats()) {
             let n = s.rd_bursts;
             q += s.queue_lat.mean() * n as f64;
             b += s.bank_lat.mean() * n as f64;

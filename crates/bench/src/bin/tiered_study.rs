@@ -9,32 +9,13 @@
 //! flexibility the paper demonstrates in Section IV-B, extended to
 //! heterogeneous tiers.
 
-use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
+use dramctrl::PagePolicy;
 use dramctrl_bench::{f1, f3, Table};
+use dramctrl_campaign::Model;
 use dramctrl_kernel::tick;
 use dramctrl_mem::{presets, Controller};
-use dramctrl_system::{workload, MultiChannel, System, SystemConfig, TieredMemory};
-
-fn near(channels: u32) -> MultiChannel<DramCtrl> {
-    MultiChannel::new(
-        (0..channels)
-            .map(|_| {
-                let mut cfg = CtrlConfig::new(presets::wideio_200_x128());
-                cfg.channels = channels;
-                cfg.page_policy = PagePolicy::OpenAdaptive;
-                DramCtrl::new(cfg).expect("valid")
-            })
-            .collect(),
-        0,
-    )
-    .expect("uniform")
-}
-
-fn far() -> DramCtrl {
-    let mut cfg = CtrlConfig::new(presets::lpddr3_1600_x32());
-    cfg.page_policy = PagePolicy::OpenAdaptive;
-    DramCtrl::new(cfg).expect("valid")
-}
+use dramctrl_runner::Wiring;
+use dramctrl_system::{workload, System, SystemConfig, TieredMemory};
 
 fn main() {
     let cores = 4;
@@ -43,8 +24,15 @@ fn main() {
     let mut table = Table::new(["near tier", "IPC", "L2 miss lat (ns)", "near share"]);
     // canneal per-core footprint is 48 MiB, rounded to 64 MiB regions:
     // 4 cores occupy 256 MiB.
+    // Both tiers open-adaptive; the near one two channels wide.
+    let tier = |spec, channels| {
+        let mut w = Wiring::new(spec, Model::Event);
+        (w.ctrl.page_policy, w.ctrl.channels) = (PagePolicy::OpenAdaptive, channels);
+        w.build().expect("valid wiring")
+    };
     for near_mb in [16u64, 64, 128, 256] {
-        let mem = TieredMemory::new(near(2), far(), near_mb << 20);
+        let near = tier(presets::wideio_200_x128(), 2);
+        let mem = TieredMemory::new(near, tier(presets::lpddr3_1600_x32(), 1), near_mb << 20);
         let mut cfg = SystemConfig::table2(cores, insts);
         cfg.llc.size = 2 << 20;
         let mut sys = System::new(cfg, mem, &vec![workload::canneal(); cores], 42).expect("valid");

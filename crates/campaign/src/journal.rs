@@ -20,7 +20,7 @@
 use crate::exec::JobOutcome;
 use crate::report::{render_parts, render_record, JobMetrics, JobRecord};
 use crate::spec::{Campaign, JobSpec};
-use dramctrl_kernel::fsio::{self, DurableAppender};
+use dramctrl_kernel::fsio::DurableAppender;
 use dramctrl_kernel::json::{escape_into, Value};
 use dramctrl_kernel::snap::fingerprint;
 use std::collections::BTreeMap;
@@ -263,7 +263,6 @@ impl CampaignJournal {
         self.appender.append_line(&line)?;
         self.completed
             .insert(record.job.index, record.outcome.clone());
-        test_kill_hook();
         Ok(true)
     }
 
@@ -281,7 +280,6 @@ impl CampaignJournal {
         let line = render_parts(&self.campaign_name, job, outcome);
         self.appender.append_line_deferred(&line)?;
         self.completed.insert(job.index, outcome.clone());
-        test_kill_hook();
         Ok(true)
     }
 
@@ -464,33 +462,6 @@ pub fn merge_journals(
         wall_secs: 0.0,
         records,
     })
-}
-
-/// Crash-injection hook for the recovery tests: when the environment
-/// variable `DRAMCTRL_TEST_KILL_AFTER_APPENDS` is set to `N`, the process
-/// dies immediately after the `N`-th durable journal append — after the
-/// commit point, before anything else — simulating a kill at the worst
-/// possible moment. The append-counting trigger predates the general
-/// fault layer and is kept for its after-the-commit-point semantics; the
-/// crash itself (exit code [`fsio::fault::CRASH_EXIT_CODE`]) is shared
-/// with `DRAMCTRL_FAULT_PLAN`'s `crash` action, which covers the
-/// before-the-op half of the space.
-fn test_kill_hook() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::OnceLock;
-    static LIMIT: OnceLock<Option<u64>> = OnceLock::new();
-    static APPENDS: AtomicU64 = AtomicU64::new(0);
-    let Some(limit) = *LIMIT.get_or_init(|| {
-        std::env::var("DRAMCTRL_TEST_KILL_AFTER_APPENDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    }) else {
-        return;
-    };
-    if APPENDS.fetch_add(1, Ordering::SeqCst) + 1 == limit {
-        eprintln!("test kill hook: exiting after {limit} journal append(s)");
-        fsio::fault::crash_now();
-    }
 }
 
 /// Parses the header line, returning `(version, spec_hash)`.

@@ -282,6 +282,12 @@ const SWEEP_ARGS: &[&str] = &[
     "--quiet",
 ];
 
+/// A fault plan that crashes a sweep just before it writes journal
+/// record `n` (1-based): the header is the journal's first write.
+fn crash_before_record(n: u32) -> String {
+    format!("crash,op=write,path=journal.jsonl,at={}", n + 1)
+}
+
 #[test]
 fn killed_sweep_resumes_byte_identical_at_different_worker_count() {
     let dir = tmp_dir("kill");
@@ -294,19 +300,20 @@ fn killed_sweep_resumes_byte_identical_at_different_worker_count() {
         .output()
         .unwrap());
 
-    // Journaled sweep killed right after the 3rd job commits: the test
-    // hook calls process::exit(86) inside the executor, so everything
-    // after those three fsync'd journal lines is lost.
+    // Journaled sweep killed right before the 4th record's write (the
+    // header is the journal's first write): the fault plan exits the
+    // process with code 86 inside the executor, so everything after
+    // those three journal lines is lost.
     let out = dramctrl()
         .args(SWEEP_ARGS)
         .args(["--journal", &p("journal.jsonl"), "--workers", "2"])
-        .env("DRAMCTRL_TEST_KILL_AFTER_APPENDS", "3")
+        .env("DRAMCTRL_FAULT_PLAN", crash_before_record(4))
         .output()
         .unwrap();
     assert_eq!(
         out.status.code(),
         Some(86),
-        "kill hook did not fire: {}",
+        "injected crash did not fire: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let journal = std::fs::read_to_string(p("journal.jsonl")).unwrap();
@@ -408,7 +415,7 @@ fn resume_with_wrong_campaign_exits_2() {
     let out = dramctrl()
         .args(SWEEP_ARGS)
         .args(["--journal", journal])
-        .env("DRAMCTRL_TEST_KILL_AFTER_APPENDS", "2")
+        .env("DRAMCTRL_FAULT_PLAN", crash_before_record(3))
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(86));

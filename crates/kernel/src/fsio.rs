@@ -264,9 +264,10 @@ pub mod fault {
     //! output byte, preserving the zero-perturbation discipline.
     //!
     //! `crash` terminates the process with exit code
-    //! [`CRASH_EXIT_CODE`], the same code the journal's historical
-    //! `DRAMCTRL_TEST_KILL_AFTER_APPENDS` hook uses (that hook now
-    //! routes through [`crash_now`] too).
+    //! [`CRASH_EXIT_CODE`] before the op runs. To kill a campaign right
+    //! after its Nth journal record, crash before the next record's
+    //! write: `crash,op=write,path=journal.jsonl,at=N+2` (the header is
+    //! the journal's first write).
 
     use std::io::{self, Write};
     use std::path::Path;
@@ -274,8 +275,7 @@ pub mod fault {
     use std::sync::{Mutex, OnceLock};
 
     /// Exit code used by injected crashes — distinguishable from a panic
-    /// (101) and from clean exits, and shared with the legacy
-    /// kill-after-appends hook so existing crash-safety CI keeps working.
+    /// (101) and from clean exits.
     pub const CRASH_EXIT_CODE: i32 = 86;
 
     /// The durability operations a fault can attach to.
@@ -543,7 +543,7 @@ pub mod fault {
     /// [`CRASH_EXIT_CODE`], stdout flushed so a harness reading our
     /// progress lines sees everything acknowledged before the "power
     /// cut".
-    pub fn crash_now() -> ! {
+    fn crash_now() -> ! {
         let _ = io::stdout().flush();
         std::process::exit(CRASH_EXIT_CODE)
     }

@@ -220,11 +220,6 @@ pub trait Probe {
         let _ = (rank, state, at);
     }
 
-    /// The crossbar routed request `id` to `channel` at `now`.
-    fn xbar_route(&mut self, id: u64, channel: u32, now: Tick) {
-        let _ = (id, channel, now);
-    }
-
     /// A reliability event (`mark`) occurred at `(rank, bank, row)` at `at`.
     /// Only emitted when a fault model is armed; fault-free runs never call
     /// this hook.
@@ -271,11 +266,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     fn power_state(&mut self, rank: u32, state: PowerState, at: Tick) {
         self.0.power_state(rank, state, at);
         self.1.power_state(rank, state, at);
-    }
-
-    fn xbar_route(&mut self, id: u64, channel: u32, now: Tick) {
-        self.0.xbar_route(id, channel, now);
-        self.1.xbar_route(id, channel, now);
     }
 
     fn ras_event(&mut self, rank: u32, bank: u32, row: u64, mark: RasMark, at: Tick) {

@@ -1,6 +1,7 @@
 //! The canonical runner: wires a [`Wiring`] — spelled out by a front end,
 //! or implied by a declarative [`JobSpec`] — to real controllers, a
-//! traffic generator and the [`Tester`] run loop.
+//! traffic generator and the [`Tester`] run loop, or hands the memory it
+//! describes to a caller that drives it itself ([`Wiring::build`]).
 //!
 //! This is the scaffolding every figure/ablation binary and the CLI used
 //! to duplicate — build a controller for a (policy, scheduler, mapping,
@@ -15,7 +16,10 @@ use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
 use dramctrl_kernel::fsio::write_atomic;
 use dramctrl_kernel::snap::{fingerprint, SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{presets, ActivityStats, AddrMapping, Controller, MemSpec};
+use dramctrl_mem::{
+    presets, ActivityStats, AddrMapping, CommonStats, Controller, MemCmd, MemRequest, MemResponse,
+    MemSpec, Rejected,
+};
 use dramctrl_obs::{ChromeTracer, EpochRecorder, NoProbe, Probe};
 use dramctrl_stats::Report;
 use dramctrl_system::MultiChannel;
@@ -153,8 +157,8 @@ pub fn ras_for_job(job: &JobSpec) -> Option<RasConfig> {
         .then(|| RasConfig::from_error_rate(job.error_rate, job.seed).with_ecc(EccMode::SecDed))
 }
 
-/// Tick budget armed on every event-model campaign controller: one hour
-/// of simulated time, orders of magnitude beyond any job in this
+/// Tick budget armed on every event-model controller the runner builds:
+/// one hour of simulated time, orders of magnitude beyond any job in this
 /// repository. A controller that sails past it is stuck in a scheduling
 /// or retry livelock, and the watchdog turns that into a loud
 /// [`JobOutcome::Failed`](dramctrl_campaign::JobOutcome) instead of a
@@ -271,8 +275,8 @@ fn channels_of<C: Controller>(x: &MultiChannel<C>) -> impl Iterator<Item = &C> {
 }
 
 /// What a simulator is made of — the one description every front end
-/// (campaign jobs, `dramctrl run`/`replay`, the figure binaries) hands to
-/// [`SimRun::start`].
+/// (campaign jobs, `dramctrl run`/`replay`, the figure binaries, the
+/// examples) hands to [`SimRun::start`], or builds into a [`Memory`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Wiring {
     /// Controller model.
@@ -308,6 +312,18 @@ impl Wiring {
         (c.channels, c.ras) = (job.channels, ras_for_job(job));
         w
     }
+
+    /// The memory this wiring describes, unobserved, for a caller that
+    /// drives it itself — a closed-loop `System`, a `TieredMemory`, or
+    /// requests sent by hand. It is the simulator [`SimRun::start`] runs:
+    /// the same controllers, crossbar and [`JOB_TICK_BUDGET`], built fresh.
+    ///
+    /// # Errors
+    /// An inconsistent controller configuration, or an event-only
+    /// setting on the cycle baseline ([`cy_cfg`]).
+    pub fn build(self) -> Result<Memory, String> {
+        Sim::build(self, |_| NoProbe, |_| None).map(Memory)
+    }
 }
 
 /// The per-channel probe pair of an observed run.
@@ -330,20 +346,106 @@ enum Wired {
     Observed(Sim<ObsProbe>),
 }
 
-/// Evaluates `$body` with `$c` bound to the boxed controller in `$wired`.
-macro_rules! with_ctrl {
-    ($wired:expr, $c:ident => $body:expr) => {
-        match $wired {
-            Wired::Plain(Sim::Ev($c)) => $body,
-            Wired::Plain(Sim::EvX($c)) => $body,
-            Wired::Plain(Sim::Cy($c)) => $body,
-            Wired::Plain(Sim::CyX($c)) => $body,
-            Wired::Observed(Sim::Ev($c)) => $body,
-            Wired::Observed(Sim::EvX($c)) => $body,
-            Wired::Observed(Sim::Cy($c)) => $body,
-            Wired::Observed(Sim::CyX($c)) => $body,
+/// Evaluates `$body` with `$c` bound to the boxed controller in `$sim`.
+macro_rules! on_sim {
+    ($sim:expr, $c:ident => $body:expr) => {
+        match $sim {
+            Sim::Ev($c) => $body,
+            Sim::EvX($c) => $body,
+            Sim::Cy($c) => $body,
+            Sim::CyX($c) => $body,
         }
     };
+}
+
+/// Evaluates `$body` with `$s` bound to the [`Sim`] in `$wired`.
+macro_rules! with_sim {
+    ($wired:expr, $s:ident => $body:expr) => {
+        match $wired {
+            Wired::Plain($s) => $body,
+            Wired::Observed($s) => $body,
+        }
+    };
+}
+
+/// Evaluates `$body` with `$c` bound to the boxed controller in `$wired`:
+/// one arm per concrete controller type, for the step loop.
+macro_rules! with_ctrl {
+    ($wired:expr, $c:ident => $body:expr) => {
+        with_sim!($wired, s => on_sim!(s, $c => $body))
+    };
+}
+
+/// `impl Controller for $ty` by sending each call to the one controller
+/// or crossbar inside the [`Sim`] at `(*self)$(.$field)?`, matched per call.
+/// The step loop does not use it: it matches once per slice
+/// ([`with_ctrl!`]).
+macro_rules! controller_via_sim {
+    ([$($gen:tt)*] $ty:ty $(, $field:tt)?) => {
+        impl<$($gen)*> Controller for $ty {
+            fn try_send(&mut self, req: MemRequest, now: Tick) -> Result<(), Rejected> {
+                on_sim!(&mut (*self)$(.$field)?, c => Controller::try_send(&mut **c, req, now))
+            }
+
+            fn can_accept(&self, cmd: MemCmd, addr: u64, size: u32) -> bool {
+                on_sim!(&(*self)$(.$field)?, c => Controller::can_accept(&**c, cmd, addr, size))
+            }
+
+            fn next_event(&self) -> Option<Tick> {
+                on_sim!(&(*self)$(.$field)?, c => Controller::next_event(&**c))
+            }
+
+            fn advance_to(&mut self, limit: Tick, out: &mut Vec<MemResponse>) {
+                on_sim!(&mut (*self)$(.$field)?, c => Controller::advance_to(&mut **c, limit, out));
+            }
+
+            fn drain(&mut self, out: &mut Vec<MemResponse>) -> Tick {
+                on_sim!(&mut (*self)$(.$field)?, c => Controller::drain(&mut **c, out))
+            }
+
+            fn is_idle(&self) -> bool {
+                on_sim!(&(*self)$(.$field)?, c => Controller::is_idle(&**c))
+            }
+
+            fn spec(&self) -> &MemSpec {
+                on_sim!(&(*self)$(.$field)?, c => Controller::spec(&**c))
+            }
+
+            fn common_stats(&self) -> CommonStats {
+                on_sim!(&(*self)$(.$field)?, c => Controller::common_stats(&**c))
+            }
+
+            fn activity(&mut self, now: Tick) -> ActivityStats {
+                on_sim!(&mut (*self)$(.$field)?, c => Controller::activity(&mut **c, now))
+            }
+
+            fn report(&self, prefix: &str, now: Tick) -> Report {
+                on_sim!(&(*self)$(.$field)?, c => Controller::report(&**c, prefix, now))
+            }
+        }
+    };
+}
+
+controller_via_sim!([P: Probe] Sim<P>);
+
+/// A memory built from a [`Wiring`] ([`Wiring::build`]): one controller,
+/// or several behind the runner's crossbar, of either model. It is a
+/// [`Controller`] like any other.
+pub struct Memory(Sim<NoProbe>);
+
+controller_via_sim!([] Memory, 0);
+
+impl Memory {
+    /// The event-model controllers, in channel order, for per-channel
+    /// statistics; none on the cycle baseline.
+    pub fn event_channels(&self) -> impl Iterator<Item = &DramCtrl> {
+        let (one, many) = match &self.0 {
+            Sim::Ev(c) => (Some(&**c), None),
+            Sim::EvX(x) => (None, Some(channels_of(x))),
+            Sim::Cy(_) | Sim::CyX(_) => (None, None),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 impl<P: Probe> Sim<P> {
@@ -498,11 +600,7 @@ impl SimRun {
             return None;
         }
         let (run, mut sim) = self.live.take().expect(SPENT);
-        let summary = with_ctrl!(&mut sim, c => run.finish(&mut **c));
-        let ras = match &sim {
-            Wired::Plain(sim) => sim.close(),
-            Wired::Observed(sim) => sim.close(),
-        };
+        let (summary, ras) = with_sim!(&mut sim, s => (run.finish(s), s.close()));
         let epochs = self.epochs;
         Some(Finished {
             summary,
@@ -570,20 +668,17 @@ impl Finished {
     /// channels summed).
     pub fn activity(&mut self) -> ActivityStats {
         let end = self.summary.duration;
-        with_ctrl!(&mut self.sim, c => Controller::activity(&mut **c, end))
+        with_sim!(&mut self.sim, s => s.activity(end))
     }
 
     /// The statistics report over the whole run: the controller's
     /// (prefix `ctrl`), or across a crossbar the system's (`system`).
     #[must_use]
     pub fn report(&self) -> Report {
-        let prefix = match &self.sim {
-            Wired::Plain(Sim::Ev(_) | Sim::Cy(_)) | Wired::Observed(Sim::Ev(_) | Sim::Cy(_)) => {
-                "ctrl"
-            }
-            _ => "system",
-        };
-        with_ctrl!(&self.sim, c => c.report(prefix, self.summary.duration))
+        with_sim!(&self.sim, s => {
+            let bare = matches!(s, Sim::Ev(_) | Sim::Cy(_));
+            s.report(if bare { "ctrl" } else { "system" }, self.summary.duration)
+        })
     }
 
     /// Renders an observed run — the final [`report`](Self::report), and
@@ -605,11 +700,11 @@ impl Finished {
             Wired::Observed(Sim::Ev(c)) => vec![c.into_probe()],
             Wired::Observed(Sim::Cy(c)) => vec![c.into_probe()],
             Wired::Observed(Sim::EvX(x)) => {
-                let ctrls = x.into_parts().0.into_iter();
+                let ctrls = x.into_channels().into_iter();
                 ctrls.map(DramCtrl::into_probe).collect()
             }
             Wired::Observed(Sim::CyX(x)) => {
-                let ctrls = x.into_parts().0.into_iter();
+                let ctrls = x.into_channels().into_iter();
                 ctrls.map(CycleCtrl::into_probe).collect()
             }
             Wired::Plain(_) => unreachable!("returned above"),
@@ -751,6 +846,7 @@ pub struct JobArtifacts {
 mod tests {
     use super::*;
     use dramctrl_campaign::Campaign;
+    use dramctrl_system::TieredMemory;
 
     /// The daemon's workers hand paused runs to one another.
     #[test]
@@ -923,6 +1019,64 @@ mod tests {
             let cold = std::thread::scope(|s| s.spawn(|| run_job(job)).join().unwrap());
             assert_eq!(m, &cold, "{}", job.label());
         }
+    }
+
+    /// A closed-loop run over `mem`, every field of its report rendered.
+    fn closed_loop<C: Controller>(mem: C) -> String {
+        let profiles = [dramctrl_system::workload::canneal(); 2];
+        let cfg = dramctrl_system::SystemConfig::table2(2, 5_000);
+        let mut sys = dramctrl_system::System::new(cfg, mem, &profiles, 42).expect("valid system");
+        format!("{:?}", sys.run())
+    }
+
+    /// `ctrls` behind a zero-latency crossbar, wired by hand.
+    fn hand_xbar<C: Controller>(ctrls: Vec<C>, mapping: AddrMapping) -> MultiChannel<C> {
+        let x = MultiChannel::new(ctrls, 0).expect("valid crossbar");
+        x.with_mapping(mapping)
+    }
+
+    /// [`closed_loop`] over `ctrls` wired by hand: alone, or behind a
+    /// zero-latency crossbar.
+    fn by_hand<C: Controller>(ctrls: Vec<C>, mapping: AddrMapping) -> String {
+        if ctrls.len() == 1 {
+            closed_loop(ctrls.into_iter().next().expect("one channel"))
+        } else {
+            closed_loop(hand_xbar(ctrls, mapping))
+        }
+    }
+
+    /// `Wiring::build` is the memory a hand wiring gives the closed loop:
+    /// on both models at 1, 2 and 4 channels, and as the two tiers of a
+    /// `TieredMemory`, `System::run` reports the same to the last field.
+    #[test]
+    fn a_built_memory_runs_the_closed_loop_like_hand_built_controllers() {
+        let wiring = |spec, model, channels| {
+            let mut w = Wiring::new(spec, model);
+            w.ctrl.channels = channels;
+            w
+        };
+        let ev = |w: &Wiring| DramCtrl::new(w.ctrl.clone()).expect("valid config");
+        let cy = |w: &Wiring| CycleCtrl::new(cy_cfg(&w.ctrl).expect("shared")).expect("valid");
+        for model in [Model::Event, Model::Cycle] {
+            for channels in [1u32, 2, 4] {
+                let w = wiring(presets::lpddr3_1600_x32(), model, channels);
+                let (n, mapping) = (channels as usize, w.ctrl.mapping);
+                let hand = match model {
+                    Model::Event => by_hand((0..n).map(|_| ev(&w)).collect(), mapping),
+                    Model::Cycle => by_hand((0..n).map(|_| cy(&w)).collect(), mapping),
+                };
+                let mem = w.build().expect("valid wiring");
+                let event = if model == Model::Event { n } else { 0 };
+                assert_eq!(mem.event_channels().count(), event);
+                assert_eq!(closed_loop(mem), hand, "{model:?} x{channels}");
+            }
+        }
+        let near = wiring(presets::wideio_200_x128(), Model::Event, 2);
+        let far = wiring(presets::lpddr3_1600_x32(), Model::Cycle, 1);
+        let near_hand = hand_xbar(vec![ev(&near), ev(&near)], near.ctrl.mapping);
+        let hand = closed_loop(TieredMemory::new(near_hand, cy(&far), 64 << 20));
+        let built = TieredMemory::new(near.build().unwrap(), far.build().unwrap(), 64 << 20);
+        assert_eq!(closed_loop(built), hand);
     }
 
     #[test]

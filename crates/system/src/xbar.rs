@@ -27,7 +27,6 @@ use dramctrl_mem::{
     ActivityStats, AddrMapping, CommonStats, Controller, Decoder, MemCmd, MemRequest, MemResponse,
     MemSpec, Rejected,
 };
-use dramctrl_obs::{NoProbe, Probe};
 use dramctrl_stats::Report;
 
 /// A set of per-channel controllers behind an interleaving crossbar.
@@ -36,10 +35,8 @@ use dramctrl_stats::Report;
 /// forward and return hops) and applies per-channel flow control: a
 /// request is rejected only if *its* channel is full.
 ///
-/// Like the controllers, the crossbar carries a `dramctrl-obs` probe type
-/// parameter (default [`NoProbe`], compiled away): a live probe observes
-/// every routing decision via `xbar_route`. Per-channel DRAM activity is
-/// instead observed by giving each channel controller its own probe.
+/// The crossbar itself observes nothing: DRAM activity is observed by
+/// giving each channel controller its own probe.
 ///
 /// # Example
 /// ```
@@ -67,7 +64,7 @@ use dramctrl_stats::Report;
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct MultiChannel<C: Controller, P: Probe = NoProbe> {
+pub struct MultiChannel<C: Controller> {
     channels: Vec<C>,
     /// `next_due[i]` is `channels[i].next_event()`, [`IDLE`] for `None`.
     /// Never assumed monotone — re-read after every `&mut` call into the
@@ -76,7 +73,6 @@ pub struct MultiChannel<C: Controller, P: Probe = NoProbe> {
     /// The routing half of the controllers' address mapping.
     router: Decoder,
     latency: Tick,
-    probe: P,
 }
 
 /// Cached next-event tick of a channel with no event pending.
@@ -95,25 +91,14 @@ impl std::fmt::Display for XbarError {
 impl std::error::Error for XbarError {}
 
 impl<C: Controller> MultiChannel<C> {
-    /// Creates an uninstrumented crossbar over the given controllers,
-    /// which must share one device specification (organisation and mapping
-    /// are read from the first).
+    /// Creates a crossbar over the given controllers, which must share one
+    /// device specification (organisation and mapping are read from the
+    /// first).
     ///
     /// # Errors
     /// Returns an [`XbarError`] if no controllers are given or their specs
     /// differ.
     pub fn new(channels: Vec<C>, latency: Tick) -> Result<Self, XbarError> {
-        Self::with_probe(channels, latency, NoProbe)
-    }
-}
-
-impl<C: Controller, P: Probe> MultiChannel<C, P> {
-    /// Creates a crossbar with an attached instrumentation probe.
-    ///
-    /// # Errors
-    /// Returns an [`XbarError`] if no controllers are given or their specs
-    /// differ.
-    pub fn with_probe(channels: Vec<C>, latency: Tick, probe: P) -> Result<Self, XbarError> {
         let first = channels
             .first()
             .ok_or_else(|| XbarError("at least one channel required".into()))?;
@@ -131,7 +116,6 @@ impl<C: Controller, P: Probe> MultiChannel<C, P> {
             next_due,
             router,
             latency,
-            probe,
         })
     }
 
@@ -142,15 +126,10 @@ impl<C: Controller, P: Probe> MultiChannel<C, P> {
         self
     }
 
-    /// The attached instrumentation probe.
-    pub fn probe(&self) -> &P {
-        &self.probe
-    }
-
-    /// Consumes the crossbar, returning the channel controllers and the
-    /// probe (e.g. to collect per-channel tracers at the end of a run).
-    pub fn into_parts(self) -> (Vec<C>, P) {
-        (self.channels, self.probe)
+    /// Consumes the crossbar, returning the channel controllers (e.g. to
+    /// collect per-channel tracers at the end of a run).
+    pub fn into_channels(self) -> Vec<C> {
+        self.channels
     }
 
     /// Number of channels.
@@ -196,14 +175,10 @@ fn due<C: Controller>(channel: &C) -> Tick {
     channel.next_event().unwrap_or(IDLE)
 }
 
-impl<C: Controller, P: Probe> Controller for MultiChannel<C, P> {
+impl<C: Controller> Controller for MultiChannel<C> {
     fn try_send(&mut self, req: MemRequest, now: Tick) -> Result<(), Rejected> {
         let ch = self.route(req.addr);
-        self.with_channel(ch, |c| c.try_send(req, now))?;
-        if P::ENABLED {
-            self.probe.xbar_route(req.id.0, ch as u32, now);
-        }
-        Ok(())
+        self.with_channel(ch, |c| c.try_send(req, now))
     }
 
     fn can_accept(&self, cmd: MemCmd, addr: u64, size: u32) -> bool {
@@ -305,7 +280,7 @@ impl<C: Controller, P: Probe> Controller for MultiChannel<C, P> {
     }
 }
 
-impl<C: Controller + SnapState, P: Probe> SnapState for MultiChannel<C, P> {
+impl<C: Controller + SnapState> SnapState for MultiChannel<C> {
     /// Delegates to each channel controller in routing order. Mapping and
     /// latency are configuration, and the cached next-event ticks are
     /// derived from the channels — never written, re-read from each

@@ -1,6 +1,6 @@
-//! The benchmark's three simulation streams, short, under the timing
-//! oracle: every channel's command stream keeps the DRAM timing rules of
-//! its device.
+//! The benchmark's three simulation streams, short, and the closed loop,
+//! under the timing oracle: every channel's command stream keeps the DRAM
+//! timing rules of its device.
 //!
 //! The streams are the ones `benchmark/run.sh` times (same device,
 //! generator, read share, address range, saturating injection, open page,
@@ -11,7 +11,7 @@
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy, SchedPolicy};
 use dramctrl_check::TimingChecker;
 use dramctrl_mem::{presets, AddrMapping};
-use dramctrl_system::MultiChannel;
+use dramctrl_system::{workload, MultiChannel, System, SystemConfig};
 use dramctrl_traffic::{LinearGen, RandomGen, Tester, TrafficGen};
 
 const MAPPING: AddrMapping = AddrMapping::RoRaBaCoCh;
@@ -72,4 +72,42 @@ fn random_mixed_keeps_the_timing_rules() {
 fn hmc_16ch_keeps_the_timing_rules() {
     let mut gen = LinearGen::new(0, 1 << 30, 64, 67, 0, 40_000, 1);
     assert!(run_checked("HBM-1000-x128", 16, &mut gen) > 40_000);
+}
+
+/// The closed loop's stream is a shape no open-loop generator produces:
+/// reads throttled by the cores' miss windows and the LLC's MSHRs, with
+/// dirty-line writebacks riding along. Four cores of canneal and of
+/// streamcluster, over one DDR3-1600 channel and over four WideIO
+/// channels behind the crossbar.
+#[test]
+fn closed_loop_keeps_the_timing_rules() {
+    let cfg = SystemConfig::table2(4, 20_000);
+    for name in ["canneal", "streamcluster"] {
+        let profile = workload::parsec().into_iter().find(|p| p.name == name);
+        let profiles = vec![profile.expect("a PARSEC profile"); 4];
+
+        let ddr3 = checked_channel("DDR3-1600-x64", 1);
+        let mut sys = System::new(cfg.clone(), ddr3, &profiles, 42).expect("valid system");
+        let r = sys.run();
+        assert!(r.dram.wr_bursts > 0, "{name}: no writeback reached DDR3");
+        sys.controller().probe().assert_clean();
+
+        let ctrls = (0..4)
+            .map(|_| checked_channel("WideIO-200-x128", 4))
+            .collect();
+        let xbar = MultiChannel::new(ctrls, 0)
+            .expect("identical channels")
+            .with_mapping(MAPPING);
+        let mut sys = System::new(cfg.clone(), xbar, &profiles, 42).expect("valid system");
+        let r = sys.run();
+        assert!(r.dram.wr_bursts > 0, "{name}: no writeback reached WideIO");
+        for ch in 0..4 {
+            let checker = sys.controller().channel(ch).probe();
+            assert!(
+                !checker.commands().is_empty(),
+                "{name}: WideIO channel {ch} sent no command"
+            );
+            checker.assert_clean();
+        }
+    }
 }

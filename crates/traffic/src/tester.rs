@@ -14,8 +14,7 @@ use std::collections::VecDeque;
 /// (Figures 3–5). Latency is measured *from the traffic generator*,
 /// including queueing, exactly as in paper Section III-C2.
 ///
-/// [`run`](Self::run) and [`run_until`](Self::run_until) drive a whole
-/// stream in one call; [`begin`](Self::begin) hands out a resumable
+/// [`run`](Self::run) drives a whole stream in one call; [`begin`](Self::begin) hands out a resumable
 /// [`TestRun`] whose per-request [`step`](TestRun::step) loop can be
 /// paused at any request boundary, checkpointed (it implements
 /// [`SnapState`]) and continued — the basis of crash-safe simulation.
@@ -83,7 +82,7 @@ impl Tester {
     }
 
     /// Starts a resumable run. Drive it with [`TestRun::step`], then call
-    /// [`TestRun::finish`]; `run`/`run_until` are convenience wrappers
+    /// [`TestRun::finish`]; [`run`](Self::run) is a convenience wrapper
     /// around exactly this loop.
     pub fn begin(&self) -> TestRun {
         TestRun {
@@ -103,19 +102,8 @@ impl Tester {
 
     /// Runs the full generator stream through `ctrl` and drains.
     pub fn run<C: Controller>(&self, gen: &mut impl TrafficGen, ctrl: &mut C) -> TestSummary {
-        self.run_until(gen, ctrl, Tick::MAX)
-    }
-
-    /// Runs until the generator is exhausted or proposes an injection past
-    /// `until`, then drains outstanding work.
-    pub fn run_until<C: Controller>(
-        &self,
-        gen: &mut impl TrafficGen,
-        ctrl: &mut C,
-        until: Tick,
-    ) -> TestSummary {
         let mut run = self.begin();
-        while run.step(gen, ctrl, until) {}
+        while run.step(gen, ctrl, Tick::MAX) {}
         run.finish(ctrl)
     }
 }

@@ -5,30 +5,16 @@
 //! flexibility is the case study's point.
 //!
 //! ```text
-//! cargo run --release -p dramctrl-system --example explore_memories
+//! cargo run --release -p dramctrl-runner --example explore_memories
 //! ```
 
-use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
+use dramctrl::PagePolicy;
+use dramctrl_campaign::Model;
 use dramctrl_kernel::tick;
-use dramctrl_mem::{presets, AddrMapping, Controller, MemSpec};
+use dramctrl_mem::{presets, AddrMapping, Controller};
 use dramctrl_power::micron_power;
-use dramctrl_system::{workload, MultiChannel, System, SystemConfig};
-
-fn memory(
-    spec: &MemSpec,
-    channels: u32,
-) -> Result<MultiChannel<DramCtrl>, Box<dyn std::error::Error>> {
-    let ctrls = (0..channels)
-        .map(|_| {
-            let mut cfg = CtrlConfig::new(spec.clone());
-            cfg.channels = channels;
-            cfg.page_policy = PagePolicy::Open;
-            cfg.mapping = AddrMapping::RoRaBaCoCh;
-            DramCtrl::new(cfg)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MultiChannel::new(ctrls, 0)?)
-}
+use dramctrl_runner::Wiring;
+use dramctrl_system::{workload, System, SystemConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cores = 8;
@@ -40,7 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (presets::lpddr3_1600_x32(), 2),
         (presets::wideio_200_x128(), 4),
     ] {
-        let mem = memory(&spec, channels)?;
+        let mut wiring = Wiring::new(spec.clone(), Model::Event);
+        let c = &mut wiring.ctrl;
+        (c.page_policy, c.mapping, c.channels) =
+            (PagePolicy::Open, AddrMapping::RoRaBaCoCh, channels);
+        let mem = wiring.build()?;
         let mut cfg = SystemConfig::table2(cores, insts);
         cfg.llc.size = 8 << 20;
         let mut sys = System::new(cfg, mem, &vec![profile; cores], 42)?;

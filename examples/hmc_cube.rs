@@ -5,7 +5,7 @@
 //! scaling and the event model's modest simulation cost.
 //!
 //! ```text
-//! cargo run --release -p dramctrl-system --example hmc_cube
+//! cargo run --release -p dramctrl-runner --example hmc_cube
 //! ```
 
 use std::time::Instant;

@@ -5,33 +5,23 @@
 //! the far tier, everything crosses the narrow mobile interface.
 //!
 //! ```text
-//! cargo run --release -p dramctrl-system --example tiered_memory
+//! cargo run --release -p dramctrl-runner --example tiered_memory
 //! ```
 
-use dramctrl::{CtrlConfig, DramCtrl};
-use dramctrl_mem::{presets, Controller, MemSpec};
-use dramctrl_system::{MultiChannel, TieredMemory};
+use dramctrl_campaign::Model;
+use dramctrl_mem::{presets, Controller};
+use dramctrl_runner::{Memory, Wiring};
+use dramctrl_system::TieredMemory;
 use dramctrl_traffic::{InterleaveGen, RandomGen, Tester};
 
 const NEAR_SIZE: u64 = 256 << 20;
 
 /// 4 WideIO channels (near) in front of a single LPDDR3 channel (far).
-fn build_memory(
-) -> Result<TieredMemory<MultiChannel<DramCtrl>, DramCtrl>, Box<dyn std::error::Error>> {
-    let near_spec: MemSpec = presets::wideio_200_x128();
-    let near_channels = 4;
-    let near = MultiChannel::new(
-        (0..near_channels)
-            .map(|_| {
-                let mut cfg = CtrlConfig::new(near_spec.clone());
-                cfg.channels = near_channels;
-                DramCtrl::new(cfg)
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        0,
-    )?;
-    let far = DramCtrl::new(CtrlConfig::new(presets::lpddr3_1600_x32()))?;
-    Ok(TieredMemory::new(near, far, NEAR_SIZE))
+fn build_memory() -> Result<TieredMemory<Memory, Memory>, String> {
+    let mut near = Wiring::new(presets::wideio_200_x128(), Model::Event);
+    near.ctrl.channels = 4;
+    let far = Wiring::new(presets::lpddr3_1600_x32(), Model::Event);
+    Ok(TieredMemory::new(near.build()?, far.build()?, NEAR_SIZE))
 }
 
 /// Nine accesses to a 64 MiB hot region at `hot_base` for every access

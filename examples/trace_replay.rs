@@ -7,11 +7,13 @@
 //! for controller-local what-if studies like this one.)
 //!
 //! ```text
-//! cargo run --release -p dramctrl-system --example trace_replay
+//! cargo run --release -p dramctrl-runner --example trace_replay
 //! ```
 
-use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
+use dramctrl::PagePolicy;
+use dramctrl_campaign::Model;
 use dramctrl_mem::{presets, AddrMapping, MemCmd};
+use dramctrl_runner::{SimRun, Wiring};
 use dramctrl_traffic::{DramAwareGen, Tester, TraceEntry, TraceGen, TrafficGen};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,12 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Replay against two page policies.
     for policy in [PagePolicy::Open, PagePolicy::Closed] {
-        let text = std::fs::read_to_string(&path)?;
-        let mut trace: TraceGen = text.parse()?;
-        let mut cfg = CtrlConfig::new(spec.clone());
-        cfg.page_policy = policy;
-        let mut ctrl = DramCtrl::new(cfg)?;
-        let s = Tester::new(5_000, 250).run(&mut trace, &mut ctrl);
+        let trace: TraceGen = std::fs::read_to_string(&path)?.parse()?;
+        let mut wiring = Wiring::new(spec.clone(), Model::Event);
+        wiring.ctrl.page_policy = policy;
+        let mut run = SimRun::start(wiring, Box::new(trace), &Tester::new(5_000, 250), 0)?;
+        let s = run.advance(None).expect("an unpaused run finishes").summary;
         println!(
             "{policy:>16}: bus {:>5.1}%  read mean {:>6.1} ns  p95 {:>5} ns  row hits {:.1}%",
             s.bus_util * 100.0,

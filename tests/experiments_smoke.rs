@@ -6,10 +6,11 @@
 use dramctrl::PagePolicy;
 use dramctrl_bench::{simulate, sweep, timed, wiring};
 use dramctrl_campaign::Model;
-use dramctrl_mem::{presets, AddrMapping};
+use dramctrl_mem::{presets, AddrMapping, MemCmd};
 use dramctrl_power::micron_power;
+use dramctrl_runner::Wiring;
 use dramctrl_system::{workload, System, SystemConfig};
-use dramctrl_traffic::{DramAwareGen, LinearGen, Tester};
+use dramctrl_traffic::{DramAwareGen, LinearGen, Tester, TraceEntry, TraceGen};
 
 /// fig3: open-page read utilisation rises with stride and banks, and the
 /// models track each other.
@@ -158,33 +159,19 @@ fn speedup_holds() {
 /// memory-bound canneal, as in the paper's case study.
 #[test]
 fn fig9_memory_sensitivity() {
-    use dramctrl::{CtrlConfig, DramCtrl};
-    use dramctrl_system::MultiChannel;
-
     let cores = 4;
     let insts = 40_000;
     let mut cfg = SystemConfig::table2(cores, insts);
     cfg.llc.size = 2 << 20;
-
-    let ddr3 = {
-        let ctrl = DramCtrl::new(CtrlConfig::new(presets::ddr3_1600_x64())).unwrap();
-        let mut sys =
-            System::new(cfg.clone(), ctrl, &vec![workload::canneal(); cores], 42).unwrap();
+    let run = |spec, channels| {
+        let mut w = Wiring::new(spec, Model::Event);
+        w.ctrl.channels = channels;
+        let mem = w.build().unwrap();
+        let mut sys = System::new(cfg.clone(), mem, &vec![workload::canneal(); cores], 42).unwrap();
         sys.run()
     };
-    let wideio = {
-        let ctrls = (0..4)
-            .map(|_| {
-                let mut c = CtrlConfig::new(presets::wideio_200_x128());
-                c.channels = 4;
-                DramCtrl::new(c).unwrap()
-            })
-            .collect();
-        let xbar = MultiChannel::new(ctrls, 0).unwrap();
-        let mut sys =
-            System::new(cfg.clone(), xbar, &vec![workload::canneal(); cores], 42).unwrap();
-        sys.run()
-    };
+    let ddr3 = run(presets::ddr3_1600_x64(), 1);
+    let wideio = run(presets::wideio_200_x128(), 4);
     assert!(
         wideio.ipc > ddr3.ipc,
         "WideIO {:.4} should beat DDR3 {:.4} on canneal",
@@ -192,4 +179,48 @@ fn fig9_memory_sensitivity() {
         ddr3.ipc
     );
     assert!(wideio.llc_miss_lat.mean() < ddr3.llc_miss_lat.mean());
+}
+
+/// A closed-form envelope derived from neither model: one read of one
+/// burst, alone at a closed page, takes frontend + tRCD + tCL + tBURST +
+/// backend. The event model lands on it (the tester rounds to whole ns,
+/// so within 500 ps); the cycle baseline, which rounds to its clock, is
+/// never faster.
+#[test]
+fn unloaded_closed_page_read_latency_is_the_closed_form() {
+    for spec in presets::all() {
+        let read = TraceEntry {
+            tick: 1_000_000,
+            cmd: MemCmd::Read,
+            addr: 0,
+            size: spec.org.burst_bytes() as u32,
+        };
+        let [ev, cy] = [Model::Event, Model::Cycle].map(|model| {
+            let w = wiring(
+                spec.clone(),
+                model,
+                PagePolicy::Closed,
+                AddrMapping::RoRaBaCoCh,
+                1,
+            );
+            let gen = TraceGen::new(vec![read]);
+            let s = simulate(w, Box::new(gen), &Tester::new(1_000, 1_000)).summary;
+            assert_eq!(s.reads_completed, 1, "{} {model:?}", spec.name);
+            s.read_lat_ns.mean() * 1_000.0
+        });
+        let d = Wiring::new(spec.clone(), Model::Event).ctrl;
+        let t = &spec.timing;
+        let closed_form =
+            (d.frontend_latency + t.t_rcd + t.t_cl + t.t_burst + d.backend_latency) as f64;
+        assert!(
+            (ev - closed_form).abs() <= 500.0,
+            "{}: event {ev} ps vs closed form {closed_form} ps",
+            spec.name
+        );
+        assert!(
+            cy >= closed_form,
+            "{}: cycle {cy} ps below closed form {closed_form} ps",
+            spec.name
+        );
+    }
 }
