@@ -17,8 +17,6 @@
 pub use dramctrl_runner::run_job;
 /// Re-exported because the frozen `benchmark/` harness imports it from here.
 pub use dramctrl_runner::std_tester;
-/// Re-exported for the root checkpoint and golden-byte tests.
-pub use dramctrl_runner::{job_fingerprint, run_job_observed, run_job_resumable, JobArtifacts};
 
 use std::time::Instant;
 

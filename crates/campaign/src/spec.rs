@@ -326,17 +326,31 @@ impl Campaign {
     }
 
     /// Number of jobs the campaign expands into.
+    ///
+    /// # Panics
+    /// Panics if the product overflows `usize`; see
+    /// [`checked_len`](Self::checked_len).
     pub fn len(&self) -> usize {
-        self.devices.len()
-            * self.models.len()
-            * self.policies.len()
-            * self.scheds.len()
-            * self.mappings.len()
-            * self.channels.len()
-            * self.traffic.len()
-            * self.read_pcts.len()
-            * self.request_counts.len()
-            * self.error_rates.len()
+        self.checked_len().expect("campaign size overflows usize")
+    }
+
+    /// Number of jobs the campaign expands into, or `None` when the
+    /// product of the axis lengths overflows `usize`.
+    pub fn checked_len(&self) -> Option<usize> {
+        [
+            self.devices.len(),
+            self.models.len(),
+            self.policies.len(),
+            self.scheds.len(),
+            self.mappings.len(),
+            self.channels.len(),
+            self.traffic.len(),
+            self.read_pcts.len(),
+            self.request_counts.len(),
+            self.error_rates.len(),
+        ]
+        .into_iter()
+        .try_fold(1, usize::checked_mul)
     }
 
     /// Whether the Cartesian product is empty (some axis has no values).

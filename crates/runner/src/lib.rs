@@ -10,6 +10,6 @@ mod runner;
 
 pub use runner::{
     cy_cfg, gen_for_job, job_fingerprint, job_metrics, ras_for_job, release_idle_cache, run_job,
-    run_job_observed, run_job_resumable, std_tester, Finished, JobArtifacts, JobRun, Memory,
-    SimRun, SliceOutcome, Wiring, JOB_TICK_BUDGET,
+    std_tester, Finished, JobArtifacts, JobRun, Memory, SimRun, SliceOutcome, Wiring,
+    JOB_TICK_BUDGET,
 };

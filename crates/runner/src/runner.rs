@@ -196,7 +196,10 @@ pub fn job_metrics(s: &TestSummary) -> JobMetrics {
 /// [`JobOutcome::Failed`](dramctrl_campaign::JobOutcome) records rather
 /// than aborting the sweep.
 pub fn run_job(job: &JobSpec) -> JobMetrics {
-    run_job_resumable(job, None, 0, None).expect("an unpaused run always completes")
+    match JobRun::start(job, 0).advance(None) {
+        SliceOutcome::Done(metrics, _) => metrics,
+        SliceOutcome::Paused { .. } => unreachable!("an unpaused run always completes"),
+    }
 }
 
 /// Fingerprint of a job's full specification — the compatibility guard
@@ -205,45 +208,6 @@ pub fn run_job(job: &JobSpec) -> JobMetrics {
 #[must_use]
 pub fn job_fingerprint(job: &JobSpec) -> u64 {
     fingerprint(format!("{job:?}").as_bytes())
-}
-
-/// [`run_job`] with deterministic checkpoint/restore: an unobserved
-/// [`JobRun::run_resumable`], which documents `checkpoint`, `every` and
-/// `pause_after`.
-///
-/// Restoring a checkpoint into a fresh process and running to completion
-/// yields metrics byte-identical to an uninterrupted [`run_job`]: request
-/// boundaries are legal checkpoints for every model, channel count and
-/// RAS configuration.
-///
-/// # Panics
-/// Panics like [`run_job`], and additionally on checkpoint I/O errors or
-/// a checkpoint that does not match the job (wrong fingerprint, torn or
-/// corrupt state) — under the campaign executor these become failed-job
-/// records.
-pub fn run_job_resumable(
-    job: &JobSpec,
-    checkpoint: Option<&Path>,
-    every: u64,
-    pause_after: Option<u64>,
-) -> Option<JobMetrics> {
-    let done = JobRun::start(job, 0).run_resumable(checkpoint, every, pause_after);
-    done.map(|(metrics, _)| metrics)
-}
-
-/// [`run_job`] with live instrumentation: a [`JobRun`] started with
-/// `epoch_interval > 0` and run whole, so every channel carries a
-/// [`ChromeTracer`] and an [`EpochRecorder`] binning at `epoch_interval`
-/// ticks, and the returned metrics come with the rendered artifacts.
-///
-/// The probes are pure observers, so the metrics are identical to an
-/// unobserved [`run_job`] of the same spec — the zero-perturbation
-/// property the differential harness asserts controller-by-controller.
-pub fn run_job_observed(job: &JobSpec, epoch_interval: Tick) -> (JobMetrics, JobArtifacts) {
-    match JobRun::start(job, epoch_interval).advance(None) {
-        SliceOutcome::Done(metrics, Some(artifacts)) => (metrics, artifacts),
-        _ => panic!("an observed run needs a positive epoch interval"),
-    }
 }
 
 /// What one bounded slice of a job ([`JobRun::advance`]) produced.
@@ -726,11 +690,12 @@ impl Finished {
 }
 
 /// One campaign job, live: the [`JobSpec`] front of [`SimRun`], which
-/// [`run_job`], [`run_job_resumable`] and [`run_job_observed`] wrap. A
-/// scheduler preempts a job, observed or not, by keeping its `JobRun`
-/// and calling [`advance`](Self::advance) again later; checkpoints
-/// ([`run_resumable`](Self::run_resumable)) are for pauses that must
-/// outlive the process.
+/// [`run_job`] wraps. A scheduler preempts a job, observed or not, by
+/// keeping its `JobRun` and calling [`advance`](Self::advance) again
+/// later; checkpoints ([`run_resumable`](Self::run_resumable)) are for
+/// pauses that must outlive the process. An observed run's probes are
+/// pure observers: its metrics equal an unobserved run's of the same
+/// spec.
 pub struct JobRun {
     job: JobSpec,
     run: SimRun,
@@ -927,7 +892,10 @@ mod tests {
             .requests([300])
             .expand();
         for job in &jobs {
-            let (m, art) = run_job_observed(job, 1_000_000);
+            let SliceOutcome::Done(m, Some(art)) = JobRun::start(job, 1_000_000).advance(None)
+            else {
+                panic!("an observed run renders its artifacts");
+            };
             // Zero perturbation all the way up: observed metrics equal the
             // unobserved run's bit for bit.
             assert_eq!(m, run_job(job), "{}", job.label());

@@ -12,18 +12,17 @@
 //! - recovery itself exits cleanly (torn tails truncated, header-less
 //!   files recreated, nothing refused that a crash can legally leave).
 //!
-//! Three workloads are explored:
+//! Two workloads are explored:
 //!
 //! - `campaign`: a journaled campaign run (`CampaignJournal` +
 //!   `run_campaign_journaled` + an atomic report write) — the CLI sweep
 //!   path;
-//! - `store`: a serve-store session (`JobStore::accept`, per-job journal,
-//!   unit commits with acks) — the daemon's durable path, minus sockets;
-//! - `pool`: the daemon itself with two workers and two tenants' jobs in
-//!   flight at once. Which job's op a crash point lands on varies from
-//!   run to run; the invariants do not, and on top of them the restarted
-//!   daemon must run exactly the units that had not committed — a crash
-//!   costs a job the one unit it had in flight, never a committed one.
+//! - `pool`: the daemon itself — accept-log appends, per-job journals,
+//!   unit commits — with two workers and two tenants' jobs in flight at
+//!   once. Which job's op a crash point lands on varies from run to run;
+//!   the invariants do not, and on top of them the restarted daemon must
+//!   run exactly the units that had not committed — a crash costs a job
+//!   the one unit it had in flight, never a committed one.
 //!
 //! The matrix is sized from [`fault::op_count`]: a fault-free reference
 //! run reports how many durability ops the workload performs, and the
@@ -31,9 +30,8 @@
 //! in a re-exec of this same binary. Usage:
 //!
 //! ```text
-//! chaos explore [--mode campaign|store|pool|all] [--dir DIR] [--report FILE]
+//! chaos explore [--mode campaign|pool|all] [--dir DIR] [--report FILE]
 //! chaos campaign --dir DIR     (worker: one campaign session)
-//! chaos store --dir DIR        (worker: one store session)
 //! chaos pool --dir DIR         (worker: one two-worker daemon session)
 //! ```
 //!
@@ -44,7 +42,7 @@ use dramctrl_campaign::{merge_journals, Campaign, CampaignJournal, JobOutcome, J
 use dramctrl_kernel::fsio::{fault, write_atomic};
 use dramctrl_runner::run_job;
 use dramctrl_serve::wire::Value;
-use dramctrl_serve::{Client, JobStore, Listener, ServeConfig, Server};
+use dramctrl_serve::{Client, Listener, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
@@ -92,47 +90,6 @@ fn worker_campaign(dir: &Path) -> Result<(), String> {
     let report = merge_journals(&c, &[&jpath]).map_err(|e| e.to_string())?;
     write_atomic(dir.join("report.jsonl"), report.to_jsonl().as_bytes())
         .map_err(|e| e.to_string())?;
-    println!("ops={}", fault::op_count());
-    Ok(())
-}
-
-/// One serve-store session in `dir`: repair + accept (ack), per-job
-/// journal, one commit per unit (ack each). Idempotent the same way the
-/// daemon's restart recovery is: accepted jobs are re-used, committed
-/// units are skipped.
-fn worker_store(dir: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let c = chaos_campaign(7);
-    let (mut store, accepted) = JobStore::open(dir).map_err(|e| e.to_string())?;
-    store.repair().map_err(|e| e.to_string())?;
-    let stored = match accepted.into_iter().next() {
-        Some(s) => s,
-        None => {
-            let s = store.accept("chaos", 0, &c).map_err(|e| e.to_string())?;
-            println!("ack accept {}", s.id);
-            s
-        }
-    };
-    let jdir = store.job_dir(&stored.id);
-    std::fs::create_dir_all(&jdir).map_err(|e| e.to_string())?;
-    let mut journal =
-        CampaignJournal::recover(jdir.join("journal.jsonl"), &c).map_err(|e| e.to_string())?;
-    for (i, unit) in c.expand().iter().enumerate() {
-        if journal.completed().contains_key(&i) {
-            continue;
-        }
-        let metrics = run_job(unit);
-        journal
-            .commit(&JobRecord {
-                job: unit.clone(),
-                outcome: JobOutcome::Completed {
-                    metrics,
-                    attempts: 1,
-                },
-            })
-            .map_err(|e| e.to_string())?;
-        println!("ack commit {i}");
-    }
     println!("ops={}", fault::op_count());
     Ok(())
 }
@@ -201,7 +158,6 @@ fn worker_pool(dir: &Path) -> Result<(), String> {
 fn artifact_files(mode: &str) -> Vec<&'static str> {
     match mode {
         "campaign" => vec!["journal.jsonl", "report.jsonl"],
-        "store" => vec!["accept.jsonl", "job-0001/journal.jsonl"],
         "pool" => vec![
             "store/accept.jsonl",
             "store/job-0001/journal.jsonl",
@@ -214,10 +170,11 @@ fn artifact_files(mode: &str) -> Vec<&'static str> {
 /// Per mode, the accept log and each journal with the prefix its commit
 /// acks carry.
 fn durable_logs(mode: &str, dir: &Path) -> (PathBuf, Vec<(String, PathBuf)>) {
-    let one = |journal: &str| vec![("commit".to_owned(), dir.join(journal))];
     match mode {
-        "campaign" => (dir.join("accept.jsonl"), one("journal.jsonl")),
-        "store" => (dir.join("accept.jsonl"), one("job-0001/journal.jsonl")),
+        "campaign" => {
+            let journal = ("commit".to_owned(), dir.join("journal.jsonl"));
+            (dir.join("accept.jsonl"), vec![journal])
+        }
         _ => {
             let store = dir.join("store");
             let journal = |id: &str| store.join(id).join("journal.jsonl");
@@ -425,9 +382,8 @@ fn explore_mode(mode: &str, base: &Path) -> Vec<CrashPointResult> {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: chaos explore [--mode campaign|store|pool|all] [--dir DIR] [--report FILE]\n\
+        "usage: chaos explore [--mode campaign|pool|all] [--dir DIR] [--report FILE]\n\
          \x20      chaos campaign --dir DIR\n\
-         \x20      chaos store --dir DIR\n\
          \x20      chaos pool --dir DIR"
     );
     std::process::exit(2)
@@ -443,11 +399,10 @@ fn main() -> ExitCode {
             .cloned()
     };
     match cmd {
-        "campaign" | "store" | "pool" => {
+        "campaign" | "pool" => {
             let dir = PathBuf::from(flag("--dir").unwrap_or_else(|| usage()));
             let run = match cmd {
                 "campaign" => worker_campaign(&dir),
-                "store" => worker_store(&dir),
                 _ => worker_pool(&dir),
             };
             match run {
@@ -466,9 +421,8 @@ fn main() -> ExitCode {
             );
             let _ = std::fs::remove_dir_all(&base);
             let modes: Vec<&str> = match mode.as_str() {
-                "all" => vec!["campaign", "store", "pool"],
+                "all" => vec!["campaign", "pool"],
                 "campaign" => vec!["campaign"],
-                "store" => vec!["store"],
                 "pool" => vec!["pool"],
                 _ => usage(),
             };

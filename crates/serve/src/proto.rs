@@ -161,8 +161,16 @@ pub fn campaign_to_wire(c: &Campaign) -> Value {
     ])
 }
 
+/// The most units a wire campaign may expand to. A daemon expands an
+/// accepted campaign in memory, at submit and again at every restart, so
+/// the cap bounds that allocation: 2^20 units of 88 bytes each is about
+/// 92 MB.
+pub const MAX_CAMPAIGN_UNITS: usize = 1 << 20;
+
 /// Decodes a wire campaign, validating that every axis is present and
-/// non-empty (an empty axis would annihilate the Cartesian product).
+/// non-empty (an empty axis would annihilate the Cartesian product) and
+/// that the product is at most [`MAX_CAMPAIGN_UNITS`] units. Submits and
+/// the store's accept log both decode through here.
 pub fn campaign_from_wire(v: &Value) -> Result<Campaign, String> {
     let name = v
         .get("name")
@@ -197,7 +205,7 @@ pub fn campaign_from_wire(v: &Value) -> Result<Campaign, String> {
     fn parse_as(item: &Value) -> Result<&str, String> {
         item.as_str().ok_or_else(|| "expected a string".to_owned())
     }
-    Ok(Campaign::new(name, seed)
+    let c = Campaign::new(name, seed)
         .devices(axis(v, "devices", str_of)?)
         .models(axis(v, "models", |i| parse_as(i)?.parse::<Model>())?)
         .policies(axis(v, "policies", |i| parse_as(i)?.parse::<PagePolicy>())?)
@@ -226,7 +234,14 @@ pub fn campaign_from_wire(v: &Value) -> Result<Campaign, String> {
             i.as_f64()
                 .filter(|r| r.is_finite() && *r >= 0.0)
                 .ok_or_else(|| "expected a non-negative fault rate".to_owned())
-        })?))
+        })?);
+    match c.checked_len() {
+        Some(units) if units <= MAX_CAMPAIGN_UNITS => Ok(c),
+        units => Err(format!(
+            "campaign expands to {} units, more than the {MAX_CAMPAIGN_UNITS} allowed",
+            units.map_or("an overflowing count of".to_owned(), |n| n.to_string())
+        )),
+    }
 }
 
 const INFALLIBLE: &str = "writing to a String cannot fail";

@@ -10,7 +10,7 @@
 //! unit, and runs one slice of it *outside* the state lock
 //! ([`JobRun::advance`] pauses at the first request boundary past the
 //! quantum target). A paused unit stays **resident in memory** as a live
-//! [`JobRun`] in the shared state, at most one per unfinished job, and
+//! [`JobRun`] on its job's record, at most one per unfinished job, and
 //! whichever worker pops the job next keeps stepping it: preemption is a
 //! scheduling event, not a durability event. An observed unit
 //! (`epochs > 0`) is the same [`JobRun`] with probes attached, preempted
@@ -30,16 +30,19 @@
 //! in flight never blocks a submit, and a competing tenant waits at most
 //! one quantum.
 //!
-//! **The state lock** — one mutex over the job table, the fair queue,
-//! the running set, the parked runs, the subscriber lists and the
-//! degraded-mode bookkeeping — is held for bookkeeping only. Neither
-//! simulation nor a unit's commit runs under it: a worker releases it
-//! for the slice, and again for the commit's artifact writes, journal
+//! **The state lock** — one mutex over the job table, the fair queue and
+//! the degraded-mode bookkeeping — is held for bookkeeping only. An
+//! unfinished job's record is the one place the scheduler keeps anything
+//! about it: its paused run, whether a worker holds it, when it was
+//! queued, its subscribers and an outcome the store refused. Neither
+//! simulation nor a unit's commit runs under the lock: a worker releases
+//! it for the slice, and again for the commit's artifact writes, journal
 //! append and fsync, so a slow disk stalls the worker whose unit is
 //! committing and nothing else — not the other workers' picks and
 //! returns, not `submit`, `watch`, `status` or `/metrics`. Store I/O
 //! still under the lock: submit's accept-log append and journal
-//! creation, and degraded-mode recovery.
+//! creation, and a recovery attempt's accept-log repair and writability
+//! probe.
 //!
 //! ## Durability
 //!
@@ -57,8 +60,8 @@
 //! requeued, so no other worker can touch it. With the lock released,
 //! the worker writes the artifacts and appends and fsyncs the record.
 //! It re-takes the lock, hands the journal back, and broadcasts in that
-//! same lock hold — or, if the store refused, parks the outcome
-//! (degraded mode, below).
+//! same lock hold — or, if the store refused, parks the outcome on the
+//! job (degraded mode, below).
 //!
 //! `watch` replays the journal's committed units and subscribes in one
 //! lock hold, and every broadcast happens under the lock too; that is
@@ -86,20 +89,23 @@
 //!
 //! A store that stops taking writes (disk full, failing fsyncs) must not
 //! kill the daemon. On any store I/O error the daemon enters **degraded
-//! mode**: every computed-but-uncommitted unit outcome — one per worker
-//! whose commit was refused — is parked in memory, in arrival order, the
-//! workers stop starting new slices, new submits are shed
-//! with `rejected reason=store_unavailable`, `/healthz` answers 503 and
-//! the `dramctrl_store_degraded` gauge reads 1 — while status, metrics
-//! and in-flight `watch` streams keep serving from memory. The
-//! workers retry the store with bounded exponential backoff
-//! ([`STORE_BACKOFF_START`]..[`STORE_BACKOFF_MAX`]): each attempt
-//! repairs the accept log (truncating torn bytes), re-resumes each
-//! damaged journal (truncating its torn tail), re-commits the parked
-//! outcomes (those behind a failure stay parked) and probes the store
-//! root. The first fully successful attempt exits degraded mode — no
-//! restart, no lost unit, and the journal bytes are exactly what an
-//! unfaulted run would have written.
+//! mode**: a unit outcome whose commit was refused is parked in memory on
+//! its job, which stays out of the queue; the workers stop starting new
+//! slices, new submits are shed with `rejected
+//! reason=store_unavailable`, `/healthz` answers 503 and the
+//! `dramctrl_store_degraded` gauge reads 1 — while status, metrics and
+//! in-flight `watch` streams keep serving from memory. The workers retry
+//! the store with bounded exponential backoff
+//! ([`STORE_BACKOFF_START`]..[`STORE_BACKOFF_MAX`]): each attempt repairs
+//! the accept log (truncating torn bytes) and probes the store root. The
+//! first successful attempt leaves degraded mode and then lands the
+//! parked outcomes, in job-id order, through the commit path every
+//! healthy unit takes; each first re-resumes its journal, cutting the
+//! torn tail the refused append left. A landing the store refuses again
+//! parks its outcome once more and re-enters degraded mode, on the same
+//! outage's backoff schedule. No restart,
+//! no lost unit, no re-simulation, and the journal bytes are exactly
+//! what an unfaulted run would have written.
 //!
 //! ## Hostile clients
 //!
@@ -121,13 +127,13 @@ use crate::sched::FairQueue;
 use crate::store::{JobStore, StoredJob};
 use crate::wire::{json_str, Value};
 use dramctrl_campaign::{
-    panic_message, CampaignJournal, ExecutorConfig, JobOutcome, JobRecord, JobSpec,
+    panic_message, Campaign, CampaignJournal, ExecutorConfig, JobOutcome, JobRecord, JobSpec,
 };
 use dramctrl_kernel::backoff::Backoff;
 use dramctrl_kernel::fsio::write_atomic;
 use dramctrl_obs::metrics::Gauge;
 use dramctrl_runner::{JobArtifacts, JobRun, SliceOutcome};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{self, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -198,7 +204,8 @@ struct JobState {
     live: Option<LiveJob>,
 }
 
-/// What only an unfinished job needs.
+/// What only an unfinished job needs: everything the scheduler knows
+/// about the job between and during its turns.
 struct LiveJob {
     /// The campaign's expanded work units.
     units: Vec<JobSpec>,
@@ -213,9 +220,29 @@ struct LiveJob {
     failures: u32,
     /// Absolute injection target for the current unit's next slice.
     pause_target: u64,
+    /// Unit `next`, live between its slices, resumed by whichever worker
+    /// picks the job next. Nothing here is durable — after a crash the
+    /// unit re-runs from its first request and commits the same bytes.
+    paused: Option<JobRun>,
+    /// Whether a worker holds the job: in a slice of unit `next`, or in
+    /// its commit.
+    turn: bool,
+    /// When the job entered the queue; taken at its pick, for the
+    /// scheduler fairness-lag histogram.
+    queued_at: Option<Instant>,
+    /// Unit `next`'s outcome, computed but refused by the store: parked
+    /// here, with the job out of the queue, until a store recovery
+    /// attempt lands it — the simulation never re-runs.
+    refused: Option<UnitDone>,
     /// Live `watch` subscribers (event lines), each behind a bounded
     /// buffer.
     subscribers: Vec<mpsc::SyncSender<String>>,
+}
+
+/// A finished unit's result, from its last slice until its commit lands.
+struct UnitDone {
+    outcome: JobOutcome,
+    artifacts: Option<JobArtifacts>,
 }
 
 impl JobState {
@@ -247,6 +274,11 @@ impl JobState {
                 stride,
                 failures: 0,
                 pause_target: quantum,
+                paused: None,
+                turn: false,
+                // Every caller queues an unfinished job it builds.
+                queued_at: Some(Instant::now()),
+                refused: None,
                 subscribers: Vec::new(),
             };
             live.skip_committed();
@@ -295,46 +327,36 @@ struct State {
     store: JobStore,
     jobs: BTreeMap<String, JobState>,
     queue: FairQueue,
-    /// When each queued job entered the queue — feeds the scheduler
-    /// fairness-lag histogram on its next pick.
-    queued_at: BTreeMap<String, Instant>,
     /// Rejected submits per tenant (process lifetime, for status).
     rejects: BTreeMap<String, u64>,
     /// Finished jobs garbage-collected this process lifetime (the
     /// store's tombstone log holds the all-time count).
     gc_evicted: u64,
-    /// The unit in flight of every job a worker is running right now.
-    running: BTreeMap<String, usize>,
-    /// Preempted units, live, between their slices: at most one per
-    /// unfinished job, resumed by whichever worker pops the job next.
-    /// Nothing here is durable — after a crash the unit in flight
-    /// re-runs from its first request and commits the same bytes.
-    parked: BTreeMap<String, JobRun>,
     /// Workers spawned so far: on demand, never retired.
     workers: usize,
+    /// Workers holding a job right now, in a slice or in a commit.
+    busy: usize,
     /// `Some` while the store is failing writes (degraded mode).
     degraded: Option<Degraded>,
 }
 
-/// A unit outcome that is computed but not yet durably committed — the
-/// work the scheduler parks when the store starts failing, so recovery
-/// never re-runs the simulation.
-struct PendingCommit {
-    id: String,
-    unit: usize,
-    outcome: JobOutcome,
-    artifacts: Option<JobArtifacts>,
+impl State {
+    /// The record of a job the queue names or a worker holds. Such a job
+    /// is unfinished: only its holder can finish it, and only finished
+    /// jobs are evicted.
+    fn live(&mut self, id: &str) -> &mut LiveJob {
+        let live = self.jobs.get_mut(id).and_then(|js| js.live.as_mut());
+        live.expect("a queued or held job is unfinished")
+    }
 }
 
-/// Degraded-mode bookkeeping: why, since when, the retry schedule, and
-/// the parked commits in arrival order — one per worker whose commit the
-/// store refused, none if the failure struck mid-accept.
+/// Degraded-mode bookkeeping: why, since when, and the retry schedule.
+/// The outcomes the store refused wait on their jobs.
 struct Degraded {
     reason: String,
     since: Instant,
     backoff: Backoff,
     next_retry: Instant,
-    pending: VecDeque<PendingCommit>,
 }
 
 /// First retry delay after entering degraded mode.
@@ -407,12 +429,6 @@ impl Server {
         for (tenant, depth) in queue.tenant_depths() {
             metrics.tenant_queue_depth(&tenant).set(depth as f64);
         }
-        let now = Instant::now();
-        let queued_at = jobs
-            .values()
-            .filter(|js| !js.finished())
-            .map(|js| (js.stored.id.clone(), now))
-            .collect();
         let max_workers = ExecutorConfig::default()
             .with_workers(cfg.workers)
             .effective_workers(usize::MAX);
@@ -424,18 +440,16 @@ impl Server {
                     store,
                     jobs,
                     queue,
-                    queued_at,
                     rejects: BTreeMap::new(),
-                    running: BTreeMap::new(),
-                    parked: BTreeMap::new(),
-                    workers: 0,
-                    degraded: None,
                     gc_evicted,
+                    workers: 0,
+                    busy: 0,
+                    degraded: None,
                 }),
                 work: Condvar::new(),
                 journal_back: Condvar::new(),
                 metrics,
-                started: now,
+                started: Instant::now(),
             }),
         })
     }
@@ -478,7 +492,7 @@ impl Server {
     fn grow_if_saturated(&self, st: &mut State) {
         if !st.queue.is_empty()
             && st.workers > 0
-            && st.running.len() >= st.workers
+            && st.busy >= st.workers
             && st.workers < self.inner.max_workers
         {
             drop(self.spawn_worker(st));
@@ -505,16 +519,16 @@ impl Server {
     fn scheduler_loop(&self) {
         let m = &self.inner.metrics;
         loop {
-            // Pick the next (job, unit, quantum target) under the lock,
-            // and the job's parked run if a slice of the unit already ran.
-            let (id, unit, spec, epochs, target, mut run) = {
+            // Pick the next job under the lock, with its unit's paused run
+            // if a slice of the unit already ran.
+            let (id, spec, epochs, target, mut run) = {
                 let mut st = self.lock();
                 loop {
-                    // Degraded: the store owes us a commit (or at least a
-                    // successful probe) before any new simulation work is
-                    // worth starting. Retry on the backoff schedule — every
-                    // worker waits for it, the first one awake past it makes
-                    // the attempt; the condvar wait keeps them cold between.
+                    // Degraded: the store owes us a successful probe
+                    // before any new simulation work is worth starting.
+                    // Retry on the backoff schedule — every worker waits
+                    // for it, the first one awake past it makes the
+                    // attempt; the condvar wait keeps them cold between.
                     if let Some(next_retry) = st.degraded.as_ref().map(|d| d.next_retry) {
                         let now = Instant::now();
                         if now < next_retry {
@@ -525,31 +539,22 @@ impl Server {
                                 .unwrap_or_else(std::sync::PoisonError::into_inner);
                             st = guard;
                         } else {
-                            self.try_store_recovery(&mut st);
+                            st = self.try_store_recovery(st);
                         }
                         continue;
                     }
-                    let picked = loop {
-                        let Some(id) = st.queue.pop() else {
-                            break None;
-                        };
-                        if let Some(live) = st.jobs.get(&id).and_then(|js| js.live.as_ref()) {
-                            break Some((id, live.next));
-                        }
-                    };
-                    if let Some((id, unit)) = picked {
-                        if let Some(since) = st.queued_at.remove(&id) {
-                            m.sched_wait.observe(since.elapsed().as_secs_f64());
-                        }
-                        st.running.insert(id.clone(), unit);
-                        m.sched_workers_busy.set(st.running.len() as f64);
+                    if let Some(id) = st.queue.pop() {
+                        self.start_turn(&mut st, &id);
                         self.grow_if_saturated(&mut st);
-                        let run = st.parked.remove(&id);
                         let js = &st.jobs[&id];
                         sync_queue_gauge(m, &st.queue, &js.stored.tenant);
-                        let live = js.live.as_ref().expect("picked from a live job");
-                        let spec = live.units[unit].clone();
-                        break (id, unit, spec, js.stored.epochs, live.pause_target, run);
+                        let epochs = js.stored.epochs;
+                        let live = st.live(&id);
+                        if let Some(since) = live.queued_at.take() {
+                            m.sched_wait.observe(since.elapsed().as_secs_f64());
+                        }
+                        let spec = live.units[live.next].clone();
+                        break (id, spec, epochs, live.pause_target, live.paused.take());
                     }
                     // Idle threads hold no simulator memory.
                     dramctrl_runner::release_idle_cache();
@@ -569,50 +574,41 @@ impl Server {
             }));
 
             let mut st = self.lock();
-            let s = &mut *st; // split-borrow jobs and parked below
             let quantum = self.inner.cfg.quantum;
-            let Some(live) = s.jobs.get_mut(&id).and_then(|js| js.live.as_mut()) else {
-                self.end_turn(&mut st, &id);
-                continue;
-            };
-            // Only a pause keeps `run`: a finished, panicked or evicted
-            // unit's run is dropped with this iteration, so a retry
-            // starts from the unit's first request.
-            let finished = match sliced {
+            let live = st.live(&id);
+            // Only a pause keeps `run`: a finished or panicked unit's run
+            // is dropped with this iteration, so a retry starts from the
+            // unit's first request.
+            let done = match sliced {
                 Ok(SliceOutcome::Paused { injected }) => {
                     m.preemptions.inc();
                     live.pause_target = injected + quantum;
-                    s.parked
-                        .insert(id.clone(), run.take().expect("a paused slice has a run"));
+                    live.paused = run;
                     None
                 }
                 Ok(SliceOutcome::Done(metrics, artifacts)) => {
                     let attempts = live.failures + 1;
-                    Some((JobOutcome::Completed { metrics, attempts }, artifacts))
+                    let outcome = JobOutcome::Completed { metrics, attempts };
+                    Some(UnitDone { outcome, artifacts })
                 }
                 Err(payload) => {
                     live.failures += 1;
                     live.pause_target = quantum;
-                    let failed = JobOutcome::Failed {
+                    let outcome = JobOutcome::Failed {
                         panic_msg: panic_message(payload.as_ref()),
                         attempts: live.failures,
                     };
                     // The campaign executor's bound, so failure records
                     // carry identical `attempts` counts either way.
                     let max_attempts = ExecutorConfig::default().max_attempts;
-                    (live.failures >= max_attempts).then_some((failed, None))
+                    (live.failures >= max_attempts).then_some(UnitDone {
+                        outcome,
+                        artifacts: None,
+                    })
                 }
             };
-            match finished {
-                Some((outcome, artifacts)) => {
-                    let pending = PendingCommit {
-                        id,
-                        unit,
-                        outcome,
-                        artifacts,
-                    };
-                    self.commit_unit(st, pending);
-                }
+            match done {
+                Some(done) => self.commit_unit(st, &id, done, false),
                 None => {
                     self.end_turn(&mut st, &id);
                     self.requeue(&mut st, &id);
@@ -621,82 +617,61 @@ impl Server {
         }
     }
 
-    /// Takes `id` off the running set: its worker is done with it.
-    fn end_turn(&self, st: &mut State, id: &str) {
-        st.running.remove(id);
-        self.inner
-            .metrics
-            .sched_workers_busy
-            .set(st.running.len() as f64);
+    /// Hands job `id` to the calling worker until [`Self::end_turn`].
+    fn start_turn(&self, st: &mut State, id: &str) {
+        st.live(id).turn = true;
+        st.busy += 1;
+        self.inner.metrics.sched_workers_busy.set(st.busy as f64);
     }
 
-    /// Finishes a unit, its commit I/O with the state lock released. The
-    /// job's journal is lent to this worker: the job is out of the queue
-    /// until the commit ends, so it still has exactly one unit in flight
-    /// and its journal gets a serial run's bytes. Artifacts and the
-    /// journal commit land with nothing locked; then the journal goes
-    /// back, and [`Self::finish_unit`] broadcasts under the lock. A store
-    /// that refuses parks the outcome instead: it is never lost and the
-    /// simulation never re-runs.
-    fn commit_unit(&self, mut st: MutexGuard<'_, State>, p: PendingCommit) {
-        let dir = st.store.job_dir(&p.id);
-        let lent = st.jobs.get_mut(&p.id).and_then(|js| {
-            let live = js.live.as_mut()?;
-            let rec = JobRecord {
-                job: live.units[p.unit].clone(),
-                outcome: p.outcome.clone(),
-            };
-            Some((live.journal.take()?, rec, js.stored.campaign.name.clone()))
-        });
-        let Some((mut journal, rec, campaign)) = lent else {
-            self.end_turn(&mut st, &p.id);
-            return;
+    /// The calling worker is done with job `id`.
+    fn end_turn(&self, st: &mut State, id: &str) {
+        st.live(id).turn = false;
+        st.busy -= 1;
+        self.inner.metrics.sched_workers_busy.set(st.busy as f64);
+    }
+
+    /// Commits job `id`'s finished unit, its I/O with the state lock
+    /// released. The job's journal is lent to this worker: the job is out
+    /// of the queue until the commit ends, so it still has exactly one
+    /// unit in flight and its journal gets a serial run's bytes.
+    /// Artifacts and the journal commit land with nothing locked; then
+    /// the journal goes back, and [`Self::finish_unit`] broadcasts under
+    /// the lock. A store that refuses parks the outcome on the job
+    /// instead: it is never lost and the simulation never re-runs.
+    ///
+    /// `retry` lands an outcome the store refused before: the journal is
+    /// first re-resumed from disk, cutting any torn bytes the refused
+    /// append left behind; keep-first dedup then makes the commit
+    /// idempotent if the record actually survived.
+    fn commit_unit(&self, mut st: MutexGuard<'_, State>, id: &str, done: UnitDone, retry: bool) {
+        let dir = st.store.job_dir(id);
+        let js = st.jobs.get_mut(id).expect("a held job is in the table");
+        let campaign = &js.stored.campaign;
+        let (name, resume) = (campaign.name.clone(), retry.then(|| campaign.clone()));
+        let live = js.live.as_mut().expect("a held job is unfinished");
+        let rec = JobRecord {
+            job: live.units[live.next].clone(),
+            outcome: done.outcome.clone(),
         };
+        let mut journal = live.journal.take().expect("a held job's journal is home");
         drop(st);
 
-        let committed = write_commit(&self.inner.metrics, &dir, &mut journal, &p, &rec)
-            .map(|()| rec.render(&campaign));
+        let m = &self.inner.metrics;
+        let committed = write_commit(m, &dir, &mut journal, resume.as_ref(), &rec, &done)
+            .map(|()| rec.render(&name));
 
         let mut st = self.lock();
-        self.end_turn(&mut st, &p.id);
-        if let Some(live) = st.jobs.get_mut(&p.id).and_then(|js| js.live.as_mut()) {
-            live.journal = Some(journal);
-        }
+        st.live(id).journal = Some(journal);
         self.inner.journal_back.notify_all();
+        self.end_turn(&mut st, id);
         match committed {
-            Ok(line) => self.finish_unit(&mut st, &p, &line),
-            Err(e) => self.enter_degraded(&mut st, &e.to_string(), Some(p)),
+            Ok(line) => self.finish_unit(&mut st, id, &done, &line),
+            Err(e) => {
+                st.live(id).refused = Some(done);
+                self.enter_degraded(&mut st, &e.to_string());
+            }
         }
-    }
-
-    /// Lands a parked commit during store recovery, under the lock. The
-    /// job's journal is first re-resumed from disk, truncating any torn
-    /// bytes the failed append left behind; keep-first dedup then makes
-    /// the re-commit idempotent if the record actually survived.
-    fn recommit(&self, st: &mut State, p: &PendingCommit) -> io::Result<()> {
-        let dir = st.store.job_dir(&p.id);
-        let Some(js) = st.jobs.get_mut(&p.id) else {
-            return Ok(());
-        };
-        let Some(live) = js.live.as_mut() else {
-            return Ok(());
-        };
-        let journal = CampaignJournal::resume(dir.join("journal.jsonl"), &js.stored.campaign)
-            .map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("re-resuming journal for {}: {e}", p.id),
-                )
-            })?;
-        let journal = live.journal.insert(journal);
-        let rec = JobRecord {
-            job: live.units[p.unit].clone(),
-            outcome: p.outcome.clone(),
-        };
-        write_commit(&self.inner.metrics, &dir, journal, p, &rec)?;
-        let line = rec.render(&js.stored.campaign.name);
-        self.finish_unit(st, p, &line);
-        Ok(())
     }
 
     /// The bookkeeping half of finishing a unit whose commit landed:
@@ -704,37 +679,34 @@ impl Server {
     /// unit's events, metrics, re-queue, releasing a finished job's
     /// working set. Broadcast happens only after the commit lands, so
     /// nothing a watcher sees can be lost to a store failure.
-    fn finish_unit(&self, st: &mut State, p: &PendingCommit, line: &str) {
+    fn finish_unit(&self, st: &mut State, id: &str, done: &UnitDone, line: &str) {
         let m = &self.inner.metrics;
-        let Some(js) = st.jobs.get_mut(&p.id) else {
-            return;
-        };
-        let Some(live) = js.live.as_mut() else {
-            return;
-        };
+        let js = st.jobs.get_mut(id).expect("a held job is in the table");
+        let live = js.live.as_mut().expect("a held job is unfinished");
+        let unit = live.next;
         // Counted here and not by the commit's "newly appended" flag: a
         // repaired journal may already hold the record whose append
         // reported failure, and each unit completes exactly once.
         js.done += 1;
-        js.failed += usize::from(p.outcome.is_failed());
+        js.failed += usize::from(done.outcome.is_failed());
         live.skip_committed();
         live.failures = 0;
         live.pause_target = self.inner.cfg.quantum;
 
-        live.broadcast(&record_event(&p.id, p.unit, line), m);
-        if let Some(a) = &p.artifacts {
-            live.broadcast(&text_event("stats", &p.id, p.unit, &a.stats_json), m);
-            live.broadcast(&text_event("epochs", &p.id, p.unit, &a.epochs_jsonl), m);
+        live.broadcast(&record_event(id, unit, line), m);
+        if let Some(a) = &done.artifacts {
+            live.broadcast(&text_event("stats", id, unit, &a.stats_json), m);
+            live.broadcast(&text_event("epochs", id, unit, &a.epochs_jsonl), m);
         }
-        live.broadcast(&progress_event(&p.id, js.done, js.total), m);
+        live.broadcast(&progress_event(id, js.done, js.total), m);
         if js.done == js.total {
-            live.broadcast(&done_event(&p.id, js.done - js.failed, js.failed), m);
+            live.broadcast(&done_event(id, js.done - js.failed, js.failed), m);
             // Last commit: release the units, the outcomes, the
             // subscriber list and the journal's file handle.
             js.live = None;
         }
         m.tenant_served(&js.stored.tenant).inc();
-        if p.outcome.is_failed() {
+        if done.outcome.is_failed() {
             m.units_failed.inc();
         } else {
             m.units_completed.inc();
@@ -744,111 +716,117 @@ impl Server {
                 m.units_per_second.set(done as f64 / elapsed);
             }
         }
-        self.requeue(st, &p.id);
+        self.requeue(st, id);
         // A completion may push the finished-job count past the
         // retention limit; trim eagerly so disk use stays bounded
         // without a periodic sweep.
         if let Some(retain) = self.inner.cfg.retain {
-            if st.jobs.get(&p.id).map_or(true, JobState::finished) {
+            if st.jobs[id].finished() {
                 st.gc_evicted += gc_finished(&mut st.store, &mut st.jobs, retain, m);
             }
         }
     }
 
     /// Flips the daemon into degraded mode (idempotent): records why,
-    /// parks the pending commit behind any already parked, raises the
-    /// gauge and wakes the workers so they switch to the retry loop.
-    fn enter_degraded(&self, st: &mut State, reason: &str, pending: Option<PendingCommit>) {
+    /// raises the gauge and wakes the workers so they switch to the retry
+    /// loop.
+    fn enter_degraded(&self, st: &mut State, reason: &str) {
         self.inner.metrics.store_degraded.set(1.0);
-        match st.degraded.as_mut() {
-            // Already degraded (another worker's commit, or a submit,
-            // hit the broken store first): queue up behind what is parked.
-            Some(d) => d.pending.extend(pending),
-            None => {
-                dramctrl_obs::log_warn!(
-                    "serve", "store degraded; shedding new admissions";
-                    "reason" => reason
-                );
-                let now = Instant::now();
-                let mut backoff = Backoff::new(STORE_BACKOFF_START, STORE_BACKOFF_MAX);
-                let first = backoff.next_delay();
-                st.degraded = Some(Degraded {
-                    reason: reason.to_owned(),
-                    since: now,
-                    backoff,
-                    next_retry: now + first,
-                    pending: pending.into_iter().collect(),
-                });
-                self.inner.work.notify_all();
-            }
+        // Already degraded: another worker's commit, or a submit, hit
+        // the broken store first.
+        if st.degraded.is_some() {
+            return;
         }
+        dramctrl_obs::log_warn!(
+            "serve", "store degraded; shedding new admissions";
+            "reason" => reason
+        );
+        let now = Instant::now();
+        let mut backoff = Backoff::new(STORE_BACKOFF_START, STORE_BACKOFF_MAX);
+        let first = backoff.next_delay();
+        st.degraded = Some(Degraded {
+            reason: reason.to_owned(),
+            since: now,
+            backoff,
+            next_retry: now + first,
+        });
+        self.inner.work.notify_all();
     }
 
-    /// One recovery attempt: repair the accept log, land every parked
-    /// commit (each through a re-resumed journal), probe the store root.
-    /// Full success exits degraded mode; any failure doubles the
-    /// backoff (capped) and leaves the commits not yet landed parked.
-    fn try_store_recovery(&self, st: &mut State) {
+    /// One recovery attempt: repair the accept log and probe the store
+    /// root, under the lock. A failure doubles the backoff (capped).
+    /// Success leaves degraded mode, then lands each parked outcome, in
+    /// job-id order, through [`Self::commit_unit`] — its I/O unlocked like
+    /// any commit's. Each job's journal is its own file, so the order
+    /// moves no byte. A landing the store refuses parks its outcome again
+    /// and re-enters degraded mode; the outcomes behind it wait for the
+    /// next attempt.
+    fn try_store_recovery<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         let m = &self.inner.metrics;
         m.store_retries.inc();
-        let result: io::Result<()> = (|| {
-            st.store.repair()?;
-            let parked = st.degraded.as_mut().map(|d| std::mem::take(&mut d.pending));
-            let mut parked = parked.unwrap_or_default();
-            while let Some(p) = parked.pop_front() {
-                if let Err(e) = self.recommit(st, &p) {
-                    parked.push_front(p);
-                    if let Some(d) = st.degraded.as_mut() {
-                        d.pending = parked;
-                    }
-                    return Err(e);
-                }
-            }
-            // An end-to-end writability probe through the same fsio
-            // layer real writes use, so injected faults and genuinely
-            // full disks agree on when the store is healthy.
-            let probe = st.store.root().join(".recovery.probe");
+        // An end-to-end writability probe through the same fsio layer
+        // real writes use, so injected faults and genuinely full disks
+        // agree on when the store is healthy.
+        let probe = st.store.root().join(".recovery.probe");
+        let healthy = st.store.repair().and_then(|()| {
             write_atomic(&probe, b"ok")?;
-            std::fs::remove_file(&probe)?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                let was = st.degraded.take();
-                m.store_degraded.set(0.0);
-                dramctrl_obs::log_info!(
-                    "serve", "store recovered; accepting submissions again";
-                    "degraded_seconds" => format!(
-                        "{:.3}",
-                        was.map_or(0.0, |d| d.since.elapsed().as_secs_f64())
-                    )
+            std::fs::remove_file(&probe)
+        });
+        if let Err(e) = healthy {
+            if let Some(d) = st.degraded.as_mut() {
+                let delay = d.backoff.next_delay();
+                d.next_retry = Instant::now() + delay;
+                dramctrl_obs::log_warn!(
+                    "serve", "store still failing; backing off";
+                    "error" => e, "retry_in_ms" => delay.as_millis()
                 );
-                self.inner.work.notify_all();
             }
-            Err(e) => {
-                if let Some(d) = st.degraded.as_mut() {
-                    let delay = d.backoff.next_delay();
-                    d.next_retry = Instant::now() + delay;
-                    dramctrl_obs::log_warn!(
-                        "serve", "store still failing; backing off";
-                        "error" => e, "retry_in_ms" => delay.as_millis()
-                    );
-                }
-            }
+            return st;
         }
+        let was = st.degraded.take();
+        m.store_degraded.set(0.0);
+        dramctrl_obs::log_info!(
+            "serve", "store recovered; accepting submissions again";
+            "degraded_seconds" => format!(
+                "{:.3}",
+                was.as_ref().map_or(0.0, |d| d.since.elapsed().as_secs_f64())
+            )
+        );
+        self.inner.work.notify_all();
+        while st.degraded.is_none() {
+            let parked = st.jobs.iter_mut().find_map(|(id, js)| {
+                let done = js.live.as_mut()?.refused.take()?;
+                Some((id.clone(), done))
+            });
+            let Some((id, done)) = parked else {
+                break;
+            };
+            self.start_turn(&mut st, &id);
+            self.commit_unit(st, &id, done, true);
+            st = self.lock();
+        }
+        // Degraded again before every parked outcome landed: the same
+        // outage, so it keeps its start and its backoff — a store that
+        // passes the probe but refuses a journal is retried at the
+        // capped delay, not every 50 ms.
+        if let (Some(d), Some(was)) = (st.degraded.as_mut(), was) {
+            d.since = was.since;
+            d.backoff = was.backoff;
+            d.next_retry = Instant::now() + d.backoff.next_delay();
+        }
+        st
     }
 
     /// Puts an unfinished job back in rotation after its turn, and wakes
     /// an idle worker for it.
     fn requeue(&self, st: &mut State, id: &str) {
-        let Some(js) = st.jobs.get(id).filter(|js| !js.finished()) else {
-            return;
+        let js = st.jobs.get_mut(id).expect("a held job is in the table");
+        let Some(live) = js.live.as_mut() else {
+            return; // finished
         };
+        live.queued_at = Some(Instant::now());
         st.queue.push(&js.stored.tenant, id.to_owned());
         sync_queue_gauge(&self.inner.metrics, &st.queue, &js.stored.tenant);
-        st.queued_at
-            .entry(id.to_owned())
-            .or_insert_with(Instant::now);
         self.inner.work.notify_one();
     }
 
@@ -955,8 +933,8 @@ impl Server {
         };
 
         let mut st = self.lock();
-        // Degraded store: shed before touching it. The parked commit and
-        // the retry loop own the store until it recovers.
+        // Degraded store: shed before touching it. The retry loop owns
+        // the store until it recovers.
         if let Some(d) = &st.degraded {
             let msg = format!("store unavailable: {}", d.reason);
             return self.reject(&mut st, tenant, "store_unavailable", &msg);
@@ -978,7 +956,7 @@ impl Server {
                 // A failed accept is an unhealthy store, not a one-off:
                 // degrade so later submits shed instead of re-poking it.
                 let msg = format!("store unavailable: {e}");
-                self.enter_degraded(&mut st, &e.to_string(), None);
+                self.enter_degraded(&mut st, &e.to_string());
                 return self.reject(&mut st, tenant, "store_unavailable", &msg);
             }
         };
@@ -990,10 +968,10 @@ impl Server {
         let journal = match CampaignJournal::create(dir.join("journal.jsonl"), &campaign) {
             Ok(j) => j,
             Err(e) => {
-                // The accept line is durable, so recovery (in-process or
-                // on restart) re-creates the journal and runs the job.
+                // The accept line is durable, so a restart re-creates the
+                // journal and runs the job.
                 let msg = format!("store unavailable: {e}");
-                self.enter_degraded(&mut st, &e.to_string(), None);
+                self.enter_degraded(&mut st, &e.to_string());
                 return self.reject(&mut st, tenant, "store_unavailable", &msg);
             }
         };
@@ -1001,7 +979,6 @@ impl Server {
         let (id, total) = (js.stored.id.clone(), js.total);
         if !js.finished() {
             st.queue.push(&js.stored.tenant, id.clone());
-            st.queued_at.insert(id.clone(), Instant::now());
         }
         sync_queue_gauge(&self.inner.metrics, &st.queue, &js.stored.tenant);
         st.jobs.insert(id.clone(), js);
@@ -1212,7 +1189,7 @@ fn jobs_tenants_json(st: &State) -> String {
         if !jobs.is_empty() {
             jobs.push(',');
         }
-        let running_unit = st.running.get(id);
+        let running_unit = js.live.as_ref().filter(|l| l.turn).map(|l| l.next);
         jobs.push_str(&format!(
             "{{\"id\":{},\"tenant\":{},\"done\":{},\"failed\":{},\"total\":{},\"state\":{}{}{}}}",
             json_str(id),
@@ -1366,7 +1343,8 @@ fn replay_events(
 /// The I/O of committing a unit: its artifacts, then the journal commit —
 /// the commit point, its fsync timed into the store-fsync histogram.
 /// Artifacts land (atomically) before the commit: a crash in between
-/// re-runs the unit and rewrites them bit-identically.
+/// re-runs the unit and rewrites them bit-identically. With `resume`, the
+/// journal is first re-resumed from disk against that campaign.
 ///
 /// # Errors
 /// Store I/O — the caller routes it into degraded mode.
@@ -1374,11 +1352,19 @@ fn write_commit(
     m: &ServeMetrics,
     dir: &std::path::Path,
     journal: &mut CampaignJournal,
-    p: &PendingCommit,
+    resume: Option<&Campaign>,
     rec: &JobRecord,
+    done: &UnitDone,
 ) -> io::Result<()> {
-    if let Some(a) = &p.artifacts {
-        write_unit_artifacts(dir, p.unit, a)?;
+    if let Some(campaign) = resume {
+        let path = journal.path().to_path_buf();
+        *journal = CampaignJournal::resume(&path, campaign).map_err(|e| {
+            let why = format!("re-resuming {}: {e}", path.display());
+            io::Error::new(io::ErrorKind::InvalidData, why)
+        })?;
+    }
+    if let Some(a) = &done.artifacts {
+        write_unit_artifacts(dir, rec.job.index, a)?;
     }
     let fsync_started = Instant::now();
     journal.commit(rec)?;
@@ -1408,7 +1394,6 @@ fn write_unit_artifacts(dir: &std::path::Path, unit: usize, a: &JobArtifacts) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dramctrl_campaign::Campaign;
 
     #[test]
     fn broadcast_evicts_full_subscribers_and_prunes_hangups() {

@@ -121,13 +121,7 @@ impl JobStore {
             ));
         }
 
-        let text = std::fs::read_to_string(&log)?;
-        let mut jobs = Vec::new();
-        let mut valid_len = 0;
-        for (n, line) in complete_lines(&text) {
-            jobs.push(parse_accept_line(line).map_err(|why| corrupt("accept", n, &why))?);
-            valid_len += line.len() as u64 + 1;
-        }
+        let (mut jobs, valid_len) = read_accept(&log)?;
         let next_id = jobs
             .iter()
             .filter_map(|j| j.id.strip_prefix("job-")?.parse::<u64>().ok())
@@ -257,24 +251,20 @@ impl JobStore {
     }
 
     /// Repairs the accept log after a failed append: a write that died
-    /// partway (`ENOSPC`, a torn short write) can leave unterminated or
-    /// garbage bytes at the tail, and the old appender's file position
-    /// is now poisoned. Every line that still parses is kept; the file
-    /// is truncated to that prefix (fsync'd) and a fresh appender is
-    /// opened at the clean end.
-    ///
-    /// Only the tail can be damaged by a live failure — earlier lines
-    /// were validated at [`open`](Self::open) — so stopping at the first
-    /// unparsable line never drops an acknowledged job.
+    /// partway (`ENOSPC`, a torn short write) leaves an unterminated
+    /// tail, and the old appender's file position is now poisoned. The
+    /// log is read by [`open`](Self::open)'s rule — the unterminated tail
+    /// is cut off (fsync'd) and a fresh appender opened at the clean end,
+    /// while a complete line that does not parse is a loud error, never
+    /// truncated away together with the acknowledged jobs after it.
     ///
     /// # Errors
     /// Any I/O error from reading, truncating or reopening — the store
-    /// is then still unusable and the caller should retry later.
+    /// is then still unusable and the caller should retry later — or a
+    /// corrupt accept log.
     pub fn repair(&mut self) -> io::Result<()> {
         let log = self.root.join("accept.jsonl");
-        let text = std::fs::read_to_string(&log)?;
-        let valid = complete_lines(&text).take_while(|(_, line)| parse_accept_line(line).is_ok());
-        let valid_len = valid.map(|(_, line)| line.len() as u64 + 1).sum();
+        let (_, valid_len) = read_accept(&log)?;
         self.accept = DurableAppender::reopen(&log, valid_len)?;
         Ok(())
     }
@@ -296,6 +286,23 @@ impl JobStore {
     pub fn unit_artifact(job_dir: &Path, index: usize, ext: &str) -> PathBuf {
         job_dir.join(format!("unit-{index:06}.{ext}"))
     }
+}
+
+/// Reads the accept log: every job on a complete line, in acceptance
+/// order, and where those lines end. A torn final line is not a job; a
+/// complete line that is not one is a loud error.
+///
+/// # Errors
+/// I/O errors, or a corrupt accept log.
+fn read_accept(log: &Path) -> io::Result<(Vec<StoredJob>, u64)> {
+    let text = std::fs::read_to_string(log)?;
+    let mut jobs = Vec::new();
+    let mut valid_len = 0;
+    for (n, line) in complete_lines(&text) {
+        jobs.push(parse_accept_line(line).map_err(|why| corrupt("accept", n, &why))?);
+        valid_len += line.len() as u64 + 1;
+    }
+    Ok((jobs, valid_len))
 }
 
 fn parse_accept_line(line: &str) -> Result<StoredJob, String> {
@@ -471,6 +478,27 @@ mod tests {
     }
 
     #[test]
+    fn repair_refuses_a_corrupt_line_instead_of_cutting_the_acked_jobs_after_it() {
+        let root = tmp("repair-corrupt");
+        let (mut store, _) = JobStore::open(&root).unwrap();
+        store.accept("alice", 0, &campaign("a")).unwrap();
+        store.accept("bob", 0, &campaign("b")).unwrap();
+        let log = root.join("accept.jsonl");
+        let mangled =
+            std::fs::read_to_string(&log)
+                .unwrap()
+                .replacen("\"tenant\"", "\"tenannt\"", 1);
+        std::fs::write(&log, &mangled).unwrap();
+        let err = store.repair().unwrap_err();
+        assert!(err.to_string().contains("accept log line 1"), "{err}");
+        assert_eq!(
+            std::fs::read_to_string(&log).unwrap(),
+            mangled,
+            "nothing cut"
+        );
+    }
+
+    #[test]
     fn injected_fault_fails_accept_then_repair_recovers() {
         let root = tmp("fault-accept");
         let (mut store, _) = JobStore::open(&root).unwrap();
@@ -488,6 +516,24 @@ mod tests {
         assert_eq!(a.id, "job-0001");
         let (_, jobs) = JobStore::open(&root).unwrap();
         assert_eq!(jobs.len(), 1);
+    }
+
+    #[test]
+    fn an_accept_line_over_the_unit_cap_is_corrupt_not_an_abort() {
+        let root = tmp("over-cap");
+        let (mut store, _) = JobStore::open(&root).unwrap();
+        let over = Campaign::new("over", 1)
+            .read_pcts((0..1_025).map(|i| (i % 101) as u8))
+            .requests(1..=1_024);
+        // `accept` encodes without decoding: the line a daemon without
+        // the cap would have accepted.
+        store.accept("alice", 0, &over).unwrap();
+        drop(store);
+        let err = JobStore::open(&root).unwrap_err();
+        assert!(
+            err.to_string().contains("accept log line 1 is corrupt"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Drives the `chaos` crash-point explorer end to end: every durability
-//! operation of the journaled-campaign, serve-store and two-worker-daemon
-//! workloads gets a process crash, and recovery must be byte-identical
-//! to a never-crashed run. Also checks the loud-refusal contract for
+//! operation of the journaled-campaign and two-worker-daemon workloads
+//! gets a process crash, and recovery must be byte-identical to a
+//! never-crashed run. Also checks the loud-refusal contract for
 //! corrupted checkpoints.
 
 use std::path::PathBuf;
@@ -55,23 +55,6 @@ fn every_campaign_crash_point_recovers_byte_identically() {
 }
 
 #[test]
-fn every_store_crash_point_recovers_byte_identically_and_acks_survive() {
-    let (ok, report, log) = explore("store");
-    assert!(ok, "explorer failed:\n{log}");
-    let lines: Vec<&str> = report.lines().collect();
-    assert!(lines.len() >= 10, "suspiciously few crash points:\n{log}");
-    for line in &lines {
-        assert!(line.contains("\"ok\":true"), "{line}\n{log}");
-    }
-    // Late crash points land after the accept and the first commit were
-    // both acked (the final commit's own ack can never precede the last
-    // op), so the ack-survival check ran against real acked work, not
-    // vacuously.
-    let last = lines.last().unwrap();
-    assert!(line_acked(last) >= 2, "{last}");
-}
-
-#[test]
 fn every_pool_crash_point_recovers_byte_identically_and_reruns_only_uncommitted_units() {
     // A two-worker daemon with two tenants' jobs in flight. The explorer
     // fails a crash point whose restart simulates anything but the units
@@ -101,17 +84,16 @@ fn line_acked(line: &str) -> u64 {
 #[test]
 fn corrupted_checkpoints_are_refused_loudly_not_misread() {
     use dramctrl_campaign::Campaign;
-    use dramctrl_runner::run_job_resumable;
+    use dramctrl_runner::JobRun;
     let dir = tmp("torn-snap");
     let c = Campaign::new("snap", 3).read_pcts([50]).requests([5_000]);
     let unit = &c.expand()[0];
     let snap = dir.join("unit.snap");
+    let run = |pause_after| JobRun::start(unit, 0).run_resumable(Some(&snap), 0, pause_after);
 
     // A checkpoint that is garbage from byte 0.
     std::fs::write(&snap, b"not a snapshot at all").unwrap();
-    let garbage = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_resumable(unit, Some(&snap), 0, Some(1_000));
-    }));
+    let garbage = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(Some(1_000))));
     let msg = panic_text(garbage.expect_err("garbage checkpoint must be refused"));
     assert!(msg.contains("checkpoint"), "unhelpful refusal: {msg}");
 
@@ -119,14 +101,12 @@ fn corrupted_checkpoints_are_refused_loudly_not_misread() {
     // must also be refused loudly, never half-restored.
     let _ = std::fs::remove_file(&snap);
     assert!(
-        run_job_resumable(unit, Some(&snap), 0, Some(1_000)).is_none(),
+        run(Some(1_000)).is_none(),
         "quantum too large: never paused"
     );
     let whole = std::fs::read(&snap).unwrap();
     std::fs::write(&snap, &whole[..whole.len() / 2]).unwrap();
-    let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_job_resumable(unit, Some(&snap), 0, None);
-    }));
+    let torn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(None)));
     let msg = panic_text(torn.expect_err("torn checkpoint must be refused"));
     assert!(msg.contains("checkpoint"), "unhelpful refusal: {msg}");
     let _ = std::fs::remove_dir_all(&dir);

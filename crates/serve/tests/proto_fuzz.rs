@@ -1,21 +1,28 @@
-//! Seeded protocol fuzz: deterministic garbage thrown at the wire
-//! parser and at a live daemon socket. The contract under test is
-//! narrow and absolute — for any byte sequence a client sends, the
-//! daemon answers with an `error` event or drops the connection; it
-//! never panics, never aborts, and the scheduler keeps serving honest
-//! clients throughout.
+//! Seeded fuzz of the daemon's decoders: deterministic garbage thrown at
+//! the wire parser, at a live daemon socket, and at the files a store
+//! reads back — accept log, tombstone log, campaign journal. The
+//! contract under test is narrow and absolute — for any byte sequence a
+//! client sends, the daemon answers with an `error` event or drops the
+//! connection; it never panics, never aborts, and the scheduler keeps
+//! serving honest clients throughout. For any bytes on disk, a decoder
+//! returns `Ok` or `Err`, never a panic.
 //!
 //! Everything is driven by the workspace's own `Rng` (xoshiro256**),
 //! so a failure reproduces from the seed printed in the assert.
 
-use dramctrl_campaign::Campaign;
+use dramctrl::{PagePolicy, SchedPolicy};
+use dramctrl_campaign::{run_campaign, Campaign, CampaignJournal, ExecutorConfig};
+use dramctrl_campaign::{Model, TrafficPattern};
 use dramctrl_kernel::rng::Rng;
-use dramctrl_serve::proto::campaign_to_wire;
+use dramctrl_mem::AddrMapping;
+use dramctrl_runner::run_job;
+use dramctrl_serve::proto::{self, campaign_to_wire};
 use dramctrl_serve::wire::Value;
-use dramctrl_serve::{Client, Listener, ServeConfig, Server};
+use dramctrl_serve::{Client, JobStore, Listener, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::panic::catch_unwind;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const SEED: u64 = 0xD1A6_C7B1;
@@ -290,4 +297,179 @@ fn daemon_survives_malformed_truncated_and_interleaved_clients() {
     assert!(hello.contains("\"event\":\"status\""), "{hello}");
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A campaign whose axes multiply past the daemon's unit cap is refused
+/// before the accept log grows — just over the cap, and so far over that
+/// the product overflows `usize` — and the daemon keeps serving: an
+/// honest submit afterwards streams exactly what `run_campaign` reports.
+#[test]
+fn oversized_campaigns_are_refused_before_the_accept_log() {
+    let root = tmp("oversized");
+    let store = root.join("store");
+    let addr = spawn_daemon(&store);
+    let accept_log = store.join("accept.jsonl");
+    let before = std::fs::read(&accept_log).unwrap();
+
+    // 1 025 × 1 024 units, about 8 KB on the wire.
+    let just_over = Campaign::new("over", 1)
+        .read_pcts((0..1_025).map(|i| (i % 101) as u8))
+        .requests(1..=1_024);
+    assert_eq!(just_over.len(), proto::MAX_CAMPAIGN_UNITS + 1_024);
+    // Ten axes of 100 values each: 10^20 units.
+    let linear = TrafficPattern::Linear {
+        range: 1 << 20,
+        block: 64,
+    };
+    let overflowing = Campaign::new("overflow", 1)
+        .devices(vec!["DDR3-1333-x64"; 100])
+        .models(vec![Model::Event; 100])
+        .policies(vec![PagePolicy::Open; 100])
+        .scheds(vec![SchedPolicy::FrFcfs; 100])
+        .mappings(vec![AddrMapping::RoRaBaCoCh; 100])
+        .channels(vec![1; 100])
+        .traffic(vec![linear; 100])
+        .read_pcts(vec![100; 100])
+        .requests(vec![10; 100])
+        .error_rates(vec![0.0; 100]);
+    assert_eq!(overflowing.checked_len(), None);
+    for c in [&just_over, &overflowing] {
+        let mut client = Client::connect(&addr).unwrap();
+        let err = client.submit("big", 0, c).unwrap_err().to_string();
+        assert!(err.contains("units"), "{}: {err}", c.name);
+    }
+    assert!(
+        std::fs::read(&accept_log).unwrap() == before,
+        "the accept log grew"
+    );
+
+    let honest = Campaign::new("honest", 9)
+        .read_pcts([0, 100])
+        .requests([100]);
+    let mut client = Client::connect(&addr).unwrap();
+    let (id, _) = client.submit("small", 0, &honest).unwrap();
+    let mut records = std::collections::BTreeMap::new();
+    client
+        .watch(&id, |v, line| {
+            if v.get("event").and_then(Value::as_str) == Some("record") {
+                let i = v.get("index").and_then(Value::as_u64).unwrap();
+                records.insert(i, proto::record_data(line).unwrap().to_owned() + "\n");
+            }
+        })
+        .unwrap();
+    let want = run_campaign(&honest, &ExecutorConfig::serial(), run_job).to_jsonl();
+    assert_eq!(records.into_values().collect::<String>(), want);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Mutates a log file line by line with [`mutate`], hitting one line in
+/// four, and cuts a third of the results short, so a torn tail comes up
+/// as often as a damaged interior.
+fn mutate_log(rng: &mut Rng, text: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    for line in text.lines() {
+        if rng.gen_range(0..4) == 0 {
+            out.extend(mutate(rng, line));
+        } else {
+            out.extend_from_slice(line.as_bytes());
+        }
+        out.push(b'\n');
+    }
+    if rng.gen_range(0..3) == 0 {
+        out.truncate(rng.gen_range(0..out.len() as u64 + 1) as usize);
+    }
+    out
+}
+
+/// Whether the file at `path` ends on a line boundary.
+fn only_complete_lines(path: &Path) -> bool {
+    let bytes = std::fs::read(path).unwrap();
+    bytes.is_empty() || bytes.ends_with(b"\n")
+}
+
+/// `JobStore::open` over mutated accept and tombstone logs taken from a
+/// store this test writes: `Ok` or `Err`, never a panic, and a store it
+/// opens has an accept log of complete lines only.
+#[test]
+fn the_store_decoder_survives_mutated_logs() {
+    let base = tmp("store-decoder");
+    let root = base.join("store");
+    let (mut store, _) = JobStore::open(&root).unwrap();
+    let c = Campaign::new("fuzz", 9).read_pcts([0, 100]).requests([100]);
+    store.accept("alice", 0, &c).unwrap();
+    store
+        .accept_sharded("bob", 1_000_000, &c, Some((1, 2)))
+        .unwrap();
+    let gone = store.accept("carol", 0, &c).unwrap();
+    store.evict(&gone.id).unwrap();
+    drop(store);
+    let logs = [root.join("accept.jsonl"), root.join("evicted.jsonl")];
+    let texts = logs.clone().map(|p| std::fs::read_to_string(p).unwrap());
+
+    let seed = SEED ^ 0x5708E;
+    let mut rng = Rng::seed_from_u64(seed);
+    for i in 0..3_000u64 {
+        // The accept log, the tombstone log, or both, mutated afresh.
+        let hit = rng.gen_range(1..4);
+        for (k, (path, text)) in logs.iter().zip(&texts).enumerate() {
+            let bytes = match hit & (1 << k) {
+                0 => text.clone().into_bytes(),
+                _ => mutate_log(&mut rng, text),
+            };
+            std::fs::write(path, bytes).unwrap();
+        }
+        let opened = catch_unwind(|| JobStore::open(&root).is_ok())
+            .unwrap_or_else(|_| panic!("seed {seed:#x}, iteration {i}: JobStore::open panicked"));
+        if opened {
+            assert!(
+                only_complete_lines(&logs[0]),
+                "seed {seed:#x}, iteration {i}: open left a torn accept log"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// `CampaignJournal::{replay, resume, recover}` over mutations of the
+/// committed journal fixture, against its campaign: `Ok` or `Err`,
+/// never a panic, and a journal `resume` or `recover` opens holds
+/// complete lines only.
+#[test]
+fn the_journal_decoders_survive_mutated_journals() {
+    const FIXTURE: &str = include_str!("../../../tests/fixtures/pr13_journal.jsonl");
+    // The campaign `tests/golden_bytes.rs` writes that journal for.
+    let c = Campaign::new("golden \"q\" \\ \t", 14)
+        .policies([PagePolicy::Open, PagePolicy::Closed])
+        .read_pcts([0, 100])
+        .requests([200]);
+    let dir = tmp("journal-decoders");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("journal.jsonl");
+    std::fs::write(&path, FIXTURE).unwrap();
+    let clean = CampaignJournal::replay(&path, &c).expect("the fixture is this campaign's");
+    assert_eq!(clean.len(), 4);
+
+    type Decoder = fn(&Path, &Campaign) -> bool;
+    let decoders: [(&str, Decoder); 3] = [
+        ("replay", |p, c| CampaignJournal::replay(p, c).is_ok()),
+        ("resume", |p, c| CampaignJournal::resume(p, c).is_ok()),
+        ("recover", |p, c| CampaignJournal::recover(p, c).is_ok()),
+    ];
+    let seed = SEED ^ 0x10E4;
+    let mut rng = Rng::seed_from_u64(seed);
+    for i in 0..3_000u64 {
+        let bytes = mutate_log(&mut rng, FIXTURE);
+        for (name, decode) in decoders {
+            std::fs::write(&path, &bytes).unwrap();
+            let opened = catch_unwind(|| decode(&path, &c))
+                .unwrap_or_else(|_| panic!("seed {seed:#x}, iteration {i}: {name} panicked"));
+            if opened && name != "replay" {
+                assert!(
+                    only_complete_lines(&path),
+                    "seed {seed:#x}, iteration {i}: {name} left a torn line"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

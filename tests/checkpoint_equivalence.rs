@@ -5,8 +5,8 @@
 //! mid-run must never perturb the simulation.
 
 use dramctrl::SchedPolicy;
-use dramctrl_bench::{job_fingerprint, run_job, run_job_resumable};
 use dramctrl_campaign::{Campaign, JobSpec, Model};
+use dramctrl_runner::{job_fingerprint, run_job, JobRun};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -38,7 +38,9 @@ fn periodic_checkpoints_do_not_perturb_the_run() {
         let baseline = run_job(&job);
         let p = tmp(&format!("periodic-{}.snap", job.index));
         let _ = std::fs::remove_file(&p);
-        let ckpted = run_job_resumable(&job, Some(&p), 50, None).expect("unpaused run completes");
+        let (ckpted, _) = JobRun::start(&job, 0)
+            .run_resumable(Some(&p), 50, None)
+            .expect("unpaused run completes");
         assert_eq!(
             exact(&baseline),
             exact(&ckpted),
@@ -61,13 +63,17 @@ fn pause_and_resume_matches_uninterrupted_run() {
         // Pause mid-run: the job stops at the first request boundary past
         // 150 injections and persists its full state.
         assert!(
-            run_job_resumable(&job, Some(&p), 0, Some(150)).is_none(),
+            JobRun::start(&job, 0)
+                .run_resumable(Some(&p), 0, Some(150))
+                .is_none(),
             "job {} did not pause",
             job.index
         );
         assert!(p.exists());
         // Resume from the snapshot and run to completion.
-        let resumed = run_job_resumable(&job, Some(&p), 0, None).expect("resumed run completes");
+        let (resumed, _) = JobRun::start(&job, 0)
+            .run_resumable(Some(&p), 0, None)
+            .expect("resumed run completes");
         assert_eq!(
             exact(&baseline),
             exact(&resumed),
@@ -86,10 +92,12 @@ fn checkpoint_of_one_job_refuses_to_restore_another() {
     assert_ne!(job_fingerprint(a), job_fingerprint(b));
     let p = tmp("mismatch.snap");
     let _ = std::fs::remove_file(&p);
-    assert!(run_job_resumable(a, Some(&p), 0, Some(100)).is_none());
+    assert!(JobRun::start(a, 0)
+        .run_resumable(Some(&p), 0, Some(100))
+        .is_none());
     // Restoring job A's snapshot into job B's configuration must fail
     // loudly, never silently produce a hybrid simulation.
-    let err = std::panic::catch_unwind(|| run_job_resumable(b, Some(&p), 0, None));
+    let err = std::panic::catch_unwind(|| JobRun::start(b, 0).run_resumable(Some(&p), 0, None));
     assert!(err.is_err(), "fingerprint mismatch was not rejected");
     std::fs::remove_file(&p).unwrap();
 }
@@ -99,11 +107,12 @@ fn checkpoint_of_one_job_refuses_to_restore_another() {
 /// retry event boxed: a checkpoint written by the commit before all
 /// three (PR 12, `18e2c35`) restores here and finishes byte-identically.
 ///
-/// The fixture is `run_job_resumable(job, path, 0, Some(125))` on that
-/// commit for matrix job 7 (event model, FR-FCFS, two channels behind the
-/// crossbar, RAS at 2e11) — a pause point chosen, by instrumenting
-/// `Ev::save` there, so that a link-error `Retry` event is pending in a
-/// channel's event queue, next to ~50 outstanding ids in the tester.
+/// The fixture is what that commit's `run_job_resumable(job, path, 0,
+/// Some(125))`, an unobserved `JobRun::run_resumable`, wrote for matrix
+/// job 7 (event model, FR-FCFS, two channels behind the crossbar, RAS at
+/// 2e11): a pause point chosen, by instrumenting `Ev::save` there, so
+/// that a link-error `Retry` event is pending in a channel's event queue,
+/// next to ~50 outstanding ids in the tester.
 #[test]
 fn a_checkpoint_written_by_the_previous_commit_resumes_byte_identically() {
     const FIXTURE: &[u8] = include_bytes!("fixtures/pr12_event_2ch_ras_retry_pending.snap");
@@ -115,12 +124,16 @@ fn a_checkpoint_written_by_the_previous_commit_resumes_byte_identically() {
     );
     let p = tmp("cross-version.snap");
     std::fs::write(&p, FIXTURE).unwrap();
-    let resumed = run_job_resumable(&job, Some(&p), 0, None).expect("resumed run completes");
+    let (resumed, _) = JobRun::start(&job, 0)
+        .run_resumable(Some(&p), 0, None)
+        .expect("resumed run completes");
     assert_eq!(exact(&run_job(&job)), exact(&resumed));
 
     // And this commit writes the very same bytes at the same pause point.
     let _ = std::fs::remove_file(&p);
-    assert!(run_job_resumable(&job, Some(&p), 0, Some(125)).is_none());
+    assert!(JobRun::start(&job, 0)
+        .run_resumable(Some(&p), 0, Some(125))
+        .is_none());
     assert!(
         std::fs::read(&p).unwrap() == FIXTURE,
         "snapshot bytes changed"

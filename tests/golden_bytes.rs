@@ -6,11 +6,11 @@
 //! also survive `parse` → `encode` unchanged under the one reader.
 
 use dramctrl::PagePolicy;
-use dramctrl_bench::{run_job, run_job_observed, JobArtifacts};
 use dramctrl_campaign::{
     run_campaign_journaled, Campaign, CampaignJournal, ExecutorConfig, JobMetrics, JobSpec,
 };
 use dramctrl_kernel::json::{validate, Value};
+use dramctrl_runner::{run_job, JobArtifacts, JobRun, SliceOutcome};
 
 /// Quote, backslash, newline and U+0001: one of each escape class.
 const NASTY: &str = "boom \"q\" back\\slash\nline2 \u{1} end";
@@ -52,7 +52,10 @@ fn observed() -> JobArtifacts {
         .requests([60])
         .expand()
         .remove(0);
-    run_job_observed(&job, 100_000).1
+    let SliceOutcome::Done(_, Some(artifacts)) = JobRun::start(&job, 100_000).advance(None) else {
+        panic!("an observed run renders its artifacts");
+    };
+    artifacts
 }
 
 fn assert_lines_round_trip(what: &str, text: &str) {
