@@ -82,7 +82,7 @@ fn panicking_job_is_isolated_retried_and_reported() {
     assert_eq!(attempts_seen.load(Ordering::Relaxed), 2, "bounded retry");
     assert_eq!(r.failed(), 1);
     assert_eq!(r.completed(), 63, "campaign must not abort");
-    match &r.records[13].outcome {
+    match &r.records()[13].outcome {
         JobOutcome::Failed {
             panic_msg,
             attempts,

@@ -9,14 +9,23 @@
 //! otherwise only wait — which also reports progress. Results are
 //! stored by job index, so the final report is independent of scheduling
 //! order and worker count.
+//!
+//! The collector renders each finished record's line once, into one
+//! reused batch buffer; the journal appends those bytes and the report
+//! keeps them, in job order ([`ReportLines`]). Workers never render:
+//! a line a worker rendered into its own `String` would cross threads
+//! and be freed on another, which measured slower than rendering on the
+//! collector.
 
 use crate::journal::CampaignJournal;
-use crate::report::{CampaignReport, JobMetrics, JobRecord};
+use crate::report::{render_parts_into, CampaignReport, JobMetrics, JobRecord};
 use crate::spec::{Campaign, JobSpec};
 use dramctrl_kernel::backoff::deterministic_ms;
 use dramctrl_obs::metrics::{
     Counter, FloatCounter, Gauge, Histogram, Registry, LATENCY_BUCKETS, SIZE_BUCKETS,
 };
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -347,9 +356,8 @@ where
             prefilled[i] = Some(outcome.clone());
         }
     }
-    let in_shard = |i: usize| shard.map_or(true, |(idx, n)| i % n as usize == idx as usize);
     let pending: Vec<usize> = (0..total)
-        .filter(|&i| prefilled[i].is_none() && in_shard(i))
+        .filter(|&i| prefilled[i].is_none() && in_shard(shard, i))
         .collect();
 
     let workers = cfg.effective_workers(pending.len());
@@ -357,7 +365,7 @@ where
     let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
     let start = Instant::now();
 
-    let outcomes = std::thread::scope(|s| {
+    let (outcomes, jsonl) = std::thread::scope(|s| {
         let jobs = &jobs;
         let next = &next;
         let runner = &runner;
@@ -409,9 +417,15 @@ where
             let rx = rx;
             let mut journal = journal;
             let mut outcomes = prefilled;
+            let expected = outcomes.iter().flatten().count() + to_run;
+            let mut report = ReportLines::new(name, jobs, shard, expected);
+            report.advance(&outcomes);
             let mut done = 0usize;
             let mut failed = 0usize;
             let mut batch: Vec<(usize, JobOutcome)> = Vec::new();
+            // The batch's lines, in batch order, and where each one ends.
+            let mut lines = String::new();
+            let mut ends: Vec<usize> = Vec::new();
             let mut last_progress: Option<Instant> = None;
             let mut line_width = 0usize;
             while let Ok(first) = rx.recv() {
@@ -424,13 +438,21 @@ where
                 while let Ok(more) = rx.try_recv() {
                     batch.push(more);
                 }
+                // Each record renders once, from borrows of the job table
+                // and the batch, into the one reused buffer.
+                lines.clear();
+                ends.clear();
+                for (i, outcome) in &batch {
+                    render_parts_into(&mut lines, name, &jobs[*i], outcome);
+                    ends.push(lines.len());
+                    lines.push('\n');
+                }
                 // The commit point: the records hit the durable journal
                 // before their outcomes are accepted into the report.
-                // Lines render from borrows of the job table and the
-                // batch — no per-record JobSpec/JobOutcome clones.
                 if let Some(j) = journal.as_deref_mut() {
                     let commit_started = Instant::now();
-                    j.commit_batch(batch.iter().map(|&(i, ref o)| (&jobs[i], o)))
+                    let records = batch.iter().zip(batch_lines(&lines, &ends));
+                    j.commit_batch(records.map(|(&(i, ref o), line)| (i, o, line)))
                         .unwrap_or_else(|e| {
                             panic!(
                                 "cannot commit {} job(s) to the campaign journal at {}: {e}",
@@ -444,13 +466,15 @@ where
                         m.batch_records.observe(batch.len() as f64);
                     }
                 }
-                for (i, outcome) in batch.drain(..) {
+                for ((i, outcome), line) in batch.drain(..).zip(batch_lines(&lines, &ends)) {
                     done += 1;
                     if outcome.is_failed() {
                         failed += 1;
                     }
+                    report.take(i, line);
                     outcomes[i] = Some(outcome);
                 }
+                report.advance(&outcomes);
                 let elapsed = start.elapsed().as_secs_f64();
                 if let Some(m) = exec_metrics {
                     if elapsed > 0.0 {
@@ -477,7 +501,7 @@ where
                 let line = format!("[{name}] {done}/{to_run} done, {failed} failed");
                 eprintln!("\r{}", pad_progress(&mut line_width, &line));
             }
-            outcomes
+            (outcomes, report.into_jsonl())
         }
     });
 
@@ -492,12 +516,128 @@ where
             None => panic!("every job index is executed exactly once"),
         })
         .collect();
-    CampaignReport {
-        name: campaign.name.clone(),
-        seed: campaign.seed,
+    CampaignReport::with_lines(
+        campaign.name.clone(),
+        campaign.seed,
         workers,
-        wall_secs: start.elapsed().as_secs_f64(),
+        start.elapsed().as_secs_f64(),
         records,
+        jsonl,
+    )
+}
+
+/// Whether job `index` belongs to `shard` (every job does when unsharded).
+fn in_shard(shard: Option<(u32, u32)>, index: usize) -> bool {
+    shard.map_or(true, |(idx, n)| index % n as usize == idx as usize)
+}
+
+/// The lines of a batch buffer, each without its newline, where line `k`
+/// ends at byte `ends[k]`.
+fn batch_lines<'a>(lines: &'a str, ends: &'a [usize]) -> impl Iterator<Item = &'a str> + 'a {
+    let starts = std::iter::once(0).chain(ends.iter().map(|end| end + 1));
+    starts
+        .zip(ends)
+        .map(move |(start, &end)| &lines[start..end])
+}
+
+/// The report's bytes, assembled on the collector: lines arrive in
+/// completion order and leave in job order. `out` holds the line of
+/// every job below `next` that has an outcome; a line that finished
+/// ahead of a job still running waits in `held`, one buffer for all of
+/// them. Workers take jobs in index order, so about as many lines wait
+/// as there are workers, and the whole report is never held twice.
+struct ReportLines<'a> {
+    name: &'a str,
+    jobs: &'a [JobSpec],
+    shard: Option<(u32, u32)>,
+    /// Lines the report will hold.
+    expected: usize,
+    out: String,
+    next: usize,
+    held: String,
+    held_at: BTreeMap<usize, Range<usize>>,
+    /// Bytes of `held` still waiting; the rest have moved to `out`.
+    held_live: usize,
+}
+
+impl<'a> ReportLines<'a> {
+    fn new(name: &'a str, jobs: &'a [JobSpec], shard: Option<(u32, u32)>, expected: usize) -> Self {
+        Self {
+            name,
+            jobs,
+            shard,
+            expected,
+            out: String::new(),
+            next: 0,
+            held: String::new(),
+            held_at: BTreeMap::new(),
+            held_live: 0,
+        }
+    }
+
+    /// Takes job `index`'s freshly rendered line (without its newline).
+    fn take(&mut self, index: usize, line: &str) {
+        if self.out.capacity() == 0 {
+            // Sized once, from the first line: a buffer that doubled
+            // while the collector's other allocations interleave leaves
+            // its old copies behind in the heap. Rounded up to a power of
+            // two, so the campaigns a process runs one after another ask
+            // for the same block and reuse it.
+            let estimate = self.expected * (line.len() + 1) * 9 / 8;
+            self.out.reserve(estimate.next_power_of_two());
+        }
+        if index == self.next {
+            self.out.push_str(line);
+            self.out.push('\n');
+            self.next += 1;
+        } else {
+            let start = self.held.len();
+            self.held.push_str(line);
+            self.held_at.insert(index, start..self.held.len());
+            self.held_live += line.len();
+        }
+    }
+
+    /// Moves every line now in order to the output: held lines, and the
+    /// outcomes a resumed journal carried in, rendered here, once. Stops
+    /// at the first job of the shard that is still running.
+    fn advance(&mut self, outcomes: &[Option<JobOutcome>]) {
+        while self.next < self.jobs.len() {
+            let i = self.next;
+            if let Some(at) = self.held_at.remove(&i) {
+                self.held_live -= at.len();
+                self.out.push_str(&self.held[at]);
+            } else if let Some(outcome) = &outcomes[i] {
+                render_parts_into(&mut self.out, self.name, &self.jobs[i], outcome);
+            } else if in_shard(self.shard, i) {
+                break;
+            } else {
+                self.next += 1;
+                continue;
+            }
+            self.out.push('\n');
+            self.next += 1;
+        }
+        if self.held_at.is_empty() {
+            self.held.clear();
+            self.held_live = 0;
+        } else if self.held.len() > 4 * self.held_live.max(4096) {
+            // Mostly moved out while something early still runs: keep
+            // only the waiting lines.
+            let mut held = String::with_capacity(2 * self.held_live);
+            for at in self.held_at.values_mut() {
+                let start = held.len();
+                held.push_str(&self.held[at.clone()]);
+                *at = start..held.len();
+            }
+            self.held = held;
+        }
+    }
+
+    /// The report's lines; every held line must have been moved out.
+    fn into_jsonl(self) -> String {
+        debug_assert!(self.held_at.is_empty(), "a line outlived its job");
+        self.out
     }
 }
 
@@ -590,8 +730,8 @@ mod tests {
             let cfg = ExecutorConfig::default().with_workers(workers);
             let r = run_campaign(&c, &cfg, toy_runner);
             assert_eq!(r.workers, workers.min(24));
-            assert_eq!(r.records.len(), 24);
-            for (i, rec) in r.records.iter().enumerate() {
+            assert_eq!(r.records().len(), 24);
+            for (i, rec) in r.records().iter().enumerate() {
                 assert_eq!(rec.job.index, i);
                 match &rec.outcome {
                     JobOutcome::Completed { metrics, attempts } => {
@@ -631,7 +771,7 @@ mod tests {
         assert_eq!(tries.load(Ordering::Relaxed), 3, "bounded retry");
         assert_eq!(r.failed(), 1);
         assert_eq!(r.completed(), 7, "campaign did not abort");
-        match &r.records[5].outcome {
+        match &r.records()[5].outcome {
             JobOutcome::Failed {
                 panic_msg,
                 attempts,
@@ -659,8 +799,8 @@ mod tests {
         std::panic::set_hook(prev);
 
         assert_eq!(r.failed(), 0);
-        assert_eq!(r.records[0].outcome.attempts(), 2);
-        assert_eq!(r.records[1].outcome.attempts(), 1);
+        assert_eq!(r.records()[0].outcome.attempts(), 2);
+        assert_eq!(r.records()[1].outcome.attempts(), 1);
     }
 
     #[test]
@@ -673,7 +813,7 @@ mod tests {
                 &ExecutorConfig::default().with_workers(workers),
                 toy_runner,
             );
-            assert_eq!(base.records, r.records);
+            assert_eq!(base.records(), r.records());
             assert_eq!(base.to_jsonl(), r.to_jsonl());
         }
     }
@@ -767,6 +907,183 @@ mod tests {
         assert_eq!(m.retries.get(), 2);
     }
 
+    /// Runs `f` and counts the record renders it made on this thread,
+    /// where the collector and the journal readers run.
+    fn renders<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        use crate::report::RENDERS;
+        let before = RENDERS.with(std::cell::Cell::get);
+        let out = f();
+        (out, RENDERS.with(std::cell::Cell::get) - before)
+    }
+
+    /// `report`'s bytes are its records, each rendered once more here.
+    fn assert_lines_are_records(report: &CampaignReport) {
+        let rendered: String = report
+            .records()
+            .iter()
+            .map(|r| r.render(&report.name) + "\n")
+            .collect();
+        assert!(report.to_jsonl() == rendered, "report bytes != its records");
+    }
+
+    /// A campaign with one job that always fails, so failed records ride
+    /// through every path too.
+    fn failing_runner(job: &JobSpec) -> JobMetrics {
+        if job.index == 7 {
+            panic!("job 7 \"always\" dies");
+        }
+        toy_runner(job)
+    }
+
+    fn tmp_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("dramctrl-render-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn a_campaign_renders_each_record_once() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let c = campaign(24);
+        let cfg = ExecutorConfig::default()
+            .with_workers(3)
+            .with_max_attempts(1);
+        let (plain, n) = renders(|| {
+            let r = run_campaign(&c, &cfg, failing_runner);
+            let _ = r.to_jsonl();
+            r
+        });
+        assert_eq!(n, 24, "plain: one render per job, to_jsonl included");
+        assert_eq!(plain.failed(), 1);
+
+        let dir = tmp_dir("once");
+        let mut journal = CampaignJournal::create(dir.join("j.jsonl"), &c).unwrap();
+        let (journaled, n) = renders(|| {
+            let r = run_campaign_journaled(&c, &cfg, &mut journal, failing_runner);
+            let _ = r.to_jsonl();
+            r
+        });
+        std::panic::set_hook(prev);
+        assert_eq!(n, 24, "journaled: the journal appends the report's bytes");
+        assert_lines_are_records(&plain);
+        assert_lines_are_records(&journaled);
+        assert_eq!(plain.to_jsonl(), journaled.to_jsonl());
+        let serial = run_campaign(&c, &cfg.clone().with_workers(1), failing_runner);
+        assert_eq!(serial.to_jsonl(), plain.to_jsonl());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resume_renders_journaled_lines_once_more_and_the_rest_once() {
+        let c = campaign(20);
+        let reference = run_campaign(&c, &ExecutorConfig::serial(), toy_runner);
+        let dir = tmp_dir("resume");
+        let path = dir.join("j.jsonl");
+        let mut journal = CampaignJournal::create(&path, &c).unwrap();
+        for r in reference.records().iter().filter(|r| r.job.index % 2 == 0) {
+            journal.commit(r).unwrap();
+        }
+        drop(journal);
+
+        let (mut journal, n) = renders(|| CampaignJournal::resume(&path, &c).unwrap());
+        assert_eq!(n, 10, "one verification per journaled line");
+        let cfg = ExecutorConfig::default().with_workers(2);
+        let (resumed, n) = renders(|| run_campaign_journaled(&c, &cfg, &mut journal, toy_runner));
+        assert_eq!(
+            n,
+            10 + 10,
+            "journaled lines once into the report, the rest once"
+        );
+        let (jsonl, n) = renders(|| resumed.to_jsonl());
+        assert_eq!(n, 0, "to_jsonl renders nothing");
+        assert_eq!(jsonl, reference.to_jsonl());
+        assert_lines_are_records(&resumed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_merge_keeps_the_lines_it_validated() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let c = campaign(15);
+        let cfg = ExecutorConfig::default()
+            .with_workers(2)
+            .with_max_attempts(1);
+        let reference = run_campaign(&c, &cfg, failing_runner);
+        let dir = tmp_dir("merge");
+        let paths: Vec<_> = (0..3u32)
+            .map(|k| dir.join(format!("shard-{k}.jsonl")))
+            .collect();
+        let mut lines = 0;
+        for (k, path) in (0..3u32).zip(&paths) {
+            let mut journal = CampaignJournal::create(path, &c).unwrap();
+            let shard = run_campaign_shard(&c, &cfg, &mut journal, (k, 3), failing_runner);
+            assert_lines_are_records(&shard);
+            assert_eq!(shard.records().len(), 5);
+            lines += shard.records().len();
+        }
+        std::panic::set_hook(prev);
+        let (merged, n) = renders(|| {
+            let r = crate::merge_journals(&c, &paths).unwrap();
+            let _ = r.to_jsonl();
+            r
+        });
+        assert_eq!(n, lines, "validation only: one render per journal line");
+        assert_eq!(merged.failed(), 1);
+        assert_eq!(merged.to_jsonl(), reference.to_jsonl());
+        assert_lines_are_records(&merged);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_lines_leave_in_job_order_whatever_order_they_arrive_in() {
+        let jobs = campaign(255).expand();
+        // 0 and 201 run long; everything else arrives first. Job 3 came
+        // from a resumed journal.
+        let line = |i: usize| format!("{i:0>100}");
+        let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
+        let carried = JobOutcome::Completed {
+            metrics: JobMetrics::new().with("carried", 1.0),
+            attempts: 1,
+        };
+        outcomes[3] = Some(carried.clone());
+        let mut lines = ReportLines::new("order", &jobs, None, jobs.len());
+        lines.advance(&outcomes);
+        let order = (1..=200)
+            .chain([202, 0, 201])
+            .chain(203..255)
+            .filter(|&i| i != 3);
+        let mut held_peak = 0;
+        for i in order {
+            lines.take(i, &line(i));
+            outcomes[i] = Some(carried.clone());
+            lines.advance(&outcomes);
+            held_peak = held_peak.max(lines.held.len());
+            if i == 0 {
+                assert_eq!(lines.held_at.len(), 1, "202 still waits on 201");
+                assert!(lines.held.len() < 4096, "the moved-out lines were dropped");
+            }
+        }
+        assert!(held_peak > 16 * 1024);
+        let mut want = String::new();
+        for (i, job) in jobs.iter().enumerate() {
+            if i == 3 {
+                let rec = JobRecord {
+                    job: job.clone(),
+                    outcome: carried.clone(),
+                };
+                want.push_str(&rec.render("order"));
+            } else {
+                want.push_str(&line(i));
+            }
+            want.push('\n');
+        }
+        assert!(lines.into_jsonl() == want);
+    }
+
     #[test]
     fn journaled_run_observes_batches_and_commit_latency() {
         let dir = std::env::temp_dir().join(format!("dramctrl-execm-{}", std::process::id()));
@@ -778,7 +1095,7 @@ mod tests {
         let cfg = ExecutorConfig::serial().with_metrics(m.clone());
         let mut journal = CampaignJournal::create(dir.join("j.jsonl"), &c).unwrap();
         let r = run_campaign_journaled(&c, &cfg, &mut journal, toy_runner);
-        assert_eq!(r.records.len(), 12);
+        assert_eq!(r.records().len(), 12);
         assert_eq!(m.batch_records.count(), m.commit_seconds.count());
         assert!(m.batch_records.count() >= 1);
         assert!(

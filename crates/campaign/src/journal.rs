@@ -5,7 +5,8 @@
 //! the campaign and carrying a hash of its full specification; every
 //! further line is one completed job's record, byte-identical to the
 //! line [`CampaignReport::to_jsonl`](crate::CampaignReport::to_jsonl)
-//! renders for the same record (both go through one renderer). Appends
+//! holds for the same record (the caller renders a line once and hands
+//! the same bytes to both). Appends
 //! are fsync'd before they return ([`DurableAppender`]), and the append
 //! is the executor's *single commit point*: a job only counts as done
 //! once its line is on disk. A process dying between a job's artifact
@@ -18,12 +19,12 @@
 //! specification is rejected loudly via the header hash.
 
 use crate::exec::JobOutcome;
-use crate::report::{render_parts, render_record, JobMetrics, JobRecord};
+use crate::report::{render_parts, JobMetrics, JobRecord};
 use crate::spec::{Campaign, JobSpec};
 use dramctrl_kernel::fsio::DurableAppender;
 use dramctrl_kernel::json::{escape_into, Value};
 use dramctrl_kernel::snap::fingerprint;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::{self, Write as _};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -165,13 +166,16 @@ impl CampaignJournal {
     /// line that is not the torn tail.
     pub fn resume(path: impl Into<PathBuf>, campaign: &Campaign) -> Result<Self, JournalError> {
         let path = path.into();
-        let scan = scan_journal(&path, campaign, &campaign.expand())?;
+        let mut completed = BTreeMap::new();
+        let scan = scan_journal(&path, campaign, &campaign.expand(), |i, o, _| {
+            keep_first(&mut completed, i, o);
+        })?;
         let appender = DurableAppender::reopen(&path, scan.valid_len as u64)?;
         Ok(Self {
             path,
             appender,
             campaign_name: campaign.name.clone(),
-            completed: scan.completed,
+            completed,
             total: campaign.len(),
             dropped_torn_tail: scan.dropped_torn_tail,
         })
@@ -216,7 +220,11 @@ impl CampaignJournal {
         path: impl AsRef<Path>,
         campaign: &Campaign,
     ) -> Result<BTreeMap<usize, JobOutcome>, JournalError> {
-        Ok(scan_journal(path.as_ref(), campaign, &campaign.expand())?.completed)
+        let mut completed = BTreeMap::new();
+        scan_journal(path.as_ref(), campaign, &campaign.expand(), |i, o, _| {
+            keep_first(&mut completed, i, o);
+        })?;
+        Ok(completed)
     }
 
     /// The journal file's path.
@@ -244,7 +252,22 @@ impl CampaignJournal {
         self.dropped_torn_tail
     }
 
-    /// Commits one finished job: appends its record line and fsyncs.
+    /// Commits one finished job: renders its record line, appends it and
+    /// fsyncs — [`commit_line`](Self::commit_line) for a caller that has
+    /// no use for the line itself.
+    ///
+    /// # Errors
+    /// As [`commit_line`](Self::commit_line).
+    pub fn commit(&mut self, record: &JobRecord) -> io::Result<bool> {
+        if self.completed.contains_key(&record.job.index) {
+            return Ok(false);
+        }
+        let line = record.render(&self.campaign_name);
+        self.commit_line(record.job.index, &record.outcome, &line)
+    }
+
+    /// Commits one finished job whose record line the caller rendered:
+    /// appends `line` and fsyncs.
     ///
     /// This is the campaign's single commit point — when it returns
     /// `Ok(true)` the record is on disk and the job will be skipped by any
@@ -252,34 +275,46 @@ impl CampaignJournal {
     /// durable no-op (returns `Ok(false)`), so a record can never be
     /// appended twice.
     ///
+    /// `line` must be job `index`'s record with `outcome`, as
+    /// [`JobRecord::render`] writes it or [`verify_record_line`] accepted
+    /// it; the journal stores those bytes without rendering them again.
+    ///
     /// # Errors
     /// Any I/O error from appending or syncing; the record is then *not*
     /// committed and the job must be treated as not done.
-    pub fn commit(&mut self, record: &JobRecord) -> io::Result<bool> {
-        if self.completed.contains_key(&record.job.index) {
+    pub fn commit_line(
+        &mut self,
+        index: usize,
+        outcome: &JobOutcome,
+        line: &str,
+    ) -> io::Result<bool> {
+        if self.completed.contains_key(&index) {
             return Ok(false);
         }
-        let line = render_record(&self.campaign_name, record);
-        self.appender.append_line(&line)?;
-        self.completed
-            .insert(record.job.index, record.outcome.clone());
+        self.appender.append_line(line)?;
+        self.completed.insert(index, outcome.clone());
         Ok(true)
     }
 
-    /// Appends one finished job's record line *without* syncing: the
-    /// line (rendered from borrows) is in the file, not yet durable,
-    /// until [`sync`](Self::sync). An already-journaled index is skipped
-    /// (keep-first, as [`commit`](Self::commit)) and reads `Ok(false)`.
+    /// Appends one finished job's record line *without* syncing: `line`
+    /// is in the file, not yet durable, until [`sync`](Self::sync). An
+    /// already-journaled index is skipped (keep-first, as
+    /// [`commit_line`](Self::commit_line), whose rule for `line` this
+    /// shares) and reads `Ok(false)`.
     ///
     /// # Errors
     /// Any I/O error from appending; the job must be treated as not done.
-    pub fn append_deferred(&mut self, job: &JobSpec, outcome: &JobOutcome) -> io::Result<bool> {
-        if self.completed.contains_key(&job.index) {
+    pub fn append_deferred(
+        &mut self,
+        index: usize,
+        outcome: &JobOutcome,
+        line: &str,
+    ) -> io::Result<bool> {
+        if self.completed.contains_key(&index) {
             return Ok(false);
         }
-        let line = render_parts(&self.campaign_name, job, outcome);
-        self.appender.append_line_deferred(&line)?;
-        self.completed.insert(job.index, outcome.clone());
+        self.appender.append_line_deferred(line)?;
+        self.completed.insert(index, outcome.clone());
         Ok(true)
     }
 
@@ -293,7 +328,8 @@ impl CampaignJournal {
         self.appender.commit_batch()
     }
 
-    /// Commits a batch of finished jobs with one fsync: every record is
+    /// Commits a batch of finished jobs with one fsync: every
+    /// `(index, outcome, line)` is
     /// [`append_deferred`](Self::append_deferred), then a single
     /// [`sync`](Self::sync) is the whole batch's commit point; the
     /// journal's bytes are exactly what the same records committed
@@ -311,20 +347,24 @@ impl CampaignJournal {
     /// above) and its jobs must be treated as not done.
     pub fn commit_batch<'a, I>(&mut self, records: I) -> io::Result<usize>
     where
-        I: IntoIterator<Item = (&'a JobSpec, &'a JobOutcome)>,
+        I: IntoIterator<Item = (usize, &'a JobOutcome, &'a str)>,
     {
         let mut appended = 0;
-        for (job, outcome) in records {
-            appended += usize::from(self.append_deferred(job, outcome)?);
+        for (index, outcome, line) in records {
+            appended += usize::from(self.append_deferred(index, outcome, line)?);
         }
         self.sync()?;
         Ok(appended)
     }
 }
 
-/// What a validating read of a journal file yields.
+/// Keep-first: the earliest durable record for an index wins.
+fn keep_first(completed: &mut BTreeMap<usize, JobOutcome>, index: usize, outcome: JobOutcome) {
+    completed.entry(index).or_insert(outcome);
+}
+
+/// Where a validating read of a journal file stopped.
 struct JournalScan {
-    completed: BTreeMap<usize, JobOutcome>,
     /// Bytes up to and including the last complete record line.
     valid_len: usize,
     dropped_torn_tail: bool,
@@ -346,16 +386,19 @@ fn render_header(campaign: &Campaign) -> String {
 }
 
 /// Reads and validates a journal file against `campaign` (whose
-/// expansion is `jobs`) without modifying it: header checks, keep-first
-/// record replay, torn-tail detection. Every complete line must be
-/// byte-for-byte what this campaign's writer would have written. Shared
-/// by [`CampaignJournal::resume`] (which then truncates and reopens for
+/// expansion is `jobs`) without modifying it: header checks, record
+/// replay, torn-tail detection. Every complete line must be byte-for-byte
+/// what this campaign's writer would have written; each one is handed to
+/// `record` as `(index, outcome, line)` in file order, duplicates
+/// included, for the caller to keep first. Shared by
+/// [`CampaignJournal::resume`] (which then truncates and reopens for
 /// append) and the read-only paths ([`CampaignJournal::replay`],
 /// [`merge_journals`]).
 fn scan_journal(
     path: &Path,
     campaign: &Campaign,
     jobs: &[JobSpec],
+    mut record: impl FnMut(usize, JobOutcome, &str),
 ) -> Result<JournalScan, JournalError> {
     let text = std::fs::read_to_string(path)?;
     let mut lines = text.split_inclusive('\n');
@@ -387,7 +430,6 @@ fn scan_journal(
         });
     }
 
-    let mut completed = BTreeMap::new();
     let mut valid_len = header.len();
     let mut dropped_torn_tail = false;
     for (i, line) in lines.enumerate() {
@@ -396,15 +438,13 @@ fn scan_journal(
             dropped_torn_tail = true;
             break;
         }
-        let (index, outcome) =
-            verify_record_line(line.trim_end_matches('\n'), &campaign.name, jobs)
-                .map_err(|why| JournalError::Corrupt { line: i + 2, why })?;
-        // Keep-first: the earliest durable record for an index wins.
-        completed.entry(index).or_insert(outcome);
+        let line_bytes = line.trim_end_matches('\n');
+        let (index, outcome) = verify_record_line(line_bytes, &campaign.name, jobs)
+            .map_err(|why| JournalError::Corrupt { line: i + 2, why })?;
+        record(index, outcome, line_bytes);
         valid_len = valid_len.saturating_add(line.len());
     }
     Ok(JournalScan {
-        completed,
         valid_len,
         dropped_torn_tail,
     })
@@ -419,8 +459,10 @@ fn scan_journal(
 /// report's [`to_jsonl`](crate::CampaignReport::to_jsonl) is
 /// byte-identical to an unsharded run's, because records are keyed by
 /// job index and each job's result depends only on its spec — never on
-/// which shard ran it. Host-dependent fields (`workers`, `wall_secs`)
-/// are zeroed: a merge is not a run.
+/// which shard ran it. The report keeps the lines the journals hold:
+/// validating a line renders it once, and nothing renders it again.
+/// Host-dependent fields (`workers`, `wall_secs`) are zeroed: a merge is
+/// not a run.
 ///
 /// # Errors
 /// Any per-journal validation error, or [`JournalError::Incomplete`] if
@@ -430,11 +472,17 @@ pub fn merge_journals(
     paths: &[impl AsRef<Path>],
 ) -> Result<crate::CampaignReport, JournalError> {
     let jobs = campaign.expand();
-    let mut merged: BTreeMap<usize, JobOutcome> = BTreeMap::new();
+    // The first validated line per index, its bytes in one buffer.
+    let mut lines = String::new();
+    let mut merged: BTreeMap<usize, (JobOutcome, std::ops::Range<usize>)> = BTreeMap::new();
     for path in paths {
-        for (index, outcome) in scan_journal(path.as_ref(), campaign, &jobs)?.completed {
-            merged.entry(index).or_insert(outcome);
-        }
+        scan_journal(path.as_ref(), campaign, &jobs, |index, outcome, line| {
+            if let Entry::Vacant(slot) = merged.entry(index) {
+                let start = lines.len();
+                lines.push_str(line);
+                slot.insert((outcome, start..lines.len()));
+            }
+        })?;
     }
     let missing: Vec<usize> = (0..jobs.len())
         .filter(|i| !merged.contains_key(i))
@@ -446,22 +494,26 @@ pub fn merge_journals(
             total: jobs.len(),
         });
     }
+    let mut jsonl = String::with_capacity(lines.len() + jobs.len());
     let records = jobs
         .into_iter()
         .map(|job| {
-            let outcome = merged
+            let (outcome, at) = merged
                 .remove(&job.index)
                 .expect("missing indices were rejected above");
+            jsonl.push_str(&lines[at]);
+            jsonl.push('\n');
             JobRecord { job, outcome }
         })
         .collect();
-    Ok(crate::CampaignReport {
-        name: campaign.name.clone(),
-        seed: campaign.seed,
-        workers: 0,
-        wall_secs: 0.0,
+    Ok(crate::CampaignReport::with_lines(
+        campaign.name.clone(),
+        campaign.seed,
+        0,
+        0.0,
         records,
-    })
+        jsonl,
+    ))
 }
 
 /// Parses the header line, returning `(version, spec_hash)`.
@@ -535,7 +587,7 @@ fn parse_record_line(line: &str) -> Result<(usize, JobOutcome), String> {
                         .as_f64()
                         .ok_or_else(|| format!("bad metric value for {name:?}"))?,
                 };
-                metrics.set(name.as_str(), value);
+                metrics.set(name.clone(), value);
             }
             JobOutcome::Completed { metrics, attempts }
         }
@@ -636,14 +688,8 @@ mod tests {
         drop(j);
         let text = std::fs::read_to_string(&p).unwrap();
         let mut lines = text.lines().skip(1);
-        assert_eq!(
-            lines.next().unwrap(),
-            render_record("journal-test", &failed)
-        );
-        assert_eq!(
-            lines.next().unwrap(),
-            render_record("journal-test", &record(&c, 1))
-        );
+        assert_eq!(lines.next().unwrap(), failed.render("journal-test"));
+        assert_eq!(lines.next().unwrap(), record(&c, 1).render("journal-test"));
         // Failed outcomes round-trip through resume too.
         let j = CampaignJournal::resume(&p, &c).unwrap();
         assert_eq!(j.completed()[&0], failed.outcome);
@@ -658,7 +704,7 @@ mod tests {
         drop(j);
         let good = std::fs::read_to_string(&p).unwrap();
         // Simulate a crash mid-append: half a record, no newline.
-        let full_line = render_record("journal-test", &record(&c, 1));
+        let full_line = record(&c, 1).render("journal-test");
         std::fs::write(&p, format!("{good}{}", &full_line[..full_line.len() / 2])).unwrap();
 
         let mut j = CampaignJournal::resume(&p, &c).unwrap();
@@ -690,7 +736,7 @@ mod tests {
         };
         let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
         use std::io::Write as _;
-        writeln!(f, "{}", render_record("journal-test", &second)).unwrap();
+        writeln!(f, "{}", second.render("journal-test")).unwrap();
         drop(f);
         let j = CampaignJournal::resume(&p, &c).unwrap();
         let JobOutcome::Completed { metrics, attempts } = &j.completed()[&0] else {
@@ -869,7 +915,7 @@ mod tests {
         drop(j);
         let mut text = std::fs::read_to_string(&p2).unwrap();
         text.push_str("{\"campaign\":\"mangled\n");
-        text.push_str(&render_record("journal-test", &record(&c, 1)));
+        text.push_str(&record(&c, 1).render("journal-test"));
         text.push('\n');
         std::fs::write(&p2, text).unwrap();
         assert!(matches!(
@@ -886,7 +932,7 @@ mod tests {
         // A record from a bigger campaign that happens to share a prefix.
         let big = Campaign::new("journal-test", 11).read_pcts(0..100);
         let mut text = std::fs::read_to_string(&p).unwrap();
-        text.push_str(&render_record("journal-test", &record(&big, 50)));
+        text.push_str(&record(&big, 50).render("journal-test"));
         text.push('\n');
         std::fs::write(&p, text).unwrap();
         assert!(matches!(

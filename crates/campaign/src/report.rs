@@ -2,22 +2,32 @@
 //! report.
 //!
 //! The JSON-lines rendering is deliberately deterministic: metric keys
-//! are stored sorted (`BTreeMap`), the line order is the job expansion
-//! order, and host-dependent values (wall-clock time, worker count) are
-//! kept out of [`CampaignReport::to_jsonl`]. The same campaign seed
-//! therefore produces byte-identical JSONL at any worker count.
+//! are kept sorted, the line order is the job expansion order, and
+//! host-dependent values (wall-clock time, worker count) are kept out of
+//! [`CampaignReport::to_jsonl`]. The same campaign seed therefore
+//! produces byte-identical JSONL at any worker count.
+//!
+//! A record's line is rendered once, by whoever owns its bytes (the
+//! executor's collector, the daemon's commit), and reused from there:
+//! the journal appends it and the report keeps it, so
+//! [`CampaignReport::to_jsonl`] renders nothing.
 
 use crate::exec::JobOutcome;
 use crate::spec::JobSpec;
 use dramctrl_kernel::json::{escape_into, json_f64};
 use dramctrl_stats::Table;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// Named scalar results of one job, with stable (sorted) key order.
+///
+/// Keys are `Cow<'static, str>`: the literal names a runner records are
+/// borrowed, so filling, cloning and dropping a job's metrics allocates
+/// no key; only names parsed back from a record line are owned.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobMetrics {
-    values: BTreeMap<String, f64>,
+    /// Sorted by key in `str` order, one entry per key.
+    values: Vec<(Cow<'static, str>, f64)>,
 }
 
 impl JobMetrics {
@@ -27,24 +37,28 @@ impl JobMetrics {
     }
 
     /// Sets `name` to `value`, replacing any previous value.
-    pub fn set(&mut self, name: impl Into<String>, value: f64) {
-        self.values.insert(name.into(), value);
+    pub fn set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
+        let name = name.into();
+        match self.position(&name) {
+            Ok(i) => self.values[i].1 = value,
+            Err(i) => self.values.insert(i, (name, value)),
+        }
     }
 
     /// Builder-style [`set`](Self::set).
-    pub fn with(mut self, name: impl Into<String>, value: f64) -> Self {
+    pub fn with(mut self, name: impl Into<Cow<'static, str>>, value: f64) -> Self {
         self.set(name, value);
         self
     }
 
     /// Looks up a metric by name.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.values.get(name).copied()
+        self.position(name).ok().map(|i| self.values[i].1)
     }
 
     /// Iterates metrics in sorted key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
+        self.values.iter().map(|(k, v)| (&**k, *v))
     }
 
     /// Number of metrics recorded.
@@ -55,6 +69,11 @@ impl JobMetrics {
     /// Whether no metrics have been recorded.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+
+    /// Where `name` is, or where it would go to keep the keys sorted.
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.values.binary_search_by(|(k, _)| (**k).cmp(name))
     }
 }
 
@@ -70,12 +89,12 @@ pub struct JobRecord {
 impl JobRecord {
     /// Renders this record as its JSON-lines object, without a trailing
     /// newline — the exact bytes [`CampaignReport::to_jsonl`] and the
-    /// campaign journal write for it, so consumers (the simulation
+    /// campaign journal hold for it, so consumers (the simulation
     /// service streams these to clients) deliver results byte-identical
     /// to a local sweep's report.
     #[must_use]
     pub fn render(&self, campaign_name: &str) -> String {
-        render_record(campaign_name, self)
+        render_parts(campaign_name, &self.job, &self.outcome)
     }
 }
 
@@ -93,10 +112,45 @@ pub struct CampaignReport {
     /// from [`to_jsonl`](Self::to_jsonl)).
     pub wall_secs: f64,
     /// Per-job records in expansion order.
-    pub records: Vec<JobRecord>,
+    records: Vec<JobRecord>,
+    /// `records` rendered, one newline-terminated line each, in the same
+    /// order: the bytes [`to_jsonl`](Self::to_jsonl) returns.
+    jsonl: String,
 }
 
 impl CampaignReport {
+    /// A report over `records` whose lines the caller already holds:
+    /// `jsonl` must be exactly the records' rendered lines, in order,
+    /// each ending in a newline.
+    pub(crate) fn with_lines(
+        name: String,
+        seed: u64,
+        workers: usize,
+        wall_secs: f64,
+        records: Vec<JobRecord>,
+        jsonl: String,
+    ) -> Self {
+        debug_assert_eq!(
+            jsonl.bytes().filter(|&b| b == b'\n').count(),
+            records.len(),
+            "one line per record"
+        );
+        Self {
+            name,
+            seed,
+            workers,
+            wall_secs,
+            records,
+            jsonl,
+        }
+    }
+
+    /// Per-job records in expansion order.
+    #[must_use]
+    pub fn records(&self) -> &[JobRecord] {
+        &self.records
+    }
+
     /// Number of jobs that completed successfully.
     pub fn completed(&self) -> usize {
         self.records
@@ -138,14 +192,10 @@ impl CampaignReport {
     ///
     /// Only seed-determined data is included — no wall-clock time, no
     /// worker count — so the output is byte-identical for the same
-    /// campaign seed regardless of parallelism.
+    /// campaign seed regardless of parallelism. The lines were rendered
+    /// when the report was assembled; this copies them.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&render_record(&self.name, r));
-            out.push('\n');
-        }
-        out
+        self.jsonl.clone()
     }
 
     /// Renders a markdown [`Table`] with one row per job: the swept axes
@@ -210,41 +260,65 @@ impl CampaignReport {
     }
 }
 
-/// Renders one [`JobRecord`] as its JSON-lines object, without a trailing
-/// newline. This is the single renderer behind both
-/// [`CampaignReport::to_jsonl`] and the durable campaign journal, so a
-/// journaled line is byte-identical to the report line the same record
-/// produces — resuming a crashed sweep can merge journaled and freshly
-/// computed records into one byte-identical report.
-pub(crate) fn render_record(campaign_name: &str, r: &JobRecord) -> String {
-    render_parts(campaign_name, &r.job, &r.outcome)
+/// Renders one [`JobRecord`] as its JSON-lines object, without a
+/// trailing newline: [`render_parts_into`] into a fresh buffer.
+pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcome) -> String {
+    let mut out = String::with_capacity(512);
+    render_parts_into(&mut out, campaign_name, j, outcome);
+    out
 }
 
-/// [`render_record`] over borrowed parts: the journal's batched commit
-/// path renders straight from the executor's job table and outcome
-/// channel without cloning either into a [`JobRecord`].
-pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcome) -> String {
+#[cfg(test)]
+thread_local! {
+    /// Record renders on this thread: the tests count them to pin that a
+    /// record is rendered once however many places reuse its bytes.
+    pub(crate) static RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Appends the JSON-lines object for one job and its outcome to `out`,
+/// without a trailing newline. This is the one renderer of record lines:
+/// the report, the journal and the service all hold the bytes it writes,
+/// so a journaled line is byte-identical to the report line the same
+/// record produces — resuming a crashed sweep can merge journaled and
+/// freshly computed records into one byte-identical report.
+pub(crate) fn render_parts_into(
+    out: &mut String,
+    campaign_name: &str,
+    j: &JobSpec,
+    outcome: &JobOutcome,
+) {
     const INFALLIBLE: &str = "writing to a String cannot fail";
-    let mut out = String::with_capacity(512);
-    // One string member from a `Display` axis value, escaped like any
-    // other string; the scratch buffer is reused across members.
-    let mut scratch = String::new();
-    let mut text = |out: &mut String, key: &str, v: &dyn fmt::Display| {
+    #[cfg(test)]
+    RENDERS.with(|n| n.set(n.get() + 1));
+    // One string member from a `Display` axis value, written in place and
+    // escaped like any other string; axis values never need escaping in
+    // practice, so the escaped copy is the rare path.
+    let text = |out: &mut String, key: &str, v: &dyn fmt::Display| {
         out.push_str(key);
-        scratch.clear();
-        write!(scratch, "{v}").expect(INFALLIBLE);
-        escape_into(&scratch, out);
+        out.push('"');
+        let start = out.len();
+        write!(out, "{v}").expect(INFALLIBLE);
+        if out[start..]
+            .bytes()
+            .any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+        {
+            let raw = out.split_off(start);
+            out.pop();
+            escape_into(&raw, out);
+        } else {
+            out.push('"');
+        }
     };
     out.push_str("{\"campaign\":");
-    escape_into(campaign_name, &mut out);
+    escape_into(campaign_name, out);
     write!(out, ",\"job\":{},\"seed\":{},\"device\":", j.index, j.seed).expect(INFALLIBLE);
-    escape_into(&j.device, &mut out);
-    text(&mut out, ",\"model\":", &j.model);
-    text(&mut out, ",\"policy\":", &j.policy);
-    text(&mut out, ",\"sched\":", &j.sched);
-    text(&mut out, ",\"mapping\":", &j.mapping);
+    escape_into(&j.device, out);
+    text(out, ",\"model\":", &j.model);
+    text(out, ",\"policy\":", &j.policy);
+    text(out, ",\"sched\":", &j.sched);
+    text(out, ",\"mapping\":", &j.mapping);
     write!(out, ",\"channels\":{}", j.channels).expect(INFALLIBLE);
-    text(&mut out, ",\"traffic\":", &j.traffic);
+    text(out, ",\"traffic\":", &j.traffic);
     write!(
         out,
         ",\"read_pct\":{},\"requests\":{},\"error_rate\":{}",
@@ -264,7 +338,7 @@ pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcom
                 if i > 0 {
                     out.push(',');
                 }
-                escape_into(k, &mut out);
+                escape_into(k, out);
                 write!(out, ":{}", json_f64(v)).expect(INFALLIBLE);
             }
             out.push_str("}}");
@@ -278,11 +352,10 @@ pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcom
                 ",\"outcome\":\"failed\",\"attempts\":{attempts},\"panic_msg\":"
             )
             .expect(INFALLIBLE);
-            escape_into(panic_msg, &mut out);
+            escape_into(panic_msg, out);
             out.push('}');
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -292,7 +365,7 @@ mod tests {
 
     fn toy_report() -> CampaignReport {
         let jobs = Campaign::new("toy", 9).read_pcts([0, 100]).expand();
-        let records = jobs
+        let records: Vec<JobRecord> = jobs
             .into_iter()
             .map(|job| {
                 let outcome = if job.index == 1 {
@@ -311,13 +384,8 @@ mod tests {
                 JobRecord { job, outcome }
             })
             .collect();
-        CampaignReport {
-            name: "toy".to_owned(),
-            seed: 9,
-            workers: 4,
-            wall_secs: 1.5,
-            records,
-        }
+        let jsonl = records.iter().map(|r| r.render("toy") + "\n").collect();
+        CampaignReport::with_lines("toy".to_owned(), 9, 4, 1.5, records, jsonl)
     }
 
     #[test]
@@ -375,10 +443,98 @@ mod tests {
     }
 
     #[test]
+    fn metrics_iterate_and_render_like_a_sorted_string_map() {
+        use dramctrl_kernel::rng::Rng;
+        use std::collections::BTreeMap;
+        const BORROWED: [&str; 9] = [
+            "bus_util",
+            "activates",
+            "weird \"name\"",
+            "back\\slash",
+            "tab\tnew\nline\u{1}",
+            "λ-latency",
+            "日本",
+            "Zeta",
+            "",
+        ];
+        let job = Campaign::new("metrics", 3).expand().remove(0);
+        let seed = 0x3E7B1C5;
+        let mut rng = Rng::seed_from_u64(seed);
+        for i in 0..500 {
+            let mut metrics = JobMetrics::new();
+            let mut reference: BTreeMap<String, f64> = BTreeMap::new();
+            for _ in 0..rng.gen_range(0..24) {
+                let value = match rng.gen_range(0..8) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => rng.gen_range(0..1000) as f64,
+                    _ => rng.gen_f64() * 1e6 - 5e5,
+                };
+                // Borrowed literals, owned strings equal to them, and
+                // owned strings nothing else uses.
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let k = BORROWED[rng.gen_range(0..9) as usize];
+                        metrics.set(k, value);
+                        reference.insert(k.to_owned(), value);
+                    }
+                    1 => {
+                        let k = BORROWED[rng.gen_range(0..9) as usize].to_owned();
+                        metrics.set(k.clone(), value);
+                        reference.insert(k, value);
+                    }
+                    _ => {
+                        let k = format!("k{}é", rng.gen_range(0..40));
+                        metrics.set(k.clone(), value);
+                        reference.insert(k, value);
+                    }
+                }
+            }
+            let got: Vec<(&str, u64)> = metrics.iter().map(|(k, v)| (k, v.to_bits())).collect();
+            let want: Vec<(&str, u64)> = reference
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.to_bits()))
+                .collect();
+            assert_eq!(got, want, "seed {seed:#x}, case {i}: iteration order");
+            assert_eq!(metrics.len(), reference.len());
+            for (k, v) in &reference {
+                assert_eq!(metrics.get(k).map(f64::to_bits), Some(v.to_bits()));
+            }
+            assert_eq!(metrics.get("absent"), None);
+
+            // The line the old map rendered: the members in its order.
+            let mut object = String::from("{");
+            for (n, (k, v)) in reference.iter().enumerate() {
+                if n > 0 {
+                    object.push(',');
+                }
+                escape_into(k, &mut object);
+                write!(object, ":{}", json_f64(*v)).unwrap();
+            }
+            object.push('}');
+            let empty = JobOutcome::Completed {
+                metrics: JobMetrics::new(),
+                attempts: 1,
+            };
+            let prefix = render_parts("m", &job, &empty);
+            let want = format!("{}{object}}}", prefix.strip_suffix("{}}").unwrap());
+            let outcome = JobOutcome::Completed {
+                metrics,
+                attempts: 1,
+            };
+            assert_eq!(
+                render_parts("m", &job, &outcome),
+                want,
+                "seed {seed:#x}, case {i}: rendered bytes"
+            );
+        }
+    }
+
+    #[test]
     fn json_helpers() {
         // Metric names are escaped like any string; values use the
         // shortest round-trip form, non-finite ones become null.
-        let mut r = toy_report().records.remove(0);
+        let mut r = toy_report().records()[0].clone();
         r.outcome = JobOutcome::Completed {
             metrics: JobMetrics::new()
                 .with("a\"b\\c\u{1}", 1.5)

@@ -155,7 +155,7 @@ fn shard_journals_merge_into_the_unsharded_report() {
             );
             // A shard's own report covers exactly its residue class.
             let mine = (0..c.len()).filter(|k| k % shards as usize == i as usize);
-            assert_eq!(partial.records.len(), mine.count());
+            assert_eq!(partial.records().len(), mine.count());
             p
         })
         .collect();

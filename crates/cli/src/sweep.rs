@@ -283,7 +283,7 @@ pub fn sweep(a: &Args) -> Result<(), ArgError> {
         eprintln!(
             "shard report covers {} of {} jobs; merge the shard journals \
              with --merge for the full report",
-            report.records.len(),
+            report.records().len(),
             campaign.len()
         );
     }
@@ -299,7 +299,7 @@ pub fn sweep(a: &Args) -> Result<(), ArgError> {
 pub fn finish_report(a: &Args, report: &dramctrl_campaign::CampaignReport) -> Result<(), ArgError> {
     if let Some(path) = a.get("jsonl") {
         write_output(path, report.to_jsonl())?;
-        eprintln!("wrote {} JSONL records to {path}", report.records.len());
+        eprintln!("wrote {} JSONL records to {path}", report.records().len());
     }
     let table = report.table(&[
         "bus_util",

@@ -449,9 +449,22 @@ pub fn lpddr4_3200_x32() -> MemSpec {
     }
 }
 
-/// Looks up a preset by its `name` field (e.g. `"DDR3-1333-x64"`).
+/// Looks up a preset by its `name` field (e.g. `"DDR3-1333-x64"`),
+/// building only the preset asked for.
 pub fn by_name(name: &str) -> Option<MemSpec> {
-    all().into_iter().find(|s| s.name == name)
+    let build = match name {
+        "DDR3-1333-x64" => ddr3_1333_x64,
+        "DDR3-1600-x64" => ddr3_1600_x64,
+        "LPDDR3-1600-x32" => lpddr3_1600_x32,
+        "WideIO-200-x128" => wideio_200_x128,
+        "DDR4-2400-x64" => ddr4_2400_x64,
+        "LPDDR2-1066-x32" => lpddr2_1066_x32,
+        "GDDR5-4000-x64" => gddr5_4000_x64,
+        "HBM-1000-x128" => hbm_1000_x128,
+        "LPDDR4-3200-x32" => lpddr4_3200_x32,
+        _ => return None,
+    };
+    Some(build())
 }
 
 /// All presets, for exhaustive sweeps in tests and benchmarks.
@@ -473,6 +486,16 @@ pub fn all() -> Vec<MemSpec> {
 mod tests {
     use super::*;
     use dramctrl_kernel::tick::from_ns;
+
+    #[test]
+    fn by_name_finds_every_preset_and_nothing_else() {
+        for spec in all() {
+            assert_eq!(by_name(spec.name), Some(spec));
+        }
+        assert_eq!(by_name("DDR3"), None);
+        assert_eq!(by_name("ddr3-1600-x64"), None);
+        assert_eq!(by_name(""), None);
+    }
 
     #[test]
     fn every_preset_is_valid() {

@@ -475,7 +475,7 @@ pub fn dispatch(
         .collect();
     dramctrl_obs::log_info!(
         "dispatch", "shards merged";
-        "jobs" => report.records.len(), "journals" => journals.len(),
+        "jobs" => report.records().len(), "journals" => journals.len(),
         "rounds" => stats.rounds, "redispatches" => stats.redispatches,
         "hedges" => stats.hedges, "by_peer" => by_peer.join("; ")
     );
@@ -535,7 +535,7 @@ fn run_assignment(
             return;
         }
         match validate_record(campaign, units, line, shard, n) {
-            Ok((index, outcome)) => match journal.append_deferred(&units[index], &outcome) {
+            Ok((index, outcome, data)) => match journal.append_deferred(index, &outcome, data) {
                 Ok(new) => got.extend(new.then_some(index)), // false: a re-sent line
                 Err(e) => poison = Some(format!("local journal: {e}")),
             },
@@ -568,20 +568,21 @@ fn run_assignment(
 /// its payload is byte for byte the record the coordinator's *own* spec
 /// renders for that index ([`verify_record_line`], the check the journal
 /// reader applies to every line on disk) and the index is in this
-/// shard's residue class.
-fn validate_record(
+/// shard's residue class. Returns the payload too: those verified bytes
+/// are what the coordinator's journal appends.
+fn validate_record<'l>(
     campaign: &dramctrl_campaign::Campaign,
     units: &[JobSpec],
-    line: &str,
+    line: &'l str,
     shard: u32,
     n: u32,
-) -> Result<(usize, JobOutcome), String> {
+) -> Result<(usize, JobOutcome, &'l str), String> {
     let data = record_data(line).ok_or_else(|| "record event carries no payload".to_owned())?;
     let (index, outcome) = verify_record_line(data, &campaign.name, units)?;
     if index as u64 % u64::from(n) != u64::from(shard) {
         return Err(format!("index {index} outside shard {shard}/{n}"));
     }
-    Ok((index, outcome))
+    Ok((index, outcome, data))
 }
 
 #[cfg(test)]

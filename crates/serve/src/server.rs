@@ -657,9 +657,12 @@ impl Server {
         let mut journal = live.journal.take().expect("a held job's journal is home");
         drop(st);
 
+        // The unit's one render: the journal appends these bytes and the
+        // broadcast sends them.
+        let line = rec.render(&name);
         let m = &self.inner.metrics;
-        let committed = write_commit(m, &dir, &mut journal, resume.as_ref(), &rec, &done)
-            .map(|()| rec.render(&name));
+        let committed =
+            write_commit(m, &dir, &mut journal, resume.as_ref(), &rec, &line, &done).map(|()| line);
 
         let mut st = self.lock();
         st.live(id).journal = Some(journal);
@@ -1340,8 +1343,9 @@ fn replay_events(
     replay
 }
 
-/// The I/O of committing a unit: its artifacts, then the journal commit —
-/// the commit point, its fsync timed into the store-fsync histogram.
+/// The I/O of committing a unit: its artifacts, then the journal commit of
+/// `line`, the record's rendered bytes — the commit point, its fsync
+/// timed into the store-fsync histogram.
 /// Artifacts land (atomically) before the commit: a crash in between
 /// re-runs the unit and rewrites them bit-identically. With `resume`, the
 /// journal is first re-resumed from disk against that campaign.
@@ -1354,6 +1358,7 @@ fn write_commit(
     journal: &mut CampaignJournal,
     resume: Option<&Campaign>,
     rec: &JobRecord,
+    line: &str,
     done: &UnitDone,
 ) -> io::Result<()> {
     if let Some(campaign) = resume {
@@ -1367,7 +1372,7 @@ fn write_commit(
         write_unit_artifacts(dir, rec.job.index, a)?;
     }
     let fsync_started = Instant::now();
-    journal.commit(rec)?;
+    journal.commit_line(rec.job.index, &rec.outcome, line)?;
     m.store_fsync("commit")
         .observe(fsync_started.elapsed().as_secs_f64());
     Ok(())

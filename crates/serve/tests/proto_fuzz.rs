@@ -1,6 +1,7 @@
 //! Seeded fuzz of the daemon's decoders: deterministic garbage thrown at
-//! the wire parser, at a live daemon socket, and at the files a store
-//! reads back — accept log, tombstone log, campaign journal. The
+//! the wire parser, at a live daemon socket, at the files a store reads
+//! back — accept log, tombstone log, campaign journal — and at the record
+//! validator whose accepted bytes become a report's bytes. The
 //! contract under test is narrow and absolute — for any byte sequence a
 //! client sends, the daemon answers with an `error` event or drops the
 //! connection; it never panics, never aborts, and the scheduler keeps
@@ -11,7 +12,9 @@
 //! so a failure reproduces from the seed printed in the assert.
 
 use dramctrl::{PagePolicy, SchedPolicy};
-use dramctrl_campaign::{run_campaign, Campaign, CampaignJournal, ExecutorConfig};
+use dramctrl_campaign::{
+    run_campaign, verify_record_line, Campaign, CampaignJournal, ExecutorConfig, JobRecord,
+};
 use dramctrl_campaign::{Model, TrafficPattern};
 use dramctrl_kernel::rng::Rng;
 use dramctrl_mem::AddrMapping;
@@ -437,11 +440,7 @@ fn the_store_decoder_survives_mutated_logs() {
 #[test]
 fn the_journal_decoders_survive_mutated_journals() {
     const FIXTURE: &str = include_str!("../../../tests/fixtures/pr13_journal.jsonl");
-    // The campaign `tests/golden_bytes.rs` writes that journal for.
-    let c = Campaign::new("golden \"q\" \\ \t", 14)
-        .policies([PagePolicy::Open, PagePolicy::Closed])
-        .read_pcts([0, 100])
-        .requests([200]);
+    let c = golden_campaign();
     let dir = tmp("journal-decoders");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("journal.jsonl");
@@ -472,4 +471,71 @@ fn the_journal_decoders_survive_mutated_journals() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The campaign `tests/golden_bytes.rs` writes its report and journal
+/// fixtures for.
+fn golden_campaign() -> Campaign {
+    Campaign::new("golden \"q\" \\ \t", 14)
+        .policies([PagePolicy::Open, PagePolicy::Closed])
+        .read_pcts([0, 100])
+        .requests([200])
+}
+
+/// `verify_record_line` and the JSON reader under it, over mutations of
+/// the committed report fixture's lines: `Err`, or an accepted line that
+/// is exactly the record it decodes to, rendered again — the validator's
+/// bytes become a merged report's bytes — and never a panic. The reader
+/// alone may accept what the renderer never writes (whitespace between
+/// tokens, `\/`), so what it accepts must re-encode to a fixed point.
+#[test]
+fn the_record_validator_accepts_only_its_own_bytes() {
+    const FIXTURE: &str = include_str!("../../../tests/fixtures/pr13_report.jsonl");
+    let c = golden_campaign();
+    let jobs = c.expand();
+    let lines: Vec<String> = FIXTURE.lines().map(str::to_owned).collect();
+    for line in &lines {
+        assert!(verify_record_line(line, &c.name, &jobs).is_ok(), "{line}");
+    }
+
+    let seed = SEED ^ 0x7EC0;
+    let mut rng = Rng::seed_from_u64(seed);
+    let (mut accepted, mut parsed) = (0, 0);
+    for i in 0..3_000u64 {
+        let raw = mutate_one(&mut rng, &lines);
+        let text = String::from_utf8_lossy(&raw);
+        let verdict =
+            catch_unwind(|| verify_record_line(&text, &c.name, &jobs)).unwrap_or_else(|_| {
+                panic!("seed {seed:#x}, iteration {i}: verify_record_line panicked")
+            });
+        if let Ok((index, outcome)) = verdict {
+            let again = JobRecord {
+                job: jobs[index].clone(),
+                outcome,
+            }
+            .render(&c.name);
+            assert_eq!(
+                again, text,
+                "seed {seed:#x}, iteration {i}: accepted bytes it does not render"
+            );
+            accepted += 1;
+        }
+        let value = catch_unwind(|| dramctrl_kernel::json::Value::parse(&text))
+            .unwrap_or_else(|_| panic!("seed {seed:#x}, iteration {i}: Value::parse panicked"));
+        if let Ok(v) = value {
+            let encoded = v.encode();
+            let again = dramctrl_kernel::json::Value::parse(&encoded).unwrap_or_else(|e| {
+                panic!("seed {seed:#x}, iteration {i}: re-parse of {encoded:?} failed: {e}")
+            });
+            assert_eq!(again, v, "seed {seed:#x}, iteration {i}: unstable value");
+            assert_eq!(again.encode(), encoded, "seed {seed:#x}, iteration {i}");
+            parsed += 1;
+        }
+    }
+    // The mutator must reach both sides of each decoder.
+    assert!(
+        accepted > 0 && accepted < 3_000,
+        "seed {seed:#x}: {accepted} accepted"
+    );
+    assert!(parsed > accepted, "seed {seed:#x}: {parsed} parsed");
 }
