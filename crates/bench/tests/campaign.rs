@@ -73,7 +73,7 @@ fn panicking_job_is_isolated_retried_and_reported() {
     let r = run_campaign(&c, &cfg, |job| {
         if job.index == 13 {
             attempts_seen.fetch_add(1, Ordering::Relaxed);
-            panic!("injected fault in {}", job.label());
+            panic!("injected fault in {job:?}");
         }
         run_job(job)
     });

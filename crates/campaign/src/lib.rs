@@ -69,4 +69,6 @@ pub use journal::{
     JOURNAL_VERSION,
 };
 pub use report::{CampaignReport, JobMetrics, JobRecord};
-pub use spec::{job_seed, Campaign, JobSpec, Model, TrafficPattern};
+pub use spec::{
+    campaign_from_wire, campaign_to_wire, job_seed, Campaign, JobSpec, Model, TrafficPattern,
+};

@@ -17,7 +17,7 @@ use crate::spec::JobSpec;
 use dramctrl_kernel::json::{escape_into, json_f64};
 use dramctrl_stats::Table;
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 /// Named scalar results of one job, with stable (sorted) key order.
 ///
@@ -202,26 +202,14 @@ impl CampaignReport {
     /// plus the named metric columns (`-` for metrics a job did not
     /// record and for failed jobs).
     pub fn table(&self, metric_cols: &[&str]) -> Table {
-        let mut header = vec![
-            "job", "device", "model", "policy", "sched", "mapping", "ch", "traffic", "read%",
-            "reqs", "outcome",
-        ];
+        let mut header = vec!["job"];
+        header.extend(JobSpec::COLUMNS);
+        header.push("outcome");
         header.extend(metric_cols);
         let mut t = Table::new(header);
         for r in &self.records {
-            let j = &r.job;
-            let mut row = vec![
-                j.index.to_string(),
-                j.device.clone(),
-                j.model.to_string(),
-                j.policy.to_string(),
-                j.sched.to_string(),
-                j.mapping.to_string(),
-                j.channels.to_string(),
-                j.traffic.to_string(),
-                j.read_pct.to_string(),
-                j.requests.to_string(),
-            ];
+            let mut row = vec![r.job.index.to_string()];
+            r.job.push_cells(&mut row);
             match &r.outcome {
                 JobOutcome::Completed { metrics, .. } => {
                     row.push("ok".to_owned());
@@ -268,13 +256,6 @@ pub(crate) fn render_parts(campaign_name: &str, j: &JobSpec, outcome: &JobOutcom
     out
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Record renders on this thread: the tests count them to pin that a
-    /// record is rendered once however many places reuse its bytes.
-    pub(crate) static RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// Appends the JSON-lines object for one job and its outcome to `out`,
 /// without a trailing newline. This is the one renderer of record lines:
 /// the report, the journal and the service all hold the bytes it writes,
@@ -290,43 +271,10 @@ pub(crate) fn render_parts_into(
     const INFALLIBLE: &str = "writing to a String cannot fail";
     #[cfg(test)]
     RENDERS.with(|n| n.set(n.get() + 1));
-    // One string member from a `Display` axis value, written in place and
-    // escaped like any other string; axis values never need escaping in
-    // practice, so the escaped copy is the rare path.
-    let text = |out: &mut String, key: &str, v: &dyn fmt::Display| {
-        out.push_str(key);
-        out.push('"');
-        let start = out.len();
-        write!(out, "{v}").expect(INFALLIBLE);
-        if out[start..]
-            .bytes()
-            .any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
-        {
-            let raw = out.split_off(start);
-            out.pop();
-            escape_into(&raw, out);
-        } else {
-            out.push('"');
-        }
-    };
     out.push_str("{\"campaign\":");
     escape_into(campaign_name, out);
-    write!(out, ",\"job\":{},\"seed\":{},\"device\":", j.index, j.seed).expect(INFALLIBLE);
-    escape_into(&j.device, out);
-    text(out, ",\"model\":", &j.model);
-    text(out, ",\"policy\":", &j.policy);
-    text(out, ",\"sched\":", &j.sched);
-    text(out, ",\"mapping\":", &j.mapping);
-    write!(out, ",\"channels\":{}", j.channels).expect(INFALLIBLE);
-    text(out, ",\"traffic\":", &j.traffic);
-    write!(
-        out,
-        ",\"read_pct\":{},\"requests\":{},\"error_rate\":{}",
-        j.read_pct,
-        j.requests,
-        json_f64(j.error_rate),
-    )
-    .expect(INFALLIBLE);
+    write!(out, ",\"job\":{},\"seed\":{}", j.index, j.seed).expect(INFALLIBLE);
+    j.write_members(out);
     match outcome {
         JobOutcome::Completed { metrics, attempts } => {
             write!(
@@ -356,6 +304,13 @@ pub(crate) fn render_parts_into(
             out.push('}');
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Record renders on this thread: the tests count them to pin that a
+    /// record is rendered once however many places reuse its bytes.
+    pub(crate) static RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

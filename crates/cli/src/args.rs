@@ -1,9 +1,9 @@
 //! Tiny hand-rolled argument parsing (no external dependencies).
 
-use dramctrl::{EccMode, PagePolicy, SchedPolicy};
+use dramctrl::EccMode;
 use dramctrl_campaign::TrafficPattern;
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{presets, AddrMapping, MemSpec};
+use dramctrl_mem::{presets, MemSpec};
 use std::collections::BTreeMap;
 
 /// One flag, declared once: everything the parser, the unknown-flag
@@ -309,28 +309,6 @@ pub fn parse_device(name: &str) -> Result<MemSpec, ArgError> {
     }
 }
 
-/// Parses a page policy name.
-pub fn parse_policy(s: &str) -> Result<PagePolicy, ArgError> {
-    match s.to_ascii_lowercase().as_str() {
-        "open" => Ok(PagePolicy::Open),
-        "open-adaptive" | "open_adaptive" => Ok(PagePolicy::OpenAdaptive),
-        "closed" => Ok(PagePolicy::Closed),
-        "closed-adaptive" | "closed_adaptive" => Ok(PagePolicy::ClosedAdaptive),
-        other => err(format!(
-            "unknown page policy {other:?} (open, open-adaptive, closed, closed-adaptive)"
-        )),
-    }
-}
-
-/// Parses a scheduling policy name.
-pub fn parse_sched(s: &str) -> Result<SchedPolicy, ArgError> {
-    match s.to_ascii_lowercase().as_str() {
-        "fcfs" => Ok(SchedPolicy::Fcfs),
-        "frfcfs" | "fr-fcfs" => Ok(SchedPolicy::FrFcfs),
-        other => err(format!("unknown scheduler {other:?} (fcfs, frfcfs)")),
-    }
-}
-
 /// Parses a traffic generator name (`--gen`, an item of `--gens`) into
 /// the pattern it names, built from the parameters that kind takes.
 pub fn parse_gen(
@@ -372,21 +350,11 @@ pub fn parse_ras_rate(s: &str) -> Result<f64, ArgError> {
         })
 }
 
-/// Parses an address mapping name.
-pub fn parse_mapping(s: &str) -> Result<AddrMapping, ArgError> {
-    match s.to_ascii_lowercase().as_str() {
-        "rorabacoch" => Ok(AddrMapping::RoRaBaCoCh),
-        "rorabachco" => Ok(AddrMapping::RoRaBaChCo),
-        "rocorabach" => Ok(AddrMapping::RoCoRaBaCh),
-        other => err(format!(
-            "unknown mapping {other:?} (RoRaBaCoCh, RoRaBaChCo, RoCoRaBaCh)"
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dramctrl::{PagePolicy, SchedPolicy};
+    use dramctrl_mem::AddrMapping;
 
     /// A command with one flag of every kind and one positional.
     const TOOL: Command = Command {
@@ -523,14 +491,18 @@ mod tests {
 
     #[test]
     fn policy_sched_mapping() {
+        // The CLI's spellings are the `FromStr` impls' own.
         assert_eq!(
-            parse_policy("open-adaptive").unwrap(),
+            "open-adaptive".parse::<PagePolicy>().unwrap(),
             PagePolicy::OpenAdaptive
         );
-        assert!(parse_policy("half-open").is_err());
-        assert_eq!(parse_sched("fr-fcfs").unwrap(), SchedPolicy::FrFcfs);
+        assert!("half-open".parse::<PagePolicy>().is_err());
         assert_eq!(
-            parse_mapping("rocorabach").unwrap(),
+            "fr-fcfs".parse::<SchedPolicy>().unwrap(),
+            SchedPolicy::FrFcfs
+        );
+        assert_eq!(
+            "rocorabach".parse::<AddrMapping>().unwrap(),
             AddrMapping::RoCoRaBaCh
         );
     }

@@ -3,8 +3,8 @@
 //! rest — these commands build no controller of their own.
 
 use crate::args::{
-    err, parse_device, parse_duration, parse_ecc, parse_epochs, parse_gen, parse_mapping,
-    parse_policy, parse_ras_rate, parse_sched, parse_size, ArgError, Args, Group, Opt,
+    err, parse_device, parse_duration, parse_ecc, parse_epochs, parse_gen, parse_ras_rate,
+    parse_size, ArgError, Args, Group, Opt,
 };
 use crate::write_output;
 use dramctrl::RasConfig;
@@ -131,9 +131,9 @@ fn parse_ras_config(a: &Args) -> Result<Option<RasConfig>, ArgError> {
 fn parse_wiring(a: &Args, model: Model, powerdown_idle: Tick) -> Result<Wiring, ArgError> {
     let mut w = Wiring::new(parse_device(a.value("device"))?, model);
     let c = &mut w.ctrl;
-    c.page_policy = parse_policy(a.value("policy"))?;
-    c.scheduling = parse_sched(a.value("sched"))?;
-    c.mapping = parse_mapping(a.value("mapping"))?;
+    c.page_policy = a.value("policy").parse().map_err(ArgError)?;
+    c.scheduling = a.value("sched").parse().map_err(ArgError)?;
+    c.mapping = a.value("mapping").parse().map_err(ArgError)?;
     (c.ras, c.powerdown_idle) = (parse_ras_config(a)?, powerdown_idle);
     Ok(w)
 }
@@ -154,7 +154,7 @@ fn build_workload(a: &Args) -> Result<(Box<dyn SnapGen>, String), ArgError> {
     let stride: u64 = a.parsed("stride")?;
     let banks: u32 = a.parsed("banks")?;
     let seed: u64 = a.parsed("seed")?;
-    let mapping = parse_mapping(a.value("mapping"))?;
+    let mapping = a.value("mapping").parse().map_err(ArgError)?;
     let gen_name = a.value("gen");
     let gen: Box<dyn SnapGen> = match parse_gen(gen_name, range, block, stride, banks)? {
         TrafficPattern::Linear { .. } => Box::new(LinearGen::new(

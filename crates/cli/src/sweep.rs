@@ -4,8 +4,7 @@
 //! through the same two functions.
 
 use crate::args::{
-    err, parse_device, parse_gen, parse_mapping, parse_policy, parse_ras_rate, parse_sched,
-    parse_size, ArgError, Args, Group, Opt,
+    err, parse_device, parse_gen, parse_ras_rate, parse_size, ArgError, Args, Group, Opt,
 };
 use crate::write_output;
 use dramctrl_kernel::Tick;
@@ -86,7 +85,7 @@ fn axis<T>(
 /// (`sweep`) so a campaign submitted to a service produces records
 /// byte-comparable with a local `sweep` run of the same flags.
 pub fn campaign_from_args(a: &Args) -> Result<dramctrl_campaign::Campaign, ArgError> {
-    use dramctrl_campaign::{Campaign, Model};
+    use dramctrl_campaign::Campaign;
 
     fn number<T: std::str::FromStr>(name: &str) -> impl Fn(&str) -> Result<T, ArgError> + '_ {
         move |n| (n.parse()).map_err(|_| ArgError(format!("--{name}: cannot parse {n:?}")))
@@ -99,10 +98,10 @@ pub fn campaign_from_args(a: &Args) -> Result<dramctrl_campaign::Campaign, ArgEr
         .devices(axis(a, "devices", |d| {
             parse_device(d).map(|s| s.name.to_owned())
         })?)
-        .models(axis(a, "models", |m| m.parse::<Model>().map_err(ArgError))?)
-        .policies(axis(a, "policies", parse_policy)?)
-        .scheds(axis(a, "scheds", parse_sched)?)
-        .mappings(axis(a, "mappings", parse_mapping)?)
+        .models(axis(a, "models", |s| s.parse().map_err(ArgError))?)
+        .policies(axis(a, "policies", |s| s.parse().map_err(ArgError))?)
+        .scheds(axis(a, "scheds", |s| s.parse().map_err(ArgError))?)
+        .mappings(axis(a, "mappings", |s| s.parse().map_err(ArgError))?)
         .channels(axis(a, "channels", number("channels"))?)
         .traffic(axis(a, "gens", |g| {
             parse_gen(g, range, block, stride, banks)

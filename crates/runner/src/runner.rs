@@ -878,7 +878,7 @@ mod tests {
             .expand();
         for job in &jobs {
             let m = run_job(job);
-            assert_eq!(m.get("reads"), Some(300.0), "{}", job.label());
+            assert_eq!(m.get("reads"), Some(300.0), "{job:?}");
             assert!(m.get("bus_util").unwrap() > 0.0);
         }
     }
@@ -898,10 +898,10 @@ mod tests {
             };
             // Zero perturbation all the way up: observed metrics equal the
             // unobserved run's bit for bit.
-            assert_eq!(m, run_job(job), "{}", job.label());
+            assert_eq!(m, run_job(job), "{job:?}");
             dramctrl_obs::json::validate(&art.perfetto_json).expect("loadable trace");
-            assert!(art.perfetto_json.contains("\"ACT\""), "{}", job.label());
-            assert!(art.epochs_csv.lines().count() > 1, "{}", job.label());
+            assert!(art.perfetto_json.contains("\"ACT\""), "{job:?}");
+            assert!(art.epochs_csv.lines().count() > 1, "{job:?}");
             dramctrl_obs::json::validate(&art.stats_json).expect("valid stats JSON");
         }
     }
@@ -929,9 +929,9 @@ mod tests {
                         done => break done,
                     }
                 };
-                assert!(pauses >= 1, "{} never paused at step {step}", job.label());
+                assert!(pauses >= 1, "{job:?} never paused at step {step}");
                 // Metrics and all four artifacts, in one comparison.
-                assert_eq!(sliced, whole, "{} at step {step}", job.label());
+                assert_eq!(sliced, whole, "{job:?} at step {step}");
             }
         }
     }
@@ -950,22 +950,19 @@ mod tests {
             assert_eq!(
                 m.get("reads").unwrap() + m.get("writes").unwrap() + m.get("dropped").unwrap(),
                 400.0,
-                "{}",
-                job.label()
+                "{job:?}"
             );
             assert!(
                 m.get("ras_corrected").unwrap() + m.get("ras_transient_faults").unwrap() >= 0.0,
-                "RAS counters missing: {}",
-                job.label()
+                "RAS counters missing: {job:?}"
             );
             // Silent events can only be the multi-symbol syndrome alias.
             assert!(
                 m.get("ras_silent").unwrap() <= m.get("ras_rank_failures").unwrap(),
-                "single-symbol fault escaped SEC-DED: {}",
-                job.label()
+                "single-symbol fault escaped SEC-DED: {job:?}"
             );
             // Determinism across repeated runs, RAS counters included.
-            assert_eq!(m, run_job(job), "{}", job.label());
+            assert_eq!(m, run_job(job), "{job:?}");
         }
         // Fault-free jobs carry no ras_* metrics at all.
         let mut clean = jobs[0].clone();
@@ -985,7 +982,7 @@ mod tests {
         let warm: Vec<JobMetrics> = jobs.iter().chain(jobs.iter()).map(run_job).collect();
         for (job, m) in jobs.iter().chain(jobs.iter()).zip(&warm) {
             let cold = std::thread::scope(|s| s.spawn(|| run_job(job)).join().unwrap());
-            assert_eq!(m, &cold, "{}", job.label());
+            assert_eq!(m, &cold, "{job:?}");
         }
     }
 

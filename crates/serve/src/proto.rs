@@ -1,5 +1,5 @@
 //! The service protocol: line-delimited JSON commands and events, plus
-//! the campaign wire codec.
+//! the daemon's cap on the campaigns it decodes.
 //!
 //! Every message is one JSON object on one line. Clients send *commands*
 //! (`{"cmd":"submit",...}`); the server sends *events*
@@ -9,16 +9,14 @@
 //! version, the snapshot format version (preemption checkpoints) and the
 //! journal format version (the durable job store).
 //!
-//! Campaign axes travel as their `Display` strings and parse back via
-//! `FromStr` — the same round-trip the reports and journals rely on —
-//! and numeric tokens are kept raw end to end, so a `u64` campaign seed
-//! is never coerced through a float.
+//! Campaigns travel in `dramctrl_campaign`'s wire form
+//! ([`campaign_to_wire`]); this module adds only the daemon's admission
+//! cap on what it decodes.
 
 use crate::wire::{escape_into, Value};
-use dramctrl::{PagePolicy, SchedPolicy};
-use dramctrl_campaign::{Campaign, Model, TrafficPattern, JOURNAL_VERSION};
+pub use dramctrl_campaign::campaign_to_wire;
+use dramctrl_campaign::{Campaign, JOURNAL_VERSION};
 use dramctrl_kernel::snap::SNAP_VERSION;
-use dramctrl_mem::AddrMapping;
 use std::fmt::Write as _;
 
 /// Wire protocol version; bumped on any incompatible command or event
@@ -112,129 +110,17 @@ impl VersionInfo {
     }
 }
 
-/// Encodes a campaign for the wire: every axis as an array, enum values
-/// as their `Display` strings, numbers as raw tokens.
-#[must_use]
-pub fn campaign_to_wire(c: &Campaign) -> Value {
-    let strings = |it: Vec<String>| Value::Arr(it.into_iter().map(Value::Str).collect());
-    let nums = |it: Vec<String>| Value::Arr(it.into_iter().map(Value::Num).collect());
-    Value::Obj(vec![
-        ("name".to_owned(), Value::Str(c.name.clone())),
-        ("seed".to_owned(), Value::num(c.seed)),
-        ("devices".to_owned(), strings(c.devices.clone())),
-        (
-            "models".to_owned(),
-            strings(c.models.iter().map(ToString::to_string).collect()),
-        ),
-        (
-            "policies".to_owned(),
-            strings(c.policies.iter().map(ToString::to_string).collect()),
-        ),
-        (
-            "scheds".to_owned(),
-            strings(c.scheds.iter().map(ToString::to_string).collect()),
-        ),
-        (
-            "mappings".to_owned(),
-            strings(c.mappings.iter().map(ToString::to_string).collect()),
-        ),
-        (
-            "channels".to_owned(),
-            nums(c.channels.iter().map(ToString::to_string).collect()),
-        ),
-        (
-            "traffic".to_owned(),
-            strings(c.traffic.iter().map(ToString::to_string).collect()),
-        ),
-        (
-            "read_pcts".to_owned(),
-            nums(c.read_pcts.iter().map(ToString::to_string).collect()),
-        ),
-        (
-            "requests".to_owned(),
-            nums(c.request_counts.iter().map(ToString::to_string).collect()),
-        ),
-        (
-            "error_rates".to_owned(),
-            nums(c.error_rates.iter().map(|r| format!("{r}")).collect()),
-        ),
-    ])
-}
-
 /// The most units a wire campaign may expand to. A daemon expands an
 /// accepted campaign in memory, at submit and again at every restart, so
 /// the cap bounds that allocation: 2^20 units of 88 bytes each is about
 /// 92 MB.
 pub const MAX_CAMPAIGN_UNITS: usize = 1 << 20;
 
-/// Decodes a wire campaign, validating that every axis is present and
-/// non-empty (an empty axis would annihilate the Cartesian product) and
-/// that the product is at most [`MAX_CAMPAIGN_UNITS`] units. Submits and
-/// the store's accept log both decode through here.
+/// Decodes a wire campaign ([`dramctrl_campaign::campaign_from_wire`])
+/// and refuses one whose product is more than [`MAX_CAMPAIGN_UNITS`]
+/// units. Submits and the store's accept log both decode through here.
 pub fn campaign_from_wire(v: &Value) -> Result<Campaign, String> {
-    let name = v
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "campaign is missing 'name'".to_owned())?;
-    let seed = v
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| "campaign is missing a u64 'seed'".to_owned())?;
-    fn axis<T, E: std::fmt::Display>(
-        v: &Value,
-        key: &str,
-        parse: impl Fn(&Value) -> Result<T, E>,
-    ) -> Result<Vec<T>, String> {
-        let items = v
-            .get(key)
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("campaign is missing the '{key}' axis"))?;
-        if items.is_empty() {
-            return Err(format!("campaign axis '{key}' is empty"));
-        }
-        items
-            .iter()
-            .map(|item| parse(item).map_err(|e| format!("campaign axis '{key}': {e}")))
-            .collect()
-    }
-    let str_of = |item: &Value| -> Result<String, String> {
-        item.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| "expected a string".to_owned())
-    };
-    fn parse_as(item: &Value) -> Result<&str, String> {
-        item.as_str().ok_or_else(|| "expected a string".to_owned())
-    }
-    let c = Campaign::new(name, seed)
-        .devices(axis(v, "devices", str_of)?)
-        .models(axis(v, "models", |i| parse_as(i)?.parse::<Model>())?)
-        .policies(axis(v, "policies", |i| parse_as(i)?.parse::<PagePolicy>())?)
-        .scheds(axis(v, "scheds", |i| parse_as(i)?.parse::<SchedPolicy>())?)
-        .mappings(axis(v, "mappings", |i| {
-            parse_as(i)?.parse::<AddrMapping>()
-        })?)
-        .channels(axis(v, "channels", |i| {
-            i.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| "expected a u32".to_owned())
-        })?)
-        .traffic(axis(v, "traffic", |i| {
-            parse_as(i)?.parse::<TrafficPattern>()
-        })?)
-        .read_pcts(axis(v, "read_pcts", |i| {
-            i.as_u64()
-                .and_then(|n| u8::try_from(n).ok())
-                .filter(|n| *n <= 100)
-                .ok_or_else(|| "expected a read percentage 0..=100".to_owned())
-        })?)
-        .requests(axis(v, "requests", |i| {
-            i.as_u64().ok_or_else(|| "expected a u64".to_owned())
-        })?)
-        .error_rates(axis(v, "error_rates", |i| {
-            i.as_f64()
-                .filter(|r| r.is_finite() && *r >= 0.0)
-                .ok_or_else(|| "expected a non-negative fault rate".to_owned())
-        })?);
+    let c = dramctrl_campaign::campaign_from_wire(v)?;
     match c.checked_len() {
         Some(units) if units <= MAX_CAMPAIGN_UNITS => Ok(c),
         units => Err(format!(
@@ -334,6 +220,9 @@ pub fn accepted_event(id: &str, total: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dramctrl::{PagePolicy, SchedPolicy};
+    use dramctrl_campaign::{Model, TrafficPattern};
+    use dramctrl_mem::AddrMapping;
 
     fn toy_campaign() -> Campaign {
         Campaign::new("wire-test", u64::MAX - 7)
@@ -386,6 +275,11 @@ mod tests {
         // Read percentage out of range.
         let v = Value::parse(&ok.replace("[0,50,100]", "[0,101]")).unwrap();
         assert!(campaign_from_wire(&v).is_err());
+        // A traffic field past its width is refused, not truncated.
+        let wide = ok.replace("block=64", "block=4294967360");
+        let v = Value::parse(&wide).unwrap();
+        let e = campaign_from_wire(&v).unwrap_err();
+        assert!(e.contains("bad 'block' value"), "{e}");
     }
 
     #[test]

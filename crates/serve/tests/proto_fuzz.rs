@@ -539,3 +539,49 @@ fn the_record_validator_accepts_only_its_own_bytes() {
     );
     assert!(parsed > accepted, "seed {seed:#x}: {parsed} parsed");
 }
+
+/// The daemon's campaign decoder over mutations of the pinned multi-axis
+/// wire bytes (`tests/golden_bytes.rs` writes them): `Err`, or a campaign
+/// within the unit cap whose re-encoding decodes to the same campaign —
+/// and never a panic.
+#[test]
+fn the_campaign_decoder_survives_mutated_campaigns() {
+    const FIXTURE: &str = include_str!("../../../tests/fixtures/pr34_campaign_wire.json");
+    let base = FIXTURE.trim_end();
+    let decode = |text: &str| {
+        Value::parse(text)
+            .map_err(|e| e.to_string())
+            .and_then(|v| proto::campaign_from_wire(&v))
+    };
+    assert!(decode(base).is_ok(), "the fixture decodes");
+
+    let seed = SEED ^ 0xCA3E;
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut accepted = 0;
+    for i in 0..3_000u64 {
+        let raw = mutate(&mut rng, base);
+        let text = String::from_utf8_lossy(&raw);
+        let verdict = catch_unwind(|| decode(&text))
+            .unwrap_or_else(|_| panic!("seed {seed:#x}, iteration {i}: the decoder panicked"));
+        let Ok(c) = verdict else { continue };
+        let units = c.checked_len();
+        assert!(
+            units.is_some_and(|n| n <= proto::MAX_CAMPAIGN_UNITS),
+            "seed {seed:#x}, iteration {i}: accepted {units:?} units"
+        );
+        let again = decode(&campaign_to_wire(&c).encode()).unwrap_or_else(|e| {
+            panic!("seed {seed:#x}, iteration {i}: its re-encoding is refused: {e}")
+        });
+        assert_eq!(
+            format!("{again:?}"),
+            format!("{c:?}"),
+            "seed {seed:#x}, iteration {i}: the re-encoding decodes to another campaign"
+        );
+        accepted += 1;
+    }
+    // The mutator must reach both sides of the decoder.
+    assert!(
+        accepted > 0 && accepted < 3_000,
+        "seed {seed:#x}: {accepted} accepted"
+    );
+}

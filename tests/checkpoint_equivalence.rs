@@ -44,9 +44,8 @@ fn periodic_checkpoints_do_not_perturb_the_run() {
         assert_eq!(
             exact(&baseline),
             exact(&ckpted),
-            "job {} ({}) diverged under periodic checkpointing",
-            job.index,
-            job.label()
+            "job {} ({job:?}) diverged under periodic checkpointing",
+            job.index
         );
         // Snapshots were actually written along the way.
         assert!(p.exists(), "job {} wrote no checkpoint", job.index);
@@ -77,9 +76,8 @@ fn pause_and_resume_matches_uninterrupted_run() {
         assert_eq!(
             exact(&baseline),
             exact(&resumed),
-            "job {} ({}) diverged after pause/resume",
-            job.index,
-            job.label()
+            "job {} ({job:?}) diverged after pause/resume",
+            job.index
         );
         std::fs::remove_file(&p).unwrap();
     }
@@ -118,8 +116,11 @@ fn a_checkpoint_written_by_the_previous_commit_resumes_byte_identically() {
     const FIXTURE: &[u8] = include_bytes!("fixtures/pr12_event_2ch_ras_retry_pending.snap");
     let job = matrix().into_iter().nth(7).expect("matrix has 16 jobs");
     assert_eq!(
-        job.label(),
-        "DDR3-1333-x64/event/open/frfcfs/RoRaBaCoCh/ch2/linear(range=268435456,block=64)/r100/n300/e200000000000",
+        format!("{job:?}"),
+        "JobSpec { index: 7, device: \"DDR3-1333-x64\", model: Event, policy: Open, \
+         sched: FrFcfs, mapping: RoRaBaCoCh, channels: 2, traffic: Linear { range: 268435456, \
+         block: 64 }, read_pct: 100, requests: 300, error_rate: 200000000000.0, \
+         seed: 10507770595773694144 }",
         "the fixture belongs to this job"
     );
     let p = tmp("cross-version.snap");
