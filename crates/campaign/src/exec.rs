@@ -167,10 +167,6 @@ pub struct ExecutorConfig {
     /// Maximum attempts per job (must be ≥ 1); a job failing this many
     /// times is recorded as [`JobOutcome::Failed`].
     pub max_attempts: u32,
-    /// Base backoff before the second attempt of a panicked job, in
-    /// milliseconds; doubles per further attempt, plus a deterministic
-    /// per-(job, attempt) jitter. `0` retries immediately.
-    pub retry_backoff_ms: u64,
     /// Progress reporting sink.
     pub progress: Progress,
     /// Operational metric handles; `None` (the default) records nothing.
@@ -182,7 +178,6 @@ impl Default for ExecutorConfig {
         Self {
             workers: 0,
             max_attempts: 2,
-            retry_backoff_ms: 10,
             progress: Progress::Silent,
             metrics: None,
         }
@@ -207,12 +202,6 @@ impl ExecutorConfig {
     /// Sets the retry bound.
     pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
         self.max_attempts = max_attempts;
-        self
-    }
-
-    /// Sets the base retry backoff in milliseconds (`0` disables it).
-    pub fn with_retry_backoff_ms(mut self, ms: u64) -> Self {
-        self.retry_backoff_ms = ms;
         self
     }
 
@@ -451,8 +440,11 @@ where
                 // before their outcomes are accepted into the report.
                 if let Some(j) = journal.as_deref_mut() {
                     let commit_started = Instant::now();
-                    let records = batch.iter().zip(batch_lines(&lines, &ends));
-                    j.commit_batch(records.map(|(&(i, ref o), line)| (i, o, line)))
+                    batch
+                        .iter()
+                        .zip(batch_lines(&lines, &ends))
+                        .try_for_each(|((i, o), line)| j.append_deferred(*i, o, line).map(drop))
+                        .and_then(|()| j.sync())
                         .unwrap_or_else(|e| {
                             panic!(
                                 "cannot commit {} job(s) to the campaign journal at {}: {e}",
@@ -670,21 +662,24 @@ where
                         attempts,
                     };
                 }
-                let ms = retry_backoff_ms(cfg.retry_backoff_ms, job.seed, attempts);
-                if ms > 0 {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
+                let ms = retry_backoff_ms(job.seed, attempts);
+                std::thread::sleep(Duration::from_millis(ms));
             }
         }
     }
 }
 
+/// Base backoff before the second attempt of a panicked job, in
+/// milliseconds.
+const RETRY_BACKOFF_MS: u64 = 10;
+
 /// Backoff before re-running a job that has already panicked `attempt`
-/// times: the kernel's deterministic exponential-with-jitter schedule,
-/// keyed by `(job_seed, attempt)` — never the wall clock or the worker
-/// id — so reruns pace their retries identically at any worker count.
-fn retry_backoff_ms(base_ms: u64, job_seed: u64, attempt: u32) -> u64 {
-    deterministic_ms(base_ms, job_seed, attempt)
+/// times: the kernel's deterministic exponential-with-jitter schedule
+/// from [`RETRY_BACKOFF_MS`], keyed by `(job_seed, attempt)` — never the
+/// wall clock or the worker id — so reruns pace their retries
+/// identically at any worker count.
+fn retry_backoff_ms(job_seed: u64, attempt: u32) -> u64 {
+    deterministic_ms(RETRY_BACKOFF_MS, job_seed, attempt)
 }
 
 /// Extracts a human-readable message from a panic payload — the text a
@@ -824,18 +819,17 @@ mod tests {
         // doubling base; jitter bounded by half the base.
         for seed in [0u64, 31, u64::MAX] {
             for attempt in 1..=5u32 {
-                let a = retry_backoff_ms(10, seed, attempt);
-                let b = retry_backoff_ms(10, seed, attempt);
+                let a = retry_backoff_ms(seed, attempt);
+                let b = retry_backoff_ms(seed, attempt);
                 assert_eq!(a, b, "backoff must not depend on ambient state");
-                let expo = 10 * (1 << (attempt - 1));
+                let expo = RETRY_BACKOFF_MS * (1 << (attempt - 1));
                 assert!((expo..=expo + expo / 2).contains(&a));
             }
         }
         // Different jobs spread out (not all identical).
         let spread: std::collections::BTreeSet<u64> =
-            (0..16u64).map(|s| retry_backoff_ms(100, s, 1)).collect();
+            (0..16u64).map(|s| retry_backoff_ms(s, 1)).collect();
         assert!(spread.len() > 1, "jitter never varies");
-        assert_eq!(retry_backoff_ms(0, 7, 3), 0, "zero base disables backoff");
     }
 
     #[test]
@@ -885,7 +879,6 @@ mod tests {
         let m = ExecMetrics::register(&registry);
         let cfg = ExecutorConfig::serial()
             .with_max_attempts(2)
-            .with_retry_backoff_ms(0)
             .with_metrics(m.clone());
         let first = AtomicU32::new(0);
         let r = run_campaign(&campaign(8), &cfg, |job| {

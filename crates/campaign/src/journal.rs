@@ -15,8 +15,11 @@
 //!
 //! Resuming tolerates a torn tail (a crash mid-append leaves a partial
 //! last line): the partial line is dropped and the file truncated back to
-//! the last complete record. A journal written for a *different* campaign
-//! specification is rejected loudly via the header hash.
+//! the last complete record. A live journal whose append or sync failed
+//! forgets the records no sync covered, and its next append cuts their
+//! bytes off ([`DurableAppender`]'s rule). A journal written for a
+//! *different* campaign specification is rejected loudly via the header
+//! hash.
 
 use crate::exec::JobOutcome;
 use crate::report::{render_parts, JobMetrics, JobRecord};
@@ -129,6 +132,9 @@ pub struct CampaignJournal {
     appender: DurableAppender,
     campaign_name: String,
     completed: BTreeMap<usize, JobOutcome>,
+    /// Indices appended since the last sync: in `completed` until an
+    /// append or sync fails, when the appender cuts their lines.
+    pending: Vec<usize>,
     total: usize,
     dropped_torn_tail: bool,
 }
@@ -148,6 +154,7 @@ impl CampaignJournal {
             appender,
             campaign_name: campaign.name.clone(),
             completed: BTreeMap::new(),
+            pending: Vec::new(),
             total: campaign.len(),
             dropped_torn_tail: false,
         })
@@ -165,20 +172,30 @@ impl CampaignJournal {
     /// I/O errors, a missing or mismatching header, or a corrupt record
     /// line that is not the torn tail.
     pub fn resume(path: impl Into<PathBuf>, campaign: &Campaign) -> Result<Self, JournalError> {
-        let path = path.into();
+        Self::reopen(path.into(), campaign)?.ok_or(JournalError::NotAJournal)
+    }
+
+    /// [`resume`](Self::resume), or `None` when not even the header line
+    /// is complete.
+    fn reopen(path: PathBuf, campaign: &Campaign) -> Result<Option<Self>, JournalError> {
         let mut completed = BTreeMap::new();
         let scan = scan_journal(&path, campaign, &campaign.expand(), |i, o, _| {
             keep_first(&mut completed, i, o);
         })?;
-        let appender = DurableAppender::reopen(&path, scan.valid_len as u64)?;
-        Ok(Self {
+        let Some(valid_len) = scan else {
+            return Ok(None);
+        };
+        let dropped_torn_tail = std::fs::metadata(&path)?.len() > valid_len;
+        let appender = DurableAppender::reopen(&path, valid_len)?;
+        Ok(Some(Self {
             path,
             appender,
             campaign_name: campaign.name.clone(),
             completed,
+            pending: Vec::new(),
             total: campaign.len(),
-            dropped_torn_tail: scan.dropped_torn_tail,
-        })
+            dropped_torn_tail,
+        }))
     }
 
     /// Opens `path` in whatever state a crash left it: a missing file —
@@ -195,15 +212,12 @@ impl CampaignJournal {
     /// [`resume`](Self::resume), minus the torn-header `NotAJournal`.
     pub fn recover(path: impl Into<PathBuf>, campaign: &Campaign) -> Result<Self, JournalError> {
         let path = path.into();
-        if !path.exists() {
-            return Self::create(path, campaign);
-        }
-        match Self::resume(&path, campaign) {
-            Err(JournalError::NotAJournal) if !std::fs::read_to_string(&path)?.contains('\n') => {
-                Self::create(path, campaign)
+        if path.exists() {
+            if let Some(journal) = Self::reopen(path.clone(), campaign)? {
+                return Ok(journal);
             }
-            other => other,
         }
+        Self::create(path, campaign)
     }
 
     /// Reads a journal without opening it for appends and without
@@ -223,7 +237,8 @@ impl CampaignJournal {
         let mut completed = BTreeMap::new();
         scan_journal(path.as_ref(), campaign, &campaign.expand(), |i, o, _| {
             keep_first(&mut completed, i, o);
-        })?;
+        })?
+        .ok_or(JournalError::NotAJournal)?;
         Ok(completed)
     }
 
@@ -253,57 +268,42 @@ impl CampaignJournal {
     }
 
     /// Commits one finished job: renders its record line, appends it and
-    /// fsyncs — [`commit_line`](Self::commit_line) for a caller that has
-    /// no use for the line itself.
+    /// fsyncs.
+    ///
+    /// This is the single commit point of a caller that commits one record
+    /// at a time — when it returns `Ok(true)` the record is on disk and
+    /// the job will be skipped by any future resume. Committing an index
+    /// that is already journaled is a durable no-op (returns `Ok(false)`),
+    /// so a record can never be appended twice.
     ///
     /// # Errors
-    /// As [`commit_line`](Self::commit_line).
+    /// As [`append_deferred`](Self::append_deferred) and
+    /// [`sync`](Self::sync).
     pub fn commit(&mut self, record: &JobRecord) -> io::Result<bool> {
         if self.completed.contains_key(&record.job.index) {
             return Ok(false);
         }
         let line = record.render(&self.campaign_name);
-        self.commit_line(record.job.index, &record.outcome, &line)
+        self.append_deferred(record.job.index, &record.outcome, &line)?;
+        self.sync()?;
+        Ok(true)
     }
 
-    /// Commits one finished job whose record line the caller rendered:
-    /// appends `line` and fsyncs.
-    ///
-    /// This is the campaign's single commit point — when it returns
-    /// `Ok(true)` the record is on disk and the job will be skipped by any
-    /// future resume. Committing an index that is already journaled is a
-    /// durable no-op (returns `Ok(false)`), so a record can never be
-    /// appended twice.
+    /// Appends one finished job's record line *without* syncing: `line`
+    /// is in the file, not yet durable, until [`sync`](Self::sync) — one
+    /// fsync then commits a whole batch, and the journal's bytes are
+    /// exactly what the same records committed one by one would have
+    /// written. An already-journaled index is skipped (keep-first) and
+    /// reads `Ok(false)`.
     ///
     /// `line` must be job `index`'s record with `outcome`, as
     /// [`JobRecord::render`] writes it or [`verify_record_line`] accepted
     /// it; the journal stores those bytes without rendering them again.
     ///
     /// # Errors
-    /// Any I/O error from appending or syncing; the record is then *not*
-    /// committed and the job must be treated as not done.
-    pub fn commit_line(
-        &mut self,
-        index: usize,
-        outcome: &JobOutcome,
-        line: &str,
-    ) -> io::Result<bool> {
-        if self.completed.contains_key(&index) {
-            return Ok(false);
-        }
-        self.appender.append_line(line)?;
-        self.completed.insert(index, outcome.clone());
-        Ok(true)
-    }
-
-    /// Appends one finished job's record line *without* syncing: `line`
-    /// is in the file, not yet durable, until [`sync`](Self::sync). An
-    /// already-journaled index is skipped (keep-first, as
-    /// [`commit_line`](Self::commit_line), whose rule for `line` this
-    /// shares) and reads `Ok(false)`.
-    ///
-    /// # Errors
-    /// Any I/O error from appending; the job must be treated as not done.
+    /// Any I/O error from appending. The job must be treated as not done,
+    /// and so must every job appended since the last sync: the journal
+    /// forgets them all, and the next append cuts their lines.
     pub fn append_deferred(
         &mut self,
         index: usize,
@@ -313,8 +313,10 @@ impl CampaignJournal {
         if self.completed.contains_key(&index) {
             return Ok(false);
         }
-        self.appender.append_line_deferred(line)?;
+        let appended = self.appender.append_line_deferred(line);
+        self.settle(appended)?;
         self.completed.insert(index, outcome.clone());
+        self.pending.push(index);
         Ok(true)
     }
 
@@ -323,51 +325,29 @@ impl CampaignJournal {
     ///
     /// # Errors
     /// Any I/O error from syncing; the pending lines are then *not*
-    /// committed.
+    /// committed, and the journal forgets them.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.appender.commit_batch()
+        let synced = self.appender.sync();
+        self.settle(synced)?;
+        self.pending.clear();
+        Ok(())
     }
 
-    /// Commits a batch of finished jobs with one fsync: every
-    /// `(index, outcome, line)` is
-    /// [`append_deferred`](Self::append_deferred), then a single
-    /// [`sync`](Self::sync) is the whole batch's commit point; the
-    /// journal's bytes are exactly what the same records committed
-    /// one-by-one would have written.
-    ///
-    /// A process killed mid-batch (after some appends, before the sync)
-    /// leaves complete record lines plus at most one torn tail —
-    /// [`resume`](Self::resume) replays the prefix and re-runs the rest.
-    ///
-    /// Returns how many records were newly appended.
-    ///
-    /// # Errors
-    /// Any I/O error from appending or syncing; the batch is then *not*
-    /// committed (some lines may be on disk, which resume handles as
-    /// above) and its jobs must be treated as not done.
-    pub fn commit_batch<'a, I>(&mut self, records: I) -> io::Result<usize>
-    where
-        I: IntoIterator<Item = (usize, &'a JobOutcome, &'a str)>,
-    {
-        let mut appended = 0;
-        for (index, outcome, line) in records {
-            appended += usize::from(self.append_deferred(index, outcome, line)?);
+    /// Forgets the pending records when `result` failed: the appender
+    /// cuts their lines before its next append.
+    fn settle<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if result.is_err() {
+            for index in self.pending.drain(..) {
+                self.completed.remove(&index);
+            }
         }
-        self.sync()?;
-        Ok(appended)
+        result
     }
 }
 
 /// Keep-first: the earliest durable record for an index wins.
 fn keep_first(completed: &mut BTreeMap<usize, JobOutcome>, index: usize, outcome: JobOutcome) {
     completed.entry(index).or_insert(outcome);
-}
-
-/// Where a validating read of a journal file stopped.
-struct JournalScan {
-    /// Bytes up to and including the last complete record line.
-    valid_len: usize,
-    dropped_torn_tail: bool,
 }
 
 /// The header line [`CampaignJournal::create`] writes for `campaign`.
@@ -386,30 +366,40 @@ fn render_header(campaign: &Campaign) -> String {
 }
 
 /// Reads and validates a journal file against `campaign` (whose
-/// expansion is `jobs`) without modifying it: header checks, record
-/// replay, torn-tail detection. Every complete line must be byte-for-byte
-/// what this campaign's writer would have written; each one is handed to
-/// `record` as `(index, outcome, line)` in file order, duplicates
-/// included, for the caller to keep first. Shared by
-/// [`CampaignJournal::resume`] (which then truncates and reopens for
-/// append) and the read-only paths ([`CampaignJournal::replay`],
-/// [`merge_journals`]).
+/// expansion is `jobs`) without modifying it: header checks and record
+/// replay over the file's complete lines
+/// ([`DurableAppender::read_lines`]). Every complete line must be byte
+/// for byte what this campaign's writer would have written; each record
+/// is handed to `record` as `(index, outcome, line)` in file order,
+/// duplicates included, for the caller to keep first. Returns where the
+/// complete lines end, or `None` when not even the header line is
+/// complete (a crash between the file's creation and its header's sync).
+/// Shared by [`CampaignJournal::resume`] (which then cuts the torn tail
+/// and reopens for append) and the read-only paths
+/// ([`CampaignJournal::replay`], [`merge_journals`]).
 fn scan_journal(
     path: &Path,
     campaign: &Campaign,
     jobs: &[JobSpec],
     mut record: impl FnMut(usize, JobOutcome, &str),
-) -> Result<JournalScan, JournalError> {
-    let text = std::fs::read_to_string(path)?;
-    let mut lines = text.split_inclusive('\n');
+) -> Result<Option<u64>, JournalError> {
+    let valid_len = DurableAppender::read_lines(path, |n, line| {
+        if n == 1 {
+            return check_header(line, campaign, jobs.len());
+        }
+        let (index, outcome) = verify_record_line(line, &campaign.name, jobs)
+            .map_err(|why| JournalError::Corrupt { line: n, why })?;
+        record(index, outcome, line);
+        Ok(())
+    })?;
+    // A complete line is at least its newline.
+    Ok((valid_len > 0).then_some(valid_len))
+}
 
-    let header = lines.next().ok_or(JournalError::NotAJournal)?;
-    if !header.ends_with('\n') {
-        // Even the header never made it to disk whole.
-        return Err(JournalError::NotAJournal);
-    }
-    let (version, spec_hash) =
-        parse_header(header.trim_end_matches('\n')).ok_or(JournalError::NotAJournal)?;
+/// Checks that `line` is the header [`CampaignJournal::create`] writes
+/// for `campaign` (of `total` jobs).
+fn check_header(line: &str, campaign: &Campaign, total: usize) -> Result<(), JournalError> {
+    let (version, spec_hash) = parse_header(line).ok_or(JournalError::NotAJournal)?;
     if version != JOURNAL_VERSION {
         return Err(JournalError::Version(version));
     }
@@ -420,34 +410,13 @@ fn scan_journal(
             found: spec_hash,
         });
     }
-    if header.trim_end_matches('\n') != render_header(campaign) {
+    if line != render_header(campaign) {
         return Err(JournalError::Corrupt {
             line: 1,
-            why: format!(
-                "header is not the one this campaign of {} jobs writes",
-                jobs.len()
-            ),
+            why: format!("header is not the one this campaign of {total} jobs writes"),
         });
     }
-
-    let mut valid_len = header.len();
-    let mut dropped_torn_tail = false;
-    for (i, line) in lines.enumerate() {
-        if !line.ends_with('\n') {
-            // Torn tail: the process died mid-append. Drop it.
-            dropped_torn_tail = true;
-            break;
-        }
-        let line_bytes = line.trim_end_matches('\n');
-        let (index, outcome) = verify_record_line(line_bytes, &campaign.name, jobs)
-            .map_err(|why| JournalError::Corrupt { line: i + 2, why })?;
-        record(index, outcome, line_bytes);
-        valid_len = valid_len.saturating_add(line.len());
-    }
-    Ok(JournalScan {
-        valid_len,
-        dropped_torn_tail,
-    })
+    Ok(())
 }
 
 /// Merges shard journals for one campaign into a complete
@@ -482,7 +451,8 @@ pub fn merge_journals(
                 lines.push_str(line);
                 slot.insert((outcome, start..lines.len()));
             }
-        })?;
+        })?
+        .ok_or(JournalError::NotAJournal)?;
     }
     let missing: Vec<usize> = (0..jobs.len())
         .filter(|i| !merged.contains_key(i))
@@ -718,6 +688,60 @@ mod tests {
         assert!(text.ends_with('\n'));
         let j = CampaignJournal::resume(&p, &c).unwrap();
         assert_eq!(j.completed().len(), 2);
+    }
+
+    #[test]
+    fn a_short_write_on_a_fresh_journal_is_cut_before_the_next_record() {
+        let p = tmp("short-fresh.jsonl");
+        let c = campaign();
+        let mut j = CampaignJournal::create(&p, &c).unwrap();
+        let header = std::fs::read_to_string(&p).unwrap();
+        let spec = format!("short,op=write,path={},at=1", p.display());
+        let g = dramctrl_kernel::fsio::fault::arm_str(&spec).unwrap();
+        j.commit(&record(&c, 0)).unwrap_err();
+        drop(g);
+        assert!(j.completed().is_empty());
+        assert!(j.commit(&record(&c, 0)).unwrap());
+        // Exactly the header and the record: the torn half is gone, and
+        // the record landed at the cut — no hole of NUL bytes before it.
+        let line = record(&c, 0).render("journal-test");
+        let bytes = std::fs::read(&p).unwrap();
+        assert!(!bytes.contains(&0), "a hole in the journal");
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            format!("{header}{line}\n")
+        );
+    }
+
+    #[test]
+    fn a_batch_whose_sync_failed_is_forgotten_and_lands_once_when_appended_again() {
+        let p = tmp("sync-fail.jsonl");
+        let c = campaign();
+        let mut j = CampaignJournal::create(&p, &c).unwrap();
+        j.commit(&record(&c, 2)).unwrap();
+        let batch: Vec<_> = (0..2).map(|i| record(&c, i)).collect();
+        let append = |j: &mut CampaignJournal| {
+            for r in &batch {
+                let line = r.render("journal-test");
+                assert!(j.append_deferred(r.job.index, &r.outcome, &line).unwrap());
+            }
+        };
+        append(&mut j);
+        let spec = format!("eio,op=fsync,path={},at=1", p.display());
+        let g = dramctrl_kernel::fsio::fault::arm_str(&spec).unwrap();
+        j.sync().unwrap_err();
+        drop(g);
+        assert_eq!(j.completed().keys().copied().collect::<Vec<_>>(), [2]);
+        append(&mut j);
+        j.sync().unwrap();
+        let text = std::fs::read_to_string(&p).unwrap();
+        for i in 0..3 {
+            let line = record(&c, i).render("journal-test");
+            assert_eq!(text.matches(&line).count(), 1, "record {i}");
+        }
+        assert_eq!(text.lines().count(), 4);
+        let j = CampaignJournal::resume(&p, &c).unwrap();
+        assert_eq!(j.completed().len(), 3);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub const QUERY: Group = Group { heading: "STATUS OPTIONS", opts: &[
 pub const FLEET: Group = Group { heading: "DISPATCH OPTIONS", opts: &[
     Opt::new("peer", "ADDR...", "(repeatable) a daemon to dispatch shards to"),
     Opt::new("peers-file", "FILE", "additional peers, one address per line (# comments and blank lines ignored)"),
-    Opt::new("workdir", "DIR", "where shard journals accumulate (default: a fresh directory under the system temp dir)"),
+    Opt::new("workdir", "DIR", "where shard journals accumulate (default: a fresh directory under the system temp dir, removed once the merged report is written)"),
     Opt::new("tenant", "NAME", "tenant submitted to every peer").or("dispatch"),
     Opt::new("timeout", "D", "per-read streaming deadline; a connected peer silent for this long fails its shard and the shard is re-dispatched, e.g. 30s; 0 disables").or("60s"),
     Opt::new("rounds", "N", "assignment rounds before giving up with an `incomplete` error").or("10"),
@@ -207,7 +207,7 @@ pub fn watch(a: &Args) -> Result<(), ArgError> {
         // Rides through daemon restarts: retryable transport errors
         // reconnect with backoff, and the replayed history is deduped by
         // unit index, so the collected records stay gap- and dup-free.
-        dramctrl_serve::Client::watch_with_reconnect(to, id, &mut on_event)
+        dramctrl_serve::Client::watch_with_reconnect(to, id, None, &mut on_event)
     } else {
         connect(to)?.watch(id, &mut on_event)
     }
@@ -252,16 +252,15 @@ pub fn dispatch(a: &Args) -> Result<(), ArgError> {
         return err("dispatch needs at least one --peer ADDR (or --peers-file)");
     }
     let campaign = campaign_from_args(a)?;
-    let workdir = a.get("workdir").map_or_else(
-        || {
-            std::env::temp_dir().join(format!(
-                "dramctrl-dispatch-{}-{}",
-                std::process::id(),
-                campaign.seed
-            ))
-        },
-        PathBuf::from,
-    );
+    // A directory of our own making is removed once the report is out;
+    // a failed dispatch keeps it, shard journals and all.
+    let (workdir, ours) = match a.get("workdir") {
+        Some(dir) => (PathBuf::from(dir), false),
+        None => {
+            let name = format!("dramctrl-dispatch-{}-{}", std::process::id(), campaign.seed);
+            (std::env::temp_dir().join(name), true)
+        }
+    };
     let cfg = DispatchConfig {
         tenant: a.value("tenant").to_owned(),
         io_timeout: deadline(a, "timeout")?,
@@ -277,7 +276,11 @@ pub fn dispatch(a: &Args) -> Result<(), ArgError> {
         "rounds" => stats.rounds, "redispatches" => stats.redispatches,
         "hedges" => stats.hedges, "peers_lost" => stats.peers_lost
     );
-    finish_report(a, &report)
+    finish_report(a, &report)?;
+    if ours {
+        let _ = std::fs::remove_dir_all(&workdir);
+    }
+    Ok(())
 }
 
 pub fn status(a: &Args) -> Result<(), ArgError> {

@@ -167,7 +167,6 @@ pub fn sweep(a: &Args) -> Result<(), ArgError> {
             Progress::Stderr
         },
         metrics: metrics_out.as_ref().map(|(_, _, m)| m.clone()),
-        ..ExecutorConfig::default()
     };
     // Durable journal: --journal starts one, --resume picks an existing
     // one back up (verifying it matches this campaign).

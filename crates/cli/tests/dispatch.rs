@@ -151,6 +151,7 @@ fn healthy_fleet_matches_local_sweep_byte_for_byte() {
         local_reference(&dir, AXES),
         "merged report diverged from the local sweep"
     );
+    assert!(dir.join("wd").is_dir(), "a named --workdir is the user's");
 }
 
 #[test]
@@ -218,6 +219,42 @@ fn poisoned_store_peer_is_routed_around_byte_identically() {
         local_reference(&dir, AXES),
         "merged report diverged with a poisoned peer in the fleet"
     );
+}
+
+/// Without `--workdir`, dispatch journals its shards in a directory of
+/// its own under the system temp dir: kept when the dispatch fails, gone
+/// once the report is written.
+#[test]
+fn a_dispatch_without_workdir_cleans_up_its_temp_dir_only_on_success() {
+    let dir = tmp_dir("tmpdir");
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let leftovers = || std::fs::read_dir(&tmp).unwrap().count();
+    let dispatch = |peer: &Path| {
+        dramctrl()
+            .env("TMPDIR", &tmp)
+            .arg("dispatch")
+            .arg("--peer")
+            .arg(peer)
+            .arg("--jsonl")
+            .arg(dir.join("merged.jsonl"))
+            .args(AXES)
+            .stdout(Stdio::null())
+            .output()
+            .unwrap()
+    };
+    let failed = dispatch(&dir.join("never-bound.sock"));
+    assert_eq!(failed.status.code(), Some(2));
+    assert_eq!(leftovers(), 1, "a failed dispatch keeps its journals");
+    std::fs::remove_dir_all(&tmp).unwrap();
+    std::fs::create_dir_all(&tmp).unwrap();
+    let daemon = start_daemon(&dir, "d0", &[]);
+    ok(&dispatch(&daemon.sock));
+    assert_eq!(
+        std::fs::read(dir.join("merged.jsonl")).unwrap(),
+        local_reference(&dir, AXES)
+    );
+    assert_eq!(leftovers(), 0, "dispatch left its temp dir behind");
 }
 
 #[test]

@@ -1,14 +1,24 @@
 //! Crash-safe filesystem primitives shared by every artifact writer.
 //!
-//! Two durability patterns cover everything the simulators write:
+//! Every durable file the simulators write is one of two kinds:
 //!
 //! - [`write_atomic`]: whole-file artifacts (reports, traces, checkpoints)
 //!   are written to a temporary sibling, fsync'd, then renamed over the
 //!   destination. A crash at any point leaves either the old file or the
 //!   new one — never a torn half of each.
-//! - [`DurableAppender`]: append-only journals get every record flushed
-//!   and fsync'd before the append returns, so a record that was reported
-//!   as committed survives the process dying on the very next instruction.
+//! - [`DurableAppender`]: append-only line logs (campaign journals, the
+//!   store's accept and tombstone logs). This module is the only code
+//!   that knows their format and their recovery rule: a log keeps its
+//!   complete lines and loses its torn tail.
+//!   [`read_lines`](DurableAppender::read_lines) hands a reader the
+//!   complete lines and says where they end,
+//!   [`reopen`](DurableAppender::reopen) cuts whatever follows, and a
+//!   live appender that saw a write or fsync fail cuts the file back to
+//!   its last acknowledged line before its next append. A line is
+//!   acknowledged once a successful sync covers it, so a record reported
+//!   as committed survives the process dying on the very next
+//!   instruction, and a record whose commit failed never survives to be
+//!   read twice.
 //!
 //! Both primitives route every durability operation through the
 //! [`fault`] injection layer, so a test (or the chaos explorer) can make
@@ -91,17 +101,30 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// An append-only file whose every appended record is durable before the
-/// append returns: written, flushed and fsync'd — or, for a caller that
-/// batches ([`append_line_deferred`](Self::append_line_deferred) then
-/// [`commit_batch`](Self::commit_batch)), before the batch's commit returns.
+/// An append-only line log. Each line is durable — acknowledged — once a
+/// successful [`sync`](Self::sync) covers it:
+/// [`append_line`](Self::append_line) writes and syncs one line, and a
+/// caller that batches writes several with
+/// [`append_line_deferred`](Self::append_line_deferred) and syncs them
+/// all with one fsync.
+///
+/// A write or fsync that fails leaves the bytes past the last
+/// acknowledged line unknown: half a line, or whole lines that a later
+/// retry would write again. The next append therefore first cuts the
+/// file back to the last acknowledged line (truncate, then fsync, and
+/// only when the file is longer), and [`sync`](Self::sync) refuses until
+/// it has. Every handle appends, so the next write lands at the cut.
 #[derive(Debug)]
 pub struct DurableAppender {
     file: File,
     /// Where the file lives — kept for fault-injection path filters.
     path: std::path::PathBuf,
-    /// Whether bytes have been written since the last fsync.
-    dirty: bool,
+    /// Where the last line a successful sync covered ends.
+    acked: u64,
+    /// Where the lines written so far end; past `acked` they await a
+    /// sync. `None` once a write or fsync failed: the file past `acked`
+    /// is then unknown, and the next append cuts it off first.
+    end: Option<u64>,
 }
 
 impl DurableAppender {
@@ -113,51 +136,70 @@ impl DurableAppender {
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref();
         fault::check(DurOp::Create, path)?;
-        let file = File::create(path)?;
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        file.set_len(0)?;
         if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             sync_dir(dir)?;
         }
-        Ok(Self {
-            file,
-            path: path.to_path_buf(),
-            dirty: false,
-        })
+        Ok(Self::at(file, path, 0))
     }
 
-    /// Reopens an existing append-only line log whose complete, valid
-    /// lines end at byte `valid_len` — the recovery rule of every such log
-    /// here (campaign journals, the store's accept and tombstone logs).
-    /// Whatever follows `valid_len` is the torn tail of an append that
-    /// died partway and was never acknowledged: it is cut off (fsync'd)
-    /// so the next append starts on a line boundary instead of gluing
-    /// itself to the torn bytes. A file that already ends at `valid_len`
-    /// is not touched, and no durability op is counted for it.
+    /// Reopens an existing line log whose complete, valid lines end at
+    /// byte `valid_len` — what [`read_lines`](Self::read_lines) returned,
+    /// or less if the caller refuses a line. Whatever follows is the torn
+    /// tail of an append that died partway and was never acknowledged: it
+    /// is cut off (fsync'd) so the next append starts on a line boundary
+    /// instead of gluing itself to the torn bytes. A file that already
+    /// ends at `valid_len` is not touched, and no durability op is counted
+    /// for it.
     ///
     /// # Errors
-    /// Any I/O error from truncating, syncing or opening.
+    /// Any I/O error from opening, truncating or syncing.
     pub fn reopen(path: impl AsRef<Path>, valid_len: u64) -> io::Result<Self> {
         let path = path.as_ref();
-        if std::fs::metadata(path)?.len() > valid_len {
-            fault::check(DurOp::Truncate, path)?;
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(valid_len)?;
-            fault::check(DurOp::Fsync, path)?;
-            file.sync_data()?;
-        }
-        fault::check(DurOp::Create, path)?;
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Self {
+        cut(&file, path, valid_len)?;
+        fault::check(DurOp::Create, path)?;
+        Ok(Self::at(file, path, valid_len))
+    }
+
+    fn at(file: File, path: &Path, len: u64) -> Self {
+        Self {
             file,
             path: path.to_path_buf(),
-            dirty: false,
-        })
+            acked: len,
+            end: Some(len),
+        }
+    }
+
+    /// Reads the line log at `path`: hands each complete line to `line`,
+    /// with its 1-based number and without its newline, in file order,
+    /// and returns where the complete lines end. An unterminated final
+    /// line — an append that died partway and was never acknowledged —
+    /// is never handed over. The file is not modified: the log may be
+    /// live in another process.
+    ///
+    /// # Errors
+    /// Any I/O error from reading, or the first error `line` returns.
+    pub fn read_lines<E: From<io::Error>>(
+        path: impl AsRef<Path>,
+        mut line: impl FnMut(usize, &str) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let text = std::fs::read_to_string(path)?;
+        let mut end = 0;
+        for (i, l) in text.split_inclusive('\n').enumerate() {
+            let Some(l) = l.strip_suffix('\n') else { break };
+            line(i + 1, l)?;
+            end += l.len() as u64 + 1;
+        }
+        Ok(end)
     }
 
     /// Appends `line` plus a newline; the record is fsync'd before this
     /// returns.
     ///
     /// # Errors
-    /// Any I/O error from writing or syncing.
+    /// Any I/O error from cutting, writing or syncing.
     pub fn append_line(&mut self, line: &str) -> io::Result<()> {
         self.append_line_deferred(line)?;
         self.sync()
@@ -165,51 +207,58 @@ impl DurableAppender {
 
     /// Appends `line` plus a newline *without* forcing a sync: the bytes
     /// hit the file (a complete line, so a reader never sees a torn
-    /// record from a live process) and the appender is marked dirty. The
-    /// caller batches several of these and then calls
-    /// [`commit_batch`](Self::commit_batch) — one fsync covers them all.
+    /// record from a live process) and wait for the next
+    /// [`sync`](Self::sync) — one fsync covers a whole batch.
     ///
     /// # Errors
-    /// Any I/O error from writing.
+    /// Any I/O error from cutting or writing.
     pub fn append_line_deferred(&mut self, line: &str) -> io::Result<()> {
+        let start = match self.end {
+            Some(end) => end,
+            None => {
+                cut(&self.file, &self.path, self.acked)?;
+                self.acked
+            }
+        };
+        self.end = None;
         fault::checked_write(&mut self.file, line.as_bytes(), &self.path)?;
         self.file.write_all(b"\n")?;
-        self.dirty = true;
+        self.end = Some(start + line.len() as u64 + 1);
         Ok(())
     }
 
-    /// Closes a batch of [`append_line_deferred`](Self::append_line_deferred)
-    /// calls: fsyncs if and only if the appender is dirty, so a single
-    /// fsync covers everything written since the last one.
+    /// Makes every line appended so far durable with one fsync; does
+    /// nothing when no line is pending.
     ///
     /// # Errors
-    /// Any I/O error from syncing.
-    pub fn commit_batch(&mut self) -> io::Result<()> {
-        if self.dirty {
-            self.sync()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Whether appended bytes are still awaiting their fsync (a batch
-    /// opened by [`append_line_deferred`](Self::append_line_deferred)).
-    /// On-disk lines are complete either way; pending only means a crash
-    /// could lose the tail.
-    pub fn has_pending_batch(&self) -> bool {
-        self.dirty
-    }
-
-    /// Fsyncs now, closing any open batch. A no-op when nothing is
-    /// pending is still just one cheap fsync.
-    ///
-    /// # Errors
-    /// Any I/O error from syncing.
+    /// Any I/O error from syncing, or an earlier failed write or fsync
+    /// that no append has cut away yet: the lines since the last
+    /// successful sync are then not durable, and never will be.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.dirty = false;
-        fault::check(DurOp::Fsync, &self.path)?;
-        self.file.sync_data()
+        let Some(end) = self.end.take() else {
+            let why = "a failed append left lines no sync covers; the next append cuts them";
+            return Err(io::Error::other(format!("{}: {why}", self.path.display())));
+        };
+        if end > self.acked {
+            fault::check(DurOp::Fsync, &self.path)?;
+            self.file.sync_data()?;
+            self.acked = end;
+        }
+        self.end = Some(end);
+        Ok(())
     }
+}
+
+/// Cuts `file` back to `len` bytes and syncs the cut — only when it is
+/// longer.
+fn cut(file: &File, path: &Path, len: u64) -> io::Result<()> {
+    if file.metadata()?.len() > len {
+        fault::check(DurOp::Truncate, path)?;
+        file.set_len(len)?;
+        fault::check(DurOp::Fsync, path)?;
+        file.sync_data()?;
+    }
+    Ok(())
 }
 
 impl Drop for DurableAppender {
@@ -217,7 +266,7 @@ impl Drop for DurableAppender {
         // Best effort: don't let an open batch die with the handle. Errors
         // are unreportable here; the crash contract already tolerates a
         // lost tail.
-        if self.dirty {
+        if self.end.is_some_and(|end| end > self.acked) {
             let _ = self.file.sync_data();
         }
     }
@@ -705,20 +754,84 @@ mod tests {
         drop(a);
         let mut b = DurableAppender::reopen(&p, 8).unwrap();
         b.append_line("three").unwrap();
-        assert!(
-            !b.has_pending_batch(),
-            "append_line syncs before it returns"
-        );
         // Deferred appends are complete, visible lines awaiting one sync.
         b.append_line_deferred("four").unwrap();
         b.append_line_deferred("five").unwrap();
-        assert!(b.has_pending_batch());
         assert_eq!(
             std::fs::read_to_string(&p).unwrap(),
             "one\ntwo\nthree\nfour\nfive\n"
         );
-        b.commit_batch().unwrap();
-        assert!(!b.has_pending_batch());
+        // One fsync covers the batch; with nothing pending, a sync does
+        // nothing the fault layer could fail.
+        let spec = format!("eio,op=fsync,path={},from=2", p.display());
+        let _g = fault::arm_str(&spec).unwrap();
+        b.sync().unwrap();
+        b.sync().unwrap();
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// Lists the durability ops `steps` performs under `dir`, in order:
+    /// run it once per op with that op failing, and read which op the
+    /// error names.
+    fn op_sequence(dir: &std::path::Path, steps: impl Fn() -> io::Result<()>) -> Vec<String> {
+        let mut ops = Vec::new();
+        for k in 1.. {
+            let _ = std::fs::remove_dir_all(dir);
+            std::fs::create_dir_all(dir).unwrap();
+            let spec = format!("eio,path={},at={k}", dir.display());
+            let _g = fault::arm_str(&spec).unwrap();
+            let Err(e) = steps() else { break };
+            let e = e.to_string();
+            let op = e.strip_prefix("injected eio at ").expect(&e);
+            ops.push(op.split(' ').next().unwrap().to_owned());
+        }
+        ops
+    }
+
+    #[test]
+    fn a_healthy_log_costs_the_same_durability_ops_in_the_same_order() {
+        let d = tmp_dir("healthy-ops");
+        let p = d.join("j.jsonl");
+        let ops = op_sequence(&d, || {
+            let mut a = DurableAppender::create(&p)?;
+            for line in ["one", "two", "three"] {
+                a.append_line_deferred(line)?;
+            }
+            a.sync()?;
+            drop(a);
+            DurableAppender::reopen(&p, 14).map(drop)
+        });
+        let want = [
+            "create", "dirsync", "write", "write", "write", "fsync", "create",
+        ];
+        assert_eq!(ops, want);
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "one\ntwo\nthree\n");
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn a_cut_goes_back_to_the_last_acknowledged_line_and_no_further() {
+        let d = tmp_dir("cut-acked");
+        let p = d.join("j.jsonl");
+        let mut a = DurableAppender::create(&p).unwrap();
+        a.append_line("one").unwrap();
+        a.append_line("two").unwrap();
+        // A complete line no sync covered, then a torn one.
+        a.append_line_deferred("three").unwrap();
+        let spec = format!("short,op=write,path={},at=1", p.display());
+        let g = fault::arm_str(&spec).unwrap();
+        a.append_line_deferred("four-torn").unwrap_err();
+        drop(g);
+        assert_eq!(
+            std::fs::read_to_string(&p).unwrap(),
+            "one\ntwo\nthree\nfour"
+        );
+        // Nothing past the last sync is durable, so nothing may be
+        // acknowledged: sync refuses until an append has cut.
+        let err = a.sync().unwrap_err();
+        assert!(err.to_string().contains("the next append cuts"), "{err}");
+        a.append_line("five").unwrap();
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "one\ntwo\nfive\n");
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -39,7 +39,7 @@
 //! otherwise. `--report` appends one JSON line per crash point.
 
 use dramctrl_campaign::{merge_journals, Campaign, CampaignJournal, JobOutcome, JobRecord};
-use dramctrl_kernel::fsio::{fault, write_atomic};
+use dramctrl_kernel::fsio::{fault, write_atomic, DurableAppender};
 use dramctrl_runner::run_job;
 use dramctrl_serve::wire::Value;
 use dramctrl_serve::{Client, Listener, ServeConfig, Server};
@@ -232,12 +232,12 @@ fn run_worker(mode: &str, dir: &Path, crash_at: Option<u64>) -> RunOutput {
 /// Counts complete (newline-terminated) non-header lines in a journal
 /// or accept log — the durable-record count an ack must be covered by.
 fn complete_lines(path: &Path) -> usize {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return 0;
-    };
-    text.split_inclusive('\n')
-        .filter(|l| l.ends_with('\n'))
-        .count()
+    let mut n = 0;
+    let _ = DurableAppender::read_lines(path, |_, _| -> std::io::Result<()> {
+        n += 1;
+        Ok(())
+    });
+    n
 }
 
 /// Verifies every pre-crash ack against the crashed (un-recovered)

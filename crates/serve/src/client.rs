@@ -255,28 +255,17 @@ impl Client {
     /// across a daemon kill-and-restart. (`progress` lines pass through
     /// unfiltered — they are transient, not part of the record stream.)
     ///
-    /// # Errors
-    /// Non-retryable errors (version mismatch, a daemon-side `error`
-    /// event, malformed events), or the last transport error after
-    /// [`RECONNECT_MAX_SILENT_RETRIES`] consecutive attempts that
-    /// delivered nothing.
-    pub fn watch_with_reconnect(
-        addr: &str,
-        id: &str,
-        on_event: impl FnMut(&Value, &str),
-    ) -> io::Result<WatchSummary> {
-        Self::watch_with_reconnect_deadline(addr, id, None, on_event)
-    }
-
-    /// [`Client::watch_with_reconnect`] with a per-read I/O deadline.
     /// With `io_timeout` set, a peer that stays connected but stops
     /// streaming for that long fails the watch with
     /// `WouldBlock`/`TimedOut` (not retried — see [`reconnectable`]),
     /// which is how the dispatch coordinator detects hung peers.
     ///
     /// # Errors
-    /// As [`Client::watch_with_reconnect`], plus deadline expiry.
-    pub fn watch_with_reconnect_deadline(
+    /// Non-retryable errors (version mismatch, a daemon-side `error`
+    /// event, malformed events, deadline expiry), or the last transport
+    /// error after [`RECONNECT_MAX_SILENT_RETRIES`] consecutive attempts
+    /// that delivered nothing.
+    pub fn watch_with_reconnect(
         addr: &str,
         id: &str,
         io_timeout: Option<Duration>,

@@ -527,7 +527,7 @@ fn run_assignment(
         .map_err(|e| fail(PeerVerdict::Dead, format!("local journal: {e}"), 0))?;
     let mut got: Vec<usize> = Vec::with_capacity(a.plan.units);
     let mut poison: Option<String> = None;
-    let watched = Client::watch_with_reconnect_deadline(addr, &id, cfg.io_timeout, |v, line| {
+    let watched = Client::watch_with_reconnect(addr, &id, cfg.io_timeout, |v, line| {
         if poison.is_some() {
             return;
         }
@@ -544,8 +544,9 @@ fn run_assignment(
     });
     // One sync per assignment, however the stream ended, and publish
     // after it: `done` only ever names validated indices whose lines
-    // were made durable before merge. A failed sync publishes nothing,
-    // so the shard is fetched again; the lines stay readable.
+    // were made durable before merge. A failed sync — or a failed
+    // append, after which the journal refuses to sync — publishes
+    // nothing, so the shard is fetched again; the lines stay readable.
     match journal.sync() {
         Ok(()) => lock(done).extend(&got),
         Err(e) => {

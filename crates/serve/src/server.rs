@@ -41,8 +41,7 @@
 //! committing and nothing else — not the other workers' picks and
 //! returns, not `submit`, `watch`, `status` or `/metrics`. Store I/O
 //! still under the lock: submit's accept-log append and journal
-//! creation, and a recovery attempt's accept-log repair and writability
-//! probe.
+//! creation, and a recovery attempt's writability probe.
 //!
 //! ## Durability
 //!
@@ -96,16 +95,19 @@
 //! `dramctrl_store_degraded` gauge reads 1 — while status, metrics and
 //! in-flight `watch` streams keep serving from memory. The workers retry
 //! the store with bounded exponential backoff
-//! ([`STORE_BACKOFF_START`]..[`STORE_BACKOFF_MAX`]): each attempt repairs
-//! the accept log (truncating torn bytes) and probes the store root. The
-//! first successful attempt leaves degraded mode and then lands the
-//! parked outcomes, in job-id order, through the commit path every
-//! healthy unit takes; each first re-resumes its journal, cutting the
-//! torn tail the refused append left. A landing the store refuses again
-//! parks its outcome once more and re-enters degraded mode, on the same
-//! outage's backoff schedule. No restart,
-//! no lost unit, no re-simulation, and the journal bytes are exactly
-//! what an unfaulted run would have written.
+//! ([`STORE_BACKOFF_START`]..[`STORE_BACKOFF_MAX`]): each attempt probes
+//! the store root with a real write. The first successful attempt
+//! leaves degraded mode and then lands the parked outcomes, in job-id
+//! order, through the commit path every healthy unit takes. Nothing is
+//! repaired by hand: every store log is a
+//! [`DurableAppender`](dramctrl_kernel::fsio::DurableAppender), and a
+//! log whose append failed cuts the unacknowledged bytes off at its
+//! next append — the accept log at the next submit, a journal at its
+//! parked outcome's landing. A landing the store refuses again parks its
+//! outcome once more and re-enters degraded mode, on the same outage's
+//! backoff schedule. No restart, no lost unit, no re-simulation, and
+//! the journal bytes are exactly what an unfaulted run would have
+//! written.
 //!
 //! ## Hostile clients
 //!
@@ -127,7 +129,7 @@ use crate::sched::FairQueue;
 use crate::store::{JobStore, StoredJob};
 use crate::wire::{json_str, Value};
 use dramctrl_campaign::{
-    panic_message, Campaign, CampaignJournal, ExecutorConfig, JobOutcome, JobRecord, JobSpec,
+    panic_message, CampaignJournal, ExecutorConfig, JobOutcome, JobRecord, JobSpec,
 };
 use dramctrl_kernel::backoff::Backoff;
 use dramctrl_kernel::fsio::write_atomic;
@@ -608,7 +610,7 @@ impl Server {
                 }
             };
             match done {
-                Some(done) => self.commit_unit(st, &id, done, false),
+                Some(done) => self.commit_unit(st, &id, done),
                 None => {
                     self.end_turn(&mut st, &id);
                     self.requeue(&mut st, &id);
@@ -638,17 +640,14 @@ impl Server {
     /// Artifacts and the journal commit land with nothing locked; then
     /// the journal goes back, and [`Self::finish_unit`] broadcasts under
     /// the lock. A store that refuses parks the outcome on the job
-    /// instead: it is never lost and the simulation never re-runs.
-    ///
-    /// `retry` lands an outcome the store refused before: the journal is
-    /// first re-resumed from disk, cutting any torn bytes the refused
-    /// append left behind; keep-first dedup then makes the commit
-    /// idempotent if the record actually survived.
-    fn commit_unit(&self, mut st: MutexGuard<'_, State>, id: &str, done: UnitDone, retry: bool) {
+    /// instead: it is never lost and the simulation never re-runs. The
+    /// same call lands a parked outcome later: the journal forgot the
+    /// refused record, and its next append cuts the bytes that record
+    /// left behind.
+    fn commit_unit(&self, mut st: MutexGuard<'_, State>, id: &str, done: UnitDone) {
         let dir = st.store.job_dir(id);
         let js = st.jobs.get_mut(id).expect("a held job is in the table");
-        let campaign = &js.stored.campaign;
-        let (name, resume) = (campaign.name.clone(), retry.then(|| campaign.clone()));
+        let name = js.stored.campaign.name.clone();
         let live = js.live.as_mut().expect("a held job is unfinished");
         let rec = JobRecord {
             job: live.units[live.next].clone(),
@@ -661,8 +660,7 @@ impl Server {
         // broadcast sends them.
         let line = rec.render(&name);
         let m = &self.inner.metrics;
-        let committed =
-            write_commit(m, &dir, &mut journal, resume.as_ref(), &rec, &line, &done).map(|()| line);
+        let committed = write_commit(m, &dir, &mut journal, &rec, &line, &done).map(|()| line);
 
         let mut st = self.lock();
         st.live(id).journal = Some(journal);
@@ -687,9 +685,6 @@ impl Server {
         let js = st.jobs.get_mut(id).expect("a held job is in the table");
         let live = js.live.as_mut().expect("a held job is unfinished");
         let unit = live.next;
-        // Counted here and not by the commit's "newly appended" flag: a
-        // repaired journal may already hold the record whose append
-        // reported failure, and each unit completes exactly once.
         js.done += 1;
         js.failed += usize::from(done.outcome.is_failed());
         live.skip_committed();
@@ -756,8 +751,8 @@ impl Server {
         self.inner.work.notify_all();
     }
 
-    /// One recovery attempt: repair the accept log and probe the store
-    /// root, under the lock. A failure doubles the backoff (capped).
+    /// One recovery attempt: probe the store root, under the lock. A
+    /// failure doubles the backoff (capped).
     /// Success leaves degraded mode, then lands each parked outcome, in
     /// job-id order, through [`Self::commit_unit`] — its I/O unlocked like
     /// any commit's. Each job's journal is its own file, so the order
@@ -771,10 +766,7 @@ impl Server {
         // real writes use, so injected faults and genuinely full disks
         // agree on when the store is healthy.
         let probe = st.store.root().join(".recovery.probe");
-        let healthy = st.store.repair().and_then(|()| {
-            write_atomic(&probe, b"ok")?;
-            std::fs::remove_file(&probe)
-        });
+        let healthy = write_atomic(&probe, b"ok").and_then(|()| std::fs::remove_file(&probe));
         if let Err(e) = healthy {
             if let Some(d) = st.degraded.as_mut() {
                 let delay = d.backoff.next_delay();
@@ -805,7 +797,7 @@ impl Server {
                 break;
             };
             self.start_turn(&mut st, &id);
-            self.commit_unit(st, &id, done, true);
+            self.commit_unit(st, &id, done);
             st = self.lock();
         }
         // Degraded again before every parked outcome landed: the same
@@ -953,7 +945,7 @@ impl Server {
         // The accept-log append inside is the commit point: once it
         // returns, a kill at any later instant still runs this job.
         let fsync_started = Instant::now();
-        let stored = match st.store.accept_sharded(tenant, epochs, &campaign, shard) {
+        let stored = match st.store.accept(tenant, epochs, &campaign, shard) {
             Ok(s) => s,
             Err(e) => {
                 // A failed accept is an unhealthy store, not a one-off:
@@ -1347,8 +1339,7 @@ fn replay_events(
 /// `line`, the record's rendered bytes — the commit point, its fsync
 /// timed into the store-fsync histogram.
 /// Artifacts land (atomically) before the commit: a crash in between
-/// re-runs the unit and rewrites them bit-identically. With `resume`, the
-/// journal is first re-resumed from disk against that campaign.
+/// re-runs the unit and rewrites them bit-identically.
 ///
 /// # Errors
 /// Store I/O — the caller routes it into degraded mode.
@@ -1356,23 +1347,16 @@ fn write_commit(
     m: &ServeMetrics,
     dir: &std::path::Path,
     journal: &mut CampaignJournal,
-    resume: Option<&Campaign>,
     rec: &JobRecord,
     line: &str,
     done: &UnitDone,
 ) -> io::Result<()> {
-    if let Some(campaign) = resume {
-        let path = journal.path().to_path_buf();
-        *journal = CampaignJournal::resume(&path, campaign).map_err(|e| {
-            let why = format!("re-resuming {}: {e}", path.display());
-            io::Error::new(io::ErrorKind::InvalidData, why)
-        })?;
-    }
     if let Some(a) = &done.artifacts {
         write_unit_artifacts(dir, rec.job.index, a)?;
     }
     let fsync_started = Instant::now();
-    journal.commit_line(rec.job.index, &rec.outcome, line)?;
+    journal.append_deferred(rec.job.index, &rec.outcome, line)?;
+    journal.sync()?;
     m.store_fsync("commit")
         .observe(fsync_started.elapsed().as_secs_f64());
     Ok(())
@@ -1399,6 +1383,7 @@ fn write_unit_artifacts(dir: &std::path::Path, unit: usize, a: &JobArtifacts) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dramctrl_campaign::Campaign;
 
     #[test]
     fn broadcast_evicts_full_subscribers_and_prunes_hangups() {

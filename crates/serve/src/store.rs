@@ -37,6 +37,11 @@
 //! checkpoints left by older daemons, and re-queues every job with
 //! uncommitted units. No accepted job is lost; no committed unit re-runs.
 //!
+//! Every log here is a [`DurableAppender`] line log, read by its
+//! [`read_lines`](DurableAppender::read_lines): an append that failed
+//! in a live store — a full disk, a failing fsync — is cut off by that
+//! log's next append, so the store needs no repair step of its own.
+//!
 //! Garbage collection never rewrites the accept log. Evicting a job
 //! appends a tombstone to `evicted.jsonl` (fsync'd) *before* deleting
 //! the job directory, so a crash between the two leaves a tombstone
@@ -74,17 +79,8 @@ pub struct JobStore {
     accept: DurableAppender,
     next_id: u64,
     evicted: BTreeSet<String>,
-    /// Where the tombstone log's complete lines end; a failed tombstone
-    /// append leaves torn bytes past it for the next one to cut.
-    evicted_len: u64,
-}
-
-/// The complete lines of an append-only log, each with its 1-based
-/// number. An unterminated final line — an append that died partway and
-/// was never acknowledged — is not one of them.
-fn complete_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    let numbered = text.split_inclusive('\n').enumerate();
-    numbered.filter_map(|(i, line)| Some((i + 1, line.strip_suffix('\n')?)))
+    /// The tombstone log, once the first eviction has created it.
+    tombstones: Option<DurableAppender>,
 }
 
 fn corrupt(log: &str, line: usize, why: &str) -> io::Error {
@@ -105,23 +101,19 @@ impl JobStore {
     pub fn open(root: impl Into<PathBuf>) -> io::Result<(Self, Vec<StoredJob>)> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        let (evicted, evicted_len) = read_evicted(&root)?;
+        let (evicted, tombstones) = open_evicted(&root)?;
         let log = root.join("accept.jsonl");
-        if !log.exists() {
-            let accept = DurableAppender::create(&log)?;
-            return Ok((
-                Self {
-                    root,
-                    accept,
-                    next_id: 1,
-                    evicted,
-                    evicted_len,
-                },
-                Vec::new(),
-            ));
-        }
-
-        let (mut jobs, valid_len) = read_accept(&log)?;
+        let mut jobs = Vec::new();
+        let accept = if log.exists() {
+            let valid_len = DurableAppender::read_lines(&log, |n, line| -> io::Result<()> {
+                jobs.push(parse_accept_line(line).map_err(|why| corrupt("accept", n, &why))?);
+                Ok(())
+            })?;
+            // A torn final line was never acked: safe to drop.
+            DurableAppender::reopen(&log, valid_len)?
+        } else {
+            DurableAppender::create(&log)?
+        };
         let next_id = jobs
             .iter()
             .filter_map(|j| j.id.strip_prefix("job-")?.parse::<u64>().ok())
@@ -139,18 +131,14 @@ impl JobStore {
                 true
             }
         });
-        // A torn final line was never acked: safe to drop.
-        let accept = DurableAppender::reopen(&log, valid_len)?;
-        Ok((
-            Self {
-                root,
-                accept,
-                next_id,
-                evicted,
-                evicted_len,
-            },
-            jobs,
-        ))
+        let store = Self {
+            root,
+            accept,
+            next_id,
+            evicted,
+            tombstones,
+        };
+        Ok((store, jobs))
     }
 
     /// The store's root directory.
@@ -168,26 +156,14 @@ impl JobStore {
     /// Durably accepts a job: assigns the next id, appends the accept
     /// line (fsync'd), and creates the job's directory. Only after this
     /// returns may the client be acked — the ordering that makes a
-    /// daemon kill between ack and first unit harmless.
+    /// daemon kill between ack and first unit harmless. A residue-class
+    /// `shard` restriction is recorded in the accept line, so a
+    /// restarted daemon resumes the shard (not the full campaign).
     ///
     /// # Errors
-    /// Any I/O error; the job is then *not* accepted.
+    /// Any I/O error; the job is then *not* accepted, and the next
+    /// accept cuts whatever this one left in the log.
     pub fn accept(
-        &mut self,
-        tenant: &str,
-        epochs: u64,
-        campaign: &Campaign,
-    ) -> io::Result<StoredJob> {
-        self.accept_sharded(tenant, epochs, campaign, None)
-    }
-
-    /// [`accept`](Self::accept) with an optional residue-class shard
-    /// restriction, recorded in the accept line so a restarted daemon
-    /// resumes the shard (not the full campaign).
-    ///
-    /// # Errors
-    /// Any I/O error; the job is then *not* accepted.
-    pub fn accept_sharded(
         &mut self,
         tenant: &str,
         epochs: u64,
@@ -226,15 +202,13 @@ impl JobStore {
     /// Any I/O error writing the tombstone or removing the directory.
     pub fn evict(&mut self, id: &str) -> io::Result<()> {
         if !self.evicted.contains(id) {
-            let log = self.root.join("evicted.jsonl");
-            let mut appender = if log.exists() {
-                DurableAppender::reopen(&log, self.evicted_len)?
-            } else {
-                DurableAppender::create(&log)?
+            let tombstones = match &mut self.tombstones {
+                Some(log) => log,
+                None => self
+                    .tombstones
+                    .insert(DurableAppender::create(self.root.join("evicted.jsonl"))?),
             };
-            let line = format!("{{\"id\":{}}}", json_str(id));
-            appender.append_line(&line)?;
-            self.evicted_len += line.len() as u64 + 1;
+            tombstones.append_line(&format!("{{\"id\":{}}}", json_str(id)))?;
             self.evicted.insert(id.to_owned());
         }
         let dir = self.job_dir(id);
@@ -248,25 +222,6 @@ impl JobStore {
     #[must_use]
     pub fn evicted_count(&self) -> usize {
         self.evicted.len()
-    }
-
-    /// Repairs the accept log after a failed append: a write that died
-    /// partway (`ENOSPC`, a torn short write) leaves an unterminated
-    /// tail, and the old appender's file position is now poisoned. The
-    /// log is read by [`open`](Self::open)'s rule — the unterminated tail
-    /// is cut off (fsync'd) and a fresh appender opened at the clean end,
-    /// while a complete line that does not parse is a loud error, never
-    /// truncated away together with the acknowledged jobs after it.
-    ///
-    /// # Errors
-    /// Any I/O error from reading, truncating or reopening — the store
-    /// is then still unusable and the caller should retry later — or a
-    /// corrupt accept log.
-    pub fn repair(&mut self) -> io::Result<()> {
-        let log = self.root.join("accept.jsonl");
-        let (_, valid_len) = read_accept(&log)?;
-        self.accept = DurableAppender::reopen(&log, valid_len)?;
-        Ok(())
     }
 
     /// Deletes the `*.snap` preemption checkpoints a pre-resident-run
@@ -286,23 +241,6 @@ impl JobStore {
     pub fn unit_artifact(job_dir: &Path, index: usize, ext: &str) -> PathBuf {
         job_dir.join(format!("unit-{index:06}.{ext}"))
     }
-}
-
-/// Reads the accept log: every job on a complete line, in acceptance
-/// order, and where those lines end. A torn final line is not a job; a
-/// complete line that is not one is a loud error.
-///
-/// # Errors
-/// I/O errors, or a corrupt accept log.
-fn read_accept(log: &Path) -> io::Result<(Vec<StoredJob>, u64)> {
-    let text = std::fs::read_to_string(log)?;
-    let mut jobs = Vec::new();
-    let mut valid_len = 0;
-    for (n, line) in complete_lines(&text) {
-        jobs.push(parse_accept_line(line).map_err(|why| corrupt("accept", n, &why))?);
-        valid_len += line.len() as u64 + 1;
-    }
-    Ok((jobs, valid_len))
 }
 
 fn parse_accept_line(line: &str) -> Result<StoredJob, String> {
@@ -355,33 +293,31 @@ fn parse_accept_line(line: &str) -> Result<StoredJob, String> {
     })
 }
 
-/// Reads the eviction tombstone log (if any): the evicted ids, and where
-/// the log's complete lines end. A torn tail is not a tombstone — it was
+/// Opens the eviction tombstone log (if any): the evicted ids, and the
+/// log reopened for appends. A torn tail is not a tombstone — it was
 /// never fsync-acknowledged, so its job directory is still intact and the
-/// job simply survives — and [`JobStore::evict`] cuts it off before the
-/// next append. A complete line that is not a tombstone is a loud error,
-/// as in the accept log: skipping it would resurrect a deleted job.
+/// job simply survives — and it is cut off here. A complete line that is
+/// not a tombstone is a loud error, as in the accept log: skipping it
+/// would resurrect a deleted job.
 ///
 /// # Errors
 /// I/O errors, or a corrupt tombstone log.
-fn read_evicted(root: &Path) -> io::Result<(BTreeSet<String>, u64)> {
+fn open_evicted(root: &Path) -> io::Result<(BTreeSet<String>, Option<DurableAppender>)> {
     let log = root.join("evicted.jsonl");
-    if !log.exists() {
-        return Ok((BTreeSet::new(), 0));
-    }
-    let text = std::fs::read_to_string(&log)?;
     let mut out = BTreeSet::new();
-    let mut valid_len = 0;
-    for (n, line) in complete_lines(&text) {
+    if !log.exists() {
+        return Ok((out, None));
+    }
+    let valid_len = DurableAppender::read_lines(&log, |n, line| -> io::Result<()> {
         let v = Value::parse(line).map_err(|e| corrupt("tombstone", n, &e.to_string()))?;
         let id = v.get("id").and_then(Value::as_str);
         out.insert(
             id.ok_or_else(|| corrupt("tombstone", n, "missing 'id'"))?
                 .to_owned(),
         );
-        valid_len += line.len() as u64 + 1;
-    }
-    Ok((out, valid_len))
+        Ok(())
+    })?;
+    Ok((out, Some(DurableAppender::reopen(&log, valid_len)?)))
 }
 
 #[cfg(test)]
@@ -403,8 +339,10 @@ mod tests {
         let root = tmp("reopen");
         let (mut store, jobs) = JobStore::open(&root).unwrap();
         assert!(jobs.is_empty());
-        let a = store.accept("alice", 0, &campaign("a")).unwrap();
-        let b = store.accept("bob", 1_000_000, &campaign("b")).unwrap();
+        let a = store.accept("alice", 0, &campaign("a"), None).unwrap();
+        let b = store
+            .accept("bob", 1_000_000, &campaign("b"), None)
+            .unwrap();
         assert_eq!(a.id, "job-0001");
         assert_eq!(b.id, "job-0002");
         assert!(store.job_dir(&a.id).is_dir());
@@ -416,7 +354,7 @@ mod tests {
         assert_eq!(jobs[1].epochs, 1_000_000);
         assert_eq!(jobs[1].campaign.expand(), campaign("b").expand());
         // Ids keep counting, never reuse.
-        let c = store.accept("carol", 0, &campaign("c")).unwrap();
+        let c = store.accept("carol", 0, &campaign("c"), None).unwrap();
         assert_eq!(c.id, "job-0003");
     }
 
@@ -424,7 +362,7 @@ mod tests {
     fn torn_accept_tail_is_dropped_and_truncated() {
         let root = tmp("torn");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        store.accept("alice", 0, &campaign("a")).unwrap();
+        store.accept("alice", 0, &campaign("a"), None).unwrap();
         drop(store);
         let log = root.join("accept.jsonl");
         let good = std::fs::read_to_string(&log).unwrap();
@@ -435,7 +373,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&log).unwrap(), good, "truncated");
         // The next accept gets the id the torn job never durably claimed.
         assert_eq!(
-            store.accept("bob", 0, &campaign("b")).unwrap().id,
+            store.accept("bob", 0, &campaign("b"), None).unwrap().id,
             "job-0002"
         );
     }
@@ -444,7 +382,7 @@ mod tests {
     fn corrupt_interior_line_is_loud() {
         let root = tmp("corrupt");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        store.accept("alice", 0, &campaign("a")).unwrap();
+        store.accept("alice", 0, &campaign("a"), None).unwrap();
         drop(store);
         let log = root.join("accept.jsonl");
         let mut text = std::fs::read_to_string(&log).unwrap();
@@ -455,47 +393,27 @@ mod tests {
     }
 
     #[test]
-    fn repair_truncates_a_torn_append_and_reopens_cleanly() {
-        let root = tmp("repair");
+    fn an_accept_whose_fsync_failed_is_cut_by_the_next_accept() {
+        let root = tmp("fsync-accept");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        store.accept("alice", 0, &campaign("a")).unwrap();
+        store.accept("alice", 0, &campaign("a"), None).unwrap();
         let log = root.join("accept.jsonl");
         let good = std::fs::read_to_string(&log).unwrap();
-        // A live ENOSPC mid-append leaves a half-written line with no
-        // newline after the good prefix.
-        let mut torn = good.clone();
-        torn.push_str("{\"id\":\"job-00");
-        std::fs::write(&log, &torn).unwrap();
-
-        store.repair().unwrap();
-        assert_eq!(std::fs::read_to_string(&log).unwrap(), good);
-        // The reopened appender continues the id sequence: the torn id
-        // was never durably claimed.
-        let b = store.accept("bob", 0, &campaign("b")).unwrap();
+        // The whole line lands, its fsync fails: never acknowledged.
+        let spec = format!("eio,op=fsync,path={},at=1", log.display());
+        let g = dramctrl_kernel::fsio::fault::arm_str(&spec).unwrap();
+        store.accept("bob", 0, &campaign("b"), None).unwrap_err();
+        drop(g);
+        assert!(std::fs::read_to_string(&log).unwrap().len() > good.len());
+        // The next accept cuts it before it appends, so the id the failed
+        // accept never claimed is not claimed twice.
+        let b = store.accept("bob", 0, &campaign("b"), None).unwrap();
         assert_eq!(b.id, "job-0002");
+        let text = std::fs::read_to_string(&log).unwrap();
+        assert_eq!(text.matches("job-0002").count(), 1, "{text}");
         let (_, jobs) = JobStore::open(&root).unwrap();
-        assert_eq!(jobs.len(), 2);
-    }
-
-    #[test]
-    fn repair_refuses_a_corrupt_line_instead_of_cutting_the_acked_jobs_after_it() {
-        let root = tmp("repair-corrupt");
-        let (mut store, _) = JobStore::open(&root).unwrap();
-        store.accept("alice", 0, &campaign("a")).unwrap();
-        store.accept("bob", 0, &campaign("b")).unwrap();
-        let log = root.join("accept.jsonl");
-        let mangled =
-            std::fs::read_to_string(&log)
-                .unwrap()
-                .replacen("\"tenant\"", "\"tenannt\"", 1);
-        std::fs::write(&log, &mangled).unwrap();
-        let err = store.repair().unwrap_err();
-        assert!(err.to_string().contains("accept log line 1"), "{err}");
-        assert_eq!(
-            std::fs::read_to_string(&log).unwrap(),
-            mangled,
-            "nothing cut"
-        );
+        let ids: Vec<_> = jobs.iter().map(|j| j.id.as_str()).collect();
+        assert_eq!(ids, ["job-0001", "job-0002"]);
     }
 
     #[test]
@@ -507,12 +425,12 @@ mod tests {
             root.join("accept.jsonl").to_str().unwrap()
         ))
         .unwrap();
-        let err = store.accept("alice", 0, &campaign("a")).unwrap_err();
+        let err = store.accept("alice", 0, &campaign("a"), None).unwrap_err();
         assert!(err.to_string().contains("short write"), "{err}");
         drop(g);
-        store.repair().unwrap();
-        // The torn bytes are gone and the store works again.
-        let a = store.accept("alice", 0, &campaign("a")).unwrap();
+        // The next accept is the repair: the torn bytes go first, and the
+        // store works again.
+        let a = store.accept("alice", 0, &campaign("a"), None).unwrap();
         assert_eq!(a.id, "job-0001");
         let (_, jobs) = JobStore::open(&root).unwrap();
         assert_eq!(jobs.len(), 1);
@@ -527,7 +445,7 @@ mod tests {
             .requests(1..=1_024);
         // `accept` encodes without decoding: the line a daemon without
         // the cap would have accepted.
-        store.accept("alice", 0, &over).unwrap();
+        store.accept("alice", 0, &over, None).unwrap();
         drop(store);
         let err = JobStore::open(&root).unwrap_err();
         assert!(
@@ -540,9 +458,9 @@ mod tests {
     fn shard_round_trips_through_accept_log() {
         let root = tmp("shard");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        store.accept("alice", 0, &campaign("a")).unwrap();
+        store.accept("alice", 0, &campaign("a"), None).unwrap();
         let b = store
-            .accept_sharded("bob", 0, &campaign("b"), Some((2, 3)))
+            .accept("bob", 0, &campaign("b"), Some((2, 3)))
             .unwrap();
         assert_eq!(b.shard, Some((2, 3)));
         drop(store);
@@ -556,7 +474,7 @@ mod tests {
         let root = tmp("shard-bad");
         let (mut store, _) = JobStore::open(&root).unwrap();
         store
-            .accept_sharded("alice", 0, &campaign("a"), Some((1, 2)))
+            .accept("alice", 0, &campaign("a"), Some((1, 2)))
             .unwrap();
         drop(store);
         let log = root.join("accept.jsonl");
@@ -572,8 +490,8 @@ mod tests {
     fn evicted_jobs_stay_dead_across_reopen() {
         let root = tmp("evict");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        let a = store.accept("alice", 0, &campaign("a")).unwrap();
-        let b = store.accept("bob", 0, &campaign("b")).unwrap();
+        let a = store.accept("alice", 0, &campaign("a"), None).unwrap();
+        let b = store.accept("bob", 0, &campaign("b"), None).unwrap();
         store.evict(&a.id).unwrap();
         assert!(!store.job_dir(&a.id).exists(), "dir deleted");
         assert!(store.job_dir(&b.id).exists(), "other jobs untouched");
@@ -587,7 +505,7 @@ mod tests {
         assert_eq!(jobs[0].id, b.id);
         assert_eq!(store.evicted_count(), 1);
         // Ids never reuse: the accept log still remembers job-0001/2.
-        let c = store.accept("carol", 0, &campaign("c")).unwrap();
+        let c = store.accept("carol", 0, &campaign("c"), None).unwrap();
         assert_eq!(c.id, "job-0003");
     }
 
@@ -595,7 +513,7 @@ mod tests {
     fn crash_between_tombstone_and_removal_is_repaired_at_open() {
         let root = tmp("evict-crash");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        let a = store.accept("alice", 0, &campaign("a")).unwrap();
+        let a = store.accept("alice", 0, &campaign("a"), None).unwrap();
         drop(store);
         // Simulate the crash window: tombstone durably written, dir
         // still on disk.
@@ -614,8 +532,8 @@ mod tests {
     fn a_torn_tombstone_does_not_resurrect_the_next_evicted_job() {
         let root = tmp("evict-torn");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        let a = store.accept("alice", 0, &campaign("a")).unwrap();
-        let b = store.accept("bob", 0, &campaign("b")).unwrap();
+        let a = store.accept("alice", 0, &campaign("a"), None).unwrap();
+        let b = store.accept("bob", 0, &campaign("b"), None).unwrap();
         drop(store);
         // A tombstone append for `a` that died partway (SIGKILL, ENOSPC):
         // never acknowledged, so `a` survives...
@@ -639,9 +557,9 @@ mod tests {
     fn a_tombstone_append_torn_by_a_fault_is_cut_off_by_the_next_eviction() {
         let root = tmp("evict-fault");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        let a = store.accept("alice", 0, &campaign("a")).unwrap();
-        let b = store.accept("bob", 0, &campaign("b")).unwrap();
-        let c = store.accept("carol", 0, &campaign("c")).unwrap();
+        let a = store.accept("alice", 0, &campaign("a"), None).unwrap();
+        let b = store.accept("bob", 0, &campaign("b"), None).unwrap();
+        let c = store.accept("carol", 0, &campaign("c"), None).unwrap();
         store.evict(&a.id).unwrap();
         let log = root.join("evicted.jsonl");
         let spec = format!("short,op=write,path={},at=1", log.display());
@@ -667,7 +585,7 @@ mod tests {
     fn a_complete_line_that_is_no_tombstone_is_a_loud_error() {
         let root = tmp("evict-corrupt");
         let (mut store, _) = JobStore::open(&root).unwrap();
-        let a = store.accept("alice", 0, &campaign("a")).unwrap();
+        let a = store.accept("alice", 0, &campaign("a"), None).unwrap();
         store.evict(&a.id).unwrap();
         drop(store);
         let log = root.join("evicted.jsonl");

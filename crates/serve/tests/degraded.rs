@@ -74,7 +74,7 @@ fn collect_records(client: &mut Client, id: &str) -> String {
 /// connection per retry, replayed history deduped by unit index.
 fn collect_records_resilient(addr: &str, id: &str) -> String {
     let mut out = std::collections::BTreeMap::new();
-    Client::watch_with_reconnect(addr, id, |v, line| {
+    Client::watch_with_reconnect(addr, id, None, |v, line| {
         if v.get("event").and_then(Value::as_str) == Some("record") {
             let i = v.get("index").and_then(Value::as_u64).unwrap() as usize;
             out.insert(i, proto::record_data(line).unwrap().to_owned());

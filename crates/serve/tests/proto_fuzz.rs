@@ -399,11 +399,9 @@ fn the_store_decoder_survives_mutated_logs() {
     let root = base.join("store");
     let (mut store, _) = JobStore::open(&root).unwrap();
     let c = Campaign::new("fuzz", 9).read_pcts([0, 100]).requests([100]);
-    store.accept("alice", 0, &c).unwrap();
-    store
-        .accept_sharded("bob", 1_000_000, &c, Some((1, 2)))
-        .unwrap();
-    let gone = store.accept("carol", 0, &c).unwrap();
+    store.accept("alice", 0, &c, None).unwrap();
+    store.accept("bob", 1_000_000, &c, Some((1, 2))).unwrap();
+    let gone = store.accept("carol", 0, &c, None).unwrap();
     store.evict(&gone.id).unwrap();
     drop(store);
     let logs = [root.join("accept.jsonl"), root.join("evicted.jsonl")];

@@ -151,7 +151,7 @@ fn finishes_from_a_committed_prefix(name: &str, strays: &[&str]) {
 
     let id = {
         let (mut js, _) = dramctrl_serve::JobStore::open(&store).unwrap();
-        let stored = js.accept("alice", 0, &c).unwrap();
+        let stored = js.accept("alice", 0, &c, None).unwrap();
         let dir = js.job_dir(&stored.id);
         let mut journal = CampaignJournal::create(dir.join("journal.jsonl"), &c).unwrap();
         let unit0 = &c.expand()[0];
@@ -653,7 +653,7 @@ fn retain_gc_evicts_oldest_finished_jobs_and_spares_the_rest() {
         let (mut js, _) = dramctrl_serve::JobStore::open(&store).unwrap();
         (0..3)
             .map(|k| {
-                let stored = js.accept("alice", 0, &c).unwrap();
+                let stored = js.accept("alice", 0, &c, None).unwrap();
                 let dir = js.job_dir(&stored.id);
                 let mut journal = CampaignJournal::create(dir.join("journal.jsonl"), &c).unwrap();
                 if k < 2 {
