@@ -1,18 +1,22 @@
-//! # dramctrl-check — an independent DRAM timing oracle
+//! # dramctrl-check — a DRAM timing oracle
 //!
 //! [`TimingChecker`] is a [`Probe`]: attached to a controller it records
 //! the DRAM command stream the controller reports through
 //! [`Probe::dram_cmd`], and [`TimingChecker::violations`] replays that
 //! stream against the device's timing rules.
 //!
-//! The rules are a table of rows — previous command, next command, the
-//! scope both must share (bank, rank or channel) and the minimum gap
-//! between them — and each row is written down from what its
-//! [`Timing`] field *means* (its datasheet definition), not from how any
-//! controller computes it. This crate depends on the device description
-//! and the probe interface only, so it shares no code with a controller's
-//! bank state: a timing bug that every controller, every refactor and
-//! every differential test agree on is still a violation here.
+//! The rules are the protocol table of [`dramctrl_mem::protocol`] — rows
+//! of previous command, next command, the scope both must share (bank,
+//! rank or channel) and the minimum gap between them, each written down
+//! from what its `Timing` field *means* (its datasheet definition) — and
+//! the checker replays the stream through that table's one interpreter,
+//! [`ProtocolState`], in picoseconds. It keeps open-row tracking itself.
+//! This crate depends on the device description and the probe interface
+//! only, so it shares no code with the event model's bank state: a timing
+//! bug that every controller, every refactor and every differential test
+//! agree on is still a violation here. The cycle baseline decides its
+//! commands from the same table, in cycles, so on it the checker checks
+//! the interpreter, not the rules.
 //!
 //! A controller decides commands ahead of simulated time and reports each
 //! one when it decides it, with the tick it takes effect, so the stream is
@@ -27,13 +31,15 @@
 //! `t_burst`. Both come from the checker's own [`MemSpec`], never from the
 //! event's `dur`.
 //!
-//! Checked: tRCD, tRP, tRAS, tRRD, the activation window (tXAW with
-//! `activation_limit` activates), tRTP, tWR, tRFC before the next ACT, no
-//! overlap of two bursts on the data bus, the bus turnarounds tWTR (write
-//! data end to the rank's next read command) and tRTW (read data end to
-//! the channel's next write data), and column commands only to the row an
-//! ACT opened (with no second ACT to an open bank). Not checked:
-//! power-state entry and exit, and the refresh deadline.
+//! Checked: tRCD, tRP (before the bank's next ACT and the rank's next
+//! REF), tRAS, tRRD, the activation window (tXAW with `activation_limit`
+//! activates), tRTP, tWR, tRFC before the next ACT, no overlap of two
+//! bursts on the data bus, the bus turnarounds tWTR (write data end to
+//! the rank's next read command) and tRTW (read data end to the channel's
+//! next write data), column commands only to the row an ACT opened (with
+//! no second ACT to an open bank, and no REF to a rank with a bank open),
+//! and only ranks and banks the organisation has ([`Rule::Address`]).
+//! Not checked: power-state entry and exit, and the refresh deadline.
 //!
 //! # Example
 //!
@@ -58,162 +64,17 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use dramctrl_mem::{MemSpec, Timing};
+use dramctrl_mem::protocol::{Edge, ProtocolState};
+use dramctrl_mem::{MemSpec, Organisation};
 use dramctrl_obs::{CmdEvent, DramCmd, Probe};
+
+pub use dramctrl_mem::Rule;
 
 /// Simulated time in picoseconds, as everywhere in `dramctrl`.
 type Tick = u64;
-
-/// A protocol rule the checker enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Rule {
-    /// tRCD: a column command waits tRCD after the ACT that opened its row.
-    Rcd,
-    /// tRP: a bank is precharging for tRP after a PRE; no ACT before.
-    Rp,
-    /// tRAS: a row stays open at least tRAS from its ACT to its PRE.
-    Ras,
-    /// tRRD: two ACTs to one rank are at least tRRD apart.
-    Rrd,
-    /// tXAW: at most `activation_limit` ACTs to one rank in any tXAW.
-    Xaw,
-    /// tRTP: a PRE waits tRTP after the last read command of its bank.
-    Rtp,
-    /// tWR: a PRE waits tWR after the last write burst of its bank ends.
-    Wr,
-    /// tRFC: a rank is refreshing for tRFC after a REF; no ACT before.
-    Rfc,
-    /// tBURST: a burst holds the data bus for tBURST; no two overlap.
-    DataBus,
-    /// tWTR: a read command waits tWTR after the end of the last write
-    /// burst of its rank.
-    Wtr,
-    /// tRTW: a write burst's data waits tRTW after the last read burst
-    /// has left the data bus.
-    Rtw,
-    /// RD/WR only to the row open in its bank, and ACT only to a closed
-    /// bank.
-    OpenRow,
-}
-
-impl Rule {
-    /// The rule's datasheet name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rule::Rcd => "tRCD",
-            Rule::Rp => "tRP",
-            Rule::Ras => "tRAS",
-            Rule::Rrd => "tRRD",
-            Rule::Xaw => "tXAW",
-            Rule::Rtp => "tRTP",
-            Rule::Wr => "tWR",
-            Rule::Rfc => "tRFC",
-            Rule::DataBus => "data bus",
-            Rule::Wtr => "tWTR",
-            Rule::Rtw => "tRTW",
-            Rule::OpenRow => "open row",
-        }
-    }
-}
-
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Which commands must share a resource for a row to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scope {
-    Bank,
-    Rank,
-    Channel,
-}
-
-/// The instant of a command a gap is measured from or to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Edge {
-    /// When the command issues (a burst's column command).
-    Issue,
-    /// When a burst's data starts on the bus.
-    DataStart,
-    /// When a burst's data leaves the bus.
-    DataEnd,
-}
-
-/// One row of the rule table: `next` may not come sooner than `gap`
-/// after the `nth` most recent `prev` in the same `scope`, measured from
-/// edge `from` of that one to edge `to` of `next`.
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    rule: Rule,
-    prev: &'static [DramCmd],
-    from: Edge,
-    next: &'static [DramCmd],
-    to: Edge,
-    scope: Scope,
-    nth: usize,
-    gap: Tick,
-}
-
-const ACT: &[DramCmd] = &[DramCmd::Act];
-const PRE: &[DramCmd] = &[DramCmd::Pre];
-const RD: &[DramCmd] = &[DramCmd::Rd];
-const WR: &[DramCmd] = &[DramCmd::Wr];
-const REF: &[DramCmd] = &[DramCmd::Ref];
-const COL: &[DramCmd] = &[DramCmd::Rd, DramCmd::Wr];
-
-/// The rule table for a device, each row read off its field's meaning.
-fn rule_table(t: &Timing) -> Vec<Row> {
-    use Edge::{DataEnd, DataStart, Issue};
-    use Scope::{Bank, Channel, Rank};
-    let row = |rule, prev, from, next, to, scope, gap| Row {
-        rule,
-        prev,
-        from,
-        next,
-        to,
-        scope,
-        nth: 1,
-        gap,
-    };
-    let mut rows = vec![
-        // "ACT to internal read/write delay (row open)".
-        row(Rule::Rcd, ACT, Issue, COL, Issue, Bank, t.t_rcd),
-        // "Precharge period (row close)": the next ACT waits it out.
-        row(Rule::Rp, PRE, Issue, ACT, Issue, Bank, t.t_rp),
-        // "Minimum row-open time (ACT to PRE)".
-        row(Rule::Ras, ACT, Issue, PRE, Issue, Bank, t.t_ras),
-        // "ACT-to-ACT delay between banks of the same rank".
-        row(Rule::Rrd, ACT, Issue, ACT, Issue, Rank, t.t_rrd),
-        // "Read to precharge delay".
-        row(Rule::Rtp, RD, Issue, PRE, Issue, Bank, t.t_rtp),
-        // "Write recovery: end of write burst to PRE of the same bank".
-        row(Rule::Wr, WR, DataEnd, PRE, Issue, Bank, t.t_wr),
-        // "Refresh cycle time": the rank is busy refreshing until then.
-        row(Rule::Rfc, REF, Issue, ACT, Issue, Rank, t.t_rfc),
-        // "Data-bus occupancy of one burst": a burst may start once the
-        // one before it has left the bus (the DataEnd edge adds t_burst).
-        row(Rule::DataBus, COL, DataEnd, COL, DataStart, Channel, 0),
-        // "Write-to-read turnaround (end of write burst to read command)".
-        row(Rule::Wtr, WR, DataEnd, RD, Issue, Rank, t.t_wtr),
-        // "Read-to-write turnaround bubble on the data bus".
-        row(Rule::Rtw, RD, DataEnd, WR, DataStart, Channel, t.t_rtw),
-    ];
-    if t.activation_limit > 0 {
-        // "Rolling activation window": any `activation_limit + 1` ACTs of
-        // a rank span more than tXAW, so an ACT comes tXAW after the
-        // `activation_limit`-th ACT before it.
-        rows.push(Row {
-            nth: t.activation_limit as usize,
-            ..row(Rule::Xaw, ACT, Issue, ACT, Issue, Rank, t.t_xaw)
-        });
-    }
-    rows
-}
 
 /// One DRAM command as the checker keeps it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,7 +128,8 @@ pub struct Violation {
     pub rule: Rule,
     /// The command the rule measures from: for a gap rule the earlier
     /// command of the pair, for [`Rule::OpenRow`] the bank's last ACT or
-    /// PRE (none if the bank was never opened).
+    /// PRE (none if the bank was never opened; for a REF, the ACT of an
+    /// open bank), for [`Rule::Address`] none.
     pub earlier: Option<Cmd>,
     /// The command that came too soon, or to the wrong row.
     pub later: Cmd,
@@ -293,9 +155,9 @@ impl fmt::Display for Violation {
 /// device's timing rules (see the crate docs for what is checked).
 #[derive(Debug, Clone)]
 pub struct TimingChecker {
-    rows: Vec<Row>,
-    t_cl: Tick,
-    t_burst: Tick,
+    /// The protocol table in picoseconds, with nothing recorded.
+    table: ProtocolState,
+    org: Organisation,
     cmds: Vec<Cmd>,
 }
 
@@ -305,9 +167,8 @@ impl TimingChecker {
     /// two differ exactly when the controller's is wrong.
     pub fn new(spec: &MemSpec) -> Self {
         Self {
-            rows: rule_table(&spec.timing),
-            t_cl: spec.timing.t_cl,
-            t_burst: spec.timing.t_burst,
+            table: ProtocolState::new(spec, |t| t),
+            org: spec.org,
             cmds: Vec::new(),
         }
     }
@@ -317,85 +178,63 @@ impl TimingChecker {
         &self.cmds
     }
 
-    fn edge(&self, edge: Edge, c: &Cmd) -> i128 {
-        let at = i128::from(c.at);
-        match (edge, c.cmd) {
-            (Edge::Issue, DramCmd::Rd | DramCmd::Wr) => at - i128::from(self.t_cl),
-            (Edge::DataEnd, _) => at + i128::from(self.t_burst),
-            _ => at,
+    /// When `c` issued: a burst's column command is `t_cl` before its data.
+    fn issue(&self, c: &Cmd) -> Tick {
+        match c.cmd {
+            DramCmd::Rd | DramCmd::Wr => c.at.saturating_sub(self.table.offset(Edge::DataStart)),
+            _ => c.at,
         }
     }
 
     /// Every rule violation in the recorded stream, in time order.
     pub fn violations(&self) -> Vec<Violation> {
         let mut order: Vec<usize> = (0..self.cmds.len()).collect();
-        order.sort_by_key(|&i| (self.edge(Edge::Issue, &self.cmds[i]), i));
-        let scope_of = |scope: Scope, c: &Cmd| match scope {
-            Scope::Bank => (c.rank, c.bank),
-            Scope::Rank => (c.rank, u32::MAX),
-            Scope::Channel => (u32::MAX, u32::MAX),
-        };
-        // Per row and scope, the edges of the `nth` most recent `prev`s
-        // (with their command's index).
-        type Recent = HashMap<(u32, u32), VecDeque<(i128, usize)>>;
-        let mut recent: Vec<Recent> = vec![HashMap::new(); self.rows.len()];
+        order.sort_by_key(|&i| (self.issue(&self.cmds[i]), i));
+        let mut table = self.table.clone();
         // Per bank, the open row and the ACT or PRE that set it.
-        let mut banks: HashMap<(u32, u32), (Option<u64>, usize)> = HashMap::new();
+        let mut open = vec![(None, None); (self.org.ranks * self.org.banks) as usize];
         let mut found = Vec::new();
         for &i in &order {
             let c = self.cmds[i];
-            for (row, recent) in self.rows.iter().zip(&mut recent) {
-                if !row.next.contains(&c.cmd) {
-                    continue;
-                }
-                let Some(prevs) = recent.get(&scope_of(row.scope, &c)) else {
-                    continue;
-                };
-                if prevs.len() < row.nth {
-                    continue;
-                }
-                let (from, j) = prevs[prevs.len() - row.nth];
-                let measured = self.edge(row.to, &c) - from;
-                if measured < i128::from(row.gap) {
-                    found.push(Violation {
-                        rule: row.rule,
-                        earlier: Some(self.cmds[j]),
-                        later: c,
-                        gap: Some((measured, row.gap)),
-                    });
+            let violation = |rule, earlier: Option<usize>, gap| Violation {
+                rule,
+                earlier: earlier.map(|j| self.cmds[j]),
+                later: c,
+                gap,
+            };
+            if !table.fits(c.cmd, c.rank, c.bank) {
+                found.push(violation(Rule::Address, None, None));
+                continue;
+            }
+            // A REF names no bank.
+            let bank = if c.cmd == DramCmd::Ref { 0 } else { c.bank };
+            let issue = self.issue(&c);
+            for (r, row) in table.rows().iter().enumerate() {
+                let (earliest, tag) = table.row_earliest(r, c.rank, bank);
+                if row.next.contains(&c.cmd) && issue < earliest {
+                    let measured = i128::from(row.gap) - i128::from(earliest - issue);
+                    let gap = Some((measured, row.gap));
+                    found.push(violation(row.rule, Some(tag as usize), gap));
                 }
             }
-            for (row, recent) in self.rows.iter().zip(&mut recent) {
-                if row.prev.contains(&c.cmd) {
-                    let prevs = recent.entry(scope_of(row.scope, &c)).or_default();
-                    prevs.push_back((self.edge(row.from, &c), i));
-                    if prevs.len() > row.nth {
-                        prevs.pop_front();
-                    }
+            table.record(c.cmd, c.rank, bank, issue, i as u64);
+            let first = (c.rank * self.org.banks) as usize;
+            let (rank, b) = (&mut open[first..][..self.org.banks as usize], bank as usize);
+            let (bad, earlier) = match c.cmd {
+                DramCmd::Act => (rank[b].0.is_some(), rank[b].1),
+                DramCmd::Rd | DramCmd::Wr => (rank[b].0 != Some(c.row), rank[b].1),
+                DramCmd::Pre => (false, None),
+                DramCmd::Ref => {
+                    let open = rank.iter().find(|(row, _)| row.is_some());
+                    (open.is_some(), open.and_then(|b| b.1))
                 }
-            }
-            let bank = banks.get(&(c.rank, c.bank)).copied();
-            let open = bank.and_then(|(open, _)| open);
-            let bad = match c.cmd {
-                DramCmd::Act => open.is_some(),
-                DramCmd::Rd | DramCmd::Wr => open != Some(c.row),
-                DramCmd::Pre | DramCmd::Ref => false,
             };
             if bad {
-                found.push(Violation {
-                    rule: Rule::OpenRow,
-                    earlier: bank.map(|(_, j)| self.cmds[j]),
-                    later: c,
-                    gap: None,
-                });
+                found.push(violation(Rule::OpenRow, earlier, None));
             }
             match c.cmd {
-                DramCmd::Act => {
-                    banks.insert((c.rank, c.bank), (Some(c.row), i));
-                }
-                DramCmd::Pre => {
-                    banks.insert((c.rank, c.bank), (None, i));
-                }
+                DramCmd::Act => rank[b] = (Some(c.row), Some(i)),
+                DramCmd::Pre => rank[b] = (None, Some(i)),
                 _ => {}
             }
         }
@@ -444,6 +283,7 @@ impl Probe for TimingChecker {
 mod tests {
     use super::*;
     use dramctrl_mem::presets;
+    use dramctrl_mem::protocol::rows;
 
     fn spec() -> MemSpec {
         presets::ddr3_1333_x64()
@@ -464,7 +304,11 @@ mod tests {
     }
 
     fn check(events: &[CmdEvent]) -> Vec<Rule> {
-        let mut c = TimingChecker::new(&spec());
+        check_on(&spec(), events)
+    }
+
+    fn check_on(spec: &MemSpec, events: &[CmdEvent]) -> Vec<Rule> {
+        let mut c = TimingChecker::new(spec);
         for &ev in events {
             c.dram_cmd(ev);
         }
@@ -498,9 +342,9 @@ mod tests {
         let rd2 = wr1_end + t.t_wtr;
         let act3 = act2 + t.t_rrd;
         let act4 = (act3 + t.t_rrd).max(act0 + t.t_xaw);
-        // A refresh after everything closes, then an ACT tRFC later.
+        // A refresh tRP after the last PRE, then an ACT tRFC later.
         let pre_rest = (act4 + t.t_ras).max(rd2 + t.t_rtp);
-        let refresh = act0b.max(pre1).max(pre_rest) + t.t_ras + t.t_rp;
+        let refresh = (act0b + t.t_ras).max(pre1).max(pre_rest) + t.t_rp;
         let act_after = refresh + t.t_rfc;
         let stream = |shift: Option<usize>| {
             let mut s = vec![
@@ -541,6 +385,7 @@ mod tests {
             (8, Rule::Wtr),
             (10, Rule::Xaw),
             (11, Rule::Rp),
+            (16, Rule::Rp),
             (17, Rule::Rfc),
         ];
         for (i, rule) in expect {
@@ -557,6 +402,29 @@ mod tests {
             pre(0, late_rd + t.t_rtp - 1),
         ];
         assert_eq!(check(&s), vec![Rule::Rtp]);
+        // A REF to a rank with a bank still open.
+        let s = [act(3, 7, 0), CmdEvent::refresh(0, 1_000_000, t.t_rfc)];
+        assert_eq!(check(&s), vec![Rule::OpenRow]);
+    }
+
+    /// A rank or bank the device does not have is a violation, not an
+    /// index out of bounds; a REF's bank is ignored.
+    #[test]
+    fn commands_outside_the_organisation_are_address_violations() {
+        let org = spec().org;
+        let mut far_data = col(DramCmd::Rd, 0, 7, 0);
+        far_data.bank = u32::MAX;
+        let far = [
+            CmdEvent::act(org.ranks, 0, 7, 0, 0),
+            CmdEvent::act(0, org.banks, 7, 0, 0),
+            CmdEvent::pre(u32::MAX, 0, 0, 0),
+            CmdEvent::refresh(org.ranks, 0, 0),
+            far_data,
+        ];
+        assert_eq!(check(&far), vec![Rule::Address; 5]);
+        let mut any_bank = CmdEvent::refresh(0, 0, 0);
+        any_bank.bank = u32::MAX;
+        assert_eq!(check(&[any_bank]), vec![]);
     }
 
     #[test]
@@ -581,18 +449,21 @@ mod tests {
             check(&[act(0, 7, 0), act(0, 8, 100_000)]),
             vec![Rule::OpenRow]
         );
-        // Banks are separate, ranks too.
+        // Banks are separate, ranks too (on a device that has two).
+        let mut two_ranks = spec();
+        two_ranks.org.ranks = 2;
         let other_rank = CmdEvent::data(DramCmd::Rd, 1, 0, 7, 50_000, t.t_burst, 64, false);
-        assert_eq!(check(&[act(0, 7, 0), other_rank]), vec![Rule::OpenRow]);
+        assert_eq!(
+            check_on(&two_ranks, &[act(0, 7, 0), other_rank]),
+            vec![Rule::OpenRow]
+        );
     }
 
     #[test]
     fn the_table_reads_every_gap_from_the_spec() {
         let t = spec().timing;
-        let gaps: Vec<(Rule, Tick, usize)> = rule_table(&t)
-            .iter()
-            .map(|r| (r.rule, r.gap, r.nth))
-            .collect();
+        let gaps: Vec<(Rule, Tick, usize)> =
+            rows(&t).iter().map(|r| (r.rule, r.gap, r.nth)).collect();
         assert_eq!(
             gaps,
             vec![
@@ -606,12 +477,13 @@ mod tests {
                 (Rule::DataBus, 0, 1),
                 (Rule::Wtr, t.t_wtr, 1),
                 (Rule::Rtw, t.t_rtw, 1),
+                (Rule::Rp, t.t_rp, 1),
                 (Rule::Xaw, t.t_xaw, t.activation_limit as usize),
             ]
         );
         let mut unlimited = t;
         unlimited.activation_limit = 0;
-        assert!(rule_table(&unlimited).iter().all(|r| r.rule != Rule::Xaw));
+        assert!(rows(&unlimited).iter().all(|r| r.rule != Rule::Xaw));
     }
 
     #[test]

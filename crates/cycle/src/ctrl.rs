@@ -1,9 +1,12 @@
 //! The cycle-by-cycle controller.
 //!
 //! Faithful to the *structure* of DRAMSim2 (the paper's comparison
-//! baseline): a unified transaction queue, per-bank down-counter state
-//! machines, one DRAM command per clock cycle, and an `update()` that runs
-//! every memory-clock cycle while any work is pending. The per-cycle
+//! baseline): a unified transaction queue, per-bank state machines, one
+//! DRAM command per clock cycle, and an `update()` that runs every
+//! memory-clock cycle while any work is pending. When a command may
+//! issue is not hand-kept per bank, as DRAMSim2's `nextActivate`-style
+//! counters are: every command asks the protocol table
+//! ([`dramctrl_mem::protocol`], in cycles) and records itself there. The per-cycle
 //! execution is precisely what makes this model slow relative to the
 //! event-based controller — the property measured in paper Section III-D.
 
@@ -11,9 +14,10 @@ use std::collections::VecDeque;
 
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{Clock, EventQueue, Tick};
+use dramctrl_mem::protocol::{Edge, ProtocolState};
 use dramctrl_mem::{
     snapio, ActivityStats, CommonStats, Controller, Decoder, DramAddr, MemCmd, MemRequest,
-    MemResponse, MemSpec, Rejected, WriteCoverage,
+    MemResponse, MemSpec, Rejected, Rule, WriteCoverage,
 };
 use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, Probe, RasMark};
 use dramctrl_ras::{BurstOutcome, FaultModel, RasGeometry};
@@ -21,59 +25,12 @@ use dramctrl_stats::{Average, Report};
 
 use crate::config::{CycleConfig, CycleConfigError, CyclePagePolicy, CycleSched};
 
-/// Timing parameters converted to memory-clock cycles.
-#[derive(Debug, Clone, Copy)]
-struct CycTiming {
-    burst: u64,
-    rcd: u64,
-    cl: u64,
-    rp: u64,
-    ras: u64,
-    wr: u64,
-    rtp: u64,
-    rrd: u64,
-    xaw: u64,
-    act_limit: u32,
-    wtr: u64,
-    rtw: u64,
-    rfc: u64,
-    refi: u64,
-}
-
-impl CycTiming {
-    fn from_spec(spec: &MemSpec, clk: &Clock) -> Self {
-        let t = &spec.timing;
-        let c = |x| clk.to_cycles_ceil(x);
-        Self {
-            burst: c(t.t_burst),
-            rcd: c(t.t_rcd),
-            cl: c(t.t_cl),
-            rp: c(t.t_rp),
-            ras: c(t.t_ras),
-            wr: c(t.t_wr),
-            rtp: c(t.t_rtp),
-            rrd: c(t.t_rrd),
-            xaw: c(t.t_xaw),
-            act_limit: t.activation_limit,
-            wtr: c(t.t_wtr),
-            rtw: c(t.t_rtw),
-            rfc: c(t.t_rfc),
-            refi: if t.t_refi == 0 { 0 } else { c(t.t_refi) },
-        }
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 struct CycBank {
     open_row: Option<u64>,
-    next_act: u64,
-    next_pre: u64,
-    next_col: u64,
     /// Cycle at which a scheduled auto-precharge takes effect (row already
     /// marked closed for scheduling purposes).
     pending_close: Option<u64>,
-    /// Cycle at which the most recent precharge completes.
-    pre_done: u64,
 }
 
 impl CycBank {
@@ -85,8 +42,6 @@ impl CycBank {
 #[derive(Debug, Clone)]
 struct CycRank {
     banks: Vec<CycBank>,
-    act_times: VecDeque<u64>,
-    next_act_rank: u64,
     refresh_due: u64,
     want_refresh: bool,
     refreshing_until: u64,
@@ -97,33 +52,10 @@ impl CycRank {
     fn new(banks: u32, refi: u64) -> Self {
         Self {
             banks: vec![CycBank::default(); banks as usize],
-            act_times: VecDeque::new(),
-            next_act_rank: 0,
             refresh_due: if refi == 0 { u64::MAX } else { refi },
             want_refresh: false,
             refreshing_until: 0,
             closed_cycles: 0,
-        }
-    }
-
-    fn act_allowed(&self, cycle: u64, t: &CycTiming) -> bool {
-        if cycle < self.next_act_rank {
-            return false;
-        }
-        if t.act_limit == 0 || (self.act_times.len() as u32) < t.act_limit {
-            return true;
-        }
-        let oldest = self.act_times[self.act_times.len() - t.act_limit as usize];
-        cycle >= oldest + t.xaw
-    }
-
-    fn record_act(&mut self, cycle: u64, t: &CycTiming) {
-        self.next_act_rank = self.next_act_rank.max(cycle + t.rrd);
-        if t.act_limit > 0 {
-            self.act_times.push_back(cycle);
-            while self.act_times.len() > t.act_limit as usize {
-                self.act_times.pop_front();
-            }
         }
     }
 
@@ -163,11 +95,13 @@ struct Group {
     ready_at: Tick,
 }
 
-/// Bus direction of the most recent data transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    Rd,
-    Wr,
+/// The column command of a read or a write burst.
+fn col_cmd(is_read: bool) -> DramCmd {
+    if is_read {
+        DramCmd::Rd
+    } else {
+        DramCmd::Wr
+    }
 }
 
 /// Statistics of the cycle-based controller.
@@ -238,16 +172,16 @@ pub struct CycleCtrl<P: Probe = NoProbe> {
     decoder: Decoder,
     probe: P,
     clk: Clock,
-    t: CycTiming,
+    /// The refresh interval in cycles (0: the device needs no refresh).
+    refi: u64,
+    /// Every inter-command constraint, in cycles.
+    protocol: ProtocolState,
     cycle: u64,
     queue: VecDeque<Txn>,
     groups: Vec<Option<Group>>,
     free_groups: Vec<usize>,
     ranks: Vec<CycRank>,
     resp_q: EventQueue<MemResponse>,
-    bus_free: u64,
-    last_data_end: u64,
-    last_dir: Option<Dir>,
     pending_closes: usize,
     /// Coverage of queued writes; only maintained with `write_snooping`.
     coverage: WriteCoverage,
@@ -276,10 +210,11 @@ impl<P: Probe> CycleCtrl<P> {
     pub fn with_probe(cfg: CycleConfig, probe: P) -> Result<Self, CycleConfigError> {
         cfg.validate()?;
         let clk = Clock::from_period(cfg.spec.timing.t_ck);
-        let t = CycTiming::from_spec(&cfg.spec, &clk);
+        let refi = clk.to_cycles_ceil(cfg.spec.timing.t_refi);
         let ranks = (0..cfg.spec.org.ranks)
-            .map(|_| CycRank::new(cfg.spec.org.banks, t.refi))
+            .map(|_| CycRank::new(cfg.spec.org.banks, refi))
             .collect();
+        let protocol = ProtocolState::new(&cfg.spec, |t| clk.to_cycles_ceil(t));
         let queue = VecDeque::with_capacity(cfg.queue_depth);
         let resp_q = EventQueue::with_capacity(cfg.queue_depth);
         let org = &cfg.spec.org;
@@ -298,17 +233,15 @@ impl<P: Probe> CycleCtrl<P> {
             decoder: Decoder::new(cfg.mapping, org, cfg.channels),
             cfg,
             probe,
+            protocol,
             clk,
-            t,
+            refi,
             cycle: 0,
             queue,
             groups: Vec::new(),
             free_groups: Vec::new(),
             ranks,
             resp_q,
-            bus_free: 0,
-            last_data_end: 0,
-            last_dir: None,
             pending_closes: 0,
             coverage: WriteCoverage::default(),
             fault,
@@ -404,7 +337,7 @@ impl<P: Probe> CycleCtrl<P> {
             }
             if !rank.want_refresh && c >= rank.refreshing_until && c >= rank.refresh_due {
                 rank.want_refresh = true;
-                rank.refresh_due = rank.refresh_due.saturating_add(self.t.refi);
+                rank.refresh_due = rank.refresh_due.saturating_add(self.refi);
             }
         }
 
@@ -427,49 +360,31 @@ impl<P: Probe> CycleCtrl<P> {
             if !self.ranks[ri].want_refresh || c < self.ranks[ri].refreshing_until {
                 continue;
             }
-            let all_closed = self.ranks[ri]
-                .banks
-                .iter()
-                .all(|b| b.open_row.is_none() && b.pending_close.is_none() && c >= b.pre_done);
-            if all_closed {
+            let r = ri as u32;
+            // A pending auto-precharge is recorded, so tRP covers it too.
+            let all_closed = self.ranks[ri].banks.iter().all(|b| b.open_row.is_none());
+            if all_closed && c >= self.protocol.earliest(DramCmd::Ref, r, 0) {
+                let rfc = self.protocol.gap(Rule::Rfc);
                 let rank = &mut self.ranks[ri];
                 rank.want_refresh = false;
-                rank.refreshing_until = c + self.t.rfc;
-                for bank in &mut rank.banks {
-                    bank.next_act = bank.next_act.max(rank.refreshing_until);
-                }
-                rank.next_act_rank = rank.next_act_rank.max(rank.refreshing_until);
+                rank.refreshing_until = c + rfc;
+                self.protocol.record(DramCmd::Ref, r, 0, c, 0);
                 self.stats.refreshes += 1;
                 if P::ENABLED {
                     self.probe.dram_cmd(CmdEvent::refresh(
-                        ri as u32,
+                        r,
                         self.clk.cycles(c),
-                        self.clk.cycles(self.t.rfc),
+                        self.clk.cycles(rfc),
                     ));
                 }
                 return;
             }
             // Precharge the first open bank that is ready.
-            let t_rp = self.t.rp;
-            let rank = &mut self.ranks[ri];
-            if let Some(bi) = rank
-                .banks
-                .iter()
-                .position(|b| b.open_row.is_some() && c >= b.next_pre)
-            {
-                let bank = &mut rank.banks[bi];
-                bank.open_row = None;
-                bank.next_act = bank.next_act.max(c + t_rp);
-                bank.pre_done = c + t_rp;
-                self.stats.precharges += 1;
-                if P::ENABLED {
-                    self.probe.dram_cmd(CmdEvent::pre(
-                        ri as u32,
-                        bi as u32,
-                        self.clk.cycles(c),
-                        self.clk.cycles(t_rp),
-                    ));
-                }
+            let ready = |(bi, b): (usize, &CycBank)| {
+                b.open_row.is_some() && c >= self.protocol.earliest(DramCmd::Pre, r, bi as u32)
+            };
+            if let Some(bi) = self.ranks[ri].banks.iter().enumerate().position(ready) {
+                self.precharge(r, bi as u32, c);
                 return;
             }
         }
@@ -500,33 +415,28 @@ impl<P: Probe> CycleCtrl<P> {
 
     /// Whether transaction `i` is an issuable row hit at cycle `c`.
     fn col_issuable(&self, i: usize, c: u64) -> bool {
-        let txn = &self.queue[i];
-        if c < txn.not_before {
-            return false;
-        }
-        let rank = &self.ranks[txn.da.rank as usize];
-        if rank.blocked(c) {
-            return false;
-        }
-        let bank = &rank.banks[txn.da.bank as usize];
-        bank.open_row == Some(txn.da.row) && c >= bank.next_col && self.bus_ok(txn.is_read, c)
+        let (txn, da) = (&self.queue[i], self.queue[i].da);
+        let (rank, cmd) = (&self.ranks[da.rank as usize], col_cmd(txn.is_read));
+        c >= txn.not_before
+            && !rank.blocked(c)
+            && rank.banks[da.bank as usize].open_row == Some(da.row)
+            && c >= self.protocol.earliest(cmd, da.rank, da.bank)
     }
 
-    /// Data-bus availability and turnaround for a column command at `c`.
-    fn bus_ok(&self, is_read: bool, c: u64) -> bool {
-        let data_start = c + self.t.cl;
-        if data_start < self.bus_free {
-            return false;
-        }
-        match (self.last_dir, is_read) {
-            (Some(Dir::Wr), true) => c >= self.last_data_end + self.t.wtr,
-            (Some(Dir::Rd), false) => data_start >= self.last_data_end + self.t.rtw,
-            _ => true,
+    /// Closes bank `bi` of rank `ri` with a PRE issued at `c`.
+    fn precharge(&mut self, ri: u32, bi: u32, c: u64) {
+        self.ranks[ri as usize].banks[bi as usize].open_row = None;
+        self.protocol.record(DramCmd::Pre, ri, bi, c, 0);
+        self.stats.precharges += 1;
+        if P::ENABLED {
+            let rp = self.clk.cycles(self.protocol.gap(Rule::Rp));
+            self.probe
+                .dram_cmd(CmdEvent::pre(ri, bi, self.clk.cycles(c), rp));
         }
     }
 
-    /// Issues the column command for transaction `i` (which must be a row
-    /// hit with `bus_ok`); completes the transaction.
+    /// Issues the column command for transaction `i` (which must be an
+    /// issuable row hit); completes the transaction.
     fn do_col(&mut self, i: usize, c: u64) {
         let txn = self.queue.remove(i).expect("index checked by caller");
         let (ri, bi) = (txn.da.rank as usize, txn.da.bank as usize);
@@ -536,18 +446,13 @@ impl<P: Probe> CycleCtrl<P> {
         if !txn.activated {
             self.stats.row_hits += 1;
         }
-        let data_start = c + self.t.cl;
-        let data_end = data_start + self.t.burst;
-        self.bus_free = data_end;
-        self.last_data_end = data_end;
-        self.last_dir = Some(if txn.is_read { Dir::Rd } else { Dir::Wr });
-        self.stats.bus_busy += self.clk.cycles(self.t.burst);
+        let cmd = col_cmd(txn.is_read);
+        let data_start = c + self.protocol.offset(Edge::DataStart);
+        let data_end = c + self.protocol.offset(Edge::DataEnd);
+        let burst = self.clk.cycles(data_end - data_start);
+        self.protocol.record(cmd, txn.da.rank, txn.da.bank, c, 0);
+        self.stats.bus_busy += burst;
         if P::ENABLED {
-            let cmd = if txn.is_read {
-                DramCmd::Rd
-            } else {
-                DramCmd::Wr
-            };
             self.probe.dram_cmd(CmdEvent {
                 req: txn.is_read.then(|| {
                     self.groups[txn.group]
@@ -563,7 +468,7 @@ impl<P: Probe> CycleCtrl<P> {
                     txn.da.bank,
                     txn.da.row,
                     self.clk.cycles(data_start),
-                    self.clk.cycles(self.t.burst),
+                    burst,
                     txn.hi - txn.lo,
                     !txn.activated,
                 )
@@ -571,36 +476,22 @@ impl<P: Probe> CycleCtrl<P> {
             self.probe_queue_depth(self.clk.cycles(c));
         }
 
-        let t = self.t;
-        let bank = &mut self.ranks[ri].banks[bi];
-        bank.next_col = bank.next_col.max(c + t.burst);
         if txn.is_read {
-            bank.next_pre = bank.next_pre.max(c + t.rtp);
             self.stats.rd_bursts += 1;
             self.stats.bytes_read += u64::from(txn.hi - txn.lo);
         } else {
-            bank.next_pre = bank.next_pre.max(data_end + t.wr);
             self.stats.wr_bursts += 1;
             self.stats.bytes_written += u64::from(txn.hi - txn.lo);
         }
 
         if self.cfg.page_policy == CyclePagePolicy::Closed {
-            let bank = &mut self.ranks[ri].banks[bi];
-            let pre_at = bank.next_pre;
-            bank.open_row = None;
-            bank.pending_close = Some(pre_at);
-            bank.next_act = bank.next_act.max(pre_at + t.rp);
-            bank.pre_done = pre_at + t.rp;
+            // Auto-precharge at the first cycle the table allows a PRE,
+            // recorded ahead of the commands that issue before it.
+            let (r, b) = (txn.da.rank, txn.da.bank);
+            let pre_at = self.protocol.earliest(DramCmd::Pre, r, b);
+            self.precharge(r, b, pre_at);
+            self.ranks[ri].banks[bi].pending_close = Some(pre_at);
             self.pending_closes += 1;
-            self.stats.precharges += 1;
-            if P::ENABLED {
-                self.probe.dram_cmd(CmdEvent::pre(
-                    txn.da.rank,
-                    txn.da.bank,
-                    self.clk.cycles(pre_at),
-                    self.clk.cycles(t.rp),
-                ));
-            }
         }
 
         // Response bookkeeping.
@@ -661,16 +552,15 @@ impl<P: Probe> CycleCtrl<P> {
         if self.ranks[ri].blocked(c) {
             return false;
         }
-        let t = self.t;
+        let (r, b) = (txn.da.rank, txn.da.bank);
         let open_row = self.ranks[ri].banks[bi].open_row;
         match open_row {
             Some(row) if row == txn.da.row => {
-                if self.col_issuable(i, c) {
+                let issuable = self.col_issuable(i, c);
+                if issuable {
                     self.do_col(i, c);
-                    true
-                } else {
-                    false
                 }
+                issuable
             }
             Some(open) => {
                 // Conflict: precharge, but (under FR-FCFS only) never
@@ -679,58 +569,34 @@ impl<P: Probe> CycleCtrl<P> {
                 // serve those hits first. Under strict FCFS the head must
                 // make progress unconditionally or the queue deadlocks.
                 let hit_pending = self.cfg.scheduling == CycleSched::FrFcfs
-                    && self.queue.iter().any(|q| {
-                        q.da.rank == txn.da.rank && q.da.bank == txn.da.bank && q.da.row == open
-                    });
-                let bank = &mut self.ranks[ri].banks[bi];
-                if !hit_pending && c >= bank.next_pre {
-                    bank.open_row = None;
-                    bank.next_act = bank.next_act.max(c + t.rp);
-                    bank.pre_done = c + t.rp;
-                    self.stats.precharges += 1;
-                    if P::ENABLED {
-                        self.probe.dram_cmd(CmdEvent::pre(
-                            txn.da.rank,
-                            txn.da.bank,
-                            self.clk.cycles(c),
-                            self.clk.cycles(t.rp),
-                        ));
-                    }
-                    true
-                } else {
-                    false
-                }
-            }
-            None => {
-                // Closed: activate if the bank, rank (tRRD) and window
-                // (tXAW) allow. A pending auto-precharge must finish first.
-                let rank = &self.ranks[ri];
-                let bank = &rank.banks[bi];
-                if bank.pending_close.is_some_and(|p| c < p) {
+                    && self
+                        .queue
+                        .iter()
+                        .any(|q| q.da.rank == r && q.da.bank == b && q.da.row == open);
+                if hit_pending || c < self.protocol.earliest(DramCmd::Pre, r, b) {
                     return false;
                 }
-                if c >= bank.next_act && rank.act_allowed(c, &t) {
-                    let rank = &mut self.ranks[ri];
-                    rank.record_act(c, &t);
-                    let bank = &mut rank.banks[bi];
-                    bank.open_row = Some(txn.da.row);
-                    bank.next_col = bank.next_col.max(c + t.rcd);
-                    bank.next_pre = bank.next_pre.max(c + t.ras);
-                    self.stats.activates += 1;
-                    self.queue[i].activated = true;
-                    if P::ENABLED {
-                        self.probe.dram_cmd(CmdEvent::act(
-                            txn.da.rank,
-                            txn.da.bank,
-                            txn.da.row,
-                            self.clk.cycles(c),
-                            self.clk.cycles(t.rcd),
-                        ));
-                    }
-                    true
-                } else {
-                    false
+                self.precharge(r, b, c);
+                true
+            }
+            None => {
+                // Closed: activate if the table (tRP, tRRD, tXAW, tRFC)
+                // allows. A pending auto-precharge must finish first.
+                let closing = self.ranks[ri].banks[bi].pending_close;
+                if closing.is_some_and(|p| c < p) || c < self.protocol.earliest(DramCmd::Act, r, b)
+                {
+                    return false;
                 }
+                self.protocol.record(DramCmd::Act, r, b, c, 0);
+                self.ranks[ri].banks[bi].open_row = Some(txn.da.row);
+                self.stats.activates += 1;
+                self.queue[i].activated = true;
+                if P::ENABLED {
+                    let rcd = self.clk.cycles(self.protocol.gap(Rule::Rcd));
+                    self.probe
+                        .dram_cmd(CmdEvent::act(r, b, txn.da.row, self.clk.cycles(c), rcd));
+                }
+                true
             }
         }
     }
@@ -794,13 +660,17 @@ impl<P: Probe> CycleCtrl<P> {
             return Some(self.clk.cycles(self.cycle + 1));
         }
         // Idle: skip straight to the next refresh deadline.
-        let due = self
-            .ranks
+        let due = self.next_refresh_due();
+        (due != u64::MAX).then(|| self.clk.cycles(due))
+    }
+
+    /// The earliest cycle a rank's refresh falls due (`u64::MAX`: never).
+    fn next_refresh_due(&self) -> u64 {
+        self.ranks
             .iter()
             .map(|r| r.refresh_due)
             .min()
-            .unwrap_or(u64::MAX);
-        (due != u64::MAX).then(|| self.clk.cycles(due))
+            .unwrap_or(u64::MAX)
     }
 
     /// Advances the cycle counter to `target`, ticking through any work
@@ -810,12 +680,7 @@ impl<P: Probe> CycleCtrl<P> {
             if self.busy() {
                 self.tick();
             } else {
-                let due = self
-                    .ranks
-                    .iter()
-                    .map(|r| r.refresh_due)
-                    .min()
-                    .unwrap_or(u64::MAX);
+                let due = self.next_refresh_due();
                 if due > target {
                     self.skip_idle_to(target);
                 } else {
@@ -1141,35 +1006,16 @@ fn read_txn(r: &mut SnapReader<'_>) -> Result<Txn, SnapError> {
     })
 }
 
-fn save_bank(w: &mut SnapWriter, bank: &CycBank) {
-    w.opt_u64(bank.open_row);
-    w.u64(bank.next_act);
-    w.u64(bank.next_pre);
-    w.u64(bank.next_col);
-    w.opt_u64(bank.pending_close);
-    w.u64(bank.pre_done);
-}
-
-fn read_bank(r: &mut SnapReader<'_>) -> Result<CycBank, SnapError> {
-    Ok(CycBank {
-        open_row: r.opt_u64()?,
-        next_act: r.u64()?,
-        next_pre: r.u64()?,
-        next_col: r.u64()?,
-        pending_close: r.opt_u64()?,
-        pre_done: r.u64()?,
-    })
-}
-
 impl<P: Probe> SnapState for CycleCtrl<P> {
     /// Captures the full dynamic state of the controller: the cycle
     /// counter, the unified transaction queue, burst groups (slots *and*
-    /// free list, preserving slot-reuse order), per-bank FSM timers,
-    /// refresh bookkeeping, the response queue, bus direction/turnaround
-    /// state, write coverage, the RAS fault model and statistics.
+    /// free list, preserving slot-reuse order), open rows and pending
+    /// auto-precharges, refresh bookkeeping, the protocol table's state,
+    /// the response queue, write coverage, the RAS fault model and
+    /// statistics.
     ///
     /// Configuration-derived fields (the config itself, the clock, the
-    /// cycle-converted timing table and the probe) are *not* written;
+    /// protocol table's rows in cycles and the probe) are *not* written;
     /// restore targets a freshly constructed controller built from the
     /// same [`CycleConfig`].
     fn save_state(&self, w: &mut SnapWriter) {
@@ -1198,26 +1044,16 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
         for rank in &self.ranks {
             w.usize(rank.banks.len());
             for bank in &rank.banks {
-                save_bank(w, bank);
+                w.opt_u64(bank.open_row);
+                w.opt_u64(bank.pending_close);
             }
-            w.usize(rank.act_times.len());
-            for &t in &rank.act_times {
-                w.u64(t);
-            }
-            w.u64(rank.next_act_rank);
             w.u64(rank.refresh_due);
             w.bool(rank.want_refresh);
             w.u64(rank.refreshing_until);
             w.u64(rank.closed_cycles);
         }
+        self.protocol.save_state(w);
         self.resp_q.save_state(w, snapio::save_response);
-        w.u64(self.bus_free);
-        w.u64(self.last_data_end);
-        w.u8(match self.last_dir {
-            None => 0,
-            Some(Dir::Rd) => 1,
-            Some(Dir::Wr) => 2,
-        });
         self.coverage.save_state(w);
         w.bool(self.fault.is_some());
         if let Some(fm) = &self.fault {
@@ -1305,34 +1141,16 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
                 )));
             }
             for bank in &mut rank.banks {
-                *bank = read_bank(r)?;
+                bank.open_row = r.opt_u64()?;
+                bank.pending_close = r.opt_u64()?;
             }
-            let n_acts = r.usize()?;
-            rank.act_times.clear();
-            for _ in 0..n_acts {
-                let t = r.u64()?;
-                if rank.act_times.back().is_some_and(|&last| t < last) {
-                    return Err(SnapError::Corrupt(
-                        "activation window times out of order".into(),
-                    ));
-                }
-                rank.act_times.push_back(t);
-            }
-            rank.next_act_rank = r.u64()?;
             rank.refresh_due = r.u64()?;
             rank.want_refresh = r.bool()?;
             rank.refreshing_until = r.u64()?;
             rank.closed_cycles = r.u64()?;
         }
+        self.protocol.restore_state(r)?;
         self.resp_q.restore_state(r, snapio::read_response)?;
-        self.bus_free = r.u64()?;
-        self.last_data_end = r.u64()?;
-        self.last_dir = match r.u8()? {
-            0 => None,
-            1 => Some(Dir::Rd),
-            2 => Some(Dir::Wr),
-            t => return Err(SnapError::Corrupt(format!("unknown bus direction tag {t}"))),
-        };
         // Derived: the count of banks with a scheduled auto-precharge.
         self.pending_closes = self
             .ranks

@@ -5,7 +5,7 @@
 //! | offset | bytes | field                                     |
 //! |--------|-------|-------------------------------------------|
 //! | 0      | 4     | magic `"DCKP"`                            |
-//! | 4      | 4     | format version (`u32`, currently 1)       |
+//! | 4      | 4     | format version (`u32`, currently 2)       |
 //! | 8      | 8     | configuration fingerprint (`u64`)         |
 //! | 16     | …     | component state, written by [`SnapState`] |
 //!
@@ -27,7 +27,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"DCKP";
 
 /// Current snapshot format version. Bump on any layout change — there is
 /// deliberately no cross-version migration, only loud rejection.
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

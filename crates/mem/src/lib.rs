@@ -13,6 +13,8 @@
 //! * [`map`] — the three address decoding schemes of Table I
 //!   (`RoRaBaCoCh`, `RoRaBaChCo`, `RoCoRaBaCh`) with encode/decode in burst
 //!   units;
+//! * [`protocol`] — the DRAM timing rules as one table of inter-command
+//!   constraints, and [`ProtocolState`], the one interpreter of it;
 //! * [`presets`] — ready-made specs for DDR3, DDR4, LPDDR2/3, WideIO,
 //!   GDDR5 and HBM, including the exact Table IV configurations used in the
 //!   paper's future-system case study.
@@ -26,6 +28,7 @@ pub mod ctrl_if;
 pub mod map;
 pub mod packet;
 pub mod presets;
+pub mod protocol;
 pub mod snapio;
 pub mod spec;
 
@@ -34,4 +37,5 @@ pub use coverage::WriteCoverage;
 pub use ctrl_if::{CommonStats, Controller, Rejected};
 pub use map::{degraded_capacity_bytes, remap_rank, AddrMapping, Decoder, DramAddr};
 pub use packet::{MemCmd, MemRequest, MemResponse, ReqId};
+pub use protocol::{ProtocolState, Rule};
 pub use spec::{IddCurrents, MemSpec, Organisation, Timing};

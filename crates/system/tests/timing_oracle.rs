@@ -7,12 +7,18 @@
 //! FR-FCFS), cut to a few tens of thousands of requests, on the event
 //! model and on the cycle baseline; the checker
 //! ([`dramctrl_check::TimingChecker`]) knows the protocol and nothing of
-//! either controller's bank state.
+//! the event model's bank state. The cycle baseline reads the same
+//! protocol table as the checker, so on it the oracle checks the table's
+//! interpreter; the mutation test at the end shows that interpreter uses
+//! every row. Two-rank runs of both models separate the rows scoped to a
+//! rank from one rank to the other.
 
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy, SchedPolicy};
-use dramctrl_check::TimingChecker;
+use dramctrl_check::{Rule, TimingChecker};
 use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
-use dramctrl_mem::{presets, AddrMapping, Controller};
+use dramctrl_kernel::rng::Rng;
+use dramctrl_kernel::Tick;
+use dramctrl_mem::{presets, AddrMapping, Controller, MemRequest, MemSpec, ReqId, Timing};
 use dramctrl_system::{workload, MultiChannel, System, SystemConfig};
 use dramctrl_traffic::{LinearGen, RandomGen, Tester, TrafficGen};
 
@@ -62,6 +68,12 @@ impl Checked for CycleCtrl<TimingChecker> {
 /// Runs `gen` to completion over `ctrls` (behind the crossbar when there
 /// are several) and asserts each one clean; returns the commands checked.
 fn run_checked<C: Checked>(ctrls: Vec<C>, gen: &mut impl TrafficGen) -> usize {
+    let channels = run_clean(ctrls, gen);
+    channels.iter().map(|c| c.checker().commands().len()).sum()
+}
+
+/// [`run_checked`], handing back the controllers.
+fn run_clean<C: Checked>(ctrls: Vec<C>, gen: &mut impl TrafficGen) -> Vec<C> {
     let tester = Tester::new(200_000, 1_000);
     let channels = if ctrls.len() == 1 {
         let mut ctrl = ctrls.into_iter().next().expect("one channel");
@@ -79,7 +91,7 @@ fn run_checked<C: Checked>(ctrls: Vec<C>, gen: &mut impl TrafficGen) -> usize {
         assert!(!checker.commands().is_empty(), "channel {i} issued nothing");
         checker.assert_clean();
     }
-    channels.iter().map(|c| c.checker().commands().len()).sum()
+    channels
 }
 
 fn event(device: &str, channels: u32) -> Vec<DramCtrl<TimingChecker>> {
@@ -165,6 +177,132 @@ fn closed_loop_keeps_the_timing_rules() {
                 "{name}: WideIO channel {ch} sent no command"
             );
             checker.assert_clean();
+        }
+    }
+}
+
+/// The event model and the cycle baseline on a two-rank DDR3-1600
+/// channel, open and closed page, saturated with random 67 % reads: both
+/// ranks activate, refresh and turn the bus around, so tRRD, tXAW, tRFC,
+/// tWTR and PRE→REF each see one rank's commands beside the other's.
+#[test]
+fn two_ranks_keep_the_timing_rules_on_both_models() {
+    let mut spec = presets::by_name("DDR3-1600-x64").expect("a preset");
+    spec.org.ranks = 2;
+    let both_ranks = |checker: &TimingChecker| {
+        let refs = |rank| {
+            let cmds = checker.commands().iter().filter(|c| c.rank == rank);
+            cmds.filter(|c| c.cmd == dramctrl_obs::DramCmd::Ref).count()
+        };
+        assert!(refs(0) > 0 && refs(1) > 0, "a rank never refreshed");
+        checker.commands().len()
+    };
+    let requests = 10_000;
+    for (page, cycle_page) in [
+        (PagePolicy::Open, CyclePagePolicy::Open),
+        (PagePolicy::Closed, CyclePagePolicy::Closed),
+    ] {
+        let mut cfg = CtrlConfig::new(spec.clone());
+        cfg.page_policy = page;
+        cfg.scheduling = SchedPolicy::FrFcfs;
+        cfg.mapping = MAPPING;
+        let ctrl = DramCtrl::with_probe(cfg, TimingChecker::new(&spec)).expect("valid config");
+        let mut gen = RandomGen::new(0, 512 << 20, 64, 67, 0, requests, 1);
+        let done = run_clean(vec![ctrl], &mut gen);
+        assert!(
+            both_ranks(done[0].checker()) > requests as usize,
+            "{page:?}"
+        );
+
+        let mut cfg = CycleConfig::new(spec.clone());
+        cfg.page_policy = cycle_page;
+        cfg.scheduling = CycleSched::FrFcfs;
+        cfg.mapping = MAPPING;
+        let ctrl = CycleCtrl::with_probe(cfg, TimingChecker::new(&spec)).expect("valid config");
+        let mut gen = RandomGen::new(0, 512 << 20, 64, 67, 0, requests, 1);
+        let done = run_clean(vec![ctrl], &mut gen);
+        assert!(
+            both_ranks(done[0].checker()) > requests as usize,
+            "{page:?}"
+        );
+    }
+}
+
+/// A bursty random stream: half the arrivals back to back, reads and
+/// writes of 1 to 256 bytes over a hot 16 KiB (row hits) and a wide 64 MiB
+/// (bank spread), with gaps long enough for refreshes to interleave.
+fn bursty_random(seed: u64, n: u64) -> Vec<(Tick, MemRequest)> {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut t = 0;
+    (0..n)
+        .map(|i| {
+            if rng.gen_bool() {
+                t += rng.gen_range(0..100_000);
+            }
+            let addr = if rng.gen_bool() {
+                rng.gen_range(0..1 << 14)
+            } else {
+                rng.gen_range(0..1 << 26)
+            };
+            let size = match rng.gen_range(0..4) {
+                0 => rng.gen_range_inclusive(1..=64) as u32,
+                1 => 64,
+                2 => 128,
+                _ => 256,
+            };
+            let req = if rng.gen_bool() {
+                MemRequest::read(ReqId(i), addr, size)
+            } else {
+                MemRequest::write(ReqId(i), addr, size)
+            };
+            (t, req)
+        })
+        .collect()
+}
+
+/// The cycle baseline's mutation test. Shaving one clock period off a
+/// timing field in the controller's copy of the spec only — the checker
+/// keeps the device's — makes the baseline break the rule that field
+/// defines, under open page and under closed page. (One picosecond would vanish in
+/// the rounding up to whole cycles.) Every row of the protocol table
+/// reaches the baseline's decisions, so every shave shows.
+#[test]
+fn every_shaved_timing_field_trips_its_rule_on_the_cycle_baseline() {
+    type Field = fn(&mut Timing) -> &mut Tick;
+    let mutants: [(Rule, Field); 11] = [
+        (Rule::Rcd, |t| &mut t.t_rcd),
+        (Rule::Rp, |t| &mut t.t_rp),
+        (Rule::Ras, |t| &mut t.t_ras),
+        (Rule::Rrd, |t| &mut t.t_rrd),
+        (Rule::Xaw, |t| &mut t.t_xaw),
+        (Rule::Rtp, |t| &mut t.t_rtp),
+        (Rule::Wr, |t| &mut t.t_wr),
+        (Rule::Rfc, |t| &mut t.t_rfc),
+        (Rule::DataBus, |t| &mut t.t_burst),
+        (Rule::Wtr, |t| &mut t.t_wtr),
+        (Rule::Rtw, |t| &mut t.t_rtw),
+    ];
+    let device: MemSpec = presets::ddr3_1333_x64();
+    let wl = bursty_random(0x7A1E, 600);
+    for (rule, field) in mutants {
+        for page in [CyclePagePolicy::Open, CyclePagePolicy::Closed] {
+            let mut cfg = CycleConfig::new(device.clone());
+            cfg.page_policy = page;
+            cfg.scheduling = CycleSched::FrFcfs;
+            *field(&mut cfg.spec.timing) -= device.timing.t_ck;
+            let checker = TimingChecker::new(&device);
+            let mut ctrl = CycleCtrl::with_probe(cfg, checker).expect("valid config");
+            let mut out = Vec::new();
+            for &(t, req) in &wl {
+                ctrl.advance_to(t, &mut out);
+                let _ = ctrl.try_send(req, t);
+            }
+            ctrl.drain(&mut out);
+            let tripped = ctrl.probe().tally();
+            assert!(
+                tripped.contains_key(&rule),
+                "{rule}, {page} page: shaving its field tripped only {tripped:?}"
+            );
         }
     }
 }

@@ -6,6 +6,7 @@
 
 use dramctrl::SchedPolicy;
 use dramctrl_campaign::{Campaign, JobSpec, Model};
+use dramctrl_kernel::snap::{SnapError, SnapReader, SNAP_VERSION};
 use dramctrl_runner::{job_fingerprint, run_job, JobRun};
 use std::path::PathBuf;
 
@@ -100,6 +101,28 @@ fn checkpoint_of_one_job_refuses_to_restore_another() {
     std::fs::remove_file(&p).unwrap();
 }
 
+/// Restores `snapshot` into `job`, which must finish byte-identically to
+/// an uninterrupted run; then pauses a fresh run of `job` at 125
+/// injections, which must write exactly `snapshot`.
+fn resumes_and_is_rewritten(job: &JobSpec, snapshot: &[u8], name: &str) {
+    let p = tmp(name);
+    std::fs::write(&p, snapshot).unwrap();
+    let (resumed, _) = JobRun::start(job, 0)
+        .run_resumable(Some(&p), 0, None)
+        .expect("resumed run completes");
+    assert_eq!(exact(&run_job(job)), exact(&resumed));
+
+    let _ = std::fs::remove_file(&p);
+    assert!(JobRun::start(job, 0)
+        .run_resumable(Some(&p), 0, Some(125))
+        .is_none());
+    assert!(
+        std::fs::read(&p).unwrap() == snapshot,
+        "snapshot bytes changed"
+    );
+    std::fs::remove_file(&p).unwrap();
+}
+
 /// Snapshot formats did not change when the crossbar became event-driven,
 /// the tester's outstanding-request table a hash map and the controller's
 /// retry event boxed: a checkpoint written by the commit before all
@@ -111,6 +134,11 @@ fn checkpoint_of_one_job_refuses_to_restore_another() {
 /// 2e11): a pause point chosen, by instrumenting `Ev::save` there, so
 /// that a link-error `Retry` event is pending in a channel's event queue,
 /// next to ~50 outstanding ids in the tester.
+///
+/// Its header says format version 1. Version 2 moved the cycle baseline's
+/// layout only, so the file as written is refused by its version, and
+/// with those four bytes patched it still resumes — and this commit
+/// writes exactly the patched bytes: the event layout did not move.
 #[test]
 fn a_checkpoint_written_by_the_previous_commit_resumes_byte_identically() {
     const FIXTURE: &[u8] = include_bytes!("fixtures/pr12_event_2ch_ras_retry_pending.snap");
@@ -123,21 +151,31 @@ fn a_checkpoint_written_by_the_previous_commit_resumes_byte_identically() {
          seed: 10507770595773694144 }",
         "the fixture belongs to this job"
     );
-    let p = tmp("cross-version.snap");
-    std::fs::write(&p, FIXTURE).unwrap();
-    let (resumed, _) = JobRun::start(&job, 0)
-        .run_resumable(Some(&p), 0, None)
-        .expect("resumed run completes");
-    assert_eq!(exact(&run_job(&job)), exact(&resumed));
+    let refused = SnapReader::new(FIXTURE, job_fingerprint(&job)).err();
+    assert_eq!(refused, Some(SnapError::Version { found: 1 }));
+    assert!(refused.unwrap().to_string().contains("version 1 is not"));
 
-    // And this commit writes the very same bytes at the same pause point.
-    let _ = std::fs::remove_file(&p);
-    assert!(JobRun::start(&job, 0)
-        .run_resumable(Some(&p), 0, Some(125))
-        .is_none());
-    assert!(
-        std::fs::read(&p).unwrap() == FIXTURE,
-        "snapshot bytes changed"
+    let mut patched = FIXTURE.to_vec();
+    patched[4..8].copy_from_slice(&SNAP_VERSION.to_le_bytes());
+    resumes_and_is_rewritten(&job, &patched, "cross-version.snap");
+}
+
+/// The cycle baseline's layout, pinned from the commit that bumped the
+/// format to version 2 (open rows, pending auto-precharges, refresh
+/// bookkeeping and the protocol table's state in place of hand-kept bank
+/// timers): matrix job 15, job 7's twin on the cycle model, paused at 125
+/// injections.
+#[test]
+fn a_cycle_checkpoint_of_version_2_resumes_byte_identically() {
+    const FIXTURE: &[u8] = include_bytes!("fixtures/pr38_cycle_2ch_ras.snap");
+    let job = matrix().into_iter().nth(15).expect("matrix has 16 jobs");
+    assert_eq!(
+        format!("{job:?}"),
+        "JobSpec { index: 15, device: \"DDR3-1333-x64\", model: Cycle, policy: Open, \
+         sched: FrFcfs, mapping: RoRaBaCoCh, channels: 2, traffic: Linear { range: 268435456, \
+         block: 64 }, read_pct: 100, requests: 300, error_rate: 200000000000.0, \
+         seed: 13784604810194909578 }",
+        "the fixture belongs to this job"
     );
-    std::fs::remove_file(&p).unwrap();
+    resumes_and_is_rewritten(&job, FIXTURE, "cycle-v2.snap");
 }
