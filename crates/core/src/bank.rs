@@ -109,7 +109,7 @@ impl Rank {
     }
 
     /// Number of banks with an open row.
-    #[allow(dead_code)] // exercised by tests; kept for diagnostics
+    #[cfg(test)]
     pub fn open_banks(&self) -> usize {
         self.banks.iter().filter(|b| b.open_row.is_some()).count()
     }
@@ -293,7 +293,7 @@ impl OpenTimeline {
     }
 
     /// Time spent with at least one bank open, up to the last `sync`.
-    #[allow(dead_code)] // exercised by tests; kept for diagnostics
+    #[cfg(test)]
     pub fn time_some_open(&self) -> Tick {
         self.time_some_open
     }

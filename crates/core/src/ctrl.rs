@@ -4,15 +4,18 @@ use std::fmt;
 
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{EventQueue, SimStall, Tick};
-use dramctrl_mem::{snapio, ActivityStats, Decoder, MemCmd, MemRequest, MemResponse};
-use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, PowerState, Probe, RasMark};
-use dramctrl_ras::{BurstOutcome, FaultModel, RasGeometry};
+use dramctrl_mem::{
+    burst_count, chop, snapio, ActivityStats, BurstGroup, Decoder, DramAddr, GroupArena, MemCmd,
+    MemRequest, MemResponse,
+};
+use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, PowerState, Probe};
+use dramctrl_ras::{FaultModel, RasGeometry};
 
 use crate::bank::Rank;
 use crate::config::{ConfigError, CtrlConfig, PagePolicy, SchedPolicy};
 #[cfg(test)]
 use crate::queue::covers;
-use crate::queue::{burst_count, chop, BurstGroup, DramPacket, GroupArena};
+use crate::queue::DramPacket;
 use crate::sched::SchedQueue;
 use crate::stats::CtrlStats;
 
@@ -197,18 +200,8 @@ pub struct DramCtrl<P: Probe = NoProbe> {
 /// RAS). Shared by construction and [`DramCtrl::reset`], which must seed
 /// identically.
 fn fault_for(cfg: &CtrlConfig) -> Option<FaultModel> {
-    let org = &cfg.spec.org;
-    cfg.ras.clone().map(|ras| {
-        FaultModel::new(
-            ras,
-            RasGeometry {
-                ranks: org.ranks,
-                banks: org.banks,
-                row_bytes: org.row_buffer_bytes(),
-                rank_bytes: org.capacity_bytes() / u64::from(org.ranks),
-            },
-        )
-    })
+    let geom = RasGeometry::of(&cfg.spec.org);
+    cfg.ras.clone().map(|ras| FaultModel::new(ras, geom))
 }
 
 impl DramCtrl {
@@ -511,9 +504,19 @@ impl<P: Probe> DramCtrl<P> {
         self.write_q.write_covers(burst_addr, lo, hi)
     }
 
+    /// The bank a burst lands in: the mapping's decode, with an offlined
+    /// rank's traffic folded onto the live ranks (RAS degraded mode).
+    #[inline]
+    fn decode(&self, burst_addr: u64) -> DramAddr {
+        let mut da = self.decoder.decode(burst_addr);
+        if let Some(fm) = &self.fault {
+            da.rank = fm.live_rank(da.rank);
+        }
+        da
+    }
+
     fn enqueue_read(&mut self, req: MemRequest, now: Tick) {
-        let org = &self.cfg.spec.org;
-        let burst_bytes = org.burst_bytes();
+        let burst_bytes = self.cfg.spec.org.burst_bytes();
         let gidx = self.groups.insert(BurstGroup {
             req,
             remaining: 0,
@@ -525,18 +528,12 @@ impl<P: Probe> DramCtrl<P> {
                 self.stats.forwarded_reads += 1;
                 continue;
             }
-            let mut da = self.decoder.decode(burst_addr);
-            if let Some(fm) = &self.fault {
-                if fm.offline_mask() != 0 {
-                    da.rank = dramctrl_mem::remap_rank(da.rank, fm.offline_mask(), org.ranks);
-                }
-            }
             self.read_q.push(DramPacket {
                 is_read: true,
                 burst_addr,
                 lo,
                 hi,
-                da,
+                da: self.decode(burst_addr),
                 entry_time: now,
                 priority: self.cfg.priority_of(req.source),
                 group: Some(gidx),
@@ -568,25 +565,18 @@ impl<P: Probe> DramCtrl<P> {
     }
 
     fn enqueue_write(&mut self, req: MemRequest, now: Tick) {
-        let org = &self.cfg.spec.org;
-        let burst_bytes = org.burst_bytes();
+        let burst_bytes = self.cfg.spec.org.burst_bytes();
         for (burst_addr, lo, hi) in chop(req.addr, req.size, burst_bytes) {
             if self.write_queue_covers(burst_addr, lo, hi) {
                 self.stats.merged_writes += 1;
                 continue;
-            }
-            let mut da = self.decoder.decode(burst_addr);
-            if let Some(fm) = &self.fault {
-                if fm.offline_mask() != 0 {
-                    da.rank = dramctrl_mem::remap_rank(da.rank, fm.offline_mask(), org.ranks);
-                }
             }
             self.write_q.push(DramPacket {
                 is_read: false,
                 burst_addr,
                 lo,
                 hi,
-                da,
+                da: self.decode(burst_addr),
                 entry_time: now,
                 priority: self.cfg.priority_of(req.source),
                 group: None,
@@ -751,38 +741,22 @@ impl<P: Probe> DramCtrl<P> {
         // RAS: classify the burst against the fault model; a link error
         // (write CRC / CA parity) re-enqueues the packet after a bounded
         // exponential backoff instead of completing it.
-        if self.fault.is_some() && self.ras_check(&pkt, data_end) {
+        let replay = match &mut self.fault {
+            Some(fm) => {
+                fm.classify_burst(&mut self.probe, &pkt.da, pkt.is_read, pkt.retries, data_end)
+            }
+            None => None,
+        };
+        if let Some(delay) = replay {
             let mut pkt = pkt;
-            let attempt = pkt.retries;
             pkt.retries += 1;
             pkt.priority = u8::MAX; // retried bursts are served first
-            let fm = self.fault.as_mut().expect("checked above");
-            fm.note_retry();
-            let delay = fm.retry_delay(u32::from(attempt));
-            if P::ENABLED {
-                self.probe.ras_event(
-                    pkt.da.rank,
-                    pkt.da.bank,
-                    pkt.da.row,
-                    RasMark::Retry,
-                    data_end,
-                );
-            }
+
             // The bus was consumed even though the data is discarded, so
-            // the write-switch accounting below must still run for writes;
-            // read completion is what the retry defers.
+            // the write-switch accounting must still run for writes; read
+            // completion is what the retry defers.
             if !pkt.is_read {
-                self.writes_this_switch += 1;
-                let switch_back = self.write_q.is_empty()
-                    || (!self.read_q.is_empty()
-                        && self.writes_this_switch >= self.cfg.min_writes_per_switch)
-                    || (self.read_q.is_empty()
-                        && !self.draining
-                        && !self.pd_drain
-                        && self.write_q.len() < self.write_low);
-                if switch_back {
-                    self.bus_state = BusState::Read;
-                }
+                self.note_write_burst();
             }
             self.events.schedule(
                 (data_end + delay).max(self.events.now()),
@@ -815,20 +789,7 @@ impl<P: Probe> DramCtrl<P> {
                 }
             }
         } else {
-            self.writes_this_switch += 1;
-            // Switch back to reads? (paper: minimum writes per switch,
-            // unless the queue empties or, absent reads, the low watermark
-            // is reached.)
-            let switch_back = self.write_q.is_empty()
-                || (!self.read_q.is_empty()
-                    && self.writes_this_switch >= self.cfg.min_writes_per_switch)
-                || (self.read_q.is_empty()
-                    && !self.draining
-                    && !self.pd_drain
-                    && self.write_q.len() < self.write_low);
-            if switch_back {
-                self.bus_state = BusState::Read;
-            }
+            self.note_write_burst();
         }
 
         // Schedule the next scheduling decision (paced by the bus inside
@@ -840,53 +801,23 @@ impl<P: Probe> DramCtrl<P> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // RAS (fault injection, ECC, retry and degradation; `dramctrl-ras`)
-    // ------------------------------------------------------------------
-
-    /// Runs the fault model on a just-transferred burst. Counts and marks
-    /// every outcome; returns `true` when the burst hit a link error with
-    /// retry budget left, telling the caller to re-enqueue it.
-    fn ras_check(&mut self, pkt: &DramPacket, data_end: Tick) -> bool {
-        let fm = self.fault.as_mut().expect("caller checked fault.is_some()");
-        let rep = fm.check(pkt.da.rank, pkt.da.bank, pkt.da.row, pkt.is_read, data_end);
-        let max_retries = fm.max_retries();
-        let mut retry = false;
-        let mark = match rep.outcome {
-            BurstOutcome::Clean => None,
-            BurstOutcome::Corrected => Some(RasMark::Corrected),
-            BurstOutcome::Uncorrected => Some(RasMark::Uncorrected),
-            BurstOutcome::Silent => Some(RasMark::Silent),
-            BurstOutcome::LinkError => {
-                if u32::from(pkt.retries) < max_retries {
-                    retry = true;
-                    None // the caller emits the Retry mark
-                } else {
-                    fm.note_retry_exhausted();
-                    Some(RasMark::Uncorrected)
-                }
-            }
-        };
-        if P::ENABLED {
-            if let Some(mark) = mark {
-                self.probe
-                    .ras_event(pkt.da.rank, pkt.da.bank, pkt.da.row, mark, data_end);
-            }
-            if rep.remapped {
-                self.probe.ras_event(
-                    pkt.da.rank,
-                    pkt.da.bank,
-                    pkt.da.row,
-                    RasMark::Remap,
-                    data_end,
-                );
-            }
-            if let Some(r) = rep.offlined_rank {
-                self.probe
-                    .ras_event(r, 0, 0, RasMark::RankOffline, data_end);
-            }
+    /// Counts a write burst on the bus and switches back to reads when
+    /// the paper's conditions hold: the write queue emptied, or reads wait
+    /// and the minimum writes per switch are done, or — no reads waiting
+    /// and no drain forced — the queue fell below the low watermark.
+    #[inline]
+    fn note_write_burst(&mut self) {
+        self.writes_this_switch += 1;
+        let switch_back = self.write_q.is_empty()
+            || (!self.read_q.is_empty()
+                && self.writes_this_switch >= self.cfg.min_writes_per_switch)
+            || (self.read_q.is_empty()
+                && !self.draining
+                && !self.pd_drain
+                && self.write_q.len() < self.write_low);
+        if switch_back {
+            self.bus_state = BusState::Read;
         }
-        retry
     }
 
     /// Returns a retried packet to its queue at elevated priority once the
@@ -951,30 +882,15 @@ impl<P: Probe> DramCtrl<P> {
             return;
         }
         self.pd_drain = false;
-        let t = self.cfg.spec.timing;
         for ri in 0..self.ranks.len() {
             if self.ranks[ri].powered_down {
                 continue;
             }
             // All banks must be precharged before entering power-down.
             let mut entry = now;
-            let banks = self.ranks[ri].banks.len();
-            for bi in 0..banks {
-                let bank = &mut self.ranks[ri].banks[bi];
-                if bank.open_row.is_some() {
-                    let pre_at = bank.pre_allowed_at.max(now);
-                    bank.open_row = None;
-                    bank.act_allowed_at = bank.act_allowed_at.max(pre_at + t.t_rp);
-                    entry = entry.max(pre_at + t.t_rp);
-                    self.ranks[ri].timeline.close_at(pre_at);
-                    self.stats.precharges += 1;
-                    if P::ENABLED {
-                        self.probe
-                            .dram_cmd(CmdEvent::pre(ri as u32, bi as u32, pre_at, t.t_rp));
-                    }
-                    let fb = self.read_q.flat_bank(ri as u32, bi as u32);
-                    self.read_q.set_open_row(fb, None);
-                    self.write_q.set_open_row(fb, None);
+            for bi in 0..self.ranks[ri].banks.len() {
+                if self.ranks[ri].banks[bi].open_row.is_some() {
+                    entry = entry.max(self.precharge(ri as u32, bi as u32, now, false));
                 }
             }
             let rank = &mut self.ranks[ri];
@@ -1026,28 +942,38 @@ impl<P: Probe> DramCtrl<P> {
     /// Exits power-down on all ranks (new work arrived); the first command
     /// to each rank pays the `t_xp` exit latency.
     fn wake_ranks(&mut self, now: Tick) {
-        let t = self.cfg.spec.timing;
-        for (i, rank) in self.ranks.iter_mut().enumerate() {
-            if !rank.powered_down {
-                continue;
-            }
-            if P::ENABLED {
-                self.probe.power_state(i as u32, PowerState::Active, now);
-            }
-            let exit = if rank.self_refreshing {
-                rank.sr_time += now.saturating_sub(rank.pd_since);
-                t.t_xs
-            } else {
-                rank.pd_time += now.saturating_sub(rank.pd_since);
-                t.t_xp
-            };
-            rank.powered_down = false;
-            rank.self_refreshing = false;
-            rank.next_act_at = rank.next_act_at.max(now + exit);
-            for bank in &mut rank.banks {
-                bank.act_allowed_at = bank.act_allowed_at.max(now + exit);
-            }
+        for ri in 0..self.ranks.len() {
+            self.wake_rank(ri, now);
         }
+    }
+
+    /// Exits power-down or self-refresh on rank `ri`, returning the first
+    /// tick a command may issue to it: `now` for an awake rank, else after
+    /// the `t_xp` (`t_xs`) exit latency, which also floors its activates.
+    #[inline]
+    fn wake_rank(&mut self, ri: usize, now: Tick) -> Tick {
+        let rank = &mut self.ranks[ri];
+        if !rank.powered_down {
+            return now;
+        }
+        if P::ENABLED {
+            self.probe.power_state(ri as u32, PowerState::Active, now);
+        }
+        let t = &self.cfg.spec.timing;
+        let exit = if rank.self_refreshing {
+            rank.sr_time += now.saturating_sub(rank.pd_since);
+            t.t_xs
+        } else {
+            rank.pd_time += now.saturating_sub(rank.pd_since);
+            t.t_xp
+        };
+        rank.powered_down = false;
+        rank.self_refreshing = false;
+        rank.next_act_at = rank.next_act_at.max(now + exit);
+        for bank in &mut rank.banks {
+            bank.act_allowed_at = bank.act_allowed_at.max(now + exit);
+        }
+        now + exit
     }
 
     /// FR-FCFS / FCFS selection (paper Section II-C): slot of the packet
@@ -1277,16 +1203,8 @@ impl<P: Probe> DramCtrl<P> {
         let row_hit = open_row == Some(pkt.da.row);
         if open_row != Some(pkt.da.row) {
             if open_row.is_some() {
-                let bank = &mut self.ranks[ri].banks[bi];
-                let pre_at = bank.pre_allowed_at.max(now);
-                bank.act_allowed_at = bank.act_allowed_at.max(pre_at + t.t_rp);
-                bank.open_row = None;
-                self.ranks[ri].timeline.close_at(pre_at);
-                self.stats.precharges += 1;
-                if P::ENABLED {
-                    self.probe
-                        .dram_cmd(CmdEvent::pre(pkt.da.rank, pkt.da.bank, pre_at, t.t_rp));
-                }
+                // The activate below announces the new row to the queues.
+                self.precharge(pkt.da.rank, pkt.da.bank, now, true);
             }
             let rank = &self.ranks[ri];
             let earliest = rank.banks[bi].act_allowed_at.max(rank.next_act_at).max(now);
@@ -1393,25 +1311,40 @@ impl<P: Probe> DramCtrl<P> {
                 }
             };
         if close {
-            let bank = &mut self.ranks[ri].banks[bi];
-            let pre_at = bank.pre_allowed_at;
-            bank.open_row = None;
-            bank.act_allowed_at = bank.act_allowed_at.max(pre_at + t.t_rp);
-            self.ranks[ri].timeline.close_at(pre_at);
-            self.stats.precharges += 1;
-            if P::ENABLED {
-                self.probe
-                    .dram_cmd(CmdEvent::pre(pkt.da.rank, pkt.da.bank, pre_at, t.t_rp));
-            }
-            let fb = self.read_q.flat_bank(pkt.da.rank, pkt.da.bank);
-            self.read_q.set_open_row(fb, None);
-            self.write_q.set_open_row(fb, None);
+            self.precharge(pkt.da.rank, pkt.da.bank, now, false);
         }
 
         // Fold bank open/close deltas that are now in the past.
         self.ranks[ri].timeline.sync(now);
 
         (data_start, data_end)
+    }
+
+    /// Precharges bank `bank` of rank `rank`, which holds an open row, at
+    /// the first tick from `now` on that its tRAS/tRTP/tWR floor allows,
+    /// and returns the tick it is precharged (tRP later: its activate
+    /// floor). Every PRE the model issues goes through here. With
+    /// `reopen` an activate follows at once and announces the new row to
+    /// the queues' hit index; otherwise the bank is announced closed.
+    #[inline]
+    fn precharge(&mut self, rank: u32, bank: u32, now: Tick, reopen: bool) -> Tick {
+        let t_rp = self.cfg.spec.timing.t_rp;
+        let r = &mut self.ranks[rank as usize];
+        let b = &mut r.banks[bank as usize];
+        let pre_at = b.pre_allowed_at.max(now);
+        b.open_row = None;
+        b.act_allowed_at = b.act_allowed_at.max(pre_at + t_rp);
+        r.timeline.close_at(pre_at);
+        self.stats.precharges += 1;
+        if P::ENABLED {
+            self.probe.dram_cmd(CmdEvent::pre(rank, bank, pre_at, t_rp));
+        }
+        if !reopen {
+            let fb = self.read_q.flat_bank(rank, bank);
+            self.read_q.set_open_row(fb, None);
+            self.write_q.set_open_row(fb, None);
+        }
+        pre_at + t_rp
     }
 
     fn process_refresh(&mut self, rank_idx: usize, now: Tick) {
@@ -1426,37 +1359,16 @@ impl<P: Probe> DramCtrl<P> {
             return;
         }
         // A powered-down rank wakes up (paying t_xp) to refresh.
-        let mut start = now;
-        if self.ranks[rank_idx].powered_down {
-            let rank = &mut self.ranks[rank_idx];
-            rank.powered_down = false;
-            rank.pd_time += now.saturating_sub(rank.pd_since);
-            start = now + t.t_xp;
-            if P::ENABLED {
-                self.probe
-                    .power_state(rank_idx as u32, PowerState::Active, now);
-            }
-        }
+        let mut start = self.wake_rank(rank_idx, now);
         // All banks must be precharged before REF may issue.
-        let banks = self.ranks[rank_idx].banks.len();
-        for bi in 0..banks {
-            let bank = &mut self.ranks[rank_idx].banks[bi];
-            if bank.open_row.is_some() {
-                let pre_at = bank.pre_allowed_at.max(now);
-                bank.open_row = None;
-                start = start.max(pre_at + t.t_rp);
-                self.ranks[rank_idx].timeline.close_at(pre_at);
-                self.stats.precharges += 1;
-                if P::ENABLED {
-                    self.probe
-                        .dram_cmd(CmdEvent::pre(rank_idx as u32, bi as u32, pre_at, t.t_rp));
-                }
-                let fb = self.read_q.flat_bank(rank_idx as u32, bi as u32);
-                self.read_q.set_open_row(fb, None);
-                self.write_q.set_open_row(fb, None);
+        for bi in 0..self.ranks[rank_idx].banks.len() {
+            let bank = &self.ranks[rank_idx].banks[bi];
+            let ready = if bank.open_row.is_some() {
+                self.precharge(rank_idx as u32, bi as u32, now, false)
             } else {
-                start = start.max(bank.act_allowed_at);
-            }
+                bank.act_allowed_at
+            };
+            start = start.max(ready);
         }
         let done = start + t.t_rfc;
         let rank = &mut self.ranks[rank_idx];
@@ -1519,13 +1431,7 @@ impl<P: Probe> DramCtrl<P> {
     pub fn report(&self, prefix: &str, now: Tick) -> dramctrl_stats::Report {
         let mut r = self.stats.report(prefix, now, &self.cfg);
         if let Some(fm) = &self.fault {
-            for (name, v) in fm.stats().entries() {
-                r.counter(name, v);
-            }
-            r.counter(
-                "ras_usable_capacity_bytes",
-                dramctrl_mem::degraded_capacity_bytes(&self.cfg.spec.org, fm.offline_mask()),
-            );
+            fm.report_into(&mut r);
         }
         r
     }
@@ -1572,10 +1478,32 @@ impl<P: Probe> SnapState for DramCtrl<P> {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.events.restore_state(r, Ev::read)?;
+        // Retried bursts wait in the event queue, restored before the
+        // arena their reads name.
+        let mut retried = Vec::new();
+        self.events.restore_state(r, |r| {
+            let ev = Ev::read(r)?;
+            if let Ev::Retry(pkt) = &ev {
+                retried.push((pkt.is_read, pkt.group));
+            }
+            Ok(ev)
+        })?;
         self.read_q.restore_state(r)?;
         self.write_q.restore_state(r)?;
         self.groups.restore_state(r)?;
+        let queued = self
+            .read_q
+            .iter_packets()
+            .chain(self.write_q.iter_packets());
+        for (is_read, group) in queued.map(|p| (p.is_read, p.group)).chain(retried) {
+            match group {
+                Some(g) => self.groups.check_live(g)?,
+                None if is_read => {
+                    return Err(SnapError::Corrupt("read burst without a group".into()))
+                }
+                None => {}
+            }
+        }
         let n_ranks = r.usize()?;
         if n_ranks != self.ranks.len() {
             return Err(SnapError::Corrupt(format!(
@@ -1683,5 +1611,78 @@ impl<P: Probe> dramctrl_mem::Controller for DramCtrl<P> {
 
     fn report(&self, prefix: &str, now: Tick) -> dramctrl_stats::Report {
         DramCtrl::report(self, prefix, now)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dramctrl_mem::{presets, ReqId};
+
+    /// Snapshot bytes of one writer filled by `f`, header included.
+    fn bytes_of(f: &dyn Fn(&mut SnapWriter)) -> Vec<u8> {
+        let mut w = SnapWriter::new(0);
+        f(&mut w);
+        w.into_bytes()
+    }
+
+    /// `ctrl`'s snapshot with its burst-group arena swapped for `arena`.
+    fn with_arena(ctrl: &DramCtrl, arena: &GroupArena) -> Vec<u8> {
+        let header = bytes_of(&|_| {}).len();
+        let whole = bytes_of(&|w| ctrl.save_state(w));
+        let before = bytes_of(&|w| {
+            ctrl.events.save_state(w, |w, ev| ev.save(w));
+            ctrl.read_q.save_state(w);
+            ctrl.write_q.save_state(w);
+        })
+        .len();
+        let own = bytes_of(&|w| ctrl.groups.save_state(w)).len() - header;
+        let mut spliced = whole[..before].to_vec();
+        spliced.extend_from_slice(&bytes_of(&|w| arena.save_state(w))[header..]);
+        spliced.extend_from_slice(&whole[before + own..]);
+        spliced
+    }
+
+    fn restore(cfg: &CtrlConfig, bytes: &[u8]) -> Result<DramCtrl, SnapError> {
+        let mut ctrl = DramCtrl::new(cfg.clone()).expect("valid config");
+        ctrl.restore_state(&mut SnapReader::new(bytes, 0)?)?;
+        Ok(ctrl)
+    }
+
+    /// A queued read, or a retried one waiting out its backoff, whose
+    /// group slot is dead would panic when served: restore refuses it.
+    #[test]
+    fn restore_refuses_a_burst_whose_group_slot_is_dead() {
+        let cfg = CtrlConfig::new(presets::ddr3_1333_x64());
+        let mut holding = DramCtrl::new(cfg.clone()).unwrap();
+        holding
+            .try_send(MemRequest::read(ReqId(0), 0x40, 64), 0)
+            .unwrap();
+        // The splice is sound: with its own arena the snapshot serves.
+        let own = with_arena(&holding, &holding.groups);
+        let mut out = Vec::new();
+        restore(&cfg, &own).expect("own arena").drain(&mut out);
+        assert_eq!(out.len(), 1);
+
+        let idle = DramCtrl::new(cfg.clone()).unwrap();
+        let err = restore(&cfg, &with_arena(&holding, &idle.groups)).err();
+        assert!(err.is_some_and(|e| e.to_string().contains("dead group 0")));
+
+        let mut retrying = DramCtrl::new(cfg.clone()).unwrap();
+        let pkt = DramPacket {
+            is_read: true,
+            burst_addr: 0x40,
+            lo: 0,
+            hi: 64,
+            da: retrying.decode(0x40),
+            entry_time: 0,
+            priority: u8::MAX,
+            group: Some(0),
+            seq: 0,
+            retries: 1,
+        };
+        retrying.events.schedule(10_000, Ev::Retry(Box::new(pkt)));
+        let err = restore(&cfg, &bytes_of(&|w| retrying.save_state(w))).err();
+        assert!(err.is_some_and(|e| e.to_string().contains("dead group 0")));
     }
 }

@@ -614,6 +614,7 @@ impl SchedQueue {
         let n_slots = r.usize()?;
         self.clear_to_empty();
         let mut order: Vec<(u64, u32)> = Vec::new();
+        let ranks = self.by_bank.len() / self.banks_per_rank as usize;
         for slot in 0..n_slots {
             self.nodes.push(UNLINKED);
             if !r.bool()? {
@@ -627,10 +628,16 @@ impl SchedQueue {
                     pkt.seq, self.next_seq
                 )));
             }
-            let b = self.flat_bank(pkt.da.rank, pkt.da.bank);
-            if b as usize >= self.by_bank.len() {
+            if pkt.da.bank >= self.banks_per_rank || pkt.da.rank as usize >= ranks {
                 return Err(SnapError::Corrupt(format!(
-                    "packet bank {b} outside device geometry"
+                    "packet rank {} bank {} outside device geometry",
+                    pkt.da.rank, pkt.da.bank
+                )));
+            }
+            if pkt.lo >= pkt.hi {
+                return Err(SnapError::Corrupt(format!(
+                    "packet covers the empty span [{}, {})",
+                    pkt.lo, pkt.hi
                 )));
             }
             order.push((pkt.seq, slot as u32));
@@ -677,7 +684,6 @@ impl SchedQueue {
     }
 
     /// Live packets in unspecified order (for order-independent scans).
-    #[cfg(test)]
     pub fn iter_packets(&self) -> impl Iterator<Item = &DramPacket> {
         self.slots.iter().filter_map(Option::as_ref)
     }

@@ -16,11 +16,11 @@ use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{Clock, EventQueue, Tick};
 use dramctrl_mem::protocol::{Edge, ProtocolState};
 use dramctrl_mem::{
-    snapio, ActivityStats, CommonStats, Controller, Decoder, DramAddr, MemCmd, MemRequest,
-    MemResponse, MemSpec, Rejected, Rule, WriteCoverage,
+    burst_count, chop, snapio, ActivityStats, BurstGroup, CommonStats, Controller, Decoder,
+    DramAddr, GroupArena, MemCmd, MemRequest, MemResponse, MemSpec, Rejected, Rule, WriteCoverage,
 };
-use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, Probe, RasMark};
-use dramctrl_ras::{BurstOutcome, FaultModel, RasGeometry};
+use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, Probe};
+use dramctrl_ras::{FaultModel, RasGeometry};
 use dramctrl_stats::{Average, Report};
 
 use crate::config::{CycleConfig, CycleConfigError, CyclePagePolicy, CycleSched};
@@ -86,13 +86,6 @@ struct Txn {
     /// Earliest cycle at which this transaction may issue again — the
     /// retry backoff of the RAS model (0 without one).
     not_before: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Group {
-    req: MemRequest,
-    remaining: u32,
-    ready_at: Tick,
 }
 
 /// The column command of a read or a write burst.
@@ -178,8 +171,7 @@ pub struct CycleCtrl<P: Probe = NoProbe> {
     protocol: ProtocolState,
     cycle: u64,
     queue: VecDeque<Txn>,
-    groups: Vec<Option<Group>>,
-    free_groups: Vec<usize>,
+    groups: GroupArena,
     ranks: Vec<CycRank>,
     resp_q: EventQueue<MemResponse>,
     pending_closes: usize,
@@ -216,21 +208,12 @@ impl<P: Probe> CycleCtrl<P> {
             .collect();
         let protocol = ProtocolState::new(&cfg.spec, |t| clk.to_cycles_ceil(t));
         let queue = VecDeque::with_capacity(cfg.queue_depth);
+        let groups = GroupArena::with_capacity(cfg.queue_depth);
         let resp_q = EventQueue::with_capacity(cfg.queue_depth);
-        let org = &cfg.spec.org;
-        let fault = cfg.ras.clone().map(|ras| {
-            FaultModel::new(
-                ras,
-                RasGeometry {
-                    ranks: org.ranks,
-                    banks: org.banks,
-                    row_bytes: org.row_buffer_bytes(),
-                    rank_bytes: org.capacity_bytes() / u64::from(org.ranks),
-                },
-            )
-        });
+        let geom = RasGeometry::of(&cfg.spec.org);
+        let fault = cfg.ras.clone().map(|ras| FaultModel::new(ras, geom));
         Ok(Self {
-            decoder: Decoder::new(cfg.mapping, org, cfg.channels),
+            decoder: Decoder::new(cfg.mapping, &cfg.spec.org, cfg.channels),
             cfg,
             probe,
             protocol,
@@ -238,8 +221,7 @@ impl<P: Probe> CycleCtrl<P> {
             refi,
             cycle: 0,
             queue,
-            groups: Vec::new(),
-            free_groups: Vec::new(),
+            groups,
             ranks,
             resp_q,
             pending_closes: 0,
@@ -285,23 +267,6 @@ impl<P: Probe> CycleCtrl<P> {
         if P::ENABLED {
             let reads = self.queue.iter().filter(|t| t.is_read).count();
             self.probe.queue_depth(reads, self.queue.len() - reads, now);
-        }
-    }
-
-    fn burst_count(&self, addr: u64, size: u32) -> usize {
-        let bb = self.cfg.spec.org.burst_bytes();
-        let first = addr / bb;
-        let last = (addr + u64::from(size)).div_ceil(bb);
-        (last - first) as usize
-    }
-
-    fn alloc_group(&mut self, g: Group) -> usize {
-        if let Some(i) = self.free_groups.pop() {
-            self.groups[i] = Some(g);
-            i
-        } else {
-            self.groups.push(Some(g));
-            self.groups.len() - 1
         }
     }
 
@@ -454,14 +419,7 @@ impl<P: Probe> CycleCtrl<P> {
         self.stats.bus_busy += burst;
         if P::ENABLED {
             self.probe.dram_cmd(CmdEvent {
-                req: txn.is_read.then(|| {
-                    self.groups[txn.group]
-                        .as_ref()
-                        .expect("live group")
-                        .req
-                        .id
-                        .0
-                }),
+                req: txn.is_read.then(|| self.groups.get(txn.group).req.id.0),
                 ..CmdEvent::data(
                     cmd,
                     txn.da.rank,
@@ -496,23 +454,21 @@ impl<P: Probe> CycleCtrl<P> {
 
         // Response bookkeeping.
         let ready = self.clk.cycles(data_end);
-        if self.fault.is_some() && self.ras_check(&txn, ready) {
+        let replay = match &mut self.fault {
+            Some(fm) => {
+                fm.classify_burst(&mut self.probe, &txn.da, txn.is_read, txn.retries, ready)
+            }
+            None => None,
+        };
+        if let Some(backoff) = replay {
             // Link-layer error: the burst is replayed after a backoff. The
             // command and bus time are already spent; only completion is
             // withheld, so the group stays pending and the transaction
             // re-enters the unified queue (FIFO — the cycle baseline has no
             // priority lanes).
             let mut txn = txn;
-            let attempt = txn.retries;
             txn.retries += 1;
-            let fm = self.fault.as_mut().expect("checked above");
-            fm.note_retry();
-            let backoff = self.clk.to_cycles_ceil(fm.retry_delay(u32::from(attempt)));
-            txn.not_before = data_end + backoff;
-            if P::ENABLED {
-                self.probe
-                    .ras_event(txn.da.rank, txn.da.bank, txn.da.row, RasMark::Retry, ready);
-            }
+            txn.not_before = data_end + self.clk.to_cycles_ceil(backoff);
             if self.cfg.write_snooping && !txn.is_read {
                 self.coverage.insert(txn.burst_addr, txn.lo, txn.hi);
             }
@@ -522,12 +478,11 @@ impl<P: Probe> CycleCtrl<P> {
         if txn.is_read {
             self.stats.read_lat.record((ready - txn.entry) as f64);
         }
-        let group = self.groups[txn.group].as_mut().expect("live group");
+        let group = self.groups.get_mut(txn.group);
         group.remaining -= 1;
         group.ready_at = group.ready_at.max(ready);
         if group.remaining == 0 {
-            let group = self.groups[txn.group].take().expect("live group");
-            self.free_groups.push(txn.group);
+            let group = self.groups.remove(txn.group);
             if group.req.cmd.is_read() {
                 self.resp_q.schedule(
                     group.ready_at.max(self.resp_q.now()),
@@ -602,55 +557,6 @@ impl<P: Probe> CycleCtrl<P> {
     }
 
     // --------------------------------------------------------------
-    // RAS (fault injection, ECC, link retry) — mirrors the event model
-    // --------------------------------------------------------------
-
-    /// Runs the fault model for a burst whose data ends at `data_end`
-    /// (ticks). Returns true when the burst must be replayed (a link error
-    /// with retry budget left); the caller re-queues it. Only called when
-    /// a fault model is configured.
-    fn ras_check(&mut self, txn: &Txn, data_end: Tick) -> bool {
-        let fm = self.fault.as_mut().expect("caller checked");
-        let rep = fm.check(txn.da.rank, txn.da.bank, txn.da.row, txn.is_read, data_end);
-        let mut retry = false;
-        let mark = match rep.outcome {
-            BurstOutcome::Clean => None,
-            BurstOutcome::Corrected => Some(RasMark::Corrected),
-            BurstOutcome::Uncorrected => Some(RasMark::Uncorrected),
-            BurstOutcome::Silent => Some(RasMark::Silent),
-            BurstOutcome::LinkError => {
-                if u32::from(txn.retries) < fm.max_retries() {
-                    retry = true;
-                    None // the caller emits the retry mark
-                } else {
-                    fm.note_retry_exhausted();
-                    Some(RasMark::Uncorrected)
-                }
-            }
-        };
-        if P::ENABLED {
-            if let Some(mark) = mark {
-                self.probe
-                    .ras_event(txn.da.rank, txn.da.bank, txn.da.row, mark, data_end);
-            }
-            if rep.remapped {
-                self.probe.ras_event(
-                    txn.da.rank,
-                    txn.da.bank,
-                    txn.da.row,
-                    RasMark::Remap,
-                    data_end,
-                );
-            }
-            if let Some(r) = rep.offlined_rank {
-                self.probe
-                    .ras_event(r, 0, 0, RasMark::RankOffline, data_end);
-            }
-        }
-        retry
-    }
-
-    // --------------------------------------------------------------
     // Time advancement
     // --------------------------------------------------------------
 
@@ -712,7 +618,7 @@ impl<P: Probe> CycleCtrl<P> {
 impl<P: Probe> Controller for CycleCtrl<P> {
     fn try_send(&mut self, req: MemRequest, now: Tick) -> Result<(), Rejected> {
         assert!(req.size > 0, "zero-sized request");
-        let n = self.burst_count(req.addr, req.size);
+        let n = burst_count(req.addr, req.size, self.cfg.spec.org.burst_bytes());
         if n > self.cfg.queue_depth {
             return Err(Rejected::TooLarge);
         }
@@ -735,18 +641,13 @@ impl<P: Probe> Controller for CycleCtrl<P> {
             self.probe
                 .req_accepted(req.id.0, is_read, req.addr, req.size, now);
         }
-        let gidx = self.alloc_group(Group {
+        let gidx = self.groups.insert(BurstGroup {
             req,
             remaining: 0,
             ready_at: 0,
         });
-        let bb = self.cfg.spec.org.burst_bytes();
-        let end = req.addr + u64::from(req.size);
-        let mut b = req.addr / bb * bb;
         let mut pending = 0u32;
-        while b < end {
-            let lo = (req.addr.max(b) - b) as u32;
-            let hi = (end.min(b + bb) - b) as u32;
+        for (b, lo, hi) in chop(req.addr, req.size, self.cfg.spec.org.burst_bytes()) {
             // Optional write snooping (paper Section II-A), answered from
             // the same O(1) coverage index the event-based model uses.
             if self.cfg.write_snooping && self.coverage.covers(b, lo, hi) {
@@ -755,7 +656,6 @@ impl<P: Probe> Controller for CycleCtrl<P> {
                 } else {
                     self.stats.merged_writes += 1;
                 }
-                b += bb;
                 continue;
             }
             if self.cfg.write_snooping && !is_read {
@@ -763,15 +663,7 @@ impl<P: Probe> Controller for CycleCtrl<P> {
             }
             let mut da = self.decoder.decode(b);
             if let Some(fm) = &self.fault {
-                // Degraded mode: traffic to offlined ranks lands on the
-                // remaining live ones (capacity loss, not an abort).
-                if fm.offline_mask() != 0 {
-                    da.rank = dramctrl_mem::remap_rank(
-                        da.rank,
-                        fm.offline_mask(),
-                        self.cfg.spec.org.ranks,
-                    );
-                }
+                da.rank = fm.live_rank(da.rank);
             }
             self.queue.push_back(Txn {
                 is_read,
@@ -786,12 +678,10 @@ impl<P: Probe> Controller for CycleCtrl<P> {
                 not_before: 0,
             });
             pending += 1;
-            b += bb;
         }
         if pending == 0 {
             // Entirely covered by queued writes: nothing to simulate.
-            self.groups[gidx] = None;
-            self.free_groups.push(gidx);
+            self.groups.remove(gidx);
             if is_read {
                 self.resp_q
                     .schedule(now.max(self.resp_q.now()), MemResponse::to(&req, now));
@@ -800,7 +690,7 @@ impl<P: Probe> Controller for CycleCtrl<P> {
                 }
             }
         } else {
-            self.groups[gidx].as_mut().expect("live group").remaining = pending;
+            self.groups.get_mut(gidx).remaining = pending;
         }
         self.probe_queue_depth(now);
         if !is_read {
@@ -815,7 +705,8 @@ impl<P: Probe> Controller for CycleCtrl<P> {
     }
 
     fn can_accept(&self, _cmd: MemCmd, addr: u64, size: u32) -> bool {
-        self.queue.len() + self.burst_count(addr, size) <= self.cfg.queue_depth
+        let n = burst_count(addr, size, self.cfg.spec.org.burst_bytes());
+        self.queue.len() + n <= self.cfg.queue_depth
     }
 
     fn next_event(&self) -> Option<Tick> {
@@ -962,13 +853,7 @@ impl<P: Probe> Controller for CycleCtrl<P> {
             dramctrl_kernel::tick::to_ns(s.read_lat.mean() as Tick),
         );
         if let Some(fm) = &self.fault {
-            for (name, v) in fm.stats().entries() {
-                r.counter(name, v);
-            }
-            r.counter(
-                "ras_usable_capacity_bytes",
-                dramctrl_mem::degraded_capacity_bytes(&self.cfg.spec.org, fm.offline_mask()),
-            );
+            fm.report_into(&mut r);
         }
         r
     }
@@ -1024,22 +909,7 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
         for txn in &self.queue {
             save_txn(w, txn);
         }
-        w.usize(self.groups.len());
-        for slot in &self.groups {
-            match slot {
-                Some(g) => {
-                    w.bool(true);
-                    snapio::save_request(w, &g.req);
-                    w.u32(g.remaining);
-                    w.u64(g.ready_at);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.usize(self.free_groups.len());
-        for &f in &self.free_groups {
-            w.usize(f);
-        }
+        self.groups.save_state(w);
         w.usize(self.ranks.len());
         for rank in &self.ranks {
             w.usize(rank.banks.len());
@@ -1082,48 +952,24 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        // `next_event` turns the next cycle and every refresh deadline
+        // into ticks: both must stay inside the tick range.
+        let horizon = u64::MAX / self.clk.period() - 1;
         self.cycle = r.u64()?;
+        if self.cycle > horizon {
+            return Err(SnapError::Corrupt(format!(
+                "cycle {} past the tick range",
+                self.cycle
+            )));
+        }
         let n_txn = r.usize()?;
         self.queue.clear();
         for _ in 0..n_txn {
             self.queue.push_back(read_txn(r)?);
         }
-        let n_groups = r.usize()?;
-        self.groups.clear();
-        for _ in 0..n_groups {
-            if r.bool()? {
-                self.groups.push(Some(Group {
-                    req: snapio::read_request(r)?,
-                    remaining: r.u32()?,
-                    ready_at: r.u64()?,
-                }));
-            } else {
-                self.groups.push(None);
-            }
-        }
-        let n_free = r.usize()?;
-        self.free_groups.clear();
-        for _ in 0..n_free {
-            let f = r.usize()?;
-            if self.groups.get(f).map_or(true, Option::is_some) {
-                return Err(SnapError::Corrupt(format!("free-list entry {f} not free")));
-            }
-            self.free_groups.push(f);
-        }
-        let empty = self.groups.iter().filter(|s| s.is_none()).count();
-        if empty != self.free_groups.len() {
-            return Err(SnapError::Corrupt(format!(
-                "{empty} empty group slots but {} free-list entries",
-                self.free_groups.len()
-            )));
-        }
+        self.groups.restore_state(r)?;
         for txn in &self.queue {
-            if self.groups.get(txn.group).map_or(true, Option::is_none) {
-                return Err(SnapError::Corrupt(format!(
-                    "queued burst references dead group {}",
-                    txn.group
-                )));
-            }
+            self.groups.check_live(txn.group)?;
         }
         let n_ranks = r.usize()?;
         if n_ranks != self.ranks.len() {
@@ -1145,6 +991,12 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
                 bank.pending_close = r.opt_u64()?;
             }
             rank.refresh_due = r.u64()?;
+            if rank.refresh_due > horizon && rank.refresh_due != u64::MAX {
+                return Err(SnapError::Corrupt(format!(
+                    "refresh due at cycle {} past the tick range",
+                    rank.refresh_due
+                )));
+            }
             rank.want_refresh = r.bool()?;
             rank.refreshing_until = r.u64()?;
             rank.closed_cycles = r.u64()?;

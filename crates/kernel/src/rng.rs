@@ -111,6 +111,46 @@ impl Rng {
         self.next_u64() & 1 == 1
     }
 
+    /// `base` after one to four seeded byte-level mutations — truncate,
+    /// overwrite a byte, insert a run of bytes, append a copy of a slice,
+    /// or drop a slice: the mutator the decoder fuzz tests share, so a
+    /// failure reproduces from the seed alone.
+    #[must_use]
+    pub fn mutate(&mut self, base: &[u8]) -> Vec<u8> {
+        let mut b = base.to_vec();
+        for _ in 0..=self.gen_range(0..4) {
+            if b.is_empty() {
+                break;
+            }
+            let len = b.len() as u64;
+            match self.gen_range(0..5) {
+                0 => b.truncate(self.gen_range(0..len) as usize),
+                1 => {
+                    let i = self.gen_range(0..len) as usize;
+                    b[i] = (self.next_u64() & 0xff) as u8;
+                }
+                2 => {
+                    let i = self.gen_range(0..len + 1) as usize;
+                    for _ in 0..self.gen_range(1..8) {
+                        b.insert(i, (self.next_u64() & 0x7f) as u8);
+                    }
+                }
+                3 => {
+                    let i = self.gen_range(0..len) as usize;
+                    let j = self.gen_range(i as u64..len) as usize + 1;
+                    let slice: Vec<u8> = b[i..j].to_vec();
+                    b.extend_from_slice(&slice);
+                }
+                _ => {
+                    let i = self.gen_range(0..len) as usize;
+                    let j = self.gen_range(i as u64..len) as usize + 1;
+                    b.drain(i..j);
+                }
+            }
+        }
+        b
+    }
+
     /// The raw xoshiro256** state, for checkpointing. A generator rebuilt
     /// with [`from_state`](Self::from_state) continues the exact stream.
     #[must_use]

@@ -171,7 +171,7 @@ impl dramctrl_kernel::snap::SnapState for WriteCoverage {
             if n_spans == 0 {
                 return Err(SnapError::Corrupt(format!("burst {k:#x} with no spans")));
             }
-            let mut spans = Vec::with_capacity(n_spans);
+            let mut spans = Vec::new(); // not reserved: the count is unchecked input
             for _ in 0..n_spans {
                 let lo = r.u32()?;
                 let hi = r.u32()?;

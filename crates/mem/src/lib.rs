@@ -15,6 +15,8 @@
 //!   units;
 //! * [`protocol`] — the DRAM timing rules as one table of inter-command
 //!   constraints, and [`ProtocolState`], the one interpreter of it;
+//! * [`queue`] — burst chopping and the burst-group arena, the request
+//!   plumbing both controllers run;
 //! * [`presets`] — ready-made specs for DDR3, DDR4, LPDDR2/3, WideIO,
 //!   GDDR5 and HBM, including the exact Table IV configurations used in the
 //!   paper's future-system case study.
@@ -29,13 +31,15 @@ pub mod map;
 pub mod packet;
 pub mod presets;
 pub mod protocol;
+pub mod queue;
 pub mod snapio;
 pub mod spec;
 
 pub use activity::ActivityStats;
 pub use coverage::WriteCoverage;
 pub use ctrl_if::{CommonStats, Controller, Rejected};
-pub use map::{degraded_capacity_bytes, remap_rank, AddrMapping, Decoder, DramAddr};
+pub use map::{AddrMapping, Decoder, DramAddr};
 pub use packet::{MemCmd, MemRequest, MemResponse, ReqId};
 pub use protocol::{ProtocolState, Rule};
+pub use queue::{burst_count, chop, BurstGroup, GroupArena};
 pub use spec::{IddCurrents, MemSpec, Organisation, Timing};

@@ -298,35 +298,6 @@ impl Decoder {
 /// narrow (sub-line-burst) interfaces like LPDDR3 x32.
 pub const MIN_CHANNEL_GRANULE: u64 = 64;
 
-/// Redirects a decoded rank around offlined ranks (bit `r` of
-/// `offline_mask` set = rank `r` offline): the first live rank at or
-/// (cyclically) after `rank`. With every rank offline the rank is
-/// returned unchanged — the caller guarantees at least one survivor.
-///
-/// This is the RAS graceful-degradation hook: after a hard rank failure
-/// the controller keeps decoding addresses with the normal mapping and
-/// then folds the dead rank's traffic onto the survivors, trading
-/// capacity (see [`degraded_capacity_bytes`]) for availability.
-pub fn remap_rank(rank: u32, offline_mask: u32, ranks: u32) -> u32 {
-    if ranks == 0 || offline_mask.count_ones() >= ranks {
-        return rank;
-    }
-    let mut r = rank % ranks;
-    while offline_mask & (1 << r) != 0 {
-        r = (r + 1) % ranks;
-    }
-    r
-}
-
-/// The usable channel capacity in bytes once the ranks in `offline_mask`
-/// have been offlined — the capacity loss a degraded channel surfaces to
-/// the rest of the system.
-pub fn degraded_capacity_bytes(org: &Organisation, offline_mask: u32) -> u64 {
-    let offline = u64::from(offline_mask.count_ones().min(org.ranks));
-    let ranks = u64::from(org.ranks);
-    org.capacity_bytes() / ranks * (ranks - offline)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,37 +406,6 @@ mod tests {
             assert!(d.row < org.rows_per_bank());
             assert!(d.col < org.bursts_per_row());
         }
-    }
-
-    #[test]
-    fn remap_rank_skips_offline_ranks() {
-        // No offlining: identity.
-        for r in 0..4 {
-            assert_eq!(remap_rank(r, 0, 4), r);
-        }
-        // Rank 1 offline: its traffic folds onto rank 2.
-        assert_eq!(remap_rank(1, 0b0010, 4), 2);
-        assert_eq!(remap_rank(0, 0b0010, 4), 0);
-        // Wrap-around: ranks 2 and 3 offline, rank 3 folds onto 0.
-        assert_eq!(remap_rank(3, 0b1100, 4), 0);
-        // Degenerate masks leave the rank alone.
-        assert_eq!(remap_rank(2, 0b1111, 4), 2);
-        assert_eq!(remap_rank(2, 0, 0), 2);
-    }
-
-    #[test]
-    fn degraded_capacity_scales_with_live_ranks() {
-        let org = org();
-        let full = org.capacity_bytes();
-        assert_eq!(degraded_capacity_bytes(&org, 0), full);
-        let one_down = degraded_capacity_bytes(&org, 0b01);
-        assert_eq!(
-            one_down,
-            full / u64::from(org.ranks) * (u64::from(org.ranks) - 1)
-        );
-        assert!(one_down < full);
-        // All ranks claimed offline: capacity floors at zero.
-        assert_eq!(degraded_capacity_bytes(&org, u32::MAX), 0);
     }
 
     /// Distinct burst-aligned addresses within one channel never decode

@@ -3,6 +3,7 @@
 
 use crate::ecc::EccMode;
 use dramctrl_kernel::Tick;
+use dramctrl_mem::Organisation;
 
 /// Configuration of the fault-injection / ECC / recovery layer.
 ///
@@ -128,9 +129,8 @@ impl std::fmt::Display for RasConfigError {
 
 impl std::error::Error for RasConfigError {}
 
-/// The slice of device geometry the injector scales its rates by. The
-/// controllers derive it from their `Organisation`; the crate takes plain
-/// numbers to stay dependency-free.
+/// The slice of device geometry the injector scales its rates by
+/// ([`RasGeometry::of`] derives it from a channel's organisation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RasGeometry {
     /// Ranks on the channel.
@@ -144,6 +144,16 @@ pub struct RasGeometry {
 }
 
 impl RasGeometry {
+    /// The geometry of a channel organised as `org`.
+    pub fn of(org: &Organisation) -> Self {
+        Self {
+            ranks: org.ranks,
+            banks: org.banks,
+            row_bytes: org.row_buffer_bytes(),
+            rank_bytes: org.capacity_bytes() / u64::from(org.ranks),
+        }
+    }
+
     /// Gigabits covered by one row.
     pub(crate) fn row_gigabits(&self) -> f64 {
         self.row_bytes as f64 * 8.0 / 1e9

@@ -1,11 +1,13 @@
 //! The fault injector and degradation bookkeeping engine.
 //!
-//! The controllers call [`FaultModel::check`] once per serviced burst
-//! (at the tick the data transfer completes) and act on the returned
-//! [`BurstReport`]: retry on link errors, keep going on corrected or
-//! silent faults, degrade (remap / offline) on uncorrectable ones — the
-//! degradation decision itself is made here so both controllers share one
-//! policy.
+//! The controllers call [`FaultModel::classify_burst`] once per serviced
+//! burst (at the tick the data transfer completes): it runs
+//! [`FaultModel::check`], marks the outcome on the controller's probe and
+//! tells the controller whether to replay the burst (a link error with
+//! retry budget left). Corrected and silent faults keep going,
+//! uncorrectable ones degrade (remap / offline) — the degradation decision
+//! is made here, and [`FaultModel::live_rank`] folds an offlined rank's
+//! traffic onto the survivors, so both controllers share one policy.
 
 use crate::config::{per_tick, RasConfig, RasGeometry};
 use crate::ecc::{classify, EccOutcome};
@@ -13,6 +15,9 @@ use dramctrl_kernel::hash::DetMap;
 use dramctrl_kernel::rng::splitmix64;
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
+use dramctrl_mem::DramAddr;
+use dramctrl_obs::{Probe, RasMark};
+use dramctrl_stats::Report;
 
 /// The kinds of fault the injector models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -355,7 +360,6 @@ impl SnapState for FaultModel {
         };
         let n_log = r.usize()?;
         self.log.clear();
-        self.log.reserve(n_log);
         for _ in 0..n_log {
             self.log.push(FaultRecord {
                 at: r.u64()?,
@@ -368,6 +372,20 @@ impl SnapState for FaultModel {
         }
         Ok(())
     }
+}
+
+/// The first rank at or (cyclically) after `rank` whose bit in
+/// `offline_mask` is clear. With every rank offline the rank is returned
+/// unchanged — the model never offlines the last survivor.
+fn remap_rank(rank: u32, offline_mask: u32, ranks: u32) -> u32 {
+    if ranks == 0 || offline_mask.count_ones() >= ranks {
+        return rank;
+    }
+    let mut r = rank % ranks;
+    while offline_mask & (1 << r) != 0 {
+        r = (r + 1) % ranks;
+    }
+    r
 }
 
 /// Uniform `[0, 1)` from a u64 draw, bit-exact on every platform.
@@ -481,16 +499,84 @@ impl FaultModel {
         self.cfg.retry_backoff << attempt.min(16)
     }
 
-    /// Counts one in-queue retry.
-    pub fn note_retry(&mut self) {
-        self.stats.retries += 1;
+    /// The rank that serves a burst the address mapping decoded to
+    /// `rank`: the rank itself while it is online, else the first live
+    /// rank at or (cyclically) after it. The mapping is never changed: a
+    /// dead rank's traffic folds onto the survivors, trading capacity
+    /// (`ras_usable_capacity_bytes`) for availability.
+    #[inline]
+    pub fn live_rank(&self, rank: u32) -> u32 {
+        if self.offline_mask == 0 {
+            rank
+        } else {
+            remap_rank(rank, self.offline_mask, self.geom.ranks)
+        }
     }
 
-    /// Counts a burst that exhausted its retry budget; the give-up is a
-    /// detected-uncorrected error.
-    pub fn note_retry_exhausted(&mut self) {
-        self.stats.retries_exhausted += 1;
-        self.stats.uncorrected += 1;
+    /// The usable channel capacity once the offlined ranks are gone.
+    fn usable_capacity_bytes(&self) -> u64 {
+        let offline = self.offline_mask.count_ones().min(self.geom.ranks);
+        self.geom.rank_bytes * u64::from(self.geom.ranks - offline)
+    }
+
+    /// Runs the fault model on the burst to `da` whose data transfer ends
+    /// at `data_end`, counting the outcome and marking it on `probe`.
+    ///
+    /// Returns the backoff after which the controller must replay the
+    /// burst when it hit a link error and has retry budget left (`retries`
+    /// replays already made); the retry is counted and marked here. `None`
+    /// means the burst completes: clean, corrected, poisoned, silently
+    /// corrupted, or a link error that exhausted its budget.
+    pub fn classify_burst<P: Probe>(
+        &mut self,
+        probe: &mut P,
+        da: &DramAddr,
+        is_read: bool,
+        retries: u8,
+        data_end: Tick,
+    ) -> Option<Tick> {
+        let rep = self.check(da.rank, da.bank, da.row, is_read, data_end);
+        let mark = match rep.outcome {
+            BurstOutcome::Clean => None,
+            BurstOutcome::Corrected => Some(RasMark::Corrected),
+            BurstOutcome::Uncorrected => Some(RasMark::Uncorrected),
+            BurstOutcome::Silent => Some(RasMark::Silent),
+            BurstOutcome::LinkError => {
+                if u32::from(retries) < self.cfg.max_retries {
+                    self.stats.retries += 1;
+                    if P::ENABLED {
+                        probe.ras_event(da.rank, da.bank, da.row, RasMark::Retry, data_end);
+                    }
+                    return Some(self.retry_delay(u32::from(retries)));
+                }
+                // The give-up is a detected-uncorrected error.
+                self.stats.retries_exhausted += 1;
+                self.stats.uncorrected += 1;
+                Some(RasMark::Uncorrected)
+            }
+        };
+        if P::ENABLED {
+            if let Some(mark) = mark {
+                probe.ras_event(da.rank, da.bank, da.row, mark, data_end);
+            }
+            if rep.remapped {
+                probe.ras_event(da.rank, da.bank, da.row, RasMark::Remap, data_end);
+            }
+            if let Some(r) = rep.offlined_rank {
+                probe.ras_event(r, 0, 0, RasMark::RankOffline, data_end);
+            }
+        }
+        None
+    }
+
+    /// Appends the `ras_*` counters and the usable capacity left after
+    /// rank offlining (`ras_usable_capacity_bytes`) to a controller's
+    /// report.
+    pub fn report_into(&self, r: &mut Report) {
+        for (name, v) in self.stats.entries() {
+            r.counter(name, v);
+        }
+        r.counter("ras_usable_capacity_bytes", self.usable_capacity_bytes());
     }
 
     fn count(&mut self, outcome: BurstOutcome) {
@@ -702,6 +788,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn remap_rank_skips_offline_ranks() {
+        // No offlining: identity.
+        for r in 0..4 {
+            assert_eq!(remap_rank(r, 0, 4), r);
+        }
+        // Rank 1 offline: its traffic folds onto rank 2.
+        assert_eq!(remap_rank(1, 0b0010, 4), 2);
+        assert_eq!(remap_rank(0, 0b0010, 4), 0);
+        // Wrap-around: ranks 2 and 3 offline, rank 3 folds onto 0.
+        assert_eq!(remap_rank(3, 0b1100, 4), 0);
+        // Degenerate masks leave the rank alone.
+        assert_eq!(remap_rank(2, 0b1111, 4), 2);
+        assert_eq!(remap_rank(2, 0, 0), 2);
+    }
+
+    #[test]
+    fn degraded_capacity_scales_with_live_ranks() {
+        let mut fm = FaultModel::new(RasConfig::new(1), geom());
+        let full = 2 * geom().rank_bytes;
+        assert_eq!(fm.usable_capacity_bytes(), full);
+        fm.offline_mask = 0b01;
+        assert_eq!(fm.usable_capacity_bytes(), full / 2);
+        assert_eq!(fm.live_rank(0), 1, "rank 0's traffic folds onto rank 1");
+        // All ranks claimed offline: capacity floors at zero.
+        fm.offline_mask = u32::MAX;
+        assert_eq!(fm.usable_capacity_bytes(), 0);
+    }
+
     /// A synthetic access sequence sweeping rows over simulated time.
     fn drive(fm: &mut FaultModel, accesses: u64) {
         for i in 0..accesses {
@@ -853,13 +968,30 @@ mod tests {
 
     #[test]
     fn retry_plumbing() {
-        let mut fm = FaultModel::new(RasConfig::new(0), geom());
+        let mut cfg = RasConfig::new(0);
+        cfg.link_error_rate = 0.99;
+        let mut fm = FaultModel::new(cfg, geom());
         assert_eq!(fm.max_retries(), 4);
         assert_eq!(fm.retry_delay(0), 20_000);
         assert_eq!(fm.retry_delay(3), 160_000);
-        fm.note_retry();
-        fm.note_retry();
-        fm.note_retry_exhausted();
+        // These bursts hit link errors: replayed while budget is left,
+        // then given up as uncorrected.
+        let da = DramAddr {
+            rank: 0,
+            bank: 0,
+            row: 0,
+            col: 0,
+        };
+        let mut probe = dramctrl_obs::NoProbe;
+        assert_eq!(
+            fm.classify_burst(&mut probe, &da, false, 0, 1),
+            Some(20_000)
+        );
+        assert_eq!(
+            fm.classify_burst(&mut probe, &da, true, 3, 2),
+            Some(160_000)
+        );
+        assert_eq!(fm.classify_burst(&mut probe, &da, false, 4, 3), None);
         assert_eq!(fm.stats().retries, 2);
         assert_eq!(fm.stats().retries_exhausted, 1);
         assert_eq!(fm.stats().uncorrected, 1);

@@ -1,9 +1,10 @@
 //! # dramctrl-ras — deterministic fault injection, ECC and degradation
 //!
 //! Reliability/availability/serviceability modelling for the `dramctrl`
-//! simulator family. The crate is dependency-free (only `dramctrl-kernel`)
-//! and purely computational — it decides *what goes wrong and when*; the
-//! controllers decide how to recover (retry, remap, offline).
+//! simulator family. It decides *what goes wrong and when*, and keeps the
+//! recovery policy both controllers share: which bursts replay, where an
+//! offlined rank's traffic goes, what the `ras_*` report rows say. The
+//! controllers only time the replays.
 //!
 //! Three pieces:
 //!

@@ -55,41 +55,10 @@ fn base_lines() -> Vec<String> {
     ]
 }
 
-/// A few random byte-level mutations: truncate, flip, insert, duplicate
-/// a slice, or drop a slice. Newlines are scrubbed so the result stays
-/// one protocol line.
+/// The shared seeded mutator ([`Rng::mutate`]) with newlines scrubbed,
+/// so the result stays one protocol line.
 fn mutate(rng: &mut Rng, base: &str) -> Vec<u8> {
-    let mut b = base.as_bytes().to_vec();
-    for _ in 0..=rng.gen_range(0..4) {
-        if b.is_empty() {
-            break;
-        }
-        let len = b.len() as u64;
-        match rng.gen_range(0..5) {
-            0 => b.truncate(rng.gen_range(0..len) as usize),
-            1 => {
-                let i = rng.gen_range(0..len) as usize;
-                b[i] = (rng.next_u64() & 0xff) as u8;
-            }
-            2 => {
-                let i = rng.gen_range(0..len + 1) as usize;
-                for _ in 0..rng.gen_range(1..8) {
-                    b.insert(i, (rng.next_u64() & 0x7f) as u8);
-                }
-            }
-            3 => {
-                let i = rng.gen_range(0..len) as usize;
-                let j = rng.gen_range(i as u64..len) as usize + 1;
-                let slice: Vec<u8> = b[i..j].to_vec();
-                b.extend_from_slice(&slice);
-            }
-            _ => {
-                let i = rng.gen_range(0..len) as usize;
-                let j = rng.gen_range(i as u64..len) as usize + 1;
-                b.drain(i..j);
-            }
-        }
-    }
+    let mut b = rng.mutate(base.as_bytes());
     b.retain(|&x| x != b'\n' && x != b'\r');
     b
 }

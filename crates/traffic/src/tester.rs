@@ -435,9 +435,10 @@ fn save_histogram(w: &mut SnapWriter, h: &Histogram) {
 fn read_histogram(r: &mut SnapReader<'_>) -> Result<Histogram, SnapError> {
     let min = r.u64()?;
     let max = r.u64()?;
-    let n = r.usize()?;
-    let mut buckets = Vec::with_capacity(n);
-    for _ in 0..n {
+    // Grown as read: a corrupt count must fail on the missing bytes, not
+    // reserve them up front.
+    let mut buckets = Vec::new();
+    for _ in 0..r.usize()? {
         buckets.push(r.u64()?);
     }
     let parts = HistogramParts {
