@@ -10,12 +10,15 @@
 use dramctrl::PagePolicy;
 use dramctrl_bench::{f1, Table};
 use dramctrl_campaign::Model;
-use dramctrl_mem::{presets, AddrMapping, Controller, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{
+    presets, AddrMapping, Controller, Decoder, DramAddr, MemRequest, MemResponse, ReqId,
+};
 use dramctrl_runner::Wiring;
 use dramctrl_stats::Average;
 
 fn addr(bank: u32, row: u64) -> u64 {
-    AddrMapping::RoRaBaCoCh.encode(
+    let dec = Decoder::new(AddrMapping::RoRaBaCoCh, &presets::ddr3_1333_x64().org, 1);
+    dec.encode(
         &DramAddr {
             rank: 0,
             bank,
@@ -23,8 +26,6 @@ fn addr(bank: u32, row: u64) -> u64 {
             col: 0,
         },
         0,
-        &presets::ddr3_1333_x64().org,
-        1,
     )
 }
 

@@ -23,7 +23,7 @@ use std::path::Path;
 #[rustfmt::skip]
 pub const DEVICE: Group = Group { heading: "DEVICE OPTIONS", opts: &[
     Opt::new("device", "NAME", "device preset").or("ddr3-1600-x64"),
-    Opt::new("mapping", "M", "RoRaBaCoCh|RoRaBaChCo|RoCoRaBaCh").or("RoRaBaCoCh"),
+    Opt::new("mapping", "M", "field order, each of Ro Ra Ba Co Ch once").or("RoRaBaCoCh"),
     Opt::new("seed", "N", "RNG seed").or("1"),
 ]};
 

@@ -16,7 +16,7 @@ pub const AXES: Group = Group { heading: "AXIS OPTIONS — comma-separated lists
     Opt::new("models", "L", "event,cycle").or("event"),
     Opt::new("policies", "L", "page policies").or("open"),
     Opt::new("scheds", "L", "schedulers").or("frfcfs"),
-    Opt::new("mappings", "L", "address mappings").or("RoRaBaCoCh"),
+    Opt::new("mappings", "L", "field order, each of Ro Ra Ba Co Ch once").or("RoRaBaCoCh"),
     Opt::new("channels", "L", "channel counts").or("1"),
     Opt::new("gens", "L", "linear,random,dram-aware").or("linear"),
     Opt::new("reads", "L", "read percentages").or("100"),

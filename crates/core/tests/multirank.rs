@@ -4,7 +4,7 @@
 //! activation windows and refresh.
 
 use dramctrl::{CtrlConfig, DramCtrl};
-use dramctrl_mem::{presets, AddrMapping, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{presets, AddrMapping, Decoder, DramAddr, MemRequest, MemResponse, ReqId};
 
 fn two_rank_ctrl(refresh: bool) -> DramCtrl {
     let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());
@@ -15,10 +15,14 @@ fn two_rank_ctrl(refresh: bool) -> DramCtrl {
     DramCtrl::new(cfg).unwrap()
 }
 
-fn addr(rank: u32, bank: u32, row: u64, col: u64) -> u64 {
+fn decoder() -> Decoder {
     let mut org = presets::ddr3_1333_x64().org;
     org.ranks = 2;
-    AddrMapping::RoRaBaCoCh.encode(
+    Decoder::new(AddrMapping::RoRaBaCoCh, &org, 1)
+}
+
+fn addr(rank: u32, bank: u32, row: u64, col: u64) -> u64 {
+    decoder().encode(
         &DramAddr {
             rank,
             bank,
@@ -26,8 +30,6 @@ fn addr(rank: u32, bank: u32, row: u64, col: u64) -> u64 {
             col,
         },
         0,
-        &org,
-        1,
     )
 }
 
@@ -128,8 +130,8 @@ fn capacity_doubles_with_ranks() {
     org.ranks = 2;
     assert_eq!(org.capacity_bytes(), 2 * single);
     // And the decoder covers the whole space injectively at the rank bit.
-    let a0 = AddrMapping::RoRaBaCoCh.decode(addr(0, 3, 7, 2), &org, 1);
-    let a1 = AddrMapping::RoRaBaCoCh.decode(addr(1, 3, 7, 2), &org, 1);
+    let a0 = decoder().decode(addr(0, 3, 7, 2));
+    let a1 = decoder().decode(addr(1, 3, 7, 2));
     assert_eq!((a0.bank, a0.row, a0.col), (a1.bank, a1.row, a1.col));
     assert_ne!(a0.rank, a1.rank);
 }

@@ -6,7 +6,7 @@
 //! normal FR-FCFS/FCFS rules apply.
 
 use dramctrl::{CtrlConfig, DramCtrl, SchedPolicy};
-use dramctrl_mem::{presets, AddrMapping, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{presets, AddrMapping, Decoder, DramAddr, MemRequest, MemResponse, ReqId};
 
 fn ctrl(qos: Vec<u8>, sched: SchedPolicy) -> DramCtrl {
     let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());
@@ -17,7 +17,8 @@ fn ctrl(qos: Vec<u8>, sched: SchedPolicy) -> DramCtrl {
 }
 
 fn addr(bank: u32, row: u64, col: u64) -> u64 {
-    AddrMapping::RoRaBaCoCh.encode(
+    let dec = Decoder::new(AddrMapping::RoRaBaCoCh, &presets::ddr3_1333_x64().org, 1);
+    dec.encode(
         &DramAddr {
             rank: 0,
             bank,
@@ -25,8 +26,6 @@ fn addr(bank: u32, row: u64, col: u64) -> u64 {
             col,
         },
         0,
-        &presets::ddr3_1333_x64().org,
-        1,
     )
 }
 

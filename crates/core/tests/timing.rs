@@ -7,7 +7,7 @@
 //! `tRFC = 160 ns`, `tREFI = 7.8 us`). Ticks are picoseconds.
 
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy, SchedPolicy};
-use dramctrl_mem::{presets, AddrMapping, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{presets, AddrMapping, Decoder, DramAddr, MemRequest, MemResponse, ReqId};
 
 /// A DDR3-1333 controller with refresh disabled (deterministic timing) and
 /// the given tweaks applied.
@@ -24,8 +24,8 @@ fn ctrl() -> DramCtrl {
 
 /// Byte address of (bank, row, col) under the default mapping.
 fn addr(bank: u32, row: u64, col: u64) -> u64 {
-    let org = presets::ddr3_1333_x64().org;
-    AddrMapping::RoRaBaCoCh.encode(
+    let dec = Decoder::new(AddrMapping::RoRaBaCoCh, &presets::ddr3_1333_x64().org, 1);
+    dec.encode(
         &DramAddr {
             rank: 0,
             bank,
@@ -33,8 +33,6 @@ fn addr(bank: u32, row: u64, col: u64) -> u64 {
             col,
         },
         0,
-        &org,
-        1,
     )
 }
 

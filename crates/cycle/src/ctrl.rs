@@ -876,19 +876,51 @@ fn save_txn(w: &mut SnapWriter, txn: &Txn) {
     w.u64(txn.not_before);
 }
 
-fn read_txn(r: &mut SnapReader<'_>) -> Result<Txn, SnapError> {
-    Ok(Txn {
-        is_read: r.bool()?,
-        da: snapio::read_addr(r)?,
-        burst_addr: r.u64()?,
-        lo: r.u32()?,
-        hi: r.u32()?,
-        entry: r.u64()?,
-        group: r.usize()?,
-        activated: r.bool()?,
-        retries: r.u8()?,
-        not_before: r.u64()?,
-    })
+impl<P: Probe> CycleCtrl<P> {
+    /// Reads one queued burst, refusing what would panic once it is
+    /// served: an empty byte range or one past the burst, a rank or bank
+    /// outside the organisation, or an entry after the restored cycle
+    /// (`try_send` catches the cycle up to its `now` before it stamps the
+    /// entry). Needs the restored `cycle`.
+    fn read_txn(&self, r: &mut SnapReader<'_>) -> Result<Txn, SnapError> {
+        let txn = Txn {
+            is_read: r.bool()?,
+            da: snapio::read_addr(r)?,
+            burst_addr: r.u64()?,
+            lo: r.u32()?,
+            hi: r.u32()?,
+            entry: r.u64()?,
+            group: r.usize()?,
+            activated: r.bool()?,
+            retries: r.u8()?,
+            not_before: r.u64()?,
+        };
+        let burst = self.cfg.spec.org.burst_bytes();
+        let (lo, hi, da) = (txn.lo, txn.hi, txn.da);
+        let corrupt = |what: String| Err(SnapError::Corrupt(what));
+        if hi <= lo || u64::from(hi) > burst {
+            return corrupt(format!(
+                "burst byte range {lo}..{hi} not inside {burst} bytes"
+            ));
+        }
+        let banks = self
+            .ranks
+            .get(da.rank as usize)
+            .map_or(0, |rank| rank.banks.len());
+        if da.bank as usize >= banks {
+            return corrupt(format!(
+                "burst at rank {} bank {} outside the organisation",
+                da.rank, da.bank
+            ));
+        }
+        if txn.entry >= self.clk.cycles(self.cycle + 1) {
+            return corrupt(format!(
+                "burst entered at {} ps, after cycle {}",
+                txn.entry, self.cycle
+            ));
+        }
+        Ok(txn)
+    }
 }
 
 impl<P: Probe> SnapState for CycleCtrl<P> {
@@ -965,7 +997,8 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
         let n_txn = r.usize()?;
         self.queue.clear();
         for _ in 0..n_txn {
-            self.queue.push_back(read_txn(r)?);
+            let txn = self.read_txn(r)?;
+            self.queue.push_back(txn);
         }
         self.groups.restore_state(r)?;
         for txn in &self.queue {
@@ -1041,5 +1074,75 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
         let max = r.f64()?;
         s.read_lat = Average::from_parts(sum, count, min, max);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dramctrl_mem::{presets, ReqId};
+
+    fn cfg() -> CycleConfig {
+        CycleConfig::new(presets::ddr3_1333_x64())
+    }
+
+    /// The snapshot of a controller holding one queued 64-byte read, its
+    /// burst first edited by `edit`.
+    fn holding(edit: impl Fn(&mut Txn, &Clock)) -> Vec<u8> {
+        let mut ctrl = CycleCtrl::new(cfg()).unwrap();
+        ctrl.try_send(MemRequest::read(ReqId(0), 0x40, 64), 0)
+            .unwrap();
+        edit(&mut ctrl.queue[0], &ctrl.clk);
+        let mut w = SnapWriter::new(0);
+        ctrl.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<CycleCtrl, SnapError> {
+        let mut ctrl = CycleCtrl::new(cfg()).expect("valid config");
+        ctrl.restore_state(&mut SnapReader::new(bytes, 0)?)?;
+        Ok(ctrl)
+    }
+
+    fn assert_refused(edit: impl Fn(&mut Txn, &Clock), why: &str) {
+        match restore(&holding(edit)) {
+            Err(e) => assert!(e.to_string().contains(why), "{e}"),
+            Ok(_) => panic!("restored a snapshot with a burst {why}"),
+        }
+    }
+
+    /// The edit is sound: left alone, the queued read restores and is
+    /// answered.
+    #[test]
+    fn restore_serves_a_queued_burst() {
+        let mut out = Vec::new();
+        restore(&holding(|_, _| {})).unwrap().drain(&mut out);
+        assert_eq!(out.len(), 1);
+    }
+
+    /// `hi - lo` is the burst's byte count when it is served.
+    #[test]
+    fn restore_refuses_a_burst_whose_byte_range_is_empty_or_past_the_burst() {
+        let why = "not inside 64 bytes";
+        assert_refused(|t, _| t.hi = t.lo, why);
+        assert_refused(|t, _| (t.lo, t.hi) = (32, 16), why);
+        assert_refused(|t, _| t.hi = 65, why);
+    }
+
+    /// Serving a burst indexes its rank's bank state.
+    #[test]
+    fn restore_refuses_a_burst_outside_the_organisation() {
+        let org = cfg().spec.org;
+        let why = "outside the organisation";
+        assert_refused(|t, _| t.da.rank = org.ranks, why);
+        assert_refused(|t, _| t.da.bank = org.banks, why);
+    }
+
+    /// A read's latency is its completion minus its entry: an entry after
+    /// the restored cycle would come out negative.
+    #[test]
+    fn restore_refuses_a_burst_that_entered_after_the_restored_cycle() {
+        assert_refused(|t, clk| t.entry = clk.cycles(1), "after cycle 0");
+        assert_refused(|t, _| t.entry = Tick::MAX, "after cycle 0");
     }
 }

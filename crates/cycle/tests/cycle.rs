@@ -2,7 +2,9 @@
 //! flow control, and first-order agreement with the event-based model.
 
 use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
-use dramctrl_mem::{presets, AddrMapping, Controller, DramAddr, MemRequest, Rejected, ReqId};
+use dramctrl_mem::{
+    presets, AddrMapping, Controller, Decoder, DramAddr, MemRequest, Rejected, ReqId,
+};
 
 fn ctrl_with(f: impl FnOnce(&mut CycleConfig)) -> CycleCtrl {
     let mut cfg = CycleConfig::new(presets::ddr3_1333_x64());
@@ -12,8 +14,8 @@ fn ctrl_with(f: impl FnOnce(&mut CycleConfig)) -> CycleCtrl {
 }
 
 fn addr(bank: u32, row: u64, col: u64) -> u64 {
-    let org = presets::ddr3_1333_x64().org;
-    AddrMapping::RoRaBaCoCh.encode(
+    let dec = Decoder::new(AddrMapping::RoRaBaCoCh, &presets::ddr3_1333_x64().org, 1);
+    dec.encode(
         &DramAddr {
             rank: 0,
             bank,
@@ -21,8 +23,6 @@ fn addr(bank: u32, row: u64, col: u64) -> u64 {
             col,
         },
         0,
-        &org,
-        1,
     )
 }
 

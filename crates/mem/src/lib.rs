@@ -10,9 +10,10 @@
 //! * [`spec`] — DRAM device descriptions: organisation (widths, burst
 //!   length, banks, ranks, row-buffer size) and the timing parameters the
 //!   paper identifies as performance-critical (Section II-B);
-//! * [`map`] — the three address decoding schemes of Table I
-//!   (`RoRaBaCoCh`, `RoRaBaChCo`, `RoCoRaBaCh`) with encode/decode in burst
-//!   units;
+//! * [`map`] — address mappings as layouts, the order of the fields
+//!   `Ro Ra Ba Co Ch` (Table I's `RoRaBaCoCh`, `RoRaBaChCo`, `RoCoRaBaCh`
+//!   and any other order), and the [`Decoder`] that decodes and encodes
+//!   them in burst units;
 //! * [`protocol`] — the DRAM timing rules as one table of inter-command
 //!   constraints, and [`ProtocolState`], the one interpreter of it;
 //! * [`queue`] — burst chopping and the burst-group arena, the request

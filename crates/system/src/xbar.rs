@@ -2,9 +2,10 @@
 //!
 //! Channel interleaving happens *outside* the controllers (paper Section
 //! II-A/II-F): the crossbar routes each request to a channel based on the
-//! address mapping's interleaving granularity (cache-line-sized for the
-//! `..Ch` mappings, row-buffer-sized for `RoRaBaChCo`) and merges the
-//! controllers' response streams. A [`MultiChannel`] is itself a
+//! address mapping's interleaving granularity (the span of the fields
+//! below `Ch`, never less than a cache line: a line for the `..Ch`
+//! mappings, a row buffer for `RoRaBaChCo`) and merges the controllers'
+//! response streams. A [`MultiChannel`] is itself a
 //! [`Controller`], so testers and the system model are oblivious to the
 //! channel count — this is how the WideIO (4 channels), LPDDR3 (2
 //! channels) and HMC-like (16 channels) configurations of Sections III-D

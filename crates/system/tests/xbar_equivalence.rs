@@ -20,8 +20,8 @@ use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{
-    presets, ActivityStats, AddrMapping, CommonStats, Controller, MemCmd, MemRequest, MemResponse,
-    MemSpec, Rejected, ReqId,
+    presets, ActivityStats, AddrMapping, CommonStats, Controller, Decoder, MemCmd, MemRequest,
+    MemResponse, MemSpec, Rejected, ReqId,
 };
 use dramctrl_stats::Report;
 use dramctrl_system::MultiChannel;
@@ -37,8 +37,7 @@ struct PollingXbar<C> {
 impl<C: Controller> PollingXbar<C> {
     fn route(&self, addr: u64) -> usize {
         let n = self.channels.len() as u32;
-        self.mapping
-            .channel_of(addr, &self.channels[0].spec().org, n) as usize
+        Decoder::new(self.mapping, &self.channels[0].spec().org, n).channel_of(addr) as usize
     }
 
     fn merge(&self, out: &mut [MemResponse]) {

@@ -5,10 +5,10 @@ use crate::{Pacer, TrafficGen};
 use dramctrl_kernel::rng::Rng;
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{AddrMapping, DramAddr, MemRequest, Organisation};
+use dramctrl_mem::{AddrMapping, Decoder, DramAddr, MemRequest, Organisation};
 
 /// A generator that knows the DRAM's internal organisation — page size,
-/// bank count and address mapping — and uses [`AddrMapping::encode`] to
+/// bank count and address mapping — and uses [`Decoder::encode`] to
 /// construct addresses with an exact row-hit run length (`stride_bursts`)
 /// spread over an exact number of banks (`banks_used`).
 ///
@@ -25,8 +25,7 @@ use dramctrl_mem::{AddrMapping, DramAddr, MemRequest, Organisation};
 pub struct DramAwareGen {
     pacer: Pacer,
     org: Organisation,
-    mapping: AddrMapping,
-    channels: u32,
+    decoder: Decoder,
     channel: u32,
     stride_bursts: u64,
     banks_used: u32,
@@ -70,8 +69,7 @@ impl DramAwareGen {
         Self {
             pacer: Pacer::new(period, count),
             org,
-            mapping,
-            channels,
+            decoder: Decoder::new(mapping, &org, channels),
             channel,
             stride_bursts,
             banks_used,
@@ -142,7 +140,7 @@ impl TrafficGen for DramAwareGen {
         let flat = self.bank_idx;
         let (rank, bank) = (flat / self.org.banks, flat % self.org.banks);
         let row = self.rows[self.bank_idx as usize] % self.org.rows_per_bank();
-        let addr = self.mapping.encode(
+        let addr = self.decoder.encode(
             &DramAddr {
                 rank,
                 bank,
@@ -150,8 +148,6 @@ impl TrafficGen for DramAwareGen {
                 col: self.seq,
             },
             self.channel,
-            &self.org,
-            self.channels,
         );
 
         // Advance: next burst in the stride, or move to the next bank with
@@ -194,9 +190,9 @@ mod tests {
     }
 
     fn decode_all(g: &mut DramAwareGen) -> Vec<DramAddr> {
-        let org = presets::ddr3_1333_x64().org;
+        let dec = Decoder::new(AddrMapping::RoRaBaCoCh, &presets::ddr3_1333_x64().org, 1);
         std::iter::from_fn(|| g.next_request())
-            .map(|(_, r)| AddrMapping::RoRaBaCoCh.decode(r.addr, &org, 1))
+            .map(|(_, r)| dec.decode(r.addr))
             .collect()
     }
 
