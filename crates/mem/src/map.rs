@@ -300,6 +300,7 @@ pub const MIN_CHANNEL_GRANULE: u64 = 64;
 mod tests {
     use super::*;
     use crate::presets;
+    use dramctrl_kernel::rng::Rng;
 
     fn org() -> Organisation {
         presets::ddr3_1333_x64().org
@@ -369,6 +370,57 @@ mod tests {
             let a = dec.decode(0x1_2345_0000);
             let b = dec.decode(0x1_2345_0000 + org.burst_bytes() - 1);
             assert_eq!(a, b, "mapping {m}");
+        }
+    }
+
+    /// encode is the right inverse of decode for every mapping.
+    #[test]
+    fn decode_encode_round_trip() {
+        let mut rng = Rng::seed_from_u64(0x3A9_0001);
+        for _ in 0..1_024 {
+            let raw = rng.gen_range(0..2 << 30);
+            let channels = rng.gen_range(1..5) as u32;
+            let m = ALL[rng.gen_range(0..3) as usize];
+            let org = org();
+            let dec = Decoder::new(m, &org, channels);
+            // Align to a burst within one channel's capacity.
+            let addr = raw / org.burst_bytes() * org.burst_bytes()
+                % (org.capacity_bytes() * u64::from(channels));
+            let ch = dec.channel_of(addr);
+            let d = dec.decode(addr);
+            assert_eq!(dec.encode(&d, ch), addr);
+        }
+    }
+
+    /// Decoded fields are always within the organisation's bounds.
+    #[test]
+    fn decode_in_bounds() {
+        let mut rng = Rng::seed_from_u64(0x3A9_0002);
+        for _ in 0..1_024 {
+            let raw = rng.next_u64();
+            let org = org();
+            let d = Decoder::new(ALL[rng.gen_range(0..3) as usize], &org, 2).decode(raw);
+            assert!(d.rank < org.ranks);
+            assert!(d.bank < org.banks);
+            assert!(d.row < org.rows_per_bank());
+            assert!(d.col < org.bursts_per_row());
+        }
+    }
+
+    /// Distinct burst-aligned addresses within one channel never decode
+    /// to the same (rank, bank, row, col) tuple.
+    #[test]
+    fn decode_injective() {
+        let mut rng = Rng::seed_from_u64(0x3A9_0003);
+        for _ in 0..1_024 {
+            let org = org();
+            let dec = Decoder::new(ALL[rng.gen_range(0..3) as usize], &org, 1);
+            let a = rng.gen_range(0..1 << 24) * org.burst_bytes();
+            let b = rng.gen_range(0..1 << 24) * org.burst_bytes();
+            if a == b || a >= org.capacity_bytes() || b >= org.capacity_bytes() {
+                continue;
+            }
+            assert_ne!(dec.decode(a), dec.decode(b));
         }
     }
 }
