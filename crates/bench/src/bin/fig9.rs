@@ -68,7 +68,7 @@ fn main() {
         // Latency breakdown, averaged over channels (weighted by bursts).
         let (mut q, mut b, mut total_bursts) = (0.0, 0.0, 0u64);
         for s in sys.controller().event_channels().map(|c| c.stats()) {
-            let n = s.rd_bursts;
+            let n = s.common.rd_bursts;
             q += s.queue_lat.mean() * n as f64;
             b += s.bank_lat.mean() * n as f64;
             total_bursts += n;

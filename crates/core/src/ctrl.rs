@@ -476,15 +476,10 @@ impl<P: Probe> DramCtrl<P> {
             self.probe
                 .req_accepted(req.id.0, req.cmd == MemCmd::Read, req.addr, req.size, now);
         }
+        self.stats.common.accepted(req.cmd == MemCmd::Read);
         match req.cmd {
-            MemCmd::Read => {
-                self.stats.reads_accepted += 1;
-                self.enqueue_read(req, now);
-            }
-            MemCmd::Write => {
-                self.stats.writes_accepted += 1;
-                self.enqueue_write(req, now);
-            }
+            MemCmd::Read => self.enqueue_read(req, now),
+            MemCmd::Write => self.enqueue_write(req, now),
         }
         Ok(())
     }
@@ -1217,16 +1212,13 @@ impl<P: Probe> DramCtrl<P> {
             bank.row_accesses = 0;
             bank.col_allowed_at = bank.col_allowed_at.max(act_at + t.t_rcd);
             bank.pre_allowed_at = bank.pre_allowed_at.max(act_at + t.t_ras);
-            self.stats.activates += 1;
-            if P::ENABLED {
-                self.probe.dram_cmd(CmdEvent::act(
-                    pkt.da.rank,
-                    pkt.da.bank,
-                    pkt.da.row,
-                    act_at,
-                    t.t_rcd,
-                ));
-            }
+            self.emit(CmdEvent::act(
+                pkt.da.rank,
+                pkt.da.bank,
+                pkt.da.row,
+                act_at,
+                t.t_rcd,
+            ));
             // One transition covers the conflict precharge + activate:
             // the queues' hit indices track the row now open.
             let fb = self.read_q.flat_bank(pkt.da.rank, pkt.da.bank);
@@ -1234,8 +1226,6 @@ impl<P: Probe> DramCtrl<P> {
             self.write_q.set_open_row(fb, Some(pkt.da.row));
         } else if pkt.is_read {
             self.stats.rd_row_hits += 1;
-        } else {
-            self.stats.wr_row_hits += 1;
         }
 
         // Column command and data bus (including read/write turnaround).
@@ -1256,27 +1246,25 @@ impl<P: Probe> DramCtrl<P> {
         let data_end = data_start + t.t_burst;
         self.bus_busy_until = data_end;
         self.last_burst_read = Some(pkt.is_read);
-        self.stats.bus_busy += t.t_burst;
+        let cmd = if pkt.is_read {
+            DramCmd::Rd
+        } else {
+            DramCmd::Wr
+        };
+        let mut ev = CmdEvent::data(
+            cmd,
+            pkt.da.rank,
+            pkt.da.bank,
+            pkt.da.row,
+            data_start,
+            t.t_burst,
+            pkt.hi - pkt.lo,
+            row_hit,
+        );
         if P::ENABLED {
-            let cmd = if pkt.is_read {
-                DramCmd::Rd
-            } else {
-                DramCmd::Wr
-            };
-            self.probe.dram_cmd(CmdEvent {
-                req: pkt.group.map(|g| self.groups.get(g).req.id.0),
-                ..CmdEvent::data(
-                    cmd,
-                    pkt.da.rank,
-                    pkt.da.bank,
-                    pkt.da.row,
-                    data_start,
-                    t.t_burst,
-                    pkt.hi - pkt.lo,
-                    row_hit,
-                )
-            });
+            ev.req = pkt.group.map(|g| self.groups.get(g).req.id.0);
         }
+        self.emit(ev);
 
         // Post-access bank bookkeeping.
         let row_accesses = {
@@ -1290,14 +1278,6 @@ impl<P: Probe> DramCtrl<P> {
             bank.row_accesses += 1;
             bank.row_accesses
         };
-        if pkt.is_read {
-            self.stats.rd_bursts += 1;
-            self.stats.bytes_read += u64::from(pkt.hi - pkt.lo);
-        } else {
-            self.stats.wr_bursts += 1;
-            self.stats.bytes_written += u64::from(pkt.hi - pkt.lo);
-        }
-
         // Page policy (paper Section II-C).
         let force_close =
             self.cfg.max_accesses_per_row > 0 && row_accesses >= self.cfg.max_accesses_per_row;
@@ -1320,6 +1300,16 @@ impl<P: Probe> DramCtrl<P> {
         (data_start, data_end)
     }
 
+    /// Issues `ev`: counts it, then shows it to the probe. Every DRAM
+    /// command the model issues goes through here.
+    #[inline]
+    fn emit(&mut self, ev: CmdEvent) {
+        self.stats.common.record(&ev);
+        if P::ENABLED {
+            self.probe.dram_cmd(ev);
+        }
+    }
+
     /// Precharges bank `bank` of rank `rank`, which holds an open row, at
     /// the first tick from `now` on that its tRAS/tRTP/tWR floor allows,
     /// and returns the tick it is precharged (tRP later: its activate
@@ -1335,10 +1325,7 @@ impl<P: Probe> DramCtrl<P> {
         b.open_row = None;
         b.act_allowed_at = b.act_allowed_at.max(pre_at + t_rp);
         r.timeline.close_at(pre_at);
-        self.stats.precharges += 1;
-        if P::ENABLED {
-            self.probe.dram_cmd(CmdEvent::pre(rank, bank, pre_at, t_rp));
-        }
+        self.emit(CmdEvent::pre(rank, bank, pre_at, t_rp));
         if !reopen {
             let fb = self.read_q.flat_bank(rank, bank);
             self.read_q.set_open_row(fb, None);
@@ -1377,14 +1364,10 @@ impl<P: Probe> DramCtrl<P> {
         for bank in &mut rank.banks {
             bank.act_allowed_at = bank.act_allowed_at.max(done);
         }
-        self.stats.refreshes += 1;
-        if P::ENABLED {
-            self.probe
-                .dram_cmd(CmdEvent::refresh(rank_idx as u32, start, t.t_rfc));
-        }
         rank.refresh_due += t.t_refi;
-        self.events
-            .schedule(rank.refresh_due, Ev::Refresh(rank_idx as u32));
+        let due = rank.refresh_due;
+        self.emit(CmdEvent::refresh(rank_idx as u32, start, t.t_rfc));
+        self.events.schedule(due, Ev::Refresh(rank_idx as u32));
         // An idle controller may re-enter power-down after the refresh.
         self.maybe_schedule_pd_check(done);
     }
@@ -1411,16 +1394,10 @@ impl<P: Probe> DramCtrl<P> {
             time_sr += rank.sr_time + if rank.self_refreshing { live } else { 0 };
         }
         ActivityStats {
-            sim_time: now,
-            activates: self.stats.activates,
-            precharges: self.stats.precharges,
-            rd_bursts: self.stats.rd_bursts,
-            wr_bursts: self.stats.wr_bursts,
-            refreshes: self.stats.refreshes,
             time_all_banks_precharged: time_all_closed,
             time_powered_down: time_pd,
             time_self_refresh: time_sr,
-            ranks: self.cfg.spec.org.ranks,
+            ..ActivityStats::counted(&self.stats.common, now, self.cfg.spec.org.ranks)
         }
     }
 
@@ -1590,18 +1567,9 @@ impl<P: Probe> dramctrl_mem::Controller for DramCtrl<P> {
     }
 
     fn common_stats(&self) -> dramctrl_mem::CommonStats {
-        let s = &self.stats;
         dramctrl_mem::CommonStats {
-            reads_accepted: s.reads_accepted,
-            writes_accepted: s.writes_accepted,
-            rd_bursts: s.rd_bursts,
-            wr_bursts: s.wr_bursts,
-            bytes_read: s.bytes_read,
-            bytes_written: s.bytes_written,
-            row_hits: s.rd_row_hits + s.wr_row_hits,
-            activates: s.activates,
-            bus_busy: s.bus_busy,
-            read_lat_sum: s.total_lat.sum(),
+            read_lat_sum: self.stats.total_lat.sum(),
+            ..self.stats.common
         }
     }
 

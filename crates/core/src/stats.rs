@@ -2,6 +2,7 @@
 
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{tick, Tick};
+use dramctrl_mem::CommonStats;
 use dramctrl_stats::{Average, Report};
 
 use crate::config::CtrlConfig;
@@ -76,6 +77,9 @@ impl SnapState for QueueOcc {
 
 /// Counters and distributions accumulated by a [`DramCtrl`](crate::DramCtrl).
 ///
+/// The counts both models share (requests, bursts, bytes, row hits, ACT,
+/// PRE, REF, bus time) are in `common`, counted from the command stream
+/// by [`CommonStats::record`]; the fields here are the event model's own.
 /// Latency components are recorded per *read burst*:
 /// `queue` (entry to scheduling decision), `bank` (decision to first data
 /// beat, covering PRE/ACT/CAS and bus waiting), plus the constant bus
@@ -83,28 +87,11 @@ impl SnapState for QueueOcc {
 /// in paper Figure 9.
 #[derive(Debug, Clone, Default)]
 pub struct CtrlStats {
-    /// Read requests accepted (before chopping).
-    pub reads_accepted: u64,
-    /// Write requests accepted (before chopping).
-    pub writes_accepted: u64,
-    /// Read bursts serviced by the DRAM.
-    pub rd_bursts: u64,
-    /// Write bursts serviced by the DRAM.
-    pub wr_bursts: u64,
-    /// Bytes read from the DRAM.
-    pub bytes_read: u64,
-    /// Bytes written to the DRAM.
-    pub bytes_written: u64,
-    /// Read bursts that hit an open row.
+    /// The counts shared with the cycle baseline.
+    pub common: CommonStats,
+    /// Read bursts that hit an open row (the write hits are
+    /// `common.row_hits` minus these).
     pub rd_row_hits: u64,
-    /// Write bursts that hit an open row.
-    pub wr_row_hits: u64,
-    /// Row activations.
-    pub activates: u64,
-    /// Precharges (explicit and auto).
-    pub precharges: u64,
-    /// Refresh operations.
-    pub refreshes: u64,
     /// Writes merged into an existing write-queue entry.
     pub merged_writes: u64,
     /// Read bursts serviced from the write queue.
@@ -118,8 +105,6 @@ pub struct CtrlStats {
     /// Internal events processed (the event-based model's unit of work —
     /// contrast with the cycle model's `cycles_simulated`).
     pub events_processed: u64,
-    /// Accumulated data-bus busy time.
-    pub bus_busy: Tick,
     /// Per-read-burst queueing latency (ticks).
     pub queue_lat: Average,
     /// Per-read-burst bank-access latency (ticks).
@@ -131,58 +116,36 @@ pub struct CtrlStats {
 }
 
 impl CtrlStats {
-    /// Row-hit rate over all serviced bursts (0.0 when nothing serviced).
-    pub fn page_hit_rate(&self) -> f64 {
-        let bursts = self.rd_bursts + self.wr_bursts;
-        if bursts == 0 {
-            0.0
-        } else {
-            (self.rd_row_hits + self.wr_row_hits) as f64 / bursts as f64
-        }
-    }
-
-    /// Data-bus utilisation over `[0, now]`.
-    pub fn bus_utilisation(&self, now: Tick) -> f64 {
-        if now == 0 {
-            0.0
-        } else {
-            self.bus_busy as f64 / now as f64
-        }
-    }
-
-    /// Average achieved bandwidth in GB/s over `[0, now]`.
-    pub fn bandwidth_gbps(&self, now: Tick) -> f64 {
-        if now == 0 {
-            0.0
-        } else {
-            (self.bytes_read + self.bytes_written) as f64 / tick::to_s(now) / 1e9
-        }
+    /// Write bursts that hit an open row.
+    pub fn wr_row_hits(&self) -> u64 {
+        self.common.row_hits - self.rd_row_hits
     }
 
     /// Builds a gem5-style report of all statistics at time `now`.
     pub fn report(&self, prefix: &str, now: Tick, cfg: &CtrlConfig) -> Report {
+        let c = &self.common;
         let mut r = Report::new(prefix);
         r.text("device", cfg.spec.name);
-        r.counter("reads_accepted", self.reads_accepted);
-        r.counter("writes_accepted", self.writes_accepted);
-        r.counter("rd_bursts", self.rd_bursts);
-        r.counter("wr_bursts", self.wr_bursts);
-        r.counter("bytes_read", self.bytes_read);
-        r.counter("bytes_written", self.bytes_written);
+        r.counter("reads_accepted", c.reads_accepted);
+        r.counter("writes_accepted", c.writes_accepted);
+        r.counter("rd_bursts", c.rd_bursts);
+        r.counter("wr_bursts", c.wr_bursts);
+        r.counter("bytes_read", c.bytes_read);
+        r.counter("bytes_written", c.bytes_written);
         r.counter("rd_row_hits", self.rd_row_hits);
-        r.counter("wr_row_hits", self.wr_row_hits);
-        r.counter("activates", self.activates);
-        r.counter("precharges", self.precharges);
-        r.counter("refreshes", self.refreshes);
+        r.counter("wr_row_hits", self.wr_row_hits());
+        r.counter("activates", c.activates);
+        r.counter("precharges", c.precharges);
+        r.counter("refreshes", c.refreshes);
         r.counter("merged_writes", self.merged_writes);
         r.counter("forwarded_reads", self.forwarded_reads);
         r.counter("bus_turnarounds", self.bus_turnarounds);
         r.counter("powerdowns", self.powerdowns);
         r.counter("self_refreshes", self.self_refreshes);
         r.counter("events_processed", self.events_processed);
-        r.scalar("page_hit_rate", self.page_hit_rate());
-        r.scalar("bus_util", self.bus_utilisation(now));
-        r.scalar("bandwidth_gbps", self.bandwidth_gbps(now));
+        r.scalar("page_hit_rate", c.page_hit_rate());
+        r.scalar("bus_util", c.bus_utilisation(now));
+        r.scalar("bandwidth_gbps", c.bandwidth_gbps(now));
         r.scalar(
             "avg_queue_lat_ns",
             tick::to_ns(self.queue_lat.mean() as Tick),
@@ -200,24 +163,25 @@ impl CtrlStats {
 
 impl SnapState for CtrlStats {
     fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.reads_accepted);
-        w.u64(self.writes_accepted);
-        w.u64(self.rd_bursts);
-        w.u64(self.wr_bursts);
-        w.u64(self.bytes_read);
-        w.u64(self.bytes_written);
+        let c = &self.common;
+        w.u64(c.reads_accepted);
+        w.u64(c.writes_accepted);
+        w.u64(c.rd_bursts);
+        w.u64(c.wr_bursts);
+        w.u64(c.bytes_read);
+        w.u64(c.bytes_written);
         w.u64(self.rd_row_hits);
-        w.u64(self.wr_row_hits);
-        w.u64(self.activates);
-        w.u64(self.precharges);
-        w.u64(self.refreshes);
+        w.u64(self.wr_row_hits());
+        w.u64(c.activates);
+        w.u64(c.precharges);
+        w.u64(c.refreshes);
         w.u64(self.merged_writes);
         w.u64(self.forwarded_reads);
         w.u64(self.bus_turnarounds);
         w.u64(self.powerdowns);
         w.u64(self.self_refreshes);
         w.u64(self.events_processed);
-        w.u64(self.bus_busy);
+        w.u64(c.bus_busy);
         save_average(w, &self.queue_lat);
         save_average(w, &self.bank_lat);
         save_average(w, &self.total_lat);
@@ -226,24 +190,31 @@ impl SnapState for CtrlStats {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reads_accepted = r.u64()?;
-        self.writes_accepted = r.u64()?;
-        self.rd_bursts = r.u64()?;
-        self.wr_bursts = r.u64()?;
-        self.bytes_read = r.u64()?;
-        self.bytes_written = r.u64()?;
+        let c = &mut self.common;
+        c.reads_accepted = r.u64()?;
+        c.writes_accepted = r.u64()?;
+        c.rd_bursts = r.u64()?;
+        c.wr_bursts = r.u64()?;
+        c.bytes_read = r.u64()?;
+        c.bytes_written = r.u64()?;
         self.rd_row_hits = r.u64()?;
-        self.wr_row_hits = r.u64()?;
-        self.activates = r.u64()?;
-        self.precharges = r.u64()?;
-        self.refreshes = r.u64()?;
+        let wr_row_hits = r.u64()?;
+        c.row_hits = self.rd_row_hits.checked_add(wr_row_hits).ok_or_else(|| {
+            SnapError::Corrupt(format!(
+                "row hits {} + {wr_row_hits} overflow",
+                self.rd_row_hits
+            ))
+        })?;
+        c.activates = r.u64()?;
+        c.precharges = r.u64()?;
+        c.refreshes = r.u64()?;
         self.merged_writes = r.u64()?;
         self.forwarded_reads = r.u64()?;
         self.bus_turnarounds = r.u64()?;
         self.powerdowns = r.u64()?;
         self.self_refreshes = r.u64()?;
         self.events_processed = r.u64()?;
-        self.bus_busy = r.u64()?;
+        c.bus_busy = r.u64()?;
         self.queue_lat = read_average(r)?;
         self.bank_lat = read_average(r)?;
         self.total_lat = read_average(r)?;
@@ -308,36 +279,25 @@ mod tests {
         assert_eq!(occ.average(2_000), 3.0);
     }
 
+    /// The snapshot keeps read and write row hits apart; their sum is
+    /// `common.row_hits`, so a pair that overflows it is refused.
+    #[test]
+    fn restore_refuses_row_hits_that_overflow() {
+        let mut w = SnapWriter::new(0);
+        for v in [0, 0, 0, 0, 0, 0, 1, u64::MAX] {
+            w.u64(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes, 0).unwrap();
+        let err = CtrlStats::default().restore_state(&mut r).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
+    }
+
     #[test]
     fn occupancy_zero_query_after_updates_uses_integrated_window() {
         let mut occ = QueueOcc::default();
         occ.update(8, 0);
         occ.update(0, 400); // 8 entries over [0,400)
         assert_eq!(occ.average(0), 8.0);
-    }
-
-    #[test]
-    fn page_hit_rate_empty_is_zero() {
-        let s = CtrlStats::default();
-        assert_eq!(s.page_hit_rate(), 0.0);
-        assert_eq!(s.bus_utilisation(0), 0.0);
-        assert_eq!(s.bandwidth_gbps(0), 0.0);
-    }
-
-    #[test]
-    fn derived_rates() {
-        let s = CtrlStats {
-            rd_bursts: 8,
-            wr_bursts: 2,
-            rd_row_hits: 4,
-            wr_row_hits: 1,
-            bytes_read: 640,
-            bus_busy: 500,
-            ..Default::default()
-        };
-        assert_eq!(s.page_hit_rate(), 0.5);
-        assert_eq!(s.bus_utilisation(1_000), 0.5);
-        // 640 bytes in 1000 ps = 640 GB/s.
-        assert!((s.bandwidth_gbps(1_000) - 640.0).abs() < 1e-9);
     }
 }

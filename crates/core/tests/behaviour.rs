@@ -212,14 +212,14 @@ fn one_response_per_request() {
         assert_eq!(ids.len() as u64, accepted);
 
         let s = c.stats();
-        assert_eq!(s.reads_accepted + s.writes_accepted, accepted);
+        assert_eq!(s.common.reads_accepted + s.common.writes_accepted, accepted);
         // Bus time equals bursts * tBURST.
-        let bursts = s.rd_bursts + s.wr_bursts;
-        assert_eq!(s.bus_busy, bursts * c.config().spec.timing.t_burst);
+        let bursts = s.common.rd_bursts + s.common.wr_bursts;
+        assert_eq!(s.common.bus_busy, bursts * c.config().spec.timing.t_burst);
         // Row hits never exceed bursts; activates need a matching burst
         // unless the access was a pure reopen (impossible here).
-        assert!(s.rd_row_hits + s.wr_row_hits <= bursts);
-        assert!(s.activates <= bursts);
+        assert!(s.rd_row_hits + s.wr_row_hits() <= bursts);
+        assert!(s.common.activates <= bursts);
     }
 }
 

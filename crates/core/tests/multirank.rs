@@ -51,7 +51,7 @@ fn ranks_overlap_like_banks() {
     assert_eq!(out[0].ready_at, 33_000);
     // The second rank's access is purely bus-limited.
     assert_eq!(out[1].ready_at, 39_000);
-    assert_eq!(c.stats().activates, 2);
+    assert_eq!(c.stats().common.activates, 2);
 }
 
 #[test]
@@ -101,7 +101,11 @@ fn each_rank_refreshes() {
     let t_refi = c.config().spec.timing.t_refi;
     let mut out = Vec::new();
     c.advance_to(3 * t_refi, &mut out);
-    assert_eq!(c.stats().refreshes, 6, "both ranks refresh every tREFI");
+    assert_eq!(
+        c.stats().common.refreshes,
+        6,
+        "both ranks refresh every tREFI"
+    );
 }
 
 #[test]
@@ -120,7 +124,7 @@ fn refresh_blocks_only_its_rank() {
     let t_rfc = c.config().spec.timing.t_rfc;
     assert_eq!(out[0].ready_at, t_refi + t_rfc + 33_000);
     assert_eq!(out[1].ready_at, t_refi + t_rfc + 39_000);
-    assert_eq!(c.stats().refreshes, 2);
+    assert_eq!(c.stats().common.refreshes, 2);
 }
 
 #[test]

@@ -118,7 +118,7 @@ fn refresh_wakes_and_reenters() {
     let mut out = Vec::new();
     // Run across 4 refresh intervals.
     c.advance_to(4 * t_refi + 1_000_000, &mut out);
-    assert_eq!(c.stats().refreshes, 4);
+    assert_eq!(c.stats().common.refreshes, 4);
     // Re-entered power-down after the initial access and after each
     // refresh episode.
     assert!(c.stats().powerdowns >= 4, "got {}", c.stats().powerdowns);
@@ -155,7 +155,7 @@ fn parked_writes_drain_before_powerdown() {
     c.try_send(MemRequest::write(ReqId(0), 0, 64), 0).unwrap();
     let mut out = Vec::new();
     c.advance_to(5_000_000, &mut out);
-    assert_eq!(c.stats().wr_bursts, 1, "write reached DRAM");
+    assert_eq!(c.stats().common.wr_bursts, 1, "write reached DRAM");
     assert_eq!(c.write_queue_len(), 0);
     assert_eq!(c.stats().powerdowns, 1);
     let act = c.activity(5_000_000);

@@ -159,5 +159,5 @@ fn writes_also_prioritised_within_drain() {
     assert_eq!(c.open_row(0, 0), Some(1));
     assert_eq!(c.open_row(0, 1), Some(1));
     // And both were serviced.
-    assert_eq!(c.stats().wr_bursts, 2);
+    assert_eq!(c.stats().common.wr_bursts, 2);
 }

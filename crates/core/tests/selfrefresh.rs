@@ -70,9 +70,9 @@ fn self_refresh_suppresses_external_refreshes() {
     c.advance_to(10 * t_refi, &mut out);
     assert_eq!(c.stats().self_refreshes, 1);
     assert!(
-        c.stats().refreshes <= 1,
+        c.stats().common.refreshes <= 1,
         "external refreshes should be suppressed, got {}",
-        c.stats().refreshes
+        c.stats().common.refreshes
     );
 }
 

@@ -50,7 +50,7 @@ fn cold_read_is_rcd_cl_burst() {
     let out = run(&mut c);
     // tRCD + tCL + tBURST = 13.5 + 13.5 + 6 ns.
     assert_eq!(out[0].ready_at, 33_000);
-    assert_eq!(c.stats().activates, 1);
+    assert_eq!(c.stats().common.activates, 1);
     assert_eq!(c.stats().rd_row_hits, 0);
 }
 
@@ -66,7 +66,7 @@ fn row_hit_streams_back_to_back() {
     // The second burst follows immediately on the data bus.
     assert_eq!(out[1].ready_at, 39_000);
     assert_eq!(c.stats().rd_row_hits, 1);
-    assert_eq!(c.stats().activates, 1);
+    assert_eq!(c.stats().common.activates, 1);
 }
 
 #[test]
@@ -81,8 +81,8 @@ fn bank_conflict_pays_ras_rp_rcd() {
     // PRE gated by tRAS (36 ns), then tRP + tRCD + tCL + tBURST.
     // 36 + 13.5 + 13.5 + 13.5 + 6 = 82.5 ns.
     assert_eq!(out[1].ready_at, 82_500);
-    assert_eq!(c.stats().precharges, 1);
-    assert_eq!(c.stats().activates, 2);
+    assert_eq!(c.stats().common.precharges, 1);
+    assert_eq!(c.stats().common.activates, 2);
 }
 
 #[test]
@@ -97,7 +97,7 @@ fn different_banks_overlap_fully() {
     // second burst is bus-limited, as if it were a row hit.
     assert_eq!(out[0].ready_at, 33_000);
     assert_eq!(out[1].ready_at, 39_000);
-    assert_eq!(c.stats().activates, 2);
+    assert_eq!(c.stats().common.activates, 2);
     assert_eq!(c.stats().rd_row_hits, 0);
 }
 
@@ -136,10 +136,10 @@ fn write_acknowledged_on_enqueue() {
     assert_eq!(out[0].ready_at, 0);
     // The write itself has not touched DRAM yet (held below the low
     // watermark).
-    assert_eq!(c.stats().wr_bursts, 0);
+    assert_eq!(c.stats().common.wr_bursts, 0);
     assert_eq!(c.write_queue_len(), 1);
     run(&mut c);
-    assert_eq!(c.stats().wr_bursts, 1);
+    assert_eq!(c.stats().common.wr_bursts, 1);
 }
 
 #[test]
@@ -153,7 +153,7 @@ fn read_forwarded_from_write_queue() {
     // Serviced from the write queue: no DRAM latency at all.
     assert_eq!(read.ready_at, 0);
     assert_eq!(c.stats().forwarded_reads, 1);
-    assert_eq!(c.stats().rd_bursts, 0);
+    assert_eq!(c.stats().common.rd_bursts, 0);
 }
 
 #[test]
@@ -165,7 +165,7 @@ fn partial_read_not_forwarded() {
     c.try_send(MemRequest::read(ReqId(1), a, 64), 0).unwrap();
     run(&mut c);
     assert_eq!(c.stats().forwarded_reads, 0);
-    assert_eq!(c.stats().rd_bursts, 1);
+    assert_eq!(c.stats().common.rd_bursts, 1);
 }
 
 #[test]
@@ -193,7 +193,7 @@ fn large_read_chopped_single_response() {
     assert_eq!(out.len(), 1);
     // tRCD + tCL + 4 * tBURST.
     assert_eq!(out[0].ready_at, 51_000);
-    assert_eq!(c.stats().rd_bursts, 4);
+    assert_eq!(c.stats().common.rd_bursts, 4);
     assert_eq!(c.stats().rd_row_hits, 3);
 }
 
@@ -207,7 +207,7 @@ fn cache_line_chopped_on_narrow_interface() {
     c.try_send(MemRequest::read(ReqId(0), 0, 64), 0).unwrap();
     let out = run(&mut c);
     assert_eq!(out.len(), 1);
-    assert_eq!(c.stats().rd_bursts, 2);
+    assert_eq!(c.stats().common.rd_bursts, 2);
     // Second burst is a row hit (sequential sub-accesses benefit).
     assert_eq!(c.stats().rd_row_hits, 1);
     // tRCD + tCL + 2*tBURST = 15 + 15 + 10 ns.
@@ -243,7 +243,7 @@ fn write_then_read_pays_wtr_turnaround() {
         .unwrap();
     let mut out = Vec::new();
     c.advance_to(500, &mut out); // write issue decided; data on bus 27..33 ns
-    assert_eq!(c.stats().wr_bursts, 1);
+    assert_eq!(c.stats().common.wr_bursts, 1);
     // Read arrives while the write burst is still in flight.
     c.try_send(MemRequest::read(ReqId(1), addr(0, 5, 1), 64), 1_000)
         .unwrap();
@@ -271,8 +271,8 @@ fn read_then_write_pays_rtw_bubble() {
     // Read data 27..33 ns; write data start = 33 + tRTW(3) = 36 ns.
     // Visible through the accumulated turnaround count and bus busy time.
     assert_eq!(c.stats().bus_turnarounds, 1);
-    assert_eq!(c.stats().rd_bursts, 1);
-    assert_eq!(c.stats().wr_bursts, 1);
+    assert_eq!(c.stats().common.rd_bursts, 1);
+    assert_eq!(c.stats().common.wr_bursts, 1);
 }
 
 #[test]
@@ -297,7 +297,11 @@ fn high_watermark_forces_write_drain_before_reads() {
     // Two writes (the minimum per switch) go first: data 27..33, 33..39 ns.
     // Read turnaround: 39 + tWTR + tCL = 60 ns; data ends 66 ns.
     assert_eq!(read.ready_at, 66_000);
-    assert_eq!(c.stats().wr_bursts, 2, "min_writes_per_switch honoured");
+    assert_eq!(
+        c.stats().common.wr_bursts,
+        2,
+        "min_writes_per_switch honoured"
+    );
 }
 
 #[test]
@@ -314,7 +318,7 @@ fn refresh_delays_reads_by_rfc() {
     let mut out = Vec::new();
     c.advance_to(t_refi + t_rfc + 100_000, &mut out);
     assert_eq!(out[0].ready_at, t_refi + t_rfc + 33_000);
-    assert_eq!(c.stats().refreshes, 1);
+    assert_eq!(c.stats().common.refreshes, 1);
 }
 
 #[test]
@@ -325,7 +329,7 @@ fn refreshes_recur_every_refi() {
     let mut c = DramCtrl::new(cfg).unwrap();
     let mut out = Vec::new();
     c.advance_to(10 * t_refi, &mut out);
-    assert_eq!(c.stats().refreshes, 10);
+    assert_eq!(c.stats().common.refreshes, 10);
     assert!(out.is_empty());
 }
 
@@ -375,7 +379,7 @@ fn closed_adaptive_keeps_row_for_queued_hits() {
     two_same_row(&mut closed);
     let out = run(&mut closed);
     assert_eq!(closed.stats().rd_row_hits, 0);
-    assert_eq!(closed.stats().activates, 2);
+    assert_eq!(closed.stats().common.activates, 2);
     // Reopen after auto-precharge: PRE allowed at tRAS = 36, +tRP +tRCD
     // +tCL +tBURST = 82.5 ns.
     assert_eq!(out[1].ready_at, 82_500);
@@ -384,7 +388,7 @@ fn closed_adaptive_keeps_row_for_queued_hits() {
     two_same_row(&mut adaptive);
     let out = run(&mut adaptive);
     assert_eq!(adaptive.stats().rd_row_hits, 1);
-    assert_eq!(adaptive.stats().activates, 1);
+    assert_eq!(adaptive.stats().common.activates, 1);
     assert_eq!(out[1].ready_at, 39_000);
     // With nothing left queued the row was auto-precharged.
     assert_eq!(adaptive.open_row(0, 0), None);
@@ -408,11 +412,11 @@ fn open_adaptive_closes_on_queued_conflict() {
     };
     let open = scenario(PagePolicy::Open);
     assert_eq!(open.open_row(0, 0), Some(5));
-    assert_eq!(open.stats().precharges, 0);
+    assert_eq!(open.stats().common.precharges, 0);
 
     let adaptive = scenario(PagePolicy::OpenAdaptive);
     assert_eq!(adaptive.open_row(0, 0), None);
-    assert_eq!(adaptive.stats().precharges, 1);
+    assert_eq!(adaptive.stats().common.precharges, 1);
 }
 
 #[test]
@@ -424,7 +428,7 @@ fn starvation_guard_closes_hot_row() {
     }
     run(&mut c);
     // 8 accesses with a forced close every 4: two activates.
-    assert_eq!(c.stats().activates, 2);
+    assert_eq!(c.stats().common.activates, 2);
     assert_eq!(c.stats().rd_row_hits, 6);
 }
 

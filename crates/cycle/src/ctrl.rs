@@ -100,28 +100,9 @@ fn col_cmd(is_read: bool) -> DramCmd {
 /// Statistics of the cycle-based controller.
 #[derive(Debug, Clone, Default)]
 pub struct CycleStats {
-    /// Read requests accepted.
-    pub reads_accepted: u64,
-    /// Write requests accepted.
-    pub writes_accepted: u64,
-    /// Read bursts serviced.
-    pub rd_bursts: u64,
-    /// Write bursts serviced.
-    pub wr_bursts: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Bursts that hit an open row.
-    pub row_hits: u64,
-    /// Row activations.
-    pub activates: u64,
-    /// Precharges.
-    pub precharges: u64,
-    /// Refreshes.
-    pub refreshes: u64,
-    /// Accumulated data-bus busy time (ticks).
-    pub bus_busy: Tick,
+    /// The counts shared with the event model, counted from the command
+    /// stream by [`CommonStats::record`].
+    pub common: CommonStats,
     /// Incoming writes dropped because a queued write already covered
     /// them (only with `write_snooping`).
     pub merged_writes: u64,
@@ -334,14 +315,8 @@ impl<P: Probe> CycleCtrl<P> {
                 rank.want_refresh = false;
                 rank.refreshing_until = c + rfc;
                 self.protocol.record(DramCmd::Ref, r, 0, c, 0);
-                self.stats.refreshes += 1;
-                if P::ENABLED {
-                    self.probe.dram_cmd(CmdEvent::refresh(
-                        r,
-                        self.clk.cycles(c),
-                        self.clk.cycles(rfc),
-                    ));
-                }
+                let (at, dur) = (self.clk.cycles(c), self.clk.cycles(rfc));
+                self.emit(CmdEvent::refresh(r, at, dur));
                 return;
             }
             // Precharge the first open bank that is ready.
@@ -392,11 +367,17 @@ impl<P: Probe> CycleCtrl<P> {
     fn precharge(&mut self, ri: u32, bi: u32, c: u64) {
         self.ranks[ri as usize].banks[bi as usize].open_row = None;
         self.protocol.record(DramCmd::Pre, ri, bi, c, 0);
-        self.stats.precharges += 1;
+        let rp = self.clk.cycles(self.protocol.gap(Rule::Rp));
+        self.emit(CmdEvent::pre(ri, bi, self.clk.cycles(c), rp));
+    }
+
+    /// Issues `ev`: counts it, then shows it to the probe. Every DRAM
+    /// command the model issues goes through here.
+    #[inline]
+    fn emit(&mut self, ev: CmdEvent) {
+        self.stats.common.record(&ev);
         if P::ENABLED {
-            let rp = self.clk.cycles(self.protocol.gap(Rule::Rp));
-            self.probe
-                .dram_cmd(CmdEvent::pre(ri, bi, self.clk.cycles(c), rp));
+            self.probe.dram_cmd(ev);
         }
     }
 
@@ -408,39 +389,26 @@ impl<P: Probe> CycleCtrl<P> {
         if self.cfg.write_snooping && !txn.is_read {
             self.coverage.remove(txn.burst_addr, txn.lo, txn.hi);
         }
-        if !txn.activated {
-            self.stats.row_hits += 1;
-        }
         let cmd = col_cmd(txn.is_read);
         let data_start = c + self.protocol.offset(Edge::DataStart);
         let data_end = c + self.protocol.offset(Edge::DataEnd);
         let burst = self.clk.cycles(data_end - data_start);
         self.protocol.record(cmd, txn.da.rank, txn.da.bank, c, 0);
-        self.stats.bus_busy += burst;
+        let mut ev = CmdEvent::data(
+            cmd,
+            txn.da.rank,
+            txn.da.bank,
+            txn.da.row,
+            self.clk.cycles(data_start),
+            burst,
+            txn.hi - txn.lo,
+            !txn.activated,
+        );
         if P::ENABLED {
-            self.probe.dram_cmd(CmdEvent {
-                req: txn.is_read.then(|| self.groups.get(txn.group).req.id.0),
-                ..CmdEvent::data(
-                    cmd,
-                    txn.da.rank,
-                    txn.da.bank,
-                    txn.da.row,
-                    self.clk.cycles(data_start),
-                    burst,
-                    txn.hi - txn.lo,
-                    !txn.activated,
-                )
-            });
-            self.probe_queue_depth(self.clk.cycles(c));
+            ev.req = txn.is_read.then(|| self.groups.get(txn.group).req.id.0);
         }
-
-        if txn.is_read {
-            self.stats.rd_bursts += 1;
-            self.stats.bytes_read += u64::from(txn.hi - txn.lo);
-        } else {
-            self.stats.wr_bursts += 1;
-            self.stats.bytes_written += u64::from(txn.hi - txn.lo);
-        }
+        self.emit(ev);
+        self.probe_queue_depth(self.clk.cycles(c));
 
         if self.cfg.page_policy == CyclePagePolicy::Closed {
             // Auto-precharge at the first cycle the table allows a PRE,
@@ -544,13 +512,9 @@ impl<P: Probe> CycleCtrl<P> {
                 }
                 self.protocol.record(DramCmd::Act, r, b, c, 0);
                 self.ranks[ri].banks[bi].open_row = Some(txn.da.row);
-                self.stats.activates += 1;
                 self.queue[i].activated = true;
-                if P::ENABLED {
-                    let rcd = self.clk.cycles(self.protocol.gap(Rule::Rcd));
-                    self.probe
-                        .dram_cmd(CmdEvent::act(r, b, txn.da.row, self.clk.cycles(c), rcd));
-                }
+                let rcd = self.clk.cycles(self.protocol.gap(Rule::Rcd));
+                self.emit(CmdEvent::act(r, b, txn.da.row, self.clk.cycles(c), rcd));
                 true
             }
         }
@@ -632,11 +596,7 @@ impl<P: Probe> Controller for CycleCtrl<P> {
             self.advance_cycles_to(now_cycle);
         }
         let is_read = req.cmd.is_read();
-        if is_read {
-            self.stats.reads_accepted += 1;
-        } else {
-            self.stats.writes_accepted += 1;
-        }
+        self.stats.common.accepted(is_read);
         if P::ENABLED {
             self.probe
                 .req_accepted(req.id.0, is_read, req.addr, req.size, now);
@@ -787,18 +747,9 @@ impl<P: Probe> Controller for CycleCtrl<P> {
     }
 
     fn common_stats(&self) -> CommonStats {
-        let s = &self.stats;
         CommonStats {
-            reads_accepted: s.reads_accepted,
-            writes_accepted: s.writes_accepted,
-            rd_bursts: s.rd_bursts,
-            wr_bursts: s.wr_bursts,
-            bytes_read: s.bytes_read,
-            bytes_written: s.bytes_written,
-            row_hits: s.row_hits,
-            activates: s.activates,
-            bus_busy: s.bus_busy,
-            read_lat_sum: s.read_lat.sum(),
+            read_lat_sum: self.stats.read_lat.sum(),
+            ..self.stats.common
         }
     }
 
@@ -807,47 +758,40 @@ impl<P: Probe> Controller for CycleCtrl<P> {
         if !self.busy() {
             self.skip_idle_to(now_cycle);
         }
+        // The baseline has no low-power states: no power-down or
+        // self-refresh time.
         ActivityStats {
-            sim_time: now,
-            activates: self.stats.activates,
-            precharges: self.stats.precharges,
-            rd_bursts: self.stats.rd_bursts,
-            wr_bursts: self.stats.wr_bursts,
-            refreshes: self.stats.refreshes,
             time_all_banks_precharged: self
                 .ranks
                 .iter()
                 .map(|r| self.clk.cycles(r.closed_cycles))
                 .sum(),
-            time_powered_down: 0, // the baseline has no low-power states
-            time_self_refresh: 0,
-            ranks: self.cfg.spec.org.ranks,
+            ..ActivityStats::counted(&self.stats.common, now, self.cfg.spec.org.ranks)
         }
     }
 
     fn report(&self, prefix: &str, now: Tick) -> Report {
         let mut r = Report::new(prefix);
-        let s = &self.stats;
+        let (s, c) = (&self.stats, &self.stats.common);
         r.text("device", self.cfg.spec.name);
         r.text("model", "cycle");
-        r.counter("reads_accepted", s.reads_accepted);
-        r.counter("writes_accepted", s.writes_accepted);
-        r.counter("rd_bursts", s.rd_bursts);
-        r.counter("wr_bursts", s.wr_bursts);
-        r.counter("bytes_read", s.bytes_read);
-        r.counter("bytes_written", s.bytes_written);
-        r.counter("row_hits", s.row_hits);
-        r.counter("activates", s.activates);
-        r.counter("precharges", s.precharges);
-        r.counter("refreshes", s.refreshes);
+        r.counter("reads_accepted", c.reads_accepted);
+        r.counter("writes_accepted", c.writes_accepted);
+        r.counter("rd_bursts", c.rd_bursts);
+        r.counter("wr_bursts", c.wr_bursts);
+        r.counter("bytes_read", c.bytes_read);
+        r.counter("bytes_written", c.bytes_written);
+        r.counter("row_hits", c.row_hits);
+        r.counter("activates", c.activates);
+        r.counter("precharges", c.precharges);
+        r.counter("refreshes", c.refreshes);
         if self.cfg.write_snooping {
             r.counter("merged_writes", s.merged_writes);
             r.counter("forwarded_reads", s.forwarded_reads);
         }
         r.counter("cycles_simulated", s.cycles_simulated);
-        let common = self.common_stats();
-        r.scalar("page_hit_rate", common.page_hit_rate());
-        r.scalar("bus_util", common.bus_utilisation(now));
+        r.scalar("page_hit_rate", c.page_hit_rate());
+        r.scalar("bus_util", c.bus_utilisation(now));
         r.scalar(
             "avg_read_lat_ns",
             dramctrl_kernel::tick::to_ns(s.read_lat.mean() as Tick),
@@ -961,18 +905,18 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
         if let Some(fm) = &self.fault {
             fm.save_state(w);
         }
-        let s = &self.stats;
-        w.u64(s.reads_accepted);
-        w.u64(s.writes_accepted);
-        w.u64(s.rd_bursts);
-        w.u64(s.wr_bursts);
-        w.u64(s.bytes_read);
-        w.u64(s.bytes_written);
-        w.u64(s.row_hits);
-        w.u64(s.activates);
-        w.u64(s.precharges);
-        w.u64(s.refreshes);
-        w.u64(s.bus_busy);
+        let (s, c) = (&self.stats, &self.stats.common);
+        w.u64(c.reads_accepted);
+        w.u64(c.writes_accepted);
+        w.u64(c.rd_bursts);
+        w.u64(c.wr_bursts);
+        w.u64(c.bytes_read);
+        w.u64(c.bytes_written);
+        w.u64(c.row_hits);
+        w.u64(c.activates);
+        w.u64(c.precharges);
+        w.u64(c.refreshes);
+        w.u64(c.bus_busy);
         w.u64(s.merged_writes);
         w.u64(s.forwarded_reads);
         w.u64(s.cycles_simulated);
@@ -1054,17 +998,18 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
             fm.restore_state(r)?;
         }
         let s = &mut self.stats;
-        s.reads_accepted = r.u64()?;
-        s.writes_accepted = r.u64()?;
-        s.rd_bursts = r.u64()?;
-        s.wr_bursts = r.u64()?;
-        s.bytes_read = r.u64()?;
-        s.bytes_written = r.u64()?;
-        s.row_hits = r.u64()?;
-        s.activates = r.u64()?;
-        s.precharges = r.u64()?;
-        s.refreshes = r.u64()?;
-        s.bus_busy = r.u64()?;
+        let c = &mut s.common;
+        c.reads_accepted = r.u64()?;
+        c.writes_accepted = r.u64()?;
+        c.rd_bursts = r.u64()?;
+        c.wr_bursts = r.u64()?;
+        c.bytes_read = r.u64()?;
+        c.bytes_written = r.u64()?;
+        c.row_hits = r.u64()?;
+        c.activates = r.u64()?;
+        c.precharges = r.u64()?;
+        c.refreshes = r.u64()?;
+        c.bus_busy = r.u64()?;
         s.merged_writes = r.u64()?;
         s.forwarded_reads = r.u64()?;
         s.cycles_simulated = r.u64()?;

@@ -38,7 +38,7 @@ fn cold_read_latency_in_cycles() {
     c.drain(&mut out);
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].ready_at, 23 * 1_500);
-    assert_eq!(c.stats().activates, 1);
+    assert_eq!(c.stats().common.activates, 1);
 }
 
 #[test]
@@ -54,8 +54,8 @@ fn row_hits_pipeline_on_the_bus() {
     for (i, r) in out.iter().enumerate() {
         assert_eq!(r.ready_at, (23 + 4 * i as u64) * 1_500);
     }
-    assert_eq!(c.stats().row_hits, 3);
-    assert_eq!(c.stats().activates, 1);
+    assert_eq!(c.stats().common.row_hits, 3);
+    assert_eq!(c.stats().common.activates, 1);
 }
 
 #[test]
@@ -67,8 +67,8 @@ fn bank_conflict_reopens_row() {
         .unwrap();
     let mut out = Vec::new();
     c.drain(&mut out);
-    assert_eq!(c.stats().precharges, 1);
-    assert_eq!(c.stats().activates, 2);
+    assert_eq!(c.stats().common.precharges, 1);
+    assert_eq!(c.stats().common.activates, 2);
     // PRE gated by tRAS (24 cycles from ACT at cycle 1), +tRP +tRCD +tCL
     // +tBURST = 25 + 9 + 9 + 9 + 4 = 56 cycles.
     assert_eq!(out[1].ready_at, 56 * 1_500);
@@ -86,7 +86,7 @@ fn writes_ack_immediately_but_occupy_queue() {
     // Unlike the event-based model, the unified queue drains the write
     // without any watermark: it reaches DRAM during a normal drain.
     c.drain(&mut out);
-    assert_eq!(c.stats().wr_bursts, 1);
+    assert_eq!(c.stats().common.wr_bursts, 1);
 }
 
 #[test]
@@ -103,8 +103,8 @@ fn unified_queue_interleaves_reads_and_writes() {
         .unwrap();
     let mut out = Vec::new();
     c.drain(&mut out);
-    assert_eq!(c.stats().rd_bursts, 2);
-    assert_eq!(c.stats().wr_bursts, 1);
+    assert_eq!(c.stats().common.rd_bursts, 2);
+    assert_eq!(c.stats().common.wr_bursts, 1);
     // The second read pays the write-to-read turnaround: its data cannot
     // start before the write data end + tWTR + tCL.
     let r2 = out.iter().find(|r| r.id == ReqId(2)).unwrap();
@@ -121,9 +121,9 @@ fn closed_page_auto_precharges() {
     }
     let mut out = Vec::new();
     c.drain(&mut out);
-    assert_eq!(c.stats().row_hits, 0, "closed page never hits");
-    assert_eq!(c.stats().activates, 2);
-    assert_eq!(c.stats().precharges, 2);
+    assert_eq!(c.stats().common.row_hits, 0, "closed page never hits");
+    assert_eq!(c.stats().common.activates, 2);
+    assert_eq!(c.stats().common.precharges, 2);
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn refresh_blocks_and_recurs() {
     let mut c = CycleCtrl::new(cfg).unwrap();
     let mut out = Vec::new();
     c.advance_to(3 * t_refi + 1_000_000, &mut out);
-    assert_eq!(c.stats().refreshes, 3);
+    assert_eq!(c.stats().common.refreshes, 3);
     // A read right at the refresh deadline waits out tRFC.
     let mut c = CycleCtrl::new(CycleConfig::new(presets::ddr3_1333_x64())).unwrap();
     c.advance_to(t_refi, &mut out);
@@ -298,8 +298,8 @@ fn write_snooping_forwards_reads_and_merges_writes() {
     assert!(out.iter().all(|r| r.ready_at == 0));
     assert_eq!(c.stats().merged_writes, 1);
     assert_eq!(c.stats().forwarded_reads, 1);
-    assert_eq!(c.stats().wr_bursts, 1, "only one write touches DRAM");
-    assert_eq!(c.stats().rd_bursts, 0, "the read never touches DRAM");
+    assert_eq!(c.stats().common.wr_bursts, 1, "only one write touches DRAM");
+    assert_eq!(c.stats().common.rd_bursts, 0, "the read never touches DRAM");
 }
 
 /// A partial write does not cover a wider read; coverage ends when the
@@ -318,7 +318,7 @@ fn write_snooping_respects_spans_and_drain() {
     let mut out = Vec::new();
     c.drain(&mut out);
     assert_eq!(c.stats().forwarded_reads, 1);
-    assert_eq!(c.stats().rd_bursts, 1);
+    assert_eq!(c.stats().common.rd_bursts, 1);
     // Once drained, the write no longer covers anything.
     c.try_send(
         MemRequest::read(ReqId(3), a + 12, 4),
@@ -328,7 +328,7 @@ fn write_snooping_respects_spans_and_drain() {
     out.clear();
     c.drain(&mut out);
     assert_eq!(c.stats().forwarded_reads, 1, "no stale coverage");
-    assert_eq!(c.stats().rd_bursts, 2);
+    assert_eq!(c.stats().common.rd_bursts, 2);
 }
 
 /// Snooping off (the default) keeps DRAMSim2 behaviour: every burst
@@ -344,8 +344,8 @@ fn snooping_off_by_default_services_every_burst() {
     c.drain(&mut out);
     assert_eq!(c.stats().merged_writes, 0);
     assert_eq!(c.stats().forwarded_reads, 0);
-    assert_eq!(c.stats().wr_bursts, 2);
-    assert_eq!(c.stats().rd_bursts, 1);
+    assert_eq!(c.stats().common.wr_bursts, 2);
+    assert_eq!(c.stats().common.rd_bursts, 1);
 }
 
 /// The instrumentation layer must not perturb the cycle model either:

@@ -4,7 +4,11 @@
 //! activity counters, which the Micron power model (paper Section II-G)
 //! turns into a power breakdown off-line.
 
+use std::ops::AddAssign;
+
 use dramctrl_kernel::Tick;
+
+use crate::ctrl_if::CommonStats;
 
 /// DRAM activity accumulated over a simulation window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,6 +39,22 @@ pub struct ActivityStats {
 }
 
 impl ActivityStats {
+    /// The command counts of `c` over `[0, sim_time]` on `ranks` ranks,
+    /// with the time integrals zero for the model to fill in.
+    #[inline]
+    pub fn counted(c: &CommonStats, sim_time: Tick, ranks: u32) -> Self {
+        ActivityStats {
+            sim_time,
+            activates: c.activates,
+            precharges: c.precharges,
+            rd_bursts: c.rd_bursts,
+            wr_bursts: c.wr_bursts,
+            refreshes: c.refreshes,
+            ranks,
+            ..ActivityStats::default()
+        }
+    }
+
     /// Fraction of time all banks were precharged, averaged over ranks.
     /// Returns 1.0 for an empty window (an idle device is precharged).
     pub fn precharged_fraction(&self) -> f64 {
@@ -60,6 +80,25 @@ impl ActivityStats {
             return 0.0;
         }
         self.time_self_refresh as f64 / (self.sim_time as f64 * f64::from(self.ranks))
+    }
+}
+
+/// Sums the activity of independent parts (crossbar channels, memory
+/// tiers): counts, time integrals and ranks add up, and the window is
+/// the longest part's.
+impl AddAssign for ActivityStats {
+    #[inline]
+    fn add_assign(&mut self, o: ActivityStats) {
+        self.sim_time = self.sim_time.max(o.sim_time);
+        self.activates += o.activates;
+        self.precharges += o.precharges;
+        self.rd_bursts += o.rd_bursts;
+        self.wr_bursts += o.wr_bursts;
+        self.refreshes += o.refreshes;
+        self.time_all_banks_precharged += o.time_all_banks_precharged;
+        self.time_powered_down += o.time_powered_down;
+        self.time_self_refresh += o.time_self_refresh;
+        self.ranks += o.ranks;
     }
 }
 

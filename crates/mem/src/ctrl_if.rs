@@ -6,7 +6,10 @@
 //! pull-style interface both implement, so generators, testers and the
 //! system model are generic over the controller.
 
-use dramctrl_kernel::Tick;
+use std::ops::AddAssign;
+
+use dramctrl_kernel::{tick, Tick};
+use dramctrl_obs::{CmdEvent, DramCmd};
 use dramctrl_stats::Report;
 
 use crate::activity::ActivityStats;
@@ -34,7 +37,12 @@ impl std::fmt::Display for Rejected {
 impl std::error::Error for Rejected {}
 
 /// Counters shared by all controller implementations, used by the
-/// validation figures.
+/// validation figures and the power model.
+///
+/// Both timing models count the DRAM commands they issue through
+/// [`record`](CommonStats::record), with the same [`CmdEvent`] they hand
+/// to their probe, so the counts are a fold over the command stream the
+/// timing checker judges: there is no second, hand-kept tally.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommonStats {
     /// Read requests accepted.
@@ -53,6 +61,10 @@ pub struct CommonStats {
     pub row_hits: u64,
     /// Row activations.
     pub activates: u64,
+    /// Precharges (explicit, auto and refresh-forced).
+    pub precharges: u64,
+    /// Refresh operations.
+    pub refreshes: u64,
     /// Accumulated data-bus busy time.
     pub bus_busy: Tick,
     /// Sum of per-read-burst latencies inside the controller, in ticks
@@ -62,7 +74,42 @@ pub struct CommonStats {
 }
 
 impl CommonStats {
+    /// Counts one issued DRAM command: ACT, PRE and REF by kind; a RD or
+    /// WR as one burst of `ev.bytes`, a row hit if `ev.row_hit`, and `ev.dur`
+    /// of data-bus occupancy.
+    #[inline]
+    pub fn record(&mut self, ev: &CmdEvent) {
+        match ev.cmd {
+            DramCmd::Act => self.activates += 1,
+            DramCmd::Pre => self.precharges += 1,
+            DramCmd::Ref => self.refreshes += 1,
+            DramCmd::Rd | DramCmd::Wr => {
+                let bytes = u64::from(ev.bytes);
+                if ev.cmd == DramCmd::Rd {
+                    self.rd_bursts += 1;
+                    self.bytes_read += bytes;
+                } else {
+                    self.wr_bursts += 1;
+                    self.bytes_written += bytes;
+                }
+                self.row_hits += u64::from(ev.row_hit);
+                self.bus_busy += ev.dur;
+            }
+        }
+    }
+
+    /// Counts one accepted request.
+    #[inline]
+    pub fn accepted(&mut self, is_read: bool) {
+        if is_read {
+            self.reads_accepted += 1;
+        } else {
+            self.writes_accepted += 1;
+        }
+    }
+
     /// Data-bus utilisation over `[0, now]`.
+    #[inline]
     pub fn bus_utilisation(&self, now: Tick) -> f64 {
         if now == 0 {
             0.0
@@ -71,7 +118,18 @@ impl CommonStats {
         }
     }
 
+    /// Average achieved bandwidth in GB/s over `[0, now]`.
+    #[inline]
+    pub fn bandwidth_gbps(&self, now: Tick) -> f64 {
+        if now == 0 {
+            0.0
+        } else {
+            (self.bytes_read + self.bytes_written) as f64 / tick::to_s(now) / 1e9
+        }
+    }
+
     /// Mean read latency inside the controller, in ticks.
+    #[inline]
     pub fn avg_read_lat(&self) -> f64 {
         if self.rd_bursts == 0 {
             0.0
@@ -88,6 +146,7 @@ impl CommonStats {
     /// # Panics
     /// Panics in debug builds if `base` is not an earlier snapshot of the
     /// same controller (counters would go backwards).
+    #[inline]
     pub fn since(&self, base: &CommonStats) -> CommonStats {
         debug_assert!(self.rd_bursts >= base.rd_bursts);
         debug_assert!(self.wr_bursts >= base.wr_bursts);
@@ -100,12 +159,15 @@ impl CommonStats {
             bytes_written: self.bytes_written - base.bytes_written,
             row_hits: self.row_hits - base.row_hits,
             activates: self.activates - base.activates,
+            precharges: self.precharges - base.precharges,
+            refreshes: self.refreshes - base.refreshes,
             bus_busy: self.bus_busy - base.bus_busy,
             read_lat_sum: self.read_lat_sum - base.read_lat_sum,
         }
     }
 
     /// Row-hit rate over all serviced bursts.
+    #[inline]
     pub fn page_hit_rate(&self) -> f64 {
         let bursts = self.rd_bursts + self.wr_bursts;
         if bursts == 0 {
@@ -113,6 +175,27 @@ impl CommonStats {
         } else {
             self.row_hits as f64 / bursts as f64
         }
+    }
+}
+
+/// Sums the statistics of independent controllers (crossbar channels,
+/// memory tiers). `bus_busy` adds up, so utilisation over a sum reads
+/// per-part bus time, not one bus's.
+impl AddAssign for CommonStats {
+    #[inline]
+    fn add_assign(&mut self, o: CommonStats) {
+        self.reads_accepted += o.reads_accepted;
+        self.writes_accepted += o.writes_accepted;
+        self.rd_bursts += o.rd_bursts;
+        self.wr_bursts += o.wr_bursts;
+        self.bytes_read += o.bytes_read;
+        self.bytes_written += o.bytes_written;
+        self.row_hits += o.row_hits;
+        self.activates += o.activates;
+        self.precharges += o.precharges;
+        self.refreshes += o.refreshes;
+        self.bus_busy += o.bus_busy;
+        self.read_lat_sum += o.read_lat_sum;
     }
 }
 
@@ -200,6 +283,61 @@ mod tests {
         assert_eq!(s.bus_utilisation(800), 0.5);
         assert_eq!(CommonStats::default().page_hit_rate(), 0.0);
         assert_eq!(CommonStats::default().bus_utilisation(0), 0.0);
+    }
+
+    #[test]
+    fn page_hit_rate_empty_is_zero() {
+        let s = CommonStats::default();
+        assert_eq!(s.page_hit_rate(), 0.0);
+        assert_eq!(s.bus_utilisation(0), 0.0);
+        assert_eq!(s.bandwidth_gbps(0), 0.0);
+    }
+
+    #[test]
+    fn derived_rates() {
+        let s = CommonStats {
+            rd_bursts: 8,
+            wr_bursts: 2,
+            row_hits: 5,
+            bytes_read: 640,
+            bus_busy: 500,
+            ..Default::default()
+        };
+        assert_eq!(s.page_hit_rate(), 0.5);
+        assert_eq!(s.bus_utilisation(1_000), 0.5);
+        // 640 bytes in 1000 ps = 640 GB/s.
+        assert!((s.bandwidth_gbps(1_000) - 640.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_counts_each_command_once() {
+        let mut s = CommonStats::default();
+        s.record(&CmdEvent::act(0, 1, 7, 100, 10));
+        s.record(&CmdEvent::data(DramCmd::Rd, 0, 1, 7, 120, 5, 64, false));
+        s.record(&CmdEvent::data(DramCmd::Rd, 0, 1, 7, 125, 5, 32, true));
+        s.record(&CmdEvent::data(DramCmd::Wr, 0, 1, 7, 140, 5, 64, true));
+        s.record(&CmdEvent::pre(0, 1, 200, 10));
+        s.record(&CmdEvent::refresh(0, 300, 50));
+        s.accepted(true);
+        s.accepted(false);
+        let want = CommonStats {
+            reads_accepted: 1,
+            writes_accepted: 1,
+            rd_bursts: 2,
+            wr_bursts: 1,
+            bytes_read: 96,
+            bytes_written: 64,
+            row_hits: 2,
+            activates: 1,
+            precharges: 1,
+            refreshes: 1,
+            bus_busy: 15,
+            read_lat_sum: 0.0,
+        };
+        assert_eq!(s, want);
+        let mut twice = s;
+        twice += s;
+        assert_eq!(twice.since(&s), s);
     }
 
     #[test]

@@ -75,7 +75,14 @@ fn routing_and_decode_consistent() {
 /// division or modulo per field, every divisor recomputed per call — kept
 /// here as the oracle the precomputed decoder must agree with.
 fn oracle(m: AddrMapping, addr: u64, org: &Organisation, channels: u32) -> (u32, DramAddr) {
-    let g = m.interleave_granularity(org);
+    // Table I's channel granules, not the layout's own: a row buffer
+    // when the channel sits above the column, else one burst but at
+    // least 64 B.
+    let g = if m == AddrMapping::RoRaBaChCo {
+        org.row_buffer_bytes()
+    } else {
+        org.burst_bytes().max(64)
+    };
     let ch = u64::from(channels);
     let channel = ((addr / g) % ch) as u32;
     let local = (addr / (g * ch)) * g + addr % g;

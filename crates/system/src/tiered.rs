@@ -142,35 +142,15 @@ impl<N: Controller, F: Controller> Controller for TieredMemory<N, F> {
     }
 
     fn common_stats(&self) -> CommonStats {
-        let (n, f) = (self.near.common_stats(), self.far.common_stats());
-        CommonStats {
-            reads_accepted: n.reads_accepted + f.reads_accepted,
-            writes_accepted: n.writes_accepted + f.writes_accepted,
-            rd_bursts: n.rd_bursts + f.rd_bursts,
-            wr_bursts: n.wr_bursts + f.wr_bursts,
-            bytes_read: n.bytes_read + f.bytes_read,
-            bytes_written: n.bytes_written + f.bytes_written,
-            row_hits: n.row_hits + f.row_hits,
-            activates: n.activates + f.activates,
-            bus_busy: n.bus_busy + f.bus_busy,
-            read_lat_sum: n.read_lat_sum + f.read_lat_sum,
-        }
+        let mut total = self.near.common_stats();
+        total += self.far.common_stats();
+        total
     }
 
     fn activity(&mut self, now: Tick) -> ActivityStats {
-        let (n, f) = (self.near.activity(now), self.far.activity(now));
-        ActivityStats {
-            sim_time: now,
-            activates: n.activates + f.activates,
-            precharges: n.precharges + f.precharges,
-            rd_bursts: n.rd_bursts + f.rd_bursts,
-            wr_bursts: n.wr_bursts + f.wr_bursts,
-            refreshes: n.refreshes + f.refreshes,
-            time_all_banks_precharged: n.time_all_banks_precharged + f.time_all_banks_precharged,
-            time_powered_down: n.time_powered_down + f.time_powered_down,
-            time_self_refresh: n.time_self_refresh + f.time_self_refresh,
-            ranks: n.ranks + f.ranks,
-        }
+        let mut total = self.near.activity(now);
+        total += self.far.activity(now);
+        total
     }
 
     fn report(&self, prefix: &str, now: Tick) -> Report {

@@ -230,17 +230,7 @@ impl<C: Controller> Controller for MultiChannel<C> {
     fn common_stats(&self) -> CommonStats {
         let mut total = CommonStats::default();
         for c in &self.channels {
-            let s = c.common_stats();
-            total.reads_accepted += s.reads_accepted;
-            total.writes_accepted += s.writes_accepted;
-            total.rd_bursts += s.rd_bursts;
-            total.wr_bursts += s.wr_bursts;
-            total.bytes_read += s.bytes_read;
-            total.bytes_written += s.bytes_written;
-            total.row_hits += s.row_hits;
-            total.activates += s.activates;
-            total.bus_busy += s.bus_busy;
-            total.read_lat_sum += s.read_lat_sum;
+            total += c.common_stats();
         }
         total
     }
@@ -248,18 +238,8 @@ impl<C: Controller> Controller for MultiChannel<C> {
     fn activity(&mut self, now: Tick) -> ActivityStats {
         let mut total = ActivityStats::default();
         for ch in 0..self.channels.len() {
-            let a = self.with_channel(ch, |c| c.activity(now));
-            total.activates += a.activates;
-            total.precharges += a.precharges;
-            total.rd_bursts += a.rd_bursts;
-            total.wr_bursts += a.wr_bursts;
-            total.refreshes += a.refreshes;
-            total.time_all_banks_precharged += a.time_all_banks_precharged;
-            total.time_powered_down += a.time_powered_down;
-            total.time_self_refresh += a.time_self_refresh;
-            total.ranks += a.ranks;
+            total += self.with_channel(ch, |c| c.activity(now));
         }
-        total.sim_time = now;
         total
     }
 

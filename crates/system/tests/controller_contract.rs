@@ -3,8 +3,13 @@
 //! emits nothing when `next_event()` is `None` or `> limit`, and
 //! `next_event()` changes only through `&mut self` calls. The crossbar's
 //! cached next-event ticks are sound only while both hold.
+//!
+//! Also asserted on the same workloads: a controller's counts are its
+//! command stream — `common_stats()` equals a probe's fold of the
+//! `dram_cmd` events it emitted, `activity()` reports the same command
+//! counts, and a crossbar or a tiered memory reports the sum of its parts.
 
-use dramctrl::{CtrlConfig, DramCtrl};
+use dramctrl::{CtrlConfig, DramCtrl, EccMode, RasConfig};
 use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_kernel::snap::{SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
@@ -12,7 +17,9 @@ use dramctrl_mem::{
     presets, ActivityStats, CommonStats, Controller, MemCmd, MemRequest, MemResponse, MemSpec,
     Rejected,
 };
+use dramctrl_obs::{CmdEvent, DramCmd, Probe};
 use dramctrl_stats::Report;
+use dramctrl_system::{MultiChannel, TieredMemory};
 use dramctrl_traffic::{BurstyGen, InterleaveGen, LinearGen, RandomGen, Tester, TrafficGen};
 
 fn state_bytes(c: &impl SnapState) -> Vec<u8> {
@@ -169,7 +176,7 @@ fn event_model_with_refresh_and_powerdown_keeps_the_contract() {
             DramCtrl::new(cfg).unwrap()
         },
         |c| {
-            refreshes += c.stats().refreshes;
+            refreshes += c.stats().common.refreshes;
             powerdowns += c.stats().powerdowns;
             self_refreshes += c.stats().self_refreshes;
         },
@@ -186,4 +193,222 @@ fn cycle_model_keeps_the_contract() {
         |_| {},
     );
     assert!(probes > 10_000, "only {probes} no-op advances were probed");
+}
+
+/// The command stream folded by hand, as a power model reads it, plus the
+/// requests the probe saw accepted.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fold {
+    reads: u64,
+    writes: u64,
+    act: u64,
+    pre: u64,
+    refs: u64,
+    rd: u64,
+    wr: u64,
+    rd_bytes: u64,
+    wr_bytes: u64,
+    hits: u64,
+    bus: Tick,
+}
+
+impl Probe for Fold {
+    fn dram_cmd(&mut self, ev: CmdEvent) {
+        let bytes = u64::from(ev.bytes);
+        match ev.cmd {
+            DramCmd::Act => self.act += 1,
+            DramCmd::Pre => self.pre += 1,
+            DramCmd::Ref => self.refs += 1,
+            DramCmd::Rd => (self.rd, self.rd_bytes) = (self.rd + 1, self.rd_bytes + bytes),
+            DramCmd::Wr => (self.wr, self.wr_bytes) = (self.wr + 1, self.wr_bytes + bytes),
+        }
+        if matches!(ev.cmd, DramCmd::Rd | DramCmd::Wr) {
+            self.hits += u64::from(ev.row_hit);
+            self.bus += ev.dur;
+        }
+    }
+
+    fn req_accepted(&mut self, _: u64, is_read: bool, _: u64, _: u32, _: Tick) {
+        if is_read {
+            self.reads += 1;
+        } else {
+            self.writes += 1;
+        }
+    }
+}
+
+impl Fold {
+    fn plus(self, o: Fold) -> Fold {
+        Fold {
+            reads: self.reads + o.reads,
+            writes: self.writes + o.writes,
+            act: self.act + o.act,
+            pre: self.pre + o.pre,
+            refs: self.refs + o.refs,
+            rd: self.rd + o.rd,
+            wr: self.wr + o.wr,
+            rd_bytes: self.rd_bytes + o.rd_bytes,
+            wr_bytes: self.wr_bytes + o.wr_bytes,
+            hits: self.hits + o.hits,
+            bus: self.bus + o.bus,
+        }
+    }
+
+    /// Asserts that `ctrl`, drained at `end`, counts exactly this stream:
+    /// in `common_stats()` (whose read-latency sum no command carries)
+    /// and in `activity(end)`'s command counts.
+    fn assert_counted_by(&self, ctrl: &mut impl Controller, end: Tick, what: &str) {
+        let s = ctrl.common_stats();
+        let folded = CommonStats {
+            reads_accepted: self.reads,
+            writes_accepted: self.writes,
+            rd_bursts: self.rd,
+            wr_bursts: self.wr,
+            bytes_read: self.rd_bytes,
+            bytes_written: self.wr_bytes,
+            row_hits: self.hits,
+            activates: self.act,
+            precharges: self.pre,
+            refreshes: self.refs,
+            bus_busy: self.bus,
+            read_lat_sum: s.read_lat_sum,
+        };
+        assert_eq!(s, folded, "{what}: common_stats is not the command stream");
+        let a = ctrl.activity(end);
+        assert_eq!(
+            [
+                a.activates,
+                a.precharges,
+                a.rd_bursts,
+                a.wr_bursts,
+                a.refreshes
+            ],
+            [
+                s.activates,
+                s.precharges,
+                s.rd_bursts,
+                s.wr_bursts,
+                s.refreshes
+            ],
+            "{what}: activity counts differ from common_stats"
+        );
+    }
+}
+
+/// Runs every workload of two seeds through `mk()`; `probe` reads the
+/// controller's fold. Returns the summed folds.
+fn assert_counts_are_the_stream<C: Controller>(
+    model: &str,
+    mk: impl Fn(u64) -> C,
+    probe: impl Fn(&C) -> Fold,
+) -> Fold {
+    let mut total = Fold::default();
+    for seed in 1..=2 {
+        for (i, mut gen) in workloads(seed).into_iter().enumerate() {
+            let mut ctrl = mk(seed);
+            let summary = Tester::default().run(&mut gen, &mut ctrl);
+            let fold = probe(&ctrl);
+            fold.assert_counted_by(
+                &mut ctrl,
+                summary.duration,
+                &format!("{model}, seed {seed}, workload {i}"),
+            );
+            total = total.plus(fold);
+        }
+    }
+    assert!(total.rd > 0 && total.wr > 0 && total.act > 0 && total.pre > 0);
+    total
+}
+
+fn event_cfg() -> CtrlConfig {
+    let mut cfg = CtrlConfig::new(presets::ddr3_1600_x64());
+    cfg.powerdown_idle = 200_000;
+    cfg.selfrefresh_after = 2_000_000;
+    cfg
+}
+
+/// Link errors at 2 % of bursts: replayed bursts are issued (and counted)
+/// again.
+fn ras(seed: u64) -> Option<RasConfig> {
+    Some(RasConfig::from_error_rate(2e11, seed).with_ecc(EccMode::SecDed))
+}
+
+#[test]
+fn event_model_counts_are_its_command_stream() {
+    let low_power = std::cell::Cell::new((0, 0));
+    let total = assert_counts_are_the_stream(
+        "event",
+        |_| DramCtrl::with_probe(event_cfg(), Fold::default()).unwrap(),
+        |c| {
+            let (pd, sr) = low_power.get();
+            low_power.set((pd + c.stats().powerdowns, sr + c.stats().self_refreshes));
+            *c.probe()
+        },
+    );
+    // The runs went through refresh, power-down and self-refresh.
+    let (pd, sr) = low_power.get();
+    assert!(total.refs > 0 && pd > 0 && sr > 0);
+    let total = assert_counts_are_the_stream(
+        "event, RAS",
+        |seed| {
+            let mut cfg = event_cfg();
+            cfg.ras = ras(seed);
+            DramCtrl::with_probe(cfg, Fold::default()).unwrap()
+        },
+        |c| {
+            assert!(c.fault_model().unwrap().stats().retries > 0, "no replay");
+            *c.probe()
+        },
+    );
+    assert!(total.refs > 0);
+}
+
+#[test]
+fn cycle_model_counts_are_its_command_stream() {
+    let cfg = || CycleConfig::new(presets::ddr3_1600_x64());
+    let total = assert_counts_are_the_stream(
+        "cycle",
+        |_| CycleCtrl::with_probe(cfg(), Fold::default()).unwrap(),
+        |c| *c.probe(),
+    );
+    assert!(total.refs > 0);
+    assert_counts_are_the_stream(
+        "cycle, RAS",
+        |seed| {
+            let mut cfg = cfg();
+            cfg.ras = ras(seed);
+            CycleCtrl::with_probe(cfg, Fold::default()).unwrap()
+        },
+        |c| {
+            assert!(c.fault_model().unwrap().stats().retries > 0, "no replay");
+            *c.probe()
+        },
+    );
+}
+
+/// A two-channel crossbar and a tiered memory count what their parts'
+/// command streams hold, together.
+#[test]
+fn composed_memories_count_the_sum_of_their_parts() {
+    let channel = || {
+        let mut cfg = event_cfg();
+        cfg.channels = 2;
+        DramCtrl::with_probe(cfg, Fold::default()).unwrap()
+    };
+    assert_counts_are_the_stream(
+        "2-channel crossbar",
+        |_| MultiChannel::new(vec![channel(), channel()], 0).unwrap(),
+        |x| (0..2).fold(Fold::default(), |f, c| f.plus(*x.channel(c).probe())),
+    );
+    assert_counts_are_the_stream(
+        "tiered",
+        |_| {
+            let near = DramCtrl::with_probe(event_cfg(), Fold::default()).unwrap();
+            let far =
+                CycleCtrl::with_probe(CycleConfig::new(presets::ddr3_1600_x64()), Fold::default())
+                    .unwrap();
+            TieredMemory::new(near, far, 32 << 20)
+        },
+        |t| t.near().probe().plus(*t.far().probe()),
+    );
 }

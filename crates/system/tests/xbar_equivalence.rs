@@ -94,6 +94,8 @@ impl<C: Controller> Controller for PollingXbar<C> {
             total.bytes_written += s.bytes_written;
             total.row_hits += s.row_hits;
             total.activates += s.activates;
+            total.precharges += s.precharges;
+            total.refreshes += s.refreshes;
             total.bus_busy += s.bus_busy;
             total.read_lat_sum += s.read_lat_sum;
         }

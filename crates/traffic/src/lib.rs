@@ -26,7 +26,6 @@ mod bursty;
 mod dram_aware;
 mod interleave;
 mod linear;
-mod machine;
 mod pacer;
 mod random;
 mod tester;
@@ -36,7 +35,6 @@ pub use bursty::BurstyGen;
 pub use dram_aware::DramAwareGen;
 pub use interleave::InterleaveGen;
 pub use linear::LinearGen;
-pub use machine::{MachineError, MachineState, StateMachineGen, StateTraffic};
 pub use pacer::Pacer;
 pub use random::RandomGen;
 pub use tester::{TestRun, TestSummary, Tester};

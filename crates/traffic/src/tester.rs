@@ -270,11 +270,7 @@ impl TestRun {
             read_lat_ns: self.read_lat,
             write_lat_ns: self.write_lat,
             bus_util: stats.bus_utilisation(end),
-            bandwidth_gbps: if end == 0 {
-                0.0
-            } else {
-                (stats.bytes_read + stats.bytes_written) as f64 / tick::to_s(end) / 1e9
-            },
+            bandwidth_gbps: stats.bandwidth_gbps(end),
             ctrl: stats,
         }
     }

@@ -171,7 +171,11 @@ fn chopping_is_transparent() {
                 .unwrap();
         }
         DramCtrl::drain(&mut ctrl, &mut out);
-        (ctrl.stats().rd_bursts, ctrl.stats().bytes_read, out.len())
+        (
+            ctrl.stats().common.rd_bursts,
+            ctrl.stats().common.bytes_read,
+            out.len(),
+        )
     };
     let (bursts_a, bytes_a, resps_a) = run(&[(0, 256)]);
     let (bursts_b, bytes_b, resps_b) = run(&[(0, 64), (64, 64), (128, 64), (192, 64)]);
