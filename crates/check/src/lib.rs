@@ -67,7 +67,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use dramctrl_mem::protocol::{Edge, ProtocolState};
+use dramctrl_mem::protocol::{Edge, ProtocolState, Scope};
 use dramctrl_mem::{MemSpec, Organisation};
 use dramctrl_obs::{CmdEvent, DramCmd, Probe};
 
@@ -192,7 +192,7 @@ impl TimingChecker {
         order.sort_by_key(|&i| (self.issue(&self.cmds[i]), i));
         let mut table = self.table.clone();
         // Per bank, the open row and the ACT or PRE that set it.
-        let mut open = vec![(None, None); (self.org.ranks * self.org.banks) as usize];
+        let mut open = vec![(None, None); self.org.slots()];
         let mut found = Vec::new();
         for &i in &order {
             let c = self.cmds[i];
@@ -218,8 +218,8 @@ impl TimingChecker {
                 }
             }
             table.record(c.cmd, c.rank, bank, issue, i as u64);
-            let first = (c.rank * self.org.banks) as usize;
-            let (rank, b) = (&mut open[first..][..self.org.banks as usize], bank as usize);
+            let slots = self.org.scope(Scope::Rank, c.rank, bank);
+            let (rank, b) = (&mut open[slots], bank as usize);
             let (bad, earlier) = match c.cmd {
                 DramCmd::Act => (rank[b].0.is_some(), rank[b].1),
                 DramCmd::Rd | DramCmd::Wr => (rank[b].0 != Some(c.row), rank[b].1),

@@ -163,9 +163,16 @@ fn build_workload(a: &Args) -> Result<(Box<dyn SnapGen>, String), ArgError> {
         TrafficPattern::Random { .. } => Box::new(RandomGen::new(
             0, range, block, reads, period, requests, seed,
         )),
-        TrafficPattern::DramAware { .. } => Box::new(DramAwareGen::new(
-            spec.org, mapping, 1, 0, stride, banks, reads, period, requests, seed,
-        )),
+        TrafficPattern::DramAware { .. } => {
+            let slots = spec.org.slots();
+            if !(1..=slots).contains(&(banks as usize)) {
+                let why = format!("--banks must be 1..={slots} on {}", spec.name);
+                return Err(ArgError(why));
+            }
+            Box::new(DramAwareGen::new(
+                spec.org, mapping, 1, 0, stride, banks, reads, period, requests, seed,
+            ))
+        }
     };
     let desc = format!(
         "device={} gen={gen_name} reads={reads} requests={requests} period={period} \

@@ -126,6 +126,8 @@ fn bad_arguments_fail_cleanly() {
         vec!["run", "--ras", "-3"],
         vec!["run", "--ras", "2e11", "--ecc", "parity"],
         vec!["sweep", "--ras", "1e11,banana"],
+        vec!["run", "--gen", "dram-aware", "--banks", "64"],
+        vec!["run", "--gen", "dram-aware", "--banks", "0"],
     ] {
         assert_usage_error(&args);
     }

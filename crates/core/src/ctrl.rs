@@ -4,12 +4,13 @@ use std::fmt;
 
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{EventQueue, SimStall, Tick};
+use dramctrl_mem::protocol::Scope;
 use dramctrl_mem::{
     burst_count, chop, snapio, ActivityStats, BurstGroup, Decoder, DramAddr, GroupArena, MemCmd,
     MemRequest, MemResponse,
 };
 use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, PowerState, Probe};
-use dramctrl_ras::{FaultModel, RasGeometry};
+use dramctrl_ras::FaultModel;
 
 use crate::bank::Rank;
 use crate::config::{ConfigError, CtrlConfig, PagePolicy, SchedPolicy};
@@ -200,8 +201,8 @@ pub struct DramCtrl<P: Probe = NoProbe> {
 /// RAS). Shared by construction and [`DramCtrl::reset`], which must seed
 /// identically.
 fn fault_for(cfg: &CtrlConfig) -> Option<FaultModel> {
-    let geom = RasGeometry::of(&cfg.spec.org);
-    cfg.ras.clone().map(|ras| FaultModel::new(ras, geom))
+    let org = &cfg.spec.org;
+    cfg.ras.clone().map(|ras| FaultModel::new(ras, org))
 }
 
 impl DramCtrl {
@@ -295,8 +296,8 @@ impl<P: Probe> DramCtrl<P> {
             }
         }
         let org = &cfg.spec.org;
-        let read_q = SchedQueue::new(org.ranks, org.banks, cfg.read_buffer_size);
-        let write_q = SchedQueue::new(org.ranks, org.banks, cfg.write_buffer_size);
+        let read_q = SchedQueue::new(*org, cfg.read_buffer_size);
+        let write_q = SchedQueue::new(*org, cfg.write_buffer_size);
         let groups = GroupArena::with_capacity(cfg.read_buffer_size);
         let fault = fault_for(&cfg);
         Ok(Self {
@@ -1021,16 +1022,15 @@ impl<P: Probe> DramCtrl<P> {
                 // (tRRD, tXAW window) is worked out once per rank, the
                 // bank term from the flat bank id alone, and the common
                 // tRCD left out of the comparison.
-                let t = &self.cfg.spec.timing;
-                let banks_per_rank = self.cfg.spec.org.banks;
+                let (t, org) = (&self.cfg.spec.timing, &self.cfg.spec.org);
                 // Banks come in ascending flat order, so the rank of the
-                // current bank is found by stepping, not dividing.
+                // current bank is found by stepping rank scopes, not dividing.
                 let act_floor = |rank: &Rank| {
                     rank.act_constrained(rank.next_act_at, t.t_xaw, t.activation_limit)
                 };
-                let mut ranks = self.ranks.iter();
-                let mut rank = ranks.next().expect("a device has a rank");
-                let mut rank_end = banks_per_rank;
+                let mut ranks = self.ranks.iter().zip(0..);
+                let (mut rank, _) = ranks.next().expect("a device has a rank");
+                let mut slots = org.scope(Scope::Rank, 0, 0);
                 let mut floor = act_floor(rank);
                 // Each candidate as one key, its estimate above its
                 // sequence number: the scan's "earlier, else older" is a
@@ -1044,12 +1044,12 @@ impl<P: Probe> DramCtrl<P> {
                     let Some((seq, _)) = queue.bank_candidate(b, top) else {
                         return;
                     };
-                    while b >= rank_end {
-                        rank = ranks.next().expect("bank id within the device");
-                        rank_end += banks_per_rank;
+                    while b as usize >= slots.end {
+                        let (next, r) = ranks.next().expect("bank id within the device");
+                        (rank, slots) = (next, org.scope(Scope::Rank, r, 0));
                         floor = act_floor(rank);
                     }
-                    let bank = &rank.banks[(b + banks_per_rank - rank_end) as usize];
+                    let bank = &rank.banks[b as usize - slots.start];
                     // Both estimates computed and one selected: written as
                     // a branch, the compiler keeps the branch, on a bit
                     // that adaptive page policies leave unpredictable.

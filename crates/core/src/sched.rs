@@ -60,7 +60,7 @@ use std::collections::hash_map::Entry;
 
 use dramctrl_kernel::hash::DetMap;
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapWriter};
-use dramctrl_mem::WriteCoverage;
+use dramctrl_mem::{Organisation, WriteCoverage};
 
 use crate::queue::{read_packet, save_packet, DramPacket};
 
@@ -243,7 +243,8 @@ pub(crate) struct SchedQueue {
     free: Vec<u32>,
     next_seq: u64,
     len: usize,
-    banks_per_rank: u32,
+    /// The channel, whose slots are the flat bank ids.
+    org: Organisation,
     /// Each priority class's FIFO list.
     classes: Box<[Bucket; 256]>,
     /// Bit `p` set iff priority class `p` has queued packets.
@@ -273,21 +274,20 @@ pub(crate) struct SchedQueue {
 }
 
 impl SchedQueue {
-    /// Creates a queue for a device with `ranks` × `banks_per_rank` banks,
-    /// pre-sized for `capacity` packets — and as many row buckets, the
-    /// most that can be in use: the row index otherwise grows to its
-    /// worst case one rare peak at a time, which a channel that sees a
-    /// sixteenth of the traffic takes hundreds of thousands of requests
-    /// to reach.
-    pub fn new(ranks: u32, banks_per_rank: u32, capacity: usize) -> Self {
-        let flat = (ranks * banks_per_rank) as usize;
+    /// Creates a queue for a channel organised as `org`, pre-sized for
+    /// `capacity` packets — and as many row buckets, the most that can be
+    /// in use: the row index otherwise grows to its worst case one rare
+    /// peak at a time, which a channel that sees a sixteenth of the
+    /// traffic takes hundreds of thousands of requests to reach.
+    pub fn new(org: Organisation, capacity: usize) -> Self {
+        let flat = org.slots();
         Self {
             slots: Vec::with_capacity(capacity),
             nodes: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
             next_seq: 0,
             len: 0,
-            banks_per_rank,
+            org,
             classes: Box::new([EMPTY; 256]),
             class_mask: [0; 4],
             by_bank: vec![EMPTY; flat],
@@ -336,7 +336,7 @@ impl SchedQueue {
     /// Flat bank id of a packet's (rank, bank).
     #[inline]
     pub fn flat_bank(&self, rank: u32, bank: u32) -> u32 {
-        rank * self.banks_per_rank + bank
+        self.org.slot(rank, bank) as u32
     }
 
     /// Number of queued packets (the queue depth in bursts).
@@ -614,7 +614,6 @@ impl SchedQueue {
         let n_slots = r.usize()?;
         self.clear_to_empty();
         let mut order: Vec<(u64, u32)> = Vec::new();
-        let ranks = self.by_bank.len() / self.banks_per_rank as usize;
         for slot in 0..n_slots {
             self.nodes.push(UNLINKED);
             if !r.bool()? {
@@ -628,7 +627,7 @@ impl SchedQueue {
                     pkt.seq, self.next_seq
                 )));
             }
-            if pkt.da.bank >= self.banks_per_rank || pkt.da.rank as usize >= ranks {
+            if !self.org.has_bank(pkt.da.rank, pkt.da.bank) {
                 return Err(SnapError::Corrupt(format!(
                     "packet rank {} bank {} outside device geometry",
                     pkt.da.rank, pkt.da.bank
@@ -728,8 +727,18 @@ mod tests {
         }
     }
 
+    /// A channel of `ranks` × `banks`.
+    fn geometry(ranks: u32, banks: u32) -> Organisation {
+        let org = dramctrl_mem::presets::ddr3_1333_x64().org;
+        Organisation {
+            ranks,
+            banks,
+            ..org
+        }
+    }
+
     fn q() -> SchedQueue {
-        SchedQueue::new(2, 8, 32)
+        SchedQueue::new(geometry(2, 8), 32)
     }
 
     /// The tail-append fast path and the walk back from the tail leave a
@@ -878,7 +887,7 @@ mod tests {
         const CLASSES: [u8; 4] = [0, 3, 7, 255];
         for seed in 0..24u64 {
             let mut rng = Rng::seed_from_u64(0x5C4ED ^ seed);
-            let mut q = SchedQueue::new(2, 4, 48);
+            let mut q = SchedQueue::new(geometry(2, 4), 48);
             let mut open: Vec<Option<u64>> = vec![None; 8];
             for step in 0..700 {
                 let live: Vec<u32> = q.fifo_packets().iter().map(|&(slot, _)| slot).collect();
@@ -918,7 +927,7 @@ mod tests {
                     let mut w = SnapWriter::new(0);
                     q.save_state(&mut w);
                     let bytes = w.into_bytes();
-                    let mut restored = SchedQueue::new(2, 4, 48);
+                    let mut restored = SchedQueue::new(geometry(2, 4), 48);
                     restored.push(pkt(true, 0, 0, 1, 9)); // replaced, not merged
                     let mut r = SnapReader::new(&bytes, 0).unwrap();
                     restored.restore_state(&mut r).unwrap();
@@ -945,7 +954,7 @@ mod tests {
     /// hit", and the answers stay the scan's.
     #[test]
     fn closed_page_transitions_on_a_deep_same_row_queue() {
-        let mut q = SchedQueue::new(1, 8, 1024);
+        let mut q = SchedQueue::new(geometry(1, 8), 1024);
         let b = q.flat_bank(0, 5);
         let mut open = vec![None; 8];
         for _ in 0..1024 {

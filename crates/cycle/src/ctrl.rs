@@ -20,7 +20,7 @@ use dramctrl_mem::{
     DramAddr, GroupArena, MemCmd, MemRequest, MemResponse, MemSpec, Rejected, Rule, WriteCoverage,
 };
 use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, Probe};
-use dramctrl_ras::{FaultModel, RasGeometry};
+use dramctrl_ras::FaultModel;
 use dramctrl_stats::{Average, Report};
 
 use crate::config::{CycleConfig, CycleConfigError, CyclePagePolicy, CycleSched};
@@ -191,10 +191,10 @@ impl<P: Probe> CycleCtrl<P> {
         let queue = VecDeque::with_capacity(cfg.queue_depth);
         let groups = GroupArena::with_capacity(cfg.queue_depth);
         let resp_q = EventQueue::with_capacity(cfg.queue_depth);
-        let geom = RasGeometry::of(&cfg.spec.org);
-        let fault = cfg.ras.clone().map(|ras| FaultModel::new(ras, geom));
+        let org = &cfg.spec.org;
+        let fault = cfg.ras.clone().map(|ras| FaultModel::new(ras, org));
         Ok(Self {
-            decoder: Decoder::new(cfg.mapping, &cfg.spec.org, cfg.channels),
+            decoder: Decoder::new(cfg.mapping, org, cfg.channels),
             cfg,
             probe,
             protocol,
@@ -847,11 +847,7 @@ impl<P: Probe> CycleCtrl<P> {
                 "burst byte range {lo}..{hi} not inside {burst} bytes"
             ));
         }
-        let banks = self
-            .ranks
-            .get(da.rank as usize)
-            .map_or(0, |rank| rank.banks.len());
-        if da.bank as usize >= banks {
+        if !self.cfg.spec.org.has_bank(da.rank, da.bank) {
             return corrupt(format!(
                 "burst at rank {} bank {} outside the organisation",
                 da.rank, da.bank

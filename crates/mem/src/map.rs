@@ -144,13 +144,6 @@ pub struct DramAddr {
     pub col: u64,
 }
 
-impl DramAddr {
-    /// Flat index of the (rank, bank) pair, useful for per-bank arrays.
-    pub fn bank_id(&self, org: &Organisation) -> usize {
-        (self.rank * org.banks + self.bank) as usize
-    }
-}
-
 /// One positional field of the address: splits a value into (quotient,
 /// remainder) by the field's radix — a shift and a mask when the radix is
 /// a power of two, a division otherwise.

@@ -11,7 +11,7 @@ use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
 use dramctrl_obs::DramCmd;
 
-use crate::{MemSpec, Timing};
+use crate::{MemSpec, Organisation, Timing};
 
 /// A protocol rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -186,8 +186,8 @@ pub struct ProtocolState {
     rows: Vec<Row>,
     /// Per [`Edge`], its offset from the command's issue.
     offsets: [u64; 3],
-    ranks: u32,
-    banks: u32,
+    /// The channel, whose slots index every per-bank entry.
+    org: Organisation,
     /// Per row, the index of its first entry.
     base: Vec<usize>,
     /// Per row, bank and `nth`, in ascending order: the `from` edge plus
@@ -201,22 +201,21 @@ impl ProtocolState {
     /// The table of `spec`, every gap and edge offset mapped through
     /// `unit`, with nothing recorded.
     pub fn new(spec: &MemSpec, unit: impl Fn(Tick) -> u64) -> Self {
-        let (ranks, banks) = (spec.org.ranks, spec.org.banks);
+        let org = spec.org;
         let (mut rows, mut base, mut entries) = (self::rows(&spec.timing), Vec::new(), 0);
         for row in &mut rows {
             row.gap = unit(row.gap);
             base.push(entries);
-            entries += row.nth * (ranks * banks) as usize;
+            entries += row.nth * org.slots();
         }
         let data_start = unit(spec.timing.t_cl);
         Self {
             rows,
             offsets: [0, data_start, data_start + unit(spec.timing.t_burst)],
-            ranks,
-            banks,
+            org,
             base,
             bound: vec![(0, 0); entries],
-            ready: vec![0; 5 * (ranks * banks) as usize],
+            ready: vec![0; 5 * org.slots()],
         }
     }
 
@@ -242,14 +241,15 @@ impl ProtocolState {
     /// command names. The state indexes by them, so a command that does
     /// not fit must not reach it; a REF asks with bank 0.
     pub fn fits(&self, cmd: DramCmd, rank: u32, bank: u32) -> bool {
-        rank < self.ranks && (cmd == DramCmd::Ref || bank < self.banks)
+        let bank = if cmd == DramCmd::Ref { 0 } else { bank };
+        self.org.has_bank(rank, bank)
     }
 
     /// The earliest issue time row `row` allows its `next` at `rank` and
     /// `bank`, with the tag of the command that binds it (meaningless
     /// when the time is 0).
     pub fn row_earliest(&self, row: usize, rank: u32, bank: u32) -> (u64, u64) {
-        self.row_at(row, (rank * self.banks + bank) as usize)
+        self.row_at(row, self.org.slot(rank, bank))
     }
 
     /// [`row_earliest`](Self::row_earliest) at bank `slot`.
@@ -262,26 +262,19 @@ impl ProtocolState {
     /// over every row naming it as `next`.
     #[inline]
     pub fn earliest(&self, cmd: DramCmd, rank: u32, bank: u32) -> u64 {
-        let n = (self.ranks * self.banks) as usize;
-        self.ready[cmd as usize * n + (rank * self.banks + bank) as usize]
+        self.ready[cmd as usize * self.org.slots() + self.org.slot(rank, bank)]
     }
 
     /// Records `cmd` issued at `issue` to `rank` and `bank`; `tag` names
     /// it to later [`row_earliest`](Self::row_earliest) queries.
     pub fn record(&mut self, cmd: DramCmd, rank: u32, bank: u32, issue: u64, tag: u64) {
-        let first = (rank * self.banks) as usize;
         for r in 0..self.rows.len() {
             let row = self.rows[r];
             if !row.prev.contains(&cmd) {
                 continue;
             }
             let bound = (issue + self.offset(row.from) + row.gap, tag);
-            let slots = match row.scope {
-                Scope::Bank => first + bank as usize..first + bank as usize + 1,
-                Scope::Rank => first..first + self.banks as usize,
-                Scope::Channel => 0..(self.ranks * self.banks) as usize,
-            };
-            for slot in slots {
+            for slot in self.org.scope(row.scope, rank, bank) {
                 // Keep the `nth` latest: shift out the oldest, insert in order.
                 let (e, mut at) = (self.base[r] + slot * row.nth, 0);
                 while at < row.nth && self.bound[e + at].0 <= bound.0 {
@@ -299,7 +292,7 @@ impl ProtocolState {
     /// Raises the ready time of each `next` of row `r` at bank `slot` to
     /// the row's earliest there.
     fn raise(&mut self, r: usize, slot: usize) {
-        let (at, n) = (self.row_at(r, slot).0, (self.ranks * self.banks) as usize);
+        let (at, n) = (self.row_at(r, slot).0, self.org.slots());
         for &cmd in self.rows[r].next {
             let t = &mut self.ready[cmd as usize * n + slot];
             *t = (*t).max(at);
@@ -330,7 +323,7 @@ impl SnapState for ProtocolState {
         }
         self.ready.fill(0);
         for row in 0..self.rows.len() {
-            (0..(self.ranks * self.banks) as usize).for_each(|slot| self.raise(row, slot));
+            (0..self.org.slots()).for_each(|slot| self.raise(row, slot));
         }
         Ok(())
     }

@@ -13,6 +13,9 @@
 
 use dramctrl_kernel::{tick, Tick};
 use std::fmt;
+use std::ops::Range;
+
+use crate::protocol::Scope;
 
 /// Organisation of one memory channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +68,44 @@ impl Organisation {
         self.device_capacity_mbit * 1024 * 1024 / 8
             * u64::from(self.devices_per_rank)
             * u64::from(self.ranks)
+    }
+
+    /// Banks on the channel: the length of every per-bank array.
+    #[inline]
+    pub fn slots(&self) -> usize {
+        (self.ranks * self.banks) as usize
+    }
+
+    /// Where `bank` of `rank` sits in a per-bank array: rank-major, so
+    /// each rank's banks are one contiguous run of [`slots`](Self::slots).
+    #[inline]
+    pub fn slot(&self, rank: u32, bank: u32) -> usize {
+        (rank * self.banks + bank) as usize
+    }
+
+    /// The (rank, bank) at `slot`, the inverse of [`slot`](Self::slot).
+    #[inline]
+    pub fn rank_bank(&self, slot: usize) -> (u32, u32) {
+        let banks = self.banks as usize;
+        ((slot / banks) as u32, (slot % banks) as u32)
+    }
+
+    /// The slots that share `scope` with `bank` of `rank`: that bank
+    /// alone, its rank's banks, or every bank on the channel.
+    #[inline]
+    pub fn scope(&self, scope: Scope, rank: u32, bank: u32) -> Range<usize> {
+        match scope {
+            Scope::Bank => self.slot(rank, bank)..self.slot(rank, bank) + 1,
+            Scope::Rank => self.slot(rank, 0)..self.slot(rank + 1, 0),
+            Scope::Channel => 0..self.slots(),
+        }
+    }
+
+    /// Whether the channel has `bank` of `rank`, so that its
+    /// [`slot`](Self::slot) indexes a per-bank array.
+    #[inline]
+    pub fn has_bank(&self, rank: u32, bank: u32) -> bool {
+        rank < self.ranks && bank < self.banks
     }
 }
 

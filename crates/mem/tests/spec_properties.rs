@@ -2,6 +2,7 @@
 //! must be internally consistent and survive the derived-geometry maths.
 
 use dramctrl_kernel::rng::Rng;
+use dramctrl_mem::protocol::Scope;
 use dramctrl_mem::{
     presets, AddrMapping, Decoder, DramAddr, MemCmd, MemRequest, MemResponse, Organisation, ReqId,
 };
@@ -303,6 +304,54 @@ fn decoded_addresses_exist_in_the_datasheet_organisation_and_never_alias() {
                         addr / burst
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The slot rule, on every preset at one, two and three ranks: `slot`
+/// numbers the channel's banks `0..slots()` one to one and `rank_bank`
+/// undoes it; a bank's `Bank` scope is its slot alone; the `Rank` scopes
+/// tile the channel in rank order, each holding exactly its rank's banks;
+/// the `Channel` scope is every slot; and `has_bank` is the organisation's
+/// own bounds.
+#[test]
+fn slots_number_the_banks_and_scopes_cover_their_level() {
+    for spec in presets::all() {
+        for ranks in [1, 2, 3] {
+            let org = Organisation { ranks, ..spec.org };
+            let what = format!("{} x{ranks} ranks", spec.name);
+            let mut seen = vec![false; org.slots()];
+            let mut next = 0;
+            for rank in 0..ranks {
+                let own = org.scope(Scope::Rank, rank, 0);
+                assert_eq!(
+                    own.start, next,
+                    "{what}: rank {rank} follows the one before"
+                );
+                for bank in 0..org.banks {
+                    let slot = org.slot(rank, bank);
+                    assert!(
+                        slot < org.slots() && !seen[slot],
+                        "{what}: slot {slot} twice"
+                    );
+                    seen[slot] = true;
+                    assert_eq!(org.rank_bank(slot), (rank, bank), "{what}");
+                    assert_eq!(org.scope(Scope::Bank, rank, bank), slot..slot + 1, "{what}");
+                    assert_eq!(org.scope(Scope::Rank, rank, bank), own, "{what}");
+                    assert!(own.contains(&slot), "{what}: rank {rank} bank {bank}");
+                    assert_eq!(org.scope(Scope::Channel, rank, bank), 0..org.slots());
+                }
+                assert_eq!(own.len(), org.banks as usize, "{what}: rank {rank}");
+                next = own.end;
+            }
+            assert_eq!(next, org.slots(), "{what}: the ranks tile the channel");
+            assert!(seen.iter().all(|&s| s), "{what}: a slot no bank has");
+            for (rank, bank) in [(0, 0), (ranks - 1, org.banks - 1)] {
+                assert!(org.has_bank(rank, bank), "{what}");
+            }
+            for (rank, bank) in [(ranks, 0), (0, org.banks), (u32::MAX, u32::MAX)] {
+                assert!(!org.has_bank(rank, bank), "{what}: rank {rank} bank {bank}");
             }
         }
     }

@@ -1,9 +1,8 @@
-//! RAS configuration: fault rates, ECC selection, retry and sparing
-//! budgets, and the device geometry the rates are scaled by.
+//! RAS configuration: fault rates, ECC selection, and retry and sparing
+//! budgets.
 
 use crate::ecc::EccMode;
 use dramctrl_kernel::Tick;
-use dramctrl_mem::Organisation;
 
 /// Configuration of the fault-injection / ECC / recovery layer.
 ///
@@ -128,42 +127,6 @@ impl std::fmt::Display for RasConfigError {
 }
 
 impl std::error::Error for RasConfigError {}
-
-/// The slice of device geometry the injector scales its rates by
-/// ([`RasGeometry::of`] derives it from a channel's organisation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RasGeometry {
-    /// Ranks on the channel.
-    pub ranks: u32,
-    /// Banks per rank.
-    pub banks: u32,
-    /// Bytes per row buffer (the capacity a per-row fault stream covers).
-    pub row_bytes: u64,
-    /// Bytes per rank (the capacity a rank-failure stream covers).
-    pub rank_bytes: u64,
-}
-
-impl RasGeometry {
-    /// The geometry of a channel organised as `org`.
-    pub fn of(org: &Organisation) -> Self {
-        Self {
-            ranks: org.ranks,
-            banks: org.banks,
-            row_bytes: org.row_buffer_bytes(),
-            rank_bytes: org.capacity_bytes() / u64::from(org.ranks),
-        }
-    }
-
-    /// Gigabits covered by one row.
-    pub(crate) fn row_gigabits(&self) -> f64 {
-        self.row_bytes as f64 * 8.0 / 1e9
-    }
-
-    /// Gigabits covered by one rank.
-    pub(crate) fn rank_gigabits(&self) -> f64 {
-        self.rank_bytes as f64 * 8.0 / 1e9
-    }
-}
 
 /// Converts a per-gigabit-hour rate over `gigabits` of capacity into a
 /// per-tick (picosecond) Poisson intensity.

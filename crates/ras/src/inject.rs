@@ -9,13 +9,13 @@
 //! is made here, and [`FaultModel::live_rank`] folds an offlined rank's
 //! traffic onto the survivors, so both controllers share one policy.
 
-use crate::config::{per_tick, RasConfig, RasGeometry};
+use crate::config::{per_tick, RasConfig};
 use crate::ecc::{classify, EccOutcome};
 use dramctrl_kernel::hash::DetMap;
 use dramctrl_kernel::rng::splitmix64;
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
-use dramctrl_mem::DramAddr;
+use dramctrl_mem::{DramAddr, Organisation};
 use dramctrl_obs::{Probe, RasMark};
 use dramctrl_stats::Report;
 
@@ -203,7 +203,8 @@ struct RankState {
 #[derive(Debug, Clone)]
 pub struct FaultModel {
     cfg: RasConfig,
-    geom: RasGeometry,
+    /// The channel: its slots index `spares`, its sizes scale the rates.
+    org: Organisation,
     /// Per-tick Poisson intensities (precomputed from the per-Gb·h rates).
     l_transient: f64,
     l_stuck: f64,
@@ -265,7 +266,7 @@ impl BurstOutcome {
 }
 
 impl SnapState for FaultModel {
-    // The config-derived fields (`cfg`, `geom`, `l_*`) are rebuilt by
+    // The config-derived fields (`cfg`, `org`, `l_*`) are rebuilt by
     // constructing the restore target with [`FaultModel::new`]; only the
     // dynamic fault-stream state is captured. Row keys are written sorted
     // so the snapshot bytes do not depend on access order.
@@ -404,28 +405,31 @@ fn stream_seed(seed: u64, rank: u32, bank: u32, row: u64) -> u64 {
 }
 
 impl FaultModel {
-    /// Builds an injector for a channel with the given geometry.
+    /// Builds an injector for a channel organised as `org`.
     ///
     /// # Panics
-    /// Panics if the config fails [`RasConfig::validate`] or the geometry
-    /// is degenerate.
-    pub fn new(cfg: RasConfig, geom: RasGeometry) -> Self {
+    /// Panics if the config fails [`RasConfig::validate`] or the
+    /// organisation has no rank or no bank.
+    pub fn new(cfg: RasConfig, org: &Organisation) -> Self {
         cfg.validate().expect("invalid RAS config");
-        assert!(geom.ranks > 0 && geom.banks > 0, "degenerate geometry");
-        assert!(geom.ranks <= 32, "offline mask supports up to 32 ranks");
-        let l_transient = per_tick(cfg.transient_per_gbh, geom.row_gigabits());
-        let l_stuck = per_tick(cfg.stuck_per_gbh, geom.row_gigabits());
-        let l_rank = per_tick(cfg.rank_fail_per_gbh, geom.rank_gigabits());
-        let ranks = (0..geom.ranks)
+        assert!(org.ranks > 0 && org.banks > 0, "degenerate geometry");
+        assert!(org.ranks <= 32, "offline mask supports up to 32 ranks");
+        // A row's faults scale with the row, a rank failure with the rank.
+        let over_bytes = |rate, bytes: u64| per_tick(rate, bytes as f64 * 8.0 / 1e9);
+        let rank_bytes = org.capacity_bytes() / u64::from(org.ranks);
+        let l_transient = over_bytes(cfg.transient_per_gbh, org.row_buffer_bytes());
+        let l_stuck = over_bytes(cfg.stuck_per_gbh, org.row_buffer_bytes());
+        let l_rank = over_bytes(cfg.rank_fail_per_gbh, rank_bytes);
+        let ranks = (0..org.ranks)
             .map(|r| RankState {
                 stream: stream_seed(cfg.seed, r, u32::MAX, u64::MAX),
                 last: 0,
             })
             .collect();
-        let spares = vec![cfg.spare_rows_per_bank; (geom.ranks * geom.banks) as usize];
+        let spares = vec![cfg.spare_rows_per_bank; org.slots()];
         Self {
             cfg,
-            geom,
+            org: *org,
             l_transient,
             l_stuck,
             l_rank,
@@ -455,7 +459,7 @@ impl FaultModel {
 
     /// Number of ranks still online.
     pub fn live_ranks(&self) -> u32 {
-        self.geom.ranks - self.offline_mask.count_ones()
+        self.org.ranks - self.offline_mask.count_ones()
     }
 
     /// The error/retry/degradation counters.
@@ -509,14 +513,14 @@ impl FaultModel {
         if self.offline_mask == 0 {
             rank
         } else {
-            remap_rank(rank, self.offline_mask, self.geom.ranks)
+            remap_rank(rank, self.offline_mask, self.org.ranks)
         }
     }
 
     /// The usable channel capacity once the offlined ranks are gone.
     fn usable_capacity_bytes(&self) -> u64 {
-        let offline = self.offline_mask.count_ones().min(self.geom.ranks);
-        self.geom.rank_bytes * u64::from(self.geom.ranks - offline)
+        let live = self.org.ranks - self.offline_mask.count_ones().min(self.org.ranks);
+        self.org.capacity_bytes() / u64::from(self.org.ranks) * u64::from(live)
     }
 
     /// Runs the fault model on the burst to `da` whose data transfer ends
@@ -736,7 +740,7 @@ impl FaultModel {
                 // Detected persistent faults are repaired: remap the row
                 // to a spare, or offline the rank once the pool is dry.
                 if outcome != BurstOutcome::Silent {
-                    let slot = (rank * self.geom.banks + bank) as usize;
+                    let slot = self.org.slot(rank, bank);
                     if self.spares[slot] > 0 {
                         self.spares[slot] -= 1;
                         self.stats.row_remaps += 1;
@@ -779,13 +783,10 @@ mod tests {
     use super::*;
     use crate::EccMode;
 
-    fn geom() -> RasGeometry {
-        RasGeometry {
-            ranks: 2,
-            banks: 8,
-            row_bytes: 8 * 1024,
-            rank_bytes: 2 << 30,
-        }
+    /// Two ranks of DDR3-1333-x64: 8 banks, 8 KiB rows, 2 GiB a rank.
+    fn geom() -> Organisation {
+        let org = dramctrl_mem::presets::ddr3_1333_x64().org;
+        Organisation { ranks: 2, ..org }
     }
 
     #[test]
@@ -806,8 +807,8 @@ mod tests {
 
     #[test]
     fn degraded_capacity_scales_with_live_ranks() {
-        let mut fm = FaultModel::new(RasConfig::new(1), geom());
-        let full = 2 * geom().rank_bytes;
+        let mut fm = FaultModel::new(RasConfig::new(1), &geom());
+        let full = geom().capacity_bytes();
         assert_eq!(fm.usable_capacity_bytes(), full);
         fm.offline_mask = 0b01;
         assert_eq!(fm.usable_capacity_bytes(), full / 2);
@@ -830,7 +831,7 @@ mod tests {
 
     #[test]
     fn fault_free_model_is_transparent() {
-        let mut fm = FaultModel::new(RasConfig::new(1), geom());
+        let mut fm = FaultModel::new(RasConfig::new(1), &geom());
         assert!(fm.is_fault_free());
         for i in 0..10_000u64 {
             let rep = fm.check((i % 2) as u32, (i % 8) as u32, i % 32, true, i * 1_000);
@@ -846,7 +847,7 @@ mod tests {
     fn same_seed_same_log() {
         let cfg = RasConfig::from_error_rate(1e11, 42);
         let run = || {
-            let mut fm = FaultModel::new(cfg.clone(), geom());
+            let mut fm = FaultModel::new(cfg.clone(), &geom());
             drive(&mut fm, 20_000);
             (fm.log_text(), *fm.stats())
         };
@@ -856,7 +857,7 @@ mod tests {
         assert_eq!(log_a, log_b);
         assert_eq!(stats_a, stats_b);
         // A different seed yields a different fault sequence.
-        let mut other = FaultModel::new(RasConfig::from_error_rate(1e11, 43), geom());
+        let mut other = FaultModel::new(RasConfig::from_error_rate(1e11, 43), &geom());
         drive(&mut other, 20_000);
         assert_ne!(log_a, other.log_text());
     }
@@ -865,7 +866,7 @@ mod tests {
     fn single_bit_rates_under_secded_never_go_silent() {
         let mut cfg = RasConfig::new(7);
         cfg.transient_per_gbh = 1e12; // single-bit transients only
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         drive(&mut fm, 50_000);
         let s = fm.stats();
         assert!(s.transient_faults > 0, "rate high enough to fire");
@@ -878,7 +879,7 @@ mod tests {
     fn no_ecc_makes_everything_silent() {
         let mut cfg = RasConfig::new(7).with_ecc(EccMode::None);
         cfg.transient_per_gbh = 1e12;
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         drive(&mut fm, 20_000);
         assert!(fm.stats().silent > 0);
         assert_eq!(fm.stats().corrected, 0);
@@ -891,7 +892,7 @@ mod tests {
         let mut cfg = RasConfig::new(3);
         cfg.stuck_per_gbh = 1e13;
         cfg.spare_rows_per_bank = 2;
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         // Hammer distinct rows of one bank far apart in time so each
         // first touch trips the stuck-at onset.
         let mut offlined = None;
@@ -919,7 +920,7 @@ mod tests {
     fn remapped_rows_are_clean_again() {
         let mut cfg = RasConfig::new(3);
         cfg.stuck_per_gbh = 1e13;
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         let first = fm.check(1, 2, 5, true, 1_000_000_000);
         assert_eq!(first.outcome, BurstOutcome::Uncorrected);
         assert!(first.remapped);
@@ -932,7 +933,7 @@ mod tests {
     fn chipkill_corrects_stuck_rows_without_offlining() {
         let mut cfg = RasConfig::new(3).with_ecc(EccMode::Chipkill);
         cfg.stuck_per_gbh = 1e13;
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         let rep = fm.check(0, 0, 1, true, 1_000_000_000);
         assert_eq!(rep.outcome, BurstOutcome::Corrected);
         assert!(rep.remapped, "still proactively remapped");
@@ -943,7 +944,7 @@ mod tests {
     fn link_errors_hit_both_directions_and_respect_rate() {
         let mut cfg = RasConfig::new(9);
         cfg.link_error_rate = 0.1;
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         drive(&mut fm, 40_000);
         let s = *fm.stats();
         assert!(s.parity_errors > 0, "reads see C/A parity errors");
@@ -957,7 +958,7 @@ mod tests {
     fn rank_failures_offline_all_but_the_last_rank() {
         let mut cfg = RasConfig::new(11);
         cfg.rank_fail_per_gbh = 1e9;
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         for i in 0..10_000u64 {
             let _ = fm.check((i % 2) as u32, 0, 0, true, (i + 1) * 1_000_000_000);
         }
@@ -970,7 +971,7 @@ mod tests {
     fn retry_plumbing() {
         let mut cfg = RasConfig::new(0);
         cfg.link_error_rate = 0.99;
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         assert_eq!(fm.max_retries(), 4);
         assert_eq!(fm.retry_delay(0), 20_000);
         assert_eq!(fm.retry_delay(3), 160_000);
@@ -999,7 +1000,7 @@ mod tests {
 
     #[test]
     fn stats_entries_are_stable() {
-        let fm = FaultModel::new(RasConfig::new(0), geom());
+        let fm = FaultModel::new(RasConfig::new(0), &geom());
         let entries = fm.stats().entries();
         assert_eq!(entries.len(), 12);
         assert_eq!(entries[0].0, "ras_transient_faults");
@@ -1011,12 +1012,12 @@ mod tests {
     fn snapshot_round_trip_continues_fault_streams() {
         let cfg = RasConfig::from_error_rate(1e11, 42);
         // Uninterrupted baseline.
-        let mut base = FaultModel::new(cfg.clone(), geom());
+        let mut base = FaultModel::new(cfg.clone(), &geom());
         drive(&mut base, 20_000);
 
         // Same prefix, snapshot at the midpoint, restore into a fresh
         // model, drive the identical suffix.
-        let mut first = FaultModel::new(cfg.clone(), geom());
+        let mut first = FaultModel::new(cfg.clone(), &geom());
         for i in 0..10_000u64 {
             let rank = (i % 2) as u32;
             let bank = ((i / 2) % 8) as u32;
@@ -1027,7 +1028,7 @@ mod tests {
         first.save_state(&mut w);
         let bytes = w.into_bytes();
 
-        let mut resumed = FaultModel::new(cfg.clone(), geom());
+        let mut resumed = FaultModel::new(cfg.clone(), &geom());
         let mut r = SnapReader::new(&bytes, 7).unwrap();
         resumed.restore_state(&mut r).unwrap();
         assert!(r.is_exhausted());
@@ -1042,13 +1043,8 @@ mod tests {
         assert_eq!(resumed.offline_mask(), base.offline_mask());
 
         // Geometry mismatch fails loudly rather than restoring nonsense.
-        let small = RasGeometry {
-            ranks: 1,
-            banks: 8,
-            row_bytes: 8 * 1024,
-            rank_bytes: 2 << 30,
-        };
-        let mut wrong = FaultModel::new(cfg, small);
+        let small = Organisation { ranks: 1, ..geom() };
+        let mut wrong = FaultModel::new(cfg, &small);
         let mut r2 = SnapReader::new(&bytes, 7).unwrap();
         assert!(wrong.restore_state(&mut r2).is_err());
     }
@@ -1057,7 +1053,7 @@ mod tests {
     fn log_text_format() {
         let mut cfg = RasConfig::new(3);
         cfg.stuck_per_gbh = 1e13;
-        let mut fm = FaultModel::new(cfg, geom());
+        let mut fm = FaultModel::new(cfg, &geom());
         let _ = fm.check(1, 2, 5, true, 1_000_000_000);
         assert_eq!(
             fm.log_text(),

@@ -41,6 +41,6 @@ mod config;
 mod ecc;
 mod inject;
 
-pub use config::{RasConfig, RasConfigError, RasGeometry};
+pub use config::{RasConfig, RasConfigError};
 pub use ecc::{EccMode, EccOutcome};
 pub use inject::{BurstOutcome, BurstReport, FaultKind, FaultModel, FaultRecord, RasStats};

@@ -181,27 +181,32 @@ fn closed_loop_keeps_the_timing_rules() {
     }
 }
 
-/// The event model and the cycle baseline on a two-rank DDR3-1600
-/// channel, open and closed page, saturated with random 67 % reads: both
-/// ranks activate, refresh and turn the bus around, so tRRD, tXAW, tRFC,
-/// tWTR and PRE→REF each see one rank's commands beside the other's.
+/// The event model and the cycle baseline on a two- and a three-rank
+/// DDR3-1600 channel, open and closed page, saturated with random 67 %
+/// reads: every rank activates, refreshes and turns the bus around, so
+/// tRRD, tXAW, tRFC, tWTR and PRE→REF each see one rank's commands beside
+/// the others', and three ranks put a rank's banks at slots that are no
+/// power of two.
 #[test]
 fn two_ranks_keep_the_timing_rules_on_both_models() {
-    let mut spec = presets::by_name("DDR3-1600-x64").expect("a preset");
-    spec.org.ranks = 2;
-    let both_ranks = |checker: &TimingChecker| {
-        let refs = |rank| {
-            let cmds = checker.commands().iter().filter(|c| c.rank == rank);
-            cmds.filter(|c| c.cmd == dramctrl_obs::DramCmd::Ref).count()
-        };
-        assert!(refs(0) > 0 && refs(1) > 0, "a rank never refreshed");
-        checker.commands().len()
-    };
     let requests = 10_000;
-    for (page, cycle_page) in [
-        (PagePolicy::Open, CyclePagePolicy::Open),
-        (PagePolicy::Closed, CyclePagePolicy::Closed),
+    for (ranks, page, cycle_page) in [
+        (2, PagePolicy::Open, CyclePagePolicy::Open),
+        (2, PagePolicy::Closed, CyclePagePolicy::Closed),
+        (3, PagePolicy::Open, CyclePagePolicy::Open),
+        (3, PagePolicy::Closed, CyclePagePolicy::Closed),
     ] {
+        let mut spec = presets::by_name("DDR3-1600-x64").expect("a preset");
+        spec.org.ranks = ranks;
+        let every_rank = |checker: &TimingChecker| {
+            let refs = |rank| {
+                let cmds = checker.commands().iter().filter(|c| c.rank == rank);
+                cmds.filter(|c| c.cmd == dramctrl_obs::DramCmd::Ref).count()
+            };
+            let quiet = (0..ranks).find(|&rank| refs(rank) == 0);
+            assert_eq!(quiet, None, "{ranks} ranks: a rank never refreshed");
+            checker.commands().len()
+        };
         let mut cfg = CtrlConfig::new(spec.clone());
         cfg.page_policy = page;
         cfg.scheduling = SchedPolicy::FrFcfs;
@@ -210,8 +215,8 @@ fn two_ranks_keep_the_timing_rules_on_both_models() {
         let mut gen = RandomGen::new(0, 512 << 20, 64, 67, 0, requests, 1);
         let done = run_clean(vec![ctrl], &mut gen);
         assert!(
-            both_ranks(done[0].checker()) > requests as usize,
-            "{page:?}"
+            every_rank(done[0].checker()) > requests as usize,
+            "{ranks} ranks {page:?}"
         );
 
         let mut cfg = CycleConfig::new(spec.clone());
@@ -222,8 +227,8 @@ fn two_ranks_keep_the_timing_rules_on_both_models() {
         let mut gen = RandomGen::new(0, 512 << 20, 64, 67, 0, requests, 1);
         let done = run_clean(vec![ctrl], &mut gen);
         assert!(
-            both_ranks(done[0].checker()) > requests as usize,
-            "{page:?}"
+            every_rank(done[0].checker()) > requests as usize,
+            "{ranks} ranks {page:?}"
         );
     }
 }

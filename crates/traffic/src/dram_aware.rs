@@ -41,7 +41,7 @@ impl DramAwareGen {
     ///
     /// `stride_bursts` is clamped into `1..=bursts_per_row`; requests are
     /// one burst each and round-robin over `banks_used` banks
-    /// (`1..=ranks*banks`), targeting `channel` of `channels`.
+    /// (`1..=org.slots()`), targeting `channel` of `channels`.
     ///
     /// # Panics
     /// Panics if `banks_used` is zero or exceeds the device's bank count,
@@ -59,9 +59,9 @@ impl DramAwareGen {
         count: u64,
         seed: u64,
     ) -> Self {
-        let total_banks = org.ranks * org.banks;
+        let total_banks = org.slots();
         assert!(
-            banks_used >= 1 && banks_used <= total_banks,
+            (1..=total_banks).contains(&(banks_used as usize)),
             "banks_used must be in 1..={total_banks}"
         );
         assert!(read_pct <= 100, "read percentage must be at most 100");
@@ -137,8 +137,7 @@ impl SnapState for DramAwareGen {
 impl TrafficGen for DramAwareGen {
     fn next_request(&mut self) -> Option<(Tick, MemRequest)> {
         let (tick, id) = self.pacer.take()?;
-        let flat = self.bank_idx;
-        let (rank, bank) = (flat / self.org.banks, flat % self.org.banks);
+        let (rank, bank) = self.org.rank_bank(self.bank_idx as usize);
         let row = self.rows[self.bank_idx as usize] % self.org.rows_per_bank();
         let addr = self.decoder.encode(
             &DramAddr {
