@@ -17,8 +17,8 @@
 //! and be freed on another, which measured slower than rendering on the
 //! collector.
 
-use crate::journal::CampaignJournal;
-use crate::report::{render_parts_into, CampaignReport, JobMetrics, JobRecord};
+use crate::journal::{CampaignJournal, JournalLines};
+use crate::report::{render_parts_into, CampaignReport, JobMetrics, Lines};
 use crate::spec::{Campaign, JobSpec};
 use dramctrl_kernel::backoff::deterministic_ms;
 use dramctrl_obs::metrics::{
@@ -326,7 +326,7 @@ where
 fn run_campaign_inner<F>(
     campaign: &Campaign,
     cfg: &ExecutorConfig,
-    journal: Option<&mut CampaignJournal>,
+    mut journal: Option<&mut CampaignJournal>,
     shard: Option<(u32, u32)>,
     runner: F,
 ) -> CampaignReport
@@ -337,16 +337,17 @@ where
     let jobs = campaign.expand();
     let total = jobs.len();
 
-    // Seed the outcome table with what the journal already holds; only
-    // the remainder is dispatched to workers.
-    let mut prefilled: Vec<Option<JobOutcome>> = (0..total).map(|_| None).collect();
-    if let Some(j) = journal.as_deref() {
-        for (&i, outcome) in j.completed() {
-            prefilled[i] = Some(outcome.clone());
-        }
-    }
+    // The journal's committed lines go into the report as they are;
+    // only the remainder is dispatched to workers.
+    let resumed = match journal.as_deref_mut() {
+        Some(j) => j
+            .take_lines()
+            .unwrap_or_else(|e| panic!("cannot read {} back: {e}", j.path().display())),
+        None => JournalLines::default(),
+    };
+    let committed = |i: usize| journal.as_deref().is_some_and(|j| j.is_committed(i));
     let pending: Vec<usize> = (0..total)
-        .filter(|&i| prefilled[i].is_none() && in_shard(shard, i))
+        .filter(|&i| !committed(i) && in_shard(shard, i))
         .collect();
 
     let workers = cfg.effective_workers(pending.len());
@@ -354,7 +355,7 @@ where
     let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
     let start = Instant::now();
 
-    let (outcomes, jsonl) = std::thread::scope(|s| {
+    let lines = std::thread::scope(|s| {
         let jobs = &jobs;
         let next = &next;
         let runner = &runner;
@@ -396,19 +397,18 @@ where
         let progress = cfg.progress;
         let exec_metrics = &cfg.metrics;
         let to_run = pending.len();
-        // The caller collects. Its journal copies of the outcomes then
-        // live in the one allocator arena that outlasts the campaign,
-        // not in whichever arena a fresh collector thread is handed, so
-        // a process running campaign after campaign has a steady
-        // resident set. A failed commit unwinds through `rx`, and the
-        // workers stop at their next send.
+        // The caller collects, so the report's buffer lives in the one
+        // allocator arena that outlasts the campaign, not in whichever
+        // arena a fresh collector thread is handed: a process running
+        // campaign after campaign has a steady resident set. A failed
+        // commit unwinds through `rx`, and the workers stop at their
+        // next send.
         {
             let rx = rx;
             let mut journal = journal;
-            let mut outcomes = prefilled;
-            let expected = outcomes.iter().flatten().count() + to_run;
-            let mut report = ReportLines::new(name, jobs, shard, expected);
-            report.advance(&outcomes);
+            let expected = resumed.len() + to_run;
+            let mut report = ReportLines::new(total, shard, resumed, expected);
+            report.advance();
             let mut done = 0usize;
             let mut failed = 0usize;
             let mut batch: Vec<(usize, JobOutcome)> = Vec::new();
@@ -437,7 +437,7 @@ where
                     lines.push('\n');
                 }
                 // The commit point: the records hit the durable journal
-                // before their outcomes are accepted into the report.
+                // before their lines are accepted into the report.
                 if let Some(j) = journal.as_deref_mut() {
                     let commit_started = Instant::now();
                     batch
@@ -458,15 +458,14 @@ where
                         m.batch_records.observe(batch.len() as f64);
                     }
                 }
+                // Rendered and counted, each outcome is dropped here: its
+                // line is the one copy of it the report keeps.
                 for ((i, outcome), line) in batch.drain(..).zip(batch_lines(&lines, &ends)) {
                     done += 1;
-                    if outcome.is_failed() {
-                        failed += 1;
-                    }
-                    report.take(i, line);
-                    outcomes[i] = Some(outcome);
+                    failed += usize::from(outcome.is_failed());
+                    report.take(i, line, outcome.is_failed());
                 }
-                report.advance(&outcomes);
+                report.advance();
                 let elapsed = start.elapsed().as_secs_f64();
                 if let Some(m) = exec_metrics {
                     if elapsed > 0.0 {
@@ -493,29 +492,17 @@ where
                 let line = format!("[{name}] {done}/{to_run} done, {failed} failed");
                 eprintln!("\r{}", pad_progress(&mut line_width, &line));
             }
-            (outcomes, report.into_jsonl())
+            report.into_lines()
         }
     });
 
-    // Unsharded, every index must have an outcome; a shard only has
-    // outcomes for its own indices plus whatever the journal carried in.
-    let records = jobs
-        .into_iter()
-        .zip(outcomes)
-        .filter_map(|(job, outcome)| match outcome {
-            Some(outcome) => Some(JobRecord { job, outcome }),
-            None if shard.is_some() => None,
-            None => panic!("every job index is executed exactly once"),
-        })
-        .collect();
-    CampaignReport::with_lines(
-        campaign.name.clone(),
-        campaign.seed,
-        workers,
-        start.elapsed().as_secs_f64(),
-        records,
-        jsonl,
-    )
+    // Unsharded, every index must have a line; a shard only has lines
+    // for its own indices plus whatever the journal carried in.
+    assert!(
+        shard.is_some() || lines.len() == total,
+        "every job index is executed exactly once"
+    );
+    CampaignReport::with_lines(campaign, workers, start.elapsed().as_secs_f64(), lines)
 }
 
 /// Whether job `index` belongs to `shard` (every job does when unsharded).
@@ -534,81 +521,87 @@ fn batch_lines<'a>(lines: &'a str, ends: &'a [usize]) -> impl Iterator<Item = &'
 
 /// The report's bytes, assembled on the collector: lines arrive in
 /// completion order and leave in job order. `out` holds the line of
-/// every job below `next` that has an outcome; a line that finished
-/// ahead of a job still running waits in `held`, one buffer for all of
-/// them. Workers take jobs in index order, so about as many lines wait
-/// as there are workers, and the whole report is never held twice.
-struct ReportLines<'a> {
-    name: &'a str,
-    jobs: &'a [JobSpec],
+/// every job below `next` that has one; a line that finished ahead of a
+/// job still running waits in `held`, one buffer for all of them, and a
+/// line a resumed journal carried in waits in `resumed` until its turn
+/// (their buffer is freed once the last is moved). Workers take jobs in
+/// index order, so about as many fresh lines wait as there are workers.
+struct ReportLines {
+    total: usize,
     shard: Option<(u32, u32)>,
     /// Lines the report will hold.
     expected: usize,
-    out: String,
+    out: Lines,
     next: usize,
     held: String,
-    held_at: BTreeMap<usize, Range<usize>>,
+    /// Where each waiting line is in `held`, and whether it is a failed
+    /// record.
+    held_at: BTreeMap<usize, (Range<usize>, bool)>,
     /// Bytes of `held` still waiting; the rest have moved to `out`.
     held_live: usize,
+    resumed: JournalLines,
+    /// The first of `resumed`'s lines (in index order) not yet in `out`.
+    resumed_next: usize,
 }
 
-impl<'a> ReportLines<'a> {
-    fn new(name: &'a str, jobs: &'a [JobSpec], shard: Option<(u32, u32)>, expected: usize) -> Self {
+impl ReportLines {
+    fn new(
+        total: usize,
+        shard: Option<(u32, u32)>,
+        resumed: JournalLines,
+        expected: usize,
+    ) -> Self {
         Self {
-            name,
-            jobs,
+            total,
             shard,
             expected,
-            out: String::new(),
+            out: Lines::default(),
             next: 0,
             held: String::new(),
             held_at: BTreeMap::new(),
             held_live: 0,
+            resumed,
+            resumed_next: 0,
         }
     }
 
     /// Takes job `index`'s freshly rendered line (without its newline).
-    fn take(&mut self, index: usize, line: &str) {
-        if self.out.capacity() == 0 {
-            // Sized once, from the first line: a buffer that doubled
-            // while the collector's other allocations interleave leaves
-            // its old copies behind in the heap. Rounded up to a power of
-            // two, so the campaigns a process runs one after another ask
-            // for the same block and reuse it.
-            let estimate = self.expected * (line.len() + 1) * 9 / 8;
-            self.out.reserve(estimate.next_power_of_two());
-        }
+    fn take(&mut self, index: usize, line: &str, failed: bool) {
+        // Sized from the first line the collector sees.
+        self.out.size_once(self.expected, line.len());
         if index == self.next {
-            self.out.push_str(line);
-            self.out.push('\n');
+            self.out.push(line, failed);
             self.next += 1;
         } else {
             let start = self.held.len();
             self.held.push_str(line);
-            self.held_at.insert(index, start..self.held.len());
+            self.held_at.insert(index, (start..self.held.len(), failed));
             self.held_live += line.len();
         }
     }
 
     /// Moves every line now in order to the output: held lines, and the
-    /// outcomes a resumed journal carried in, rendered here, once. Stops
-    /// at the first job of the shard that is still running.
-    fn advance(&mut self, outcomes: &[Option<JobOutcome>]) {
-        while self.next < self.jobs.len() {
+    /// lines a resumed journal carried in, as they are. Stops at the
+    /// first job of the shard that is still running.
+    fn advance(&mut self) {
+        while self.next < self.total {
             let i = self.next;
-            if let Some(at) = self.held_at.remove(&i) {
+            if let Some((at, failed)) = self.held_at.remove(&i) {
                 self.held_live -= at.len();
-                self.out.push_str(&self.held[at]);
-            } else if let Some(outcome) = &outcomes[i] {
-                render_parts_into(&mut self.out, self.name, &self.jobs[i], outcome);
+                self.out.push(&self.held[at], failed);
+            } else if let Some(l) = self.resumed.nth(self.resumed_next).filter(|l| l.index == i) {
+                self.resumed_next += 1;
+                self.out.size_once(self.expected, l.line.len());
+                self.out.push(l.line, l.failed);
             } else if in_shard(self.shard, i) {
                 break;
-            } else {
-                self.next += 1;
-                continue;
             }
-            self.out.push('\n');
             self.next += 1;
+        }
+        if self.resumed_next == self.resumed.len() {
+            // Every resumed line is in `out`: free their first copy.
+            self.resumed = JournalLines::default();
+            self.resumed_next = 0;
         }
         if self.held_at.is_empty() {
             self.held.clear();
@@ -617,7 +610,7 @@ impl<'a> ReportLines<'a> {
             // Mostly moved out while something early still runs: keep
             // only the waiting lines.
             let mut held = String::with_capacity(2 * self.held_live);
-            for at in self.held_at.values_mut() {
+            for (at, _) in self.held_at.values_mut() {
                 let start = held.len();
                 held.push_str(&self.held[at.clone()]);
                 *at = start..held.len();
@@ -627,7 +620,7 @@ impl<'a> ReportLines<'a> {
     }
 
     /// The report's lines; every held line must have been moved out.
-    fn into_jsonl(self) -> String {
+    fn into_lines(self) -> Lines {
         debug_assert!(self.held_at.is_empty(), "a line outlived its job");
         self.out
     }
@@ -725,7 +718,7 @@ mod tests {
             let cfg = ExecutorConfig::default().with_workers(workers);
             let r = run_campaign(&c, &cfg, toy_runner);
             assert_eq!(r.workers, workers.min(24));
-            assert_eq!(r.records().len(), 24);
+            assert_eq!(r.len(), 24);
             for (i, rec) in r.records().iter().enumerate() {
                 assert_eq!(rec.job.index, i);
                 match &rec.outcome {
@@ -970,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn a_resume_renders_journaled_lines_once_more_and_the_rest_once() {
+    fn a_resume_splices_journaled_lines_and_renders_the_rest_once() {
         let c = campaign(20);
         let reference = run_campaign(&c, &ExecutorConfig::serial(), toy_runner);
         let dir = tmp_dir("resume");
@@ -985,11 +978,7 @@ mod tests {
         assert_eq!(n, 10, "one verification per journaled line");
         let cfg = ExecutorConfig::default().with_workers(2);
         let (resumed, n) = renders(|| run_campaign_journaled(&c, &cfg, &mut journal, toy_runner));
-        assert_eq!(
-            n,
-            10 + 10,
-            "journaled lines once into the report, the rest once"
-        );
+        assert_eq!(n, 10, "journaled lines go in as read, the rest render once");
         let (jsonl, n) = renders(|| resumed.to_jsonl());
         assert_eq!(n, 0, "to_jsonl renders nothing");
         assert_eq!(jsonl, reference.to_jsonl());
@@ -1015,8 +1004,8 @@ mod tests {
             let mut journal = CampaignJournal::create(path, &c).unwrap();
             let shard = run_campaign_shard(&c, &cfg, &mut journal, (k, 3), failing_runner);
             assert_lines_are_records(&shard);
-            assert_eq!(shard.records().len(), 5);
-            lines += shard.records().len();
+            assert_eq!(shard.len(), 5);
+            lines += shard.len();
         }
         std::panic::set_hook(prev);
         let (merged, n) = renders(|| {
@@ -1033,27 +1022,22 @@ mod tests {
 
     #[test]
     fn report_lines_leave_in_job_order_whatever_order_they_arrive_in() {
-        let jobs = campaign(255).expand();
+        let total = 255;
         // 0 and 201 run long; everything else arrives first. Job 3 came
         // from a resumed journal.
         let line = |i: usize| format!("{i:0>100}");
-        let mut outcomes: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-        let carried = JobOutcome::Completed {
-            metrics: JobMetrics::new().with("carried", 1.0),
-            attempts: 1,
-        };
-        outcomes[3] = Some(carried.clone());
-        let mut lines = ReportLines::new("order", &jobs, None, jobs.len());
-        lines.advance(&outcomes);
+        let mut resumed = JournalLines::default();
+        assert!(resumed.insert(3, true, "carried"));
+        let mut lines = ReportLines::new(total, None, resumed, total);
+        lines.advance();
         let order = (1..=200)
             .chain([202, 0, 201])
             .chain(203..255)
             .filter(|&i| i != 3);
         let mut held_peak = 0;
         for i in order {
-            lines.take(i, &line(i));
-            outcomes[i] = Some(carried.clone());
-            lines.advance(&outcomes);
+            lines.take(i, &line(i), i % 7 == 0);
+            lines.advance();
             held_peak = held_peak.max(lines.held.len());
             if i == 0 {
                 assert_eq!(lines.held_at.len(), 1, "202 still waits on 201");
@@ -1062,19 +1046,18 @@ mod tests {
         }
         assert!(held_peak > 16 * 1024);
         let mut want = String::new();
-        for (i, job) in jobs.iter().enumerate() {
+        for i in 0..total {
             if i == 3 {
-                let rec = JobRecord {
-                    job: job.clone(),
-                    outcome: carried.clone(),
-                };
-                want.push_str(&rec.render("order"));
+                want.push_str("carried");
             } else {
                 want.push_str(&line(i));
             }
             want.push('\n');
         }
-        assert!(lines.into_jsonl() == want);
+        let out = lines.into_lines();
+        assert_eq!(out.len(), total);
+        assert_eq!(out.failed, 1 + (0..total).filter(|i| i % 7 == 0).count());
+        assert!(out.text == want);
     }
 
     #[test]
@@ -1088,7 +1071,7 @@ mod tests {
         let cfg = ExecutorConfig::serial().with_metrics(m.clone());
         let mut journal = CampaignJournal::create(dir.join("j.jsonl"), &c).unwrap();
         let r = run_campaign_journaled(&c, &cfg, &mut journal, toy_runner);
-        assert_eq!(r.records().len(), 12);
+        assert_eq!(r.len(), 12);
         assert_eq!(m.batch_records.count(), m.commit_seconds.count());
         assert!(m.batch_records.count() >= 1);
         assert!(

@@ -22,14 +22,15 @@
 //! hash.
 
 use crate::exec::JobOutcome;
-use crate::report::{render_parts, JobMetrics, JobRecord};
+use crate::report::{render_parts, JobMetrics, JobRecord, Lines};
 use crate::spec::{Campaign, JobSpec};
 use dramctrl_kernel::fsio::DurableAppender;
 use dramctrl_kernel::json::{escape_into, Value};
 use dramctrl_kernel::snap::fingerprint;
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Journal format version; bumped on any header or record layout change.
@@ -121,21 +122,151 @@ impl From<io::Error> for JournalError {
     }
 }
 
+/// The validated record lines of a journal, or of several merged: one
+/// per job index — the first line read for it — in job index order.
+///
+/// These bytes are a record's only copy once it is read back:
+/// [`CampaignJournal::take_lines`] hands the lines a resume read to the
+/// executor, which splices them into its report, and the daemon replays
+/// them to its watchers. No outcome is kept beside them.
+#[derive(Debug, Clone, Default)]
+pub struct JournalLines {
+    /// The lines' bytes, in the order they were read, without newlines.
+    text: String,
+    /// Where each index's line is, sorted by index.
+    entries: Vec<LineAt>,
+    /// How many of the lines are failed records.
+    failed: usize,
+}
+
+#[derive(Debug, Clone)]
+struct LineAt {
+    index: usize,
+    at: Range<usize>,
+    failed: bool,
+}
+
+/// One line of [`JournalLines`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalLine<'a> {
+    /// The job index the record is of.
+    pub index: usize,
+    /// Whether the record is a failed job's.
+    pub failed: bool,
+    /// The record's bytes, without a newline.
+    pub line: &'a str,
+}
+
+impl JournalLines {
+    /// Number of records (one per index).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether there is no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Number of failed records.
+    #[must_use]
+    pub fn failed(&self) -> usize {
+        self.failed
+    }
+
+    /// The records, in job index order.
+    pub fn iter(&self) -> impl Iterator<Item = JournalLine<'_>> + '_ {
+        self.entries.iter().map(|e| self.line_of(e))
+    }
+
+    /// The record line of job `index`, if there is one.
+    #[must_use]
+    pub fn get(&self, index: usize) -> Option<&str> {
+        let k = self
+            .entries
+            .binary_search_by_key(&index, |e| e.index)
+            .ok()?;
+        Some(self.line_of(&self.entries[k]).line)
+    }
+
+    /// Adds job `index`'s record `line` unless the index has one
+    /// already (keep-first), keeping index order; returns whether it was
+    /// added. For records that arrive one at a time, about in order.
+    pub fn insert(&mut self, index: usize, failed: bool, line: &str) -> bool {
+        let Err(k) = self.entries.binary_search_by_key(&index, |e| e.index) else {
+            return false;
+        };
+        let at = self.append_text(line);
+        self.entries.insert(k, LineAt { index, at, failed });
+        self.failed += usize::from(failed);
+        true
+    }
+
+    /// The `k`-th record in index order.
+    pub(crate) fn nth(&self, k: usize) -> Option<JournalLine<'_>> {
+        self.entries.get(k).map(|e| self.line_of(e))
+    }
+
+    fn line_of(&self, e: &LineAt) -> JournalLine<'_> {
+        JournalLine {
+            index: e.index,
+            failed: e.failed,
+            line: &self.text[e.at.clone()],
+        }
+    }
+
+    fn append_text(&mut self, line: &str) -> Range<usize> {
+        let start = self.text.len();
+        self.text.push_str(line);
+        start..self.text.len()
+    }
+
+    /// Adds a line read from a journal, in any order and duplicates
+    /// included; [`sort_keep_first`](Self::sort_keep_first) orders them.
+    fn push_unsorted(&mut self, index: usize, failed: bool, line: &str) {
+        let at = self.append_text(line);
+        self.entries.push(LineAt { index, at, failed });
+    }
+
+    /// Sorts the pushed lines by index and keeps the first pushed for
+    /// each. A duplicate's bytes stay in `text`: duplicates are the rare
+    /// crash-and-re-dispatch case.
+    fn sort_keep_first(&mut self) {
+        // Stable: among equal indices, push order survives the sort.
+        self.entries.sort_by_key(|e| e.index);
+        self.entries.dedup_by_key(|e| e.index);
+        self.failed = self.entries.iter().filter(|e| e.failed).count();
+    }
+}
+
 /// A write-ahead journal of completed campaign jobs.
 ///
 /// Create one with [`create`](Self::create) for a fresh sweep or
 /// [`resume`](Self::resume) to pick up a crashed one, then hand it to
 /// [`run_campaign_journaled`](crate::run_campaign_journaled).
+///
+/// The journal keeps which jobs are committed and how many failed, and
+/// no copy of their results: the record lines are in the file, and a
+/// resume hands the ones it read over ([`take_lines`](Self::take_lines)).
 #[derive(Debug)]
 pub struct CampaignJournal {
     path: PathBuf,
     appender: DurableAppender,
-    campaign_name: String,
-    completed: BTreeMap<usize, JobOutcome>,
-    /// Indices appended since the last sync: in `completed` until an
-    /// append or sync fails, when the appender cuts their lines.
-    pending: Vec<usize>,
+    campaign: Campaign,
     total: usize,
+    /// Bit `i` set iff job `i` is committed (or appended and awaiting
+    /// its sync).
+    committed: Vec<u64>,
+    count: usize,
+    failed: usize,
+    /// Jobs appended since the last sync, and whether each failed:
+    /// committed until an append or sync fails, when the appender cuts
+    /// their lines.
+    pending: Vec<(usize, bool)>,
+    /// The lines [`resume`](Self::resume) read, until taken.
+    resumed: Option<JournalLines>,
     dropped_torn_tail: bool,
 }
 
@@ -149,24 +280,17 @@ impl CampaignJournal {
         let path = path.into();
         let mut appender = DurableAppender::create(&path)?;
         appender.append_line(&render_header(campaign))?;
-        Ok(Self {
-            path,
-            appender,
-            campaign_name: campaign.name.clone(),
-            completed: BTreeMap::new(),
-            pending: Vec::new(),
-            total: campaign.len(),
-            dropped_torn_tail: false,
-        })
+        Ok(Self::opened(path, appender, campaign, None, false))
     }
 
     /// Opens an existing journal at `path` and replays it.
     ///
-    /// The header's spec hash must match `campaign`; completed job records
-    /// are parsed back (keeping the *first* record for an index, should a
-    /// duplicate ever appear) and a torn tail — a crash mid-append — is
-    /// dropped, truncating the file back to the last complete record so
-    /// new appends start on a clean line boundary.
+    /// The header's spec hash must match `campaign`; every complete
+    /// record line is validated (keeping the *first* record for an
+    /// index, should a duplicate ever appear) and kept for
+    /// [`take_lines`](Self::take_lines), and a torn tail — a crash
+    /// mid-append — is dropped, truncating the file back to the last
+    /// complete record so new appends start on a clean line boundary.
     ///
     /// # Errors
     /// I/O errors, a missing or mismatching header, or a corrupt record
@@ -178,24 +302,50 @@ impl CampaignJournal {
     /// [`resume`](Self::resume), or `None` when not even the header line
     /// is complete.
     fn reopen(path: PathBuf, campaign: &Campaign) -> Result<Option<Self>, JournalError> {
-        let mut completed = BTreeMap::new();
-        let scan = scan_journal(&path, campaign, &campaign.expand(), |i, o, _| {
-            keep_first(&mut completed, i, o);
+        let mut lines = JournalLines::default();
+        let scan = scan_journal(&path, campaign, |i, failed, line| {
+            lines.push_unsorted(i, failed, line);
         })?;
         let Some(valid_len) = scan else {
             return Ok(None);
         };
+        lines.sort_keep_first();
         let dropped_torn_tail = std::fs::metadata(&path)?.len() > valid_len;
         let appender = DurableAppender::reopen(&path, valid_len)?;
-        Ok(Some(Self {
+        Ok(Some(Self::opened(
             path,
             appender,
-            campaign_name: campaign.name.clone(),
-            completed,
-            pending: Vec::new(),
-            total: campaign.len(),
+            campaign,
+            Some(lines),
             dropped_torn_tail,
-        }))
+        )))
+    }
+
+    fn opened(
+        path: PathBuf,
+        appender: DurableAppender,
+        campaign: &Campaign,
+        resumed: Option<JournalLines>,
+        dropped_torn_tail: bool,
+    ) -> Self {
+        let total = campaign.len();
+        let mut journal = Self {
+            path,
+            appender,
+            campaign: campaign.clone(),
+            total,
+            committed: vec![0; total.div_ceil(64)],
+            count: 0,
+            failed: 0,
+            pending: Vec::new(),
+            resumed: None,
+            dropped_torn_tail,
+        };
+        for l in resumed.iter().flat_map(JournalLines::iter) {
+            journal.mark(l.index, l.failed);
+        }
+        journal.resumed = resumed;
+        journal
     }
 
     /// Opens `path` in whatever state a crash left it: a missing file —
@@ -222,24 +372,52 @@ impl CampaignJournal {
 
     /// Reads a journal without opening it for appends and without
     /// modifying the file: validates the header against `campaign` and
-    /// returns the journaled outcomes (keep-first, torn tail ignored).
+    /// returns the journaled record lines (keep-first, torn tail
+    /// ignored).
     ///
-    /// This is the read path for merging shard journals and for serving
-    /// finished results — the journal may still be live in another
-    /// process, so replay must not truncate.
+    /// This is the read path for serving finished results — the journal
+    /// may still be live in another process, so replay must not
+    /// truncate.
     ///
     /// # Errors
     /// The same validation errors as [`resume`](Self::resume).
     pub fn replay(
         path: impl AsRef<Path>,
         campaign: &Campaign,
-    ) -> Result<BTreeMap<usize, JobOutcome>, JournalError> {
-        let mut completed = BTreeMap::new();
-        scan_journal(path.as_ref(), campaign, &campaign.expand(), |i, o, _| {
-            keep_first(&mut completed, i, o);
+    ) -> Result<JournalLines, JournalError> {
+        let mut lines = JournalLines::default();
+        scan_journal(path.as_ref(), campaign, |i, failed, line| {
+            lines.push_unsorted(i, failed, line);
         })?
         .ok_or(JournalError::NotAJournal)?;
-        Ok(completed)
+        lines.sort_keep_first();
+        Ok(lines)
+    }
+
+    /// The committed records' lines: the ones [`resume`](Self::resume)
+    /// read, handed over once and not copied. A journal that has
+    /// committed records through this handle since, or whose lines were
+    /// taken already, reads them back from its file.
+    ///
+    /// # Errors
+    /// The validation errors of [`replay`](Self::replay), when the lines
+    /// are read back.
+    pub fn take_lines(&mut self) -> Result<JournalLines, JournalError> {
+        match self.resumed.take() {
+            Some(lines) if lines.len() == self.count => Ok(lines),
+            _ if self.count == 0 => Ok(JournalLines::default()),
+            _ => {
+                let mut lines = JournalLines::default();
+                scan_journal(&self.path, &self.campaign, |i, failed, line| {
+                    if self.is_committed(i) {
+                        lines.push_unsorted(i, failed, line);
+                    }
+                })?
+                .ok_or(JournalError::NotAJournal)?;
+                lines.sort_keep_first();
+                Ok(lines)
+            }
+        }
     }
 
     /// The journal file's path.
@@ -248,10 +426,24 @@ impl CampaignJournal {
         &self.path
     }
 
-    /// Outcomes already durably journaled, keyed by job index.
+    /// Number of jobs already durably journaled.
     #[must_use]
-    pub fn completed(&self) -> &BTreeMap<usize, JobOutcome> {
-        &self.completed
+    pub fn committed(&self) -> usize {
+        self.count
+    }
+
+    /// Whether job `index` is already durably journaled.
+    #[must_use]
+    pub fn is_committed(&self, index: usize) -> bool {
+        self.committed
+            .get(index / 64)
+            .is_some_and(|&w| w & (1u64 << (index % 64)) != 0)
+    }
+
+    /// Number of journaled jobs that failed.
+    #[must_use]
+    pub fn failed(&self) -> usize {
+        self.failed
     }
 
     /// Number of jobs the campaign expands into.
@@ -280,10 +472,10 @@ impl CampaignJournal {
     /// As [`append_deferred`](Self::append_deferred) and
     /// [`sync`](Self::sync).
     pub fn commit(&mut self, record: &JobRecord) -> io::Result<bool> {
-        if self.completed.contains_key(&record.job.index) {
+        if self.is_committed(record.job.index) {
             return Ok(false);
         }
-        let line = record.render(&self.campaign_name);
+        let line = record.render(&self.campaign.name);
         self.append_deferred(record.job.index, &record.outcome, &line)?;
         self.sync()?;
         Ok(true)
@@ -298,7 +490,8 @@ impl CampaignJournal {
     ///
     /// `line` must be job `index`'s record with `outcome`, as
     /// [`JobRecord::render`] writes it or [`verify_record_line`] accepted
-    /// it; the journal stores those bytes without rendering them again.
+    /// it; the journal stores those bytes without rendering them again,
+    /// and of `outcome` notes only whether it failed.
     ///
     /// # Errors
     /// Any I/O error from appending. The job must be treated as not done,
@@ -310,13 +503,18 @@ impl CampaignJournal {
         outcome: &JobOutcome,
         line: &str,
     ) -> io::Result<bool> {
-        if self.completed.contains_key(&index) {
+        assert!(
+            index < self.total,
+            "job {index} of a campaign of {} jobs",
+            self.total
+        );
+        if self.is_committed(index) {
             return Ok(false);
         }
         let appended = self.appender.append_line_deferred(line);
         self.settle(appended)?;
-        self.completed.insert(index, outcome.clone());
-        self.pending.push(index);
+        self.mark(index, outcome.is_failed());
+        self.pending.push((index, outcome.is_failed()));
         Ok(true)
     }
 
@@ -333,21 +531,25 @@ impl CampaignJournal {
         Ok(())
     }
 
+    /// Notes job `index` as committed; it must not be yet.
+    fn mark(&mut self, index: usize, failed: bool) {
+        self.committed[index / 64] |= 1u64 << (index % 64);
+        self.count += 1;
+        self.failed += usize::from(failed);
+    }
+
     /// Forgets the pending records when `result` failed: the appender
     /// cuts their lines before its next append.
     fn settle<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
         if result.is_err() {
-            for index in self.pending.drain(..) {
-                self.completed.remove(&index);
+            for (index, failed) in self.pending.drain(..) {
+                self.committed[index / 64] &= !(1u64 << (index % 64));
+                self.count -= 1;
+                self.failed -= usize::from(failed);
             }
         }
         result
     }
-}
-
-/// Keep-first: the earliest durable record for an index wins.
-fn keep_first(completed: &mut BTreeMap<usize, JobOutcome>, index: usize, outcome: JobOutcome) {
-    completed.entry(index).or_insert(outcome);
 }
 
 /// The header line [`CampaignJournal::create`] writes for `campaign`.
@@ -365,31 +567,31 @@ fn render_header(campaign: &Campaign) -> String {
     h
 }
 
-/// Reads and validates a journal file against `campaign` (whose
-/// expansion is `jobs`) without modifying it: header checks and record
-/// replay over the file's complete lines
-/// ([`DurableAppender::read_lines`]). Every complete line must be byte
-/// for byte what this campaign's writer would have written; each record
-/// is handed to `record` as `(index, outcome, line)` in file order,
-/// duplicates included, for the caller to keep first. Returns where the
-/// complete lines end, or `None` when not even the header line is
-/// complete (a crash between the file's creation and its header's sync).
-/// Shared by [`CampaignJournal::resume`] (which then cuts the torn tail
-/// and reopens for append) and the read-only paths
+/// Reads and validates a journal file against `campaign` without
+/// modifying it: header checks and record replay over the file's
+/// complete lines ([`DurableAppender::read_lines`]). Every complete line
+/// must be byte for byte what this campaign's writer would have written;
+/// each record is handed to `record` as `(index, failed, line)` in file
+/// order, duplicates included, for the caller to keep first. Returns
+/// where the complete lines end, or `None` when not even the header line
+/// is complete (a crash between the file's creation and its header's
+/// sync). Shared by [`CampaignJournal::resume`] (which then cuts the torn
+/// tail and reopens for append) and the read-only paths
 /// ([`CampaignJournal::replay`], [`merge_journals`]).
 fn scan_journal(
     path: &Path,
     campaign: &Campaign,
-    jobs: &[JobSpec],
-    mut record: impl FnMut(usize, JobOutcome, &str),
+    mut record: impl FnMut(usize, bool, &str),
 ) -> Result<Option<u64>, JournalError> {
+    let total = campaign.len();
     let valid_len = DurableAppender::read_lines(path, |n, line| {
         if n == 1 {
-            return check_header(line, campaign, jobs.len());
+            return check_header(line, campaign, total);
         }
-        let (index, outcome) = verify_record_line(line, &campaign.name, jobs)
-            .map_err(|why| JournalError::Corrupt { line: n, why })?;
-        record(index, outcome, line);
+        let (index, outcome) =
+            verify_line(line, &campaign.name, total, |i| Cow::Owned(campaign.job(i)))
+                .map_err(|why| JournalError::Corrupt { line: n, why })?;
+        record(index, outcome.is_failed(), line);
         Ok(())
     })?;
     // A complete line is at least its newline.
@@ -423,7 +625,7 @@ fn check_header(line: &str, campaign: &Campaign, total: usize) -> Result<(), Jou
 /// [`CampaignReport`](crate::CampaignReport).
 ///
 /// Every journal is validated against `campaign` (header hash, version,
-/// total) and replayed read-only; outcomes are unioned keep-first in
+/// total) and replayed read-only; records are unioned keep-first in
 /// `paths` order, matching the single-journal dedup rule. The merged
 /// report's [`to_jsonl`](crate::CampaignReport::to_jsonl) is
 /// byte-identical to an unsharded run's, because records are keyed by
@@ -440,50 +642,35 @@ pub fn merge_journals(
     campaign: &Campaign,
     paths: &[impl AsRef<Path>],
 ) -> Result<crate::CampaignReport, JournalError> {
-    let jobs = campaign.expand();
-    // The first validated line per index, its bytes in one buffer.
-    let mut lines = String::new();
-    let mut merged: BTreeMap<usize, (JobOutcome, std::ops::Range<usize>)> = BTreeMap::new();
+    let mut merged = JournalLines::default();
     for path in paths {
-        scan_journal(path.as_ref(), campaign, &jobs, |index, outcome, line| {
-            if let Entry::Vacant(slot) = merged.entry(index) {
-                let start = lines.len();
-                lines.push_str(line);
-                slot.insert((outcome, start..lines.len()));
-            }
+        scan_journal(path.as_ref(), campaign, |index, failed, line| {
+            merged.push_unsorted(index, failed, line);
         })?
         .ok_or(JournalError::NotAJournal)?;
     }
-    let missing: Vec<usize> = (0..jobs.len())
-        .filter(|i| !merged.contains_key(i))
-        .collect();
-    if let Some(&first_missing) = missing.first() {
+    merged.sort_keep_first();
+    let total = campaign.len();
+    if merged.len() < total {
+        // Sorted and unique: index `i` is missing where entry `i` is not
+        // job `i`.
+        let first_missing = merged
+            .iter()
+            .enumerate()
+            .find(|(i, l)| l.index != *i)
+            .map_or(merged.len(), |(i, _)| i);
         return Err(JournalError::Incomplete {
-            missing: missing.len(),
+            missing: total - merged.len(),
             first_missing,
-            total: jobs.len(),
+            total,
         });
     }
-    let mut jsonl = String::with_capacity(lines.len() + jobs.len());
-    let records = jobs
-        .into_iter()
-        .map(|job| {
-            let (outcome, at) = merged
-                .remove(&job.index)
-                .expect("missing indices were rejected above");
-            jsonl.push_str(&lines[at]);
-            jsonl.push('\n');
-            JobRecord { job, outcome }
-        })
-        .collect();
-    Ok(crate::CampaignReport::with_lines(
-        campaign.name.clone(),
-        campaign.seed,
-        0,
-        0.0,
-        records,
-        jsonl,
-    ))
+    let mut lines = Lines::default();
+    lines.reserve(merged.text.len() + total, total);
+    for l in merged.iter() {
+        lines.push(l.line, l.failed);
+    }
+    Ok(crate::CampaignReport::with_lines(campaign, 0, 0.0, lines))
 }
 
 /// Parses the header line, returning `(version, spec_hash)`.
@@ -515,14 +702,24 @@ pub fn verify_record_line(
     campaign_name: &str,
     jobs: &[JobSpec],
 ) -> Result<(usize, JobOutcome), String> {
+    verify_line(line, campaign_name, jobs.len(), |i| Cow::Borrowed(&jobs[i]))
+}
+
+/// [`verify_record_line`] over a campaign of `total` jobs whose job `i`
+/// is `job(i)`.
+fn verify_line<'j>(
+    line: &str,
+    campaign_name: &str,
+    total: usize,
+    job: impl FnOnce(usize) -> Cow<'j, JobSpec>,
+) -> Result<(usize, JobOutcome), String> {
     let (index, outcome) = parse_record_line(line)?;
-    let job = jobs.get(index).ok_or_else(|| {
-        format!(
-            "job index {index} out of range (the campaign has {} jobs)",
-            jobs.len()
-        )
-    })?;
-    if render_parts(campaign_name, job, &outcome) != line {
+    if index >= total {
+        return Err(format!(
+            "job index {index} out of range (the campaign has {total} jobs)"
+        ));
+    }
+    if render_parts(campaign_name, &job(index), &outcome) != line {
         return Err(format!(
             "record bytes diverge from the campaign's own rendering of job {index}"
         ));
@@ -533,7 +730,7 @@ pub fn verify_record_line(
 /// Extracts `(job index, outcome)` from one record line. Metric values
 /// round-trip exactly because the renderer uses Rust's shortest
 /// round-trip float formatting; `null` reads back as NaN.
-fn parse_record_line(line: &str) -> Result<(usize, JobOutcome), String> {
+pub(crate) fn parse_record_line(line: &str) -> Result<(usize, JobOutcome), String> {
     let v = Value::parse(line).map_err(|e| e.to_string())?;
     let field = |key: &str| v.get(key).ok_or_else(|| format!("no {key:?} field"));
     let index = field("job")?
@@ -610,18 +807,21 @@ mod tests {
         assert!(j.commit(&record(&c, 0)).unwrap());
         drop(j);
 
-        let j = CampaignJournal::resume(&p, &c).unwrap();
+        let mut j = CampaignJournal::resume(&p, &c).unwrap();
         assert_eq!(j.total(), 3);
         assert!(!j.dropped_torn_tail());
-        assert_eq!(
-            j.completed().keys().copied().collect::<Vec<_>>(),
-            vec![0, 1]
-        );
+        assert_eq!((j.committed(), j.failed()), (2, 0));
+        assert!(j.is_committed(0) && j.is_committed(1) && !j.is_committed(2));
+        // Resume hands over the lines it read, in job order.
+        let lines = j.take_lines().unwrap();
+        assert_eq!(lines.iter().map(|l| l.index).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(lines.get(1), Some(record(&c, 1).render(&c.name).as_str()));
         // Metrics survive the round trip, non-finite values as NaN.
-        let JobOutcome::Completed { metrics, attempts } = &j.completed()[&1] else {
+        let (_, outcome) = parse_record_line(lines.get(1).unwrap()).unwrap();
+        let JobOutcome::Completed { metrics, attempts } = outcome else {
             panic!("expected completed");
         };
-        assert_eq!(*attempts, 1);
+        assert_eq!(attempts, 1);
         assert_eq!(metrics.get("bus_util"), Some(0.625));
         assert!(metrics.get("weird \"name\"").unwrap().is_nan());
     }
@@ -661,8 +861,12 @@ mod tests {
         assert_eq!(lines.next().unwrap(), failed.render("journal-test"));
         assert_eq!(lines.next().unwrap(), record(&c, 1).render("journal-test"));
         // Failed outcomes round-trip through resume too.
-        let j = CampaignJournal::resume(&p, &c).unwrap();
-        assert_eq!(j.completed()[&0], failed.outcome);
+        let mut j = CampaignJournal::resume(&p, &c).unwrap();
+        assert_eq!((j.committed(), j.failed()), (2, 1));
+        let lines = j.take_lines().unwrap();
+        assert_eq!(lines.failed(), 1);
+        let (_, outcome) = parse_record_line(lines.get(0).unwrap()).unwrap();
+        assert_eq!(outcome, failed.outcome);
     }
 
     #[test]
@@ -679,7 +883,7 @@ mod tests {
 
         let mut j = CampaignJournal::resume(&p, &c).unwrap();
         assert!(j.dropped_torn_tail());
-        assert_eq!(j.completed().len(), 1);
+        assert_eq!(j.committed(), 1);
         // The torn bytes are gone and new appends land on a clean line.
         j.commit(&record(&c, 1)).unwrap();
         drop(j);
@@ -687,7 +891,7 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         assert!(text.ends_with('\n'));
         let j = CampaignJournal::resume(&p, &c).unwrap();
-        assert_eq!(j.completed().len(), 2);
+        assert_eq!(j.committed(), 2);
     }
 
     #[test]
@@ -700,7 +904,7 @@ mod tests {
         let g = dramctrl_kernel::fsio::fault::arm_str(&spec).unwrap();
         j.commit(&record(&c, 0)).unwrap_err();
         drop(g);
-        assert!(j.completed().is_empty());
+        assert_eq!(j.committed(), 0);
         assert!(j.commit(&record(&c, 0)).unwrap());
         // Exactly the header and the record: the torn half is gone, and
         // the record landed at the cut — no hole of NUL bytes before it.
@@ -731,7 +935,8 @@ mod tests {
         let g = dramctrl_kernel::fsio::fault::arm_str(&spec).unwrap();
         j.sync().unwrap_err();
         drop(g);
-        assert_eq!(j.completed().keys().copied().collect::<Vec<_>>(), [2]);
+        assert_eq!(j.committed(), 1);
+        assert!(j.is_committed(2));
         append(&mut j);
         j.sync().unwrap();
         let text = std::fs::read_to_string(&p).unwrap();
@@ -741,7 +946,7 @@ mod tests {
         }
         assert_eq!(text.lines().count(), 4);
         let j = CampaignJournal::resume(&p, &c).unwrap();
-        assert_eq!(j.completed().len(), 3);
+        assert_eq!(j.committed(), 3);
     }
 
     #[test]
@@ -762,12 +967,16 @@ mod tests {
         use std::io::Write as _;
         writeln!(f, "{}", second.render("journal-test")).unwrap();
         drop(f);
-        let j = CampaignJournal::resume(&p, &c).unwrap();
-        let JobOutcome::Completed { metrics, attempts } = &j.completed()[&0] else {
+        let mut j = CampaignJournal::resume(&p, &c).unwrap();
+        assert_eq!(j.committed(), 1);
+        let lines = j.take_lines().unwrap();
+        assert_eq!(lines.len(), 1);
+        let (_, outcome) = parse_record_line(lines.get(0).unwrap()).unwrap();
+        let JobOutcome::Completed { metrics, attempts } = outcome else {
             panic!("expected completed");
         };
         assert_eq!(metrics.get("bus_util"), Some(0.625), "first record wins");
-        assert_eq!(*attempts, 1);
+        assert_eq!(attempts, 1);
     }
 
     #[test]

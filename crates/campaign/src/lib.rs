@@ -14,13 +14,14 @@
 //!   job are caught, retried up to a bound, and recorded as
 //!   [`JobOutcome::Failed`] — one diverging configuration never takes
 //!   down a thousand-job sweep.
-//! - [`CampaignReport`] aggregates per-job [`JobMetrics`] and renders
-//!   deterministic JSON lines ([`CampaignReport::to_jsonl`]) and
-//!   markdown tables ([`CampaignReport::table`]).
+//! - [`CampaignReport`] keeps each job's deterministic JSON line
+//!   ([`CampaignReport::to_jsonl`]) — the one copy of its result — and
+//!   parses its typed view ([`CampaignReport::records`], markdown
+//!   [`CampaignReport::table`]s) back from those lines on demand.
 //! - [`CampaignJournal`] is a durable write-ahead journal of completed
 //!   jobs: [`run_campaign_journaled`] fsyncs every record before counting
 //!   the job as done, so a killed sweep resumes exactly where it stopped —
-//!   skipping journaled jobs and merging their outcomes into a report
+//!   skipping journaled jobs and splicing their lines into a report
 //!   byte-identical to an uninterrupted run's.
 //!
 //! The engine is generic over the runner (`Fn(&JobSpec) -> JobMetrics`),
@@ -65,8 +66,8 @@ pub use exec::{
     ExecutorConfig, JobOutcome, Progress,
 };
 pub use journal::{
-    campaign_hash, merge_journals, verify_record_line, CampaignJournal, JournalError,
-    JOURNAL_VERSION,
+    campaign_hash, merge_journals, verify_record_line, CampaignJournal, JournalError, JournalLine,
+    JournalLines, JOURNAL_VERSION,
 };
 pub use report::{CampaignReport, JobMetrics, JobRecord};
 pub use spec::{

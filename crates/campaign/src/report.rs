@@ -13,7 +13,8 @@
 //! [`CampaignReport::to_jsonl`] renders nothing.
 
 use crate::exec::JobOutcome;
-use crate::spec::JobSpec;
+use crate::journal::parse_record_line;
+use crate::spec::{Campaign, JobSpec};
 use dramctrl_kernel::json::{escape_into, json_f64};
 use dramctrl_stats::Table;
 use std::borrow::Cow;
@@ -43,6 +44,29 @@ impl JobMetrics {
             Ok(i) => self.values[i].1 = value,
             Err(i) => self.values.insert(i, (name, value)),
         }
+    }
+
+    /// Metrics from `(name, value)` pairs already in strictly increasing
+    /// name order, stored as given: no search, and one allocation of
+    /// exactly their number (the iterator's upper size bound, if it has
+    /// one). For a runner that records the same names every job.
+    ///
+    /// # Panics
+    /// Panics if a name is not greater than the one before it.
+    pub fn from_sorted<K: Into<Cow<'static, str>>>(
+        pairs: impl IntoIterator<Item = (K, f64)>,
+    ) -> Self {
+        let pairs = pairs.into_iter();
+        let (lower, upper) = pairs.size_hint();
+        let mut values: Vec<(Cow<'static, str>, f64)> = Vec::with_capacity(upper.unwrap_or(lower));
+        for (name, value) in pairs {
+            let name = name.into();
+            if let Some((last, _)) = values.last() {
+                assert!(*last < name, "metric {name:?} is not after {last:?}");
+            }
+            values.push((name, value));
+        }
+        Self { values }
     }
 
     /// Builder-style [`set`](Self::set).
@@ -77,7 +101,7 @@ impl JobMetrics {
     }
 }
 
-/// One job plus its outcome.
+/// One job plus its outcome: the typed view of one record line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// The job that ran.
@@ -98,7 +122,58 @@ impl JobRecord {
     }
 }
 
+/// Record lines in job order, each ending in a newline, with where each
+/// ends and how many are failed records: the bytes of a report, built
+/// by the executor's collector or a journal merge and then kept by the
+/// report.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Lines {
+    pub(crate) text: String,
+    /// Offset of each line's newline in `text`.
+    ends: Vec<usize>,
+    pub(crate) failed: usize,
+}
+
+impl Lines {
+    /// Room for `lines` more lines of `bytes` bytes in all.
+    pub(crate) fn reserve(&mut self, bytes: usize, lines: usize) {
+        self.text.reserve(bytes);
+        self.ends.reserve(lines);
+    }
+
+    /// Sizes the buffer for `lines` lines like one of `line_len` bytes,
+    /// if nothing sized it yet: a buffer that doubled while other
+    /// allocations interleave leaves its old copies behind in the heap.
+    /// Rounded up to a power of two, so the campaigns a process runs one
+    /// after another ask for the same block and reuse it.
+    pub(crate) fn size_once(&mut self, lines: usize, line_len: usize) {
+        if self.text.capacity() == 0 {
+            let estimate = lines * (line_len + 1) * 9 / 8;
+            self.reserve(estimate.next_power_of_two(), lines);
+        }
+    }
+
+    /// Appends one record's `line` (without its newline).
+    pub(crate) fn push(&mut self, line: &str, failed: bool) {
+        self.text.push_str(line);
+        self.ends.push(self.text.len());
+        self.text.push('\n');
+        self.failed += usize::from(failed);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+}
+
 /// The aggregated result of a campaign run.
+///
+/// The report keeps each record's line and nothing else per job: its
+/// typed view ([`records`](Self::records), [`record`](Self::record),
+/// [`find`](Self::find), [`table`](Self::table)) is parsed back from the
+/// lines on demand, exactly (the renderer writes floats in their
+/// shortest round-trip form), with each job's spec decoded from the
+/// campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Campaign name.
@@ -111,79 +186,110 @@ pub struct CampaignReport {
     /// Wall-clock seconds for the whole run (host-dependent; excluded
     /// from [`to_jsonl`](Self::to_jsonl)).
     pub wall_secs: f64,
-    /// Per-job records in expansion order.
-    records: Vec<JobRecord>,
-    /// `records` rendered, one newline-terminated line each, in the same
-    /// order: the bytes [`to_jsonl`](Self::to_jsonl) returns.
-    jsonl: String,
+    /// The campaign whose jobs the records are.
+    campaign: Campaign,
+    /// Length of the prefix every line shares, `{"campaign":<name>,"job":`.
+    prefix_len: usize,
+    /// One line per record, in expansion order: the bytes
+    /// [`to_jsonl`](Self::to_jsonl) returns.
+    lines: Lines,
 }
 
 impl CampaignReport {
-    /// A report over `records` whose lines the caller already holds:
-    /// `jsonl` must be exactly the records' rendered lines, in order,
-    /// each ending in a newline.
+    /// A report of `campaign` over `lines`, each one record of it, in
+    /// job order.
     pub(crate) fn with_lines(
-        name: String,
-        seed: u64,
+        campaign: &Campaign,
         workers: usize,
         wall_secs: f64,
-        records: Vec<JobRecord>,
-        jsonl: String,
+        lines: Lines,
     ) -> Self {
-        debug_assert_eq!(
-            jsonl.bytes().filter(|&b| b == b'\n').count(),
-            records.len(),
-            "one line per record"
+        let mut prefix = String::from("{\"campaign\":");
+        escape_into(&campaign.name, &mut prefix);
+        prefix.push_str(",\"job\":");
+        debug_assert!(
+            (0..lines.len()).all(|k| {
+                let start = k.checked_sub(1).map_or(0, |p| lines.ends[p] + 1);
+                lines.text[start..].starts_with(&prefix)
+            }),
+            "a line of another campaign"
         );
         Self {
-            name,
-            seed,
+            name: campaign.name.clone(),
+            seed: campaign.seed,
             workers,
             wall_secs,
-            records,
-            jsonl,
+            campaign: campaign.clone(),
+            prefix_len: prefix.len(),
+            lines,
         }
     }
 
-    /// Per-job records in expansion order.
+    /// Number of records (jobs completed or failed) the report holds.
     #[must_use]
-    pub fn records(&self) -> &[JobRecord] {
-        &self.records
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Whether the report holds no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Per-job records in expansion order, parsed from the lines.
+    #[must_use]
+    pub fn records(&self) -> Vec<JobRecord> {
+        self.indexed().map(|(_, line)| self.parse(line)).collect()
     }
 
     /// Number of jobs that completed successfully.
     pub fn completed(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| !r.outcome.is_failed())
-            .count()
+        self.len() - self.failed()
     }
 
     /// Number of jobs that failed (panicked on every attempt).
     pub fn failed(&self) -> usize {
-        self.records.len() - self.completed()
+        self.lines.failed
     }
 
     /// Jobs completed or failed per wall-clock second.
     pub fn jobs_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
-            self.records.len() as f64 / self.wall_secs
+            self.len() as f64 / self.wall_secs
         } else {
             0.0
         }
     }
 
-    /// The record for job `index`, if it exists.
-    pub fn record(&self, index: usize) -> Option<&JobRecord> {
-        self.records.get(index)
+    /// The record for job `index`, if the report holds one.
+    pub fn record(&self, index: usize) -> Option<JobRecord> {
+        // Lines are in job order; a shard's report skips indices.
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.index_of(self.line(mid)) < index {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let line = (lo < self.len()).then(|| self.line(lo))?;
+        (self.index_of(line) == index).then(|| self.parse(line))
     }
 
-    /// Finds the first completed record matching `pred`, returning its
-    /// spec and metrics.
-    pub fn find(&self, mut pred: impl FnMut(&JobSpec) -> bool) -> Option<(&JobSpec, &JobMetrics)> {
-        self.records.iter().find_map(|r| match &r.outcome {
-            JobOutcome::Completed { metrics, .. } if pred(&r.job) => Some((&r.job, metrics)),
-            _ => None,
+    /// Finds the first completed record whose spec matches `pred`,
+    /// returning its spec and metrics. Only that record's line is parsed.
+    pub fn find(&self, mut pred: impl FnMut(&JobSpec) -> bool) -> Option<(JobSpec, JobMetrics)> {
+        self.indexed().find_map(|(index, line)| {
+            let job = self.campaign.job(index);
+            if !pred(&job) {
+                return None;
+            }
+            match self.parse(line).outcome {
+                JobOutcome::Completed { metrics, .. } => Some((job, metrics)),
+                JobOutcome::Failed { .. } => None,
+            }
         })
     }
 
@@ -195,7 +301,7 @@ impl CampaignReport {
     /// campaign seed regardless of parallelism. The lines were rendered
     /// when the report was assembled; this copies them.
     pub fn to_jsonl(&self) -> String {
-        self.jsonl.clone()
+        self.lines.text.clone()
     }
 
     /// Renders a markdown [`Table`] with one row per job: the swept axes
@@ -207,7 +313,8 @@ impl CampaignReport {
         header.push("outcome");
         header.extend(metric_cols);
         let mut t = Table::new(header);
-        for r in &self.records {
+        for (_, line) in self.indexed() {
+            let r = self.parse(line);
             let mut row = vec![r.job.index.to_string()];
             r.job.push_cells(&mut row);
             match &r.outcome {
@@ -238,13 +345,44 @@ impl CampaignReport {
         format!(
             "campaign '{}': {} jobs ({} ok, {} failed) in {:.2}s wall, {:.1} jobs/s, {} workers",
             self.name,
-            self.records.len(),
+            self.len(),
             self.completed(),
             self.failed(),
             self.wall_secs,
             self.jobs_per_sec(),
             self.workers
         )
+    }
+
+    /// Line `k` (without its newline).
+    fn line(&self, k: usize) -> &str {
+        let start = k.checked_sub(1).map_or(0, |p| self.lines.ends[p] + 1);
+        &self.lines.text[start..self.lines.ends[k]]
+    }
+
+    /// Each line (without its newline) with its job index, in order.
+    fn indexed(&self) -> impl Iterator<Item = (usize, &str)> + '_ {
+        (0..self.len()).map(|k| {
+            let line = self.line(k);
+            (self.index_of(line), line)
+        })
+    }
+
+    /// The job index of one of this report's lines, read from after the
+    /// prefix every line shares, `{"campaign":<name>,"job":`.
+    fn index_of(&self, line: &str) -> usize {
+        let digits = &line[self.prefix_len..];
+        let len = digits.bytes().take_while(u8::is_ascii_digit).count();
+        digits[..len].parse().expect("a rendered job index")
+    }
+
+    /// The typed record of one of this report's lines.
+    fn parse(&self, line: &str) -> JobRecord {
+        let (index, outcome) = parse_record_line(line).expect("a report line parses");
+        JobRecord {
+            job: self.campaign.job(index),
+            outcome,
+        }
     }
 }
 
@@ -318,10 +456,9 @@ mod tests {
     use super::*;
     use crate::spec::Campaign;
 
-    fn toy_report() -> CampaignReport {
+    fn toy_records() -> Vec<JobRecord> {
         let jobs = Campaign::new("toy", 9).read_pcts([0, 100]).expand();
-        let records: Vec<JobRecord> = jobs
-            .into_iter()
+        jobs.into_iter()
             .map(|job| {
                 let outcome = if job.index == 1 {
                     JobOutcome::Failed {
@@ -338,9 +475,16 @@ mod tests {
                 };
                 JobRecord { job, outcome }
             })
-            .collect();
-        let jsonl = records.iter().map(|r| r.render("toy") + "\n").collect();
-        CampaignReport::with_lines("toy".to_owned(), 9, 4, 1.5, records, jsonl)
+            .collect()
+    }
+
+    fn toy_report() -> CampaignReport {
+        let mut lines = Lines::default();
+        for r in toy_records() {
+            lines.push(&r.render("toy"), r.outcome.is_failed());
+        }
+        let campaign = Campaign::new("toy", 9).read_pcts([0, 100]);
+        CampaignReport::with_lines(&campaign, 4, 1.5, lines)
     }
 
     #[test]
@@ -377,6 +521,10 @@ mod tests {
         assert_eq!(job.index, 0);
         assert_eq!(metrics.get("bus_util"), Some(0.5));
         assert!(r.find(|j| j.read_pct == 100).is_none(), "failed job");
+        // The typed view is what the records were, parsed back.
+        assert_eq!(r.records(), toy_records());
+        assert_eq!(r.record(1), Some(toy_records().remove(1)));
+        assert_eq!(r.record(2), None);
     }
 
     #[test]
@@ -489,7 +637,7 @@ mod tests {
     fn json_helpers() {
         // Metric names are escaped like any string; values use the
         // shortest round-trip form, non-finite ones become null.
-        let mut r = toy_report().records()[0].clone();
+        let mut r = toy_report().records().remove(0);
         r.outcome = JobOutcome::Completed {
             metrics: JobMetrics::new()
                 .with("a\"b\\c\u{1}", 1.5)

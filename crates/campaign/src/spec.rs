@@ -404,6 +404,31 @@ macro_rules! axes {
                 });
                 jobs
             }
+
+            /// Job `index` of the expansion, decoded from the index alone
+            /// — `self.job(i) == self.expand()[i]` — so a caller that
+            /// needs one job at a time never holds the whole expansion.
+            /// The index is a mixed-radix number whose digits are the
+            /// rows' value positions, the last row least significant.
+            ///
+            /// # Panics
+            /// Panics if `index` is not below [`len`](Self::len).
+            pub fn job(&self, index: usize) -> JobSpec {
+                let len = self.len();
+                assert!(index < len, "job {index} of a campaign of {len} jobs");
+                // Divided by each row's length in turn, outermost first:
+                // at a row, the jobs one step of its value spans.
+                let mut stride = len;
+                $(
+                    stride /= self.$field.len();
+                    let $job = self.$field[index / stride % self.$field.len()].clone();
+                )*
+                JobSpec {
+                    index,
+                    $($job,)*
+                    seed: job_seed(self.seed, index),
+                }
+            }
         }
 
         impl JobSpec {
@@ -531,6 +556,19 @@ mod tests {
         }
         // Expansion is deterministic.
         assert_eq!(c.expand(), jobs);
+        // And each job decodes from its index alone.
+        for (i, j) in jobs.iter().enumerate() {
+            assert_eq!(&c.job(i), j);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 12 of a campaign of 12 jobs")]
+    fn job_past_the_end_panics() {
+        let _ = Campaign::new("t", 1)
+            .read_pcts([0, 50, 100])
+            .requests([1, 2, 3, 4])
+            .job(12);
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn truncation_at_every_byte_of_the_last_record_resumes_cleanly() {
         std::fs::write(&p, &text.as_bytes()[..cut]).unwrap();
         let mut j = CampaignJournal::resume(&p, &c).unwrap();
         assert_eq!(
-            j.completed().len(),
+            j.committed(),
             c.len() - 1,
             "cut at byte {cut}: exactly the torn record is lost"
         );
@@ -86,9 +86,9 @@ fn duplicate_records_keep_the_first_copy() {
     assert_ne!(first_record, forged, "doctoring must change the line");
     std::fs::write(&p, format!("{text}{forged}\n")).unwrap();
 
-    let outcomes = CampaignJournal::replay(&p, &c).unwrap();
-    assert_eq!(outcomes.len(), c.len());
-    assert_eq!(outcomes[&0].attempts(), 1, "first copy wins");
+    let lines = CampaignJournal::replay(&p, &c).unwrap();
+    assert_eq!(lines.len(), c.len());
+    assert_eq!(lines.get(0), Some(first_record), "first copy wins");
 
     let mut j = CampaignJournal::resume(&p, &c).unwrap();
     let report = run_campaign_journaled(&c, &ExecutorConfig::serial(), &mut j, toy_runner);
@@ -104,7 +104,7 @@ fn trailing_garbage_without_newline_is_dropped_with_newline_is_loud() {
     std::fs::write(&p, format!("{text}{{\"job\":gar")).unwrap();
     let mut j = CampaignJournal::resume(&p, &c).unwrap();
     assert!(j.dropped_torn_tail());
-    assert_eq!(j.completed().len(), c.len());
+    assert_eq!(j.committed(), c.len());
     let report = run_campaign_journaled(&c, &ExecutorConfig::serial(), &mut j, toy_runner);
     assert_eq!(report.to_jsonl(), want);
 

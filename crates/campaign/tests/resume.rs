@@ -75,7 +75,7 @@ fn resume_after_partial_run_is_byte_identical_at_any_worker_count() {
 
         // Resume from disk at a different worker count.
         let mut j = CampaignJournal::resume(&p, &c).unwrap();
-        assert_eq!(j.completed().len(), 4);
+        assert_eq!(j.committed(), 4);
         let ran = AtomicUsize::new(0);
         let cfg = ExecutorConfig::default().with_workers(workers);
         let resumed = run_campaign_journaled(&c, &cfg, &mut j, |job| {
@@ -95,7 +95,7 @@ fn resume_after_partial_run_is_byte_identical_at_any_worker_count() {
         let text = std::fs::read_to_string(&p).unwrap();
         assert_eq!(text.lines().count(), 1 + jobs.len());
         let resumed_again = CampaignJournal::resume(&p, &c).unwrap();
-        assert_eq!(resumed_again.completed().len(), jobs.len());
+        assert_eq!(resumed_again.committed(), jobs.len());
     }
 }
 

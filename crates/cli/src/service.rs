@@ -272,7 +272,7 @@ pub fn dispatch(a: &Args) -> Result<(), ArgError> {
         dramctrl_serve::dispatch(&campaign, &peers, &cfg).map_err(|e| ArgError(e.to_string()))?;
     dramctrl_obs::log_info!(
         "dispatch", "campaign complete";
-        "jobs" => report.records().len(), "shards" => stats.shards,
+        "jobs" => report.len(), "shards" => stats.shards,
         "rounds" => stats.rounds, "redispatches" => stats.redispatches,
         "hedges" => stats.hedges, "peers_lost" => stats.peers_lost
     );

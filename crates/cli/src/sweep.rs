@@ -193,7 +193,7 @@ pub fn sweep(a: &Args) -> Result<(), ArgError> {
                 .map_err(|e| ArgError(format!("resuming {}: {e}", path.display())))?;
             eprintln!(
                 "resuming: {} of {} jobs already journaled",
-                j.completed().len(),
+                j.committed(),
                 campaign.len()
             );
             Some(j)
@@ -281,7 +281,7 @@ pub fn sweep(a: &Args) -> Result<(), ArgError> {
         eprintln!(
             "shard report covers {} of {} jobs; merge the shard journals \
              with --merge for the full report",
-            report.records().len(),
+            report.len(),
             campaign.len()
         );
     }
@@ -297,7 +297,7 @@ pub fn sweep(a: &Args) -> Result<(), ArgError> {
 pub fn finish_report(a: &Args, report: &dramctrl_campaign::CampaignReport) -> Result<(), ArgError> {
     if let Some(path) = a.get("jsonl") {
         write_output(path, report.to_jsonl())?;
-        eprintln!("wrote {} JSONL records to {path}", report.records().len());
+        eprintln!("wrote {} JSONL records to {path}", report.len());
     }
     let table = report.table(&[
         "bus_util",

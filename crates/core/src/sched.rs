@@ -303,25 +303,53 @@ impl SchedQueue {
     }
 
     /// Clears every slot and derived index while keeping the allocations
-    /// (slot arena, nodes, bank buckets, masks). Shared by
-    /// [`reset`](Self::reset) and [`restore_state`](Self::restore_state),
-    /// which must agree on what "empty" means.
+    /// (slot arena, nodes, bank buckets, masks, coverage table). Shared
+    /// by [`reset`](Self::reset) and
+    /// [`restore_state`](Self::restore_state), which must agree on what
+    /// "empty" means.
     fn clear_to_empty(&mut self) {
+        if self.len == 0 {
+            // Drained: taking the last packet left every list, mask and
+            // bucket handle empty, so only the arena and the open-row
+            // mirror are left to clear.
+            self.debug_assert_drained();
+        } else {
+            self.classes.fill(EMPTY);
+            self.class_mask = [0; 4];
+            self.by_bank.fill(EMPTY);
+            self.bank_mask.fill(0);
+            self.by_row.clear();
+            self.open_bucket.fill(NIL);
+            self.hit_mask.fill(0);
+            self.coverage.clear();
+        }
         self.slots.clear();
         self.nodes.clear();
         self.free.clear();
         self.len = 0;
-        self.classes.fill(EMPTY);
-        self.class_mask = [0; 4];
-        self.by_bank.fill(EMPTY);
-        self.bank_mask.fill(0);
-        self.by_row.clear();
         self.rows.clear();
         self.free_rows.clear();
         self.open_rows.fill(None);
-        self.open_bucket.fill(NIL);
-        self.hit_mask.fill(0);
-        self.coverage = WriteCoverage::default();
+    }
+
+    /// Checks (debug builds) that an empty queue's indices are what
+    /// [`new`](Self::new) builds.
+    fn debug_assert_drained(&self) {
+        let empty = |b: &Bucket| b.head == NIL && b.tail == NIL && b.len == 0;
+        debug_assert!(
+            self.classes.iter().all(empty),
+            "a class list outlived its packets"
+        );
+        debug_assert!(
+            self.by_bank.iter().all(empty),
+            "a bank list outlived its packets"
+        );
+        debug_assert_eq!(self.class_mask, [0; 4]);
+        debug_assert!(self.bank_mask.iter().all(|&w| w == 0));
+        debug_assert!(self.by_row.is_empty(), "a row bucket outlived its packets");
+        debug_assert!(self.open_bucket.iter().all(|&b| b == NIL));
+        debug_assert!(self.hit_mask.iter().all(|&w| w == 0));
+        debug_assert!(self.coverage.is_empty(), "a write span outlived its packet");
     }
 
     /// Returns the queue to its just-constructed state — byte-identical

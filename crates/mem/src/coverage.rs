@@ -127,6 +127,19 @@ impl WriteCoverage {
             .is_some_and(|spans| spans.as_slice().iter().any(|&(l, h)| l <= lo && h >= hi))
     }
 
+    /// Empties the index, keeping its table's and its span vectors'
+    /// allocations: a queue reset between short jobs neither frees the
+    /// map nor regrows and rehashes it in the next job.
+    pub fn clear(&mut self) {
+        for (_, spans) in self.by_burst.drain() {
+            if let Spans::Many(mut spans) = spans {
+                spans.clear();
+                self.spare.push(spans);
+            }
+        }
+        self.len = 0;
+    }
+
     /// Number of spans currently indexed (equals queued write bursts).
     pub fn len(&self) -> usize {
         self.len

@@ -72,7 +72,7 @@ fn worker_campaign(dir: &Path) -> Result<(), String> {
     let jpath = dir.join("journal.jsonl");
     let mut journal = CampaignJournal::recover(&jpath, &c).map_err(|e| e.to_string())?;
     for (i, unit) in c.expand().iter().enumerate() {
-        if journal.completed().contains_key(&i) {
+        if journal.is_committed(i) {
             continue;
         }
         let metrics = run_job(unit);

@@ -475,7 +475,7 @@ pub fn dispatch(
         .collect();
     dramctrl_obs::log_info!(
         "dispatch", "shards merged";
-        "jobs" => report.records().len(), "journals" => journals.len(),
+        "jobs" => report.len(), "journals" => journals.len(),
         "rounds" => stats.rounds, "redispatches" => stats.redispatches,
         "hedges" => stats.hedges, "by_peer" => by_peer.join("; ")
     );

@@ -62,16 +62,14 @@
 //! same lock hold — or, if the store refused, parks the outcome on the
 //! job (degraded mode, below).
 //!
-//! `watch` replays the journal's committed units and subscribes in one
-//! lock hold, and every broadcast happens under the lock too; that is
-//! why its stream has no gap and no duplicate. The hand-off opens one
-//! window that would break this: from the append to the hand-back, the
-//! record is in the journal but not yet broadcast, so a watch that
-//! replayed the journal then would get the unit twice. A watch of a job
-//! whose journal is out therefore waits — on a condvar, without the
-//! lock — until it is back, by which time the record has been
-//! broadcast to the old subscribers and is in the journal the new one
-//! replays.
+//! `watch` replays the job's committed record lines and subscribes in
+//! one lock hold, and every broadcast happens under the lock too; that
+//! is why its stream has no gap and no duplicate. The live job keeps
+//! those lines itself — the ones the journal's open read, and each
+//! unit's line from the lock hold that broadcasts it — so a record that
+//! is in the journal file but not yet broadcast (the worker is between
+//! its append and the hand-back) is not replayed either: a watch never
+//! waits on a commit.
 //!
 //! Kill the daemon at any instant and [`Server::open`] rebuilds
 //! everything from the store: accepted jobs re-queue, committed units
@@ -81,7 +79,7 @@
 //! makes the first commit canonical, so results are byte-identical to a
 //! never-killed run, which is byte-identical to a standalone `dramctrl
 //! sweep` of the same campaign. A finished job keeps its accept record
-//! and three counters; its units, outcomes and journal handle are
+//! and three counters; its record lines and journal handle are
 //! released, and a late `watch` replays it from the journal file.
 //!
 //! ## Degraded mode
@@ -129,7 +127,7 @@ use crate::sched::FairQueue;
 use crate::store::{JobStore, StoredJob};
 use crate::wire::{json_str, Value};
 use dramctrl_campaign::{
-    panic_message, CampaignJournal, ExecutorConfig, JobOutcome, JobRecord, JobSpec,
+    panic_message, CampaignJournal, ExecutorConfig, JobOutcome, JobRecord, JournalLines,
 };
 use dramctrl_kernel::backoff::Backoff;
 use dramctrl_kernel::fsio::write_atomic;
@@ -202,15 +200,17 @@ struct JobState {
     done: usize,
     failed: usize,
     /// The working set, dropped with the last commit: a finished job
-    /// holds no units, no outcomes and no open journal.
+    /// holds no record lines and no open journal.
     live: Option<LiveJob>,
 }
 
 /// What only an unfinished job needs: everything the scheduler knows
 /// about the job between and during its turns.
 struct LiveJob {
-    /// The campaign's expanded work units.
-    units: Vec<JobSpec>,
+    /// The committed units' record lines, for `watch` to replay: the
+    /// ones the journal's open read, and each unit's from the lock hold
+    /// that broadcasts it. The job's only copy of its results.
+    lines: JournalLines,
     /// The job's durable commit log; `None` while it is lent to the
     /// worker committing the job's unit with the state lock released.
     journal: Option<CampaignJournal>,
@@ -248,9 +248,10 @@ struct UnitDone {
 }
 
 impl JobState {
-    /// The job as its journal describes it: counters tallied once,
-    /// working set only if units remain.
-    fn new(stored: StoredJob, journal: CampaignJournal, quantum: u64) -> Self {
+    /// The job as its journal describes it — `lines`, the committed
+    /// records its open read: counters tallied once, working set only if
+    /// units remain.
+    fn new(stored: StoredJob, journal: CampaignJournal, lines: JournalLines, quantum: u64) -> Self {
         // A shard is a residue class; unsharded jobs own every unit.
         let (first, stride) = stored
             .shard
@@ -263,14 +264,13 @@ impl JobState {
             live: None,
             stored,
         };
-        let mine = journal.completed().iter();
-        for (_, outcome) in mine.filter(|(i, _)| *i % stride == first) {
+        for l in lines.iter().filter(|l| l.index % stride == first) {
             js.done += 1;
-            js.failed += usize::from(outcome.is_failed());
+            js.failed += usize::from(l.failed);
         }
         if !js.finished() {
             let mut live = LiveJob {
-                units: js.stored.campaign.expand(),
+                lines,
                 journal: Some(journal),
                 next: first,
                 stride,
@@ -302,7 +302,7 @@ impl LiveJob {
 
     /// Moves `next` past every already-committed unit of the shard.
     fn skip_committed(&mut self) {
-        while self.journal().completed().contains_key(&self.next) {
+        while self.journal().is_committed(self.next) {
             self.next += self.stride;
         }
     }
@@ -375,9 +375,6 @@ struct Inner {
     max_workers: usize,
     state: Mutex<State>,
     work: Condvar,
-    /// Signalled whenever a worker hands a lent journal back; a `watch`
-    /// of a job mid-commit waits on it.
-    journal_back: Condvar,
     metrics: ServeMetrics,
     started: Instant,
 }
@@ -408,14 +405,16 @@ impl Server {
             // header write): the job is still fully described by the
             // accept line, so `recover` starts it from scratch.
             let jpath = dir.join("journal.jsonl");
-            let journal = CampaignJournal::recover(&jpath, &stored.campaign).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("recovering journal for {}: {e}", stored.id),
-                )
-            })?;
+            let (lines, journal) = CampaignJournal::recover(&jpath, &stored.campaign)
+                .and_then(|mut j| Ok((j.take_lines()?, j)))
+                .map_err(|e| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("recovering journal for {}: {e}", stored.id),
+                    )
+                })?;
             JobStore::remove_stale_snaps(&dir);
-            let js = JobState::new(stored, journal, cfg.quantum);
+            let js = JobState::new(stored, journal, lines, cfg.quantum);
             if !js.finished() {
                 queue.push(&js.stored.tenant, js.stored.id.clone());
             }
@@ -449,7 +448,6 @@ impl Server {
                     degraded: None,
                 }),
                 work: Condvar::new(),
-                journal_back: Condvar::new(),
                 metrics,
                 started: Instant::now(),
             }),
@@ -555,8 +553,10 @@ impl Server {
                         if let Some(since) = live.queued_at.take() {
                             m.sched_wait.observe(since.elapsed().as_secs_f64());
                         }
-                        let spec = live.units[live.next].clone();
-                        break (id, spec, epochs, live.pause_target, live.paused.take());
+                        let (unit, target, paused) =
+                            (live.next, live.pause_target, live.paused.take());
+                        let spec = st.jobs[&id].stored.campaign.job(unit);
+                        break (id, spec, epochs, target, paused);
                     }
                     // Idle threads hold no simulator memory.
                     dramctrl_runner::release_idle_cache();
@@ -647,13 +647,13 @@ impl Server {
     fn commit_unit(&self, mut st: MutexGuard<'_, State>, id: &str, done: UnitDone) {
         let dir = st.store.job_dir(id);
         let js = st.jobs.get_mut(id).expect("a held job is in the table");
-        let name = js.stored.campaign.name.clone();
         let live = js.live.as_mut().expect("a held job is unfinished");
+        let mut journal = live.journal.take().expect("a held job's journal is home");
         let rec = JobRecord {
-            job: live.units[live.next].clone(),
+            job: js.stored.campaign.job(live.next),
             outcome: done.outcome.clone(),
         };
-        let mut journal = live.journal.take().expect("a held job's journal is home");
+        let name = js.stored.campaign.name.clone();
         drop(st);
 
         // The unit's one render: the journal appends these bytes and the
@@ -664,7 +664,6 @@ impl Server {
 
         let mut st = self.lock();
         st.live(id).journal = Some(journal);
-        self.inner.journal_back.notify_all();
         self.end_turn(&mut st, id);
         match committed {
             Ok(line) => self.finish_unit(&mut st, id, &done, &line),
@@ -691,6 +690,7 @@ impl Server {
         live.failures = 0;
         live.pause_target = self.inner.cfg.quantum;
 
+        live.lines.insert(unit, done.outcome.is_failed(), line);
         live.broadcast(&record_event(id, unit, line), m);
         if let Some(a) = &done.artifacts {
             live.broadcast(&text_event("stats", id, unit, &a.stats_json), m);
@@ -699,8 +699,8 @@ impl Server {
         live.broadcast(&progress_event(id, js.done, js.total), m);
         if js.done == js.total {
             live.broadcast(&done_event(id, js.done - js.failed, js.failed), m);
-            // Last commit: release the units, the outcomes, the
-            // subscriber list and the journal's file handle.
+            // Last commit: release the record lines, the subscriber
+            // list and the journal's file handle.
             js.live = None;
         }
         m.tenant_served(&js.stored.tenant).inc();
@@ -970,7 +970,12 @@ impl Server {
                 return self.reject(&mut st, tenant, "store_unavailable", &msg);
             }
         };
-        let js = JobState::new(stored, journal, self.inner.cfg.quantum);
+        let js = JobState::new(
+            stored,
+            journal,
+            JournalLines::default(),
+            self.inner.cfg.quantum,
+        );
         let (id, total) = (js.stored.id.clone(), js.total);
         if !js.finished() {
             st.queue.push(&js.stored.tenant, id.clone());
@@ -989,23 +994,6 @@ impl Server {
     fn watch(&self, id: &str, writer: &mut Stream) -> io::Result<()> {
         let (replay, live) = {
             let mut st = self.lock();
-            // A job mid-commit has lent its journal out, and the unit
-            // being committed may be in the file but not yet broadcast:
-            // replaying now would send it twice. Wait, unlocked, for the
-            // worker to hand the journal back — it broadcasts in the
-            // same lock hold.
-            while st
-                .jobs
-                .get(id)
-                .and_then(|js| js.live.as_ref())
-                .is_some_and(|live| live.journal.is_none())
-            {
-                st = self
-                    .inner
-                    .journal_back
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
             let dir = st.store.job_dir(id);
             let Some(js) = st.jobs.get_mut(id) else {
                 drop(st);
@@ -1014,8 +1002,7 @@ impl Server {
             };
             let progress = progress_event(id, js.done, js.total);
             if let Some(live) = js.live.as_mut() {
-                let done = live.journal().completed();
-                let mut replay = replay_events(&js.stored, &dir, &live.units, done);
+                let mut replay = replay_events(&js.stored, &dir, &live.lines);
                 replay.push(progress);
                 // Subscribe under the same lock that replayed: commits
                 // broadcast under this lock too, right after their
@@ -1030,15 +1017,15 @@ impl Server {
                 // memory: read the journal back, outside the lock.
                 let (stored, ok, failed) = (js.stored.clone(), js.done - js.failed, js.failed);
                 drop(st);
-                let done =
+                let lines =
                     match CampaignJournal::replay(dir.join("journal.jsonl"), &stored.campaign) {
-                        Ok(done) => done,
+                        Ok(lines) => lines,
                         Err(e) => {
                             writeln!(writer, "{}", error_event(&format!("job '{id}': {e}")))?;
                             return Ok(());
                         }
                     };
-                let mut replay = replay_events(&stored, &dir, &stored.campaign.expand(), &done);
+                let mut replay = replay_events(&stored, &dir, &lines);
                 replay.push(progress);
                 replay.push(done_event(id, ok, failed));
                 (replay, None)
@@ -1308,22 +1295,14 @@ fn sync_queue_gauge(m: &ServeMetrics, queue: &FairQueue, tenant: &str) {
     m.tenant_queue_depth(tenant).set(queue.depth(tenant) as f64);
 }
 
-/// The events a `watch` opens with: every committed unit's record (and,
-/// for observed jobs, its stored artifacts) in index order.
-fn replay_events(
-    stored: &StoredJob,
-    dir: &std::path::Path,
-    units: &[JobSpec],
-    done: &BTreeMap<usize, JobOutcome>,
-) -> Vec<String> {
+/// The events a `watch` opens with: every committed unit's record line
+/// (and, for observed jobs, its stored artifacts) in index order.
+fn replay_events(stored: &StoredJob, dir: &std::path::Path, lines: &JournalLines) -> Vec<String> {
     let id = &stored.id;
     let mut replay = Vec::new();
-    for (&i, outcome) in done {
-        let rec = JobRecord {
-            job: units[i].clone(),
-            outcome: outcome.clone(),
-        };
-        replay.push(record_event(id, i, &rec.render(&stored.campaign.name)));
+    for l in lines.iter() {
+        let i = l.index;
+        replay.push(record_event(id, i, l.line));
         if stored.epochs > 0 {
             for (event, ext) in [("stats", "stats.json"), ("epochs", "epochs.jsonl")] {
                 if let Ok(text) = std::fs::read_to_string(JobStore::unit_artifact(dir, i, ext)) {
@@ -1399,7 +1378,9 @@ mod tests {
             campaign: c,
             shard: None,
         };
-        let mut js = JobState::new(stored, journal, 0).live.unwrap();
+        let mut js = JobState::new(stored, journal, JournalLines::default(), 0)
+            .live
+            .unwrap();
         let m = ServeMetrics::new();
         let (tx_full, _rx_never_drained) = mpsc::sync_channel(1);
         let (tx_gone, rx_gone) = mpsc::sync_channel(1);

@@ -13,8 +13,8 @@
 
 use dramctrl::{PagePolicy, SchedPolicy};
 use dramctrl_campaign::{
-    campaign_hash, run_campaign, run_campaign_journaled, Campaign, CampaignJournal, ExecutorConfig,
-    JobMetrics, JobSpec, Model, TrafficPattern,
+    campaign_from_wire, campaign_hash, run_campaign, run_campaign_journaled, Campaign,
+    CampaignJournal, ExecutorConfig, JobMetrics, JobSpec, Model, TrafficPattern,
 };
 use dramctrl_kernel::json::{validate, Value};
 use dramctrl_mem::AddrMapping;
@@ -152,4 +152,15 @@ fn a_multi_axis_campaign_keeps_its_wire_bytes_hashes_and_table() {
     });
     let table = report.table(&["bus_util", "absent"]).render();
     assert!(table == include_str!("fixtures/pr34_table.md"));
+}
+
+#[test]
+fn every_job_of_the_multi_axis_campaign_decodes_from_its_index() {
+    let wire = Value::parse(include_str!("fixtures/pr34_campaign_wire.json").trim_end()).unwrap();
+    let c = campaign_from_wire(&wire).unwrap();
+    let jobs = c.expand();
+    assert_eq!(jobs.len(), 1_536);
+    for (i, job) in jobs.iter().enumerate() {
+        assert_eq!(&c.job(i), job, "job {i}");
+    }
 }
