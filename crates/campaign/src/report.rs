@@ -207,14 +207,7 @@ impl CampaignReport {
         let mut prefix = String::from("{\"campaign\":");
         escape_into(&campaign.name, &mut prefix);
         prefix.push_str(",\"job\":");
-        debug_assert!(
-            (0..lines.len()).all(|k| {
-                let start = k.checked_sub(1).map_or(0, |p| lines.ends[p] + 1);
-                lines.text[start..].starts_with(&prefix)
-            }),
-            "a line of another campaign"
-        );
-        Self {
+        let report = Self {
             name: campaign.name.clone(),
             seed: campaign.seed,
             workers,
@@ -222,7 +215,12 @@ impl CampaignReport {
             campaign: campaign.clone(),
             prefix_len: prefix.len(),
             lines,
-        }
+        };
+        debug_assert!(
+            (0..report.len()).all(|k| report.line(k).starts_with(&prefix)),
+            "a line of another campaign"
+        );
+        report
     }
 
     /// Number of records (jobs completed or failed) the report holds.
