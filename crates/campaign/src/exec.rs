@@ -5,8 +5,8 @@
 //! possible work-stealing deque for identical-cost jobs), run the
 //! caller's runner under [`std::panic::catch_unwind`], retry panicked
 //! jobs up to a bound, and stream `(index, outcome)` pairs over a
-//! channel to the collector — the thread that called in, which would
-//! otherwise only wait — which also reports progress. Results are
+//! bounded channel to the collector — the thread that called in, which
+//! would otherwise only wait — which also reports progress. Results are
 //! stored by job index, so the final report is independent of scheduling
 //! order and worker count.
 //!
@@ -30,6 +30,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
+
+/// Finished outcomes the workers may hand the collector ahead of it, and
+/// the most one journal batch takes. A worker that finds the hand-off
+/// full waits in `send`, so a runner faster than the collector's render
+/// and commit cannot queue outcomes unrendered, nor grow the batch
+/// buffer toward a second copy of the report. Sized above the batches
+/// the benchmark's `campaign_tiny` drains (p99.9 about 1 500 outcomes on
+/// a 2-CPU host), so it seldom binds in a real sweep.
+const HANDOFF: usize = 2048;
 
 /// Minimum interval between progress-line rewrites: at tens of thousands
 /// of jobs per second, unthrottled `\r` rewrites cost more than the jobs.
@@ -352,7 +361,7 @@ where
 
     let workers = cfg.effective_workers(pending.len());
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
+    let (tx, rx) = mpsc::sync_channel::<(usize, JobOutcome)>(HANDOFF);
     let start = Instant::now();
 
     let lines = std::thread::scope(|s| {
@@ -402,7 +411,7 @@ where
         // arena a fresh collector thread is handed: a process running
         // campaign after campaign has a steady resident set. A failed
         // commit unwinds through `rx`, and the workers stop at their
-        // next send.
+        // next send, or in the one they are blocked in.
         {
             let rx = rx;
             let mut journal = journal;
@@ -419,12 +428,14 @@ where
             let mut line_width = 0usize;
             while let Ok(first) = rx.recv() {
                 // Greedy drain: everything the workers have finished since
-                // the last iteration commits as one batch — one journal
-                // fsync amortised over the whole batch instead of one per
-                // record. Under load the batch grows to match the workers'
-                // rate, so the fsync never becomes the bottleneck again.
+                // the last iteration, up to `HANDOFF`, commits as one batch
+                // — one journal fsync amortised over the whole batch
+                // instead of one per record. Under load the batch grows to
+                // match the workers' rate, so the fsync never becomes the
+                // bottleneck again.
                 batch.push(first);
-                while let Ok(more) = rx.try_recv() {
+                while batch.len() < HANDOFF {
+                    let Ok(more) = rx.try_recv() else { break };
                     batch.push(more);
                 }
                 // Each record renders once, from borrows of the job table

@@ -326,6 +326,17 @@ pub fn parse_gen(
     }
 }
 
+/// Refuses a `--banks` the DRAM-aware generator cannot cycle through on
+/// `spec`: it needs `1..=` the device's bank count.
+pub fn check_banks(spec: &MemSpec, banks: u32) -> Result<(), ArgError> {
+    let slots = spec.org.slots();
+    if (1..=slots).contains(&(banks as usize)) {
+        Ok(())
+    } else {
+        err(format!("--banks must be 1..={slots} on {}", spec.name))
+    }
+}
+
 /// Parses an ECC mode name.
 pub fn parse_ecc(s: &str) -> Result<EccMode, ArgError> {
     match s.to_ascii_lowercase().as_str() {

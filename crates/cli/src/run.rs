@@ -3,8 +3,8 @@
 //! rest — these commands build no controller of their own.
 
 use crate::args::{
-    err, parse_device, parse_duration, parse_ecc, parse_epochs, parse_gen, parse_ras_rate,
-    parse_size, ArgError, Args, Group, Opt,
+    check_banks, err, parse_device, parse_duration, parse_ecc, parse_epochs, parse_gen,
+    parse_ras_rate, parse_size, ArgError, Args, Group, Opt,
 };
 use crate::write_output;
 use dramctrl::RasConfig;
@@ -164,11 +164,7 @@ fn build_workload(a: &Args) -> Result<(Box<dyn SnapGen>, String), ArgError> {
             0, range, block, reads, period, requests, seed,
         )),
         TrafficPattern::DramAware { .. } => {
-            let slots = spec.org.slots();
-            if !(1..=slots).contains(&(banks as usize)) {
-                let why = format!("--banks must be 1..={slots} on {}", spec.name);
-                return Err(ArgError(why));
-            }
+            check_banks(&spec, banks)?;
             Box::new(DramAwareGen::new(
                 spec.org, mapping, 1, 0, stride, banks, reads, period, requests, seed,
             ))

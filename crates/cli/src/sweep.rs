@@ -4,9 +4,11 @@
 //! through the same two functions.
 
 use crate::args::{
-    err, parse_device, parse_gen, parse_ras_rate, parse_size, ArgError, Args, Group, Opt,
+    check_banks, err, parse_device, parse_gen, parse_ras_rate, parse_size, ArgError, Args, Group,
+    Opt,
 };
 use crate::write_output;
+use dramctrl_campaign::TrafficPattern;
 use dramctrl_kernel::Tick;
 use std::path::{Path, PathBuf};
 
@@ -94,18 +96,22 @@ pub fn campaign_from_args(a: &Args) -> Result<dramctrl_campaign::Campaign, ArgEr
     let block: u32 = a.parsed("block")?;
     let stride: u64 = a.parsed("stride")?;
     let banks: u32 = a.parsed("banks")?;
+    let devices = axis(a, "devices", parse_device)?;
+    let gens = axis(a, "gens", |g| parse_gen(g, range, block, stride, banks))?;
+    if gens
+        .iter()
+        .any(|g| matches!(g, TrafficPattern::DramAware { .. }))
+    {
+        devices.iter().try_for_each(|d| check_banks(d, banks))?;
+    }
     Ok(Campaign::new("sweep", a.parsed("seed")?)
-        .devices(axis(a, "devices", |d| {
-            parse_device(d).map(|s| s.name.to_owned())
-        })?)
+        .devices(devices.iter().map(|d| d.name))
         .models(axis(a, "models", |s| s.parse().map_err(ArgError))?)
         .policies(axis(a, "policies", |s| s.parse().map_err(ArgError))?)
         .scheds(axis(a, "scheds", |s| s.parse().map_err(ArgError))?)
         .mappings(axis(a, "mappings", |s| s.parse().map_err(ArgError))?)
         .channels(axis(a, "channels", number("channels"))?)
-        .traffic(axis(a, "gens", |g| {
-            parse_gen(g, range, block, stride, banks)
-        })?)
+        .traffic(gens)
         .read_pcts(axis(a, "reads", |r| {
             let pct = r.parse::<u8>().ok().filter(|r| *r <= 100);
             pct.ok_or_else(|| ArgError(format!("--reads: {r:?} is not 0..=100")))

@@ -131,6 +131,50 @@ fn bad_arguments_fail_cleanly() {
     ] {
         assert_usage_error(&args);
     }
+    // A campaign whose banks do not fit one of its devices is refused
+    // before it runs or connects; the service commands say so through
+    // the structured logger.
+    let sock = "/nonexistent/dramctrl.sock";
+    for args in [
+        vec!["sweep", "--gens", "dram-aware", "--banks", "64"],
+        vec![
+            "sweep",
+            "--gens",
+            "linear,dram-aware",
+            "--devices",
+            "ddr4,ddr3-1600",
+            "--banks",
+            "12",
+        ],
+        vec![
+            "submit",
+            "--to",
+            sock,
+            "--gens",
+            "dram-aware",
+            "--banks",
+            "0",
+        ],
+        vec![
+            "dispatch",
+            "--peer",
+            sock,
+            "--gens",
+            "dram-aware",
+            "--banks",
+            "64",
+        ],
+    ] {
+        let out = dramctrl().args(&args).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert_eq!(
+            err.lines().count(),
+            1,
+            "{args:?} wants one error line: {err}"
+        );
+        assert!(err.contains("--banks must be 1..="), "{args:?}: {err}");
+    }
 }
 
 #[test]

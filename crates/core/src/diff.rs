@@ -13,14 +13,14 @@
 //!
 //! The same lockstep driver also proves the *zero-perturbation guarantee*
 //! of the instrumentation layer ([`assert_probe_transparent`]): a
-//! controller carrying live `dramctrl-obs` sinks must produce byte-identical
+//! controller carrying live observability sinks must produce byte-identical
 //! responses, drain ticks and statistics reports to an uninstrumented one.
 
 use dramctrl_check::TimingChecker;
 use dramctrl_kernel::rng::Rng;
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{MemRequest, ReqId};
-use dramctrl_obs::{ChromeTracer, EpochRecorder};
+use dramctrl_mem::{EpochRecorder, MemRequest, ReqId};
+use dramctrl_obs::ChromeTracer;
 
 use crate::config::CtrlConfig;
 use crate::ctrl::DramCtrl;

@@ -354,7 +354,8 @@ fn snooping_off_by_default_services_every_burst() {
 /// the sinks see real commands.
 #[test]
 fn tracing_is_zero_perturbation() {
-    use dramctrl_obs::{ChromeTracer, EpochRecorder};
+    use dramctrl_mem::EpochRecorder;
+    use dramctrl_obs::ChromeTracer;
 
     let mut cfg = CycleConfig::new(presets::ddr3_1333_x64());
     cfg.page_policy = CyclePagePolicy::Open;

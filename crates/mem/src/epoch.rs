@@ -6,67 +6,39 @@
 //! occupancy and low-power residency — the quantities gem5's periodic
 //! `stats.txt` dumps provide for every DRAM figure in the literature.
 //!
-//! Quantities that span time (bus busy, queue occupancy, power residency)
-//! are split proportionally across the epochs they overlap, so a transfer
-//! crossing an epoch boundary contributes to both epochs' utilisation.
-//! Because DRAM command timestamps point into the future (the event model
-//! schedules ahead of `now`), bins are indexed by absolute time and grown
-//! on demand rather than rolled forward.
+//! An epoch counts the commands issued in it with [`CommonStats::record`],
+//! the rule the controllers count their own statistics with, so the
+//! epochs of a run sum to its `common_stats()`. Quantities that span time
+//! (bus busy, queue occupancy, power residency) are split proportionally
+//! across the epochs they overlap, so a transfer crossing an epoch
+//! boundary contributes to both epochs' utilisation. Because DRAM command
+//! timestamps point into the future (the event model schedules ahead of
+//! `now`), bins are indexed by absolute time and grown on demand rather
+//! than rolled forward.
 
-use crate::json::json_f64;
-use crate::probe::{CmdEvent, DramCmd, PowerState, Probe, RasMark};
+use std::fmt::{self, Write as _};
+use std::ops::AddAssign;
+
+use dramctrl_kernel::json::json_f64;
 use dramctrl_kernel::Tick;
-use std::fmt::Write as _;
+use dramctrl_obs::{CmdEvent, PowerState, Probe, RasMark};
 
-/// Per-epoch accumulators (raw sums; derived rates live on [`EpochRow`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct Bin {
-    bytes_read: u64,
-    bytes_written: u64,
-    bus_busy: Tick,
-    row_hits: u64,
-    row_misses: u64,
-    acts: u64,
-    pres: u64,
-    refs: u64,
-    rdq_integral: u128,
-    wrq_integral: u128,
-    powerdown: Tick,
-    selfref: Tick,
-    ras_corrected: u64,
-    ras_uncorrected: u64,
-    ras_retries: u64,
-}
+use crate::ctrl_if::CommonStats;
 
-/// One finished epoch, with derived rates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochRow {
-    /// Epoch index (0-based).
-    pub epoch: usize,
-    /// First tick of the epoch (inclusive).
-    pub start: Tick,
-    /// Last tick of the epoch (exclusive).
-    pub end: Tick,
-    /// Bytes read from DRAM during the epoch.
-    pub bytes_read: u64,
-    /// Bytes written to DRAM during the epoch.
-    pub bytes_written: u64,
-    /// Ticks the data bus was busy within the epoch.
-    pub bus_busy: Tick,
-    /// Column accesses that hit an open row.
-    pub row_hits: u64,
-    /// Column accesses that missed (required activation).
-    pub row_misses: u64,
-    /// ACT commands issued.
-    pub acts: u64,
-    /// PRE commands issued.
-    pub pres: u64,
-    /// REF commands issued.
-    pub refs: u64,
-    /// Time-weighted average read-queue depth.
-    pub avg_rdq: f64,
-    /// Time-weighted average write-queue depth.
-    pub avg_wrq: f64,
+/// One epoch's raw sums; [`EpochRow`] derives the rates from them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EpochBin {
+    /// The commands issued in the epoch, counted by
+    /// [`CommonStats::record`]. A burst's `bus_busy` counts whole here,
+    /// in the epoch the burst starts in.
+    pub cmds: CommonStats,
+    /// Ticks the data bus was busy within the epoch: a transfer that
+    /// crosses an epoch boundary counts in both epochs, each its share.
+    pub bus_time: Tick,
+    /// Read-queue depth integrated over the epoch's ticks.
+    pub rdq_integral: u128,
+    /// Write-queue depth integrated over the epoch's ticks.
+    pub wrq_integral: u128,
     /// Rank-ticks spent in precharge power-down (summed over ranks).
     pub powerdown: Tick,
     /// Rank-ticks spent in self-refresh (summed over ranks).
@@ -80,35 +52,107 @@ pub struct EpochRow {
     pub ras_retries: u64,
 }
 
+/// Sums epochs of independent recorders (the channels of a system).
+impl AddAssign for EpochBin {
+    fn add_assign(&mut self, o: EpochBin) {
+        self.cmds += o.cmds;
+        self.bus_time += o.bus_time;
+        self.rdq_integral += o.rdq_integral;
+        self.wrq_integral += o.wrq_integral;
+        self.powerdown += o.powerdown;
+        self.selfref += o.selfref;
+        self.ras_corrected += o.ras_corrected;
+        self.ras_uncorrected += o.ras_uncorrected;
+        self.ras_retries += o.ras_retries;
+    }
+}
+
+/// One finished epoch: its place in time and its sums, with derived rates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EpochRow {
+    /// Epoch index (0-based).
+    pub epoch: usize,
+    /// First tick of the epoch (inclusive).
+    pub start: Tick,
+    /// First tick after the epoch: every epoch, the last one included,
+    /// spans a full interval.
+    pub end: Tick,
+    /// What the epoch summed.
+    pub bin: EpochBin,
+}
+
 impl EpochRow {
+    fn span(&self) -> f64 {
+        (self.end - self.start) as f64
+    }
+
     /// Total data bandwidth over the epoch in GB/s (ticks are picoseconds,
     /// so bytes/tick × 1000 = GB/s).
     pub fn bandwidth_gbps(&self) -> f64 {
-        let span = self.end - self.start;
-        if span == 0 {
-            return 0.0;
-        }
-        (self.bytes_read + self.bytes_written) as f64 / span as f64 * 1000.0
+        let c = &self.bin.cmds;
+        (c.bytes_read + c.bytes_written) as f64 / self.span() * 1000.0
     }
 
     /// Fraction of the epoch the data bus was transferring.
     pub fn bus_util(&self) -> f64 {
-        let span = self.end - self.start;
-        if span == 0 {
-            return 0.0;
-        }
-        self.bus_busy as f64 / span as f64
+        self.bin.bus_time as f64 / self.span()
+    }
+
+    /// Column accesses that missed (required activation).
+    pub fn row_misses(&self) -> u64 {
+        let c = &self.bin.cmds;
+        c.rd_bursts + c.wr_bursts - c.row_hits
     }
 
     /// Row-hit fraction of column accesses in the epoch (0 when idle).
     pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.row_hits as f64 / total as f64
+        self.bin.cmds.page_hit_rate()
+    }
+
+    /// Time-weighted average read-queue depth.
+    pub fn avg_rdq(&self) -> f64 {
+        self.bin.rdq_integral as f64 / self.span()
+    }
+
+    /// Time-weighted average write-queue depth.
+    pub fn avg_wrq(&self) -> f64 {
+        self.bin.wrq_integral as f64 / self.span()
     }
 }
+
+/// One exported value: a count, or a rate the CSV prints with six
+/// decimals and the JSON lines as the shortest exact number.
+enum Cell {
+    Count(u64),
+    Rate(f64),
+}
+
+/// An exported column: its name, and the row's value under it.
+type Column = (&'static str, fn(&EpochRow) -> Cell);
+
+/// The exported columns, in order. Both renderers walk this table.
+const COLUMNS: [Column; 20] = [
+    ("epoch", |r| Cell::Count(r.epoch as u64)),
+    ("start_ps", |r| Cell::Count(r.start)),
+    ("end_ps", |r| Cell::Count(r.end)),
+    ("bytes_read", |r| Cell::Count(r.bin.cmds.bytes_read)),
+    ("bytes_written", |r| Cell::Count(r.bin.cmds.bytes_written)),
+    ("bandwidth_gbps", |r| Cell::Rate(r.bandwidth_gbps())),
+    ("bus_util", |r| Cell::Rate(r.bus_util())),
+    ("row_hits", |r| Cell::Count(r.bin.cmds.row_hits)),
+    ("row_misses", |r| Cell::Count(r.row_misses())),
+    ("row_hit_rate", |r| Cell::Rate(r.row_hit_rate())),
+    ("acts", |r| Cell::Count(r.bin.cmds.activates)),
+    ("pres", |r| Cell::Count(r.bin.cmds.precharges)),
+    ("refs", |r| Cell::Count(r.bin.cmds.refreshes)),
+    ("avg_rdq", |r| Cell::Rate(r.avg_rdq())),
+    ("avg_wrq", |r| Cell::Rate(r.avg_wrq())),
+    ("powerdown_ps", |r| Cell::Count(r.bin.powerdown)),
+    ("selfref_ps", |r| Cell::Count(r.bin.selfref)),
+    ("ras_corrected", |r| Cell::Count(r.bin.ras_corrected)),
+    ("ras_uncorrected", |r| Cell::Count(r.bin.ras_uncorrected)),
+    ("ras_retries", |r| Cell::Count(r.bin.ras_retries)),
+];
 
 /// Folds probe events into fixed-width epochs. Implements [`Probe`], so it
 /// plugs directly into an instrumented controller; call
@@ -118,14 +162,15 @@ impl EpochRow {
 #[derive(Debug, Clone)]
 pub struct EpochRecorder {
     interval: Tick,
-    bins: Vec<Bin>,
+    bins: Vec<EpochBin>,
     /// Current queue depths and the tick they took effect.
     rdq: usize,
     wrq: usize,
     q_since: Tick,
     /// Per-rank power state and the tick it was entered.
     ranks: Vec<(u32, PowerState, Tick)>,
-    /// End of recording, set by [`finish`](Self::finish).
+    /// The latest tick seen; [`finish`](Self::finish) closes the open
+    /// spans no earlier.
     end: Tick,
 }
 
@@ -155,14 +200,7 @@ impl EpochRecorder {
     /// simulation has drained.
     pub fn finish(&mut self, end: Tick) {
         let end = end.max(self.end);
-        if end > self.q_since {
-            let (rdq, wrq, since) = (self.rdq as u128, self.wrq as u128, self.q_since);
-            self.add_span(since, end, |bin, span| {
-                bin.rdq_integral += rdq * u128::from(span);
-                bin.wrq_integral += wrq * u128::from(span);
-            });
-            self.q_since = end;
-        }
+        self.close_queue_span(end);
         for i in 0..self.ranks.len() {
             let (_, state, since) = self.ranks[i];
             if end > since {
@@ -183,27 +221,11 @@ impl EpochRecorder {
             .enumerate()
             .map(|(i, bin)| {
                 let start = i as Tick * self.interval;
-                let end = (start + self.interval).min(self.end.max(start + self.interval));
-                let span = end - start;
                 EpochRow {
                     epoch: i,
                     start,
-                    end,
-                    bytes_read: bin.bytes_read,
-                    bytes_written: bin.bytes_written,
-                    bus_busy: bin.bus_busy,
-                    row_hits: bin.row_hits,
-                    row_misses: bin.row_misses,
-                    acts: bin.acts,
-                    pres: bin.pres,
-                    refs: bin.refs,
-                    avg_rdq: bin.rdq_integral as f64 / span as f64,
-                    avg_wrq: bin.wrq_integral as f64 / span as f64,
-                    powerdown: bin.powerdown,
-                    selfref: bin.selfref,
-                    ras_corrected: bin.ras_corrected,
-                    ras_uncorrected: bin.ras_uncorrected,
-                    ras_retries: bin.ras_retries,
+                    end: start + self.interval,
+                    bin: *bin,
                 }
             })
             .collect()
@@ -211,37 +233,16 @@ impl EpochRecorder {
 
     /// Renders the time-series as CSV with a header row.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "epoch,start_ps,end_ps,bytes_read,bytes_written,bandwidth_gbps,bus_util,\
-             row_hits,row_misses,row_hit_rate,acts,pres,refs,avg_rdq,avg_wrq,\
-             powerdown_ps,selfref_ps,ras_corrected,ras_uncorrected,ras_retries\n",
-        );
-        for r in self.rows() {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{:.6},{:.6},{},{},{:.6},{},{},{},{:.6},{:.6},{},{},{},{},{}",
-                r.epoch,
-                r.start,
-                r.end,
-                r.bytes_read,
-                r.bytes_written,
-                r.bandwidth_gbps(),
-                r.bus_util(),
-                r.row_hits,
-                r.row_misses,
-                r.row_hit_rate(),
-                r.acts,
-                r.pres,
-                r.refs,
-                r.avg_rdq,
-                r.avg_wrq,
-                r.powerdown,
-                r.selfref,
-                r.ras_corrected,
-                r.ras_uncorrected,
-                r.ras_retries,
-            );
-        }
+        let names = COLUMNS.map(|(name, _)| name);
+        let mut out = names.join(",");
+        out.push('\n');
+        self.render_rows(&mut out, "", |out, i, _, cell| {
+            let sep = if i == 0 { "" } else { "," };
+            match cell {
+                Cell::Count(v) => write!(out, "{sep}{v}"),
+                Cell::Rate(v) => write!(out, "{sep}{v:.6}"),
+            }
+        });
         out
     }
 
@@ -249,38 +250,31 @@ impl EpochRecorder {
     /// fields as the CSV).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in self.rows() {
-            let _ = writeln!(
-                out,
-                "{{\"epoch\":{},\"start_ps\":{},\"end_ps\":{},\"bytes_read\":{},\
-                 \"bytes_written\":{},\"bandwidth_gbps\":{},\"bus_util\":{},\
-                 \"row_hits\":{},\"row_misses\":{},\"row_hit_rate\":{},\
-                 \"acts\":{},\"pres\":{},\"refs\":{},\"avg_rdq\":{},\"avg_wrq\":{},\
-                 \"powerdown_ps\":{},\"selfref_ps\":{},\
-                 \"ras_corrected\":{},\"ras_uncorrected\":{},\"ras_retries\":{}}}",
-                r.epoch,
-                r.start,
-                r.end,
-                r.bytes_read,
-                r.bytes_written,
-                json_f64(r.bandwidth_gbps()),
-                json_f64(r.bus_util()),
-                r.row_hits,
-                r.row_misses,
-                json_f64(r.row_hit_rate()),
-                r.acts,
-                r.pres,
-                r.refs,
-                json_f64(r.avg_rdq),
-                json_f64(r.avg_wrq),
-                r.powerdown,
-                r.selfref,
-                r.ras_corrected,
-                r.ras_uncorrected,
-                r.ras_retries,
-            );
-        }
+        self.render_rows(&mut out, "}", |out, i, name, cell| {
+            let sep = if i == 0 { '{' } else { ',' };
+            match cell {
+                Cell::Count(v) => write!(out, "{sep}\"{name}\":{v}"),
+                Cell::Rate(v) => write!(out, "{sep}\"{name}\":{}", json_f64(v)),
+            }
+        });
         out
+    }
+
+    /// Appends one line per row: each column written by `cell(out, column
+    /// index, column name, value)`, then `close`.
+    fn render_rows(
+        &self,
+        out: &mut String,
+        close: &str,
+        mut cell: impl FnMut(&mut String, usize, &str, Cell) -> fmt::Result,
+    ) {
+        for r in self.rows() {
+            for (i, (name, value)) in COLUMNS.iter().enumerate() {
+                cell(out, i, name, value(&r)).expect("writing to a String cannot fail");
+            }
+            out.push_str(close);
+            out.push('\n');
+        }
     }
 
     /// Merges another recorder's bins into this one (element-wise sums),
@@ -297,32 +291,18 @@ impl EpochRecorder {
             "cannot absorb a recorder with a different epoch interval"
         );
         if other.bins.len() > self.bins.len() {
-            self.bins.resize(other.bins.len(), Bin::default());
+            self.bins.resize(other.bins.len(), EpochBin::default());
         }
         for (dst, src) in self.bins.iter_mut().zip(&other.bins) {
-            dst.bytes_read += src.bytes_read;
-            dst.bytes_written += src.bytes_written;
-            dst.bus_busy += src.bus_busy;
-            dst.row_hits += src.row_hits;
-            dst.row_misses += src.row_misses;
-            dst.acts += src.acts;
-            dst.pres += src.pres;
-            dst.refs += src.refs;
-            dst.rdq_integral += src.rdq_integral;
-            dst.wrq_integral += src.wrq_integral;
-            dst.powerdown += src.powerdown;
-            dst.selfref += src.selfref;
-            dst.ras_corrected += src.ras_corrected;
-            dst.ras_uncorrected += src.ras_uncorrected;
-            dst.ras_retries += src.ras_retries;
+            *dst += *src;
         }
         self.end = self.end.max(other.end);
     }
 
-    fn bin_mut(&mut self, at: Tick) -> &mut Bin {
+    fn bin_mut(&mut self, at: Tick) -> &mut EpochBin {
         let idx = (at / self.interval) as usize;
         if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, Bin::default());
+            self.bins.resize(idx + 1, EpochBin::default());
         }
         self.end = self.end.max(at);
         &mut self.bins[idx]
@@ -330,7 +310,7 @@ impl EpochRecorder {
 
     /// Applies `f(bin, overlap_ticks)` to every bin overlapping
     /// `[from, to)`.
-    fn add_span(&mut self, from: Tick, to: Tick, mut f: impl FnMut(&mut Bin, Tick)) {
+    fn add_span(&mut self, from: Tick, to: Tick, mut f: impl FnMut(&mut EpochBin, Tick)) {
         if to <= from {
             return;
         }
@@ -344,6 +324,18 @@ impl EpochRecorder {
             at = seg_end;
         }
         self.end = self.end.max(to);
+    }
+
+    /// Adds the current queue depths over `[q_since, now)`.
+    fn close_queue_span(&mut self, now: Tick) {
+        if now > self.q_since {
+            let (rdq, wrq, since) = (self.rdq as u128, self.wrq as u128, self.q_since);
+            self.add_span(since, now, |bin, span| {
+                bin.rdq_integral += rdq * u128::from(span);
+                bin.wrq_integral += wrq * u128::from(span);
+            });
+            self.q_since = now;
+        }
     }
 
     fn add_residency(&mut self, state: PowerState, from: Tick, to: Tick) {
@@ -360,39 +352,19 @@ impl EpochRecorder {
 }
 
 impl Probe for EpochRecorder {
+    /// Counts the command in the epoch it is issued in, and splits the
+    /// bus time [`CommonStats::record`] charges it over the epochs the
+    /// transfer overlaps.
     fn dram_cmd(&mut self, ev: CmdEvent) {
-        match ev.cmd {
-            DramCmd::Act => self.bin_mut(ev.at).acts += 1,
-            DramCmd::Pre => self.bin_mut(ev.at).pres += 1,
-            DramCmd::Ref => self.bin_mut(ev.at).refs += 1,
-            DramCmd::Rd | DramCmd::Wr => {
-                {
-                    let bin = self.bin_mut(ev.at);
-                    if ev.cmd == DramCmd::Rd {
-                        bin.bytes_read += u64::from(ev.bytes);
-                    } else {
-                        bin.bytes_written += u64::from(ev.bytes);
-                    }
-                    if ev.row_hit {
-                        bin.row_hits += 1;
-                    } else {
-                        bin.row_misses += 1;
-                    }
-                }
-                self.add_span(ev.at, ev.at + ev.dur, |bin, span| bin.bus_busy += span);
-            }
-        }
+        let cmds = &mut self.bin_mut(ev.at).cmds;
+        let busy_before = cmds.bus_busy;
+        cmds.record(&ev);
+        let busy = cmds.bus_busy - busy_before;
+        self.add_span(ev.at, ev.at + busy, |bin, span| bin.bus_time += span);
     }
 
     fn queue_depth(&mut self, read_q: usize, write_q: usize, now: Tick) {
-        if now > self.q_since {
-            let (rdq, wrq, since) = (self.rdq as u128, self.wrq as u128, self.q_since);
-            self.add_span(since, now, |bin, span| {
-                bin.rdq_integral += rdq * u128::from(span);
-                bin.wrq_integral += wrq * u128::from(span);
-            });
-            self.q_since = now;
-        }
+        self.close_queue_span(now);
         self.rdq = read_q;
         self.wrq = write_q;
     }
@@ -425,6 +397,8 @@ impl Probe for EpochRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dramctrl_kernel::json::validate;
+    use dramctrl_obs::DramCmd;
 
     #[test]
     fn bandwidth_and_hit_rate_per_epoch() {
@@ -436,12 +410,12 @@ mod tests {
         r.finish(3_000);
         let rows = r.rows();
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].bytes_read, 64);
-        assert_eq!(rows[0].row_misses, 1);
+        assert_eq!(rows[0].bin.cmds.bytes_read, 64);
+        assert_eq!(rows[0].row_misses(), 1);
         assert!((rows[0].bandwidth_gbps() - 64.0).abs() < 1e-9);
         assert!((rows[0].bus_util() - 0.2).abs() < 1e-9);
-        assert_eq!(rows[1].bytes_read + rows[1].bytes_written, 0);
-        assert_eq!(rows[2].bytes_written, 64);
+        assert_eq!(rows[1].bandwidth_gbps(), 0.0);
+        assert_eq!(rows[2].bin.cmds.bytes_written, 64);
         assert!((rows[2].row_hit_rate() - 1.0).abs() < 1e-9);
     }
 
@@ -453,11 +427,16 @@ mod tests {
         r.dram_cmd(CmdEvent::data(DramCmd::Rd, 0, 0, 1, 400, 1_000, 64, false));
         r.finish(2_000);
         let rows = r.rows();
-        assert_eq!(rows[0].bus_busy, 600);
-        assert_eq!(rows[1].bus_busy, 400);
-        // Bytes are attributed to the start epoch only.
-        assert_eq!(rows[0].bytes_read, 64);
-        assert_eq!(rows[1].bytes_read, 0);
+        assert_eq!(rows[0].bin.bus_time, 600);
+        assert_eq!(rows[1].bin.bus_time, 400);
+        // Bytes, and the burst's whole bus time, are attributed to the
+        // start epoch only.
+        assert_eq!(rows[0].bin.cmds.bytes_read, 64);
+        assert_eq!(rows[1].bin.cmds.bytes_read, 0);
+        assert_eq!(
+            [rows[0].bin.cmds.bus_busy, rows[1].bin.cmds.bus_busy],
+            [1_000, 0]
+        );
     }
 
     #[test]
@@ -468,10 +447,10 @@ mod tests {
         r.finish(2_000); // wr 2 for [1500,2000)
         let rows = r.rows();
         // Epoch 0: rd 4 over [500,1000) → integral 2000 / 1000 = 2.0.
-        assert!((rows[0].avg_rdq - 2.0).abs() < 1e-9);
+        assert!((rows[0].avg_rdq() - 2.0).abs() < 1e-9);
         // Epoch 1: rd 4 over [1000,1500) → 2.0; wr 2 over [1500,2000) → 1.0.
-        assert!((rows[1].avg_rdq - 2.0).abs() < 1e-9);
-        assert!((rows[1].avg_wrq - 1.0).abs() < 1e-9);
+        assert!((rows[1].avg_rdq() - 2.0).abs() < 1e-9);
+        assert!((rows[1].avg_wrq() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -482,9 +461,9 @@ mod tests {
         r.power_state(1, PowerState::SelfRefresh, 1_500);
         r.finish(2_000);
         let rows = r.rows();
-        assert_eq!(rows[0].powerdown, 200);
-        assert_eq!(rows[1].powerdown, 200);
-        assert_eq!(rows[1].selfref, 500);
+        assert_eq!(rows[0].bin.powerdown, 200);
+        assert_eq!(rows[1].bin.powerdown, 200);
+        assert_eq!(rows[1].bin.selfref, 500);
     }
 
     #[test]
@@ -497,9 +476,24 @@ mod tests {
         assert_eq!(csv.lines().count(), 3); // header + 2 epochs
         assert!(csv.starts_with("epoch,start_ps"));
         for line in r.to_jsonl().lines() {
-            crate::json::validate(line).expect("valid JSONL row");
+            validate(line).expect("valid JSONL row");
         }
         assert_eq!(r.to_jsonl().lines().count(), 2);
+        // Both exports walk one column table: the JSON keys are the CSV
+        // header, and every value agrees with its CSV cell (`{:.6}`).
+        let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+        let jsonl = r.to_jsonl();
+        for (line, row) in jsonl.lines().zip(csv.lines().skip(1)) {
+            let fields = line[1..line.len() - 1]
+                .split(',')
+                .map(|kv| kv.split_once(':').unwrap());
+            let keys: Vec<&str> = fields.clone().map(|(k, _)| k.trim_matches('"')).collect();
+            assert_eq!(keys, header);
+            for ((_, value), cell) in fields.zip(row.split(',')) {
+                let (j, c): (f64, f64) = (value.parse().unwrap(), cell.parse().unwrap());
+                assert!((j - c).abs() < 1e-6, "{value} vs {cell}");
+            }
+        }
     }
 
     #[test]
@@ -514,10 +508,10 @@ mod tests {
         a.absorb(&b);
         let rows = a.rows();
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].bytes_read, 64);
-        assert_eq!(rows[0].acts, 1);
-        assert_eq!(rows[1].bytes_written, 32);
-        assert_eq!(rows[1].row_misses, 1);
+        assert_eq!(rows[0].bin.cmds.bytes_read, 64);
+        assert_eq!(rows[0].bin.cmds.activates, 1);
+        assert_eq!(rows[1].bin.cmds.bytes_written, 32);
+        assert_eq!(rows[1].row_misses(), 1);
     }
 
     #[test]
@@ -530,16 +524,16 @@ mod tests {
         r.ras_event(0, 1, 8, RasMark::Remap, 1_300); // not counted
         r.finish(2_000);
         let rows = r.rows();
-        assert_eq!(rows[0].ras_corrected, 1);
-        assert_eq!(rows[0].ras_retries, 1);
-        assert_eq!(rows[1].ras_uncorrected, 2);
+        assert_eq!(rows[0].bin.ras_corrected, 1);
+        assert_eq!(rows[0].bin.ras_retries, 1);
+        assert_eq!(rows[1].bin.ras_uncorrected, 2);
         let csv = r.to_csv();
         assert!(
             csv.lines().next().unwrap().ends_with("ras_retries"),
             "{csv}"
         );
         for line in r.to_jsonl().lines() {
-            crate::json::validate(line).unwrap();
+            validate(line).unwrap();
         }
         assert!(r.to_jsonl().contains("\"ras_corrected\":1"));
         // Absorb sums the RAS columns too.
@@ -547,7 +541,7 @@ mod tests {
         other.ras_event(0, 0, 9, RasMark::Corrected, 150);
         other.finish(2_000);
         r.absorb(&other);
-        assert_eq!(r.rows()[0].ras_corrected, 2);
+        assert_eq!(r.rows()[0].bin.ras_corrected, 2);
     }
 
     #[test]
@@ -558,6 +552,6 @@ mod tests {
         r.finish(2_000);
         let rows = r.rows();
         assert_eq!(rows.len(), 2);
-        assert!((rows[1].avg_rdq - 2.0).abs() < 1e-9);
+        assert!((rows[1].avg_rdq() - 2.0).abs() < 1e-9);
     }
 }

@@ -18,6 +18,12 @@
 //!   constraints, and [`ProtocolState`], the one interpreter of it;
 //! * [`queue`] — burst chopping and the burst-group arena, the request
 //!   plumbing both controllers run;
+//! * [`ctrl_if`] — the [`Controller`] trait both models implement and
+//!   [`CommonStats`], the counts both keep, folded from the command
+//!   stream by [`CommonStats::record`];
+//! * [`epoch`] — the [`EpochRecorder`] probe, which folds the same stream
+//!   with the same rule into gem5-style periodic statistics, so a run's
+//!   epochs sum to its counts;
 //! * [`presets`] — ready-made specs for DDR3, DDR4, LPDDR2/3, WideIO,
 //!   GDDR5 and HBM, including the exact Table IV configurations used in the
 //!   paper's future-system case study.
@@ -28,6 +34,7 @@
 pub mod activity;
 pub mod coverage;
 pub mod ctrl_if;
+pub mod epoch;
 pub mod map;
 pub mod packet;
 pub mod presets;
@@ -39,6 +46,7 @@ pub mod spec;
 pub use activity::ActivityStats;
 pub use coverage::WriteCoverage;
 pub use ctrl_if::{CommonStats, Controller, Rejected};
+pub use epoch::{EpochBin, EpochRecorder, EpochRow};
 pub use map::{AddrMapping, Decoder, DramAddr};
 pub use packet::{MemCmd, MemRequest, MemResponse, ReqId};
 pub use protocol::{ProtocolState, Rule};

@@ -13,10 +13,10 @@
 //! * **Sinks** — concrete probes that turn the event stream into artefacts:
 //!   [`ChromeTracer`] renders banks as tracks and commands as duration
 //!   slices in the Chrome trace-event JSON format (loadable in
-//!   [ui.perfetto.dev](https://ui.perfetto.dev)), and [`EpochRecorder`]
-//!   folds the stream into a gem5-style periodic time-series (bandwidth,
-//!   bus utilisation, row-hit rate, queue occupancy, power residency) dumped
-//!   as CSV or JSON lines.
+//!   [ui.perfetto.dev](https://ui.perfetto.dev)). The epoch recorder,
+//!   which folds the stream into a gem5-style periodic time-series, lives
+//!   in `dramctrl-mem` beside the command counts it sums
+//!   (`dramctrl_mem::EpochRecorder`), so both count a command by one rule.
 //!
 //! Probes observe and never influence: a hook receives data and returns
 //! nothing, so a traced simulation is byte-identical to an untraced one by
@@ -50,14 +50,12 @@
 #![warn(missing_debug_implementations)]
 
 mod chrome;
-mod epoch;
 pub mod json;
 pub mod log;
 pub mod metrics;
 mod probe;
 
 pub use chrome::ChromeTracer;
-pub use epoch::{EpochRecorder, EpochRow};
 pub use log::Level;
 pub use metrics::{Counter, FloatCounter, Gauge, Histogram, Registry};
 pub use probe::{CmdEvent, DramCmd, NoProbe, PowerState, Probe, RasMark};

@@ -17,10 +17,10 @@ use dramctrl_kernel::fsio::write_atomic;
 use dramctrl_kernel::snap::{fingerprint, SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{
-    presets, ActivityStats, AddrMapping, CommonStats, Controller, MemCmd, MemRequest, MemResponse,
-    MemSpec, Rejected,
+    presets, ActivityStats, AddrMapping, CommonStats, Controller, EpochRecorder, MemCmd,
+    MemRequest, MemResponse, MemSpec, Rejected,
 };
-use dramctrl_obs::{ChromeTracer, EpochRecorder, NoProbe, Probe};
+use dramctrl_obs::{ChromeTracer, NoProbe, Probe};
 use dramctrl_stats::Report;
 use dramctrl_system::MultiChannel;
 use dramctrl_traffic::{DramAwareGen, LinearGen, RandomGen, SnapGen, TestRun, TestSummary, Tester};

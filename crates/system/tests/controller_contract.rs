@@ -8,14 +8,17 @@
 //! command stream — `common_stats()` equals a probe's fold of the
 //! `dram_cmd` events it emitted, `activity()` reports the same command
 //! counts, and a crossbar or a tiered memory reports the sum of its parts.
+//! An [`EpochRecorder`] riding beside that probe sums, over its epochs,
+//! to the same counts and bus time, to `activity()`'s low-power residency
+//! and to the fault model's RAS counters.
 
 use dramctrl::{CtrlConfig, DramCtrl, EccMode, RasConfig};
 use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_kernel::snap::{SnapState, SnapWriter};
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{
-    presets, ActivityStats, CommonStats, Controller, MemCmd, MemRequest, MemResponse, MemSpec,
-    Rejected,
+    presets, ActivityStats, CommonStats, Controller, EpochBin, EpochRecorder, MemCmd, MemRequest,
+    MemResponse, MemSpec, Rejected,
 };
 use dramctrl_obs::{CmdEvent, DramCmd, Probe};
 use dramctrl_stats::Report;
@@ -254,11 +257,10 @@ impl Fold {
         }
     }
 
-    /// Asserts that `ctrl`, drained at `end`, counts exactly this stream:
-    /// in `common_stats()` (whose read-latency sum no command carries)
-    /// and in `activity(end)`'s command counts.
-    fn assert_counted_by(&self, ctrl: &mut impl Controller, end: Tick, what: &str) {
-        let s = ctrl.common_stats();
+    /// Asserts that a controller whose `common_stats()` is `s` and whose
+    /// `activity(end)` is `a` counts exactly this stream: in `s` (whose
+    /// read-latency sum no command carries) and in `a`'s command counts.
+    fn assert_counted_by(&self, s: &CommonStats, a: &ActivityStats, what: &str) {
         let folded = CommonStats {
             reads_accepted: self.reads,
             writes_accepted: self.writes,
@@ -273,8 +275,7 @@ impl Fold {
             bus_busy: self.bus,
             read_lat_sum: s.read_lat_sum,
         };
-        assert_eq!(s, folded, "{what}: common_stats is not the command stream");
-        let a = ctrl.activity(end);
+        assert_eq!(*s, folded, "{what}: common_stats is not the command stream");
         assert_eq!(
             [
                 a.activates,
@@ -295,24 +296,86 @@ impl Fold {
     }
 }
 
-/// Runs every workload of two seeds through `mk()`; `probe` reads the
-/// controller's fold. Returns the summed folds.
+/// Epoch width of the recorders: short enough that many bursts cross an
+/// epoch boundary.
+const EPOCH: Tick = 100_000;
+
+/// What every channel carries: the fold by hand, and the epoch recorder.
+type Probes = (Fold, EpochRecorder);
+
+fn probes() -> Probes {
+    (Fold::default(), EpochRecorder::new(EPOCH))
+}
+
+/// The sum of a recorder's epochs.
+fn total(epochs: &EpochRecorder) -> EpochBin {
+    let mut sum = EpochBin::default();
+    for row in epochs.rows() {
+        sum += row.bin;
+    }
+    sum
+}
+
+/// The RAS marks a recorder summed: corrected, uncorrected (silent
+/// corruptions included) and retried bursts.
+fn ras_marks(epochs: &EpochRecorder) -> [u64; 3] {
+    let t = total(epochs);
+    [t.ras_corrected, t.ras_uncorrected, t.ras_retries]
+}
+
+/// Asserts that `epochs`, finished at `a.sim_time`, sum to what the
+/// controller counted: `s`'s command counts, bytes, row hits and bus time
+/// (whole, and split at epoch boundaries), and `a`'s low-power residency.
+fn assert_epochs_sum_to(epochs: &EpochRecorder, s: &CommonStats, a: &ActivityStats, what: &str) {
+    let t = total(epochs);
+    let counted = CommonStats {
+        reads_accepted: 0,
+        writes_accepted: 0,
+        read_lat_sum: 0.0,
+        ..*s
+    };
+    assert_eq!(
+        t.cmds, counted,
+        "{what}: the epochs do not sum to common_stats"
+    );
+    assert_eq!(
+        t.bus_time, s.bus_busy,
+        "{what}: the split bus time is not the stream's"
+    );
+    assert_eq!(
+        [t.powerdown, t.selfref],
+        [a.time_powered_down, a.time_self_refresh],
+        "{what}: the epochs' low-power residency is not activity's"
+    );
+}
+
+/// Runs every workload of two seeds through `mk()`; `parts` clones the
+/// probes of the controller's channels. Asserts each run's counts are the
+/// folded stream, and its recorders — finished at the end of the run and
+/// merged with `absorb`, as the runner does — sum to them. Returns the
+/// summed folds.
 fn assert_counts_are_the_stream<C: Controller>(
     model: &str,
     mk: impl Fn(u64) -> C,
-    probe: impl Fn(&C) -> Fold,
+    parts: impl Fn(&C) -> Vec<Probes>,
 ) -> Fold {
     let mut total = Fold::default();
     for seed in 1..=2 {
         for (i, mut gen) in workloads(seed).into_iter().enumerate() {
             let mut ctrl = mk(seed);
             let summary = Tester::default().run(&mut gen, &mut ctrl);
-            let fold = probe(&ctrl);
-            fold.assert_counted_by(
-                &mut ctrl,
-                summary.duration,
-                &format!("{model}, seed {seed}, workload {i}"),
-            );
+            let end = summary.duration;
+            let what = format!("{model}, seed {seed}, workload {i}");
+            let mut fold = Fold::default();
+            let mut epochs = EpochRecorder::new(EPOCH);
+            for (part, mut recorder) in parts(&ctrl) {
+                fold = fold.plus(part);
+                recorder.finish(end);
+                epochs.absorb(&recorder);
+            }
+            let (s, a) = (ctrl.common_stats(), ctrl.activity(end));
+            fold.assert_counted_by(&s, &a, &what);
+            assert_epochs_sum_to(&epochs, &s, &a, &what);
             total = total.plus(fold);
         }
     }
@@ -338,11 +401,11 @@ fn event_model_counts_are_its_command_stream() {
     let low_power = std::cell::Cell::new((0, 0));
     let total = assert_counts_are_the_stream(
         "event",
-        |_| DramCtrl::with_probe(event_cfg(), Fold::default()).unwrap(),
+        |_| DramCtrl::with_probe(event_cfg(), probes()).unwrap(),
         |c| {
             let (pd, sr) = low_power.get();
             low_power.set((pd + c.stats().powerdowns, sr + c.stats().self_refreshes));
-            *c.probe()
+            vec![c.probe().clone()]
         },
     );
     // The runs went through refresh, power-down and self-refresh.
@@ -353,11 +416,18 @@ fn event_model_counts_are_its_command_stream() {
         |seed| {
             let mut cfg = event_cfg();
             cfg.ras = ras(seed);
-            DramCtrl::with_probe(cfg, Fold::default()).unwrap()
+            DramCtrl::with_probe(cfg, probes()).unwrap()
         },
         |c| {
-            assert!(c.fault_model().unwrap().stats().retries > 0, "no replay");
-            *c.probe()
+            let ras = c.fault_model().unwrap().stats();
+            assert!(ras.retries > 0, "no replay");
+            let counted = [ras.corrected, ras.uncorrected + ras.silent, ras.retries];
+            assert_eq!(
+                ras_marks(&c.probe().1),
+                counted,
+                "RAS marks are not the counts"
+            );
+            vec![c.probe().clone()]
         },
     );
     assert!(total.refs > 0);
@@ -368,8 +438,8 @@ fn cycle_model_counts_are_its_command_stream() {
     let cfg = || CycleConfig::new(presets::ddr3_1600_x64());
     let total = assert_counts_are_the_stream(
         "cycle",
-        |_| CycleCtrl::with_probe(cfg(), Fold::default()).unwrap(),
-        |c| *c.probe(),
+        |_| CycleCtrl::with_probe(cfg(), probes()).unwrap(),
+        |c| vec![c.probe().clone()],
     );
     assert!(total.refs > 0);
     assert_counts_are_the_stream(
@@ -377,11 +447,18 @@ fn cycle_model_counts_are_its_command_stream() {
         |seed| {
             let mut cfg = cfg();
             cfg.ras = ras(seed);
-            CycleCtrl::with_probe(cfg, Fold::default()).unwrap()
+            CycleCtrl::with_probe(cfg, probes()).unwrap()
         },
         |c| {
-            assert!(c.fault_model().unwrap().stats().retries > 0, "no replay");
-            *c.probe()
+            let ras = c.fault_model().unwrap().stats();
+            assert!(ras.retries > 0, "no replay");
+            let counted = [ras.corrected, ras.uncorrected + ras.silent, ras.retries];
+            assert_eq!(
+                ras_marks(&c.probe().1),
+                counted,
+                "RAS marks are not the counts"
+            );
+            vec![c.probe().clone()]
         },
     );
 }
@@ -393,22 +470,21 @@ fn composed_memories_count_the_sum_of_their_parts() {
     let channel = || {
         let mut cfg = event_cfg();
         cfg.channels = 2;
-        DramCtrl::with_probe(cfg, Fold::default()).unwrap()
+        DramCtrl::with_probe(cfg, probes()).unwrap()
     };
     assert_counts_are_the_stream(
         "2-channel crossbar",
         |_| MultiChannel::new(vec![channel(), channel()], 0).unwrap(),
-        |x| (0..2).fold(Fold::default(), |f, c| f.plus(*x.channel(c).probe())),
+        |x| (0..2).map(|c| x.channel(c).probe().clone()).collect(),
     );
     assert_counts_are_the_stream(
         "tiered",
         |_| {
-            let near = DramCtrl::with_probe(event_cfg(), Fold::default()).unwrap();
-            let far =
-                CycleCtrl::with_probe(CycleConfig::new(presets::ddr3_1600_x64()), Fold::default())
-                    .unwrap();
+            let near = DramCtrl::with_probe(event_cfg(), probes()).unwrap();
+            let far = CycleCtrl::with_probe(CycleConfig::new(presets::ddr3_1600_x64()), probes())
+                .unwrap();
             TieredMemory::new(near, far, 32 << 20)
         },
-        |t| t.near().probe().plus(*t.far().probe()),
+        |t| vec![t.near().probe().clone(), t.far().probe().clone()],
     );
 }
