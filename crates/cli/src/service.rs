@@ -14,7 +14,7 @@ pub const DAEMON: Group = Group { heading: "SERVICE OPTIONS", opts: &[
     Opt::new("store", "DIR", "durable job store; a killed daemon restarted on the same store resumes every in-flight job"),
     Opt::new("max-jobs", "N", "admission bound: reject submits at N unfinished jobs").or("8"),
     Opt::new("quantum", "N", "preemption quantum in injected requests: long jobs checkpoint-pause at request boundaries so tenants share the simulator fairly").or("1000"),
-    Opt::new("workers", "N", "jobs run at once, one scheduler worker each; 0 = all cores. A job has one unit in flight, so this is parallelism across jobs").or("0"),
+    Opt::new("workers", "N", "unit slices run at once, one scheduler worker each; 0 = all cores. A job alone may use all of them").or("0"),
     Opt::new("http", "ADDR", "also serve read-only HTTP observability endpoints on ADDR (path or host:port): /metrics (Prometheus), /metrics.json, /healthz (503 when the store is unwritable), /jobs"),
     Opt::new("client-timeout", "D", "per-connection read/write deadline; idle or non-reading clients are evicted after D, e.g. 30s or 250ms; 0 disables").or("30s"),
     Opt::new("subscriber-buffer", "N", "outbound event-buffer depth per watcher; a watcher that stops reading is evicted once its buffer fills").or("1024"),

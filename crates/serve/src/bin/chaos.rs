@@ -18,11 +18,13 @@
 //!   `run_campaign_journaled` + an atomic report write) — the CLI sweep
 //!   path;
 //! - `pool`: the daemon itself — accept-log appends, per-job journals,
-//!   unit commits — with two workers and two tenants' jobs in flight at
-//!   once. Which job's op a crash point lands on varies from run to run;
-//!   the invariants do not, and on top of them the restarted daemon must
-//!   run exactly the units that had not committed — a crash costs a job
-//!   the one unit it had in flight, never a committed one.
+//!   unit commits — with two workers: first two tenants' jobs in flight
+//!   at once, then a third tenant's job alone, its two units in flight
+//!   together. Which job's op a crash point lands on varies from run to
+//!   run; the invariants do not, and on top of them the restarted daemon
+//!   must run exactly the units that had not committed — a crash costs a
+//!   job at most the units it had in flight or had parked, never a
+//!   committed one.
 //!
 //! The matrix is sized from [`fault::op_count`]: a fault-free reference
 //! run reports how many durability ops the workload performs, and the
@@ -95,15 +97,23 @@ fn worker_campaign(dir: &Path) -> Result<(), String> {
 }
 
 /// The pool session's jobs, in submission order: tenant, job id and
-/// campaign seed (two different journals, so a commit that landed in
-/// the wrong one would show).
-const POOL_JOBS: [(&str, &str, u64); 2] = [("a", "job-0001", 7), ("b", "job-0002", 8)];
+/// campaign seed (different journals, so a commit that landed in the
+/// wrong one would show). The first [`POOL_TOGETHER`] run side by side,
+/// the last alone after them.
+const POOL_JOBS: [(&str, &str, u64); 3] = [
+    ("a", "job-0001", 7),
+    ("b", "job-0002", 8),
+    ("c", "job-0003", 9),
+];
+const POOL_TOGETHER: usize = 2;
 
-/// One daemon session in `dir`: a two-worker [`Server`] on `dir/store`,
-/// one job per tenant accepted (ack each) unless a previous session
-/// already did, and only then the scheduler started — so both jobs are in
-/// flight together, one per worker, their commits interleaving — and
-/// both watched to `done` (ack each streamed record).
+/// One daemon session in `dir`: a two-worker [`Server`] on `dir/store`.
+/// The first two tenants' jobs are accepted (ack each) unless a previous
+/// session already did, and only then is the scheduler started — so both
+/// jobs are in flight together, one per worker, their commits
+/// interleaving. Once both are watched to `done` (ack each streamed
+/// record), the third tenant's job is accepted and watched alone: both
+/// workers run its two units at once, and they commit in index order.
 fn worker_pool(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let mut cfg = ServeConfig::new(dir.join("store"));
@@ -121,35 +131,50 @@ fn worker_pool(dir: &Path) -> Result<(), String> {
         .get("jobs")
         .and_then(Value::as_arr)
         .map_or(0, <[_]>::len);
-    for (tenant, _, seed) in POOL_JOBS.iter().skip(known) {
-        let c = chaos_campaign(*seed);
-        let (id, _) = client.submit(tenant, 0, &c).map_err(|e| e.to_string())?;
-        println!("ack accept {id}");
-    }
+    let submit = |client: &mut Client, jobs: &[(&str, &str, u64)]| {
+        for (tenant, _, seed) in jobs {
+            let c = chaos_campaign(*seed);
+            let (id, _) = client.submit(tenant, 0, &c).map_err(|e| e.to_string())?;
+            println!("ack accept {id}");
+        }
+        Ok::<_, String>(())
+    };
+    let (together, alone) = POOL_JOBS.split_at(POOL_TOGETHER);
+    submit(&mut client, together.get(known..).unwrap_or_default())?;
     drop(server.start_scheduler());
-    std::thread::scope(|s| {
-        let watches = POOL_JOBS.map(|(_, id, _)| {
-            let sock = &sock;
-            s.spawn(move || {
-                let mut client = Client::connect(sock)?;
-                client.watch(id, |v, _| {
-                    if v.get("event").and_then(Value::as_str) == Some("record") {
-                        println!("ack commit {id}");
-                    }
-                })
-            })
-        });
-        watches
-            .into_iter()
-            .try_for_each(|w| w.join().expect("watcher panicked").map(|_| ()))
-    })
-    .map_err(|e| e.to_string())?;
+    watch_all(&sock, together)?;
+    let known_alone = known.saturating_sub(POOL_TOGETHER);
+    submit(&mut client, alone.get(known_alone..).unwrap_or_default())?;
+    watch_all(&sock, alone)?;
     // `status` takes the state lock: once it answers, the last commit's
     // counters have moved.
     client.status().map_err(|e| e.to_string())?;
     println!("ran={}", server.metrics().units_completed.get());
     println!("ops={}", fault::op_count());
     Ok(())
+}
+
+/// Watches each of `jobs` to `done` at once, acking each streamed record.
+fn watch_all(sock: &str, jobs: &[(&str, &str, u64)]) -> Result<(), String> {
+    std::thread::scope(|s| {
+        let watches: Vec<_> = jobs
+            .iter()
+            .map(|&(_, id, _)| {
+                s.spawn(move || {
+                    let mut client = Client::connect(sock)?;
+                    client.watch(id, |v, _| {
+                        if v.get("event").and_then(Value::as_str) == Some("record") {
+                            println!("ack commit {id}");
+                        }
+                    })
+                })
+            })
+            .collect();
+        watches
+            .into_iter()
+            .try_for_each(|w| w.join().expect("watcher panicked").map(|_| ()))
+    })
+    .map_err(|e| e.to_string())
 }
 
 // ----- explorer --------------------------------------------------------
@@ -162,6 +187,7 @@ fn artifact_files(mode: &str) -> Vec<&'static str> {
             "store/accept.jsonl",
             "store/job-0001/journal.jsonl",
             "store/job-0002/journal.jsonl",
+            "store/job-0003/journal.jsonl",
         ],
         _ => unreachable!(),
     }
@@ -337,7 +363,7 @@ fn explore_mode(mode: &str, base: &Path) -> Vec<CrashPointResult> {
             // What the restarted daemon simulates is exactly what had not
             // committed (`pool` only; the other workers report no count):
             // no committed unit re-runs, and the crash cost each job no
-            // more than the one unit it had in flight.
+            // more than the units it had in flight or had parked.
             let uncommitted = reference
                 .ran
                 .map(|total| total - committed_units(mode, &dir));

@@ -339,9 +339,11 @@ pub fn dispatch(
 
         // One lane per live peer. Lane `k` starts on `queue[k]` and then
         // takes whatever `next` hands out — one assignment in flight
-        // per peer. Rotating lanes by round only varies which peer
-        // starts where: the queue is re-planned from what is left, so
-        // it promises a failed shard no particular peer next round.
+        // per peer, which the peer runs on all of its workers, several
+        // units of the shard at once. Rotating lanes by round only
+        // varies which peer starts where: the queue is re-planned from
+        // what is left, so it promises a failed shard no particular peer
+        // next round.
         // Lanes beyond the queue's end are spare peers: they hedge one
         // shard each (`next` is already past the end).
         let lanes = avail

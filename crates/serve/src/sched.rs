@@ -13,8 +13,12 @@
 //!   sweeps from the same tenant interleave instead of running serially.
 //!
 //! The queue holds job ids only; all job state lives with the server.
-//! Re-pushing the id a slice just paused is how a preempted job gets
-//! back in line.
+//! A job is in it at most once, while it has a slice to give: the server
+//! re-pushes a job at its pick if another of its units can run — which is
+//! how a job alone gets every free worker, one pick and one quantum each
+//! — and after a slice pauses or a commit frees room for its next unit.
+//! A re-push lands at the back of the job's tenant ring, so fairness
+//! stays one quantum per pick however many units of a job run at once.
 
 use std::collections::VecDeque;
 

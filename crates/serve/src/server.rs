@@ -6,25 +6,28 @@
 //! A pool of identical **scheduler workers** — up to
 //! [`ServeConfig::workers`], one per core by default — runs all
 //! simulation work, one quantum at a time each: a worker pops the next
-//! job from the [`FairQueue`], picks the job's first uncommitted work
-//! unit, and runs one slice of it *outside* the state lock
-//! ([`JobRun::advance`] pauses at the first request boundary past the
-//! quantum target). A paused unit stays **resident in memory** as a live
-//! [`JobRun`] on its job's record, at most one per unfinished job, and
-//! whichever worker pops the job next keeps stepping it: preemption is a
-//! scheduling event, not a durability event. An observed unit
-//! (`epochs > 0`) is the same [`JobRun`] with probes attached, preempted
-//! at the same quantum; its artifacts come back with the metrics of its
-//! last slice. A job is in the queue at most once and stays out of it
-//! for the whole slice and, when the slice finishes the unit, for the
-//! unit's commit, so it has **one unit in flight**: the pool runs
-//! different jobs side by side, while each job's commits land in index
-//! order and its journal file is byte for byte a serial run's. Workers
-//! are spawned on demand — the first by [`Server::start_scheduler`],
-//! another whenever a pick or a submit leaves work queued with every
-//! worker busy (in a slice or in a commit) — and an idle one gives up
-//! its cached controller, so a daemon serving one job at a time costs
-//! one thread's memory.
+//! job from the [`FairQueue`], takes the job's oldest paused unit or else
+//! its next unstarted one, and runs one slice of it *outside* the state
+//! lock ([`JobRun::advance`] pauses at the first request boundary past
+//! the quantum target). A paused unit stays **resident in memory** as a
+//! live [`JobRun`] on its job's record, and whichever worker picks it
+//! next keeps stepping it: preemption is a scheduling event, not a
+//! durability event. An observed unit (`epochs > 0`) is the same
+//! [`JobRun`] with probes attached, preempted at the same quantum; its
+//! artifacts come back with the metrics of its last slice. A job is in
+//! the queue at most once, and goes back into it at the pick itself
+//! while it has another slice to give, so one job's **units run side by
+//! side** — up to the pool size of them in flight (paused or held by a
+//! worker) — and a campaign submitted alone gets every worker. A unit
+//! that finishes before an earlier one has committed **parks** its
+//! outcome on the job (at most the pool size of them; past that the job
+//! starts no new unit), and commits land strictly in index order, so each
+//! job's journal file is byte for byte a serial run's at any worker
+//! count. Workers are spawned on demand — the first by
+//! [`Server::start_scheduler`], another whenever a pick or a submit
+//! leaves work queued with every worker busy (in a slice or in a commit)
+//! — and an idle one gives up its cached controller, so a daemon that
+//! only ever ran one-unit jobs one at a time costs one thread's memory.
 //! **Connection threads** (one per client) only touch
 //! state briefly — submit, watch, status — so a 10-million-request unit
 //! in flight never blocks a submit, and a competing tenant waits at most
@@ -33,8 +36,8 @@
 //! **The state lock** — one mutex over the job table, the fair queue and
 //! the degraded-mode bookkeeping — is held for bookkeeping only. An
 //! unfinished job's record is the one place the scheduler keeps anything
-//! about it: its paused run, whether a worker holds it, when it was
-//! queued, its subscribers and an outcome the store refused. Neither
+//! about it: its units in flight (paused runs, or held by a worker), its
+//! parked outcomes, when it was queued and its subscribers. Neither
 //! simulation nor a unit's commit runs under the lock: a worker releases
 //! it for the slice, and again for the commit's artifact writes, journal
 //! append and fsync, so a slow disk stalls the worker whose unit is
@@ -55,12 +58,15 @@
 //!   depend on the quantum.
 //!
 //! A unit's commit is a **journal hand-off**. Under the lock, the worker
-//! takes the job's journal out of its live state; the job is not
-//! requeued, so no other worker can touch it. With the lock released,
-//! the worker writes the artifacts and appends and fsyncs the record.
-//! It re-takes the lock, hands the journal back, and broadcasts in that
-//! same lock hold — or, if the store refused, parks the outcome on the
-//! job (degraded mode, below).
+//! whose unit is next in index order takes the job's journal out of its
+//! live state; while it is lent, no other worker can commit for the job,
+//! and a unit that finishes meanwhile parks. With the lock released, the
+//! worker writes the artifacts and appends and fsyncs the record. It
+//! re-takes the lock, hands the journal back, and broadcasts in that same
+//! lock hold — or, if the store refused, parks the outcome again
+//! (degraded mode, below). If the next unit has parked meanwhile, the
+//! same worker commits it the same way, one record and one fsync at a
+//! time, so the store's ops and their order per job are a serial run's.
 //!
 //! `watch` replays the job's committed record lines and subscribes in
 //! one lock hold, and every broadcast happens under the lock too; that
@@ -73,8 +79,9 @@
 //!
 //! Kill the daemon at any instant and [`Server::open`] rebuilds
 //! everything from the store: accepted jobs re-queue, committed units
-//! are never re-run, and the unit in flight restarts from its first
-//! request — a crash costs at most one unit of re-execution per job.
+//! are never re-run, and the units in flight or parked restart from their
+//! first request — a crash costs a job at most the units it had in flight
+//! or had parked, never a committed one.
 //! Re-execution is deterministic and the journal's keep-first dedup
 //! makes the first commit canonical, so results are byte-identical to a
 //! never-killed run, which is byte-identical to a standalone `dramctrl
@@ -87,7 +94,7 @@
 //! A store that stops taking writes (disk full, failing fsyncs) must not
 //! kill the daemon. On any store I/O error the daemon enters **degraded
 //! mode**: a unit outcome whose commit was refused is parked in memory on
-//! its job, which stays out of the queue; the workers stop starting new
+//! its job, with the outcomes behind it; the workers stop starting new
 //! slices, new submits are shed with `rejected
 //! reason=store_unavailable`, `/healthz` answers 503 and the
 //! `dramctrl_store_degraded` gauge reads 1 — while status, metrics and
@@ -95,8 +102,9 @@
 //! the store with bounded exponential backoff
 //! ([`STORE_BACKOFF_START`]..[`STORE_BACKOFF_MAX`]): each attempt probes
 //! the store root with a real write. The first successful attempt
-//! leaves degraded mode and then lands the parked outcomes, in job-id
-//! order, through the commit path every healthy unit takes. Nothing is
+//! leaves degraded mode and then lands the parked outcomes, job by job in
+//! id order and each job's in index order, through the commit path every
+//! healthy unit takes. Nothing is
 //! repaired by hand: every store log is a
 //! [`DurableAppender`](dramctrl_kernel::fsio::DurableAppender), and a
 //! log whose append failed cuts the unacknowledged bytes off at its
@@ -165,9 +173,10 @@ pub struct ServeConfig {
     /// startup and on every job completion. Running and queued jobs are
     /// never touched. `None` retains everything.
     pub retain: Option<usize>,
-    /// Scheduler workers — how many jobs may run at once — with
-    /// [`ExecutorConfig::workers`]' meaning: `0` is the host's available
-    /// parallelism, anything else that many (at least one).
+    /// Scheduler workers — how many unit slices run at once, of one job
+    /// or of several — with [`ExecutorConfig::workers`]' meaning: `0` is
+    /// the host's available parallelism, anything else that many (at
+    /// least one).
     pub workers: usize,
 }
 
@@ -212,33 +221,51 @@ struct LiveJob {
     /// that broadcasts it. The job's only copy of its results.
     lines: JournalLines,
     /// The job's durable commit log; `None` while it is lent to the
-    /// worker committing the job's unit with the state lock released.
+    /// worker committing the job's units with the state lock released.
     journal: Option<CampaignJournal>,
-    /// The first uncommitted in-shard unit — the one to run next. Only
-    /// ever moves forward, `stride` (the shard count, or 1) at a time.
+    /// The first uncommitted in-shard unit — the one to commit next.
+    /// Only ever moves forward, `stride` (the shard count, or 1) at a
+    /// time.
     next: usize,
+    /// The first in-shard unit not yet started; `len` or past it once
+    /// every unit has started.
+    unstarted: usize,
     stride: usize,
-    /// Panicked attempts of the unit currently in flight.
-    failures: u32,
-    /// Absolute injection target for the current unit's next slice.
-    pause_target: u64,
-    /// Unit `next`, live between its slices, resumed by whichever worker
-    /// picks the job next. Nothing here is durable — after a crash the
-    /// unit re-runs from its first request and commits the same bytes.
-    paused: Option<JobRun>,
-    /// Whether a worker holds the job: in a slice of unit `next`, or in
-    /// its commit.
-    turn: bool,
-    /// When the job entered the queue; taken at its pick, for the
-    /// scheduler fairness-lag histogram.
+    /// The campaign's unit count: no unit starts at or past it.
+    len: usize,
+    /// The units started and not yet committed, by index: at most the
+    /// pool size in flight and as many parked (see [`Self::can_start`]).
+    /// Nothing here is durable — after a crash each of them re-runs from
+    /// its first request and commits the same bytes.
+    units: BTreeMap<usize, Unit>,
+    /// When the job entered the queue; `Some` exactly while it is in
+    /// it, taken at its pick for the scheduler fairness-lag histogram.
     queued_at: Option<Instant>,
-    /// Unit `next`'s outcome, computed but refused by the store: parked
-    /// here, with the job out of the queue, until a store recovery
-    /// attempt lands it — the simulation never re-runs.
-    refused: Option<UnitDone>,
     /// Live `watch` subscribers (event lines), each behind a bounded
     /// buffer.
     subscribers: Vec<mpsc::SyncSender<String>>,
+}
+
+/// One started, uncommitted unit of a live job.
+struct Unit {
+    /// Panicked attempts so far.
+    failures: u32,
+    /// Absolute injection target for the unit's next slice.
+    pause_target: u64,
+    stage: Stage,
+}
+
+enum Stage {
+    /// Waiting for a worker: paused between slices with its run live in
+    /// memory, or (`None`) due to start from its first request — not yet
+    /// run, or retried after a panic.
+    Ready(Option<Box<JobRun>>),
+    /// A worker holds it: in a slice, or in its commit.
+    Held,
+    /// Finished, its outcome waiting for its commit: behind an earlier
+    /// unit that has not committed yet, or refused by the store until a
+    /// recovery attempt lands it. The simulation never re-runs.
+    Parked(UnitDone),
 }
 
 /// A finished unit's result, from its last slice until its commit lands.
@@ -251,12 +278,13 @@ impl JobState {
     /// The job as its journal describes it — `lines`, the committed
     /// records its open read: counters tallied once, working set only if
     /// units remain.
-    fn new(stored: StoredJob, journal: CampaignJournal, lines: JournalLines, quantum: u64) -> Self {
+    fn new(stored: StoredJob, journal: CampaignJournal, lines: JournalLines) -> Self {
         // A shard is a residue class; unsharded jobs own every unit.
         let (first, stride) = stored
             .shard
             .map_or((0, 1), |(i, n)| (i as usize, n as usize));
-        let total = stored.campaign.len().saturating_sub(first).div_ceil(stride);
+        let len = stored.campaign.len();
+        let total = len.saturating_sub(first).div_ceil(stride);
         let mut js = Self {
             total,
             done: 0,
@@ -273,17 +301,16 @@ impl JobState {
                 lines,
                 journal: Some(journal),
                 next: first,
+                unstarted: first,
                 stride,
-                failures: 0,
-                pause_target: quantum,
-                paused: None,
-                turn: false,
+                len,
+                units: BTreeMap::new(),
                 // Every caller queues an unfinished job it builds.
                 queued_at: Some(Instant::now()),
-                refused: None,
                 subscribers: Vec::new(),
             };
-            live.skip_committed();
+            live.next = live.uncommitted_from(first);
+            live.unstarted = live.next;
             js.live = Some(live);
         }
         js
@@ -295,15 +322,85 @@ impl JobState {
 }
 
 impl LiveJob {
-    /// The journal, for callers that know the job is not mid-commit.
-    fn journal(&self) -> &CampaignJournal {
-        self.journal.as_ref().expect("the journal is not lent out")
+    /// The first uncommitted in-shard unit at or after `unit`.
+    fn uncommitted_from(&self, mut unit: usize) -> usize {
+        while self.lines.get(unit).is_some() {
+            unit += self.stride;
+        }
+        unit
     }
 
-    /// Moves `next` past every already-committed unit of the shard.
-    fn skip_committed(&mut self) {
-        while self.journal().is_committed(self.next) {
-            self.next += self.stride;
+    /// Whether a worker could start the job's next unit: one is left,
+    /// fewer than `cap` are in flight — paused or held — and fewer than
+    /// `cap` more are parked behind an earlier one. A unit that runs long
+    /// stalls the job's others once `cap` outcomes wait on it, so memory
+    /// stays bounded whatever the campaign's length.
+    fn can_start(&self, cap: usize) -> bool {
+        let parked = self.in_stage(|s| matches!(s, Stage::Parked(_))).count();
+        self.unstarted < self.len && self.units.len() - parked < cap && parked < cap
+    }
+
+    /// Whether a worker that picked the job would find a slice to run.
+    fn runnable(&self, cap: usize) -> bool {
+        let ready = |s: &Stage| matches!(s, Stage::Ready(_));
+        self.can_start(cap) || self.in_stage(ready).next().is_some()
+    }
+
+    /// The units whose stage passes `pick`, oldest first.
+    fn in_stage(&self, pick: fn(&Stage) -> bool) -> impl Iterator<Item = usize> + '_ {
+        let units = self.units.iter().filter(move |(_, u)| pick(&u.stage));
+        units.map(|(&i, _)| i)
+    }
+
+    /// Hands a worker the job's next slice: its oldest waiting unit, or
+    /// else its next unstarted one. Returns the unit, its pause target
+    /// and its paused run; the unit is held until the worker returns it.
+    fn take_slice(
+        &mut self,
+        cap: usize,
+        quantum: u64,
+    ) -> Option<(usize, u64, Option<Box<JobRun>>)> {
+        let waiting = self
+            .units
+            .iter_mut()
+            .find(|(_, u)| matches!(u.stage, Stage::Ready(_)));
+        if let Some((&i, u)) = waiting {
+            let Stage::Ready(run) = std::mem::replace(&mut u.stage, Stage::Held) else {
+                unreachable!("found ready")
+            };
+            return Some((i, u.pause_target, run));
+        }
+        if !self.can_start(cap) {
+            return None;
+        }
+        let unit = self.unstarted;
+        self.unstarted = self.uncommitted_from(unit + self.stride);
+        let fresh = Unit {
+            failures: 0,
+            pause_target: quantum,
+            stage: Stage::Held,
+        };
+        self.units.insert(unit, fresh);
+        Some((unit, quantum, None))
+    }
+
+    /// Whether unit `next` is parked with the journal home: its commit
+    /// is due, and no worker is making it.
+    fn commit_due(&self) -> bool {
+        let parked = self.units.get(&self.next).map(|u| &u.stage);
+        self.journal.is_some() && matches!(parked, Some(Stage::Parked(_)))
+    }
+
+    /// Takes unit `next`'s parked outcome for its commit, if
+    /// [`Self::commit_due`]: the unit is held until the commit ends.
+    fn take_commit(&mut self) -> Option<UnitDone> {
+        if !self.commit_due() {
+            return None;
+        }
+        let unit = self.units.get_mut(&self.next)?;
+        match std::mem::replace(&mut unit.stage, Stage::Held) {
+            Stage::Parked(done) => Some(done),
+            _ => unreachable!("commit_due"),
         }
     }
 
@@ -414,7 +511,7 @@ impl Server {
                     )
                 })?;
             JobStore::remove_stale_snaps(&dir);
-            let js = JobState::new(stored, journal, lines, cfg.quantum);
+            let js = JobState::new(stored, journal, lines);
             if !js.finished() {
                 queue.push(&js.stored.tenant, js.stored.id.clone());
             }
@@ -518,10 +615,11 @@ impl Server {
     /// One worker; all of them run this loop over the same state.
     fn scheduler_loop(&self) {
         let m = &self.inner.metrics;
+        let (quantum, cap) = (self.inner.cfg.quantum, self.inner.max_workers);
         loop {
-            // Pick the next job under the lock, with its unit's paused run
-            // if a slice of the unit already ran.
-            let (id, spec, epochs, target, mut run) = {
+            // Pick the next job under the lock, and a slice of it: its
+            // oldest paused unit's run, or its next unit, fresh.
+            let (id, unit, spec, epochs, target, mut run) = {
                 let mut st = self.lock();
                 loop {
                     // Degraded: the store owes us a successful probe
@@ -544,19 +642,24 @@ impl Server {
                         continue;
                     }
                     if let Some(id) = st.queue.pop() {
-                        self.start_turn(&mut st, &id);
-                        self.grow_if_saturated(&mut st);
-                        let js = &st.jobs[&id];
-                        sync_queue_gauge(m, &st.queue, &js.stored.tenant);
-                        let epochs = js.stored.epochs;
                         let live = st.live(&id);
                         if let Some(since) = live.queued_at.take() {
                             m.sched_wait.observe(since.elapsed().as_secs_f64());
                         }
-                        let (unit, target, paused) =
-                            (live.next, live.pause_target, live.paused.take());
-                        let spec = st.jobs[&id].stored.campaign.job(unit);
-                        break (id, spec, epochs, target, paused);
+                        // A queued job always has a slice to give: only
+                        // a pick takes one, and it re-queues the rest.
+                        let Some((unit, target, paused)) = live.take_slice(cap, quantum) else {
+                            continue;
+                        };
+                        self.start_turn(&mut st);
+                        // The rest of the job goes back in line, for an
+                        // idle worker or, if none is, a new one.
+                        self.requeue(&mut st, &id);
+                        self.grow_if_saturated(&mut st);
+                        let js = &st.jobs[&id];
+                        sync_queue_gauge(m, &st.queue, &js.stored.tenant);
+                        let spec = js.stored.campaign.job(unit);
+                        break (id, unit, spec, js.stored.epochs, target, paused);
                     }
                     // Idle threads hold no simulator memory.
                     dramctrl_runner::release_idle_cache();
@@ -571,114 +674,131 @@ impl Server {
             // Run the slice outside the lock: submits, watches and other
             // tenants' turns are never blocked by simulation work.
             let sliced = catch_unwind(AssertUnwindSafe(|| {
-                let run = run.get_or_insert_with(|| JobRun::start(&spec, epochs));
+                let run = run.get_or_insert_with(|| Box::new(JobRun::start(&spec, epochs)));
                 run.advance(Some(target))
             }));
 
             let mut st = self.lock();
-            let quantum = self.inner.cfg.quantum;
-            let live = st.live(&id);
+            let u = st.live(&id).units.get_mut(&unit);
+            let u = u.expect("a held unit is in flight");
             // Only a pause keeps `run`: a finished or panicked unit's run
             // is dropped with this iteration, so a retry starts from the
             // unit's first request.
-            let done = match sliced {
+            u.stage = match sliced {
                 Ok(SliceOutcome::Paused { injected }) => {
                     m.preemptions.inc();
-                    live.pause_target = injected + quantum;
-                    live.paused = run;
-                    None
+                    u.pause_target = injected + quantum;
+                    Stage::Ready(run)
                 }
                 Ok(SliceOutcome::Done(metrics, artifacts)) => {
-                    let attempts = live.failures + 1;
+                    let attempts = u.failures + 1;
                     let outcome = JobOutcome::Completed { metrics, attempts };
-                    Some(UnitDone { outcome, artifacts })
+                    Stage::Parked(UnitDone { outcome, artifacts })
                 }
                 Err(payload) => {
-                    live.failures += 1;
-                    live.pause_target = quantum;
-                    let outcome = JobOutcome::Failed {
-                        panic_msg: panic_message(payload.as_ref()),
-                        attempts: live.failures,
-                    };
+                    u.failures += 1;
+                    u.pause_target = quantum;
                     // The campaign executor's bound, so failure records
                     // carry identical `attempts` counts either way.
-                    let max_attempts = ExecutorConfig::default().max_attempts;
-                    (live.failures >= max_attempts).then_some(UnitDone {
-                        outcome,
-                        artifacts: None,
-                    })
+                    if u.failures >= ExecutorConfig::default().max_attempts {
+                        let outcome = JobOutcome::Failed {
+                            panic_msg: panic_message(payload.as_ref()),
+                            attempts: u.failures,
+                        };
+                        Stage::Parked(UnitDone {
+                            outcome,
+                            artifacts: None,
+                        })
+                    } else {
+                        Stage::Ready(None)
+                    }
                 }
             };
-            match done {
-                Some(done) => self.commit_unit(st, &id, done),
-                None => {
-                    self.end_turn(&mut st, &id);
-                    self.requeue(&mut st, &id);
-                }
-            }
+            // A finished unit commits now if it is next in index order;
+            // otherwise it stays parked for the worker that commits its
+            // predecessor.
+            let mut st = self.commit_in_order(st, &id);
+            self.end_turn(&mut st);
+            self.requeue(&mut st, &id);
         }
     }
 
-    /// Hands job `id` to the calling worker until [`Self::end_turn`].
-    fn start_turn(&self, st: &mut State, id: &str) {
-        st.live(id).turn = true;
+    /// Counts the calling worker busy until [`Self::end_turn`].
+    fn start_turn(&self, st: &mut State) {
         st.busy += 1;
         self.inner.metrics.sched_workers_busy.set(st.busy as f64);
     }
 
-    /// The calling worker is done with job `id`.
-    fn end_turn(&self, st: &mut State, id: &str) {
-        st.live(id).turn = false;
+    /// The calling worker is done with its slice and its commits.
+    fn end_turn(&self, st: &mut State) {
         st.busy -= 1;
         self.inner.metrics.sched_workers_busy.set(st.busy as f64);
     }
 
-    /// Commits job `id`'s finished unit, its I/O with the state lock
-    /// released. The job's journal is lent to this worker: the job is out
-    /// of the queue until the commit ends, so it still has exactly one
-    /// unit in flight and its journal gets a serial run's bytes.
-    /// Artifacts and the journal commit land with nothing locked; then
-    /// the journal goes back, and [`Self::finish_unit`] broadcasts under
-    /// the lock. A store that refuses parks the outcome on the job
-    /// instead: it is never lost and the simulation never re-runs. The
-    /// same call lands a parked outcome later: the journal forgot the
-    /// refused record, and its next append cuts the bytes that record
-    /// left behind.
-    fn commit_unit(&self, mut st: MutexGuard<'_, State>, id: &str, done: UnitDone) {
-        let dir = st.store.job_dir(id);
-        let js = st.jobs.get_mut(id).expect("a held job is in the table");
-        let live = js.live.as_mut().expect("a held job is unfinished");
-        let mut journal = live.journal.take().expect("a held job's journal is home");
-        let rec = JobRecord {
-            job: js.stored.campaign.job(live.next),
-            outcome: done.outcome.clone(),
-        };
-        let name = js.stored.campaign.name.clone();
-        drop(st);
-
-        // The unit's one render: the journal appends these bytes and the
-        // broadcast sends them.
-        let line = rec.render(&name);
+    /// Commits job `id`'s parked outcomes that are next in index order,
+    /// one record at a time, each with its I/O done with the state lock
+    /// released. Under the lock, the worker takes the job's journal and
+    /// unit `next`'s outcome; no other worker can commit for the job
+    /// until the journal comes back, so its commits land in index order
+    /// and its journal gets a serial run's bytes, however many of its
+    /// units ran at once. Artifacts and the journal commit land with
+    /// nothing locked; then the journal goes back, and
+    /// [`Self::finish_unit`] broadcasts under the lock — and the next
+    /// unit, if it finished meanwhile, commits the same way. A store that
+    /// refuses parks the outcome again instead: it is never lost and the
+    /// simulation never re-runs. The same call lands a parked outcome
+    /// later: the journal forgot the refused record, and its next append
+    /// cuts the bytes that record left behind.
+    fn commit_in_order<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State>,
+        id: &str,
+    ) -> MutexGuard<'a, State> {
         let m = &self.inner.metrics;
-        let committed = write_commit(m, &dir, &mut journal, &rec, &line, &done).map(|()| line);
+        loop {
+            let dir = st.store.job_dir(id);
+            // The job finished (and may have been collected) with the
+            // previous commit.
+            let Some(js) = st.jobs.get_mut(id) else {
+                return st;
+            };
+            let Some(live) = js.live.as_mut() else {
+                return st;
+            };
+            let Some(done) = live.take_commit() else {
+                return st;
+            };
+            let mut journal = live.journal.take().expect("take_commit found it home");
+            let rec = JobRecord {
+                job: js.stored.campaign.job(live.next),
+                outcome: done.outcome.clone(),
+            };
+            let name = js.stored.campaign.name.clone();
+            drop(st);
 
-        let mut st = self.lock();
-        st.live(id).journal = Some(journal);
-        self.end_turn(&mut st, id);
-        match committed {
-            Ok(line) => self.finish_unit(&mut st, id, &done, &line),
-            Err(e) => {
-                st.live(id).refused = Some(done);
+            // The unit's one render: the journal appends these bytes and
+            // the broadcast sends them.
+            let line = rec.render(&name);
+            let committed = write_commit(m, &dir, &mut journal, &rec, &line, &done);
+
+            st = self.lock();
+            let live = st.live(id);
+            live.journal = Some(journal);
+            if let Err(e) = committed {
+                let unit = live.units.get_mut(&live.next);
+                unit.expect("a committing unit is in flight").stage = Stage::Parked(done);
                 self.enter_degraded(&mut st, &e.to_string());
+                return st;
             }
+            self.finish_unit(&mut st, id, &done, &line);
         }
     }
 
     /// The bookkeeping half of finishing a unit whose commit landed:
-    /// counters, failure reset, broadcast of `line` (the record) and the
-    /// unit's events, metrics, re-queue, releasing a finished job's
-    /// working set. Broadcast happens only after the commit lands, so
-    /// nothing a watcher sees can be lost to a store failure.
+    /// counters, broadcast of `line` (the record) and the unit's events,
+    /// metrics, re-queue, releasing a finished job's working set.
+    /// Broadcast happens only after the commit lands, so nothing a
+    /// watcher sees can be lost to a store failure.
     fn finish_unit(&self, st: &mut State, id: &str, done: &UnitDone, line: &str) {
         let m = &self.inner.metrics;
         let js = st.jobs.get_mut(id).expect("a held job is in the table");
@@ -686,11 +806,10 @@ impl Server {
         let unit = live.next;
         js.done += 1;
         js.failed += usize::from(done.outcome.is_failed());
-        live.skip_committed();
-        live.failures = 0;
-        live.pause_target = self.inner.cfg.quantum;
-
+        live.units.remove(&unit);
         live.lines.insert(unit, done.outcome.is_failed(), line);
+        live.next = live.uncommitted_from(unit);
+
         live.broadcast(&record_event(id, unit, line), m);
         if let Some(a) = &done.artifacts {
             live.broadcast(&text_event("stats", id, unit, &a.stats_json), m);
@@ -714,6 +833,7 @@ impl Server {
                 m.units_per_second.set(done as f64 / elapsed);
             }
         }
+        // A commit frees a place for the job's next unit.
         self.requeue(st, id);
         // A completion may push the finished-job count past the
         // retention limit; trim eagerly so disk use stays bounded
@@ -753,12 +873,12 @@ impl Server {
 
     /// One recovery attempt: probe the store root, under the lock. A
     /// failure doubles the backoff (capped).
-    /// Success leaves degraded mode, then lands each parked outcome, in
-    /// job-id order, through [`Self::commit_unit`] — its I/O unlocked like
-    /// any commit's. Each job's journal is its own file, so the order
-    /// moves no byte. A landing the store refuses parks its outcome again
-    /// and re-enters degraded mode; the outcomes behind it wait for the
-    /// next attempt.
+    /// Success leaves degraded mode, then lands each refused job's parked
+    /// outcomes, in job-id order, through [`Self::commit_in_order`] — its
+    /// I/O unlocked like any commit's. Each job's journal is its own
+    /// file, so the order moves no byte. A landing the store refuses parks
+    /// its outcome again and re-enters degraded mode; the outcomes behind
+    /// it wait for the next attempt.
     fn try_store_recovery<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         let m = &self.inner.metrics;
         m.store_retries.inc();
@@ -788,17 +908,21 @@ impl Server {
             )
         );
         self.inner.work.notify_all();
-        while st.degraded.is_none() {
-            let parked = st.jobs.iter_mut().find_map(|(id, js)| {
-                let done = js.live.as_mut()?.refused.take()?;
-                Some((id.clone(), done))
-            });
-            let Some((id, done)) = parked else {
+        // A job whose next unit is parked with its journal home was
+        // refused: a healthy commit never leaves one behind.
+        let refused: Vec<String> = st
+            .jobs
+            .iter()
+            .filter(|(_, js)| js.live.as_ref().is_some_and(LiveJob::commit_due))
+            .map(|(id, _)| id.clone())
+            .collect();
+        for id in refused {
+            if st.degraded.is_some() {
                 break;
-            };
-            self.start_turn(&mut st, &id);
-            self.commit_unit(st, &id, done);
-            st = self.lock();
+            }
+            self.start_turn(&mut st);
+            st = self.commit_in_order(st, &id);
+            self.end_turn(&mut st);
         }
         // Degraded again before every parked outcome landed: the same
         // outage, so it keeps its start and its backoff — a store that
@@ -812,13 +936,19 @@ impl Server {
         st
     }
 
-    /// Puts an unfinished job back in rotation after its turn, and wakes
-    /// an idle worker for it.
+    /// Puts job `id` back in line if it has a slice to give and is not in
+    /// line already, and wakes an idle worker for it.
     fn requeue(&self, st: &mut State, id: &str) {
-        let js = st.jobs.get_mut(id).expect("a held job is in the table");
+        let cap = self.inner.max_workers;
+        let Some(js) = st.jobs.get_mut(id) else {
+            return; // finished and collected
+        };
         let Some(live) = js.live.as_mut() else {
             return; // finished
         };
+        if live.queued_at.is_some() || !live.runnable(cap) {
+            return; // in line already, or every unit it may run is held
+        }
         live.queued_at = Some(Instant::now());
         st.queue.push(&js.stored.tenant, id.to_owned());
         sync_queue_gauge(&self.inner.metrics, &st.queue, &js.stored.tenant);
@@ -970,12 +1100,7 @@ impl Server {
                 return self.reject(&mut st, tenant, "store_unavailable", &msg);
             }
         };
-        let js = JobState::new(
-            stored,
-            journal,
-            JournalLines::default(),
-            self.inner.cfg.quantum,
-        );
+        let js = JobState::new(stored, journal, JournalLines::default());
         let (id, total) = (js.stored.id.clone(), js.total);
         if !js.finished() {
             st.queue.push(&js.stored.tenant, id.clone());
@@ -1155,8 +1280,9 @@ impl Drop for ConnGuard {
 
 /// Renders `"jobs":[...],"tenants":[...]` — shared by the `status`
 /// protocol event and the HTTP `/jobs` body. Jobs come straight from
-/// the journals (so the view survives restarts); the tenant rollup adds
-/// queue depth, the units in flight, and this process's rejection tally.
+/// the journals (so the view survives restarts), each unfinished job with
+/// the oldest unit a worker holds as `unit`; the tenant rollup adds queue
+/// depth, every unit a worker holds, and this process's rejection tally.
 fn jobs_tenants_json(st: &State) -> String {
     let mut jobs = String::new();
     struct Roll {
@@ -1171,7 +1297,9 @@ fn jobs_tenants_json(st: &State) -> String {
         if !jobs.is_empty() {
             jobs.push(',');
         }
-        let running_unit = js.live.as_ref().filter(|l| l.turn).map(|l| l.next);
+        let held: Vec<usize> = js.live.as_ref().map_or(Vec::new(), |l| {
+            l.in_stage(|s| matches!(s, Stage::Held)).collect()
+        });
         jobs.push_str(&format!(
             "{{\"id\":{},\"tenant\":{},\"done\":{},\"failed\":{},\"total\":{},\"state\":{}{}{}}}",
             json_str(id),
@@ -1184,7 +1312,7 @@ fn jobs_tenants_json(st: &State) -> String {
                 Some((i, n)) => format!(",\"shard\":\"{i}/{n}\""),
                 None => String::new(),
             },
-            match running_unit {
+            match held.first() {
                 Some(u) => format!(",\"unit\":{u}"),
                 None => String::new(),
             },
@@ -1199,7 +1327,7 @@ fn jobs_tenants_json(st: &State) -> String {
         roll.active += usize::from(!js.finished());
         roll.served += js.done;
         roll.failed += js.failed;
-        if let Some(u) = running_unit {
+        for u in held {
             let job = json_str(id);
             roll.running.push(format!("{{\"job\":{job},\"unit\":{u}}}"));
         }
@@ -1378,7 +1506,7 @@ mod tests {
             campaign: c,
             shard: None,
         };
-        let mut js = JobState::new(stored, journal, JournalLines::default(), 0)
+        let mut js = JobState::new(stored, journal, JournalLines::default())
             .live
             .unwrap();
         let m = ServeMetrics::new();

@@ -30,7 +30,9 @@
 //!
 //! Accept and commit are the *only* durable transitions. Preemption
 //! writes nothing: a paused unit lives in the daemon's memory, and a
-//! crash re-runs at most the one unit each job had in flight.
+//! crash re-runs at most the units each job had in flight or had parked
+//! (finished, waiting for an earlier unit's commit), never a committed
+//! one.
 //!
 //! Recovery replays the accept log, resumes every job journal (torn
 //! tails truncated, keep-first dedup), deletes `unit-*.snap` preemption

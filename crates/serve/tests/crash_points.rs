@@ -56,9 +56,10 @@ fn every_campaign_crash_point_recovers_byte_identically() {
 
 #[test]
 fn every_pool_crash_point_recovers_byte_identically_and_reruns_only_uncommitted_units() {
-    // A two-worker daemon with two tenants' jobs in flight. The explorer
-    // fails a crash point whose restart simulates anything but the units
-    // that had no journal record yet — per job, the one it had in flight.
+    // A two-worker daemon with two tenants' jobs in flight, then a third
+    // job alone with both its units in flight. The explorer fails a crash
+    // point whose restart simulates anything but the units that had no
+    // journal record yet — per job, those it had in flight or parked.
     let (ok, report, log) = explore("pool");
     assert!(ok, "explorer failed:\n{log}");
     let lines: Vec<&str> = report.lines().collect();

@@ -260,6 +260,64 @@ fn two_workers_commits_failing_in_one_episode_both_land_exactly_once() {
 }
 
 #[test]
+fn a_lone_job_on_two_workers_lands_every_parked_outcome_once_and_in_order() {
+    let root = tmp("parked-lone");
+    let store = root.join("store");
+    let mut cfg = ServeConfig::new(&store);
+    cfg.workers = 2;
+    cfg.quantum = u64::MAX; // one slice per unit: slices count simulations
+    let (addr, server) = spawn(cfg);
+    let c = Campaign::new("lone-sweep", 42)
+        .read_pcts([0, 25, 50, 100])
+        .requests([20_000]);
+    let (want, want_journal) = reference(&c, &root.join("ref"));
+
+    // Write 1 of the journal is its header, write 2 unit 0's commit. Tear
+    // that commit and the next two attempts to land it: an outage of at
+    // least two backoff delays, while unit 1, run beside unit 0 on the
+    // other worker, finishes and parks behind it.
+    let _guard = fault::arm_str(&format!(
+        "short,op=write,path={}/job-0001/journal,from=2,to=4",
+        store.display()
+    ))
+    .unwrap();
+
+    let mut client = Client::connect(&addr).unwrap();
+    let (id, _) = client.submit("alice", 0, &c).unwrap();
+    let mut seen = Vec::new();
+    client
+        .watch(&id, |v, line| {
+            if v.get("event").and_then(Value::as_str) == Some("record") {
+                let i = v.get("index").and_then(Value::as_u64).unwrap();
+                seen.push((i, proto::record_data(line).unwrap().to_owned()));
+            }
+        })
+        .unwrap();
+    let indices: Vec<u64> = seen.iter().map(|&(i, _)| i).collect();
+    assert_eq!(indices, [0, 1, 2, 3], "each record once, in index order");
+    let got: String = seen.into_iter().map(|(_, l)| l + "\n").collect();
+    assert_eq!(got, want);
+    let journal = std::fs::read_to_string(store.join(&id).join("journal.jsonl")).unwrap();
+    assert_eq!(journal, want_journal, "torn bytes must not survive");
+
+    wait_until("degraded exit", Duration::from_secs(10), || {
+        server.health().is_ok()
+    });
+    let m = server.metrics();
+    assert!(
+        m.store_retries.get() >= 2,
+        "the first landing was refused too"
+    );
+    wait_until("the last unit's counter", Duration::from_secs(10), || {
+        m.units_completed.get() + m.units_failed.get() == 4
+    });
+    assert_eq!((m.units_completed.get(), m.units_failed.get()), (4, 0));
+    // One pick per slice and one slice per unit: the parked outcomes were
+    // committed from memory, never simulated again.
+    assert_eq!(m.sched_wait.count(), 4, "a unit ran twice");
+}
+
+#[test]
 fn a_store_fault_at_a_preemption_never_fails_a_healthy_unit() {
     let root = tmp("preempt-fault");
     let c = campaign("sweep");

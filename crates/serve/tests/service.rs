@@ -396,13 +396,24 @@ fn http_endpoints_expose_metrics_health_and_jobs() {
         "dramctrl_executor_units_per_second",
         "dramctrl_sched_preemptions_total",
         "dramctrl_sched_wait_seconds_count",
-        // One job never needs a second worker, and the one it had went
-        // idle before the `done` the watch waited for was broadcast.
-        "dramctrl_sched_workers 1\n",
+        // Every worker went idle before the `done` the watch waited for
+        // was broadcast.
         "dramctrl_sched_workers_busy 0\n",
     ] {
         assert!(body.contains(needle), "missing {needle} in:\n{body}");
     }
+    // A lone job's three units spread over the pool: at most one worker
+    // per unit, and no more than the host's cores.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let workers: usize = body
+        .lines()
+        .find_map(|l| l.strip_prefix("dramctrl_sched_workers "))
+        .and_then(|v| v.parse().ok())
+        .expect("the worker gauge");
+    assert!(
+        (1..=cores.min(total)).contains(&workers),
+        "{workers} workers"
+    );
 
     let (code, head, body) = http_request(&http, "GET", "/metrics.json");
     assert_eq!(code, 200);
@@ -758,11 +769,14 @@ fn watch_records(addr: &str, id: &str) -> String {
 #[test]
 fn every_worker_count_streams_the_same_bytes_and_preempts_the_same() {
     let root = tmp("pool-bytes");
-    // Three jobs from two tenants at a 200-request quantum: more jobs
-    // than a 2-worker pool has workers, so a run one worker pauses is
-    // routinely resumed by the other, 25 times per unit.
-    let jobs = [("alice", "a1"), ("bob", "b1"), ("alice", "a2")].map(|(tenant, name)| {
-        let c = campaign(name);
+    // One job of nine units from one tenant at a 200-request quantum: a
+    // pool runs as many of its units at once as it has workers, so a run
+    // one worker pauses is routinely resumed by another, 25 times per
+    // unit, and units finish out of index order.
+    let jobs = [("alice", "solo")].map(|(tenant, name)| {
+        let c = Campaign::new(name, 42)
+            .read_pcts([0, 10, 25, 40, 50, 60, 75, 90, 100])
+            .requests([5_000]);
         let dir = root.join(format!("ref-{name}"));
         let records = reference_jsonl(&c, &dir);
         let journal = std::fs::read_to_string(dir.join("ref.jsonl")).unwrap();
@@ -778,7 +792,7 @@ fn every_worker_count_streams_the_same_bytes_and_preempts_the_same() {
             .iter()
             .map(|(tenant, c, ..)| client.submit(tenant, 0, c).unwrap().0)
             .collect();
-        // All three watched at once: every job is in flight together.
+        // Watched while it runs: records arrive as its units commit.
         let streams: Vec<String> = std::thread::scope(|s| {
             let watchers: Vec<_> = ids
                 .iter()
@@ -854,5 +868,47 @@ fn a_late_guest_finishes_while_two_hogs_hold_both_workers() {
             "the guest finished only after {id}'s unit: {}",
             status.encode()
         );
+    }
+}
+
+#[test]
+fn a_lone_hog_holds_both_workers() {
+    let root = tmp("pool-lone");
+    let (addr, server) = spawn_daemon_pool(root.join("store"), 200, 2);
+    // Two long units of one job, never watched to their end (the daemon
+    // is dropped with both still running).
+    let hog = Campaign::new("hog", 3)
+        .read_pcts([50, 100])
+        .requests([4_000_000]);
+    let mut client = Client::connect(&addr).unwrap();
+    let (id, _) = client.submit("hog", 0, &hog).unwrap();
+    // The busy gauge dips between a worker's slices, so poll for it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let text = server.metrics_exposition();
+        let both_busy = text.contains("dramctrl_sched_workers 2\n")
+            && text.contains("dramctrl_sched_workers_busy 2\n");
+        let status = client.status().unwrap();
+        let tenants = status.get("tenants").and_then(Value::as_arr).unwrap();
+        let running = tenants[0].get("running").and_then(Value::as_arr).unwrap();
+        let units: Vec<_> = running
+            .iter()
+            .map(|r| {
+                let job = r.get("job").and_then(Value::as_str);
+                (
+                    job.map(str::to_owned),
+                    r.get("unit").and_then(Value::as_u64),
+                )
+            })
+            .collect();
+        if both_busy && units == [(Some(id.clone()), Some(0)), (Some(id.clone()), Some(1))] {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the lone hog never held both workers: {}\n{text}",
+            status.encode()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
 }

@@ -105,7 +105,8 @@ fn a_held_commit_blocks_neither_another_tenant_nor_status_and_its_watch_sees_eac
     let (want_a, journal_a) = reference(&ca, &root.join("ref-a"));
     let (want_b, journal_b) = reference(&cb, &root.join("ref-b"));
 
-    // A alone: the one worker takes it, and its first commit is held.
+    // A alone: its units run on both workers, and its first commit is
+    // held; the units after it finish and park behind it.
     let mut client = connect(&addr);
     let (ia, _) = client.submit("alice", 0, &ca).unwrap();
     assert_eq!(ia, "job-0001");
@@ -125,8 +126,8 @@ fn a_held_commit_blocks_neither_another_tenant_nor_status_and_its_watch_sees_eac
         std::thread::spawn(move || watch_records(&addr, &ia))
     };
 
-    // B arrives during the hold, while the only worker sits in A's fsync:
-    // the submit itself brings up a second worker, and B runs to `done`.
+    // B arrives during the hold, while one worker sits in A's fsync: the
+    // other runs B to `done`.
     let (ib, _) = client.submit("bob", 0, &cb).unwrap();
     assert_eq!(
         report(watch_records(&addr, &ib)),
