@@ -40,7 +40,7 @@
 //! # Example
 //!
 //! ```
-//! use dramctrl::PagePolicy;
+//! use dramctrl_mem::PagePolicy;
 //! use dramctrl_campaign::{run_campaign, Campaign, ExecutorConfig, JobMetrics};
 //!
 //! let campaign = Campaign::new("demo", 42)

@@ -13,10 +13,9 @@
 //! the report table's axis columns and the wire codec
 //! ([`campaign_to_wire`], [`campaign_from_wire`]).
 
-use dramctrl::{PagePolicy, SchedPolicy};
 use dramctrl_kernel::json::{escape_into, json_f64, Value};
 use dramctrl_kernel::rng::splitmix64;
-use dramctrl_mem::AddrMapping;
+use dramctrl_mem::{AddrMapping, PagePolicy, SchedPolicy};
 use std::fmt::{self, Write as _};
 
 /// Which controller model a job simulates.
@@ -329,7 +328,7 @@ macro_rules! axes {
         /// names the axes it actually sweeps:
         ///
         /// ```
-        /// use dramctrl::PagePolicy;
+        /// use dramctrl_mem::PagePolicy;
         /// use dramctrl_campaign::Campaign;
         ///
         /// let jobs = Campaign::new("policy-sweep", 42)

@@ -7,13 +7,13 @@ use dramctrl_kernel::{EventQueue, SimStall, Tick};
 use dramctrl_mem::protocol::Scope;
 use dramctrl_mem::{
     burst_count, chop, snapio, ActivityStats, BurstGroup, Decoder, DramAddr, GroupArena, MemCmd,
-    MemRequest, MemResponse,
+    MemRequest, MemResponse, PagePolicy, SchedPolicy,
 };
 use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, PowerState, Probe};
 use dramctrl_ras::FaultModel;
 
 use crate::bank::Rank;
-use crate::config::{ConfigError, CtrlConfig, PagePolicy, SchedPolicy};
+use crate::config::{ConfigError, CtrlConfig};
 #[cfg(test)]
 use crate::queue::covers;
 use crate::queue::DramPacket;

@@ -408,7 +408,7 @@ pub fn split_by_channel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PagePolicy, SchedPolicy};
+    use crate::{PagePolicy, SchedPolicy};
     use dramctrl_mem::presets;
     use dramctrl_ras::EccMode;
 

@@ -58,10 +58,14 @@ mod queue;
 mod sched;
 mod stats;
 
-pub use config::{ConfigError, CtrlConfig, PagePolicy, SchedPolicy};
+pub use config::{ConfigError, CtrlConfig};
 pub use ctrl::{DramCtrl, SendError};
 pub use stats::CtrlStats;
 
 // Re-exported so front ends configure RAS without a direct `dramctrl-ras`
 // dependency.
 pub use dramctrl_ras::{EccMode, FaultModel, RasConfig};
+
+// The policies are defined once, in `dramctrl-mem`, for both timing
+// models; re-exported so the controller's config names them here too.
+pub use dramctrl_mem::{PagePolicy, SchedPolicy};

@@ -1,37 +1,8 @@
 //! Configuration of the cycle-based baseline controller.
 
-use dramctrl_mem::{AddrMapping, MemSpec};
+use dramctrl_mem::{AddrMapping, MemSpec, PagePolicy, SchedPolicy};
 use dramctrl_ras::RasConfig;
 use std::fmt;
-
-/// Row-buffer policy of the baseline (DRAMSim2 offers open and closed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CyclePagePolicy {
-    /// Rows stay open until a conflict.
-    #[default]
-    Open,
-    /// Auto-precharge after every column access.
-    Closed,
-}
-
-impl fmt::Display for CyclePagePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CyclePagePolicy::Open => "open",
-            CyclePagePolicy::Closed => "closed",
-        })
-    }
-}
-
-/// Transaction scheduling policy of the baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CycleSched {
-    /// Strict in-order service (head-of-line blocking).
-    Fcfs,
-    /// First-ready FCFS over the unified transaction queue.
-    #[default]
-    FrFcfs,
-}
 
 /// Configuration of the cycle-based controller.
 ///
@@ -50,10 +21,16 @@ pub struct CycleConfig {
     pub queue_depth: usize,
     /// Address decoding scheme.
     pub mapping: AddrMapping,
-    /// Row-buffer policy.
-    pub page_policy: CyclePagePolicy,
-    /// Scheduling policy.
-    pub scheduling: CycleSched,
+    /// Row-buffer policy. DRAMSim2 has no adaptive policies, so the
+    /// baseline runs [`PagePolicy::OpenAdaptive`] as [`PagePolicy::Open`]
+    /// and [`PagePolicy::ClosedAdaptive`] as [`PagePolicy::Closed`]: it
+    /// auto-precharges after every column access exactly when the policy
+    /// is not [`is_open`](PagePolicy::is_open).
+    pub page_policy: PagePolicy,
+    /// Scheduling policy: [`SchedPolicy::Fcfs`] is strict in-order service
+    /// (head-of-line blocking), [`SchedPolicy::FrFcfs`] first-ready FCFS
+    /// over the unified transaction queue.
+    pub scheduling: SchedPolicy,
     /// Number of channels interleaved upstream (skipped in decode).
     pub channels: u32,
     /// Snoop queued writes on arrival: merge fully-covered incoming
@@ -80,8 +57,8 @@ impl CycleConfig {
             spec,
             queue_depth: 64,
             mapping: AddrMapping::RoRaBaCoCh,
-            page_policy: CyclePagePolicy::Open,
-            scheduling: CycleSched::FrFcfs,
+            page_policy: PagePolicy::Open,
+            scheduling: SchedPolicy::FrFcfs,
             channels: 1,
             write_snooping: false,
             ras: None,
@@ -144,7 +121,9 @@ mod tests {
 
     #[test]
     fn policy_names() {
-        assert_eq!(CyclePagePolicy::Open.to_string(), "open");
-        assert_eq!(CyclePagePolicy::Closed.to_string(), "closed");
+        // DRAMSim2's defaults, in the names both timing models share.
+        let c = CycleConfig::new(presets::ddr3_1333_x64());
+        assert_eq!(c.page_policy.to_string(), "open");
+        assert_eq!(c.scheduling.to_string(), "frfcfs");
     }
 }

@@ -17,13 +17,14 @@ use dramctrl_kernel::{Clock, EventQueue, Tick};
 use dramctrl_mem::protocol::{Edge, ProtocolState};
 use dramctrl_mem::{
     burst_count, chop, snapio, ActivityStats, BurstGroup, CommonStats, Controller, Decoder,
-    DramAddr, GroupArena, MemCmd, MemRequest, MemResponse, MemSpec, Rejected, Rule, WriteCoverage,
+    DramAddr, GroupArena, MemCmd, MemRequest, MemResponse, MemSpec, Rejected, Rule, SchedPolicy,
+    WriteCoverage,
 };
 use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, Probe};
 use dramctrl_ras::FaultModel;
 use dramctrl_stats::{Average, Report};
 
-use crate::config::{CycleConfig, CycleConfigError, CyclePagePolicy, CycleSched};
+use crate::config::{CycleConfig, CycleConfigError};
 
 #[derive(Debug, Clone, Default)]
 struct CycBank {
@@ -331,12 +332,12 @@ impl<P: Probe> CycleCtrl<P> {
 
         // Transaction scheduling.
         match self.cfg.scheduling {
-            CycleSched::Fcfs => {
+            SchedPolicy::Fcfs => {
                 if !self.queue.is_empty() {
                     self.try_progress(0, c);
                 }
             }
-            CycleSched::FrFcfs => {
+            SchedPolicy::FrFcfs => {
                 // Pass 1: oldest row hit whose column command is issuable.
                 let hit = (0..self.queue.len()).find(|&i| self.col_issuable(i, c));
                 if let Some(i) = hit {
@@ -410,7 +411,7 @@ impl<P: Probe> CycleCtrl<P> {
         self.emit(ev);
         self.probe_queue_depth(self.clk.cycles(c));
 
-        if self.cfg.page_policy == CyclePagePolicy::Closed {
+        if !self.cfg.page_policy.is_open() {
             // Auto-precharge at the first cycle the table allows a PRE,
             // recorded ahead of the commands that issue before it.
             let (r, b) = (txn.da.rank, txn.da.bank);
@@ -491,7 +492,7 @@ impl<P: Probe> CycleCtrl<P> {
                 // closing it would throw their locality away; FR-FCFS will
                 // serve those hits first. Under strict FCFS the head must
                 // make progress unconditionally or the queue deadlocks.
-                let hit_pending = self.cfg.scheduling == CycleSched::FrFcfs
+                let hit_pending = self.cfg.scheduling == SchedPolicy::FrFcfs
                     && self
                         .queue
                         .iter()

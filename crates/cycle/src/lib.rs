@@ -24,7 +24,7 @@
 mod config;
 mod ctrl;
 
-pub use config::{CycleConfig, CycleConfigError, CyclePagePolicy, CycleSched};
+pub use config::{CycleConfig, CycleConfigError};
 pub use ctrl::{CycleCtrl, CycleStats};
 
 // Re-exported so front ends configure RAS without a direct `dramctrl-ras`

@@ -1,9 +1,10 @@
 //! Tests for the cycle-based baseline: cycle-exact latencies, refresh,
 //! flow control, and first-order agreement with the event-based model.
 
-use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
+use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_mem::{
-    presets, AddrMapping, Controller, Decoder, DramAddr, MemRequest, Rejected, ReqId,
+    presets, AddrMapping, Controller, Decoder, DramAddr, MemRequest, PagePolicy, Rejected, ReqId,
+    SchedPolicy,
 };
 
 fn ctrl_with(f: impl FnOnce(&mut CycleConfig)) -> CycleCtrl {
@@ -94,7 +95,7 @@ fn unified_queue_interleaves_reads_and_writes() {
     // DRAMSim2-style: no write drain mode, so a write between two reads to
     // the same row is serviced in arrival order under FCFS, paying both
     // turnarounds.
-    let mut c = ctrl_with(|cfg| cfg.scheduling = CycleSched::Fcfs);
+    let mut c = ctrl_with(|cfg| cfg.scheduling = SchedPolicy::Fcfs);
     c.try_send(MemRequest::read(ReqId(0), addr(0, 5, 0), 64), 0)
         .unwrap();
     c.try_send(MemRequest::write(ReqId(1), addr(0, 5, 1), 64), 0)
@@ -114,7 +115,7 @@ fn unified_queue_interleaves_reads_and_writes() {
 
 #[test]
 fn closed_page_auto_precharges() {
-    let mut c = ctrl_with(|cfg| cfg.page_policy = CyclePagePolicy::Closed);
+    let mut c = ctrl_with(|cfg| cfg.page_policy = PagePolicy::Closed);
     for i in 0..2 {
         c.try_send(MemRequest::read(ReqId(i), addr(0, 5, i), 64), 0)
             .unwrap();
@@ -203,7 +204,7 @@ fn deterministic_across_runs() {
 
 #[test]
 fn activity_tracks_precharged_time() {
-    let mut c = ctrl_with(|cfg| cfg.page_policy = CyclePagePolicy::Closed);
+    let mut c = ctrl_with(|cfg| cfg.page_policy = PagePolicy::Closed);
     c.try_send(MemRequest::read(ReqId(0), addr(0, 5, 0), 64), 0)
         .unwrap();
     let mut out = Vec::new();
@@ -265,7 +266,7 @@ fn models_agree_on_sequential_reads() {
 /// the queue deadlocks (the hit can never be served out of order).
 #[test]
 fn fcfs_head_conflict_with_trailing_hit_makes_progress() {
-    let mut c = ctrl_with(|cfg| cfg.scheduling = CycleSched::Fcfs);
+    let mut c = ctrl_with(|cfg| cfg.scheduling = SchedPolicy::Fcfs);
     // Open row 5, then queue a conflict (row 6) ahead of a hit (row 5).
     c.try_send(MemRequest::read(ReqId(0), addr(0, 5, 0), 64), 0)
         .unwrap();
@@ -358,7 +359,7 @@ fn tracing_is_zero_perturbation() {
     use dramctrl_obs::ChromeTracer;
 
     let mut cfg = CycleConfig::new(presets::ddr3_1333_x64());
-    cfg.page_policy = CyclePagePolicy::Open;
+    cfg.page_policy = PagePolicy::Open;
     let mut plain = CycleCtrl::new(cfg.clone()).unwrap();
     let mut traced =
         CycleCtrl::with_probe(cfg, (ChromeTracer::new(), EpochRecorder::new(1_000_000))).unwrap();
@@ -427,8 +428,8 @@ fn zero_rate_ras_is_transparent() {
             .join("\n")
     };
 
-    for policy in [CyclePagePolicy::Open, CyclePagePolicy::Closed] {
-        for sched in [CycleSched::Fcfs, CycleSched::FrFcfs] {
+    for policy in [PagePolicy::Open, PagePolicy::Closed] {
+        for sched in [SchedPolicy::Fcfs, SchedPolicy::FrFcfs] {
             let mut cfg = CycleConfig::new(presets::ddr3_1333_x64());
             cfg.page_policy = policy;
             cfg.scheduling = sched;
@@ -594,8 +595,8 @@ fn checkpoint_restore_equivalent() {
     use dramctrl_obs::ChromeTracer;
 
     let mut cfgs = Vec::new();
-    for policy in [CyclePagePolicy::Open, CyclePagePolicy::Closed] {
-        for sched in [CycleSched::Fcfs, CycleSched::FrFcfs] {
+    for policy in [PagePolicy::Open, PagePolicy::Closed] {
+        for sched in [SchedPolicy::Fcfs, SchedPolicy::FrFcfs] {
             let mut cfg = CycleConfig::new(presets::ddr3_1333_x64());
             cfg.page_policy = policy;
             cfg.scheduling = sched;

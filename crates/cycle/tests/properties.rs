@@ -2,9 +2,11 @@
 //! invariants of the event-based controller's suite: conservation of
 //! requests, ordering of responses and statistics consistency.
 
-use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
+use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_kernel::rng::Rng;
-use dramctrl_mem::{presets, AddrMapping, Controller, MemRequest, Rejected, ReqId};
+use dramctrl_mem::{
+    presets, AddrMapping, Controller, MemRequest, PagePolicy, Rejected, ReqId, SchedPolicy,
+};
 
 /// A seeded batch of requests with mixed commands, sizes and localities.
 fn requests(rng: &mut Rng) -> Vec<(bool, u64, u32)> {
@@ -34,14 +36,14 @@ fn one_response_per_request() {
         let mut cfg = CycleConfig::new(presets::ddr3_1333_x64());
         cfg.spec.timing.t_refi = 0;
         cfg.page_policy = if closed {
-            CyclePagePolicy::Closed
+            PagePolicy::Closed
         } else {
-            CyclePagePolicy::Open
+            PagePolicy::Open
         };
         cfg.scheduling = if fcfs {
-            CycleSched::Fcfs
+            SchedPolicy::Fcfs
         } else {
-            CycleSched::FrFcfs
+            SchedPolicy::FrFcfs
         };
         cfg.mapping = [
             AddrMapping::RoRaBaCoCh,

@@ -235,11 +235,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` `delay` ticks from now.
-    pub fn schedule_in(&mut self, delay: Tick, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// The smallest `(tick, seq)` over the run fronts and the heap top.
     #[inline]
     fn scan(&self) -> Option<Next> {
@@ -484,15 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(100, "x");
-        q.pop();
-        q.schedule_in(5, "y");
-        assert_eq!(q.pop(), Some((105, "y")));
-    }
-
-    #[test]
     fn with_capacity_behaves_like_new() {
         let mut q = EventQueue::with_capacity(16);
         assert_eq!(q.now(), 0);
@@ -599,8 +585,8 @@ mod tests {
             assert_eq!(restored.now(), q.now());
             assert_eq!(restored.len(), q.len());
             // Future scheduling interleaves identically (same seq counter).
-            q.schedule_in(1, 999);
-            restored.schedule_in(1, 999);
+            q.schedule(q.now() + 1, 999);
+            restored.schedule(restored.now() + 1, 999);
             let a: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
             let b: Vec<_> = std::iter::from_fn(|| restored.pop()).collect();
             assert_eq!(a, b);

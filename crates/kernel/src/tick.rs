@@ -52,11 +52,6 @@ pub fn to_ns(t: Tick) -> f64 {
     t as f64 / NS as f64
 }
 
-/// Converts ticks to fractional microseconds (for reporting).
-pub fn to_us(t: Tick) -> f64 {
-    t as f64 / US as f64
-}
-
 /// Converts ticks to fractional seconds (for reporting).
 pub fn to_s(t: Tick) -> f64 {
     t as f64 / S as f64
@@ -86,7 +81,6 @@ mod tests {
     fn us_conversions() {
         assert_eq!(from_us(1.0), US);
         assert_eq!(from_us(7.8), 7_800 * NS);
-        assert!((to_us(MS) - 1000.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   `Ro Ra Ba Co Ch` (Table I's `RoRaBaCoCh`, `RoRaBaChCo`, `RoCoRaBaCh`
 //!   and any other order), and the [`Decoder`] that decodes and encodes
 //!   them in burst units;
+//! * [`policy`] — the page and scheduling policies of Section II-C, one
+//!   vocabulary for both timing models;
 //! * [`protocol`] — the DRAM timing rules as one table of inter-command
 //!   constraints, and [`ProtocolState`], the one interpreter of it;
 //! * [`queue`] — burst chopping and the burst-group arena, the request
@@ -37,6 +39,7 @@ pub mod ctrl_if;
 pub mod epoch;
 pub mod map;
 pub mod packet;
+pub mod policy;
 pub mod presets;
 pub mod protocol;
 pub mod queue;
@@ -49,6 +52,7 @@ pub use ctrl_if::{CommonStats, Controller, Rejected};
 pub use epoch::{EpochBin, EpochRecorder, EpochRow};
 pub use map::{AddrMapping, Decoder, DramAddr};
 pub use packet::{MemCmd, MemRequest, MemResponse, ReqId};
+pub use policy::{PagePolicy, SchedPolicy};
 pub use protocol::{ProtocolState, Rule};
 pub use queue::{burst_count, chop, BurstGroup, GroupArena};
 pub use spec::{IddCurrents, MemSpec, Organisation, Timing};

@@ -89,11 +89,6 @@ impl MemRequest {
         self.source = source;
         self
     }
-
-    /// The exclusive end address of the request.
-    pub fn end_addr(&self) -> u64 {
-        self.addr + u64::from(self.size)
-    }
 }
 
 /// A transaction-level memory response.
@@ -135,7 +130,6 @@ mod tests {
         assert!(!r.cmd.is_write());
         let w = MemRequest::write(ReqId(2), 0x80, 32);
         assert!(w.cmd.is_write());
-        assert_eq!(w.end_addr(), 0x80 + 32);
     }
 
     #[test]

@@ -270,11 +270,6 @@ impl MemSpec {
     pub fn peak_bandwidth_gbps(&self) -> f64 {
         self.peak_bandwidth() / 1e9
     }
-
-    /// Random-access cycle time of a bank: tRP + tRCD + tCL.
-    pub fn bank_cycle(&self) -> Tick {
-        self.timing.t_rp + self.timing.t_rcd + self.timing.t_cl
-    }
 }
 
 #[cfg(test)]
@@ -331,14 +326,5 @@ mod tests {
         let mut spec = presets::ddr3_1333_x64();
         spec.timing.t_refi = spec.timing.t_rfc;
         assert!(spec.validate().is_err());
-    }
-
-    #[test]
-    fn bank_cycle_sums_core_timings() {
-        let spec = presets::ddr3_1333_x64();
-        assert_eq!(
-            spec.bank_cycle(),
-            spec.timing.t_rp + spec.timing.t_rcd + spec.timing.t_cl
-        );
     }
 }

@@ -5,7 +5,7 @@
 //! scheduling differences, not from the power model (which is shared).
 
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
-use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy};
+use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_mem::{presets, AddrMapping, Controller};
 use dramctrl_power::micron_power;
 use dramctrl_traffic::{DramAwareGen, Tester};
@@ -24,26 +24,23 @@ fn power_pair(stride: u64, banks: u32, read_pct: u8, open_page: bool) -> (f64, f
             spec.org, mapping, 1, 0, stride, banks, read_pct, 0, 3_000, 11,
         )
     };
-    let t = Tester::new(50_000, 500);
-
-    let mut ev_cfg = CtrlConfig::new(spec.clone());
-    ev_cfg.mapping = mapping;
-    ev_cfg.page_policy = if open_page {
+    let page = if open_page {
         PagePolicy::Open
     } else {
         PagePolicy::Closed
     };
+    let t = Tester::new(50_000, 500);
+
+    let mut ev_cfg = CtrlConfig::new(spec.clone());
+    ev_cfg.mapping = mapping;
+    ev_cfg.page_policy = page;
     let mut ev = DramCtrl::new(ev_cfg).unwrap();
     let ev_sum = t.run(&mut mk_gen(), &mut ev);
     let ev_power = micron_power(&spec, &Controller::activity(&mut ev, ev_sum.duration));
 
     let mut cy_cfg = CycleConfig::new(spec.clone());
     cy_cfg.mapping = mapping;
-    cy_cfg.page_policy = if open_page {
-        CyclePagePolicy::Open
-    } else {
-        CyclePagePolicy::Closed
-    };
+    cy_cfg.page_policy = page;
     let mut cy = CycleCtrl::new(cy_cfg).unwrap();
     let cy_sum = t.run(&mut mk_gen(), &mut cy);
     let cy_power = micron_power(&spec, &cy.activity(cy_sum.duration));

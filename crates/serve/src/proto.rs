@@ -220,9 +220,8 @@ pub fn accepted_event(id: &str, total: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dramctrl::{PagePolicy, SchedPolicy};
     use dramctrl_campaign::{Model, TrafficPattern};
-    use dramctrl_mem::AddrMapping;
+    use dramctrl_mem::{AddrMapping, PagePolicy, SchedPolicy};
 
     fn toy_campaign() -> Campaign {
         Campaign::new("wire-test", u64::MAX - 7)

@@ -24,6 +24,17 @@ fn tmp(name: &str) -> PathBuf {
     d
 }
 
+/// Every client call gets a deadline, so a daemon that stops answering
+/// fails the test instead of hanging it. It is far longer than any gap a
+/// test waits out on purpose between two events.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+fn connect(addr: &str) -> Client {
+    let client = Client::connect(addr).unwrap();
+    client.set_io_timeout(Some(DEADLINE)).unwrap();
+    client
+}
+
 fn campaign(name: &str) -> Campaign {
     Campaign::new(name, 42)
         .read_pcts([0, 50, 100])
@@ -74,7 +85,7 @@ fn collect_records(client: &mut Client, id: &str) -> String {
 /// connection per retry, replayed history deduped by unit index.
 fn collect_records_resilient(addr: &str, id: &str) -> String {
     let mut out = std::collections::BTreeMap::new();
-    Client::watch_with_reconnect(addr, id, None, |v, line| {
+    Client::watch_with_reconnect(addr, id, Some(DEADLINE), |v, line| {
         if v.get("event").and_then(Value::as_str) == Some("record") {
             let i = v.get("index").and_then(Value::as_u64).unwrap() as usize;
             out.insert(i, proto::record_data(line).unwrap().to_owned());
@@ -104,7 +115,7 @@ fn faulting_store_sheds_submits_and_daemon_recovers_without_restart() {
 
     // Healthy baseline: a submit+watch round trip works and matches the
     // standalone run byte for byte.
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id1, _) = client.submit("alice", 0, &c).unwrap();
     assert_eq!(collect_records(&mut client, &id1), want);
     assert!(server.health().is_ok());
@@ -147,7 +158,7 @@ fn faulting_store_sheds_submits_and_daemon_recovers_without_restart() {
     );
 
     // Post-recovery submits work and are still byte-exact.
-    let mut after = Client::connect(&addr).unwrap();
+    let mut after = connect(&addr);
     let (id2, _) = after.submit("bob", 0, &c).unwrap();
     assert_eq!(collect_records(&mut after, &id2), want);
 }
@@ -172,7 +183,7 @@ fn torn_commit_parks_the_outcome_and_recovery_lands_it_byte_identically() {
     ))
     .unwrap();
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, _) = client.submit("alice", 0, &c).unwrap();
     // The watch rides through the fault: the unit's outcome is parked,
     // recovery truncates the torn journal bytes, re-commits, and the
@@ -224,8 +235,8 @@ fn two_workers_commits_failing_in_one_episode_both_land_exactly_once() {
     ))
     .unwrap();
 
-    let mut ka = Client::connect(&addr).unwrap();
-    let mut kb = Client::connect(&addr).unwrap();
+    let mut ka = connect(&addr);
+    let mut kb = connect(&addr);
     let (ia, _) = ka.submit("alice", 0, &ca).unwrap();
     let (ib, _) = kb.submit("bob", 0, &cb).unwrap();
     assert_eq!((ia.as_str(), ib.as_str()), ("job-0001", "job-0002"));
@@ -282,7 +293,7 @@ fn a_lone_job_on_two_workers_lands_every_parked_outcome_once_and_in_order() {
     ))
     .unwrap();
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, _) = client.submit("alice", 0, &c).unwrap();
     let mut seen = Vec::new();
     client
@@ -341,7 +352,7 @@ fn a_store_fault_at_a_preemption_never_fails_a_healthy_unit() {
         };
         let _guard = fault::arm_str(&plan).unwrap();
 
-        let mut client = Client::connect(&addr).unwrap();
+        let mut client = connect(&addr);
         let (id, _) = client.submit("alice", epochs, &c).unwrap();
         assert_eq!(id, "job-0001");
         assert_eq!(collect_records(&mut client, &id), want, "{case}");
@@ -450,7 +461,7 @@ fn a_watcher_that_stops_reading_does_not_wedge_the_scheduler() {
     // record + progress + maybe done, back to back), and the contract
     // we care about is that resuming always yields the full gap- and
     // dup-free record set.
-    let mut submitter = Client::connect(&addr).unwrap();
+    let mut submitter = connect(&addr);
     let (id, _) = submitter.submit("alice", 0, &c).unwrap();
     let mut deaf = std::net::TcpStream::connect(&addr).unwrap();
     {
@@ -464,7 +475,7 @@ fn a_watcher_that_stops_reading_does_not_wedge_the_scheduler() {
     assert_eq!(collect_records_resilient(&addr, &id), want);
 
     // Prove the daemon is still fully alive after the deaf client.
-    let mut again = Client::connect(&addr).unwrap();
+    let mut again = connect(&addr);
     let (id2, _) = again.submit("alice", 0, &c).unwrap();
     assert_eq!(collect_records_resilient(&addr, &id2), want);
     drop(deaf);

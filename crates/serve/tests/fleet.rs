@@ -3,8 +3,8 @@
 //! lost mid-round costs one re-dispatched shard, and spare peers still
 //! hedge — every merged report byte-identical to a local run.
 
-use dramctrl::PagePolicy;
 use dramctrl_campaign::{run_campaign, Campaign, ExecutorConfig, JobSpec};
+use dramctrl_mem::PagePolicy;
 use dramctrl_runner::run_job;
 use dramctrl_serve::{dispatch, DispatchConfig, Listener, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};

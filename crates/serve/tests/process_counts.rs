@@ -19,6 +19,17 @@ fn tmp(name: &str) -> PathBuf {
     d
 }
 
+/// Every client call gets a deadline, so a daemon that stops answering
+/// fails the test instead of hanging it. It is far longer than any gap a
+/// test waits out on purpose between two events.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+fn connect(addr: &str) -> Client {
+    let client = Client::connect(addr).unwrap();
+    client.set_io_timeout(Some(DEADLINE)).unwrap();
+    client
+}
+
 fn spawn_daemon(store: PathBuf, quantum: u64) -> (String, Server) {
     let mut cfg = ServeConfig::new(store);
     cfg.quantum = quantum;
@@ -64,7 +75,7 @@ fn durability_ops_do_not_depend_on_the_quantum() {
         .requests([5_000]);
     let ops_at = |name: &str, quantum: u64, epochs: u64| {
         let (addr, server) = spawn_daemon(tmp(name).join("store"), quantum);
-        let mut client = Client::connect(&addr).unwrap();
+        let mut client = connect(&addr);
         let before = op_count();
         run_to_done(&mut client, epochs, &c);
         (op_count() - before, server.metrics().preemptions.get())
@@ -94,7 +105,7 @@ fn finished_jobs_hold_no_file_handle_and_replay_from_the_journal() {
         .read_pcts([0, 100])
         .requests([1_500]);
     let want = run_campaign(&c, &ExecutorConfig::serial(), run_job).to_jsonl();
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
 
     // `status` takes the state lock, so once it answers, the scheduler
     // has finished releasing the job whose `done` the watch just saw.
@@ -145,7 +156,7 @@ fn run_tenants<const N: usize>(
     std::thread::spawn(move || {
         let _ = server.serve(&listener);
     });
-    let clients = tenants.map(|t| (t, Client::connect(&addr).unwrap()));
+    let clients = tenants.map(|t| (t, connect(&addr)));
     let (before, started) = (op_count(), Instant::now());
     let streams = std::thread::scope(|s| {
         let trips = clients.map(|(tenant, mut client)| {

@@ -11,13 +11,12 @@
 //! Everything is driven by the workspace's own `Rng` (xoshiro256**),
 //! so a failure reproduces from the seed printed in the assert.
 
-use dramctrl::{PagePolicy, SchedPolicy};
 use dramctrl_campaign::{
     run_campaign, verify_record_line, Campaign, CampaignJournal, ExecutorConfig, JobRecord,
 };
 use dramctrl_campaign::{Model, TrafficPattern};
 use dramctrl_kernel::rng::Rng;
-use dramctrl_mem::AddrMapping;
+use dramctrl_mem::{AddrMapping, PagePolicy, SchedPolicy};
 use dramctrl_runner::run_job;
 use dramctrl_serve::proto::{self, campaign_to_wire};
 use dramctrl_serve::wire::Value;

@@ -12,11 +12,23 @@ use dramctrl_serve::wire::Value;
 use dramctrl_serve::{Client, Listener, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("dramctrl-serve-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
+}
+
+/// Every client call gets a deadline, so a daemon that stops answering
+/// fails the test instead of hanging it. It is far longer than any gap a
+/// test waits out on purpose between two events.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+fn connect(addr: &str) -> Client {
+    let client = Client::connect(addr).unwrap();
+    client.set_io_timeout(Some(DEADLINE)).unwrap();
+    client
 }
 
 /// A campaign small enough to finish quickly but with enough requests
@@ -57,7 +69,7 @@ fn a_tcp_status_round_trip_does_not_wait_for_delayed_acks() {
     let mut took: Vec<_> = (0..5)
         .map(|_| {
             let start = std::time::Instant::now();
-            Client::connect(&addr).unwrap().status().unwrap();
+            connect(&addr).status().unwrap();
             start.elapsed()
         })
         .collect();
@@ -73,7 +85,7 @@ fn served_records_are_byte_identical_to_standalone_run() {
     let c = campaign("sweep");
     let want = reference_jsonl(&c, &root.join("ref"));
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, total) = client.submit("alice", 0, &c).unwrap();
     assert_eq!(total, 3);
 
@@ -110,8 +122,8 @@ fn two_tenants_interleave_and_both_match_standalone() {
     let want_a = reference_jsonl(&ca, &root.join("ref-a"));
     let want_b = reference_jsonl(&cb, &root.join("ref-b"));
 
-    let mut ka = Client::connect(&addr).unwrap();
-    let mut kb = Client::connect(&addr).unwrap();
+    let mut ka = connect(&addr);
+    let mut kb = connect(&addr);
     let (ia, _) = ka.submit("alice", 0, &ca).unwrap();
     let (ib, _) = kb.submit("bob", 0, &cb).unwrap();
 
@@ -176,7 +188,7 @@ fn finishes_from_a_committed_prefix(name: &str, strays: &[&str]) {
     // finishes the remaining units — committed lines untouched, nothing
     // duplicated, nothing lost.
     let addr2 = spawn_daemon(store.clone(), 1_000);
-    let mut client2 = Client::connect(&addr2).unwrap();
+    let mut client2 = connect(&addr2);
     let mut records = std::collections::BTreeMap::new();
     let summary = client2
         .watch(&id, |v, line| {
@@ -236,7 +248,7 @@ fn admission_control_rejects_with_reason_and_version_gate_refuses() {
         });
     }
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     client.submit("alice", 0, &campaign("first")).unwrap();
     let err = client.submit("alice", 0, &campaign("second")).unwrap_err();
     assert!(err.to_string().contains("queue full"), "{err}");
@@ -265,7 +277,7 @@ fn admission_control_rejects_with_reason_and_version_gate_refuses() {
 fn status_reports_the_job_table() {
     let root = tmp("status");
     let addr = spawn_daemon(root.join("store"), 1_000);
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, _) = client.submit("alice", 0, &campaign("sweep")).unwrap();
     client.watch(&id, |_, _| {}).unwrap();
     let status = client.status().unwrap();
@@ -283,7 +295,7 @@ fn observed_jobs_stream_stats_and_epochs() {
     let c = Campaign::new("obs", 9).read_pcts([50]).requests([2_000]);
     let want = reference_jsonl(&c, &root.join("ref"));
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, _) = client.submit("alice", 1_000_000, &c).unwrap();
     let mut stats = None;
     let mut epochs = None;
@@ -319,7 +331,7 @@ fn observed_jobs_stream_stats_and_epochs() {
     }
 
     // A watch after completion replays the same artifacts from disk.
-    let mut late = Client::connect(&addr).unwrap();
+    let mut late = connect(&addr);
     let mut replayed_stats = None;
     late.watch(&id, |v, _| {
         if v.get("event").and_then(Value::as_str) == Some("stats") {
@@ -380,7 +392,7 @@ fn http_request(addr: &str, verb: &str, path: &str) -> (u16, String, String) {
 fn http_endpoints_expose_metrics_health_and_jobs() {
     let root = tmp("http");
     let (addr, http, _server) = spawn_daemon_http(root.join("store"), 500);
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, total) = client.submit("alice", 0, &campaign("sweep")).unwrap();
     client.watch(&id, |_, _| {}).unwrap();
 
@@ -466,7 +478,7 @@ fn concurrent_scrapes_never_perturb_streamed_records() {
     let c = campaign("sweep");
     let want = reference_jsonl(&c, &root.join("ref"));
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, total) = client.submit("alice", 0, &c).unwrap();
 
     // Hammer /metrics from another thread for the whole run.
@@ -512,7 +524,7 @@ fn preemption_counter_matches_independent_slice_replay() {
     // An unobserved job and an observed one: probes ride along in the
     // resident run, so both are sliced by the same rule.
     let inputs = [(0, campaign("sweep")), (1_000_000, campaign("observed"))];
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     for (epochs, c) in &inputs {
         let (id, _) = client.submit("alice", *epochs, c).unwrap();
         client.watch(&id, |_, _| {}).unwrap();
@@ -565,8 +577,8 @@ fn a_long_observed_unit_does_not_stall_another_tenant() {
             .unwrap();
         out
     };
-    let mut ka = Client::connect(&addr).unwrap();
-    let mut kb = Client::connect(&addr).unwrap();
+    let mut ka = connect(&addr);
+    let mut kb = connect(&addr);
     let (ia, _) = ka.submit("a", 100_000_000, &big).unwrap();
     let (ib, _) = kb.submit("b", 0, &small).unwrap();
 
@@ -623,7 +635,7 @@ fn sharded_submit_runs_only_the_residue_class_byte_identically() {
     let c = campaign("sweep");
     let want = reference_jsonl(&c, &root.join("ref"));
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, total) = client.submit_sharded("alice", 0, &c, Some((1, 3))).unwrap();
     assert_eq!(total, 1, "accepted total is the shard size");
     let mut streamed = Vec::new();
@@ -708,7 +720,7 @@ fn retain_gc_evicts_oldest_finished_jobs_and_spares_the_rest() {
     // The recovered incomplete job finishes; its completion triggers
     // another GC pass which now evicts ids[1]. The pass runs just after
     // the done event broadcasts, so poll status for the counter.
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     client.watch(&ids[2], |_, _| {}).unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
@@ -754,8 +766,7 @@ fn spawn_daemon_pool(store: PathBuf, quantum: u64, workers: usize) -> (String, S
 /// Watches `id` to `done`; the streamed records in index order.
 fn watch_records(addr: &str, id: &str) -> String {
     let mut out = std::collections::BTreeMap::new();
-    Client::connect(addr)
-        .unwrap()
+    connect(addr)
         .watch(id, |v, line| {
             if v.get("event").and_then(Value::as_str) == Some("record") {
                 let i = v.get("index").and_then(Value::as_u64).unwrap() as usize;
@@ -787,7 +798,7 @@ fn every_worker_count_streams_the_same_bytes_and_preempts_the_same() {
     for workers in [1, 2, 4] {
         let store = root.join(format!("store-{workers}"));
         let (addr, server) = spawn_daemon_pool(store.clone(), 200, workers);
-        let mut client = Client::connect(&addr).unwrap();
+        let mut client = connect(&addr);
         let ids: Vec<String> = jobs
             .iter()
             .map(|(tenant, c, ..)| client.submit(tenant, 0, c).unwrap().0)
@@ -829,7 +840,7 @@ fn a_late_guest_finishes_while_two_hogs_hold_both_workers() {
     let small = Campaign::new("small", 4).read_pcts([50]).requests([2_000]);
     let want_small = reference_jsonl(&small, &root.join("ref-small"));
 
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let hogs = [("hog-a", hog("a")), ("hog-b", hog("b"))]
         .map(|(tenant, c)| client.submit(tenant, 0, &c).unwrap().0);
     // Both hogs in flight, one per worker, before the guest shows up.
@@ -880,7 +891,7 @@ fn a_lone_hog_holds_both_workers() {
     let hog = Campaign::new("hog", 3)
         .read_pcts([50, 100])
         .requests([4_000_000]);
-    let mut client = Client::connect(&addr).unwrap();
+    let mut client = connect(&addr);
     let (id, _) = client.submit("hog", 0, &hog).unwrap();
     // The busy gauge dips between a worker's slices, so poll for it.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);

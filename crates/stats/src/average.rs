@@ -39,16 +39,6 @@ impl Average {
         self.max = self.max.max(v);
     }
 
-    /// Adds `n` identical samples.
-    pub fn record_n(&mut self, v: f64, n: u64) {
-        self.sum += v * n as f64;
-        self.count += n;
-        if n > 0 {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-    }
-
     /// The arithmetic mean; 0.0 when no samples have been recorded.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -122,25 +112,6 @@ mod tests {
         assert_eq!(a.count(), 0);
         assert_eq!(a.min(), None);
         assert_eq!(a.max(), None);
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = Average::new();
-        let mut b = Average::new();
-        a.record_n(5.0, 4);
-        for _ in 0..4 {
-            b.record(5.0);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn record_n_zero_is_noop() {
-        let mut a = Average::new();
-        a.record_n(5.0, 0);
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.min(), None);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! studies rely on (Section IV), at miniature scale.
 
 use dramctrl::{CtrlConfig, DramCtrl};
-use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy};
-use dramctrl_mem::{presets, AddrMapping, MemSpec};
+use dramctrl_cycle::{CycleConfig, CycleCtrl};
+use dramctrl_mem::{presets, AddrMapping, MemSpec, PagePolicy};
 use dramctrl_system::{workload, MultiChannel, System, SystemConfig};
 
 fn ev_ctrl(spec: MemSpec, channels: u32) -> DramCtrl {
@@ -152,7 +152,7 @@ fn event_and_cycle_models_agree_in_closed_loop() {
 
     let ev = {
         let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());
-        cfg.page_policy = dramctrl::PagePolicy::Closed;
+        cfg.page_policy = PagePolicy::Closed;
         cfg.mapping = AddrMapping::RoCoRaBaCh;
         let ctrl = DramCtrl::new(cfg).unwrap();
         let mut sys = System::new(
@@ -166,7 +166,7 @@ fn event_and_cycle_models_agree_in_closed_loop() {
     };
     let cy = {
         let mut cfg = CycleConfig::new(presets::ddr3_1333_x64());
-        cfg.page_policy = CyclePagePolicy::Closed;
+        cfg.page_policy = PagePolicy::Closed;
         cfg.mapping = AddrMapping::RoCoRaBaCh;
         let ctrl = CycleCtrl::new(cfg).unwrap();
         let mut sys = System::new(

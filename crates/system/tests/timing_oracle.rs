@@ -15,7 +15,7 @@
 
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy, SchedPolicy};
 use dramctrl_check::{Rule, TimingChecker};
-use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy, CycleSched};
+use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_kernel::rng::Rng;
 use dramctrl_kernel::Tick;
 use dramctrl_mem::{presets, AddrMapping, Controller, MemRequest, MemSpec, ReqId, Timing};
@@ -40,8 +40,8 @@ fn checked_channel(device: &str, channels: u32) -> DramCtrl<TimingChecker> {
 fn checked_cycle_channel(device: &str, channels: u32) -> CycleCtrl<TimingChecker> {
     let spec = presets::by_name(device).expect("benchmark devices are presets");
     let mut cfg = CycleConfig::new(spec.clone());
-    cfg.page_policy = CyclePagePolicy::Open;
-    cfg.scheduling = CycleSched::FrFcfs;
+    cfg.page_policy = PagePolicy::Open;
+    cfg.scheduling = SchedPolicy::FrFcfs;
     cfg.mapping = MAPPING;
     cfg.channels = channels;
     cfg.write_snooping = true;
@@ -190,11 +190,11 @@ fn closed_loop_keeps_the_timing_rules() {
 #[test]
 fn two_ranks_keep_the_timing_rules_on_both_models() {
     let requests = 10_000;
-    for (ranks, page, cycle_page) in [
-        (2, PagePolicy::Open, CyclePagePolicy::Open),
-        (2, PagePolicy::Closed, CyclePagePolicy::Closed),
-        (3, PagePolicy::Open, CyclePagePolicy::Open),
-        (3, PagePolicy::Closed, CyclePagePolicy::Closed),
+    for (ranks, page) in [
+        (2, PagePolicy::Open),
+        (2, PagePolicy::Closed),
+        (3, PagePolicy::Open),
+        (3, PagePolicy::Closed),
     ] {
         let mut spec = presets::by_name("DDR3-1600-x64").expect("a preset");
         spec.org.ranks = ranks;
@@ -220,8 +220,8 @@ fn two_ranks_keep_the_timing_rules_on_both_models() {
         );
 
         let mut cfg = CycleConfig::new(spec.clone());
-        cfg.page_policy = cycle_page;
-        cfg.scheduling = CycleSched::FrFcfs;
+        cfg.page_policy = page;
+        cfg.scheduling = SchedPolicy::FrFcfs;
         cfg.mapping = MAPPING;
         let ctrl = CycleCtrl::with_probe(cfg, TimingChecker::new(&spec)).expect("valid config");
         let mut gen = RandomGen::new(0, 512 << 20, 64, 67, 0, requests, 1);
@@ -290,10 +290,10 @@ fn every_shaved_timing_field_trips_its_rule_on_the_cycle_baseline() {
     let device: MemSpec = presets::ddr3_1333_x64();
     let wl = bursty_random(0x7A1E, 600);
     for (rule, field) in mutants {
-        for page in [CyclePagePolicy::Open, CyclePagePolicy::Closed] {
+        for page in [PagePolicy::Open, PagePolicy::Closed] {
             let mut cfg = CycleConfig::new(device.clone());
             cfg.page_policy = page;
-            cfg.scheduling = CycleSched::FrFcfs;
+            cfg.scheduling = SchedPolicy::FrFcfs;
             *field(&mut cfg.spec.timing) -= device.timing.t_ck;
             let checker = TimingChecker::new(&device);
             let mut ctrl = CycleCtrl::with_probe(cfg, checker).expect("valid config");

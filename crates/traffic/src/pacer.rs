@@ -29,12 +29,6 @@ impl Pacer {
         }
     }
 
-    /// Starts issuing at `start` instead of 0.
-    pub fn starting_at(mut self, start: Tick) -> Self {
-        self.next_tick = start;
-        self
-    }
-
     /// Takes the next (tick, id) slot, or `None` when exhausted.
     pub fn take(&mut self) -> Option<(Tick, ReqId)> {
         if self.remaining == 0 {
@@ -85,9 +79,9 @@ mod tests {
 
     #[test]
     fn zero_period_back_to_back() {
-        let mut p = Pacer::new(0, 2).starting_at(50);
-        assert_eq!(p.take(), Some((50, ReqId(0))));
-        assert_eq!(p.take(), Some((50, ReqId(1))));
+        let mut p = Pacer::new(0, 2);
+        assert_eq!(p.take(), Some((0, ReqId(0))));
+        assert_eq!(p.take(), Some((0, ReqId(1))));
         assert_eq!(p.remaining(), 0);
     }
 }

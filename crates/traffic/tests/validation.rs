@@ -4,7 +4,7 @@
 //! baseline.
 
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
-use dramctrl_cycle::{CycleConfig, CycleCtrl, CyclePagePolicy};
+use dramctrl_cycle::{CycleConfig, CycleCtrl};
 use dramctrl_mem::{presets, AddrMapping};
 use dramctrl_traffic::{DramAwareGen, LinearGen, TestSummary, Tester};
 
@@ -17,7 +17,7 @@ fn ev(policy: PagePolicy, mapping: AddrMapping) -> DramCtrl {
     DramCtrl::new(cfg).unwrap()
 }
 
-fn cy(policy: CyclePagePolicy, mapping: AddrMapping) -> CycleCtrl {
+fn cy(policy: PagePolicy, mapping: AddrMapping) -> CycleCtrl {
     let mut cfg = CycleConfig::new(presets::ddr3_1333_x64());
     cfg.page_policy = policy;
     cfg.mapping = mapping;
@@ -49,7 +49,7 @@ fn fig3_point(stride: u64, banks: u32) -> (f64, f64) {
     );
     let c = t.run(
         &mut aware(m, stride, banks, 100),
-        &mut cy(CyclePagePolicy::Open, m),
+        &mut cy(PagePolicy::Open, m),
     );
     (e.bus_util, c.bus_util)
 }
@@ -64,7 +64,7 @@ fn fig5_point(stride: u64, banks: u32) -> (f64, f64) {
     );
     let c = t.run(
         &mut aware(m, stride, banks, 0),
-        &mut cy(CyclePagePolicy::Closed, m),
+        &mut cy(PagePolicy::Closed, m),
     );
     (e.bus_util, c.bus_util)
 }
@@ -147,10 +147,7 @@ fn fig6_read_latency_distributions_match() {
     };
     let run_cy = |_| {
         let mut gen = LinearGen::new(0, 1 << 22, 64, 100, 10_000, N, 3);
-        Tester::new(2_000, 40).run(
-            &mut gen,
-            &mut cy(CyclePagePolicy::Open, AddrMapping::RoRaBaCoCh),
-        )
+        Tester::new(2_000, 40).run(&mut gen, &mut cy(PagePolicy::Open, AddrMapping::RoRaBaCoCh))
     };
     let (e, c): (TestSummary, TestSummary) = (run_ev(()), run_cy(()));
     let (em, cm) = (e.read_lat_ns.mean(), c.read_lat_ns.mean());
@@ -181,7 +178,7 @@ fn fig7_write_drain_spreads_read_latency() {
     );
     let c = t.run(
         &mut mk_gen(),
-        &mut cy(CyclePagePolicy::Closed, AddrMapping::RoCoRaBaCh),
+        &mut cy(PagePolicy::Closed, AddrMapping::RoCoRaBaCh),
     );
     // Wide spread for the event model: the 90th percentile read waited for
     // a write drain, the 10th did not.
