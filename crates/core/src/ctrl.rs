@@ -1,13 +1,12 @@
 //! The event-based DRAM controller (the paper's contribution, Section II).
 
-use std::fmt;
-
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{EventQueue, SimStall, Tick};
 use dramctrl_mem::protocol::Scope;
 use dramctrl_mem::{
-    burst_count, chop, snapio, ActivityStats, BurstGroup, Decoder, DramAddr, GroupArena, MemCmd,
-    MemRequest, MemResponse, PagePolicy, SchedPolicy,
+    burst_count, chop, snapio, ActivityStats, BurstGroup, CommonStats, Controller, Decoder,
+    DramAddr, GroupArena, MemCmd, MemRequest, MemResponse, MemSpec, PagePolicy, Rejected,
+    SchedPolicy,
 };
 use dramctrl_obs::{CmdEvent, DramCmd, NoProbe, PowerState, Probe};
 use dramctrl_ras::FaultModel;
@@ -19,38 +18,6 @@ use crate::queue::covers;
 use crate::queue::DramPacket;
 use crate::sched::SchedQueue;
 use crate::stats::CtrlStats;
-
-/// Why a request was rejected by [`DramCtrl::try_send`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
-    /// The read queue cannot hold all bursts of the request; retry once
-    /// responses have drained.
-    ReadQueueFull,
-    /// The write queue cannot hold all bursts of the request; retry once
-    /// writes have drained.
-    WriteQueueFull,
-    /// The request spans more bursts than the queue can ever hold.
-    TooLarge {
-        /// Bursts required by the request.
-        bursts: usize,
-        /// Queue capacity in bursts.
-        capacity: usize,
-    },
-}
-
-impl fmt::Display for SendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SendError::ReadQueueFull => write!(f, "read queue full"),
-            SendError::WriteQueueFull => write!(f, "write queue full"),
-            SendError::TooLarge { bursts, capacity } => {
-                write!(f, "request needs {bursts} bursts, queue holds {capacity}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SendError {}
 
 /// Internal controller events: the model only executes at these points
 /// (paper Section II-D).
@@ -123,15 +90,15 @@ enum BusState {
 /// The event-based DRAM controller model.
 ///
 /// The controller owns split read and write queues, per-bank timing state
-/// and a private event queue; it is driven from the outside through a pull
-/// interface:
+/// and a private event queue; it is driven from the outside through the
+/// pull interface every model shares, [`Controller`]:
 ///
-/// 1. [`try_send`](Self::try_send) — offer a request (flow control via
-///    [`SendError`]);
-/// 2. [`next_event`](Self::next_event) — the tick of the controller's next
-///    internal event, letting the harness skip ahead;
-/// 3. [`advance_to`](Self::advance_to) — execute all events up to a tick,
-///    collecting responses.
+/// 1. [`try_send`](Controller::try_send) — offer a request (flow control
+///    via [`Rejected`]);
+/// 2. [`next_event`](Controller::next_event) — the tick of the
+///    controller's next internal event, letting the harness skip ahead;
+/// 3. [`advance_to`](Controller::advance_to) — execute all events up to a
+///    tick, collecting responses.
 ///
 /// All calls must use non-decreasing `now` values.
 ///
@@ -147,7 +114,7 @@ enum BusState {
 ///
 /// ```
 /// use dramctrl::{CtrlConfig, DramCtrl};
-/// use dramctrl_mem::{presets, MemRequest, ReqId};
+/// use dramctrl_mem::{presets, Controller, MemRequest, ReqId};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut ctrl = DramCtrl::new(CtrlConfig::new(presets::ddr3_1333_x64()))?;
@@ -388,45 +355,23 @@ impl<P: Probe> DramCtrl<P> {
         })
     }
 
-    /// Whether a request of `cmd`/`addr`/`size` would currently be
-    /// accepted.
-    pub fn can_accept(&self, cmd: MemCmd, addr: u64, size: u32) -> bool {
-        self.admission_check(cmd, addr, size).is_ok()
-    }
-
     /// Flow-control decision for a request: `Ok` if the target queue can
     /// hold every burst the request chops into. Shared by
     /// [`can_accept`](Self::can_accept) and [`try_send`](Self::try_send)
     /// so the two can never disagree.
-    fn admission_check(&self, cmd: MemCmd, addr: u64, size: u32) -> Result<(), SendError> {
+    fn admission_check(&self, cmd: MemCmd, addr: u64, size: u32) -> Result<(), Rejected> {
         let n = burst_count(addr, size, self.cfg.spec.org.burst_bytes());
-        let (len, capacity, full) = match cmd {
-            MemCmd::Read => (
-                self.read_q.len(),
-                self.cfg.read_buffer_size,
-                SendError::ReadQueueFull,
-            ),
-            MemCmd::Write => (
-                self.write_q.len(),
-                self.cfg.write_buffer_size,
-                SendError::WriteQueueFull,
-            ),
+        let (len, capacity) = match cmd {
+            MemCmd::Read => (self.read_q.len(), self.cfg.read_buffer_size),
+            MemCmd::Write => (self.write_q.len(), self.cfg.write_buffer_size),
         };
         if n > capacity {
-            Err(SendError::TooLarge {
-                bursts: n,
-                capacity,
-            })
+            Err(Rejected::TooLarge)
         } else if len + n > capacity {
-            Err(full)
+            Err(Rejected::Full)
         } else {
             Ok(())
         }
-    }
-
-    /// Whether all queues (and in-flight state) are empty.
-    pub fn is_idle(&self) -> bool {
-        self.read_q.is_empty() && self.write_q.is_empty()
     }
 
     /// Current read-queue depth in bursts.
@@ -446,43 +391,6 @@ impl<P: Probe> DramCtrl<P> {
     #[doc(hidden)]
     pub fn open_row(&self, rank: u32, bank: u32) -> Option<u64> {
         self.ranks[rank as usize].banks[bank as usize].open_row
-    }
-
-    /// Offers a request to the controller at time `now`.
-    ///
-    /// Reads snoop the write queue and may be serviced without touching
-    /// DRAM; writes receive an early acknowledgement and sub-burst writes
-    /// merge into covering queue entries (paper Section II-A). Responses
-    /// (including write acks) are delivered through
-    /// [`advance_to`](Self::advance_to).
-    ///
-    /// # Errors
-    /// [`SendError::ReadQueueFull`]/[`SendError::WriteQueueFull`] when the
-    /// queue lacks space (retry later), [`SendError::TooLarge`] when the
-    /// request can never fit.
-    ///
-    /// # Panics
-    /// Panics if `size` is zero or `now` precedes an already-processed
-    /// event.
-    pub fn try_send(&mut self, req: MemRequest, now: Tick) -> Result<(), SendError> {
-        assert!(req.size > 0, "zero-sized request");
-        // Arrival side effects happen even for rejected requests: the
-        // controller saw activity and must leave power-down to be able to
-        // accept the retry.
-        self.last_activity = self.last_activity.max(now);
-        self.pd_drain = false;
-        self.wake_ranks(now);
-        self.admission_check(req.cmd, req.addr, req.size)?;
-        if P::ENABLED {
-            self.probe
-                .req_accepted(req.id.0, req.cmd == MemCmd::Read, req.addr, req.size, now);
-        }
-        self.stats.common.accepted(req.cmd == MemCmd::Read);
-        match req.cmd {
-            MemCmd::Read => self.enqueue_read(req, now),
-            MemCmd::Write => self.enqueue_write(req, now),
-        }
-        Ok(())
     }
 
     /// Whether a queued write fully covers `[lo, hi)` of the burst at
@@ -614,57 +522,6 @@ impl<P: Probe> DramCtrl<P> {
             self.events.schedule(at, Ev::NextReq);
             self.next_req_scheduled = true;
         }
-    }
-
-    /// The tick of the controller's next internal event, if any.
-    pub fn next_event(&self) -> Option<Tick> {
-        self.events.peek_tick()
-    }
-
-    /// Executes all internal events up to and including `limit`, appending
-    /// any responses that become ready to `out`.
-    pub fn advance_to(&mut self, limit: Tick, out: &mut Vec<MemResponse>) {
-        while let Some((t, ev)) = self.events.pop_until(limit) {
-            self.stats.events_processed += 1;
-            match ev {
-                Ev::NextReq => {
-                    self.next_req_scheduled = false;
-                    self.process_next_req(t);
-                }
-                Ev::Ack(resp) => out.push(resp),
-                Ev::Refresh(rank) => self.process_refresh(rank as usize, t),
-                Ev::PowerDownCheck => {
-                    self.pd_check_scheduled = false;
-                    self.process_pd_check(t);
-                }
-                Ev::SelfRefreshCheck => self.process_sr_check(t),
-                Ev::Retry(pkt) => self.process_retry(*pkt, t),
-            }
-        }
-    }
-
-    /// Drains all queued requests (ignoring the write low watermark),
-    /// returning the tick at which the controller went idle. Responses are
-    /// appended to `out`.
-    ///
-    /// Refresh events recur forever, so draining stops once the queues are
-    /// empty and only the per-rank refresh events remain pending.
-    pub fn drain(&mut self, out: &mut Vec<MemResponse>) -> Tick {
-        self.draining = true;
-        self.schedule_next_req(self.events.now());
-        // Each rank perpetually reschedules its own refresh, so the number
-        // of pending refresh events is invariant after construction —
-        // hoist it out of the drain loop.
-        let refresh_events = self.refresh_event_count();
-        loop {
-            if self.is_idle() && self.events.len() == refresh_events {
-                break;
-            }
-            let Some(t) = self.next_event() else { break };
-            self.advance_to(t, out);
-        }
-        self.draining = false;
-        self.events.now()
     }
 
     fn refresh_event_count(&self) -> usize {
@@ -1371,47 +1228,6 @@ impl<P: Probe> DramCtrl<P> {
         // An idle controller may re-enter power-down after the refresh.
         self.maybe_schedule_pd_check(done);
     }
-
-    // ------------------------------------------------------------------
-    // Reporting
-    // ------------------------------------------------------------------
-
-    /// Activity summary for the power model, over `[0, now]`.
-    pub fn activity(&mut self, now: Tick) -> ActivityStats {
-        let mut time_all_closed = 0;
-        let mut time_pd = 0;
-        let mut time_sr = 0;
-        for rank in &mut self.ranks {
-            rank.timeline.sync(now);
-            time_all_closed += rank.timeline.time_all_closed();
-            let live = now.saturating_sub(rank.pd_since);
-            time_pd += rank.pd_time
-                + if rank.powered_down && !rank.self_refreshing {
-                    live
-                } else {
-                    0
-                };
-            time_sr += rank.sr_time + if rank.self_refreshing { live } else { 0 };
-        }
-        ActivityStats {
-            time_all_banks_precharged: time_all_closed,
-            time_powered_down: time_pd,
-            time_self_refresh: time_sr,
-            ..ActivityStats::counted(&self.stats.common, now, self.cfg.spec.org.ranks)
-        }
-    }
-
-    /// Full statistics report at time `now`. With RAS configured the
-    /// report gains the `ras_*` error/retry/degradation counters and the
-    /// usable capacity left after rank offlining; without RAS the report
-    /// is byte-identical to a build that never heard of faults.
-    pub fn report(&self, prefix: &str, now: Tick) -> dramctrl_stats::Report {
-        let mut r = self.stats.report(prefix, now, &self.cfg);
-        if let Some(fm) = &self.fault {
-            fm.report_into(&mut r);
-        }
-        r
-    }
 }
 
 impl<P: Probe> SnapState for DramCtrl<P> {
@@ -1534,51 +1350,153 @@ impl<P: Probe> SnapState for DramCtrl<P> {
     }
 }
 
-impl<P: Probe> dramctrl_mem::Controller for DramCtrl<P> {
-    fn try_send(&mut self, req: MemRequest, now: Tick) -> Result<(), dramctrl_mem::Rejected> {
-        DramCtrl::try_send(self, req, now).map_err(|e| match e {
-            SendError::TooLarge { .. } => dramctrl_mem::Rejected::TooLarge,
-            _ => dramctrl_mem::Rejected::Full,
-        })
+impl<P: Probe> Controller for DramCtrl<P> {
+    /// Offers a request to the controller at time `now`.
+    ///
+    /// Reads snoop the write queue and may be serviced without touching
+    /// DRAM; writes receive an early acknowledgement and sub-burst writes
+    /// merge into covering queue entries (paper Section II-A). Responses
+    /// (including write acks) are delivered through
+    /// [`advance_to`](Self::advance_to).
+    ///
+    /// # Errors
+    /// [`Rejected::Full`] when the target queue lacks space (retry later;
+    /// [`read_queue_len`](DramCtrl::read_queue_len) and
+    /// [`write_queue_len`](DramCtrl::write_queue_len) tell which),
+    /// [`Rejected::TooLarge`] when the request can never fit.
+    ///
+    /// # Panics
+    /// Panics if `size` is zero or `now` precedes an already-processed
+    /// event.
+    fn try_send(&mut self, req: MemRequest, now: Tick) -> Result<(), Rejected> {
+        assert!(req.size > 0, "zero-sized request");
+        // Arrival side effects happen even for rejected requests: the
+        // controller saw activity and must leave power-down to be able to
+        // accept the retry.
+        self.last_activity = self.last_activity.max(now);
+        self.pd_drain = false;
+        self.wake_ranks(now);
+        self.admission_check(req.cmd, req.addr, req.size)?;
+        if P::ENABLED {
+            self.probe
+                .req_accepted(req.id.0, req.cmd == MemCmd::Read, req.addr, req.size, now);
+        }
+        self.stats.common.accepted(req.cmd == MemCmd::Read);
+        match req.cmd {
+            MemCmd::Read => self.enqueue_read(req, now),
+            MemCmd::Write => self.enqueue_write(req, now),
+        }
+        Ok(())
     }
 
+    /// Whether a request of `cmd`/`addr`/`size` would currently be
+    /// accepted.
     fn can_accept(&self, cmd: MemCmd, addr: u64, size: u32) -> bool {
-        DramCtrl::can_accept(self, cmd, addr, size)
+        self.admission_check(cmd, addr, size).is_ok()
     }
 
+    /// The tick of the controller's next internal event, if any.
     fn next_event(&self) -> Option<Tick> {
-        DramCtrl::next_event(self)
+        self.events.peek_tick()
     }
 
+    /// Executes all internal events up to and including `limit`, appending
+    /// any responses that become ready to `out`.
     fn advance_to(&mut self, limit: Tick, out: &mut Vec<MemResponse>) {
-        DramCtrl::advance_to(self, limit, out);
+        while let Some((t, ev)) = self.events.pop_until(limit) {
+            self.stats.events_processed += 1;
+            match ev {
+                Ev::NextReq => {
+                    self.next_req_scheduled = false;
+                    self.process_next_req(t);
+                }
+                Ev::Ack(resp) => out.push(resp),
+                Ev::Refresh(rank) => self.process_refresh(rank as usize, t),
+                Ev::PowerDownCheck => {
+                    self.pd_check_scheduled = false;
+                    self.process_pd_check(t);
+                }
+                Ev::SelfRefreshCheck => self.process_sr_check(t),
+                Ev::Retry(pkt) => self.process_retry(*pkt, t),
+            }
+        }
     }
 
+    /// Drains all queued requests (ignoring the write low watermark),
+    /// returning the tick at which the controller went idle. Responses are
+    /// appended to `out`.
+    ///
+    /// Refresh events recur forever, so draining stops once the queues are
+    /// empty and only the per-rank refresh events remain pending.
     fn drain(&mut self, out: &mut Vec<MemResponse>) -> Tick {
-        DramCtrl::drain(self, out)
+        self.draining = true;
+        self.schedule_next_req(self.events.now());
+        // Each rank perpetually reschedules its own refresh, so the number
+        // of pending refresh events is invariant after construction —
+        // hoist it out of the drain loop.
+        let refresh_events = self.refresh_event_count();
+        loop {
+            if self.is_idle() && self.events.len() == refresh_events {
+                break;
+            }
+            let Some(t) = self.next_event() else { break };
+            self.advance_to(t, out);
+        }
+        self.draining = false;
+        self.events.now()
     }
 
+    /// Whether all queues (and in-flight state) are empty.
     fn is_idle(&self) -> bool {
-        DramCtrl::is_idle(self)
+        self.read_q.is_empty() && self.write_q.is_empty()
     }
 
-    fn spec(&self) -> &dramctrl_mem::MemSpec {
+    fn spec(&self) -> &MemSpec {
         &self.cfg.spec
     }
 
-    fn common_stats(&self) -> dramctrl_mem::CommonStats {
-        dramctrl_mem::CommonStats {
+    fn common_stats(&self) -> CommonStats {
+        CommonStats {
             read_lat_sum: self.stats.total_lat.sum(),
             ..self.stats.common
         }
     }
 
+    /// Activity summary for the power model, over `[0, now]`.
     fn activity(&mut self, now: Tick) -> ActivityStats {
-        DramCtrl::activity(self, now)
+        let mut time_all_closed = 0;
+        let mut time_pd = 0;
+        let mut time_sr = 0;
+        for rank in &mut self.ranks {
+            rank.timeline.sync(now);
+            time_all_closed += rank.timeline.time_all_closed();
+            let live = now.saturating_sub(rank.pd_since);
+            time_pd += rank.pd_time
+                + if rank.powered_down && !rank.self_refreshing {
+                    live
+                } else {
+                    0
+                };
+            time_sr += rank.sr_time + if rank.self_refreshing { live } else { 0 };
+        }
+        ActivityStats {
+            time_all_banks_precharged: time_all_closed,
+            time_powered_down: time_pd,
+            time_self_refresh: time_sr,
+            ..ActivityStats::counted(&self.stats.common, now, self.cfg.spec.org.ranks)
+        }
     }
 
+    /// Full statistics report at time `now`. With RAS configured the
+    /// report gains the `ras_*` error/retry/degradation counters and the
+    /// usable capacity left after rank offlining; without RAS the report
+    /// is byte-identical to a build that never heard of faults.
     fn report(&self, prefix: &str, now: Tick) -> dramctrl_stats::Report {
-        DramCtrl::report(self, prefix, now)
+        let mut r = self.stats.report(prefix, now, &self.cfg);
+        if let Some(fm) = &self.fault {
+            fm.report_into(&mut r);
+        }
+        r
     }
 }
 

@@ -19,7 +19,7 @@
 use dramctrl_check::TimingChecker;
 use dramctrl_kernel::rng::Rng;
 use dramctrl_kernel::Tick;
-use dramctrl_mem::{EpochRecorder, MemRequest, ReqId};
+use dramctrl_mem::{Controller, EpochRecorder, MemRequest, ReqId};
 use dramctrl_obs::ChromeTracer;
 
 use crate::config::CtrlConfig;

@@ -21,9 +21,12 @@
 //!
 //! # Quick start
 //!
+//! The controller is driven through [`dramctrl_mem::Controller`], the
+//! pull interface it shares with the cycle-based baseline.
+//!
 //! ```
 //! use dramctrl::{CtrlConfig, DramCtrl, PagePolicy};
-//! use dramctrl_mem::{presets, MemRequest, ReqId};
+//! use dramctrl_mem::{presets, Controller, MemRequest, ReqId};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());
@@ -59,7 +62,7 @@ mod sched;
 mod stats;
 
 pub use config::{ConfigError, CtrlConfig};
-pub use ctrl::{DramCtrl, SendError};
+pub use ctrl::DramCtrl;
 pub use stats::CtrlStats;
 
 // Re-exported so front ends configure RAS without a direct `dramctrl-ras`

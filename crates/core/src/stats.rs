@@ -7,24 +7,6 @@ use dramctrl_stats::{Average, Report};
 
 use crate::config::CtrlConfig;
 
-/// Writes an [`Average`] bit-exactly (floats via `to_bits`).
-pub(crate) fn save_average(w: &mut SnapWriter, a: &Average) {
-    let (sum, count, min, max) = a.to_parts();
-    w.f64(sum);
-    w.u64(count);
-    w.f64(min);
-    w.f64(max);
-}
-
-/// Reads an [`Average`] written by [`save_average`].
-pub(crate) fn read_average(r: &mut SnapReader<'_>) -> Result<Average, SnapError> {
-    let sum = r.f64()?;
-    let count = r.u64()?;
-    let min = r.f64()?;
-    let max = r.f64()?;
-    Ok(Average::from_parts(sum, count, min, max))
-}
-
 /// Time-weighted queue-occupancy accumulator.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct QueueOcc {
@@ -182,9 +164,9 @@ impl SnapState for CtrlStats {
         w.u64(self.self_refreshes);
         w.u64(self.events_processed);
         w.u64(c.bus_busy);
-        save_average(w, &self.queue_lat);
-        save_average(w, &self.bank_lat);
-        save_average(w, &self.total_lat);
+        self.queue_lat.save_state(w);
+        self.bank_lat.save_state(w);
+        self.total_lat.save_state(w);
         self.rdq_occ.save_state(w);
         self.wrq_occ.save_state(w);
     }
@@ -215,9 +197,9 @@ impl SnapState for CtrlStats {
         self.self_refreshes = r.u64()?;
         self.events_processed = r.u64()?;
         c.bus_busy = r.u64()?;
-        self.queue_lat = read_average(r)?;
-        self.bank_lat = read_average(r)?;
-        self.total_lat = read_average(r)?;
+        self.queue_lat.restore_state(r)?;
+        self.bank_lat.restore_state(r)?;
+        self.total_lat.restore_state(r)?;
         self.rdq_occ.restore_state(r)?;
         self.wrq_occ.restore_state(r)?;
         Ok(())

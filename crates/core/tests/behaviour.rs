@@ -1,9 +1,9 @@
 //! Behavioural and property-based tests for the event-based controller:
 //! flow control, conservation invariants and statistics plumbing.
 
-use dramctrl::{CtrlConfig, DramCtrl, PagePolicy, SchedPolicy, SendError};
+use dramctrl::{CtrlConfig, DramCtrl, PagePolicy, SchedPolicy};
 use dramctrl_kernel::rng::Rng;
-use dramctrl_mem::{presets, AddrMapping, MemCmd, MemRequest, ReqId};
+use dramctrl_mem::{presets, AddrMapping, Controller, MemCmd, MemRequest, Rejected, ReqId};
 
 fn small_ctrl() -> DramCtrl {
     let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());
@@ -19,13 +19,9 @@ fn oversized_request_is_too_large() {
     let err = c
         .try_send(MemRequest::read(ReqId(0), 0, 256), 0)
         .unwrap_err();
-    assert_eq!(
-        err,
-        SendError::TooLarge {
-            bursts: 4,
-            capacity: 2
-        }
-    );
+    // Four bursts, a two-burst queue: it could never fit.
+    assert_eq!(err, Rejected::TooLarge);
+    assert_eq!(c.read_queue_len(), 0);
 }
 
 #[test]
@@ -37,7 +33,9 @@ fn read_queue_full_backpressure() {
     let err = c
         .try_send(MemRequest::read(ReqId(2), 128, 64), 0)
         .unwrap_err();
-    assert_eq!(err, SendError::ReadQueueFull);
+    assert_eq!(err, Rejected::Full);
+    // The read queue is the full one.
+    assert_eq!((c.read_queue_len(), c.write_queue_len()), (2, 0));
     // Draining frees space again.
     let mut out = Vec::new();
     c.drain(&mut out);
@@ -51,8 +49,10 @@ fn write_queue_full_backpressure() {
     c.try_send(MemRequest::write(ReqId(1), 64, 64), 0).unwrap();
     assert_eq!(
         c.try_send(MemRequest::write(ReqId(2), 128, 64), 0),
-        Err(SendError::WriteQueueFull)
+        Err(Rejected::Full)
     );
+    // The write queue is the full one.
+    assert_eq!((c.read_queue_len(), c.write_queue_len()), (0, 2));
 }
 
 #[test]
@@ -190,7 +190,7 @@ fn one_response_per_request() {
                         accepted += 1;
                         break;
                     }
-                    Err(SendError::TooLarge { .. }) => break,
+                    Err(Rejected::TooLarge) => break,
                     Err(_) => {
                         let next = c.next_event().expect("backpressure implies pending work");
                         t = t.max(next);
@@ -244,7 +244,7 @@ fn activity_bounds() {
             loop {
                 match c.try_send(req, t) {
                     Ok(()) => break,
-                    Err(SendError::TooLarge { .. }) => break,
+                    Err(Rejected::TooLarge) => break,
                     Err(_) => {
                         let next = c.next_event().unwrap();
                         t = t.max(next);

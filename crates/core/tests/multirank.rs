@@ -4,7 +4,9 @@
 //! activation windows and refresh.
 
 use dramctrl::{CtrlConfig, DramCtrl};
-use dramctrl_mem::{presets, AddrMapping, Decoder, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{
+    presets, AddrMapping, Controller, Decoder, DramAddr, MemRequest, MemResponse, ReqId,
+};
 
 fn two_rank_ctrl(refresh: bool) -> DramCtrl {
     let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());

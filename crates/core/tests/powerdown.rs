@@ -8,7 +8,7 @@
 //! (paying `t_xp`) and the controller may re-enter power-down afterwards.
 
 use dramctrl::{CtrlConfig, DramCtrl};
-use dramctrl_mem::{presets, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{presets, Controller, MemRequest, MemResponse, ReqId};
 
 const IDLE: u64 = 100_000; // 100 ns
 const T_XP: u64 = 7_500;

@@ -6,7 +6,9 @@
 //! normal FR-FCFS/FCFS rules apply.
 
 use dramctrl::{CtrlConfig, DramCtrl, SchedPolicy};
-use dramctrl_mem::{presets, AddrMapping, Decoder, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{
+    presets, AddrMapping, Controller, Decoder, DramAddr, MemRequest, MemResponse, ReqId,
+};
 
 fn ctrl(qos: Vec<u8>, sched: SchedPolicy) -> DramCtrl {
     let mut cfg = CtrlConfig::new(presets::ddr3_1333_x64());

@@ -5,7 +5,7 @@
 //! `t_xs` instead of `t_xp`.
 
 use dramctrl::{CtrlConfig, DramCtrl};
-use dramctrl_mem::{presets, MemRequest, ReqId};
+use dramctrl_mem::{presets, Controller, MemRequest, ReqId};
 
 const PD_IDLE: u64 = 100_000; // 100 ns
 const SR_AFTER: u64 = 1_000_000; // 1 us of power-down, then self-refresh

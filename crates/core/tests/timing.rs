@@ -7,7 +7,9 @@
 //! `tRFC = 160 ns`, `tREFI = 7.8 us`). Ticks are picoseconds.
 
 use dramctrl::{CtrlConfig, DramCtrl, PagePolicy, SchedPolicy};
-use dramctrl_mem::{presets, AddrMapping, Decoder, DramAddr, MemRequest, MemResponse, ReqId};
+use dramctrl_mem::{
+    presets, AddrMapping, Controller, Decoder, DramAddr, MemRequest, MemResponse, ReqId,
+};
 
 /// A DDR3-1333 controller with refresh disabled (deterministic timing) and
 /// the given tweaks applied.

@@ -917,11 +917,7 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
         w.u64(s.merged_writes);
         w.u64(s.forwarded_reads);
         w.u64(s.cycles_simulated);
-        let (sum, count, min, max) = s.read_lat.to_parts();
-        w.f64(sum);
-        w.u64(count);
-        w.f64(min);
-        w.f64(max);
+        s.read_lat.save_state(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -1010,12 +1006,7 @@ impl<P: Probe> SnapState for CycleCtrl<P> {
         s.merged_writes = r.u64()?;
         s.forwarded_reads = r.u64()?;
         s.cycles_simulated = r.u64()?;
-        let sum = r.f64()?;
-        let count = r.u64()?;
-        let min = r.f64()?;
-        let max = r.f64()?;
-        s.read_lat = Average::from_parts(sum, count, min, max);
-        Ok(())
+        s.read_lat.restore_state(r)
     }
 }
 

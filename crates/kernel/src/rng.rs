@@ -22,6 +22,8 @@
 //! assert!((0.0..1.0).contains(&x));
 //! ```
 
+use crate::snap::{SnapError, SnapReader, SnapState, SnapWriter};
+
 /// A deterministic xoshiro256** generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng {
@@ -150,19 +152,27 @@ impl Rng {
         }
         b
     }
+}
 
-    /// The raw xoshiro256** state, for checkpointing. A generator rebuilt
-    /// with [`from_state`](Self::from_state) continues the exact stream.
-    #[must_use]
-    pub fn state(&self) -> [u64; 4] {
-        self.s
+/// The four xoshiro256** state words, in order: a restored generator
+/// continues the exact stream.
+impl SnapState for Rng {
+    fn save_state(&self, w: &mut SnapWriter) {
+        for word in self.s {
+            w.u64(word);
+        }
     }
 
-    /// Rebuilds a generator from a state captured by
-    /// [`state`](Self::state).
-    #[must_use]
-    pub fn from_state(s: [u64; 4]) -> Self {
-        Self { s }
+    /// Refuses the all-zero state: it is xoshiro256**'s fixed point (the
+    /// generator would return 0 forever), and no seeded or advanced
+    /// generator reaches it.
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        if s == [0; 4] {
+            return Err(SnapError::Corrupt("all-zero generator state".into()));
+        }
+        self.s = s;
+        Ok(())
     }
 }
 
@@ -225,7 +235,13 @@ mod tests {
         for _ in 0..10 {
             a.next_u64();
         }
-        let mut b = Rng::from_state(a.state());
+        let mut w = SnapWriter::new(0);
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes, 0).unwrap();
+        let mut b = Rng::seed_from_u64(0);
+        b.restore_state(&mut r).unwrap();
+        assert!(r.is_exhausted());
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }

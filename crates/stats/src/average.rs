@@ -1,3 +1,5 @@
+use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
+
 /// Streaming mean/min/max of a series of samples.
 ///
 /// # Example
@@ -80,24 +82,24 @@ impl Average {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
+}
 
-    /// The raw accumulator state `(sum, count, min, max)` for
-    /// checkpointing. The floats must be persisted bit-exactly (via
-    /// `f64::to_bits`) so a restored accumulator renders byte-identical
-    /// reports; this crate knows no snapshot format, so serialisation
-    /// itself lives with the caller.
-    pub fn to_parts(&self) -> (f64, u64, f64, f64) {
-        (self.sum, self.count, self.min, self.max)
+/// `sum`, `count`, `min`, `max`, the floats bit-exact, so a restored
+/// accumulator renders byte-identical reports.
+impl SnapState for Average {
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.f64(self.sum);
+        w.u64(self.count);
+        w.f64(self.min);
+        w.f64(self.max);
     }
 
-    /// Rebuilds an accumulator from [`to_parts`](Self::to_parts) output.
-    pub fn from_parts(sum: f64, count: u64, min: f64, max: f64) -> Self {
-        Self {
-            sum,
-            count,
-            min,
-            max,
-        }
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.sum = r.f64()?;
+        self.count = r.u64()?;
+        self.min = r.f64()?;
+        self.max = r.f64()?;
+        Ok(())
     }
 }
 
@@ -124,6 +126,25 @@ mod tests {
         assert_eq!(a.mean(), 2.0);
         assert_eq!(a.min(), Some(1.0));
         assert_eq!(a.max(), Some(3.0));
+    }
+
+    /// A restored accumulator is bit-identical, empty ones included.
+    #[test]
+    fn snapshot_round_trip() {
+        let mut a = Average::new();
+        a.record(0.1);
+        a.record(-7.25);
+        for a in [a, Average::new()] {
+            let mut w = SnapWriter::new(0);
+            a.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut back = Average::new();
+            back.record(1.0);
+            let mut r = SnapReader::new(&bytes, 0).unwrap();
+            back.restore_state(&mut r).unwrap();
+            assert!(r.is_exhausted());
+            assert_eq!(back, a);
+        }
     }
 
     #[test]

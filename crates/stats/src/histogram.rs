@@ -1,3 +1,5 @@
+use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
+
 /// A fixed-range linear histogram of `u64` samples with under/overflow
 /// buckets, used for latency distributions (paper Figures 6 and 7).
 ///
@@ -240,85 +242,53 @@ impl Histogram {
         let (min, max, n) = (self.min, self.max, self.buckets.len());
         *self = Self::new(min, max, n);
     }
-
-    /// The complete raw state for checkpointing. The float fields must be
-    /// persisted bit-exactly (`f64::to_bits`); this crate knows no
-    /// snapshot format, so serialisation lives with the caller.
-    pub fn to_parts(&self) -> HistogramParts {
-        HistogramParts {
-            min: self.min,
-            max: self.max,
-            buckets: self.buckets.clone(),
-            underflow: self.underflow,
-            overflow: self.overflow,
-            sum: self.sum,
-            sum_sq: self.sum_sq,
-            count: self.count,
-            sample_min: self.sample_min,
-            sample_max: self.sample_max,
-        }
-    }
-
-    /// Rebuilds a histogram from [`to_parts`](Self::to_parts) output.
-    ///
-    /// # Errors
-    /// Returns a message when the parts violate the constructor's
-    /// invariants (empty range, zero buckets, uneven width).
-    pub fn from_parts(p: HistogramParts) -> Result<Self, String> {
-        if p.max <= p.min {
-            return Err("histogram range must be non-empty".into());
-        }
-        if p.buckets.is_empty() {
-            return Err("histogram needs at least one bucket".into());
-        }
-        let range = p.max - p.min;
-        if range % p.buckets.len() as u64 != 0 {
-            return Err(format!(
-                "range {range} must divide evenly into {} buckets",
-                p.buckets.len()
-            ));
-        }
-        let width = range / p.buckets.len() as u64;
-        Ok(Self {
-            min: p.min,
-            max: p.max,
-            width,
-            buckets: p.buckets,
-            underflow: p.underflow,
-            overflow: p.overflow,
-            sum: p.sum,
-            sum_sq: p.sum_sq,
-            count: p.count,
-            sample_min: p.sample_min,
-            sample_max: p.sample_max,
-        })
-    }
 }
 
-/// The raw state of a [`Histogram`], produced by [`Histogram::to_parts`]
-/// and consumed by [`Histogram::from_parts`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramParts {
-    /// Lower bound of the bucketed range (inclusive).
-    pub min: u64,
-    /// Upper bound of the bucketed range (exclusive).
-    pub max: u64,
-    /// Per-bucket sample counts.
-    pub buckets: Vec<u64>,
-    /// Samples below the range.
-    pub underflow: u64,
-    /// Samples at or above the range.
-    pub overflow: u64,
-    /// Exact sum of all samples (bit-exact persistence required).
-    pub sum: f64,
-    /// Exact sum of squares (bit-exact persistence required).
-    pub sum_sq: f64,
-    /// Total samples recorded.
-    pub count: u64,
-    /// Smallest sample seen (`u64::MAX` when empty).
-    pub sample_min: u64,
-    /// Largest sample seen (`0` when empty).
-    pub sample_max: u64,
+/// The geometry (`min`, `max`, bucket count), every bucket, the
+/// under/overflow counts, the exact sums (bit-exact), the sample count
+/// and the sample extremes.
+impl SnapState for Histogram {
+    fn save_state(&self, w: &mut SnapWriter) {
+        w.u64(self.min);
+        w.u64(self.max);
+        w.usize(self.buckets.len());
+        for &b in &self.buckets {
+            w.u64(b);
+        }
+        w.u64(self.underflow);
+        w.u64(self.overflow);
+        w.f64(self.sum);
+        w.f64(self.sum_sq);
+        w.u64(self.count);
+        w.u64(self.sample_min);
+        w.u64(self.sample_max);
+    }
+
+    /// Refuses a geometry other than this histogram's own before reading
+    /// any bucket: restored into another range, every percentile's bucket
+    /// edges would move.
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let (min, max, n) = (r.u64()?, r.u64()?, r.usize()?);
+        if (min, max, n) != (self.min, self.max, self.buckets.len()) {
+            return Err(SnapError::Corrupt(format!(
+                "histogram over [{min}, {max}) in {n} buckets, expected [{}, {}) in {}",
+                self.min,
+                self.max,
+                self.buckets.len()
+            )));
+        }
+        for b in &mut self.buckets {
+            *b = r.u64()?;
+        }
+        self.underflow = r.u64()?;
+        self.overflow = r.u64()?;
+        self.sum = r.f64()?;
+        self.sum_sq = r.f64()?;
+        self.count = r.u64()?;
+        self.sample_min = r.u64()?;
+        self.sample_max = r.u64()?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -456,20 +426,50 @@ mod tests {
         }
     }
 
-    /// to_parts/from_parts is the identity, including on empty histograms.
+    fn snapshot(h: &Histogram) -> Vec<u8> {
+        let mut w = SnapWriter::new(0);
+        h.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(into: &mut Histogram, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(bytes, 0)?;
+        into.restore_state(&mut r)?;
+        assert!(r.is_exhausted());
+        Ok(())
+    }
+
+    /// save/restore is the identity, including on empty histograms.
     #[test]
-    fn parts_round_trip() {
+    fn snapshot_round_trip() {
         let mut h = Histogram::new(100, 1_100, 20);
         for v in [50u64, 100, 555, 2_000] {
             h.record(v);
         }
-        assert_eq!(Histogram::from_parts(h.to_parts()).unwrap(), h);
+        let mut back = Histogram::new(100, 1_100, 20);
+        restore(&mut back, &snapshot(&h)).unwrap();
+        assert_eq!(back, h);
         let empty = Histogram::new(0, 10, 10);
-        assert_eq!(Histogram::from_parts(empty.to_parts()).unwrap(), empty);
-        // Invalid parts are rejected, not silently accepted.
-        let mut bad = h.to_parts();
-        bad.max = bad.min;
-        assert!(Histogram::from_parts(bad).is_err());
+        let mut back = Histogram::new(0, 10, 10);
+        back.record(3);
+        restore(&mut back, &snapshot(&empty)).unwrap();
+        assert_eq!(back, empty);
+    }
+
+    /// A snapshot of another geometry is refused, whichever of min, max
+    /// or bucket count differs, and the target is left as it was.
+    #[test]
+    fn restore_refuses_a_foreign_geometry() {
+        let mut h = Histogram::new(100, 1_100, 20);
+        h.record(555);
+        let bytes = snapshot(&h);
+        for (min, max, n) in [(0, 1_100, 22), (100, 2_100, 20), (100, 1_100, 10)] {
+            let mut other = Histogram::new(min, max, n);
+            let before = other.clone();
+            let err = restore(&mut other, &bytes).unwrap_err();
+            assert!(err.to_string().contains("expected"), "{err}");
+            assert_eq!(other, before);
+        }
     }
 
     /// The quantile function is monotonically non-decreasing in p.

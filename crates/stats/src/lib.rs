@@ -35,6 +35,6 @@ mod report;
 mod table;
 
 pub use average::Average;
-pub use histogram::{Histogram, HistogramParts};
+pub use histogram::Histogram;
 pub use report::Report;
 pub use table::Table;

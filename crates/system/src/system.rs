@@ -8,9 +8,9 @@
 //! locality — the feedback loops that traces cannot capture and that
 //! motivate full-system evaluation in the paper (Section I).
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
+use dramctrl_kernel::hash::DetMap;
 use dramctrl_kernel::{Clock, EventQueue, Tick};
 use dramctrl_mem::{CommonStats, Controller, MemRequest, MemResponse, ReqId};
 use dramctrl_stats::{Average, Report};
@@ -212,7 +212,7 @@ pub struct System<C: Controller> {
     l1: Vec<CacheArray>,
     llc: CacheArray,
     events: EventQueue<SysEv>,
-    outstanding: HashMap<u64, Fill>,
+    outstanding: DetMap<u64, Fill>,
     wb_queue: VecDeque<u64>,
     llc_miss_lat: Average,
     resp_buf: Vec<MemResponse>,
@@ -265,7 +265,7 @@ impl<C: Controller> System<C> {
             ctrl,
             cores,
             events,
-            outstanding: HashMap::new(),
+            outstanding: DetMap::default(),
             wb_queue: VecDeque::new(),
             llc_miss_lat: Average::new(),
             resp_buf: Vec::new(),

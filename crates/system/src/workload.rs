@@ -249,16 +249,13 @@ impl SnapState for AccessStream {
     /// remaining sequential-run length. The profile, base and line size
     /// are construction parameters and are not written.
     fn save_state(&self, w: &mut SnapWriter) {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
+        self.rng.save_state(w);
         w.u64(self.cursor);
         w.u32(self.seq_left);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        self.rng = Rng::from_state(state);
+        self.rng.restore_state(r)?;
         let cursor = r.u64()?;
         if cursor < self.base || cursor >= self.base + self.profile.footprint {
             return Err(SnapError::Corrupt(format!(

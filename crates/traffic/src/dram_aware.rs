@@ -90,9 +90,7 @@ impl DramAwareGen {
 impl SnapState for DramAwareGen {
     fn save_state(&self, w: &mut SnapWriter) {
         self.pacer.save_state(w);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
+        self.rng.save_state(w);
         w.u32(self.bank_idx);
         w.usize(self.rows.len());
         for &row in &self.rows {
@@ -103,7 +101,7 @@ impl SnapState for DramAwareGen {
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.pacer.restore_state(r)?;
-        self.rng = Rng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
+        self.rng.restore_state(r)?;
         let bank_idx = r.u32()?;
         if bank_idx >= self.banks_used {
             return Err(SnapError::Corrupt(format!(

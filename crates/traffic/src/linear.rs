@@ -70,9 +70,7 @@ impl SnapState for LinearGen {
     fn save_state(&self, w: &mut SnapWriter) {
         self.pacer.save_state(w);
         w.u64(self.cur);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
+        self.rng.save_state(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -84,8 +82,7 @@ impl SnapState for LinearGen {
             )));
         }
         self.cur = cur;
-        self.rng = Rng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
-        Ok(())
+        self.rng.restore_state(r)
     }
 }
 

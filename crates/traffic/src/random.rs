@@ -52,15 +52,12 @@ impl RandomGen {
 impl SnapState for RandomGen {
     fn save_state(&self, w: &mut SnapWriter) {
         self.pacer.save_state(w);
-        for word in self.rng.state() {
-            w.u64(word);
-        }
+        self.rng.save_state(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.pacer.restore_state(r)?;
-        self.rng = Rng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
-        Ok(())
+        self.rng.restore_state(r)
     }
 }
 
@@ -112,5 +109,23 @@ mod tests {
         rows.sort_unstable();
         rows.dedup();
         assert!(rows.len() > 900, "only {} distinct rows", rows.len());
+    }
+
+    /// A checkpoint whose generator words were zeroed would replay one
+    /// address forever (xoshiro256**'s fixed point): restore refuses it.
+    #[test]
+    fn restore_refuses_a_zeroed_generator_state() {
+        let mut g = RandomGen::new(0, 1 << 20, 64, 50, 0, 100, 5);
+        g.next_request();
+        let mut w = SnapWriter::new(0);
+        g.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let rng_words = bytes.len() - 32;
+        bytes[rng_words..].fill(0);
+        let mut fresh = RandomGen::new(0, 1 << 20, 64, 50, 0, 100, 5);
+        let err = fresh
+            .restore_state(&mut SnapReader::new(&bytes, 0).unwrap())
+            .unwrap_err();
+        assert!(err.to_string().contains("all-zero"), "{err}");
     }
 }

@@ -5,7 +5,7 @@ use dramctrl_kernel::hash::DetMap;
 use dramctrl_kernel::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use dramctrl_kernel::{tick, Tick};
 use dramctrl_mem::{CommonStats, Controller, MemResponse, Rejected, ReqId};
-use dramctrl_stats::{Histogram, HistogramParts};
+use dramctrl_stats::Histogram;
 use std::collections::VecDeque;
 
 /// Drives a [`TrafficGen`] into a [`Controller`] with flow control and
@@ -411,52 +411,11 @@ fn round_to_ns(d: Tick) -> u64 {
     }
 }
 
-fn save_histogram(w: &mut SnapWriter, h: &Histogram) {
-    let p = h.to_parts();
-    w.u64(p.min);
-    w.u64(p.max);
-    w.usize(p.buckets.len());
-    for &b in &p.buckets {
-        w.u64(b);
-    }
-    w.u64(p.underflow);
-    w.u64(p.overflow);
-    w.f64(p.sum);
-    w.f64(p.sum_sq);
-    w.u64(p.count);
-    w.u64(p.sample_min);
-    w.u64(p.sample_max);
-}
-
-fn read_histogram(r: &mut SnapReader<'_>) -> Result<Histogram, SnapError> {
-    let min = r.u64()?;
-    let max = r.u64()?;
-    // Grown as read: a corrupt count must fail on the missing bytes, not
-    // reserve them up front.
-    let mut buckets = Vec::new();
-    for _ in 0..r.usize()? {
-        buckets.push(r.u64()?);
-    }
-    let parts = HistogramParts {
-        min,
-        max,
-        buckets,
-        underflow: r.u64()?,
-        overflow: r.u64()?,
-        sum: r.f64()?,
-        sum_sq: r.f64()?,
-        count: r.u64()?,
-        sample_min: r.u64()?,
-        sample_max: r.u64()?,
-    };
-    Histogram::from_parts(parts).map_err(SnapError::Corrupt)
-}
-
 impl SnapState for TestRun {
     fn save_state(&self, w: &mut SnapWriter) {
         debug_assert!(self.out.is_empty(), "responses pending mid-step");
-        save_histogram(w, &self.read_lat);
-        save_histogram(w, &self.write_lat);
+        self.read_lat.save_state(w);
+        self.write_lat.save_state(w);
         // Ascending id order: the bytes a sorted map would write, whatever
         // order the table holds them in.
         let mut sent: Vec<(ReqId, Tick)> = self.sent.iter().map(|(&id, &at)| (id, at)).collect();
@@ -476,8 +435,8 @@ impl SnapState for TestRun {
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.read_lat = read_histogram(r)?;
-        self.write_lat = read_histogram(r)?;
+        self.read_lat.restore_state(r)?;
+        self.write_lat.restore_state(r)?;
         let n = r.usize()?;
         self.sent.clear();
         for _ in 0..n {
@@ -595,8 +554,8 @@ mod tests {
     fn snapshot_via_btreemap(run: &TestRun) -> Vec<u8> {
         let sent: BTreeMap<ReqId, Tick> = run.sent.iter().map(|(&id, &at)| (id, at)).collect();
         let mut w = SnapWriter::new(0);
-        save_histogram(&mut w, &run.read_lat);
-        save_histogram(&mut w, &run.write_lat);
+        run.read_lat.save_state(&mut w);
+        run.write_lat.save_state(&mut w);
         w.usize(sent.len());
         for (&id, &at) in &sent {
             w.u64(id.0);
@@ -622,8 +581,9 @@ mod tests {
         assert_eq!(bytes, snapshot_via_btreemap(&run));
         // Skip both histograms, then read the table back in file order.
         let mut r = SnapReader::new(&bytes, 0).unwrap();
-        read_histogram(&mut r).unwrap();
-        read_histogram(&mut r).unwrap();
+        let mut skip = Tester::default().begin();
+        skip.read_lat.restore_state(&mut r).unwrap();
+        skip.write_lat.restore_state(&mut r).unwrap();
         let n = r.usize().unwrap();
         let ids: Vec<u64> = (0..n)
             .map(|_| {
@@ -654,6 +614,24 @@ mod tests {
         restored.restore_state(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(snapshot(&restored), bytes);
+    }
+
+    /// A run restores only into a tester of its own histogram geometry:
+    /// anywhere else every percentile's bucket edges would move.
+    #[test]
+    fn restore_refuses_a_run_of_another_histogram_geometry() {
+        let mut gen = LinearGen::new(0, 1 << 20, 64, 67, 1_000, 500, 3);
+        let mut mem = SlowMemory::new(1_000_000);
+        let mut run = Tester::new(200_000, 1_000).begin();
+        while run.injected() < 300 && run.step(&mut gen, &mut mem, Tick::MAX) {}
+        let bytes = snapshot(&run);
+        let restore = |tester: Tester| {
+            let mut into = tester.begin();
+            into.restore_state(&mut SnapReader::new(&bytes, 0).unwrap())
+        };
+        assert!(restore(Tester::new(200_000, 1_000)).is_ok());
+        let err = restore(Tester::new(100_000, 1_000)).unwrap_err();
+        assert!(err.to_string().contains("histogram"), "{err}");
     }
 
     #[test]

@@ -141,6 +141,9 @@ impl FromStr for TraceGen {
             if size == 0 {
                 return Err(err("zero size"));
             }
+            if addr.checked_add(u64::from(size)).is_none() {
+                return Err(err("addr + size passes 2^64"));
+            }
             if parts.next().is_some() {
                 return Err(err("trailing fields"));
             }
@@ -273,10 +276,11 @@ mod tests {
 
     #[test]
     fn extreme_values_round_trip() {
+        // The largest size, ending on the last byte of the address space.
         let entries = vec![TraceEntry {
             tick: Tick::MAX,
             cmd: MemCmd::Write,
-            addr: u64::MAX,
+            addr: u64::MAX - u64::from(u32::MAX),
             size: u32::MAX,
         }];
         let parsed: TraceGen = TraceGen::to_text(&entries).parse().unwrap();
@@ -296,6 +300,18 @@ mod tests {
         assert!("0 R zz 64".parse::<TraceGen>().is_err());
         assert!("0 R 0 0".parse::<TraceGen>().is_err());
         assert!("0 R 0 64 extra".parse::<TraceGen>().is_err());
+    }
+
+    /// An entry whose bytes run past 2^64 would overflow the burst
+    /// chopping (a panic in debug builds, an empty chop in release).
+    #[test]
+    fn rejects_an_entry_past_the_address_space() {
+        let e = "0 R 0xffffffffffffffc0 64".parse::<TraceGen>();
+        assert!(e.unwrap_err().to_string().contains("passes 2^64"));
+        let e = "0 R 0xffffffffffffffff 1".parse::<TraceGen>();
+        assert!(e.is_err());
+        let last: TraceGen = "0 R 0xffffffffffffffbf 64".parse().unwrap();
+        assert_eq!(last.len(), 1);
     }
 
     #[test]
